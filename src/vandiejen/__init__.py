@@ -3,7 +3,6 @@ Lax matrices, spectral duality, projection-method dynamics, factorized
 scattering, Poisson-bracket certification, and matrix-flow eigenvalue
 asymptotics.
 """
-from ._kernels import USING_NUMBA
 from .phase_space import Coupling, PhasePoint, PhaseSpaceError, sample, validate
 from .lax import LaxBundle, commutation_residual, f_vector, lax_matrix, trace_power_observable, u_coeff, z_coeff
 from .duality import DualFrame, dual_frame, dual_lax, dual_z_closed_form, duality_map, minor_identity_residuals
@@ -15,7 +14,6 @@ from .asymptotics import FlowSpec, alpha_coeffs, flow_eigenvalues, m_coeffs, p_c
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "Coupling", "PhasePoint", "PhaseSpaceError", "sample", "validate",
     "LaxBundle", "commutation_residual", "f_vector", "lax_matrix",
     "trace_power_observable", "u_coeff", "z_coeff",

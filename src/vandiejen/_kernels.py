@@ -1,42 +1,14 @@
 """Hot numeric kernels: coefficient products, Lax-matrix assembly, the flow field.
 
-Two interchangeable implementations live here: a vectorized pure-numpy path and
-a numba-jitted path.  The numpy path is selected by setting the environment
-variable VANDIEJEN_NO_NUMBA=1 (or when numba is unavailable); everything else
-in the package is agnostic to the choice.  benchmarks/bench_kernels.py compares
-the two.
+Plain numpy on arrays and floats, with no input checks: the modules that call
+these validate the phase point and coupling first.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("VANDIEJEN_NO_NUMBA", "") not in ("", "0")
 
-try:  # pragma: no cover - import guard
-    if _DISABLE:
-        raise ImportError
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:  # pragma: no cover
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def z_coeffs_numpy(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
+def z_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """z_a = -sinh(i nu + 2 xi_a)/sinh(2 xi_a) * prod_{c != a} pair factors."""
     n = len(xi)
     z = -np.sinh(1j * nu + 2 * xi) / np.sinh(2 * xi)
@@ -51,7 +23,7 @@ def z_coeffs_numpy(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     return z * fac.prod(axis=1)
 
 
-def u_coeffs_numpy(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
+def u_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """u_a as the square-root product form (real, > 1)."""
     n = len(xi)
     u = np.sqrt(1.0 + np.sin(nu) ** 2 / np.sinh(2 * xi) ** 2)
@@ -66,7 +38,7 @@ def u_coeffs_numpy(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     return u * fac.prod(axis=1)
 
 
-def lax_entries_numpy(f: np.ndarray, lam: np.ndarray, mu: float, nu: float) -> np.ndarray:
+def lax_entries(f: np.ndarray, lam: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """L_kl = (i sin(mu) F_k conj(F_l) + i sin(mu - nu) C_kl) / sinh(i mu + Lam_k - Lam_l)."""
     big_n = len(f)
     n = big_n // 2
@@ -78,145 +50,36 @@ def lax_entries_numpy(f: np.ndarray, lam: np.ndarray, mu: float, nu: float) -> n
     return num / den
 
 
-def xi_interaction_numpy(y: np.ndarray, alpha: float) -> np.ndarray:
+def _xi_interaction(y: np.ndarray, alpha: float) -> np.ndarray:
     """Xi(y, alpha) = sin(alpha)^2 coth(y) / (sin(alpha)^2 + sinh(y)^2)."""
     s2 = np.sin(alpha) ** 2
     sh = np.sinh(y)
     return s2 * (np.cosh(y) / sh) / (s2 + sh * sh)
 
 
-def log_u_gradient_numpy(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
+def log_u_gradient(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """Matrix of partials d ln(u_a) / d xi_b, from the Xi closed forms."""
     n = len(xi)
     grad = np.zeros((n, n))
     for a in range(n):
-        diag = -2 * xi_interaction_numpy(2 * xi[a], nu)
+        diag = -2 * _xi_interaction(2 * xi[a], nu)
         for d in range(n):
             if d == a:
                 continue
-            diag -= xi_interaction_numpy(xi[a] - xi[d], mu)
-            diag -= xi_interaction_numpy(xi[a] + xi[d], mu)
-            grad[a, d] = -xi_interaction_numpy(xi[d] - xi[a], mu) - xi_interaction_numpy(
+            diag -= _xi_interaction(xi[a] - xi[d], mu)
+            diag -= _xi_interaction(xi[a] + xi[d], mu)
+            grad[a, d] = -_xi_interaction(xi[d] - xi[a], mu) - _xi_interaction(
                 xi[d] + xi[a], mu
             )
         grad[a, a] = diag
     return grad
 
 
-def vector_field_numpy(xi: np.ndarray, eta: np.ndarray, mu: float, nu: float):
+def vector_field(xi: np.ndarray, eta: np.ndarray, mu: float, nu: float):
     """Hamiltonian vector field: xi_dot_a = sinh(eta_a) u_a,
     eta_dot_a = -sum_c cosh(eta_c) u_c dln(u_c)/dxi_a."""
-    u = u_coeffs_numpy(xi, mu, nu)
-    grad = log_u_gradient_numpy(xi, mu, nu)
+    u = u_coeffs(xi, mu, nu)
+    grad = log_u_gradient(xi, mu, nu)
     xi_dot = np.sinh(eta) * u
     eta_dot = -(np.cosh(eta) * u) @ grad
     return xi_dot, eta_dot
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (explicit loops; same arithmetic)
-
-
-@njit(cache=True)
-def _z_coeffs_nb(xi, mu, nu):  # pragma: no cover - exercised when numba active
-    n = xi.shape[0]
-    out = np.empty(n, dtype=np.complex128)
-    for a in range(n):
-        val = -np.sinh(1j * nu + 2.0 * xi[a]) / np.sinh(2.0 * xi[a])
-        for c in range(n):
-            if c == a:
-                continue
-            d = xi[a] - xi[c]
-            s = xi[a] + xi[c]
-            val *= np.sinh(1j * mu + d) / np.sinh(d)
-            val *= np.sinh(1j * mu + s) / np.sinh(s)
-        out[a] = val
-    return out
-
-
-@njit(cache=True)
-def _u_coeffs_nb(xi, mu, nu):  # pragma: no cover
-    n = xi.shape[0]
-    out = np.empty(n)
-    s_nu2 = np.sin(nu) ** 2
-    s_mu2 = np.sin(mu) ** 2
-    for a in range(n):
-        val = np.sqrt(1.0 + s_nu2 / np.sinh(2.0 * xi[a]) ** 2)
-        for c in range(n):
-            if c == a:
-                continue
-            d = xi[a] - xi[c]
-            s = xi[a] + xi[c]
-            val *= np.sqrt(1.0 + s_mu2 / np.sinh(d) ** 2)
-            val *= np.sqrt(1.0 + s_mu2 / np.sinh(s) ** 2)
-        out[a] = val
-    return out
-
-
-@njit(cache=True)
-def _lax_entries_nb(f, lam, mu, nu):  # pragma: no cover
-    big_n = f.shape[0]
-    n = big_n // 2
-    s_mu = np.sin(mu)
-    s_mn = np.sin(mu - nu)
-    out = np.empty((big_n, big_n), dtype=np.complex128)
-    for k in range(big_n):
-        for l in range(big_n):
-            ckl = 1.0 if (k + n == l or l + n == k) else 0.0
-            num = 1j * s_mu * f[k] * np.conj(f[l]) + 1j * s_mn * ckl
-            out[k, l] = num / np.sinh(1j * mu + lam[k] - lam[l])
-    return out
-
-
-@njit(cache=True)
-def _xi_nb(y, alpha):  # pragma: no cover
-    s2 = np.sin(alpha) ** 2
-    sh = np.sinh(y)
-    return s2 * (np.cosh(y) / sh) / (s2 + sh * sh)
-
-
-@njit(cache=True)
-def _log_u_gradient_nb(xi, mu, nu):  # pragma: no cover
-    n = xi.shape[0]
-    grad = np.zeros((n, n))
-    for a in range(n):
-        diag = -2.0 * _xi_nb(2.0 * xi[a], nu)
-        for d in range(n):
-            if d == a:
-                continue
-            diag -= _xi_nb(xi[a] - xi[d], mu) + _xi_nb(xi[a] + xi[d], mu)
-            grad[a, d] = -_xi_nb(xi[d] - xi[a], mu) - _xi_nb(xi[d] + xi[a], mu)
-        grad[a, a] = diag
-    return grad
-
-
-@njit(cache=True)
-def _vector_field_nb(xi, eta, mu, nu):  # pragma: no cover
-    n = xi.shape[0]
-    u = _u_coeffs_nb(xi, mu, nu)
-    grad = _log_u_gradient_nb(xi, mu, nu)
-    xi_dot = np.sinh(eta) * u
-    eta_dot = np.zeros(n)
-    for a in range(n):
-        acc = 0.0
-        for c in range(n):
-            acc += np.cosh(eta[c]) * u[c] * grad[c, a]
-        eta_dot[a] = -acc
-    return xi_dot, eta_dot
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if USING_NUMBA:
-    z_coeffs = _z_coeffs_nb
-    u_coeffs = _u_coeffs_nb
-    lax_entries = _lax_entries_nb
-    log_u_gradient = _log_u_gradient_nb
-    vector_field = _vector_field_nb
-else:
-    z_coeffs = z_coeffs_numpy
-    u_coeffs = u_coeffs_numpy
-    lax_entries = lax_entries_numpy
-    log_u_gradient = log_u_gradient_numpy
-    vector_field = vector_field_numpy

@@ -280,6 +280,37 @@ def verify_theorem_linear(spec: FlowSpec, t_grid, include_alpha: bool = True) ->
     )
 
 
+def exponential_summary(spec: FlowSpec, t_grid) -> dict:
+    """One report row for an exponential flow: the gap R, the smallest fitted
+    order, the relative error of the two-point p recovery, and under "passed"
+    the theorem report's own verdict."""
+    rep = verify_theorem_exponential(spec, t_grid)
+    recovered = recover_p_two_point(spec)
+    return {
+        "R": rep.gap,
+        "min_fitted_order": float(np.nanmin(rep.fitted_orders)),
+        "p_recovery_rel_err": float(
+            (np.abs(recovered - rep.p) / np.maximum(np.abs(rep.p), 1e-12)).max()
+        ),
+        "passed": rep.passed,
+    }
+
+
+def linear_summary(spec: FlowSpec, t_grid) -> dict:
+    """One report row for a linear flow: the gap R and the mean fitted orders
+    with and without the alpha term; under "passed", the theorem report's own
+    verdict and whether those orders lie within 0.3 of 2 and of 1."""
+    rep = verify_theorem_linear(spec, t_grid)
+    rep0 = verify_theorem_linear(spec, t_grid, include_alpha=False)
+    order, order0 = np.nanmean(rep.fitted_orders), np.nanmean(rep0.fitted_orders)
+    return {
+        "R": rep.gap,
+        "order_with_alpha": float(order),
+        "order_without_alpha": float(order0),
+        "passed": rep.passed and abs(order - 2.0) <= 0.3 and abs(order0 - 1.0) <= 0.3,
+    }
+
+
 def sample_spec(size: int, seed: int, kind: str = "exponential",
                 min_gap: float = 1.5, gap_spread: float = 0.5,
                 off_scale: float = 0.2) -> FlowSpec:

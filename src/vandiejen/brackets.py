@@ -104,23 +104,21 @@ class CanonicityReport:
         return max(self.action_action, self.angle_angle, self.cross_deviation)
 
 
-def canonicity_suite(
-    p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP
-) -> CanonicityReport:
-    """All brackets among the dual coordinates, via one Jacobian of the spectral map.
-
-    With K the Jacobian of p -> (lambda_hat, theta_hat), the full bracket table
-    is K Omega K^T; canonicity is K Omega K^T = Omega.
-    """
+def spectral_jacobian(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Finite-difference Jacobian J of the spectral map p -> (theta_hat, lambda_hat)."""
     _require_interior(p, step)
-    n = p.n
+    return _map_jacobian(lambda q: duality_map(q, g), p, step)
 
-    def ordered_dual(q: PhasePoint) -> PhasePoint:
-        img = duality_map(q, g)
-        # reorder to (lambda_hat, theta_hat) so the bracket table aligns with Omega
-        return PhasePoint.from_vector(np.concatenate([img.eta, img.xi]))
 
-    k = _map_jacobian(ordered_dual, p, step)
+def _canonicity(j: np.ndarray, step: float) -> CanonicityReport:
+    """All brackets among the dual coordinates, from the spectral map's Jacobian J.
+
+    With K the Jacobian of p -> (lambda_hat, theta_hat), that is J with its two
+    row blocks swapped, the full bracket table is K Omega K^T; canonicity is
+    K Omega K^T = Omega.
+    """
+    n = j.shape[0] // 2
+    k = np.concatenate([j[n:], j[:n]])
     table = k @ omega_matrix(n) @ k.T
     return CanonicityReport(
         step=step,
@@ -130,12 +128,22 @@ def canonicity_suite(
     )
 
 
-def antisymplectic_check(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> float:
+def _antisymplectic(j: np.ndarray) -> float:
     """max |J^T Omega J + Omega| for the spectral map's Jacobian J."""
-    _require_interior(p, step)
-    j = _map_jacobian(lambda q: duality_map(q, g), p, step)
-    om = omega_matrix(p.n)
+    om = omega_matrix(j.shape[0] // 2)
     return float(np.abs(j.T @ om @ j + om).max())
+
+
+def canonicity_suite(
+    p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP
+) -> CanonicityReport:
+    """All brackets among the dual coordinates at p; see _canonicity."""
+    return _canonicity(spectral_jacobian(p, g, step), step)
+
+
+def antisymplectic_check(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> float:
+    """max |J^T Omega J + Omega| for the spectral map's Jacobian J at p."""
+    return _antisymplectic(spectral_jacobian(p, g, step))
 
 
 def flow_symplectic_check(
@@ -150,6 +158,21 @@ def flow_symplectic_check(
     j = _map_jacobian(lambda q: projection_flow(q, g, s, cfg), p, step)
     om = omega_matrix(p.n)
     return float(np.abs(j.T @ om @ j - om).max())
+
+
+def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> dict:
+    """Bracket residuals at p: canonicity of the dual coordinates and the
+    reversal of the form, both from one Jacobian of the spectral map, and the
+    preservation of the form by the time-1 flow."""
+    j = spectral_jacobian(p, g, step)
+    rep = _canonicity(j, step)
+    return {
+        "action_action": rep.action_action,
+        "angle_angle": rep.angle_angle,
+        "cross_deviation": rep.cross_deviation,
+        "antisymplectic": _antisymplectic(j),
+        "flow_symplectic": flow_symplectic_check(p, g, step=step),
+    }
 
 
 def position_observable(a: int) -> Observable:

@@ -28,11 +28,8 @@ class DualityError(ValueError):
     pass
 
 
-def dual_angles(bundle: LaxBundle) -> np.ndarray:
-    """Positive half-spectrum angles: theta_hat_a = ln(w_a)/2 for eigenvalues w > 1,
-    sorted descending; reciprocal pairing and simplicity are verified."""
-    w = hermitian_eig(bundle.matrix).eigenvalues
-    n = bundle.n
+def _angles(w: np.ndarray, n: int) -> np.ndarray:
+    """theta_hat from the ascending spectrum w of L; see dual_angles."""
     pairing = np.abs(w * w[::-1] - 1.0)
     if pairing.max() > 1e-6:
         raise DualityError(f"spectrum fails reciprocal pairing: max residual {pairing.max():.3e}")
@@ -43,6 +40,12 @@ def dual_angles(bundle: LaxBundle) -> np.ndarray:
     if theta_hat[-1] <= 0:
         raise DualityError("upper half-spectrum not above 1; spectrum too close to unity")
     return theta_hat
+
+
+def dual_angles(bundle: LaxBundle) -> np.ndarray:
+    """Positive half-spectrum angles: theta_hat_a = ln(w_a)/2 for eigenvalues w > 1,
+    sorted descending; reciprocal pairing and simplicity are verified."""
+    return _angles(hermitian_eig(bundle.matrix).eigenvalues, bundle.n)
 
 
 def _full_angles(theta_hat: np.ndarray) -> np.ndarray:
@@ -62,10 +65,10 @@ def diagonalizer(bundle: LaxBundle, basis: np.ndarray | None = None) -> tuple[np
     e^{2 theta_hat_a}, descending) may be supplied; the output is invariant
     under re-phasing of its columns.
     """
-    theta_hat = dual_angles(bundle)
+    eig = hermitian_eig(bundle.matrix)
     n = bundle.n
+    theta_hat = _angles(eig.eigenvalues, n)
     if basis is None:
-        eig = hermitian_eig(bundle.matrix)
         # ascending eigenvalues: column 2n-1-a of the basis carries e^{2 theta_hat_a}
         v = eig.basis[:, ::-1][:, :n]
     else:
@@ -147,7 +150,7 @@ class DualFrame:
 
 
 def dual_frame(p: PhasePoint, g: Coupling) -> DualFrame:
-    """Build the full spectral frame at (p, g)."""
+    """Build the full spectral frame at (p, g) from one eigendecomposition of L."""
     bundle = lax_matrix(p, g)
     theta_hat, y_hat = diagonalizer(bundle)
     f_hat = dual_f(bundle, theta_hat, y_hat)
@@ -166,7 +169,7 @@ def duality_map(p: PhasePoint, g: Coupling) -> PhasePoint:
     return dual_frame(p, g).image
 
 
-def dual_lax(p: PhasePoint, g: Coupling):
+def _dual_lax_routes(frame: DualFrame):
     """Dual Lax matrix with its two independent cross-check routes.
 
     Returns (L_hat, entrywise, pushforward): the similarity-transform route,
@@ -174,14 +177,18 @@ def dual_lax(p: PhasePoint, g: Coupling):
     coupling, and the direct Lax matrix at the dual point with the flipped
     coupling.  All three agree on valid inputs.
     """
-    frame = dual_frame(p, g)
-    g_hat = g.hat()
+    g_hat = frame.bundle.coupling.hat()
     l_hat = frame.dual_matrix()
     entrywise = np.asarray(
         _kernels.lax_entries(frame.f_hat, frame.big_theta, g_hat.mu, g_hat.nu)
     )
     pushforward = lax_matrix(frame.image, g_hat).matrix
     return l_hat, entrywise, pushforward
+
+
+def dual_lax(p: PhasePoint, g: Coupling):
+    """L_hat and its two cross-check routes at (p, g); see _dual_lax_routes."""
+    return _dual_lax_routes(dual_frame(p, g))
 
 
 def _omega_weights(theta_hat: np.ndarray, mu_hat: float) -> np.ndarray:
@@ -221,3 +228,26 @@ def minor_identity_residuals(frame: DualFrame) -> tuple[float, float]:
         - (np.sin(mu) ** 2 + np.sin(mu - nu) ** 2 + np.sinh(2 * th) ** 2)
     )
     return float(np.abs(linear).max()), float(np.abs(quadratic).max())
+
+
+def identity_residuals(p: PhasePoint, g: Coupling) -> dict:
+    """Residuals of the duality identities at p, all from the one frame at p
+    except the involution p -> p_hat -> p, which takes a second frame at the
+    dual point."""
+    fr = dual_frame(p, g)
+    g_hat = g.hat()
+    l_hat, entrywise, pushforward = _dual_lax_routes(fr)
+    scale = np.abs(l_hat).max()
+    back = duality_map(fr.image, g_hat)
+    closed = np.array([dual_z_closed_form(fr.theta_hat, g_hat, c) for c in range(p.n)])
+    lin, quad = minor_identity_residuals(fr)
+    re_sum = abs(fr.z_hat.real.sum() - fr.bundle.z.real.sum()) / abs(fr.bundle.z.real.sum())
+    return {
+        "involution": float(np.abs(back.as_vector() - p.as_vector()).max()),
+        "dual_lax_entrywise": float(np.abs(l_hat - entrywise).max() / scale),
+        "dual_lax_pushforward": float(np.abs(l_hat - pushforward).max() / scale),
+        "re_z_sum": float(re_sum),
+        "z_closed_form": float(np.abs(closed - fr.z_hat).max()),
+        "linear_identity": lin,
+        "quadratic_identity": quad,
+    }

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _kernels
 from .duality import DualFrame
@@ -68,6 +67,8 @@ def vector_field(p: PhasePoint, g: Coupling):
 
 def rk_flow(p: PhasePoint, g: Coupling, t_values, cfg: FlowConfig = FlowConfig()):
     """Adaptive Runge-Kutta propagation, sampled at the requested times."""
+    from scipy.integrate import solve_ivp  # scipy loads only when a flow runs
+
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if not np.all(np.isfinite(t_values)):
         raise DynamicsError("non-finite time grid")

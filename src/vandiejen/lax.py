@@ -139,6 +139,25 @@ def commutation_residual(bundle: LaxBundle) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
+def structure_residuals(p: PhasePoint, g: Coupling) -> dict:
+    """Structure residuals of L at p: Hermiticity and the commutation relation
+    relative to max|L|, |det L - 1|, the smallest eigenvalue (positive
+    definiteness), the reciprocal pairing w_j w_{2n+1-j} = 1 of the spectrum,
+    and tr L against twice the energy."""
+    b = lax_matrix(p, g)
+    m = b.matrix
+    scale = np.abs(m).max()
+    w = np.linalg.eigvalsh(m)
+    return {
+        "hermiticity": float(np.abs(m - m.conj().T).max() / scale),
+        "det_minus_one": float(abs(np.linalg.det(m) - 1.0)),
+        "min_eigenvalue": float(w.min()),
+        "pairing": float(np.abs(w * w[::-1] - 1.0).max()),
+        "trace_minus_2h": float(abs(np.trace(m).real - 2 * b.energy) / abs(2 * b.energy)),
+        "commutation": float(commutation_residual(b) / scale),
+    }
+
+
 def trace_power_observable(bundle: LaxBundle, k: int) -> float:
     """tr(L^k), real for Hermitian L; a conserved quantity of the flow."""
     if k < 1:

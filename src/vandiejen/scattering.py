@@ -61,6 +61,14 @@ class AsymptoticData:
     minor_route_plus: np.ndarray  # lambda_plus recomputed from principal minors
     minor_route_minus: np.ndarray
 
+    def wave(self, sign: int) -> PhasePoint:
+        """Wave data (lambda_plus, theta_plus) or (lambda_minus, theta_minus)."""
+        if sign not in (1, -1):
+            raise ScatteringError("sign must be +1 or -1")
+        if sign == 1:
+            return _free_point(self.lambda_plus, self.theta_plus)
+        return _free_point(self.lambda_minus, self.theta_minus)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -139,13 +147,25 @@ def upsilon_minus_inverse(zeta: PhasePoint, g: Coupling) -> PhasePoint:
 
 
 def wave_map(p: PhasePoint, g: Coupling, sign: int) -> PhasePoint:
-    """Wave data (lambda_plus, theta_plus) or (lambda_minus, theta_minus)."""
-    if sign not in (1, -1):
-        raise ScatteringError("sign must be +1 or -1")
+    """The wave data of asymptotic_data(p, g); see AsymptoticData.wave."""
+    return asymptotic_data(p, g).wave(sign)
+
+
+def identity_residuals(p: PhasePoint, g: Coupling) -> dict:
+    """Residuals of the scattering identities at p, all from one asymptotic_data:
+    lambda_plus + lambda_minus = Delta, both minor routes, S(W_-) = W_+, and
+    S against its factorization through the half-shift maps."""
     data = asymptotic_data(p, g)
-    if sign == 1:
-        return _free_point(data.lambda_plus, data.theta_plus)
-    return _free_point(data.lambda_minus, data.theta_minus)
+    wm, wp = data.wave(-1), data.wave(1)
+    sw = scattering_map(wm, g)
+    comp = upsilon(upsilon_minus_inverse(wm, g), g, 1)
+    return {
+        "sum_identity": float(np.abs(data.lambda_plus + data.lambda_minus - data.delta).max()),
+        "minor_route_plus": float(np.abs(data.lambda_plus - data.minor_route_plus).max()),
+        "minor_route_minus": float(np.abs(data.lambda_minus - data.minor_route_minus).max()),
+        "scattering_consistency": float(np.abs(sw.as_vector() - wp.as_vector()).max()),
+        "composite_route": float(np.abs(sw.as_vector() - comp.as_vector()).max()),
+    }
 
 
 @dataclass(frozen=True)

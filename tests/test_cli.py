@@ -1,8 +1,10 @@
+import csv
 import json
 
 import pytest
 
-from vandiejen.cli import EXIT_PASS, EXIT_USAGE, main
+from vandiejen.checks import BATTERIES
+from vandiejen.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
 
 def run(argv):
@@ -66,19 +68,6 @@ def test_config_defaults_and_flag_override(tmp_path):
     assert len(json.loads(out.read_text())) == 1
 
 
-def test_thread_env_gives_identical_output(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(["scatter", "--n", "2", "--points", "4", "--out", str(a)]) == EXIT_PASS
-    monkeypatch.setenv("DIEJEN_THREADS", "2")
-    assert run(["scatter", "--n", "2", "--points", "4", "--out", str(b)]) == EXIT_PASS
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_bad_thread_env_is_usage_error(monkeypatch):
-    monkeypatch.setenv("DIEJEN_THREADS", "many")
-    assert run(["scatter", "--points", "1"]) == EXIT_USAGE
-
-
 def test_flow_csv_has_expected_header(tmp_path):
     out = tmp_path / "flow.csv"
     assert run(["flow", "--n", "2", "--t", "0,1", "--out", str(out)]) == EXIT_PASS
@@ -86,3 +75,27 @@ def test_flow_csv_has_expected_header(tmp_path):
     assert header == [
         "t", "lambda_1", "lambda_2", "theta_1", "theta_2", "energy", "propagator_gap",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # rows of this battery pass and fail side by side (re_z_sum against 1e-10)
+        ["duality", "--n", "6", "--mu", "2.0", "--nu", "1.0", "--points", "20"],
+        ["lax-check", "--n", "3", "--points", "4"],
+        ["scatter", "--n", "3", "--points", "4"],
+        ["brackets", "--n", "2", "--points", "2"],
+    ],
+)
+def test_passed_is_each_rows_own_verdict(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    code = run(argv + ["--out", str(out)])
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == int(argv[-1])
+    for row in rows:
+        own = all(
+            float(row[c.column]) > c.bound if c.lower else float(row[c.column]) <= c.bound
+            for c in BATTERIES[argv[0]].checks
+        )
+        assert row["passed"] == str(own), row
+    assert code == (EXIT_FAIL if any(r["passed"] == "False" for r in rows) else EXIT_PASS)
