@@ -23,6 +23,7 @@ def z_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     return z * fac.prod(axis=1)
 
 
+@np.errstate(over="ignore")  # sinh(y)**2 overflows past y ~ 355; its term is then 0, the limit
 def u_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """u_a as the square-root product form (real, > 1)."""
     n = len(xi)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import general_eig, leading_principal_minors, minor
+from .phase_space import VandiejenError
 
 MINOR_MARGIN = 1e-10
 ORDER_GAP_TOL = 1e-8
@@ -22,7 +23,7 @@ FIT_CLAMP = 1e-14
 EXP_CAP = 600.0
 
 
-class AsymptoticsError(ValueError):
+class AsymptoticsError(VandiejenError):
     pass
 
 

@@ -14,14 +14,14 @@ from typing import Callable
 import numpy as np
 
 from .duality import duality_map
-from .dynamics import FlowConfig, projection_flow
-from .phase_space import Coupling, PhasePoint, validate
+from .dynamics import projection_flow
+from .phase_space import Coupling, PhasePoint, VandiejenError, validate
 
 DEFAULT_STEP = 1e-5
 INTERIOR_FACTOR = 10.0
 
 
-class BracketError(ValueError):
+class BracketError(VandiejenError):
     pass
 
 
@@ -147,15 +147,11 @@ def antisymplectic_check(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP)
 
 
 def flow_symplectic_check(
-    p: PhasePoint,
-    g: Coupling,
-    s: float = 1.0,
-    step: float = DEFAULT_STEP,
-    cfg: FlowConfig = FlowConfig(),
+    p: PhasePoint, g: Coupling, s: float = 1.0, step: float = DEFAULT_STEP
 ) -> float:
     """max |J^T Omega J - Omega| for the time-s flow map's Jacobian."""
     _require_interior(p, step)
-    j = _map_jacobian(lambda q: projection_flow(q, g, s, cfg), p, step)
+    j = _map_jacobian(lambda q: projection_flow(q, g, s), p, step)
     om = omega_matrix(p.n)
     return float(np.abs(j.T @ om @ j - om).max())
 

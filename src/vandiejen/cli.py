@@ -3,8 +3,9 @@ seeded samples and writes deterministic CSV/JSON reports.
 
 Each row's `passed` is that row's own verdict: every column within
 `bound * --tol-scale`, or above its lower bound.  Exit codes: 0 every row
-passed, 1 at least one row failed, 2 bad usage or configuration.  Identical
-configuration and seed produce byte-identical output.
+passed, 1 at least one row failed or a numerical failure (a library error
+other than a phase-space one) stopped the command, 2 bad usage or
+configuration.  Identical configuration and seed produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import dynamics
 from .checks import ASYMPTOTICS, BATTERIES, FLOW_GAP
-from .phase_space import Coupling, PhaseSpaceError, sample
+from .phase_space import Coupling, PhaseSpaceError, VandiejenError, sample
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -123,9 +124,8 @@ def cmd_flow(args) -> int:
     g = _coupling(args)
     grid = _parse_grid(args.t)
     p = sample(args.n, seed=args.seed)
-    cfg = dynamics.FlowConfig(method=args.method)
     proj = dynamics.projection_trajectory(p, g, grid) if args.method != "runge-kutta" else None
-    rk = dynamics.rk_flow(p, g, grid, cfg) if args.method != "projection" else None
+    rk = dynamics.rk_flow(p, g, grid) if args.method != "projection" else None
     primary = proj if proj is not None else rk
     coords = [f"{x}_{a + 1}" for x in ("lambda", "theta") for a in range(args.n)]
     header = ["t", *coords, "energy"]
@@ -153,7 +153,9 @@ def cmd_asymptotics(args) -> int:
     return _report(rows, battery.checks, header, args)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The `vandiejen` parser; `config` holds option defaults, which explicit flags
+    override.  A config key that is no option of any subcommand is a UsageError."""
     parser = argparse.ArgumentParser(
         prog="vandiejen",
         description="Numerical checks for a two-parameter hyperbolic integrable many-body system",
@@ -199,35 +201,49 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("exponential", "linear"), default="exponential")
     sp.add_argument("--t", default="4:1:10", help="time grid")
     sp.set_defaults(fn=cmd_asymptotics)
+
+    config = {key.replace("-", "_"): value for key, value in (config or {}).items()}
+    known = set()
+    for sp in sub.choices.values():
+        options = {a.dest for a in sp._actions if a.option_strings} - {"help"}
+        sp.set_defaults(**{k: v for k, v in config.items() if k in options})
+        known |= options
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise UsageError(f"unknown option(s) {', '.join(unknown)}")
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # pre-scan for --config; its values fill in options not given explicitly
-    cfg = {}
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-            with open(cfg_path) as fh:
-                cfg = json.load(fh)
-            if not isinstance(cfg, dict):
-                raise ValueError("config must be a JSON object")
-        except (IndexError, OSError, ValueError) as exc:
-            parser.exit(EXIT_USAGE, f"error: bad config: {exc}\n")
+def _load_config(path: str) -> dict:
     try:
+        with open(path) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config must be a JSON object")
+        return config
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # the config becomes each subcommand's defaults, so any explicit flag wins
+        try:
+            parser = build_parser(_load_config(args.config))
+        except UsageError as exc:
+            parser.exit(EXIT_USAGE, f"error: bad config: {exc}\n")
         args = parser.parse_args(argv)
-        for key, value in cfg.items():
-            dest = key.replace("-", "_")
-            if f"--{key.replace('_', '-')}" in argv:
-                continue  # explicit flag wins
-            if hasattr(args, dest):
-                setattr(args, dest, value)
+    try:
         return args.fn(args)
     except (UsageError, PhaseSpaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except VandiejenError as exc:  # a numerical failure: typed, reported, no traceback
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -18,13 +18,13 @@ import numpy as np
 from . import _kernels
 from .lax import LaxBundle, lax_matrix
 from .linalg import hermitian_eig
-from .phase_space import Coupling, PhasePoint
+from .phase_space import Coupling, PhasePoint, VandiejenError
 
 SPECTRAL_GAP_TOL = 1e-7
 PHASE_MODULUS_TOL = 1e-10
 
 
-class DualityError(ValueError):
+class DualityError(VandiejenError):
     pass
 
 

@@ -1,49 +1,40 @@
 """Hamiltonian flow, propagated two independent ways.
 
 The runge-kutta route integrates Hamilton's equations with an adaptive
-embedded pair.  The projection route is exact up to eigensolver precision: the
-positions at time t are half-logs of the spectrum of the Hermitian positive
-definite matrix e^{Lam} e^{t(L - L^{-1})} e^{Lam} (similar to the defining flow
-matrix e^{2 Lam} e^{t(L - L^{-1})}), and rapidities are recovered from the
-analytic time-derivative of those eigenvalues via first-order perturbation.
+embedded pair.  The projection route reads the flow off a spectrum.  With
+B = L - L^{-1} = V diag(beta) V* (L^{-1} = C L C, so no inverse is formed), the
+flow matrix e^{2 Lam} e^{tB} is similar to G G* with G = e^{Lam} V e^{t beta/2},
+and the positions at time t are the logs of the n largest singular values of G.
+G is diagonal x unitary x diagonal, so its singular values are determined to
+high relative accuracy however graded its rows and columns are (Demmel et al.,
+LAA 1999; Drmac & Veselic, SIMAX 2008).  One double-precision SVD realizes that
+accuracy when the rows of G are sorted by decreasing Lam, its columns by
+decreasing t beta, and it is scaled by its largest entry exponent.  The
+rapidities come in closed form from the right singular vectors W: since
+d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .duality import DualFrame
-from .lax import LaxBundle, lax_matrix
+from .lax import lax_matrix
 from .linalg import hermitian_eig
-from .phase_space import Coupling, PhasePoint, require_valid
+from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
 
-FLOW_EXPONENT_CAP = 600.0
-FD_TIME_STEP = 1e-5
-# Beyond this exponent span the flow matrix is too graded for double-precision
-# eigensolves (small eigenvalues drown in roundoff); escalate to mpmath.
-DOUBLE_EXP_LIMIT = 45.0
+RK_REL_TOL = 1e-10
+RK_ABS_TOL = 1e-12
+# Largest max - min of the entry exponents Lam_k + t beta_j / 2 of G: after
+# scaling by the largest, the smallest entries stay inside the double range.
+EXPONENT_RANGE_CAP = 700.0
+FLOW_GAP_TOL = 1e-10  # smallest relative gap between flowed eigenvalues of G G*
 
 
-class DynamicsError(ValueError):
+class DynamicsError(VandiejenError):
     pass
-
-
-@dataclass(frozen=True)
-class FlowConfig:
-    method: str = "both"  # "projection" | "runge-kutta" | "both"
-    rk_rel_tol: float = 1e-10
-    rk_abs_tol: float = 1e-12
-    rapidity_mode: str = "analytic"  # "analytic" | "finite-difference"
-
-    def __post_init__(self):
-        if self.method not in ("projection", "runge-kutta", "both"):
-            raise DynamicsError(f"unknown method {self.method!r}")
-        if self.rapidity_mode not in ("analytic", "finite-difference"):
-            raise DynamicsError(f"unknown rapidity mode {self.rapidity_mode!r}")
-        if self.rk_rel_tol <= 0 or self.rk_abs_tol <= 0:
-            raise DynamicsError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,7 +56,7 @@ def vector_field(p: PhasePoint, g: Coupling):
     return _kernels.vector_field(p.xi, p.eta, g.mu, g.nu)
 
 
-def rk_flow(p: PhasePoint, g: Coupling, t_values, cfg: FlowConfig = FlowConfig()):
+def rk_flow(p: PhasePoint, g: Coupling, t_values):
     """Adaptive Runge-Kutta propagation, sampled at the requested times."""
     from scipy.integrate import solve_ivp  # scipy loads only when a flow runs
 
@@ -91,7 +82,7 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values, cfg: FlowConfig = FlowConfig()
         if len(nonzero):
             sol = solve_ivp(
                 rhs, (0.0, nonzero[-1]), p.as_vector(), method="RK45",
-                rtol=cfg.rk_rel_tol, atol=cfg.rk_abs_tol, dense_output=True,
+                rtol=RK_REL_TOL, atol=RK_ABS_TOL, dense_output=True,
             )
             if not sol.success:
                 raise DynamicsError(f"integrator failed: {sol.message}")
@@ -101,132 +92,68 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values, cfg: FlowConfig = FlowConfig()
     return [by_time[float(t)] for t in t_values]
 
 
-def _flow_matrix_eig(bundle: LaxBundle, t: float):
-    """Eigen-data of e^{Lam} e^{t B} e^{Lam}, B = L - L^{-1} (Hermitian route)."""
-    el = np.exp(bundle.lam)
-    b = bundle.matrix - np.linalg.inv(bundle.matrix)
-    beig = hermitian_eig(b)
-    beta, v = beig.eigenvalues, beig.basis
-    if abs(t) * (2 * np.abs(bundle.lam).max() + np.abs(beta).max()) > FLOW_EXPONENT_CAP:
-        raise DynamicsError(f"flow exponent exceeds overflow cap at t={t}")
-    core = v @ (np.exp(t * beta)[:, None] * v.conj().T)
-    a = el[:, None] * core * el[None, :]
-    aeig = hermitian_eig(a)
-    dcore = v @ ((beta * np.exp(t * beta))[:, None] * v.conj().T)
-    da = el[:, None] * dcore * el[None, :]
-    return aeig.eigenvalues, aeig.basis, da
+@dataclass(frozen=True)
+class _FlowFrame:
+    """The time-independent data of the projection route at one initial point."""
+
+    lam: np.ndarray  # (xi, -xi)
+    beta: np.ndarray  # eigenvalues of B = L - C L C, ascending
+    v: np.ndarray  # unitary eigenvector basis of B
 
 
-def _exponent_span(bundle: LaxBundle, t: float) -> float:
-    beta = np.linalg.eigvalsh(bundle.matrix - np.linalg.inv(bundle.matrix))
-    return abs(t) * (beta.max() - beta.min()) + 4.0 * np.abs(bundle.lam).max()
-
-
-def _flow_position_mp(bundle: LaxBundle, t: float, dps: int):
-    """High-precision route: rebuild all flow data in mpmath and eigensolve there.
-
-    Returns (xi_t descending, xi_dot) as float arrays; used when the flow
-    matrix exponent span exceeds what double precision can resolve.
-    """
-    from mpmath import mp
-
-    n = bundle.n
-    g = bundle.coupling
-    with mp.workdps(dps):
-        mu, nu = mp.mpf(g.mu), mp.mpf(g.nu)
-        xi = [mp.mpf(x) for x in bundle.point.xi]
-        eta = [mp.mpf(x) for x in bundle.point.eta]
-        z = []
-        for a in range(n):
-            val = -mp.sinh(1j * nu + 2 * xi[a]) / mp.sinh(2 * xi[a])
-            for c in range(n):
-                if c == a:
-                    continue
-                for s in (xi[a] - xi[c], xi[a] + xi[c]):
-                    val *= mp.sinh(1j * mu + s) / mp.sinh(s)
-            z.append(val)
-        u = [abs(v) for v in z]
-        f = [mp.e ** (eta[a] / 2) * mp.sqrt(u[a]) for a in range(n)]
-        f += [mp.e ** (-eta[a] / 2) * mp.conj(z[a]) / mp.sqrt(u[a]) for a in range(n)]
-        lam = xi + [-x for x in xi]
-        big = 2 * n
-        ell = mp.matrix(big, big)
-        for k in range(big):
-            for l in range(big):
-                ckl = 1 if (k + n == l or l + n == k) else 0
-                num = 1j * mp.sin(mu) * f[k] * mp.conj(f[l]) + 1j * mp.sin(mu - nu) * ckl
-                ell[k, l] = num / mp.sinh(1j * mu + lam[k] - lam[l])
-        b = ell - ell ** -1
-        beta, v = mp.eighe(b)
-        el = mp.diag([mp.e ** lam[k] for k in range(big)])
-        tt = mp.mpf(t)
-        core = v * mp.diag([mp.e ** (tt * beta[j]) for j in range(big)]) * v.H
-        a_mat = el * core * el
-        a_mat = (a_mat + a_mat.H) / 2
-        w, q = mp.eighe(a_mat)
-        widx = sorted(range(big), key=lambda j: w[j])
-        dcore = v * mp.diag([beta[j] * mp.e ** (tt * beta[j]) for j in range(big)]) * v.H
-        da = el * dcore * el
-        xi_t, xi_dot = [], []
-        for j in widx[n:][::-1]:
-            qj = q[:, j]
-            wdot = (qj.H * (da * qj))[0, 0].real
-            xi_t.append(float(mp.log(w[j]) / 2))
-            xi_dot.append(float(wdot / (2 * w[j])))
-    return np.array(xi_t), np.array(xi_dot)
-
-
-def projection_flow(
-    p: PhasePoint, g: Coupling, t: float, cfg: FlowConfig = FlowConfig()
-) -> PhasePoint:
-    """Exact propagation through the spectrum of the matrix flow."""
+def _flow_frame(p: PhasePoint, g: Coupling) -> _FlowFrame:
     require_valid(p)
     g.require_regular()
     bundle = lax_matrix(p, g)
-    n = p.n
-    span = _exponent_span(bundle, float(t))
-    if span > FLOW_EXPONENT_CAP:
-        raise DynamicsError(f"flow exponent span {span:.1f} exceeds overflow cap at t={t}")
-    if span > DOUBLE_EXP_LIMIT:
-        dps = int(span / 2.302585) + 30
-        if cfg.rapidity_mode == "analytic":
-            xi_t, xi_dot = _flow_position_mp(bundle, float(t), dps)
-        else:
-            h = FD_TIME_STEP
-            xi_t, _ = _flow_position_mp(bundle, float(t), dps)
-            xp, _ = _flow_position_mp(bundle, float(t) + h, dps)
-            xm, _ = _flow_position_mp(bundle, float(t) - h, dps)
-            xi_dot = (xp - xm) / (2 * h)
-    else:
-        w, q, da = _flow_matrix_eig(bundle, float(t))
-        top = w[n:]
-        if top.min() <= 0:
-            raise DynamicsError("flow matrix lost positive definiteness (roundoff)")
-        if n > 1:
-            gaps = np.diff(top) / np.abs(top[1:])
-            if gaps.min() < 1e-10:
-                raise DynamicsError(
-                    f"eigenvalue collision along the flow: relative gap {gaps.min():.3e}"
-                )
-        xi_t = 0.5 * np.log(top[::-1])
-        if cfg.rapidity_mode == "analytic":
-            # first-order perturbation: w_dot_a = q_a* dA q_a
-            w_dot = np.einsum("ij,ij->j", q.conj(), da @ q).real
-            xi_dot = (w_dot / (2.0 * w))[n:][::-1]
-        else:
-            h = FD_TIME_STEP
-            wp, _, _ = _flow_matrix_eig(bundle, float(t) + h)
-            wm, _, _ = _flow_matrix_eig(bundle, float(t) - h)
-            xi_dot = (0.5 * np.log(wp[n:][::-1]) - 0.5 * np.log(wm[n:][::-1])) / (2 * h)
+    eig = hermitian_eig(bundle.matrix - bundle.c @ bundle.matrix @ bundle.c)
+    return _FlowFrame(bundle.lam, eig.eigenvalues, eig.basis)
+
+
+def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> PhasePoint:
+    """The point at time t, from the singular values of G = e^{Lam} V e^{t beta/2}."""
+    if not np.isfinite(t):
+        raise DynamicsError(f"non-finite time {t}")
+    n = len(frame.lam) // 2
+    rows = np.argsort(-frame.lam, kind="stable")
+    cols = np.argsort(-t * frame.beta, kind="stable")
+    row_exp = frame.lam[rows]
+    col_exp = 0.5 * t * frame.beta[cols]
+    exp_range = row_exp[0] - row_exp[-1] + col_exp[0] - col_exp[-1]
+    if exp_range > EXPONENT_RANGE_CAP:
+        raise DynamicsError(
+            f"flow exponent range {exp_range:.1f} exceeds the double range cap at t={t}"
+        )
+    factor = (
+        np.exp(row_exp - row_exp[0])[:, None]
+        * frame.v[np.ix_(rows, cols)]
+        * np.exp(col_exp - col_exp[0])[None, :]
+    )
+    _, sigma, wh = np.linalg.svd(factor)
+    top = sigma[:n]
+    if top.min() <= 0:
+        raise DynamicsError(f"flow factor lost rank (roundoff) at t={t}")
+    xi_t = np.log(top) + row_exp[0] + col_exp[0]
+    if n > 1:
+        # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*
+        gap = -np.expm1(2.0 * np.diff(xi_t).max())
+        if gap < FLOW_GAP_TOL:
+            raise DynamicsError(f"eigenvalue collision along the flow: relative gap {gap:.3e}")
+    xi_dot = 0.5 * (np.abs(wh[:n]) ** 2 @ frame.beta[cols])
     u_t = np.asarray(_kernels.u_coeffs(xi_t, g.mu, g.nu))
-    eta_t = np.arcsinh(xi_dot / u_t)
-    return PhasePoint(xi=xi_t, eta=eta_t)
+    return PhasePoint(xi=xi_t, eta=np.arcsinh(xi_dot / u_t))
 
 
-def projection_trajectory(p, g, t_values, cfg: FlowConfig = FlowConfig()):
+def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
+    """Exact propagation through the spectrum of the matrix flow."""
+    return _flow_step(_flow_frame(p, g), g, float(t))
+
+
+def projection_trajectory(p: PhasePoint, g: Coupling, t_values):
+    """projection_flow over a time grid, from one frame of the initial point."""
+    frame = _flow_frame(p, g)
     out = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
-        q = projection_flow(p, g, float(t), cfg) if t != 0.0 else p
+        q = _flow_step(frame, g, float(t)) if t != 0.0 else p
         out.append(TrajectorySample(float(t), q, energy(q, g)))
     return out
 

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .phase_space import Coupling, PhasePoint, PhaseSpaceError, require_valid
+from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, require_valid
 
 COORD_CAP = 300.0
 DEGENERACY_TOL = 1e-12
 
 
-class LaxError(ValueError):
+class LaxError(VandiejenError):
     pass
 
 

@@ -9,10 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phase_space import VandiejenError
+
 HERMITICITY_TOL = 1e-12
 
 
-class LinalgError(ValueError):
+class LinalgError(VandiejenError):
     """Raised on malformed inputs (non-square, non-finite, bad index lists)."""
 
 

@@ -22,7 +22,11 @@ DEFAULT_XI_GAP = 0.2
 DEFAULT_ETA_RANGE = (-1.5, 1.5)
 
 
-class PhaseSpaceError(ValueError):
+class VandiejenError(ValueError):
+    """Base of the library's errors; each module raises its own subclass."""
+
+
+class PhaseSpaceError(VandiejenError):
     pass
 
 

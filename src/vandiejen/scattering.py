@@ -14,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import DualFrame, dual_frame
-from .dynamics import FlowConfig, flow_matrix_regular_form, projection_flow
+from .dynamics import flow_matrix_regular_form, projection_trajectory
 from .linalg import leading_principal_minors
-from .phase_space import Coupling, PhasePoint
+from .phase_space import Coupling, PhasePoint, VandiejenError
 
 RESIDUAL_CLAMP = 1e-14
 MIN_FIT_POINTS = 4
 
 
-class ScatteringError(ValueError):
+class ScatteringError(VandiejenError):
     pass
 
 
@@ -204,9 +204,7 @@ def _fit_decay(t: np.ndarray, r: np.ndarray) -> float:
     return float(-slope)
 
 
-def residual_trace(
-    p: PhasePoint, g: Coupling, t_grid, cfg: FlowConfig = FlowConfig()
-) -> ResidualTrace:
+def residual_trace(p: PhasePoint, g: Coupling, t_grid) -> ResidualTrace:
     """Track the approach of the flow to its free asymptote over the grid."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
@@ -217,10 +215,9 @@ def residual_trace(
     gaps = -np.diff(2.0 * np.sinh(theta_plus_diag))
     min_gap = float(gaps.min())
     pos_res, rap_res = [], []
-    for t in t_grid:
-        q = projection_flow(p, g, float(t), cfg)
-        pos_res.append(q.xi - t * np.sinh(data.theta_plus) - data.lambda_plus)
-        rap_res.append(q.eta - data.theta_plus)
+    for s in projection_trajectory(p, g, t_grid):
+        pos_res.append(s.point.xi - s.t * np.sinh(data.theta_plus) - data.lambda_plus)
+        rap_res.append(s.point.eta - data.theta_plus)
     pos_res = np.array(pos_res)
     rap_res = np.array(rap_res)
     worst = np.abs(pos_res).max(axis=1)

@@ -19,6 +19,7 @@ def run(argv):
         ["flow", "--n", "2", "--t", "0:1:3"],
         ["scatter", "--n", "2", "--points", "2"],
         ["brackets", "--n", "1", "--points", "2"],
+        ["brackets", "--n", "4", "--points", "5"],
         ["asymptotics", "--n", "3", "--points", "2", "--t", "6:1:12"],
         ["asymptotics", "--n", "3", "--points", "1", "--kind", "linear", "--t", "10,15,20,30,40"],
     ],
@@ -43,6 +44,23 @@ def test_bad_config_is_usage_error(tmp_path):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("config", [{"fn": 3}, {"pointz": 3}, {"command": "flow"}])
+def test_config_key_that_is_no_option_is_usage_error(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(cfg), "lax-check", "--points", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: bad config")
+
+
+def test_numerical_failure_is_reported_without_traceback(tmp_path, capsys):
+    # t = 1e6 puts the flow's exponent range far past what double precision holds
+    argv = ["flow", "--n", "2", "--method", "projection", "--t", "0,1e6"]
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -63,9 +81,10 @@ def test_config_defaults_and_flag_override(tmp_path):
     out = tmp_path / "out.json"
     assert run(["--config", str(cfg), "lax-check", "--out", str(out)]) == EXIT_PASS
     assert len(json.loads(out.read_text())) == 2
-    # explicit flag beats the config value
-    assert run(["--config", str(cfg), "lax-check", "--points", "1", "--out", str(out)]) == EXIT_PASS
-    assert len(json.loads(out.read_text())) == 1
+    # an explicit flag beats the config value, in either spelling
+    for flag in (["--points", "1"], ["--points=1"]):
+        assert run(["--config", str(cfg), "lax-check", *flag, "--out", str(out)]) == EXIT_PASS
+        assert len(json.loads(out.read_text())) == 1
 
 
 def test_flow_csv_has_expected_header(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vandiejen import _kernels
 from vandiejen.duality import dual_frame
 from vandiejen.dynamics import (
     DynamicsError,
-    FlowConfig,
     energy,
     flow_matrix_regular_form,
     projection_flow,
@@ -14,9 +14,65 @@ from vandiejen.dynamics import (
     rk_flow,
     vector_field,
 )
+from vandiejen.lax import LaxBundle, lax_matrix
 from vandiejen.phase_space import Coupling, PhasePoint
 
 from conftest import point
+
+
+# The oracle: every flow quantity rebuilt and eigensolved in mpmath at dps digits.
+def _flow_position_mp(bundle: LaxBundle, t: float, dps: int):
+    """High-precision route: rebuild all flow data in mpmath and eigensolve there.
+
+    Returns (xi_t descending, xi_dot) as float arrays; used when the flow
+    matrix exponent span exceeds what double precision can resolve.
+    """
+    from mpmath import mp
+
+    n = bundle.n
+    g = bundle.coupling
+    with mp.workdps(dps):
+        mu, nu = mp.mpf(g.mu), mp.mpf(g.nu)
+        xi = [mp.mpf(x) for x in bundle.point.xi]
+        eta = [mp.mpf(x) for x in bundle.point.eta]
+        z = []
+        for a in range(n):
+            val = -mp.sinh(1j * nu + 2 * xi[a]) / mp.sinh(2 * xi[a])
+            for c in range(n):
+                if c == a:
+                    continue
+                for s in (xi[a] - xi[c], xi[a] + xi[c]):
+                    val *= mp.sinh(1j * mu + s) / mp.sinh(s)
+            z.append(val)
+        u = [abs(v) for v in z]
+        f = [mp.e ** (eta[a] / 2) * mp.sqrt(u[a]) for a in range(n)]
+        f += [mp.e ** (-eta[a] / 2) * mp.conj(z[a]) / mp.sqrt(u[a]) for a in range(n)]
+        lam = xi + [-x for x in xi]
+        big = 2 * n
+        ell = mp.matrix(big, big)
+        for k in range(big):
+            for l in range(big):
+                ckl = 1 if (k + n == l or l + n == k) else 0
+                num = 1j * mp.sin(mu) * f[k] * mp.conj(f[l]) + 1j * mp.sin(mu - nu) * ckl
+                ell[k, l] = num / mp.sinh(1j * mu + lam[k] - lam[l])
+        b = ell - ell ** -1
+        beta, v = mp.eighe(b)
+        el = mp.diag([mp.e ** lam[k] for k in range(big)])
+        tt = mp.mpf(t)
+        core = v * mp.diag([mp.e ** (tt * beta[j]) for j in range(big)]) * v.H
+        a_mat = el * core * el
+        a_mat = (a_mat + a_mat.H) / 2
+        w, q = mp.eighe(a_mat)
+        widx = sorted(range(big), key=lambda j: w[j])
+        dcore = v * mp.diag([beta[j] * mp.e ** (tt * beta[j]) for j in range(big)]) * v.H
+        da = el * dcore * el
+        xi_t, xi_dot = [], []
+        for j in widx[n:][::-1]:
+            qj = q[:, j]
+            wdot = (qj.H * (da * qj))[0, 0].real
+            xi_t.append(float(mp.log(w[j]) / 2))
+            xi_dot.append(float(wdot / (2 * w[j])))
+    return np.array(xi_t), np.array(xi_dot)
 
 
 def test_vector_field_matches_finite_difference_gradient(g):
@@ -100,20 +156,59 @@ def test_projection_conserves_spectrum(g):
 
 
 def test_analytic_and_finite_difference_rapidities_agree(g):
+    # the closed-form rate xi_dot = u sinh(eta) against a central difference in t
     p = point(2, seed=19)
-    qa = projection_flow(p, g, 1.5, FlowConfig(rapidity_mode="analytic"))
-    qf = projection_flow(p, g, 1.5, FlowConfig(rapidity_mode="finite-difference"))
-    assert np.abs(qa.eta - qf.eta).max() <= 1e-6
+    t, h = 1.5, 1e-5
+    q = projection_flow(p, g, t)
+    xi_dot = np.asarray(_kernels.u_coeffs(q.xi, g.mu, g.nu)) * np.sinh(q.eta)
+    fd = (projection_flow(p, g, t + h).xi - projection_flow(p, g, t - h).xi) / (2 * h)
+    assert np.abs(xi_dot - fd).max() <= 1e-6
 
 
-def test_high_precision_escalation_path(g):
-    # large |t| pushes the exponent span past the double-precision limit
-    from vandiejen.dynamics import DOUBLE_EXP_LIMIT, _exponent_span
-    from vandiejen.lax import lax_matrix
+# (n, mu, nu, seed, t) over four couplings, n = 2..5, both signs of t, and
+# exponent spans |t| (beta_max - beta_min) + 4 max|Lam| of 30, 44 (a point where
+# the former double-precision eigh route failed `brackets --n 4`), 58, 104, 204,
+# 293, 522, 1069 and 1301, the last two beyond the former cap of 600.
+ORACLE_CASES = [
+    (2, 1.3, 0.2, 1, 2.0),
+    (4, 0.7, 0.4, 4, 1.0),
+    (3, 2.0, 1.0, 1, -4.0),
+    (3, 0.3, 2.5, 2, -6.0),
+    (2, 0.7, 0.4, 44, 8.0),
+    (5, 2.0, 1.0, 3, 2.0),
+    (4, 1.3, 0.2, 2, -8.0),
+    (2, 0.3, 2.5, 3, 120.0),
+    (3, 0.7, 0.4, 5, -20.0),
+]
 
+
+@pytest.mark.parametrize("n,mu,nu,seed,t", ORACLE_CASES)
+def test_projection_flow_matches_mpmath_oracle(n, mu, nu, seed, t):
+    g = Coupling(mu, nu)
+    p = point(n, seed=seed)
+    bundle = lax_matrix(p, g)
+    beta = np.linalg.eigvalsh(bundle.matrix - bundle.c @ bundle.matrix @ bundle.c)
+    span = abs(t) * np.ptp(beta) + 4 * np.abs(bundle.lam).max()
+    xi_ref, xi_dot_ref = _flow_position_mp(bundle, t, int(span / 2.302585) + 30)
+    eta_ref = np.arcsinh(xi_dot_ref / np.asarray(_kernels.u_coeffs(xi_ref, mu, nu)))
+    q = projection_flow(p, g, t)
+    # Error model: the double eigensolve of B (size 2n) is backward stable,
+    # |dB| <= 2n eps max|beta|.  That moves each beta_j by as much, hence each
+    # position by |t|/2 times it, and the basis V by |dB| / min gap(beta), which
+    # moves each log singular value of the graded factor by at most as much.
+    # |t| in place of |t|/2 covers the rounding of xi itself, eps |xi| with
+    # |xi| <= max|Lam| + |t| max|beta| / 2.  eta = arcsinh(xi_dot / u) is held to
+    # the same bound: an error in xi_dot enters divided by u cosh(eta) >= 1.
+    eps = np.finfo(float).eps
+    bound = 2 * n * eps * np.abs(beta).max() * (1.0 / np.diff(beta).min() + abs(t))
+    assert np.abs(q.xi - xi_ref).max() <= bound
+    assert np.abs(q.eta - eta_ref).max() <= bound
+
+
+def test_projection_matches_rk_at_large_exponent_span(g):
+    # exponent span 204: the flow matrix's eigenvalues range over about e^{+-100}
     p = point(2, seed=44)
     t = 8.0
-    assert _exponent_span(lax_matrix(p, g), t) > DOUBLE_EXP_LIMIT
     q = projection_flow(p, g, t)
     r = rk_flow(p, g, [t])[0].point
     assert np.abs(q.xi - r.xi).max() <= 1e-6
@@ -137,8 +232,6 @@ def test_regular_form_spectrum_matches_flow(g):
 
 
 def lax_matrix_eigendata(p, g, t):
-    from vandiejen.lax import lax_matrix
-
     bundle = lax_matrix(p, g)
     bmat = bundle.matrix - np.linalg.inv(bundle.matrix)
     beig = np.linalg.eigh(bmat)
@@ -150,13 +243,6 @@ def lax_matrix_eigendata(p, g, t):
 def test_overflow_cap_raises(g):
     with pytest.raises(DynamicsError):
         projection_flow(point(2, seed=3), g, 1e6)
-
-
-def test_bad_config_rejected():
-    with pytest.raises(DynamicsError):
-        FlowConfig(method="leapfrog")
-    with pytest.raises(DynamicsError):
-        FlowConfig(rk_rel_tol=-1.0)
 
 
 def test_rk_mixed_sign_grid_order_preserved(g):
