@@ -51,19 +51,6 @@ def _require_interior(p: PhasePoint, step: float):
         )
 
 
-def _gradient(f: Callable[[PhasePoint], float], p: PhasePoint, step: float) -> np.ndarray:
-    x0 = p.as_vector()
-    grad = np.empty(len(x0))
-    for k in range(len(x0)):
-        xp, xm = x0.copy(), x0.copy()
-        xp[k] += step
-        xm[k] -= step
-        grad[k] = (
-            f(PhasePoint.from_vector(xp)) - f(PhasePoint.from_vector(xm))
-        ) / (2.0 * step)
-    return grad
-
-
 def poisson_bracket(
     f: Observable, h: Observable, p: PhasePoint, step: float = DEFAULT_STEP
 ) -> float:
@@ -71,23 +58,24 @@ def poisson_bracket(
     if step <= 0:
         raise BracketError("step must be positive")
     _require_interior(p, step)
-    gf = _gradient(f, p, step)
-    gh = _gradient(h, p, step)
+    gf = _map_jacobian(lambda q: np.array([f(q)]), p, step)[0]
+    gh = _map_jacobian(lambda q: np.array([h(q)]), p, step)[0]
     return float(gf @ omega_matrix(p.n) @ gh)
 
 
 def _map_jacobian(
-    phi: Callable[[PhasePoint], PhasePoint], p: PhasePoint, step: float
+    phi: Callable[[PhasePoint], np.ndarray], p: PhasePoint, step: float
 ) -> np.ndarray:
-    """Finite-difference Jacobian of a phase-space map, rows = outputs, cols = inputs."""
+    """Finite-difference Jacobian of a map from a phase point to a vector,
+    rows = outputs, cols = inputs."""
     x0 = p.as_vector()
     cols = []
     for k in range(len(x0)):
         xp, xm = x0.copy(), x0.copy()
         xp[k] += step
         xm[k] -= step
-        fp = phi(PhasePoint.from_vector(xp)).as_vector()
-        fm = phi(PhasePoint.from_vector(xm)).as_vector()
+        fp = phi(PhasePoint.from_vector(xp))
+        fm = phi(PhasePoint.from_vector(xm))
         cols.append((fp - fm) / (2.0 * step))
     return np.array(cols).T
 
@@ -107,7 +95,7 @@ class CanonicityReport:
 def spectral_jacobian(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> np.ndarray:
     """Finite-difference Jacobian J of the spectral map p -> (theta_hat, lambda_hat)."""
     _require_interior(p, step)
-    return _map_jacobian(lambda q: duality_map(q, g), p, step)
+    return _map_jacobian(lambda q: duality_map(q, g).as_vector(), p, step)
 
 
 def _canonicity(j: np.ndarray, step: float) -> CanonicityReport:
@@ -151,7 +139,7 @@ def flow_symplectic_check(
 ) -> float:
     """max |J^T Omega J - Omega| for the time-s flow map's Jacobian."""
     _require_interior(p, step)
-    j = _map_jacobian(lambda q: projection_flow(q, g, s), p, step)
+    j = _map_jacobian(lambda q: projection_flow(q, g, s).as_vector(), p, step)
     om = omega_matrix(p.n)
     return float(np.abs(j.T @ om @ j - om).max())
 

@@ -191,29 +191,13 @@ def dual_lax(p: PhasePoint, g: Coupling):
     return _dual_lax_routes(dual_frame(p, g))
 
 
-def _omega_weights(theta_hat: np.ndarray, mu_hat: float) -> np.ndarray:
-    """Cauchy-type weights: omega_c = prod_{d != c}
-    sinh(th_c - th_d) sinh(th_c + th_d) / [sinh(i mu_hat + th_c - th_d) sinh(i mu_hat + th_c + th_d)]."""
-    n = len(theta_hat)
-    out = np.ones(n, dtype=complex)
-    for c in range(n):
-        for d in range(n):
-            if d == c:
-                continue
-            dm = theta_hat[c] - theta_hat[d]
-            sm = theta_hat[c] + theta_hat[d]
-            out[c] *= np.sinh(dm) * np.sinh(sm)
-            out[c] /= np.sinh(1j * mu_hat + dm) * np.sinh(1j * mu_hat + sm)
-    return out
-
-
 def minor_identity_residuals(frame: DualFrame) -> tuple[float, float]:
     """Max residuals of the linear and quadratic constraints tying z_hat (from
     F_hat, not the closed form) to the angle data."""
     g_hat = frame.bundle.coupling.hat()
     mu, nu = g_hat.mu, g_hat.nu
     th = frame.theta_hat
-    w = _omega_weights(th, mu)
+    w = 1.0 / _kernels.pair_product(th, mu)  # the Cauchy-type weights omega_c
     wz = w * frame.z_hat
     s_p = np.sinh(1j * mu + 2 * th)
     s_m = np.sinh(1j * mu - 2 * th)
@@ -239,9 +223,10 @@ def identity_residuals(p: PhasePoint, g: Coupling) -> dict:
     l_hat, entrywise, pushforward = _dual_lax_routes(fr)
     scale = np.abs(l_hat).max()
     back = duality_map(fr.image, g_hat)
-    closed = np.array([dual_z_closed_form(fr.theta_hat, g_hat, c) for c in range(p.n)])
+    closed = _kernels.z_coeffs(fr.theta_hat, g_hat.mu, g_hat.nu)
     lin, quad = minor_identity_residuals(fr)
-    re_sum = abs(fr.z_hat.real.sum() - fr.bundle.z.real.sum()) / abs(fr.bundle.z.real.sum())
+    z = fr.bundle.z
+    re_sum = abs(fr.z_hat.real.sum() - z.real.sum()) / np.abs(z).sum()
     return {
         "involution": float(np.abs(back.as_vector() - p.as_vector()).max()),
         "dual_lax_entrywise": float(np.abs(l_hat - entrywise).max() / scale),

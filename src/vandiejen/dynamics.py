@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .duality import DualFrame
-from .lax import lax_matrix
+from .lax import energy, lax_matrix
 from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
 
@@ -42,11 +42,6 @@ class TrajectorySample:
     t: float
     point: PhasePoint
     energy: float
-
-
-def energy(p: PhasePoint, g: Coupling) -> float:
-    u = np.asarray(_kernels.u_coeffs(p.xi, g.mu, g.nu))
-    return float(np.cosh(p.eta) @ u)
 
 
 def vector_field(p: PhasePoint, g: Coupling):

@@ -56,6 +56,11 @@ def u_coeff(p: PhasePoint, g: Coupling, a: int) -> float:
     return float(_kernels.u_coeffs(p.xi, g.mu, g.nu)[a])
 
 
+def energy(p: PhasePoint, g: Coupling) -> float:
+    """The Hamiltonian H = sum_a cosh(eta_a) u_a."""
+    return float(np.cosh(p.eta) @ _kernels.u_coeffs(p.xi, g.mu, g.nu))
+
+
 def f_vector(p: PhasePoint, g: Coupling) -> np.ndarray:
     """Column vector F: F_a = e^{eta_a/2} u_a^{1/2}, F_{n+a} = e^{-eta_a/2} conj(z_a) u_a^{-1/2}."""
     _check_inputs(p, g)
@@ -115,10 +120,9 @@ def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
     if np.abs(den).min() < DEGENERACY_TOL:
         raise LaxError("near-degenerate Lax denominator: positions collide modulo mu")
     mat = np.asarray(_kernels.lax_entries(f, lam, g.mu, g.nu))
-    energy = float(np.cosh(p.eta) @ u)
     return LaxBundle(
         point=p, coupling=g, z=z, u=u, f=f, lam=lam,
-        c=conjugation_matrix(p.n), matrix=mat, energy=energy,
+        c=conjugation_matrix(p.n), matrix=mat, energy=energy(p, g),
     )
 
 

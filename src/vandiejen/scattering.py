@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .duality import DualFrame, dual_frame
 from .dynamics import flow_matrix_regular_form, projection_trajectory
 from .linalg import leading_principal_minors
@@ -26,29 +27,21 @@ class ScatteringError(VandiejenError):
     pass
 
 
-def delta_shift(xi, g: Coupling, c: int) -> float:
-    """Phase shift Delta_c at the ordered positive vector xi: signed two-body
-    log terms over index pairs plus the one-body term in 2*xi_c."""
-    xi = np.asarray(xi, dtype=float)
-    n = len(xi)
-    if not 0 <= c < n:
-        raise ScatteringError(f"index {c} out of range")
-    if n > 1 and (np.min(-np.diff(xi)) <= 0 or xi[-1] <= 0):
-        raise ScatteringError("xi must be strictly descending positive")
-    s_mu2 = np.sin(g.mu) ** 2
-    s_nu2 = np.sin(g.nu) ** 2
-    val = 0.5 * np.log1p(s_nu2 / np.sinh(2 * xi[c]) ** 2)
-    for d in range(n):
-        if d == c:
-            continue
-        sign = -0.5 if d < c else 0.5
-        val += sign * np.log1p(s_mu2 / np.sinh(xi[c] - xi[d]) ** 2)
-        val += 0.5 * np.log1p(s_mu2 / np.sinh(xi[c] + xi[d]) ** 2)
-    return float(val)
-
-
 def delta_vector(xi, g: Coupling) -> np.ndarray:
-    return np.array([delta_shift(xi, g, c) for c in range(len(np.atleast_1d(xi)))])
+    """Phase shifts Delta_a at the ordered positive vector xi: the one-body log
+    term in 2*xi_a plus signed two-body log terms over index pairs."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if len(xi) > 1 and (np.min(-np.diff(xi)) <= 0 or xi[-1] <= 0):
+        raise ScatteringError("xi must be strictly descending positive")
+    return _kernels.delta_shifts(xi, g.mu, g.nu)
+
+
+def delta_shift(xi, g: Coupling, c: int) -> float:
+    """Phase shift Delta_c; see delta_vector."""
+    delta = delta_vector(xi, g)
+    if not 0 <= c < len(delta):
+        raise ScatteringError(f"index {c} out of range")
+    return float(delta[c])
 
 
 @dataclass(frozen=True)

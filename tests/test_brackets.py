@@ -79,7 +79,7 @@ def test_double_spectral_map_has_identity_jacobian(g):
 
     p = point(2, seed=19)
     j = _map_jacobian(
-        lambda q: duality_map(duality_map(q, g), g.hat()), p, step=1e-5
+        lambda q: duality_map(duality_map(q, g), g.hat()).as_vector(), p, step=1e-5
     )
     assert np.abs(j - np.eye(4)).max() <= 1e-4
 

@@ -16,6 +16,7 @@ def run(argv):
     [
         ["lax-check", "--n", "2", "--points", "3"],
         ["duality", "--n", "2", "--points", "2"],
+        ["duality", "--n", "6", "--mu", "2.0", "--nu", "1.0", "--points", "20"],
         ["flow", "--n", "2", "--t", "0:1:3"],
         ["scatter", "--n", "2", "--points", "2"],
         ["brackets", "--n", "1", "--points", "2"],

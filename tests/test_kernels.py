@@ -1,0 +1,156 @@
+"""The vectorized coefficient kernels against loop-form reference implementations.
+
+Bounds come from one rounding model: every floating-point operation, numpy's
+sinh, tanh and log1p included, is within eps (one ulp) of its exact result.  A
+value that is a sum of N terms, each computed with k operations, is then within
+(N - 1 + k) eps sum|terms| of its exact value, and two routes that both obey
+the model differ by at most twice that.  The arguments xi_a -+ xi_c are rounded
+identically by both routes, so only the evaluation of each term differs.
+"""
+import warnings
+
+import numpy as np
+import pytest
+
+from vandiejen import Coupling, _kernels
+
+from conftest import point
+
+EPS = np.finfo(float).eps
+COUPLINGS = [(0.7, 0.4), (1.3, 0.2), (0.3, 2.5), (2.0, 1.0)]
+CASES = [(n, mu, nu, seed) for n in range(1, 8) for mu, nu in COUPLINGS for seed in (1, 2, 3)]
+
+
+# -- loop-form references ------------------------------------------------------
+
+
+def _xi_interaction(y, alpha):
+    """Xi(y, alpha) = sin(alpha)^2 coth(y) / (sin(alpha)^2 + sinh(y)^2)."""
+    s2 = np.sin(alpha) ** 2
+    sh = np.sinh(y)
+    return s2 * (np.cosh(y) / sh) / (s2 + sh * sh)
+
+
+def log_u_gradient(xi, mu, nu):
+    """Matrix of partials d ln(u_a) / d xi_b, from the Xi closed forms."""
+    n = len(xi)
+    grad = np.zeros((n, n))
+    for a in range(n):
+        diag = -2 * _xi_interaction(2 * xi[a], nu)
+        for d in range(n):
+            if d == a:
+                continue
+            diag -= _xi_interaction(xi[a] - xi[d], mu)
+            diag -= _xi_interaction(xi[a] + xi[d], mu)
+            grad[a, d] = -_xi_interaction(xi[d] - xi[a], mu) - _xi_interaction(
+                xi[d] + xi[a], mu
+            )
+        grad[a, a] = diag
+    return grad
+
+
+def _abs_gradient_terms(xi, mu, nu):
+    """Entry [a, b]: the sum of |Xi| over the terms that make up log_u_gradient[a, b]."""
+    n = len(xi)
+    out = np.zeros((n, n))
+    for a in range(n):
+        out[a, a] = 2 * abs(_xi_interaction(2 * xi[a], nu))
+        for d in range(n):
+            if d == a:
+                continue
+            pair = abs(_xi_interaction(xi[a] - xi[d], mu)) + abs(_xi_interaction(xi[a] + xi[d], mu))
+            out[a, a] += pair
+            out[a, d] = pair
+    return out
+
+
+def delta_shift(xi, g, c):
+    """Phase shift Delta_c at the ordered positive vector xi: signed two-body
+    log terms over index pairs plus the one-body term in 2*xi_c."""
+    n = len(xi)
+    s_mu2 = np.sin(g.mu) ** 2
+    s_nu2 = np.sin(g.nu) ** 2
+    val = 0.5 * np.log1p(s_nu2 / np.sinh(2 * xi[c]) ** 2)
+    for d in range(n):
+        if d == c:
+            continue
+        sign = -0.5 if d < c else 0.5
+        val += sign * np.log1p(s_mu2 / np.sinh(xi[c] - xi[d]) ** 2)
+        val += 0.5 * np.log1p(s_mu2 / np.sinh(xi[c] + xi[d]) ** 2)
+    return float(val)
+
+
+def _abs_delta_terms(xi, g, c):
+    n = len(xi)
+    total = abs(0.5 * np.log1p(np.sin(g.nu) ** 2 / np.sinh(2 * xi[c]) ** 2))
+    for d in range(n):
+        if d != c:
+            total += abs(0.5 * np.log1p(np.sin(g.mu) ** 2 / np.sinh(xi[c] - xi[d]) ** 2))
+            total += abs(0.5 * np.log1p(np.sin(g.mu) ** 2 / np.sinh(xi[c] + xi[d]) ** 2))
+    return total
+
+
+def _omega_weights(theta_hat, mu_hat):
+    """Cauchy-type weights: omega_c = prod_{d != c}
+    sinh(th_c - th_d) sinh(th_c + th_d) / [sinh(i mu_hat + th_c - th_d) sinh(i mu_hat + th_c + th_d)]."""
+    n = len(theta_hat)
+    out = np.ones(n, dtype=complex)
+    for c in range(n):
+        for d in range(n):
+            if d == c:
+                continue
+            dm = theta_hat[c] - theta_hat[d]
+            sm = theta_hat[c] + theta_hat[d]
+            out[c] *= np.sinh(dm) * np.sinh(sm)
+            out[c] /= np.sinh(1j * mu_hat + dm) * np.sinh(1j * mu_hat + sm)
+    return out
+
+
+# -- comparisons ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n,mu,nu,seed", CASES)
+def test_vector_field_matches_loop_gradient(n, mu, nu, seed):
+    p = point(n, seed)
+    xi_dot, eta_dot = _kernels.vector_field(p.xi, p.eta, mu, nu)
+    u = _kernels.u_coeffs(p.xi, mu, nu)
+    np.testing.assert_array_equal(xi_dot, np.sinh(p.eta) * u)
+    weight = np.cosh(p.eta) * u
+    ref = -weight @ log_u_gradient(p.xi, mu, nu)
+    # eta_dot_a expanded: 2 terms for each c != a, 2n - 1 for c = a; a term is
+    # weight_c times one Xi, 10 operations (9 in Xi in either form, 1 product)
+    terms, ops = 4 * n - 3, 10
+    bound = 2 * (terms - 1 + ops) * EPS * (weight @ _abs_gradient_terms(p.xi, mu, nu))
+    assert np.all(np.abs(eta_dot - ref) <= bound)
+
+
+@pytest.mark.parametrize("n,mu,nu,seed", CASES)
+def test_delta_shifts_match_loop(n, mu, nu, seed):
+    g = Coupling(mu, nu)
+    xi = point(n, seed).xi
+    got = _kernels.delta_shifts(xi, mu, nu)
+    # 2n - 1 terms, each sin, square, sinh, square, quotient, log1p (the 1/2 is exact)
+    terms, ops = 2 * n - 1, 6
+    for c in range(n):
+        bound = 2 * (terms - 1 + ops) * EPS * _abs_delta_terms(xi, g, c)
+        assert abs(got[c] - delta_shift(xi, g, c)) <= bound
+
+
+@pytest.mark.parametrize("n,mu,nu,seed", CASES)
+def test_pair_product_gives_the_loop_weights(n, mu, nu, seed):
+    # A product is bounded relatively: 2(n - 1) pair factors, each at most 8
+    # operations (4 sinh, products and quotients, the running product), and one
+    # reciprocal; a complex product, quotient or sinh is within 4 eps.
+    theta_hat, mu_hat = point(n, seed).xi, -mu
+    ref = _omega_weights(theta_hat, mu_hat)
+    got = 1.0 / _kernels.pair_product(theta_hat, mu_hat)
+    ops = 8 * 2 * (n - 1) + 1
+    assert np.all(np.abs(got - ref) <= 2 * ops * 4 * EPS * np.abs(ref))
+
+
+def test_vector_field_is_finite_and_quiet_far_out():
+    # sinh(380)^2 and sinh(400)^2 overflow; their terms are 0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xi_dot, eta_dot = _kernels.vector_field(np.array([200.0, 180.0]), np.array([0.3, -0.2]), 1.3, 0.2)
+    assert np.all(np.isfinite(xi_dot)) and np.all(np.isfinite(eta_dot))
