@@ -67,12 +67,16 @@ class FlowSpec:
         return float(self.mu.min())
 
 
-def m_coeffs(m) -> np.ndarray:
-    """Leading-coefficient ratios: m_1 = M_11, m_j = pi_j / pi_{j-1}."""
-    pi = leading_principal_minors(m)
+def _minor_ratios(pi: np.ndarray) -> np.ndarray:
+    """pi_j / pi_{j-1} (pi_0 = 1) for the leading principal minors pi."""
     if np.abs(pi).min() == 0:
         raise AsymptoticsError("zero principal minor")
     return pi / np.concatenate([[1.0], pi[:-1]])
+
+
+def m_coeffs(m) -> np.ndarray:
+    """Leading-coefficient ratios: m_1 = M_11, m_j = pi_j / pi_{j-1}."""
+    return _minor_ratios(leading_principal_minors(m))
 
 
 def p_coeffs(m) -> np.ndarray:
@@ -81,9 +85,7 @@ def p_coeffs(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
     pi = leading_principal_minors(m)
-    if np.abs(pi).min() == 0:
-        raise AsymptoticsError("zero principal minor")
-    mj = m_coeffs(m)
+    mj = _minor_ratios(pi)
     out = np.empty(n - 1, dtype=complex)
     for j in range(1, n):
         idx = list(range(j - 1)) + [j]

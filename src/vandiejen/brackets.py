@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .duality import duality_map
-from .dynamics import projection_flow
+from .duality import dual_frame, duality_map
+from .dynamics import _flow_frame, _flow_step, projection_flow
 from .phase_space import Coupling, PhasePoint, VandiejenError, validate
 
 DEFAULT_STEP = 1e-5
@@ -116,10 +116,11 @@ def _canonicity(j: np.ndarray, step: float) -> CanonicityReport:
     )
 
 
-def _antisymplectic(j: np.ndarray) -> float:
-    """max |J^T Omega J + Omega| for the spectral map's Jacobian J."""
-    om = omega_matrix(j.shape[0] // 2)
-    return float(np.abs(j.T @ om @ j + om).max())
+def _form_residual(j: np.ndarray, sign: float) -> float:
+    """max |J^T Omega J + sign Omega|: 0 for an antisymplectic map's Jacobian J
+    at sign = +1, for a symplectic one at sign = -1."""
+    om = omega_matrix(j.shape[1] // 2)
+    return float(np.abs(j.T @ om @ j + sign * om).max())
 
 
 def canonicity_suite(
@@ -131,7 +132,7 @@ def canonicity_suite(
 
 def antisymplectic_check(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> float:
     """max |J^T Omega J + Omega| for the spectral map's Jacobian J at p."""
-    return _antisymplectic(spectral_jacobian(p, g, step))
+    return _form_residual(spectral_jacobian(p, g, step), 1.0)
 
 
 def flow_symplectic_check(
@@ -140,22 +141,31 @@ def flow_symplectic_check(
     """max |J^T Omega J - Omega| for the time-s flow map's Jacobian."""
     _require_interior(p, step)
     j = _map_jacobian(lambda q: projection_flow(q, g, s).as_vector(), p, step)
-    om = omega_matrix(p.n)
-    return float(np.abs(j.T @ om @ j - om).max())
+    return _form_residual(j, -1.0)
+
+
+def _spectral_and_flow(q: PhasePoint, g: Coupling) -> np.ndarray:
+    """(spectral image, time-1 flow) at q, both read from the one Lax bundle at q."""
+    frame = dual_frame(q, g)
+    flowed = _flow_step(_flow_frame(frame.bundle), g, 1.0)
+    return np.concatenate([frame.image.as_vector(), flowed.as_vector()])
 
 
 def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> dict:
-    """Bracket residuals at p: canonicity of the dual coordinates and the
-    reversal of the form, both from one Jacobian of the spectral map, and the
-    preservation of the form by the time-1 flow."""
-    j = spectral_jacobian(p, g, step)
-    rep = _canonicity(j, step)
+    """Bracket residuals at p from one Jacobian of the joint map
+    q -> (spectral image, time-1 flow): the spectral block gives the
+    canonicity of the dual coordinates and the reversal of the form, the flow
+    block the preservation of the form by the flow."""
+    _require_interior(p, step)
+    j = _map_jacobian(lambda q: _spectral_and_flow(q, g), p, step)
+    spectral, flow = j[: 2 * p.n], j[2 * p.n :]
+    rep = _canonicity(spectral, step)
     return {
         "action_action": rep.action_action,
         "angle_angle": rep.angle_angle,
         "cross_deviation": rep.cross_deviation,
-        "antisymplectic": _antisymplectic(j),
-        "flow_symplectic": flow_symplectic_check(p, g, step=step),
+        "antisymplectic": _form_residual(spectral, 1.0),
+        "flow_symplectic": _form_residual(flow, -1.0),
     }
 
 

@@ -169,26 +169,24 @@ def duality_map(p: PhasePoint, g: Coupling) -> PhasePoint:
     return dual_frame(p, g).image
 
 
-def _dual_lax_routes(frame: DualFrame):
+def _dual_lax_routes(frame: DualFrame, dual_bundle: LaxBundle):
     """Dual Lax matrix with its two independent cross-check routes.
 
     Returns (L_hat, entrywise, pushforward): the similarity-transform route,
     the entrywise formula built from (F_hat, Theta_hat) with the flipped
     coupling, and the direct Lax matrix at the dual point with the flipped
-    coupling.  All three agree on valid inputs.
+    coupling, read from that point's bundle.  All three agree on valid inputs.
     """
-    g_hat = frame.bundle.coupling.hat()
-    l_hat = frame.dual_matrix()
-    entrywise = np.asarray(
-        _kernels.lax_entries(frame.f_hat, frame.big_theta, g_hat.mu, g_hat.nu)
-    )
-    pushforward = lax_matrix(frame.image, g_hat).matrix
-    return l_hat, entrywise, pushforward
+    g_hat = dual_bundle.coupling
+    c = frame.bundle.c
+    entrywise = _kernels.lax_entries(frame.f_hat, frame.big_theta, c, g_hat.mu, g_hat.nu)
+    return frame.dual_matrix(), entrywise, dual_bundle.matrix
 
 
 def dual_lax(p: PhasePoint, g: Coupling):
     """L_hat and its two cross-check routes at (p, g); see _dual_lax_routes."""
-    return _dual_lax_routes(dual_frame(p, g))
+    frame = dual_frame(p, g)
+    return _dual_lax_routes(frame, lax_matrix(frame.image, g.hat()))
 
 
 def minor_identity_residuals(frame: DualFrame) -> tuple[float, float]:
@@ -215,24 +213,22 @@ def minor_identity_residuals(frame: DualFrame) -> tuple[float, float]:
 
 
 def identity_residuals(p: PhasePoint, g: Coupling) -> dict:
-    """Residuals of the duality identities at p, all from the one frame at p
-    except the involution p -> p_hat -> p, which takes a second frame at the
-    dual point."""
+    """Residuals of the duality identities at p, from the frame at p and the
+    frame at the dual point: the latter gives the involution p -> p_hat -> p,
+    the pushed-forward dual Lax matrix and the closed-form z_hat."""
     fr = dual_frame(p, g)
-    g_hat = g.hat()
-    l_hat, entrywise, pushforward = _dual_lax_routes(fr)
+    back = dual_frame(fr.image, g.hat())
+    l_hat, entrywise, pushforward = _dual_lax_routes(fr, back.bundle)
     scale = np.abs(l_hat).max()
-    back = duality_map(fr.image, g_hat)
-    closed = _kernels.z_coeffs(fr.theta_hat, g_hat.mu, g_hat.nu)
     lin, quad = minor_identity_residuals(fr)
     z = fr.bundle.z
     re_sum = abs(fr.z_hat.real.sum() - z.real.sum()) / np.abs(z).sum()
     return {
-        "involution": float(np.abs(back.as_vector() - p.as_vector()).max()),
+        "involution": float(np.abs(back.image.as_vector() - p.as_vector()).max()),
         "dual_lax_entrywise": float(np.abs(l_hat - entrywise).max() / scale),
         "dual_lax_pushforward": float(np.abs(l_hat - pushforward).max() / scale),
         "re_z_sum": float(re_sum),
-        "z_closed_form": float(np.abs(closed - fr.z_hat).max()),
+        "z_closed_form": float(np.abs(back.bundle.z - fr.z_hat).max()),
         "linear_identity": lin,
         "quadratic_identity": quad,
     }

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .duality import DualFrame
-from .lax import energy, lax_matrix
+from .lax import LaxBundle, energy, lax_matrix
 from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
 
@@ -96,10 +96,7 @@ class _FlowFrame:
     v: np.ndarray  # unitary eigenvector basis of B
 
 
-def _flow_frame(p: PhasePoint, g: Coupling) -> _FlowFrame:
-    require_valid(p)
-    g.require_regular()
-    bundle = lax_matrix(p, g)
+def _flow_frame(bundle: LaxBundle) -> _FlowFrame:
     eig = hermitian_eig(bundle.matrix - bundle.c @ bundle.matrix @ bundle.c)
     return _FlowFrame(bundle.lam, eig.eigenvalues, eig.basis)
 
@@ -140,12 +137,12 @@ def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> PhasePoint:
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
     """Exact propagation through the spectrum of the matrix flow."""
-    return _flow_step(_flow_frame(p, g), g, float(t))
+    return _flow_step(_flow_frame(lax_matrix(p, g)), g, float(t))
 
 
 def projection_trajectory(p: PhasePoint, g: Coupling, t_values):
     """projection_flow over a time grid, from one frame of the initial point."""
-    frame = _flow_frame(p, g)
+    frame = _flow_frame(lax_matrix(p, g))
     out = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
         q = _flow_step(frame, g, float(t)) if t != 0.0 else p

@@ -56,19 +56,26 @@ def u_coeff(p: PhasePoint, g: Coupling, a: int) -> float:
     return float(_kernels.u_coeffs(p.xi, g.mu, g.nu)[a])
 
 
+def _energy(eta: np.ndarray, u: np.ndarray) -> float:
+    return float(np.cosh(eta) @ u)
+
+
 def energy(p: PhasePoint, g: Coupling) -> float:
     """The Hamiltonian H = sum_a cosh(eta_a) u_a."""
-    return float(np.cosh(p.eta) @ _kernels.u_coeffs(p.xi, g.mu, g.nu))
+    return _energy(p.eta, _kernels.u_coeffs(p.xi, g.mu, g.nu))
+
+
+def _f_vector(eta: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    top = np.exp(eta / 2.0) * np.sqrt(u)
+    bot = np.exp(-eta / 2.0) * z.conj() / np.sqrt(u)
+    return np.concatenate([top.astype(complex), bot])
 
 
 def f_vector(p: PhasePoint, g: Coupling) -> np.ndarray:
     """Column vector F: F_a = e^{eta_a/2} u_a^{1/2}, F_{n+a} = e^{-eta_a/2} conj(z_a) u_a^{-1/2}."""
     _check_inputs(p, g)
     z = _kernels.z_coeffs(p.xi, g.mu, g.nu)
-    u = _kernels.u_coeffs(p.xi, g.mu, g.nu)
-    top = np.exp(p.eta / 2.0) * np.sqrt(u)
-    bot = np.exp(-p.eta / 2.0) * z.conj() / np.sqrt(u)
-    return np.concatenate([top.astype(complex), bot])
+    return _f_vector(p.eta, z, _kernels.u_coeffs(p.xi, g.mu, g.nu))
 
 
 @dataclass(frozen=True)
@@ -109,20 +116,21 @@ class LaxBundle:
 
 
 def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
-    """Assemble the full bundle; errors out on near-degenerate denominators."""
+    """Assemble the full bundle; errors out on near-degenerate denominators.
+    The one builder of a point's Lax data: z and u once, F and the energy from them."""
     _check_inputs(p, g)
     g.require_regular()
-    z = np.asarray(_kernels.z_coeffs(p.xi, g.mu, g.nu))
-    u = np.asarray(_kernels.u_coeffs(p.xi, g.mu, g.nu))
-    f = f_vector(p, g)
+    z = _kernels.z_coeffs(p.xi, g.mu, g.nu)
+    u = _kernels.u_coeffs(p.xi, g.mu, g.nu)
+    f = _f_vector(p.eta, z, u)
     lam = np.concatenate([p.xi, -p.xi])
     den = np.sinh(1j * g.mu + lam[:, None] - lam[None, :])
     if np.abs(den).min() < DEGENERACY_TOL:
         raise LaxError("near-degenerate Lax denominator: positions collide modulo mu")
-    mat = np.asarray(_kernels.lax_entries(f, lam, g.mu, g.nu))
+    c = conjugation_matrix(p.n)
     return LaxBundle(
         point=p, coupling=g, z=z, u=u, f=f, lam=lam,
-        c=conjugation_matrix(p.n), matrix=mat, energy=energy(p, g),
+        c=c, matrix=_kernels.lax_entries(f, lam, c, g.mu, g.nu), energy=_energy(p.eta, u),
     )
 
 

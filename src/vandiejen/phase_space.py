@@ -8,7 +8,7 @@ eigenproblem ill-conditioned.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class PhaseSpaceError(VandiejenError):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (xi, eta) with n particles; xi strictly descending positive."""
+    """A point (xi, eta) with n particles.  Only shape and finiteness are checked
+    here; the chamber xi strictly descending positive is checked by validate."""
 
     xi: np.ndarray
     eta: np.ndarray
@@ -70,23 +71,22 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Coupling g = (mu, nu); classification margins are configurable."""
+    """Coupling g = (mu, nu), classified by the margin DEFAULT_REG_MARGIN."""
 
     mu: float
     nu: float
-    reg_margin: float = DEFAULT_REG_MARGIN
 
     def in_base_class(self) -> bool:
         """sin(mu) != 0 != sin(nu), by margin."""
-        return min(abs(np.sin(self.mu)), abs(np.sin(self.nu))) > self.reg_margin
+        return min(abs(np.sin(self.mu)), abs(np.sin(self.nu))) > DEFAULT_REG_MARGIN
 
     def is_regular(self) -> bool:
         """Base class plus sin(2 mu - nu) != 0: the Lax spectrum is then simple."""
-        return self.in_base_class() and abs(np.sin(2 * self.mu - self.nu)) > self.reg_margin
+        return self.in_base_class() and abs(np.sin(2 * self.mu - self.nu)) > DEFAULT_REG_MARGIN
 
     def is_strongly_regular(self) -> bool:
         """Regular plus cos(mu - nu) != 0."""
-        return self.is_regular() and abs(np.cos(self.mu - self.nu)) > self.reg_margin
+        return self.is_regular() and abs(np.cos(self.mu - self.nu)) > DEFAULT_REG_MARGIN
 
     def require_regular(self):
         if not self.is_regular():
@@ -96,7 +96,7 @@ class Coupling:
 
     def hat(self) -> "Coupling":
         """The involution g -> (-mu, -nu); exact since it is a sign flip."""
-        return Coupling(mu=-self.mu, nu=-self.nu, reg_margin=self.reg_margin)
+        return Coupling(mu=-self.mu, nu=-self.nu)
 
     def to_json(self) -> str:
         return json.dumps({"mu": self.mu, "nu": self.nu})

@@ -59,8 +59,8 @@ class AsymptoticData:
         if sign not in (1, -1):
             raise ScatteringError("sign must be +1 or -1")
         if sign == 1:
-            return _free_point(self.lambda_plus, self.theta_plus)
-        return _free_point(self.lambda_minus, self.theta_minus)
+            return PhasePoint(xi=self.lambda_plus, eta=self.theta_plus)
+        return PhasePoint(xi=self.lambda_minus, eta=self.theta_minus)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -108,14 +108,6 @@ def asymptotic_data(p: PhasePoint, g: Coupling, frame: DualFrame | None = None) 
     )
 
 
-def _free_point(x: np.ndarray, y: np.ndarray):
-    """Asymptotic data is not confined to the ordered chamber; bypass ordering checks."""
-    obj = PhasePoint.__new__(PhasePoint)
-    object.__setattr__(obj, "xi", np.asarray(x, dtype=float))
-    object.__setattr__(obj, "eta", np.asarray(y, dtype=float))
-    return obj
-
-
 def scattering_map(zeta: PhasePoint, g: Coupling) -> PhasePoint:
     """S: incoming free data (xi, eta) with eta ascending negative to outgoing
     (-xi_a + Delta_a(-eta/2), -eta)."""
@@ -123,13 +115,13 @@ def scattering_map(zeta: PhasePoint, g: Coupling) -> PhasePoint:
     if (len(eta) > 1 and np.any(np.diff(eta) <= 0)) or eta[-1] >= 0:
         raise ScatteringError("incoming rapidities must be strictly ascending negative")
     new_xi = -zeta.xi + delta_vector(-eta / 2.0, g)
-    return _free_point(new_xi, -eta)
+    return PhasePoint(xi=new_xi, eta=-eta)
 
 
 def upsilon(p: PhasePoint, g: Coupling, sign: int) -> PhasePoint:
     """Auxiliary half-shift maps: (xi, eta) -> (sign*eta/2 + Delta(xi)/2, sign*2*xi)."""
     x = sign * 0.5 * p.eta + 0.5 * delta_vector(p.xi, g)
-    return _free_point(x, sign * 2.0 * p.xi)
+    return PhasePoint(xi=x, eta=sign * 2.0 * p.xi)
 
 
 def upsilon_minus_inverse(zeta: PhasePoint, g: Coupling) -> PhasePoint:
@@ -202,9 +194,8 @@ def residual_trace(p: PhasePoint, g: Coupling, t_grid) -> ResidualTrace:
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ScatteringError("time grid must be strictly increasing")
-    frame = dual_frame(p, g)
-    data = asymptotic_data(p, g, frame)
-    _, theta_plus_diag = flow_matrix_regular_form(frame)
+    data = asymptotic_data(p, g)
+    theta_plus_diag = np.concatenate([data.theta_plus, data.theta_minus[::-1]])
     gaps = -np.diff(2.0 * np.sinh(theta_plus_diag))
     min_gap = float(gaps.min())
     pos_res, rap_res = [], []
