@@ -80,10 +80,15 @@ def delta_shifts(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     return 0.5 * np.log1p(q_one) + signed.sum(axis=1) + logs[1].sum(axis=1)
 
 
-def lax_entries(f: np.ndarray, lam: np.ndarray, c: np.ndarray, mu: float, nu: float) -> np.ndarray:
-    """L_kl = (i sin(mu) F_k conj(F_l) + i sin(mu - nu) C_kl) / sinh(i mu + Lam_k - Lam_l)."""
+def lax_denominators(lam: np.ndarray, mu: float) -> np.ndarray:
+    """The table sinh(i mu + Lam_k - Lam_l) of the Lax entries."""
+    return np.sinh(1j * mu + lam[:, None] - lam[None, :])
+
+
+def lax_entries(f: np.ndarray, den: np.ndarray, c: np.ndarray, mu: float, nu: float) -> np.ndarray:
+    """L_kl = (i sin(mu) F_k conj(F_l) + i sin(mu - nu) C_kl) / den_kl, with den
+    the lax_denominators table."""
     num = 1j * np.sin(mu) * np.outer(f, f.conj()) + 1j * np.sin(mu - nu) * c
-    den = np.sinh(1j * mu + lam[:, None] - lam[None, :])
     return num / den
 
 

@@ -9,7 +9,6 @@ empirically on time grids.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,26 +146,6 @@ class AsymptoticReport:
     @property
     def passed(self) -> bool:
         return all(self.verdicts.values())
-
-    def to_json(self) -> str:
-        def c(arr):
-            a = np.asarray(arr, dtype=complex)
-            return np.stack([a.real, a.imag], axis=-1).tolist()
-
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "t_grid": list(self.t_grid),
-                "mu": list(self.mu),
-                "R": self.gap,
-                "m": c(self.m),
-                "p": c(self.p) if self.p is not None else None,
-                "alpha": c(self.alpha) if self.alpha is not None else None,
-                "remainder": c(self.remainder),
-                "fitted_orders": [float(x) for x in self.fitted_orders],
-                "verdicts": {k: bool(v) for k, v in self.verdicts.items()},
-            }
-        )
 
 
 def _fit_order(

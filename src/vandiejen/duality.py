@@ -10,7 +10,6 @@ and a diagonal phase twist applied to paired columns fixes positivity.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,16 +137,6 @@ class DualFrame:
         """L_hat = y_hat^{-1} e^{2 Lam} y_hat."""
         return self.y_hat.conj().T @ (np.exp(2 * self.bundle.lam)[:, None] * self.y_hat)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theta_hat": list(self.theta_hat),
-                "lambda_hat": list(self.lambda_hat),
-                "u_hat": list(self.u_hat),
-                "z_hat": [[v.real, v.imag] for v in self.z_hat],
-            }
-        )
-
 
 def dual_frame(p: PhasePoint, g: Coupling) -> DualFrame:
     """Build the full spectral frame at (p, g) from one eigendecomposition of L."""
@@ -178,8 +167,8 @@ def _dual_lax_routes(frame: DualFrame, dual_bundle: LaxBundle):
     coupling, read from that point's bundle.  All three agree on valid inputs.
     """
     g_hat = dual_bundle.coupling
-    c = frame.bundle.c
-    entrywise = _kernels.lax_entries(frame.f_hat, frame.big_theta, c, g_hat.mu, g_hat.nu)
+    den = _kernels.lax_denominators(frame.big_theta, g_hat.mu)
+    entrywise = _kernels.lax_entries(frame.f_hat, den, frame.bundle.c, g_hat.mu, g_hat.nu)
     return frame.dual_matrix(), entrywise, dual_bundle.matrix
 
 

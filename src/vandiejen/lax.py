@@ -6,7 +6,6 @@ independent cross-checks of correctness rather than imposed structure.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,24 +95,6 @@ class LaxBundle:
     def n(self) -> int:
         return self.point.n
 
-    def to_json(self) -> str:
-        def cplx(arr):
-            a = np.asarray(arr, dtype=complex)
-            return np.stack([a.real, a.imag], axis=-1).tolist()
-
-        return json.dumps(
-            {
-                "point": json.loads(self.point.to_json()),
-                "coupling": json.loads(self.coupling.to_json()),
-                "z": cplx(self.z),
-                "u": list(self.u),
-                "f": cplx(self.f),
-                "lam": list(self.lam),
-                "matrix": cplx(self.matrix),
-                "energy": self.energy,
-            }
-        )
-
 
 def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
     """Assemble the full bundle; errors out on near-degenerate denominators.
@@ -124,13 +105,13 @@ def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
     u = _kernels.u_coeffs(p.xi, g.mu, g.nu)
     f = _f_vector(p.eta, z, u)
     lam = np.concatenate([p.xi, -p.xi])
-    den = np.sinh(1j * g.mu + lam[:, None] - lam[None, :])
+    den = _kernels.lax_denominators(lam, g.mu)
     if np.abs(den).min() < DEGENERACY_TOL:
         raise LaxError("near-degenerate Lax denominator: positions collide modulo mu")
     c = conjugation_matrix(p.n)
     return LaxBundle(
         point=p, coupling=g, z=z, u=u, f=f, lam=lam,
-        c=c, matrix=_kernels.lax_entries(f, lam, c, g.mu, g.nu), energy=_energy(p.eta, u),
+        c=c, matrix=_kernels.lax_entries(f, den, c, g.mu, g.nu), energy=_energy(p.eta, u),
     )
 
 

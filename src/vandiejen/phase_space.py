@@ -7,7 +7,6 @@ eigenproblem ill-conditioned.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +59,6 @@ class PhasePoint:
         n = len(x) // 2
         return PhasePoint(xi=x[:n], eta=x[n:])
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "xi": list(self.xi), "eta": list(self.eta)})
-
-    @staticmethod
-    def from_json(s: str) -> "PhasePoint":
-        d = json.loads(s)
-        return PhasePoint(xi=d["xi"], eta=d["eta"])
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -97,9 +88,6 @@ class Coupling:
     def hat(self) -> "Coupling":
         """The involution g -> (-mu, -nu); exact since it is a sign flip."""
         return Coupling(mu=-self.mu, nu=-self.nu)
-
-    def to_json(self) -> str:
-        return json.dumps({"mu": self.mu, "nu": self.nu})
 
 
 @dataclass(frozen=True)

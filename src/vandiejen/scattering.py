@@ -8,7 +8,6 @@ which must agree.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +60,6 @@ class AsymptoticData:
         if sign == 1:
             return PhasePoint(xi=self.lambda_plus, eta=self.theta_plus)
         return PhasePoint(xi=self.lambda_minus, eta=self.theta_minus)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theta_plus": list(self.theta_plus),
-                "lambda_plus": list(self.lambda_plus),
-                "lambda_minus": list(self.lambda_minus),
-                "delta": list(self.delta),
-                "minor_route_plus": list(self.minor_route_plus),
-                "minor_route_minus": list(self.minor_route_minus),
-            }
-        )
 
 
 def _minor_half_logs(matrix: np.ndarray, n: int) -> np.ndarray:
@@ -163,19 +150,6 @@ class ResidualTrace:
     min_gap: float  # minimal adjacent gap of 2*sinh applied to the ordered exponent diagonal
     onset_index: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t_grid": list(self.t_grid),
-                "fitted_rate": self.fitted_rate,
-                "rapidity_fitted_rate": self.rapidity_fitted_rate,
-                "min_gap": self.min_gap,
-                "onset_index": self.onset_index,
-                "position_residuals": [list(r) for r in self.position_residuals],
-                "rapidity_residuals": [list(r) for r in self.rapidity_residuals],
-            }
-        )
-
 
 def _fit_decay(t: np.ndarray, r: np.ndarray) -> float:
     """Least-squares slope of ln(residual) vs t over the upper half of usable points."""
@@ -194,12 +168,13 @@ def residual_trace(p: PhasePoint, g: Coupling, t_grid) -> ResidualTrace:
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ScatteringError("time grid must be strictly increasing")
-    data = asymptotic_data(p, g)
+    frame = dual_frame(p, g)
+    data = asymptotic_data(p, g, frame)
     theta_plus_diag = np.concatenate([data.theta_plus, data.theta_minus[::-1]])
     gaps = -np.diff(2.0 * np.sinh(theta_plus_diag))
     min_gap = float(gaps.min())
     pos_res, rap_res = [], []
-    for s in projection_trajectory(p, g, t_grid):
+    for s in projection_trajectory(p, g, t_grid, frame.bundle):
         pos_res.append(s.point.xi - s.t * np.sinh(data.theta_plus) - data.lambda_plus)
         rap_res.append(s.point.eta - data.theta_plus)
     pos_res = np.array(pos_res)

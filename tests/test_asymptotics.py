@@ -133,16 +133,6 @@ def test_sample_spec_gaps_pairwise_distinct():
     assert diffs.min() > 1e-3
 
 
-def test_report_serialization():
-    import json
-
-    spec = sample_spec(3, seed=5)
-    report = verify_theorem_exponential(spec, np.arange(6.0, 12.1, 2.0))
-    d = json.loads(report.to_json())
-    assert d["kind"] == "exponential"
-    assert d["verdicts"]["post_subtraction_decay"] is True
-
-
 def test_error_paths():
     with pytest.raises(AsymptoticsError):
         FlowSpec(m=np.eye(2), d=[1.0, 1.0], kind="exponential")

@@ -156,15 +156,6 @@ def test_closed_form_rejects_bad_angles(g):
         dual_z_closed_form([0.5, -0.2], g.hat(), 0)
 
 
-def test_serialization(g):
-    import json
-
-    frame = dual_frame(point(2, seed=55), g)
-    d = json.loads(frame.to_json())
-    npt.assert_allclose(d["theta_hat"], frame.theta_hat)
-    npt.assert_allclose(d["lambda_hat"], frame.lambda_hat)
-
-
 def test_degenerate_spectrum_rejected(g):
     import dataclasses
 

@@ -253,6 +253,40 @@ def test_rk_mixed_sign_grid_order_preserved(g):
     npt.assert_array_equal(samples[2].point.xi, p.xi)
 
 
+def test_rk_repeated_times_share_one_sample(g):
+    p = point(2, seed=21)
+    grid = [1.0, 0.0, -0.5, 1.0, 0.5]
+    samples = rk_flow(p, g, grid)
+    assert [s.t for s in samples] == grid
+    npt.assert_array_equal(samples[0].point.as_vector(), samples[3].point.as_vector())
+
+
+def test_rk_quiet_when_trial_stages_overflow(g):
+    """DOP853 trial stages at this point push sinh/cosh(eta) past the double
+    range; pytest turns any RuntimeWarning into an error (pyproject.toml)."""
+    rng = np.random.default_rng(2)
+    xi = np.cumsum(rng.uniform(0.2, 0.4, 8))[::-1] + 0.3
+    p = PhasePoint(xi=xi, eta=rng.uniform(-3, 3, 8))
+    r = rk_flow(p, g, [2.0])[0].point
+    q = projection_flow(p, g, 2.0)
+    assert np.abs(r.as_vector() - q.as_vector()).max() <= 1e-6
+
+
+def test_rk_rejects_non_finite_state(g, monkeypatch):
+    import scipy.integrate
+
+    real = scipy.integrate.solve_ivp
+
+    def poisoned(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.y[:, -1] = np.inf
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", poisoned)
+    with pytest.raises(DynamicsError, match="non-finite state"):
+        rk_flow(point(2, seed=21), g, [1.0])
+
+
 def test_non_regular_coupling_rejected():
     from vandiejen.phase_space import PhaseSpaceError
 

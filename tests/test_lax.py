@@ -148,15 +148,6 @@ def test_commutation_residual_off_shell(g):
     assert commutation_residual(bad) >= 1e-4
 
 
-def test_serialization_round_trip(g):
-    import json
-
-    b = lax_matrix(point(2, seed=30), g)
-    d = json.loads(b.to_json())
-    m = np.array([[complex(re, im) for re, im in row] for row in d["matrix"]])
-    npt.assert_allclose(m, b.matrix)
-
-
 def test_rejects_base_class_violation():
     with pytest.raises(PhaseSpaceError):
         lax_matrix(point(2, seed=1), Coupling(0.0, 0.4))

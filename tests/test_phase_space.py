@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -42,13 +40,6 @@ def test_vector_round_trip():
     q = PhasePoint.from_vector(p.as_vector())
     npt.assert_array_equal(p.xi, q.xi)
     npt.assert_array_equal(p.eta, q.eta)
-
-
-def test_json_round_trip():
-    p = PhasePoint(xi=[1.2, 0.4], eta=[-0.3, 0.8])
-    q = PhasePoint.from_json(p.to_json())
-    npt.assert_array_equal(p.xi, q.xi)
-    assert json.loads(p.to_json())["n"] == 2
 
 
 def test_coupling_classes():

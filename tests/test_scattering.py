@@ -167,11 +167,3 @@ def test_residual_trace_rejects_bad_grid(g):
 def test_wave_map_rejects_bad_sign(g):
     with pytest.raises(ScatteringError):
         wave_map(point(1, seed=1), g, 0)
-
-
-def test_asymptotic_serialization(g):
-    import json
-
-    data = asymptotic_data(point(2, seed=19), g)
-    d = json.loads(data.to_json())
-    npt.assert_allclose(d["delta"], data.delta)

@@ -32,8 +32,9 @@ def z_calls(monkeypatch):
         (duality.identity_residuals, lambda n: 2),
         (scattering.identity_residuals, lambda n: 1),
         (brackets.symplectic_residuals, lambda n: 4 * n),
+        (lambda p, g: scattering.residual_trace(p, g, [1.0, 2.0, 3.0]), lambda n: 1),
     ],
-    ids=["lax_matrix", "duality_row", "scatter_row", "brackets_row"],
+    ids=["lax_matrix", "duality_row", "scatter_row", "brackets_row", "residual_trace"],
 )
 @pytest.mark.parametrize("n", [2, 3])
 def test_z_kernel_runs_once_per_bundle(z_calls, unit, expected, n):
