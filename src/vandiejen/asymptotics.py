@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import general_eig, leading_principal_minors, minor
+from .linalg import general_eig, leading_principal_minors, principal_minors
 from .phase_space import VandiejenError
 
 MINOR_MARGIN = 1e-10
 ORDER_GAP_TOL = 1e-8
 FIT_CLAMP = 1e-14
 EXP_CAP = 600.0
+SPEC_ATTEMPTS = 200
 
 
 class AsymptoticsError(VandiejenError):
@@ -66,30 +67,33 @@ class FlowSpec:
         return float(self.mu.min())
 
 
-def _minor_ratios(pi: np.ndarray) -> np.ndarray:
-    """pi_j / pi_{j-1} (pi_0 = 1) for the leading principal minors pi."""
+def _nonzero(pi: np.ndarray) -> np.ndarray:
     if np.abs(pi).min() == 0:
         raise AsymptoticsError("zero principal minor")
-    return pi / np.concatenate([[1.0], pi[:-1]])
+    return pi
+
+
+def _minor_ratios(pi: np.ndarray) -> np.ndarray:
+    """pi_j / pi_{j-1} (pi_0 = 1) over the last axis of the leading principal minors pi."""
+    return pi / np.concatenate([np.ones_like(pi[..., :1]), pi[..., :-1]], axis=-1)
 
 
 def m_coeffs(m) -> np.ndarray:
     """Leading-coefficient ratios: m_1 = M_11, m_j = pi_j / pi_{j-1}."""
-    return _minor_ratios(leading_principal_minors(m))
+    return _minor_ratios(_nonzero(leading_principal_minors(m)))
+
+
+def _p_from_minors(pi: np.ndarray, bordered: np.ndarray) -> np.ndarray:
+    """p_j over the last axis, from the two minor sets of principal_minors."""
+    mj = _minor_ratios(pi)
+    return bordered / pi[..., :-1] - mj[..., 1:] / mj[..., :-1]
 
 
 def p_coeffs(m) -> np.ndarray:
     """First-order remainder coefficients p_1 .. p_{N-1}:
     p_j = M(1..j-1, j+1) / M(1..j) - m_{j+1} / m_j (principal minors by index set)."""
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    pi = leading_principal_minors(m)
-    mj = _minor_ratios(pi)
-    out = np.empty(n - 1, dtype=complex)
-    for j in range(1, n):
-        idx = list(range(j - 1)) + [j]
-        out[j - 1] = minor(m, idx, idx) / pi[j - 1] - mj[j] / mj[j - 1]
-    return out
+    pi, bordered = principal_minors(m)
+    return _p_from_minors(_nonzero(pi), bordered)
 
 
 def alpha_coeffs(m, d) -> np.ndarray:
@@ -159,13 +163,21 @@ def _fit_order(
     return float(np.polyfit(x, np.log(np.abs(values[usable])), 1)[0])
 
 
+def _fit_grid(t_grid) -> np.ndarray:
+    """The time grid as a float array; a decay order needs two distinct times."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size < 2 or t_grid.min() == t_grid.max():
+        raise AsymptoticsError("the time grid needs at least two distinct times")
+    return t_grid
+
+
 def verify_theorem_exponential(spec: FlowSpec, t_grid) -> AsymptoticReport:
     """Check the exponential-flow asymptotics on the grid: the relative
     remainders rho_j, their first-order model, and the post-subtraction
     second-order decay rate (expected about 2R, verified >= 1.8R)."""
     if spec.kind != "exponential":
         raise AsymptoticsError("spec is not of exponential kind")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _fit_grid(t_grid)
     n = spec.size
     mj = m_coeffs(spec.m)
     pj = p_coeffs(spec.m)
@@ -234,7 +246,7 @@ def verify_theorem_linear(spec: FlowSpec, t_grid, include_alpha: bool = True) ->
     degrades the fitted order from about 2 to about 1."""
     if spec.kind != "linear":
         raise AsymptoticsError("spec is not of linear kind")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _fit_grid(t_grid)
     if t_grid.min() <= 0:
         raise AsymptoticsError("linear-kind grids must be strictly positive")
     n = spec.size
@@ -293,6 +305,16 @@ def linear_summary(spec: FlowSpec, t_grid) -> dict:
     }
 
 
+def _accepted(ms: np.ndarray, floor: float) -> np.ndarray:
+    """Mask over a (P, N, N) stack of M: every leading minor nonzero and every
+    |p_j| >= floor.  A candidate with a zero leading minor gets inf or nan p
+    entries, which the mask drops without a warning."""
+    pi, bordered = principal_minors(ms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smallest = np.abs(_p_from_minors(pi, bordered)).min(axis=-1)
+        return np.all(pi != 0, axis=-1) & (smallest >= floor)
+
+
 def sample_spec(size: int, seed: int, kind: str = "exponential",
                 min_gap: float = 1.5, gap_spread: float = 0.5,
                 off_scale: float = 0.2) -> FlowSpec:
@@ -303,24 +325,39 @@ def sample_spec(size: int, seed: int, kind: str = "exponential",
     plus a scaled complex perturbation, resampled until every p coefficient is
     comfortably away from zero (relative recovery would otherwise divide by a
     near-cancellation).
+
+    Candidates come in blocks of 1, 2, 4, 8, ... attempts, SPEC_ATTEMPTS in
+    all, and the p coefficients of a block come from one principal_minors call
+    over the stack of its M.  Attempt k draws from its own
+    default_rng(seed * 1009 + k), and the spec returned is the first accepted
+    in attempt order, so the result does not depend on the blocking.
     """
-    for attempt in range(200):
+    if size < 2:
+        raise AsymptoticsError(f"a flow spec needs size >= 2, got {size}")
+
+    slots = np.linspace(0.0, gap_spread, size - 1)
+    jitter = 0.1 * gap_spread / max(size - 2, 1)
+    eye = np.eye(size)
+
+    def candidate(attempt: int) -> tuple[np.ndarray, np.ndarray]:
+        """(gaps, M) of one attempt: the same draws in the same order for every attempt."""
         rng = np.random.default_rng(seed * 1009 + attempt)
         if size == 2:
             gaps = np.array([min_gap + gap_spread * rng.uniform()])
         else:
-            slots = np.linspace(0.0, gap_spread, size - 1)
-            jitter = 0.1 * gap_spread / (size - 2)
             gaps = min_gap + rng.permutation(slots) + jitter * rng.uniform(-1, 1, size - 1)
-        d = np.concatenate([[0.0], -np.cumsum(gaps)])
-        d = d - d.mean()
-        m = np.eye(size) + off_scale * (
+        m = eye + off_scale * (
             rng.uniform(-1, 1, (size, size)) + 1j * rng.uniform(-1, 1, (size, size))
         )
-        try:
-            p = p_coeffs(m)
-        except AsymptoticsError:
-            continue
-        if np.abs(p).min() >= 0.5 * off_scale ** 2:
-            return FlowSpec(m=m, d=d.astype(complex), kind=kind)
+        return gaps, m
+
+    start, block = 0, 1
+    while start < SPEC_ATTEMPTS:
+        drawn = [candidate(k) for k in range(start, min(start + block, SPEC_ATTEMPTS))]
+        ok = _accepted(np.stack([m for _, m in drawn]), 0.5 * off_scale ** 2)
+        if ok.any():
+            gaps, m = drawn[int(np.argmax(ok))]
+            d = np.concatenate([[0.0], -np.cumsum(gaps)])
+            return FlowSpec(m=m, d=(d - d.mean()).astype(complex), kind=kind)
+        start, block = start + block, 2 * block
     raise AsymptoticsError("could not realize a well-conditioned spec")

@@ -143,6 +143,8 @@ def cmd_flow(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    if args.n < 2:
+        raise UsageError(f"asymptotics needs n >= 2, got {args.n}")
     grid = _parse_grid(args.t)
     battery = ASYMPTOTICS[args.kind]
     specs = [

@@ -15,15 +15,23 @@ HERMITICITY_TOL = 1e-12
 
 
 class LinalgError(VandiejenError):
-    """Raised on malformed inputs (non-square, non-finite, bad index lists)."""
+    """Raised on malformed inputs (non-square, non-finite, singular Cauchy data)."""
+
+
+def _as_square_stack(a) -> np.ndarray:
+    """a as a complex (..., N, N) array with N >= 1 and finite entries."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise LinalgError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise LinalgError("matrix has non-finite entries")
+    return a
 
 
 def _as_square_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    a = _as_square_stack(a)
+    if a.ndim != 2:
         raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise LinalgError("matrix has non-finite entries")
     return a
 
 
@@ -66,30 +74,35 @@ def general_eig(a) -> GeneralEigen:
     return GeneralEigen(eigenvalues=w[order])
 
 
-def leading_principal_minors(m) -> np.ndarray:
-    """Determinants of the upper-left j x j blocks, j = 1..N.
+def principal_minors(m) -> tuple[np.ndarray, np.ndarray]:
+    """Leading and bordered principal minors of a matrix or a (..., N, N) stack.
 
-    Each block is factorized from scratch (partial pivoting inside
-    numpy.linalg.det); at these sizes correctness beats Schur updates.
+    Returns (leading, bordered): leading[..., k-1] = det M[:k, :k] for
+    k = 1..N, and bordered[..., k-1] = det M(1..k-1, k+1), the minor on the
+    indices 1..k-1 and k+1, for k = 1..N-1.  Each size k takes one det call
+    over the k x k submatrices of every matrix in the stack, so each minor is
+    bit-for-bit np.linalg.det(M[np.ix_(s, s)]): the same LAPACK factorization
+    of the same size, looped over the stack.  Each submatrix is factorized
+    from scratch (partial pivoting); at these sizes correctness beats Schur
+    updates.
     """
-    m = _as_square_matrix(m)
-    n = m.shape[0]
-    return np.array([np.linalg.det(m[:j, :j]) for j in range(1, n + 1)])
+    m = _as_square_stack(m)
+    n = m.shape[-1]
+    leading = np.empty(m.shape[:-1], dtype=complex)
+    bordered = np.empty(m.shape[:-2] + (n - 1,), dtype=complex)
+    for k in range(1, n + 1):
+        lead = np.arange(k)
+        sets = np.stack([lead, np.append(lead[:-1], k)]) if k < n else lead[None]
+        dets = np.linalg.det(m[..., sets[:, :, None], sets[:, None, :]])
+        leading[..., k - 1] = dets[..., 0]
+        if k < n:
+            bordered[..., k - 1] = dets[..., 1]
+    return leading, bordered
 
 
-def minor(m, row_idx, col_idx) -> complex:
-    """Determinant of the submatrix selected by strictly increasing index lists (0-based)."""
-    m = _as_square_matrix(m)
-    rows = np.asarray(row_idx, dtype=int)
-    cols = np.asarray(col_idx, dtype=int)
-    if rows.ndim != 1 or cols.ndim != 1 or len(rows) != len(cols) or len(rows) == 0:
-        raise LinalgError("index lists must be non-empty and of equal length")
-    for idx in (rows, cols):
-        if np.any(np.diff(idx) <= 0):
-            raise LinalgError("index lists must be strictly increasing")
-        if idx[0] < 0 or idx[-1] >= m.shape[0]:
-            raise LinalgError("index out of bounds")
-    return complex(np.linalg.det(m[np.ix_(rows, cols)]))
+def leading_principal_minors(m) -> np.ndarray:
+    """Determinants of the upper-left j x j blocks, j = 1..N (see principal_minors)."""
+    return principal_minors(_as_square_matrix(m))[0]
 
 
 def hyperbolic_cauchy_matrix(alpha: float, xi, eta) -> np.ndarray:

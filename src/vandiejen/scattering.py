@@ -64,7 +64,7 @@ class AsymptoticData:
 
 def _minor_half_logs(matrix: np.ndarray, n: int) -> np.ndarray:
     """lambda_a = 0.5 * ln(pi_a / pi_{a-1}) from the first n leading minors."""
-    minors = leading_principal_minors(matrix)[:n].real
+    minors = leading_principal_minors(matrix[:n, :n]).real
     if np.any(minors <= 0):
         raise ScatteringError("non-positive principal minor of a positive definite matrix")
     ratios = minors / np.concatenate([[1.0], minors[:-1]])

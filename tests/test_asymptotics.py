@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vandiejen import asymptotics
 from vandiejen.asymptotics import (
     AsymptoticsError,
     FlowSpec,
@@ -18,6 +19,42 @@ from vandiejen.asymptotics import (
 from conftest import det_cofactor
 
 D4 = np.array([3.0, 1.0, -1.0, -3.0])
+
+
+# -- loop-form reference: one candidate at a time, one det per minor -----------
+
+
+def _reference_p_coeffs(m):
+    pi = np.array([np.linalg.det(m[:j, :j]) for j in range(1, len(m) + 1)])
+    if np.abs(pi).min() == 0:
+        return None
+    mj = pi / np.concatenate([[1.0], pi[:-1]])
+    out = np.empty(len(m) - 1, dtype=complex)
+    for j in range(1, len(m)):
+        idx = list(range(j - 1)) + [j]
+        out[j - 1] = complex(np.linalg.det(m[np.ix_(idx, idx)])) / pi[j - 1] - mj[j] / mj[j - 1]
+    return out
+
+
+def _reference_sample_spec(size, seed, min_gap=1.5, gap_spread=0.5, off_scale=0.2):
+    """(m, d) of the first accepted candidate, drawing and testing one attempt at a time."""
+    for attempt in range(200):
+        rng = np.random.default_rng(seed * 1009 + attempt)
+        if size == 2:
+            gaps = np.array([min_gap + gap_spread * rng.uniform()])
+        else:
+            slots = np.linspace(0.0, gap_spread, size - 1)
+            jitter = 0.1 * gap_spread / (size - 2)
+            gaps = min_gap + rng.permutation(slots) + jitter * rng.uniform(-1, 1, size - 1)
+        d = np.concatenate([[0.0], -np.cumsum(gaps)])
+        d = d - d.mean()
+        m = np.eye(size) + off_scale * (
+            rng.uniform(-1, 1, (size, size)) + 1j * rng.uniform(-1, 1, (size, size))
+        )
+        p = _reference_p_coeffs(m)
+        if p is not None and np.abs(p).min() >= 0.5 * off_scale ** 2:
+            return m, d.astype(complex)
+    raise AssertionError("no candidate accepted")
 
 
 def test_m_coeffs_diagonal():
@@ -131,6 +168,50 @@ def test_sample_spec_gaps_pairwise_distinct():
     mu = spec.mu
     diffs = np.abs(mu[:, None] - mu[None, :])[~np.eye(4, dtype=bool)]
     assert diffs.min() > 1e-3
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_sample_spec_equals_one_candidate_at_a_time(size):
+    # seeds 1-12 at n = 2..8 hold every spec the benchmark's survey catalogue draws
+    for seed in range(1, 13):
+        m, d = _reference_sample_spec(size, seed)
+        for kind in ("exponential", "linear"):
+            spec = sample_spec(size, seed=seed, kind=kind)
+            assert np.array_equal(spec.m, m) and np.array_equal(spec.d, d)
+            assert spec.kind == kind
+        assert np.array_equal(p_coeffs(m), _reference_p_coeffs(m))
+
+
+def test_zero_leading_minor_is_skipped_in_a_stack():
+    good = np.eye(3) + 0.2 * np.arange(9).reshape(3, 3) / 9
+    zero_first = good.copy()
+    zero_first[0, 0] = 0.0
+    zero_second = good.copy()
+    zero_second[1] = zero_second[0]  # pi_1 != 0, pi_2 = pi_3 = 0
+    zero_last = good.copy()
+    zero_last[2] = zero_last[0]  # only det M = 0, and every p_j stays finite
+    stack = np.stack([zero_first, good, zero_second, zero_last])
+    # pytest turns a RuntimeWarning into an error, so the mask must raise none
+    mask = asymptotics._accepted(stack, 0.0)
+    assert mask.tolist() == [False, True, False, False]
+    for bad in (zero_first, zero_second, zero_last):
+        with pytest.raises(AsymptoticsError):
+            p_coeffs(bad)
+
+
+@pytest.mark.parametrize("size", [-1, 0, 1])
+def test_sample_spec_rejects_size_below_two(size):
+    with pytest.raises(AsymptoticsError):
+        sample_spec(size, seed=1)
+
+
+@pytest.mark.parametrize("grid", [[5.0], [5.0, 5.0], []])
+def test_grid_without_two_distinct_times_is_rejected(grid):
+    exp, lin = sample_spec(3, seed=7), sample_spec(3, seed=7, kind="linear")
+    with pytest.raises(AsymptoticsError):
+        verify_theorem_exponential(exp, grid)
+    with pytest.raises(AsymptoticsError):
+        verify_theorem_linear(lin, grid)
 
 
 def test_error_paths():

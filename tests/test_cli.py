@@ -62,6 +62,23 @@ def test_numerical_failure_is_reported_without_traceback(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_asymptotics_size_below_two_is_usage_error(n, tmp_path, capsys):
+    assert run(["asymptotics", "--n", n, "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["exponential", "linear"])
+def test_asymptotics_single_time_is_reported_failure(kind, tmp_path, capsys):
+    # no decay order can be fitted from one time; RuntimeWarnings are errors here
+    out = tmp_path / "out.csv"
+    assert run(["asymptotics", "--n", "3", "--kind", kind, "--t", "5", "--out", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

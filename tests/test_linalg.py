@@ -9,7 +9,7 @@ from vandiejen.linalg import (
     hyperbolic_cauchy_det,
     hyperbolic_cauchy_matrix,
     leading_principal_minors,
-    minor,
+    principal_minors,
 )
 
 from conftest import det_cofactor
@@ -86,32 +86,53 @@ def test_leading_principal_minors_vs_cofactor_oracle():
         assert abs(pi[j - 1] - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
-def test_minor_full_matrix():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert minor(m, [0, 1], [0, 1]) == pytest.approx(-2.0)
+def _minor_sets(n):
+    """The index sets of principal_minors: leading 0..k-1, bordered 0..k-2 and k."""
+    leading = [list(range(k)) for k in range(1, n + 1)]
+    bordered = [list(range(k - 1)) + [k] for k in range(1, n)]
+    return leading, bordered
 
 
-def test_minor_single_entry():
-    m = np.arange(9, dtype=float).reshape(3, 3)
-    assert minor(m, [1], [2]) == pytest.approx(m[1, 2])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_principal_minors_bitwise_equal_to_one_det_per_submatrix(n):
+    rng = np.random.default_rng(100 + n)
+    stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    leading_sets, bordered_sets = _minor_sets(n)
+    pi_stack, bordered_stack = principal_minors(stack)
+    assert pi_stack.shape == (5, n) and bordered_stack.shape == (5, n - 1)
+    for p, m in enumerate(stack):
+        pi, bordered = principal_minors(m)
+        assert np.array_equal(pi, pi_stack[p]) and np.array_equal(bordered, bordered_stack[p])
+        for got, sets in ((pi, leading_sets), (bordered, bordered_sets)):
+            for value, s in zip(got, sets):
+                assert value == np.linalg.det(m[np.ix_(s, s)])
 
 
-def test_minor_vs_cofactor_oracle():
+def test_principal_minors_bordered_vs_cofactor_oracle():
     rng = np.random.default_rng(13)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rows, cols = [0, 2], [1, 3]
-    ref = det_cofactor(m[np.ix_(rows, cols)])
-    assert abs(minor(m, rows, cols) - ref) <= 1e-12
+    for n in range(2, 7):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        _, bordered = principal_minors(m)
+        for value, s in zip(bordered, _minor_sets(n)[1]):
+            ref = det_cofactor(m[np.ix_(s, s)])
+            assert abs(value - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
-def test_minor_rejects_bad_indices():
-    m = np.eye(3)
+def test_principal_minors_small_cases():
+    pi, bordered = principal_minors(np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]]))
+    npt.assert_allclose(pi, [1, -2, -10])
+    npt.assert_allclose(bordered, [4, 5])  # det M[1, 1] and det M[{0, 2}, {0, 2}]
+    pi, bordered = principal_minors([[7.0]])
+    npt.assert_allclose(pi, [7])
+    assert bordered.shape == (0,)
+
+
+def test_principal_minors_rejects_bad_input():
+    for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 0, 0)), [[np.inf]]):
+        with pytest.raises(LinalgError):
+            principal_minors(bad)
     with pytest.raises(LinalgError):
-        minor(m, [1, 0], [0, 1])
-    with pytest.raises(LinalgError):
-        minor(m, [0], [0, 1])
-    with pytest.raises(LinalgError):
-        minor(m, [0, 5], [0, 1])
+        leading_principal_minors(np.ones((2, 3, 3)))
 
 
 def test_cauchy_det_single_entry():
