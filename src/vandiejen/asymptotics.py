@@ -277,8 +277,14 @@ def verify_theorem_linear(spec: FlowSpec, t_grid, include_alpha: bool = True) ->
 def exponential_summary(spec: FlowSpec, t_grid) -> dict:
     """One report row for an exponential flow: the gap R, the smallest fitted
     order, the relative error of the two-point p recovery, and under "passed"
-    the theorem report's own verdict."""
+    the theorem report's own verdict.  A grid on which no component's order
+    can be fitted has no smallest order to report and is an error."""
     rep = verify_theorem_exponential(spec, t_grid)
+    if np.isnan(rep.fitted_orders).all():
+        raise AsymptoticsError(
+            "no post-subtraction remainder rises above the 1e-13 fit floor on this "
+            "grid; it is too late to fit a decay order"
+        )
     recovered = recover_p_two_point(spec)
     return {
         "R": rep.gap,

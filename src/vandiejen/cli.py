@@ -117,6 +117,8 @@ def cmd_scatter(args) -> int:
 
 
 def cmd_brackets(args) -> int:
+    if not (np.isfinite(args.step) and args.step > 0):
+        raise UsageError(f"--step must be finite and positive, got {args.step}")
     return _run_battery(args, "brackets", step=args.step)
 
 

@@ -28,7 +28,9 @@ class DualityError(VandiejenError):
 
 
 def _angles(w: np.ndarray, n: int) -> np.ndarray:
-    """theta_hat from the ascending spectrum w of L; see dual_angles."""
+    """Positive half-spectrum angles from the ascending spectrum w of L:
+    theta_hat_a = ln(w_a)/2 for eigenvalues w > 1, sorted descending; reciprocal
+    pairing and simplicity are verified."""
     pairing = np.abs(w * w[::-1] - 1.0)
     if pairing.max() > 1e-6:
         raise DualityError(f"spectrum fails reciprocal pairing: max residual {pairing.max():.3e}")
@@ -41,71 +43,49 @@ def _angles(w: np.ndarray, n: int) -> np.ndarray:
     return theta_hat
 
 
-def dual_angles(bundle: LaxBundle) -> np.ndarray:
-    """Positive half-spectrum angles: theta_hat_a = ln(w_a)/2 for eigenvalues w > 1,
-    sorted descending; reciprocal pairing and simplicity are verified."""
-    return _angles(hermitian_eig(bundle.matrix).eigenvalues, bundle.n)
-
-
 def _full_angles(theta_hat: np.ndarray) -> np.ndarray:
     return np.concatenate([theta_hat, -theta_hat])
 
 
-def diagonalizer(bundle: LaxBundle, basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Return (theta_hat, y_hat) with y_hat the unique phase-fixed diagonalizer.
-
-    Column a (a < n) carries eigenvalue e^{2 theta_hat_a}; column n+a is C times
-    column a and carries the reciprocal eigenvalue.  The resulting basis is
-    unitary and satisfies y* C y = C identically; the phase twist m_a (applied
-    to both paired columns, preserving both structures) makes the first n
-    components of F_hat real positive.
-
-    An explicit unitary eigenbasis for the upper half-spectrum (column a for
-    e^{2 theta_hat_a}, descending) may be supplied; the output is invariant
-    under re-phasing of its columns.
-    """
+def diagonalizer(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (theta_hat, y_hat, f_hat), with y_hat the unique phase-fixed
+    diagonalizer and f_hat the transformed vector, from one eigendecomposition
+    of L; see _phase_fix."""
     eig = hermitian_eig(bundle.matrix)
+    theta_hat = _angles(eig.eigenvalues, bundle.n)
+    # ascending eigenvalues: column 2n-1-a of the basis carries e^{2 theta_hat_a}
+    return (theta_hat, *_phase_fix(bundle, theta_hat, eig.basis[:, ::-1][:, : bundle.n]))
+
+
+def _phase_fix(
+    bundle: LaxBundle, theta_hat: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(y_hat, f_hat) from a unitary eigenbasis v of the upper half-spectrum
+    (column a for e^{2 theta_hat_a}, descending).
+
+    Column a (a < n) of y_hat carries eigenvalue e^{2 theta_hat_a}; column n+a
+    is C times column a and carries the reciprocal eigenvalue.  The resulting
+    basis is unitary and satisfies y* C y = C identically; the phase twist m_a
+    (applied to both paired columns, preserving both structures) makes the
+    first n components of F_hat = e^{-Theta_hat} y_hat^{-1} e^{Lam} F real
+    positive, so y_hat does not depend on the phases of the columns of v.
+    F_hat is the unfixed product twisted by conj(m), its first n components
+    set to their moduli.
+    """
     n = bundle.n
-    theta_hat = _angles(eig.eigenvalues, n)
-    if basis is None:
-        # ascending eigenvalues: column 2n-1-a of the basis carries e^{2 theta_hat_a}
-        v = eig.basis[:, ::-1][:, :n]
-    else:
-        v = np.asarray(basis, dtype=complex)
     y = np.concatenate([v, bundle.c @ v], axis=1)
-    big_theta = _full_angles(theta_hat)
-    raw = np.exp(-big_theta) * (y.conj().T @ (np.exp(bundle.lam) * bundle.f))
+    raw = np.exp(-_full_angles(theta_hat)) * (y.conj().T @ (np.exp(bundle.lam) * bundle.f))
     mod = np.abs(raw[:n])
     if mod.min() < PHASE_MODULUS_TOL:
         raise DualityError(
             f"positivity-normalizing component has modulus {mod.min():.3e}; phase fix breaks down"
         )
-    m = raw[:n] / mod
-    y_hat = y * np.concatenate([m, m])[None, :]
-    return theta_hat, y_hat
-
-
-def dual_f(bundle: LaxBundle, theta_hat: np.ndarray, y_hat: np.ndarray) -> np.ndarray:
-    """F_hat = e^{-Theta_hat} y_hat^{-1} e^{Lam} F; first n components positive real."""
-    big_theta = _full_angles(theta_hat)
-    f_hat = np.exp(-big_theta) * (y_hat.conj().T @ (np.exp(bundle.lam) * bundle.f))
+    m = np.concatenate([raw[:n] / mod] * 2)
+    f_hat = m.conj() * raw
+    f_hat[:n] = mod
     if np.abs(f_hat).min() < PHASE_MODULUS_TOL:
         raise DualityError("vanishing component of the transformed vector")
-    return f_hat
-
-
-def dual_z_closed_form(theta_hat: np.ndarray, g_hat: Coupling, c: int) -> complex:
-    """Closed-form dual coefficient: the same signed product as z_a, evaluated at
-    the angle vector theta_hat with the sign-flipped coupling."""
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    if np.min(-np.diff(theta_hat), initial=np.inf) <= 0 or theta_hat[-1] <= 0:
-        raise DualityError("angles must be strictly descending positive")
-    return complex(_kernels.z_coeffs(theta_hat, g_hat.mu, g_hat.nu)[c])
-
-
-def dual_u_closed_form(theta_hat: np.ndarray, g_hat: Coupling) -> np.ndarray:
-    """Closed-form moduli of the dual coefficients (same square-root product shape)."""
-    return np.asarray(_kernels.u_coeffs(np.asarray(theta_hat, float), g_hat.mu, g_hat.nu))
+    return y * m[None, :], f_hat
 
 
 @dataclass(frozen=True)
@@ -141,11 +121,11 @@ class DualFrame:
 def dual_frame(p: PhasePoint, g: Coupling) -> DualFrame:
     """Build the full spectral frame at (p, g) from one eigendecomposition of L."""
     bundle = lax_matrix(p, g)
-    theta_hat, y_hat = diagonalizer(bundle)
-    f_hat = dual_f(bundle, theta_hat, y_hat)
+    theta_hat, y_hat, f_hat = diagonalizer(bundle)
     n = bundle.n
     z_hat = f_hat[:n] * f_hat[n:].conj()
-    u_hat = dual_u_closed_form(theta_hat, g.hat())
+    g_hat = g.hat()
+    u_hat = _kernels.u_coeffs(theta_hat, g_hat.mu, g_hat.nu)  # closed form
     lambda_hat = 2.0 * np.log(f_hat[:n].real) - np.log(u_hat)
     return DualFrame(
         bundle=bundle, theta_hat=theta_hat, y_hat=y_hat,
@@ -170,12 +150,6 @@ def _dual_lax_routes(frame: DualFrame, dual_bundle: LaxBundle):
     den = _kernels.lax_denominators(frame.big_theta, g_hat.mu)
     entrywise = _kernels.lax_entries(frame.f_hat, den, frame.bundle.c, g_hat.mu, g_hat.nu)
     return frame.dual_matrix(), entrywise, dual_bundle.matrix
-
-
-def dual_lax(p: PhasePoint, g: Coupling):
-    """L_hat and its two cross-check routes at (p, g); see _dual_lax_routes."""
-    frame = dual_frame(p, g)
-    return _dual_lax_routes(frame, lax_matrix(frame.image, g.hat()))
 
 
 def minor_identity_residuals(frame: DualFrame) -> tuple[float, float]:

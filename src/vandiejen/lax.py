@@ -39,22 +39,6 @@ def conjugation_matrix(n: int) -> np.ndarray:
     return c
 
 
-def z_coeff(p: PhasePoint, g: Coupling, a: int) -> complex:
-    """Coefficient z_a: the signed hyperbolic product over all pairings with a."""
-    _check_inputs(p, g)
-    if not 0 <= a < p.n:
-        raise LaxError(f"index {a} out of range for n={p.n}")
-    return complex(_kernels.z_coeffs(p.xi, g.mu, g.nu)[a])
-
-
-def u_coeff(p: PhasePoint, g: Coupling, a: int) -> float:
-    """Coefficient u_a via the square-root product form (equals |z_a|)."""
-    _check_inputs(p, g)
-    if not 0 <= a < p.n:
-        raise LaxError(f"index {a} out of range for n={p.n}")
-    return float(_kernels.u_coeffs(p.xi, g.mu, g.nu)[a])
-
-
 def _energy(eta: np.ndarray, u: np.ndarray) -> float:
     return float(np.cosh(eta) @ u)
 
@@ -65,16 +49,10 @@ def energy(p: PhasePoint, g: Coupling) -> float:
 
 
 def _f_vector(eta: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Column vector F: F_a = e^{eta_a/2} u_a^{1/2}, F_{n+a} = e^{-eta_a/2} conj(z_a) u_a^{-1/2}."""
     top = np.exp(eta / 2.0) * np.sqrt(u)
     bot = np.exp(-eta / 2.0) * z.conj() / np.sqrt(u)
     return np.concatenate([top.astype(complex), bot])
-
-
-def f_vector(p: PhasePoint, g: Coupling) -> np.ndarray:
-    """Column vector F: F_a = e^{eta_a/2} u_a^{1/2}, F_{n+a} = e^{-eta_a/2} conj(z_a) u_a^{-1/2}."""
-    _check_inputs(p, g)
-    z = _kernels.z_coeffs(p.xi, g.mu, g.nu)
-    return _f_vector(p.eta, z, _kernels.u_coeffs(p.xi, g.mu, g.nu))
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,6 @@ def delta_vector(xi, g: Coupling) -> np.ndarray:
     return _kernels.delta_shifts(xi, g.mu, g.nu)
 
 
-def delta_shift(xi, g: Coupling, c: int) -> float:
-    """Phase shift Delta_c; see delta_vector."""
-    delta = delta_vector(xi, g)
-    if not 0 <= c < len(delta):
-        raise ScatteringError(f"index {c} out of range")
-    return float(delta[c])
-
-
 @dataclass(frozen=True)
 class AsymptoticData:
     theta_plus: np.ndarray
@@ -116,11 +108,6 @@ def upsilon_minus_inverse(zeta: PhasePoint, g: Coupling) -> PhasePoint:
     xi = -zeta.eta / 2.0
     eta = delta_vector(xi, g) - 2.0 * zeta.xi
     return PhasePoint(xi=xi, eta=eta)
-
-
-def wave_map(p: PhasePoint, g: Coupling, sign: int) -> PhasePoint:
-    """The wave data of asymptotic_data(p, g); see AsymptoticData.wave."""
-    return asymptotic_data(p, g).wave(sign)
 
 
 def identity_residuals(p: PhasePoint, g: Coupling) -> dict:

@@ -79,6 +79,25 @@ def test_asymptotics_single_time_is_reported_failure(kind, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step", ["--step=0", "--step=-1e-5", "--step=nan", "--step=inf"])
+def test_brackets_step_that_is_not_finite_and_positive_is_usage_error(step, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(["brackets", "--n", "2", "--points", "1", step, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_asymptotics_grid_too_late_to_fit_is_reported_failure(tmp_path, capsys):
+    # every remainder is below the fit floor at t = 30, 31; RuntimeWarnings are errors here
+    out = tmp_path / "out.csv"
+    argv = ["asymptotics", "--n", "3", "--t", "30,31", "--points", "2", "--out", str(out)]
+    assert run(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

@@ -4,17 +4,15 @@ import pytest
 
 from vandiejen.duality import (
     DualityError,
+    _dual_lax_routes,
+    _phase_fix,
     diagonalizer,
-    dual_angles,
     dual_frame,
-    dual_lax,
-    dual_u_closed_form,
-    dual_z_closed_form,
     duality_map,
     minor_identity_residuals,
 )
 from vandiejen.lax import conjugation_matrix, lax_matrix
-from vandiejen.phase_space import PhasePoint
+from vandiejen.phase_space import PhasePoint, PhaseSpaceError
 
 from conftest import point
 
@@ -24,12 +22,12 @@ def test_dual_angles_single_particle_closed_form(g):
     # so theta = arccosh(H) / 2.
     p = point(1, seed=3)
     b = lax_matrix(p, g)
-    theta = dual_angles(b)
+    theta = diagonalizer(b)[0]
     assert theta[0] == pytest.approx(0.5 * np.arccosh(b.energy), rel=1e-12)
 
 
 def test_dual_angles_descending_positive(g):
-    th = dual_angles(lax_matrix(point(4, seed=5), g))
+    th = diagonalizer(lax_matrix(point(4, seed=5), g))[0]
     assert (np.diff(th) < 0).all() and th[-1] > 0
 
 
@@ -43,7 +41,7 @@ def test_conjugation_intertwines_inverse(g):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diagonalizer_structure(n, g):
     b = lax_matrix(point(n, seed=10 + n), g)
-    theta, y = diagonalizer(b)
+    theta, y, _ = diagonalizer(b)
     eye = np.eye(2 * n)
     assert np.abs(y.conj().T @ y - eye).max() <= 1e-12
     assert np.abs(y.conj().T @ b.c @ y - b.c).max() <= 1e-12
@@ -55,10 +53,10 @@ def test_diagonalizer_invariant_under_basis_rephasing(g):
     from vandiejen.linalg import hermitian_eig
 
     b = lax_matrix(point(3, seed=14), g)
-    _, y_ref = diagonalizer(b)
+    theta, y_ref, _ = diagonalizer(b)
     v = hermitian_eig(b.matrix).basis[:, ::-1][:, :3]
     phases = np.exp(1j * np.array([0.3, -1.1, 2.4]))
-    _, y_alt = diagonalizer(b, basis=v * phases[None, :])
+    y_alt, _ = _phase_fix(b, theta, v * phases[None, :])
     assert np.abs(y_alt - y_ref).max() <= 1e-9
 
 
@@ -72,10 +70,23 @@ def test_dual_f_positivity_and_modulus(g):
     npt.assert_allclose(np.abs(frame.f_hat[:n]) ** 2, expect, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_f_hat_is_the_transformed_vector_of_the_fixed_basis(n, g):
+    # the phase fix twists the unfixed product; it must equal
+    # e^{-Theta_hat} y_hat^{-1} e^{Lam} F formed with the fixed basis
+    frame = dual_frame(point(n, seed=60 + n), g)
+    b = frame.bundle
+    direct = np.exp(-frame.big_theta) * (frame.y_hat.conj().T @ (np.exp(b.lam) * b.f))
+    assert np.abs(frame.f_hat - direct).max() <= 1e-12 * np.abs(direct).max()
+    npt.assert_array_equal(frame.f_hat[:n].imag, 0.0)
+
+
 def test_dual_z_matches_closed_form(g):
+    # the closed form is the Lax coefficient z at the dual point, flipped coupling
     frame = dual_frame(point(3, seed=19), g)
+    closed = lax_matrix(frame.image, g.hat()).z
     for c in range(3):
-        ref = dual_z_closed_form(frame.theta_hat, g.hat(), c)
+        ref = closed[c]
         assert abs(frame.z_hat[c] - ref) <= 1e-9 * abs(ref)
     npt.assert_allclose(np.abs(frame.z_hat), frame.u_hat, rtol=1e-10)
 
@@ -113,7 +124,8 @@ def test_spectral_invariant_sum(g):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dual_lax_three_routes_agree(n, g):
-    l_hat, entrywise, pushforward = dual_lax(point(n, seed=31 + n), g)
+    frame = dual_frame(point(n, seed=31 + n), g)
+    l_hat, entrywise, pushforward = _dual_lax_routes(frame, lax_matrix(frame.image, g.hat()))
     scale = np.abs(l_hat).max()
     assert np.abs(l_hat - entrywise).max() <= 1e-9 * scale
     assert np.abs(l_hat - pushforward).max() <= 1e-8 * scale
@@ -136,7 +148,7 @@ def test_image_is_valid_phase_point(g):
 
 def test_dual_u_exceeds_one(g):
     frame = dual_frame(point(3, seed=52), g)
-    assert (dual_u_closed_form(frame.theta_hat, g.hat()) > 1.0).all()
+    assert (lax_matrix(frame.image, g.hat()).u > 1.0).all()
 
 
 def test_two_particle_oracle_via_quadratic_formula(g):
@@ -145,15 +157,15 @@ def test_two_particle_oracle_via_quadratic_formula(g):
     b = lax_matrix(p, g)
     tr = np.trace(b.matrix).real
     w_plus = (tr + np.sqrt(tr * tr - 4.0)) / 2.0
-    theta = dual_angles(b)
+    theta = diagonalizer(b)[0]
     assert theta[0] == pytest.approx(0.5 * np.log(w_plus), rel=1e-12)
 
 
 def test_closed_form_rejects_bad_angles(g):
-    with pytest.raises(DualityError):
-        dual_z_closed_form([0.2, 0.5], g.hat(), 0)
-    with pytest.raises(DualityError):
-        dual_z_closed_form([0.5, -0.2], g.hat(), 0)
+    # the closed form is read at a dual point, which must be ordered and positive
+    for angles in ([0.2, 0.5], [0.5, -0.2]):
+        with pytest.raises(PhaseSpaceError):
+            lax_matrix(PhasePoint(xi=angles, eta=[0.0, 0.0]), g.hat())
 
 
 def test_degenerate_spectrum_rejected(g):
@@ -162,4 +174,4 @@ def test_degenerate_spectrum_rejected(g):
     b = lax_matrix(point(2, seed=57), g)
     flat = dataclasses.replace(b, matrix=np.eye(4))
     with pytest.raises(DualityError):
-        dual_angles(flat)
+        diagonalizer(flat)

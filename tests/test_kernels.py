@@ -64,7 +64,7 @@ def _abs_gradient_terms(xi, mu, nu):
     return out
 
 
-def delta_shift(xi, g, c):
+def delta_shift_loop(xi, g, c):
     """Phase shift Delta_c at the ordered positive vector xi: signed two-body
     log terms over index pairs plus the one-body term in 2*xi_c."""
     n = len(xi)
@@ -133,7 +133,7 @@ def test_delta_shifts_match_loop(n, mu, nu, seed):
     terms, ops = 2 * n - 1, 6
     for c in range(n):
         bound = 2 * (terms - 1 + ops) * EPS * _abs_delta_terms(xi, g, c)
-        assert abs(got[c] - delta_shift(xi, g, c)) <= bound
+        assert abs(got[c] - delta_shift_loop(xi, g, c)) <= bound
 
 
 @pytest.mark.parametrize("n,mu,nu,seed", CASES)

@@ -7,11 +7,8 @@ from vandiejen.lax import (
     LaxError,
     commutation_residual,
     conjugation_matrix,
-    f_vector,
     lax_matrix,
     trace_power_observable,
-    u_coeff,
-    z_coeff,
 )
 from vandiejen.phase_space import Coupling, PhasePoint, PhaseSpaceError
 
@@ -33,47 +30,47 @@ def mp_z(xi, mu, nu, a):
 def test_z_single_particle_forced_value():
     # at nu = pi/2: sinh(i pi/2 + x) = i cosh(x), so z = -i coth(2 lambda)
     g = Coupling(0.7, np.pi / 2)
-    z = z_coeff(PhasePoint(xi=[0.5], eta=[0.0]), g, 0)
+    z = lax_matrix(PhasePoint(xi=[0.5], eta=[0.0]), g).z[0]
     assert z == pytest.approx(-1j / np.tanh(1.0), abs=1e-14)
 
 
 def test_u_is_modulus_of_z(g):
-    p = point(3, seed=2)
+    b = lax_matrix(point(3, seed=2), g)
     for a in range(3):
-        assert abs(z_coeff(p, g, a)) == pytest.approx(u_coeff(p, g, a), abs=1e-12)
+        assert abs(b.z[a]) == pytest.approx(b.u[a], abs=1e-12)
 
 
 def test_u_single_particle_forced_value():
     g = Coupling(0.7, np.pi / 2)
-    u = u_coeff(PhasePoint(xi=[0.5], eta=[0.0]), g, 0)
+    u = lax_matrix(PhasePoint(xi=[0.5], eta=[0.0]), g).u[0]
     assert u == pytest.approx(1.0 / np.tanh(1.0), abs=1e-14)
 
 
 def test_u_tends_to_one_far_away(g):
-    u = u_coeff(PhasePoint(xi=[20.0], eta=[0.0]), g, 0)
+    u = lax_matrix(PhasePoint(xi=[20.0], eta=[0.0]), g).u[0]
     assert abs(u - 1.0) < 1e-30
 
 
 def test_z_matches_extended_precision_oracle(g):
     p = point(2, seed=9)
+    z = lax_matrix(p, g).z
     for a in range(2):
         ref = mp_z(p.xi, g.mu, g.nu, a)
-        assert abs(z_coeff(p, g, a) - ref) <= 1e-13 * abs(ref)
+        assert abs(z[a] - ref) <= 1e-13 * abs(ref)
 
 
 def test_f_vector_recovers_z(g):
-    p = point(3, seed=4)
-    f = f_vector(p, g)
+    b = lax_matrix(point(3, seed=4), g)
     for a in range(3):
-        assert f[a] * np.conj(f[3 + a]) == pytest.approx(z_coeff(p, g, a), abs=1e-12)
+        assert b.f[a] * np.conj(b.f[3 + a]) == pytest.approx(b.z[a], abs=1e-12)
 
 
 def test_f_vector_modulus(g):
     p = point(2, seed=6)
-    f = f_vector(p, g)
+    b = lax_matrix(p, g)
     for a in range(2):
-        expect = np.exp(p.eta[a]) * u_coeff(p, g, a)
-        assert abs(f[a]) ** 2 == pytest.approx(expect, rel=1e-13)
+        expect = np.exp(p.eta[a]) * b.u[a]
+        assert abs(b.f[a]) ** 2 == pytest.approx(expect, rel=1e-13)
 
 
 def test_f_vector_single_particle_oracle():
@@ -84,7 +81,7 @@ def test_f_vector_single_particle_oracle():
         u = abs(z)
         top = mp.e ** mp.mpf("0.15") * mp.sqrt(u)
         bot = mp.e ** mp.mpf("-0.15") * mp.conj(z) / mp.sqrt(u)
-    f = f_vector(p, g)
+    f = lax_matrix(p, g).f
     assert f[0] == pytest.approx(complex(top), abs=1e-14)
     assert f[1] == pytest.approx(complex(bot), abs=1e-14)
 
@@ -97,7 +94,7 @@ def test_conjugation_matrix_squares_to_identity():
 def test_single_particle_diagonal_entries(g):
     p = PhasePoint(xi=[0.8], eta=[0.3])
     b = lax_matrix(p, g)
-    u = u_coeff(p, g, 0)
+    u = b.u[0]
     assert b.matrix[0, 0] == pytest.approx(np.exp(0.3) * u, abs=1e-13)
     assert b.matrix[1, 1] == pytest.approx(np.exp(-0.3) * u, abs=1e-13)
 
@@ -159,7 +156,5 @@ def test_rejects_coordinate_overflow(g):
 
 
 def test_rejects_bad_index(g):
-    with pytest.raises(LaxError):
-        z_coeff(point(2, seed=1), g, 5)
     with pytest.raises(LaxError):
         trace_power_observable(lax_matrix(point(1, seed=1), g), 0)

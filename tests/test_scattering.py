@@ -6,13 +6,11 @@ from vandiejen.duality import dual_frame
 from vandiejen.scattering import (
     ScatteringError,
     asymptotic_data,
-    delta_shift,
     delta_vector,
     residual_trace,
     scattering_map,
     upsilon,
     upsilon_minus_inverse,
-    wave_map,
 )
 from vandiejen.phase_space import PhasePoint
 
@@ -22,16 +20,17 @@ from conftest import point
 def test_delta_single_particle_closed_form(g):
     xi = [0.7]
     expect = 0.5 * np.log1p(np.sin(g.nu) ** 2 / np.sinh(1.4) ** 2)
-    assert delta_shift(xi, g, 0) == pytest.approx(expect, rel=1e-14)
+    assert delta_vector(xi, g)[0] == pytest.approx(expect, rel=1e-14)
 
 
 def test_delta_vanishes_far_away(g):
-    assert abs(delta_shift([50.0], g, 0)) < 1e-40
+    assert abs(delta_vector([50.0], g)[0]) < 1e-40
 
 
 def test_delta_matches_reversed_summation_oracle(g):
     # re-sum the two-body terms in the opposite loop order
     xi = np.array([2.1, 1.3, 0.5])
+    delta = delta_vector(xi, g)
     for c in range(3):
         val = 0.5 * np.log1p(np.sin(g.nu) ** 2 / np.sinh(2 * xi[c]) ** 2)
         for d in reversed(range(3)):
@@ -40,14 +39,12 @@ def test_delta_matches_reversed_summation_oracle(g):
             sign = -0.5 if d < c else 0.5
             val += sign * np.log1p(np.sin(g.mu) ** 2 / np.sinh(xi[c] - xi[d]) ** 2)
             val += 0.5 * np.log1p(np.sin(g.mu) ** 2 / np.sinh(xi[c] + xi[d]) ** 2)
-        assert delta_shift(xi, g, c) == pytest.approx(val, rel=1e-13)
+        assert delta[c] == pytest.approx(val, rel=1e-13)
 
 
 def test_delta_rejects_unordered(g):
     with pytest.raises(ScatteringError):
-        delta_shift([0.5, 1.0], g, 0)
-    with pytest.raises(ScatteringError):
-        delta_shift([0.5], g, 2)
+        delta_vector([0.5, 1.0], g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -85,7 +82,7 @@ def test_scattering_map_single_particle(g):
     object.__setattr__(zeta, "xi", np.array([0.4]))
     object.__setattr__(zeta, "eta", np.array([-1.2]))
     out = scattering_map(zeta, g)
-    assert out.xi[0] == pytest.approx(-0.4 + delta_shift([0.6], g, 0), rel=1e-13)
+    assert out.xi[0] == pytest.approx(-0.4 + delta_vector([0.6], g)[0], rel=1e-13)
     assert out.eta[0] == pytest.approx(1.2)
 
 
@@ -111,8 +108,9 @@ def test_scattering_map_rejects_bad_rapidities(g):
 def test_wave_maps_factor_through_duality(g):
     p = point(2, seed=13)
     q = dual_frame(p, g).image
+    data = asymptotic_data(p, g)
     for sign in (1, -1):
-        w = wave_map(p, g, sign)
+        w = data.wave(sign)
         v = upsilon(q, g, sign)
         npt.assert_allclose(w.xi, v.xi, atol=1e-10)
         npt.assert_allclose(w.eta, v.eta, atol=1e-10)
@@ -120,8 +118,8 @@ def test_wave_maps_factor_through_duality(g):
 
 def test_scattering_connects_wave_maps(g):
     p = point(2, seed=15)
-    w_minus = wave_map(p, g, -1)
-    w_plus = wave_map(p, g, 1)
+    data = asymptotic_data(p, g)
+    w_minus, w_plus = data.wave(-1), data.wave(1)
     out = scattering_map(w_minus, g)
     npt.assert_allclose(out.xi, w_plus.xi, atol=1e-12)
     npt.assert_allclose(out.eta, w_plus.eta, atol=1e-12)
@@ -166,4 +164,4 @@ def test_residual_trace_rejects_bad_grid(g):
 
 def test_wave_map_rejects_bad_sign(g):
     with pytest.raises(ScatteringError):
-        wave_map(point(1, seed=1), g, 0)
+        asymptotic_data(point(1, seed=1), g).wave(0)
