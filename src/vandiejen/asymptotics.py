@@ -21,6 +21,9 @@ ORDER_GAP_TOL = 1e-8
 FIT_CLAMP = 1e-14
 EXP_CAP = 600.0
 SPEC_ATTEMPTS = 200
+# sample_spec: diagonal gaps in MIN_GAP + [0, GAP_SPREAD], M = I + OFF_SCALE * noise
+SPEC_MIN_GAP, SPEC_GAP_SPREAD, SPEC_OFF_SCALE = 1.5, 0.5, 0.2
+P_RECOVERY_TIMES = (8.0, 10.0)  # the two sample times of recover_p_two_point
 
 
 class AsymptoticsError(VandiejenError):
@@ -136,16 +139,11 @@ def flow_eigenvalues(spec: FlowSpec, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    kind: str
-    t_grid: np.ndarray
-    mu: np.ndarray
     gap: float
-    m: np.ndarray
-    p: np.ndarray | None
-    alpha: np.ndarray | None
-    remainder: np.ndarray  # shape (len(t), N): rho_j(t) or r_j(t)
     fitted_orders: np.ndarray  # per-j decay exponents
     verdicts: dict
+    p: np.ndarray | None = None  # exponential kind: first-order coefficients p_j
+    orders_without_alpha: np.ndarray | None = None  # linear kind: the orders without alpha/t
 
     @property
     def passed(self) -> bool:
@@ -171,6 +169,14 @@ def _fit_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
+def _relative_remainders(spec: FlowSpec, mj: np.ndarray, times) -> np.ndarray:
+    """rho_j(t) = lambda_j / (m_j e^{t d_j}) - 1, one row per time."""
+    rho = np.empty((len(times), spec.size), dtype=complex)
+    for i, t in enumerate(times):
+        rho[i] = flow_eigenvalues(spec, t) / (mj * np.exp(t * spec.d)) - 1.0
+    return rho
+
+
 def verify_theorem_exponential(spec: FlowSpec, t_grid) -> AsymptoticReport:
     """Check the exponential-flow asymptotics on the grid: the relative
     remainders rho_j, their first-order model, and the post-subtraction
@@ -178,99 +184,92 @@ def verify_theorem_exponential(spec: FlowSpec, t_grid) -> AsymptoticReport:
     if spec.kind != "exponential":
         raise AsymptoticsError("spec is not of exponential kind")
     t_grid = _fit_grid(t_grid)
-    n = spec.size
-    mj = m_coeffs(spec.m)
     pj = p_coeffs(spec.m)
+    rho = _relative_remainders(spec, m_coeffs(spec.m), t_grid)
+    # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
+    eps = np.exp(t_grid[:, None] * np.diff(spec.d))
+    zero = np.zeros((len(t_grid), 1))
     p_pad = np.concatenate([[0.0], pj, [0.0]])
-    rho = np.empty((len(t_grid), n), dtype=complex)
-    subtracted = np.empty_like(rho)
-    for i, t in enumerate(t_grid):
-        lam = flow_eigenvalues(spec, t)
-        rho[i] = lam / (mj * np.exp(t * spec.d)) - 1.0
-        eps = np.exp(t * np.diff(spec.d))  # eps_j = e^{t(d_{j+1} - d_j)}
-        eps_pad = np.concatenate([eps, [0.0]])
-        first_order = p_pad[1:] * eps_pad - p_pad[:-1] * np.concatenate([[0.0], eps])
-        subtracted[i] = rho[i] - first_order
+    subtracted = rho - (p_pad[1:] * np.hstack([eps, zero]) - p_pad[:-1] * np.hstack([zero, eps]))
     # the second-order remainder reaches the eigensolver noise floor quickly;
     # clamp the decay fit above that floor so plateau points don't dilute it
     orders = np.array(
-        [-_fit_order(t_grid, subtracted[:, j], clamp=1e-13) for j in range(n)]
+        [-_fit_order(t_grid, subtracted[:, j], clamp=1e-13) for j in range(spec.size)]
     )
     usable = ~np.isnan(orders)
     # a component whose remainder sits entirely below the clamp decays faster
     # than we can measure; only measurable components constrain the verdict
     verdicts = {
         "post_subtraction_decay": bool(np.all(orders[usable] >= 1.8 * spec.gap)),
-        "remainder_shrinks": bool(
-            np.all(np.abs(rho[-1]) <= np.abs(rho[0]) + FIT_CLAMP)
-        ),
+        "remainder_shrinks": bool(np.all(np.abs(rho[-1]) <= np.abs(rho[0]) + FIT_CLAMP)),
     }
-    return AsymptoticReport(
-        kind="exponential", t_grid=t_grid, mu=spec.mu, gap=spec.gap,
-        m=mj, p=pj, alpha=None, remainder=rho, fitted_orders=orders, verdicts=verdicts,
-    )
+    return AsymptoticReport(gap=spec.gap, fitted_orders=orders, verdicts=verdicts, p=pj)
 
 
-def recover_p_two_point(spec: FlowSpec, t_pair=(8.0, 10.0)) -> np.ndarray:
-    """Independent recovery of the p coefficients from two sampled remainders.
+def recover_p_two_point(spec: FlowSpec) -> np.ndarray:
+    """Independent recovery of the p coefficients from the remainders at the
+    two times P_RECOVERY_TIMES.
 
     For each j the model rho_j = p_j e^{-t mu_j} - p_{j-1} e^{-t mu_{j-1}} is a
     linear system in (p_j, p_{j-1}) over the two sample times.
     """
-    t0, t1 = float(t_pair[0]), float(t_pair[1])
-    n = spec.size
-    mj = m_coeffs(spec.m)
-    rho = {}
-    for t in (t0, t1):
-        lam = flow_eigenvalues(spec, t)
-        rho[t] = lam / (mj * np.exp(t * spec.d)) - 1.0
+    t0, t1 = P_RECOVERY_TIMES
+    rho0, rho1 = _relative_remainders(spec, m_coeffs(spec.m), P_RECOVERY_TIMES)
     steps = np.diff(spec.d)  # d_{j+1} - d_j (negative real part)
-    out = np.zeros(n - 1, dtype=complex)
+    out = np.zeros(spec.size - 1, dtype=complex)
     # j = 1 (0-based j=0): single-term model
-    out[0] = rho[t1][0] / np.exp(t1 * steps[0])
-    for j in range(1, n - 1):
+    out[0] = rho1[0] / np.exp(t1 * steps[0])
+    for j in range(1, spec.size - 1):
         a = np.array(
             [
                 [np.exp(t0 * steps[j]), -np.exp(t0 * steps[j - 1])],
                 [np.exp(t1 * steps[j]), -np.exp(t1 * steps[j - 1])],
             ]
         )
-        sol = np.linalg.solve(a, np.array([rho[t0][j], rho[t1][j]]))
+        sol = np.linalg.solve(a, np.array([rho0[j], rho1[j]]))
         out[j] = sol[0]
     return out
 
 
-def verify_theorem_linear(spec: FlowSpec, t_grid, include_alpha: bool = True) -> AsymptoticReport:
+def _linear_residuals(spec: FlowSpec, t_grid: np.ndarray, lams, shift) -> np.ndarray:
+    """r_j(t) = lambda_j - (M_jj + t d_j + shift_j / t), with shift alpha or 0,
+    each prediction matched to its nearest eigenvalue of the spectrum lams[i]
+    at t_grid[i]; a shared nearest eigenvalue is an error."""
+    diag = np.diag(spec.m)
+    resid = np.empty((len(t_grid), spec.size), dtype=complex)
+    for i, (t, lam) in enumerate(zip(t_grid, lams)):
+        pred = diag + t * spec.d + shift / t
+        assign = np.argmin(np.abs(lam[:, None] - pred[None, :]), axis=0)
+        if len(set(assign)) != spec.size:
+            raise AsymptoticsError(f"ambiguous eigenvalue matching at t={t}")
+        resid[i] = lam[assign] - pred
+    return resid
+
+
+def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
     """Check the linear-flow asymptotics: r_j(t) = lambda_j - M_jj - t d_j - alpha_j/t
-    stays O(1/t^2) (t^2 |r_j| bounded over the grid); omitting the alpha term
-    degrades the fitted order from about 2 to about 1."""
+    stays O(1/t^2) (t^2 |r_j| bounded over the grid).  One spectrum per time
+    serves both predictions: omitting the alpha term degrades the fitted order
+    from about 2 to about 1, reported as orders_without_alpha."""
     if spec.kind != "linear":
         raise AsymptoticsError("spec is not of linear kind")
     t_grid = _fit_grid(t_grid)
     if t_grid.min() <= 0:
         raise AsymptoticsError("linear-kind grids must be strictly positive")
-    n = spec.size
     alpha = alpha_coeffs(spec.m, spec.d)
-    diag = np.diag(spec.m)
-    resid = np.empty((len(t_grid), n), dtype=complex)
-    for i, t in enumerate(t_grid):
-        lam = flow_eigenvalues(spec, t)
-        pred = diag + t * spec.d + (alpha / t if include_alpha else 0.0)
-        # nearest-prediction assignment
-        dist = np.abs(lam[:, None] - pred[None, :])
-        assign = np.argmin(dist, axis=0)
-        if len(set(assign)) != n:
-            raise AsymptoticsError(f"ambiguous eigenvalue matching at t={t}")
-        resid[i] = lam[assign] - pred
-    orders = np.array([-_fit_order(t_grid, resid[:, j], log_t=True) for j in range(n)])
+    lams = [flow_eigenvalues(spec, t) for t in t_grid]
+    resid, resid0 = (_linear_residuals(spec, t_grid, lams, shift) for shift in (alpha, 0.0))
+    orders, orders0 = (
+        np.array([-_fit_order(t_grid, r[:, j], log_t=True) for j in range(spec.size)])
+        for r in (resid, resid0)
+    )
     t2r = (t_grid[:, None] ** 2) * np.abs(resid)
     bound = t2r[0]
     verdicts = {
         "t2_bounded": bool(np.all(t2r <= 1.2 * np.maximum(bound, FIT_CLAMP) + 1e-12)),
     }
     return AsymptoticReport(
-        kind="linear", t_grid=t_grid, mu=spec.mu, gap=spec.gap,
-        m=diag, p=None, alpha=alpha, remainder=resid, fitted_orders=orders, verdicts=verdicts,
+        gap=spec.gap, fitted_orders=orders, verdicts=verdicts, orders_without_alpha=orders0
     )
 
 
@@ -301,8 +300,7 @@ def linear_summary(spec: FlowSpec, t_grid) -> dict:
     with and without the alpha term; under "passed", the theorem report's own
     verdict and whether those orders lie within 0.3 of 2 and of 1."""
     rep = verify_theorem_linear(spec, t_grid)
-    rep0 = verify_theorem_linear(spec, t_grid, include_alpha=False)
-    order, order0 = np.nanmean(rep.fitted_orders), np.nanmean(rep0.fitted_orders)
+    order, order0 = np.nanmean(rep.fitted_orders), np.nanmean(rep.orders_without_alpha)
     return {
         "R": rep.gap,
         "order_with_alpha": float(order),
@@ -321,9 +319,7 @@ def _accepted(ms: np.ndarray, floor: float) -> np.ndarray:
         return np.all(pi != 0, axis=-1) & (smallest >= floor)
 
 
-def sample_spec(size: int, seed: int, kind: str = "exponential",
-                min_gap: float = 1.5, gap_spread: float = 0.5,
-                off_scale: float = 0.2) -> FlowSpec:
+def sample_spec(size: int, seed: int, kind: str = "exponential") -> FlowSpec:
     """Deterministic well-conditioned flow spec.
 
     The diagonal gaps are drawn from evenly spread slots (pairwise distinct, so
@@ -341,18 +337,18 @@ def sample_spec(size: int, seed: int, kind: str = "exponential",
     if size < 2:
         raise AsymptoticsError(f"a flow spec needs size >= 2, got {size}")
 
-    slots = np.linspace(0.0, gap_spread, size - 1)
-    jitter = 0.1 * gap_spread / max(size - 2, 1)
+    slots = np.linspace(0.0, SPEC_GAP_SPREAD, size - 1)
+    jitter = 0.1 * SPEC_GAP_SPREAD / max(size - 2, 1)
     eye = np.eye(size)
 
     def candidate(attempt: int) -> tuple[np.ndarray, np.ndarray]:
         """(gaps, M) of one attempt: the same draws in the same order for every attempt."""
         rng = np.random.default_rng(seed * 1009 + attempt)
         if size == 2:
-            gaps = np.array([min_gap + gap_spread * rng.uniform()])
+            gaps = np.array([SPEC_MIN_GAP + SPEC_GAP_SPREAD * rng.uniform()])
         else:
-            gaps = min_gap + rng.permutation(slots) + jitter * rng.uniform(-1, 1, size - 1)
-        m = eye + off_scale * (
+            gaps = SPEC_MIN_GAP + rng.permutation(slots) + jitter * rng.uniform(-1, 1, size - 1)
+        m = eye + SPEC_OFF_SCALE * (
             rng.uniform(-1, 1, (size, size)) + 1j * rng.uniform(-1, 1, (size, size))
         )
         return gaps, m
@@ -360,7 +356,7 @@ def sample_spec(size: int, seed: int, kind: str = "exponential",
     start, block = 0, 1
     while start < SPEC_ATTEMPTS:
         drawn = [candidate(k) for k in range(start, min(start + block, SPEC_ATTEMPTS))]
-        ok = _accepted(np.stack([m for _, m in drawn]), 0.5 * off_scale ** 2)
+        ok = _accepted(np.stack([m for _, m in drawn]), 0.5 * SPEC_OFF_SCALE ** 2)
         if ok.any():
             gaps, m = drawn[int(np.argmax(ok))]
             d = np.concatenate([[0.0], -np.cumsum(gaps)])

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -25,6 +26,10 @@ from .phase_space import Coupling, PhaseSpaceError, VandiejenError, sample
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# argparse's own pattern (as of Python 3.10 and 3.11) reads "-1e-5" as an option
+# string, so "--step -1e-5" would lack its value; this one takes exponent notation
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 class UsageError(ValueError):
@@ -92,10 +97,16 @@ def _report(rows, checks, header, args) -> int:
     return EXIT_PASS if all(row["passed"] for row in rows) else EXIT_FAIL
 
 
+def _points(args) -> int:
+    if args.points < 1:
+        raise UsageError(f"--points must be at least 1, got {args.points}")
+    return args.points
+
+
 def _run_battery(args, name: str, fixed: dict | None = None, **options) -> int:
     battery = BATTERIES[name]
     g = _coupling(args)
-    points = [sample(args.n, seed=args.seed + k) for k in range(args.points)]
+    points = [sample(args.n, seed=args.seed + k) for k in range(_points(args))]
     rows = [{**(fixed or {}), **battery.residuals(p, g, **options)} for p in points]
     for i, row in enumerate(rows):
         row["point"] = i
@@ -150,11 +161,10 @@ def cmd_asymptotics(args) -> int:
     grid = _parse_grid(args.t)
     battery = ASYMPTOTICS[args.kind]
     specs = [
-        asy.sample_spec(args.n, seed=args.seed + k, kind=args.kind) for k in range(args.points)
+        asy.sample_spec(args.n, seed=args.seed + k, kind=args.kind) for k in range(_points(args))
     ]
     rows = [{"spec": k, **battery.residuals(spec, grid)} for k, spec in enumerate(specs)]
-    header = list(rows[0].keys()) if rows else ["spec"]
-    return _report(rows, battery.checks, header, args)
+    return _report(rows, battery.checks, list(rows[0]), args)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
@@ -167,12 +177,14 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of option defaults (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, default_points=20):
+    def common(sp, points=20):
+        """The options every subcommand takes; --points (at least 1) unless points is None."""
         sp.add_argument("--n", type=int, default=2, help="particle count / matrix size")
         sp.add_argument("--mu", type=float, default=0.7)
         sp.add_argument("--nu", type=float, default=0.4)
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--points", type=int, default=default_points)
+        if points is not None:
+            sp.add_argument("--points", type=int, default=points)
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
@@ -186,7 +198,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_duality)
 
     sp = sub.add_parser("flow", help="trajectory propagation")
-    common(sp, default_points=1)
+    common(sp, points=None)
     sp.add_argument("--method", choices=("projection", "runge-kutta", "both"), default="both")
     sp.add_argument("--t", default="0:0.5:5", help="time grid start:step:stop or comma list")
     sp.set_defaults(fn=cmd_flow)
@@ -196,19 +208,21 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_scatter)
 
     sp = sub.add_parser("brackets", help="finite-difference canonicity checks")
-    common(sp, default_points=5)
+    common(sp, points=5)
     sp.add_argument("--step", type=float, default=1e-5)
     sp.set_defaults(fn=cmd_brackets)
 
     sp = sub.add_parser("asymptotics", help="matrix-flow eigenvalue asymptotics")
-    common(sp, default_points=5)
+    common(sp, points=5)
     sp.add_argument("--kind", choices=("exponential", "linear"), default="exponential")
     sp.add_argument("--t", default="4:1:10", help="time grid")
     sp.set_defaults(fn=cmd_asymptotics)
 
     config = {key.replace("-", "_"): value for key, value in (config or {}).items()}
     known = set()
+    parser._negative_number_matcher = NEGATIVE_NUMBER
     for sp in sub.choices.values():
+        sp._negative_number_matcher = NEGATIVE_NUMBER
         options = {a.dest for a in sp._actions if a.option_strings} - {"help"}
         sp.set_defaults(**{k: v for k, v in config.items() if k in options})
         known |= options
@@ -241,6 +255,8 @@ def main(argv=None) -> int:
             parser.exit(EXIT_USAGE, f"error: bad config: {exc}\n")
         args = parser.parse_args(argv)
     try:
+        if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
+            raise UsageError(f"--tol-scale must be finite and positive, got {args.tol_scale}")
         return args.fn(args)
     except (UsageError, PhaseSpaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .duality import DualFrame
 from .lax import LaxBundle, energy, lax_matrix
 from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
@@ -160,24 +159,3 @@ def projection_trajectory(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundl
         out.append(TrajectorySample(float(t), q, energy(q, g)))
     return out
 
-
-def regular_permutation(n: int) -> np.ndarray:
-    """W = [[I, 0], [0, J]] with J the order-reversal; W^2 = identity."""
-    w = np.zeros((2 * n, 2 * n))
-    w[:n, :n] = np.eye(n)
-    w[n:, n:] = np.eye(n)[::-1]
-    return w
-
-
-def flow_matrix_regular_form(frame: DualFrame):
-    """(L_tilde, theta_plus_diag): the dual matrix conjugated so the exponent
-    diagonal 2*sinh(Theta) is strictly decreasing, matching the asymptotic
-    eigenvalue machinery's normal form."""
-    n = frame.n
-    w = regular_permutation(n)
-    l_hat = frame.dual_matrix()
-    l_tilde = w @ l_hat @ w
-    theta_plus = 2.0 * np.concatenate([frame.theta_hat, -frame.theta_hat[::-1]])
-    if np.any(np.diff(theta_plus) >= 0):
-        raise DynamicsError("regular-form diagonal not strictly decreasing")
-    return l_tilde, theta_plus

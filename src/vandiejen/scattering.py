@@ -3,8 +3,8 @@ and empirical verification that trajectories converge to their free asymptotes.
 
 The total phase shift of each particle is a sum of pairwise and one-body
 terms Delta_a; asymptotic positions come in two routes (a closed form in the
-dual coordinates and leading principal minors of the regular-form flow matrix)
-which must agree.
+dual coordinates and leading principal minors of the diagonal blocks of the
+dual matrix L_hat) which must agree.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .duality import DualFrame, dual_frame
-from .dynamics import flow_matrix_regular_form, projection_trajectory
+from .dynamics import projection_trajectory
 from .linalg import leading_principal_minors
 from .phase_space import Coupling, PhasePoint, VandiejenError
 
@@ -54,9 +54,9 @@ class AsymptoticData:
         return PhasePoint(xi=self.lambda_minus, eta=self.theta_minus)
 
 
-def _minor_half_logs(matrix: np.ndarray, n: int) -> np.ndarray:
-    """lambda_a = 0.5 * ln(pi_a / pi_{a-1}) from the first n leading minors."""
-    minors = leading_principal_minors(matrix[:n, :n]).real
+def _minor_half_logs(block: np.ndarray) -> np.ndarray:
+    """lambda_a = 0.5 * ln(pi_a / pi_{a-1}) from the leading minors of block."""
+    minors = leading_principal_minors(block).real
     if np.any(minors <= 0):
         raise ScatteringError("non-positive principal minor of a positive definite matrix")
     ratios = minors / np.concatenate([[1.0], minors[:-1]])
@@ -72,10 +72,13 @@ def asymptotic_data(p: PhasePoint, g: Coupling, frame: DualFrame | None = None) 
     delta = delta_vector(th, g)
     lam_plus = 0.5 * frame.lambda_hat + 0.5 * delta
     lam_minus = -0.5 * frame.lambda_hat + 0.5 * delta
-    l_tilde, _ = flow_matrix_regular_form(frame)
-    rev = np.eye(2 * n)[::-1]
-    minor_plus = _minor_half_logs(l_tilde, n)
-    minor_minus = _minor_half_logs(rev @ l_tilde @ rev, n)
+    # The minors of the flow matrix in regular form (W L_hat W, W = diag(I, J)
+    # with J the order reversal, so its exponent diagonal descends), and of its
+    # full reversal: the leading n x n blocks of both are the diagonal blocks
+    # of L_hat itself.
+    l_hat = frame.dual_matrix()
+    minor_plus = _minor_half_logs(l_hat[:n, :n])
+    minor_minus = _minor_half_logs(l_hat[n:, n:])
     return AsymptoticData(
         theta_plus=2.0 * th,
         theta_minus=-2.0 * th,

@@ -183,14 +183,11 @@ def test_acceptance_linear_flow_asymptotics():
         bound = verify_theorem_linear(spec, np.array([10.0, 15.0, 20.0]))
         ok = ok and bound.verdicts["t2_bounded"]
         orders = verify_theorem_linear(spec, np.array([10.0, 15.0, 20.0, 30.0, 40.0]))
-        degraded = verify_theorem_linear(
-            spec, np.array([10.0, 15.0, 20.0, 30.0, 40.0]), include_alpha=False
-        )
         ok = ok and np.nanmax(np.abs(orders.fitted_orders - 2.0)) <= 0.3
-        ok = ok and np.nanmax(np.abs(degraded.fitted_orders - 1.0)) <= 0.3
+        ok = ok and np.nanmax(np.abs(orders.orders_without_alpha - 1.0)) <= 0.3
         detail.append(
             f"N={size} order {np.nanmean(orders.fitted_orders):.2f}/"
-            f"{np.nanmean(degraded.fitted_orders):.2f}"
+            f"{np.nanmean(orders.orders_without_alpha):.2f}"
         )
     _report("linear-flow-asymptotics", ok, " ".join(detail))
 

@@ -148,12 +148,11 @@ def test_two_point_p_recovery(size):
 def test_linear_theorem_report(size):
     spec = sample_spec(size, seed=20 + size, kind="linear")
     grid = np.array([10.0, 15.0, 20.0, 30.0, 40.0])
-    with_alpha = verify_theorem_linear(spec, grid, include_alpha=True)
-    assert with_alpha.passed, with_alpha.verdicts
-    without = verify_theorem_linear(spec, grid, include_alpha=False)
+    report = verify_theorem_linear(spec, grid)
+    assert report.passed, report.verdicts
     # dropping the alpha/t term degrades the decay order from ~2 to ~1
-    assert np.nanmax(np.abs(with_alpha.fitted_orders - 2.0)) <= 0.3
-    assert np.nanmax(np.abs(without.fitted_orders - 1.0)) <= 0.3
+    assert np.nanmax(np.abs(report.fitted_orders - 2.0)) <= 0.3
+    assert np.nanmax(np.abs(report.orders_without_alpha - 1.0)) <= 0.3
 
 
 def test_sample_spec_deterministic():
@@ -250,3 +249,18 @@ def test_ambiguous_ordering_rejected_at_tiny_time():
     )
     with pytest.raises(AsymptoticsError):
         flow_eigenvalues(spec, 1e-9)
+
+
+def test_ambiguous_matching_without_alpha_is_rejected():
+    # at t = 1 each alpha-corrected prediction has its own nearest eigenvalue,
+    # but two of the uncorrected ones share one; the one spectrum per time
+    # still checks both assignments
+    spec = FlowSpec(
+        m=np.array([[0.5, -0.9, -1.8], [-1.9, 1.3, 1.7], [0.4, 0.9, 0.2]]),
+        d=np.array([1.0, 0.0, -1.0]), kind="linear",
+    )
+    grid = np.array([1.0, 2.0])
+    lams = [flow_eigenvalues(spec, t) for t in grid]
+    asymptotics._linear_residuals(spec, grid, lams, alpha_coeffs(spec.m, spec.d))
+    with pytest.raises(AsymptoticsError, match="ambiguous eigenvalue matching at t=1.0"):
+        verify_theorem_linear(spec, grid)

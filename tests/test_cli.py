@@ -79,10 +79,15 @@ def test_asymptotics_single_time_is_reported_failure(kind, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("step", ["--step=0", "--step=-1e-5", "--step=nan", "--step=inf"])
+@pytest.mark.parametrize(
+    "step",
+    # a negative number in exponent notation is the flag's value, not an option
+    [["--step=0"], ["--step=-1e-5"], ["--step", "-1e-5"], ["--step=nan"], ["--step=inf"]],
+    ids=" ".join,
+)
 def test_brackets_step_that_is_not_finite_and_positive_is_usage_error(step, tmp_path, capsys):
     out = tmp_path / "out.csv"
-    assert run(["brackets", "--n", "2", "--points", "1", step, "--out", str(out)]) == EXIT_USAGE
+    assert run(["brackets", "--n", "2", "--points", "1", *step, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
@@ -155,3 +160,45 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
         )
         assert row["passed"] == str(own), row
     assert code == (EXIT_FAIL if any(r["passed"] == "False" for r in rows) else EXIT_PASS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "--points", "0"],
+        ["duality", "--points", "-2"],
+        ["lax-check", "--points", "0"],
+        ["scatter", "--points", "0"],
+        ["brackets", "--n", "2", "--points", "0"],
+        ["asymptotics", "--n", "3", "--points", "0"],
+        ["lax-check", "--points", "1", "--tol-scale", "nan"],
+        ["lax-check", "--points", "1", "--tol-scale", "inf"],
+        ["lax-check", "--points", "1", "--tol-scale", "0"],
+        ["flow", "--n", "2", "--t", "0,1", "--tol-scale", "-1"],
+    ],
+)
+def test_bad_option_value_is_one_line_usage_error(argv, tmp_path, capsys):
+    # an empty report would be a pass with nothing checked
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_negative_exponent_value_after_a_flag_is_read_as_a_number(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["flow", "--n", "2", "--mu", "-1e-1", "--t", "0,1", "--out", str(a)]) == EXIT_PASS
+    assert run(["flow", "--n", "2", "--mu=-1e-1", "--t", "0,1", "--out", str(b)]) == EXIT_PASS
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_flow_takes_no_points_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["flow", "--n", "2", "--t", "0,1", "--points", "7"])
+    assert exc.value.code == EXIT_USAGE
+    # a config key `points` stays valid: the other subcommands take it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 7}))
+    out = tmp_path / "out.csv"
+    assert run(["--config", str(cfg), "flow", "--n", "2", "--t", "0,1", "--out", str(out)]) == EXIT_PASS

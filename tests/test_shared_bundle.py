@@ -1,10 +1,11 @@
 """One Lax bundle per phase point: each route at a point reads the bundle that
 lax_matrix built there, and a row's shared routes give exactly the numbers of
-the public entry points."""
+the public entry points.  Likewise one spectrum per flow spec and time."""
 import numpy as np
 import pytest
 
-from vandiejen import Coupling, _kernels, brackets, duality, lax, scattering
+from vandiejen import Coupling, _kernels, asymptotics, brackets, duality, lax, scattering
+from vandiejen.checks import ASYMPTOTICS
 
 from conftest import point
 
@@ -40,6 +41,22 @@ def z_calls(monkeypatch):
 def test_z_kernel_runs_once_per_bundle(z_calls, unit, expected, n):
     unit(point(n, seed=4), COUPLINGS[0])
     assert len(z_calls) == expected(n)
+
+
+@pytest.mark.parametrize("kind, extra", [("linear", 0), ("exponential", 2)])
+@pytest.mark.parametrize("grid", [[4.0, 5.0], np.arange(4.0, 10.5, 1.0)], ids=["2", "7"])
+def test_asymptotics_row_solves_each_spectrum_once(monkeypatch, kind, extra, grid):
+    # the exponential row adds the two times of the p recovery
+    calls = []
+    original = asymptotics.general_eig
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(asymptotics, "general_eig", counted)
+    ASYMPTOTICS[kind].residuals(asymptotics.sample_spec(4, seed=2, kind=kind), grid)
+    assert len(calls) == len(grid) + extra
 
 
 @pytest.mark.parametrize("g", COUPLINGS, ids=str)
