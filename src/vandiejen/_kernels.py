@@ -1,56 +1,84 @@
 """Coefficient kernels: z, u, the flow field, the phase shifts, the Lax entries.
 
-Every coefficient is built from one one-body term, at 2 xi_a with coupling nu,
-and one two-body function sinh(i mu + x)/sinh(x), at x = xi_a -+ xi_c.  The
-pair table holds xi_a - xi_c and xi_a + xi_c with +inf on the diagonal.  The
-moduli, logs and flow terms depend on x only through
-q(x) = sin(alpha)^2 / sinh(x)^2, since |sinh(i alpha + x)/sinh(x)|^2 = 1 + q,
-and through tanh(x).  On the diagonal sinh = inf and tanh = 1, so every
-modulus factor is exactly 1 and every log or Xi term exactly 0, with no mask.
+Every coefficient is built from the function sinh(i alpha + x)/sinh(x): two-body
+with alpha = mu at x = xi_a - xi_c and xi_a + xi_c, one-body with alpha = nu at
+x = 2 xi_a.  The real kernels (u, the phase shifts, the flow field) hold all of
+it in one (2, n, n) table per point: x[0] = xi_a - xi_c with +inf on the
+diagonal, and x[1] = xi_a + xi_c, whose diagonal 2 xi_a is exactly the one-body
+argument.  A read-only amplitude table of the same shape, built once per
+(n, mu, nu), holds sin(nu) on the diagonal of x[1] and sin(mu) everywhere
+else, so the diagonal of the sum block is the one-body term at 2 xi_a with nu.
+
+The moduli, logs and flow terms depend on x only through
+q = (sin(alpha) / sinh(x))^2, since |sinh(i alpha + x)/sinh(x)|^2 = 1 + q, and
+through tanh(x).  On the diagonal of x[0] sinh = inf and tanh = 1, so every
+modulus factor there is exactly 1 and every log or Xi term exactly 0, with no
+mask.  Within the coordinate cap (lax.COORD_CAP = 300) |x| <= 600, so sinh(x)
+is finite and q, at worst, underflows quietly to 0: the kernels need no
+errstate.  Past about 355 a position sum overflows sinh to inf, and q = 0 is
+still its limit; only the Runge-Kutta route, which has no cap, goes there, and
+it holds the overflow under its own errstate.
 
 Plain numpy on arrays and floats, with no input checks: the modules that call
 these validate the phase point and coupling first.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
-_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+@lru_cache(maxsize=64)
+def _stencil(n: int):
+    """(T, D) with the pair table (T @ xi + D).reshape(2, n, n), both read-only.
+
+    T holds the +-1 coefficients of xi_a -+ xi_c (2 on the sum diagonal), so
+    each entry is rounded once, exactly as xi_a -+ xi_c; D is +inf on the
+    difference diagonal and 0 elsewhere.  One small matmul and one add beat the
+    broadcast construction at these sizes.
+    """
+    eye = np.eye(n)
+    t = np.stack([eye[:, None] - eye[None, :], eye[:, None] + eye[None, :]]).reshape(-1, n)
+    d = np.zeros(2 * n * n)
+    d[: n * n : n + 1] = np.inf
+    t.flags.writeable = d.flags.writeable = False
+    return t, d
 
 
 def _pair_table(xi: np.ndarray) -> np.ndarray:
-    """x[0] = xi_a - xi_c and x[1] = xi_a + xi_c, shape (2, n, n), +inf on both diagonals."""
-    x = xi[:, None] + _SIGNS * xi
-    x.reshape(2, -1)[:, :: len(xi) + 1] = np.inf
-    return x
+    """x[0] = xi_a - xi_c with +inf on the diagonal and x[1] = xi_a + xi_c, shape (2, n, n)."""
+    n = len(xi)
+    t, d = _stencil(n)
+    return (t @ xi + d).reshape(2, n, n)
 
 
-def _q_terms(xi: np.ndarray, mu: float, nu: float):
-    """(x, q(2 xi_a) at nu, q(x) at mu) for the pair table x, q = sin(alpha)^2 / sinh^2.
+@lru_cache(maxsize=64)
+def _amplitudes(n: int, mu: float, nu: float) -> np.ndarray:
+    """The read-only (2, n, n) table sin(alpha): sin(nu) on the diagonal of the
+    sum block, sin(mu) everywhere else."""
+    s = np.full((2, n, n), np.sin(mu))
+    s[1].reshape(-1)[:: n + 1] = np.sin(nu)
+    s.flags.writeable = False
+    return s
 
-    sinh^2 overflows past |x| ~ 355, and q is then 0, its limit; the overflow
-    is expected and not reported.
-    """
+
+def _table(xi: np.ndarray, mu: float, nu: float):
+    """(x, q, 1 + q) over the pair table x, with q = (sin(alpha) / sinh(x))^2."""
     x = _pair_table(xi)
-    with np.errstate(over="ignore"):
-        return x, np.sin(nu) ** 2 / np.sinh(2 * xi) ** 2, np.sin(mu) ** 2 / np.sinh(x) ** 2
+    q = np.square(_amplitudes(len(xi), mu, nu) / np.sinh(x))
+    return x, q, 1.0 + q
 
 
-def _xi_term(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Xi = q coth(x) / (1 + q) = -d/dx ln sqrt(1 + q(x))."""
-    return q / (np.tanh(x) * (1.0 + q))
-
-
-def _modulus(q_one: np.ndarray, q_pair: np.ndarray) -> np.ndarray:
-    """u_a = sqrt(1 + q(2 xi_a)) prod_c sqrt((1 + q(xi_a - xi_c)) (1 + q(xi_a + xi_c)))."""
-    return np.sqrt(1.0 + q_one) * np.sqrt((1.0 + q_pair[0]) * (1.0 + q_pair[1])).prod(axis=1)
+def _moduli(one_plus_q: np.ndarray) -> np.ndarray:
+    """u_a = sqrt(prod over row a of the table of (1 + q))."""
+    return np.sqrt(one_plus_q.prod(axis=(0, 2)))
 
 
 def pair_product(xi: np.ndarray, mu: float) -> np.ndarray:
     """prod_{c != a} sinh(i mu + x)/sinh(x) over x = xi_a - xi_c and xi_a + xi_c.
 
-    The diagonal is masked out: there the complex factor would read e^{i mu}.
+    The diagonal is masked out: it holds +inf and the one-body argument 2 xi_a.
     """
     x = _pair_table(xi)
     off = ~np.eye(len(xi), dtype=bool)
@@ -67,17 +95,16 @@ def z_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
 
 def u_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """u_a = |z_a| as the square-root product form (real, > 1)."""
-    _, q_one, q_pair = _q_terms(xi, mu, nu)
-    return _modulus(q_one, q_pair)
+    return _moduli(_table(xi, mu, nu)[2])
 
 
 def delta_shifts(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """Phase shifts Delta_a = 1/2 ln(1 + q(2 xi_a))
-    + sum_{c != a} [sign(c - a) 1/2 ln(1 + q(xi_a - xi_c)) + 1/2 ln(1 + q(xi_a + xi_c))]."""
-    _, q_one, q_pair = _q_terms(xi, mu, nu)
-    logs = 0.5 * np.log1p(q_pair)
+    + sum_{c != a} [sign(c - a) 1/2 ln(1 + q(xi_a - xi_c)) + 1/2 ln(1 + q(xi_a + xi_c))],
+    the signed row sums of the difference block plus the row sums of the sum block."""
+    logs = 0.5 * np.log1p(_table(xi, mu, nu)[1])
     signed = np.triu(logs[0], 1) - np.tril(logs[0], -1)
-    return 0.5 * np.log1p(q_one) + signed.sum(axis=1) + logs[1].sum(axis=1)
+    return signed.sum(axis=1) + logs[1].sum(axis=1)
 
 
 def lax_denominators(lam: np.ndarray, mu: float) -> np.ndarray:
@@ -94,14 +121,15 @@ def lax_entries(f: np.ndarray, den: np.ndarray, c: np.ndarray, mu: float, nu: fl
 
 def vector_field(xi: np.ndarray, eta: np.ndarray, mu: float, nu: float):
     """Hamiltonian vector field: xi_dot_a = sinh(eta_a) u_a,
-    eta_dot_a = -sum_c cosh(eta_c) u_c d ln(u_c)/d xi_a.
+    eta_dot_a = -sum_c w_c d ln(u_c)/d xi_a with w = cosh(eta) u.
 
-    d ln(u_a)/d xi_b is Xi(xi_a - xi_b) - Xi(xi_a + xi_b) off the diagonal and
-    -2 Xi(2 xi_a) - sum_c [Xi(xi_a - xi_c) + Xi(xi_a + xi_c)] on it.
+    With Xi = q / (tanh(x) (1 + q)) = -d/dx ln sqrt(1 + q) over the table,
+    d ln(u_a)/d xi_b is Xi[0]_ab - Xi[1]_ab, less the row sum of Xi over both
+    blocks on the diagonal; there the one-body term Xi[1]_aa enters twice, as
+    its argument is 2 xi_a.
     """
-    x, q_one, q_pair = _q_terms(xi, mu, nu)
-    xi_pair = _xi_term(x, q_pair)
-    grad = xi_pair[0] - xi_pair[1]
-    np.fill_diagonal(grad, -2 * _xi_term(2 * xi, q_one) - xi_pair.sum(axis=(0, 2)))
-    u = _modulus(q_one, q_pair)
-    return np.sinh(eta) * u, -(np.cosh(eta) * u) @ grad
+    x, q, one_plus_q = _table(xi, mu, nu)
+    xi_term = q / (np.tanh(x) * one_plus_q)
+    u = _moduli(one_plus_q)
+    w = np.cosh(eta) * u
+    return np.sinh(eta) * u, w * xi_term.sum(axis=(0, 2)) - w @ (xi_term[0] - xi_term[1])

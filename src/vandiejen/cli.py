@@ -36,6 +36,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Every parse error ends in one `error:` line and exit 2; the subcommand
+    parsers take this class from their parent."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -134,24 +142,36 @@ def cmd_brackets(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    """A time whose projection step fails stays a row: the RK sample under
+    --method both (its propagator_gap inf), nan under --method projection; one
+    error line names the failed times and the command exits 1."""
     g = _coupling(args)
     grid = _parse_grid(args.t)
     p = sample(args.n, seed=args.seed)
-    proj = dynamics.projection_trajectory(p, g, grid) if args.method != "runge-kutta" else None
+    proj = dynamics.projection_outcomes(p, g, grid) if args.method != "runge-kutta" else None
     rk = dynamics.rk_flow(p, g, grid) if args.method != "projection" else None
-    primary = proj if proj is not None else rk
+    failed = [i for i, s in enumerate(proj or ()) if isinstance(s, dynamics.DynamicsError)]
+    primary = list(proj) if proj is not None else rk
+    for i in failed:
+        primary[i] = rk[i] if rk is not None else None
     coords = [f"{x}_{a + 1}" for x in ("lambda", "theta") for a in range(args.n)]
     header = ["t", *coords, "energy"]
-    rows = [
-        dict(zip(header, map(float, [t, *s.point.xi, *s.point.eta, s.energy])))
-        for t, s in zip(grid, primary)
-    ]
+    rows, nan = [], [np.nan] * (len(header) - 1)
+    for t, s in zip(grid, primary):
+        values = nan if s is None else [*s.point.xi, *s.point.eta, s.energy]
+        rows.append(dict(zip(header, map(float, [t, *values]))))
     if args.method == "both":
         header.append(FLOW_GAP.column)
         for row, a, b in zip(rows, proj, rk):
-            row[FLOW_GAP.column] = float(np.abs(a.point.as_vector() - b.point.as_vector()).max())
+            row[FLOW_GAP.column] = (
+                np.inf if isinstance(a, dynamics.DynamicsError)
+                else float(np.abs(a.point.as_vector() - b.point.as_vector()).max())
+            )
+    if failed:
+        times = ",".join(format(grid[i], "g") for i in failed)
+        sys.stderr.write(f"error: projection step failed at t={times}: {proj[failed[0]]}\n")
     _write(_emit(rows, header, args), args)
-    ok = args.method != "both" or all(FLOW_GAP.holds(r, args.tol_scale) for r in rows)
+    ok = not failed and (args.method != "both" or all(FLOW_GAP.holds(r, args.tol_scale) for r in rows))
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -170,7 +190,7 @@ def cmd_asymptotics(args) -> int:
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The `vandiejen` parser; `config` holds option defaults, which explicit flags
     override.  A config key that is no option of any subcommand is a UsageError."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vandiejen",
         description="Numerical checks for a two-parameter hyperbolic integrable many-body system",
     )

@@ -90,9 +90,14 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
             raise DynamicsError(f"integrator failed: {sol.message}")
         if not np.all(np.isfinite(sol.y)):
             raise DynamicsError("integrator returned a non-finite state")
-        for t, x in zip(ts, sol.y.T):
-            q = PhasePoint.from_vector(x)
-            by_time[float(t)] = TrajectorySample(float(t), q, energy(q, g))
+        # Unlike the Lax route, this one has no coordinate cap: positions past
+        # ~355 make sinh of a position sum overflow in the kernels, where the
+        # q term is 0, its limit.  In the field that falls under the errstate
+        # above; in the sampled energies it falls under this one.
+        with np.errstate(over="ignore"):
+            for t, x in zip(ts, sol.y.T):
+                q = PhasePoint.from_vector(x)
+                by_time[float(t)] = TrajectorySample(float(t), q, energy(q, g))
     return [by_time[float(t)] for t in t_values]
 
 
@@ -149,13 +154,26 @@ def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
     return _flow_step(_flow_frame(lax_matrix(p, g)), g, float(t))
 
 
-def projection_trajectory(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundle | None = None):
-    """projection_flow over a time grid, from one frame of the initial point;
-    bundle is the Lax bundle at (p, g) when the caller already holds it."""
+def projection_outcomes(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundle | None = None):
+    """projection_flow over a time grid, from one frame of the initial point: per
+    time a TrajectorySample, or the DynamicsError that stopped the step at that
+    time.  bundle is the Lax bundle at (p, g) when the caller already holds it."""
     frame = _flow_frame(lax_matrix(p, g) if bundle is None else bundle)
     out = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
-        q = _flow_step(frame, g, float(t)) if t != 0.0 else p
-        out.append(TrajectorySample(float(t), q, energy(q, g)))
+        try:
+            q = _flow_step(frame, g, float(t)) if t != 0.0 else p
+        except DynamicsError as exc:
+            out.append(exc)
+        else:
+            out.append(TrajectorySample(float(t), q, energy(q, g)))
     return out
 
+
+def projection_trajectory(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundle | None = None):
+    """projection_outcomes as samples only: raises the first time's DynamicsError."""
+    out = projection_outcomes(p, g, t_values, bundle)
+    for s in out:
+        if isinstance(s, DynamicsError):
+            raise s
+    return out

@@ -175,12 +175,19 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
         ["lax-check", "--points", "1", "--tol-scale", "inf"],
         ["lax-check", "--points", "1", "--tol-scale", "0"],
         ["flow", "--n", "2", "--t", "0,1", "--tol-scale", "-1"],
+        # options the subcommand does not take: a parse error, which exits
+        ["lax-check", "--points", "1", "--pointz", "3"],
+        ["flow", "--n", "2", "--t", "0,1", "--points", "7"],
     ],
 )
 def test_bad_option_value_is_one_line_usage_error(argv, tmp_path, capsys):
     # an empty report would be a pass with nothing checked
     out = tmp_path / "out.csv"
-    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    try:
+        code = run(argv + ["--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
@@ -202,3 +209,35 @@ def test_flow_takes_no_points_option(tmp_path):
     cfg.write_text(json.dumps({"points": 7}))
     out = tmp_path / "out.csv"
     assert run(["--config", str(cfg), "flow", "--n", "2", "--t", "0,1", "--out", str(out)]) == EXIT_PASS
+
+
+def test_flow_keeps_its_report_when_the_projection_step_fails(tmp_path, capsys):
+    # the flow exponent range passes the cap from t = 2.5 on; the RK leg runs on
+    base = ["flow", "--n", "7", "--mu", "1.3", "--nu", "0.2"]
+    late = ["2.5", "3", "3.5", "4", "4.5", "5"]
+    reports = {}
+    for method, grid, want in [
+        ("both", "0:0.5:5", EXIT_FAIL),
+        ("projection", "0:0.5:5", EXIT_FAIL),
+        ("runge-kutta", "0:0.5:5", EXIT_PASS),
+        ("projection", "0:0.5:2", EXIT_PASS),
+    ]:
+        out = tmp_path / f"{method}-{grid}.csv"
+        assert run(base + ["--method", method, "--t", grid, "--out", str(out)]) == want
+        err = capsys.readouterr().err
+        if want == EXIT_FAIL:
+            assert err.count("\n") == 1
+            assert err.startswith(f"error: projection step failed at t={','.join(late)}: ")
+        else:
+            assert err == ""
+        reports[method, grid] = out.read_text().splitlines()
+    both, proj = reports["both", "0:0.5:5"], reports["projection", "0:0.5:5"]
+    rk = reports["runge-kutta", "0:0.5:5"]
+    assert len(both) == len(proj) == 12
+    # the rows before the failure and the header are those of a grid that stops short
+    assert proj[:6] == reports["projection", "0:0.5:2"]
+    for line_both, line_proj, line_rk in zip(both[6:], proj[6:], rk[6:]):
+        t, *values = line_proj.split(",")
+        assert t in late and values == ["nan"] * 15
+        assert line_both == f"{line_rk},inf"
+    assert all(float(line.split(",")[-1]) < 1e-6 for line in both[1:6])

@@ -8,6 +8,7 @@ from vandiejen.dynamics import (
     DynamicsError,
     energy,
     projection_flow,
+    projection_outcomes,
     projection_trajectory,
     rk_flow,
     vector_field,
@@ -237,6 +238,25 @@ def lax_matrix_eigendata(p, g, t):
 def test_overflow_cap_raises(g):
     with pytest.raises(DynamicsError):
         projection_flow(point(2, seed=3), g, 1e6)
+
+
+def test_projection_outcomes_keep_the_times_before_a_failure(g):
+    p, grid = point(2, seed=3), [0.0, 1.0, 1e6, 2.0]
+    out = projection_outcomes(p, g, grid)
+    assert isinstance(out[2], DynamicsError) and "t=1000000" in str(out[2])
+    for s, ref in zip([out[0], out[1], out[3]], projection_trajectory(p, g, [0.0, 1.0, 2.0])):
+        npt.assert_array_equal(s.point.as_vector(), ref.point.as_vector())
+    with pytest.raises(DynamicsError, match="t=1000000"):
+        projection_trajectory(p, g, grid)
+
+
+def test_rk_far_positions_are_quiet():
+    # positions pass 355 before t = 5, where sinh of a position sum overflows in
+    # the kernels (its q term is 0); pytest turns a RuntimeWarning into an error
+    p, g = point(7, seed=1), Coupling(1.3, 0.2)
+    samples = rk_flow(p, g, [5.0])
+    assert samples[0].point.xi[0] > 800 and np.isfinite(samples[0].energy)
+    assert abs(samples[0].energy - energy(p, g)) <= 1e-9 * energy(p, g)
 
 
 def test_rk_mixed_sign_grid_order_preserved(g):

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from vandiejen import Coupling, _kernels
+from vandiejen.dynamics import rk_flow
+from vandiejen.lax import COORD_CAP
 
 from conftest import point
 
@@ -61,6 +63,21 @@ def _abs_gradient_terms(xi, mu, nu):
             pair = abs(_xi_interaction(xi[a] - xi[d], mu)) + abs(_xi_interaction(xi[a] + xi[d], mu))
             out[a, a] += pair
             out[a, d] = pair
+    return out
+
+
+def u_loop(xi, mu, nu):
+    """u_a = sqrt(1 + q_nu(2 xi_a)) prod_{c != a} sqrt(1 + q_mu(xi_a - xi_c)) sqrt(1 + q_mu(xi_a + xi_c)),
+    with q_alpha(y) = sin(alpha)^2 / sinh(y)^2."""
+    n = len(xi)
+    out = np.empty(n)
+    for a in range(n):
+        val = np.sqrt(1.0 + np.sin(nu) ** 2 / np.sinh(2 * xi[a]) ** 2)
+        for c in range(n):
+            if c != a:
+                val *= np.sqrt(1.0 + np.sin(mu) ** 2 / np.sinh(xi[a] - xi[c]) ** 2)
+                val *= np.sqrt(1.0 + np.sin(mu) ** 2 / np.sinh(xi[a] + xi[c]) ** 2)
+        out[a] = val
     return out
 
 
@@ -125,6 +142,17 @@ def test_vector_field_matches_loop_gradient(n, mu, nu, seed):
 
 
 @pytest.mark.parametrize("n,mu,nu,seed", CASES)
+def test_u_coeffs_match_loop_product(n, mu, nu, seed):
+    xi = point(n, seed).xi
+    ref = u_loop(xi, mu, nu)
+    # A product is bounded relatively: 2n - 1 factors, each at most 7 operations
+    # (sin, square, sinh, square, quotient, 1 +, sqrt), 2n - 2 products, one sqrt
+    factors, ops = 2 * n - 1, 7
+    bound = 2 * (factors * ops + factors - 1 + 1) * EPS * ref
+    assert np.all(np.abs(_kernels.u_coeffs(xi, mu, nu) - ref) <= bound)
+
+
+@pytest.mark.parametrize("n,mu,nu,seed", CASES)
 def test_delta_shifts_match_loop(n, mu, nu, seed):
     g = Coupling(mu, nu)
     xi = point(n, seed).xi
@@ -149,8 +177,28 @@ def test_pair_product_gives_the_loop_weights(n, mu, nu, seed):
 
 
 def test_vector_field_is_finite_and_quiet_far_out():
-    # sinh(380)^2 and sinh(400)^2 overflow; their terms are 0, with no warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        xi_dot, eta_dot = _kernels.vector_field(np.array([200.0, 180.0]), np.array([0.3, -0.2]), 1.3, 0.2)
-    assert np.all(np.isfinite(xi_dot)) and np.all(np.isfinite(eta_dot))
+    # sinh of the position sums reaches 1e260; (s / sinh(x))^2 underflows to 0,
+    # its limit, with no errstate and no warning, up to the coordinate cap
+    eta = np.array([0.3, -0.2])
+    for xi in (np.array([200.0, 180.0]), np.array([COORD_CAP, 290.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi_dot, eta_dot = _kernels.vector_field(xi, eta, 1.3, 0.2)
+            u = _kernels.u_coeffs(xi, 1.3, 0.2)
+            delta = _kernels.delta_shifts(xi, 1.3, 0.2)
+        for values in (xi_dot, eta_dot, u, delta):
+            assert np.all(np.isfinite(values))
+        # the one q term left, at the gap xi_1 - xi_2 >= 10, is below 1e-8
+        assert np.all(u >= 1.0) and np.all(u - 1.0 < 1e-8)
+
+
+def test_amplitude_table_is_built_once_per_flow(monkeypatch):
+    evaluations = []
+    field = _kernels.vector_field
+    monkeypatch.setattr(_kernels, "vector_field", lambda *a: evaluations.append(1) or field(*a))
+    _kernels._amplitudes.cache_clear()
+    rk_flow(point(3, 1), Coupling(0.7, 0.4), [1.0, 2.0])
+    info = _kernels._amplitudes.cache_info()
+    assert len(evaluations) > 100
+    assert info.misses == 1 and info.hits >= len(evaluations)
+    assert not _kernels._amplitudes(3, 0.7, 0.4).flags.writeable
