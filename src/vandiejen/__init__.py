@@ -4,7 +4,7 @@ scattering, Poisson-bracket certification, and matrix-flow eigenvalue
 asymptotics.
 """
 from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample, validate
-from .lax import LaxBundle, commutation_residual, lax_matrix, trace_power_observable
+from .lax import LaxBundle, lax_matrix
 from .duality import DualFrame, dual_frame, duality_map, minor_identity_residuals
 from .dynamics import TrajectorySample, projection_flow, rk_flow, vector_field
 from .scattering import AsymptoticData, ResidualTrace, asymptotic_data, residual_trace, scattering_map
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coupling", "PhasePoint", "PhaseSpaceError", "VandiejenError", "sample", "validate",
-    "LaxBundle", "commutation_residual", "lax_matrix", "trace_power_observable",
+    "LaxBundle", "lax_matrix",
     "DualFrame", "dual_frame", "duality_map", "minor_identity_residuals",
     "TrajectorySample", "projection_flow", "rk_flow", "vector_field",
     "AsymptoticData", "ResidualTrace", "asymptotic_data", "residual_trace", "scattering_map",

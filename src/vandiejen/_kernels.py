@@ -19,6 +19,13 @@ errstate.  Past about 355 a position sum overflows sinh to inf, and q = 0 is
 still its limit; only the Runge-Kutta route, which has no cap, goes there, and
 it holds the overflow under its own errstate.
 
+The tables and the coefficients (z, u, the pair products, the Lax entries) take
+a stack of points: xi of shape (..., n) gives tables of shape (..., 2, n, n) and
+coefficients of shape (..., n), and a single point is the stack with no leading
+axis.  Each point's values are bit-for-bit those of the point alone: every
+operation on a stack is elementwise, or a reduction or small product over one
+point's own axes.
+
 Plain numpy on arrays and floats, with no input checks: the modules that call
 these validate the phase point and coupling first.
 """
@@ -31,26 +38,28 @@ import numpy as np
 
 @lru_cache(maxsize=64)
 def _stencil(n: int):
-    """(T, D) with the pair table (T @ xi + D).reshape(2, n, n), both read-only.
+    """(T, D) with the pair table (xi @ T + D).reshape(2, n, n), both read-only.
 
     T holds the +-1 coefficients of xi_a -+ xi_c (2 on the sum diagonal), so
-    each entry is rounded once, exactly as xi_a -+ xi_c; D is +inf on the
-    difference diagonal and 0 elsewhere.  One small matmul and one add beat the
-    broadcast construction at these sizes.
+    each entry is rounded once, exactly as xi_a -+ xi_c, whatever the order of
+    the product's sums; D is +inf on the difference diagonal and 0 elsewhere.
+    One small matrix product and one add beat the broadcast construction at
+    these sizes.
     """
     eye = np.eye(n)
     t = np.stack([eye[:, None] - eye[None, :], eye[:, None] + eye[None, :]]).reshape(-1, n)
     d = np.zeros(2 * n * n)
     d[: n * n : n + 1] = np.inf
+    t = np.ascontiguousarray(t.T)
     t.flags.writeable = d.flags.writeable = False
     return t, d
 
 
 def _pair_table(xi: np.ndarray) -> np.ndarray:
-    """x[0] = xi_a - xi_c with +inf on the diagonal and x[1] = xi_a + xi_c, shape (2, n, n)."""
-    n = len(xi)
+    """x[0] = xi_a - xi_c with +inf on the diagonal and x[1] = xi_a + xi_c, shape (..., 2, n, n)."""
+    n = xi.shape[-1]
     t, d = _stencil(n)
-    return (t @ xi + d).reshape(2, n, n)
+    return (np.dot(xi, t) + d).reshape(xi.shape[:-1] + (2, n, n))
 
 
 @lru_cache(maxsize=64)
@@ -66,26 +75,33 @@ def _amplitudes(n: int, mu: float, nu: float) -> np.ndarray:
 def _table(xi: np.ndarray, mu: float, nu: float):
     """(x, q, 1 + q) over the pair table x, with q = (sin(alpha) / sinh(x))^2."""
     x = _pair_table(xi)
-    q = np.square(_amplitudes(len(xi), mu, nu) / np.sinh(x))
+    q = np.square(_amplitudes(xi.shape[-1], mu, nu) / np.sinh(x))
     return x, q, 1.0 + q
 
 
 def _moduli(one_plus_q: np.ndarray) -> np.ndarray:
     """u_a = sqrt(prod over row a of the table of (1 + q))."""
-    return np.sqrt(one_plus_q.prod(axis=(0, 2)))
+    return np.sqrt(one_plus_q.prod(axis=(-3, -1)))
+
+
+@lru_cache(maxsize=64)
+def _off_diagonal(n: int) -> np.ndarray:
+    """The flat indices of the off-diagonal entries of an n x n table, in C order."""
+    return np.flatnonzero(~np.eye(n, dtype=bool))
 
 
 def pair_product(xi: np.ndarray, mu: float) -> np.ndarray:
     """prod_{c != a} sinh(i mu + x)/sinh(x) over x = xi_a - xi_c and xi_a + xi_c.
 
-    The diagonal is masked out: it holds +inf and the one-body argument 2 xi_a.
+    The diagonal is left out: it holds +inf and the one-body argument 2 xi_a.
     """
-    x = _pair_table(xi)
-    off = ~np.eye(len(xi), dtype=bool)
-    d, s = x[0][off], x[1][off]
-    fac = np.ones(off.shape, dtype=complex)
-    fac[off] = np.sinh(1j * mu + d) / np.sinh(d) * np.sinh(1j * mu + s) / np.sinh(s)
-    return fac.prod(axis=1)
+    lead, n = xi.shape[:-1], xi.shape[-1]
+    off = _off_diagonal(n)
+    x = _pair_table(xi).reshape(lead + (2, n * n))[..., off]
+    d, s = x[..., 0, :], x[..., 1, :]
+    fac = np.ones(lead + (n * n,), dtype=complex)
+    fac[..., off] = np.sinh(1j * mu + d) / np.sinh(d) * np.sinh(1j * mu + s) / np.sinh(s)
+    return fac.reshape(lead + (n, n)).prod(axis=-1)
 
 
 def z_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
@@ -109,13 +125,14 @@ def delta_shifts(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
 
 def lax_denominators(lam: np.ndarray, mu: float) -> np.ndarray:
     """The table sinh(i mu + Lam_k - Lam_l) of the Lax entries."""
-    return np.sinh(1j * mu + lam[:, None] - lam[None, :])
+    return np.sinh(1j * mu + lam[..., :, None] - lam[..., None, :])
 
 
 def lax_entries(f: np.ndarray, den: np.ndarray, c: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """L_kl = (i sin(mu) F_k conj(F_l) + i sin(mu - nu) C_kl) / den_kl, with den
     the lax_denominators table."""
-    num = 1j * np.sin(mu) * np.outer(f, f.conj()) + 1j * np.sin(mu - nu) * c
+    outer = f[..., :, None] * f.conj()[..., None, :]
+    num = 1j * np.sin(mu) * outer + 1j * np.sin(mu - nu) * c
     return num / den
 
 

@@ -5,6 +5,14 @@ bracket {f, h} = (grad f)^T Omega (grad h), Omega = [[0, I], [-I, 0]].  The
 headline checks: the dual coordinates form a Darboux system (all brackets
 canonical), the spectral map reverses the symplectic form, and the time-1 flow
 preserves it.
+
+A Jacobian evaluates its map once, on the whole central-difference stencil as
+one (4n, 2n) stack of points: the battery row builds the 4n Lax matrices, their
+spectral images and their time-1 flows in one stacked pass, so each (4n, 2n, 2n)
+eigensolve or SVD is one numpy call.  Each stencil point's values are
+bit-for-bit those of that point alone.  A check that fails at some stencil
+point raises its typed error for the first such point in stencil order, at the
+earliest stage that fails.
 """
 from __future__ import annotations
 
@@ -12,8 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .duality import dual_frame
+from .duality import spectral_stack
 from .dynamics import _flow_frame, _flow_step
+from .lax import lax_stack
 from .phase_space import Coupling, PhasePoint, VandiejenError, validate
 
 DEFAULT_STEP = 1e-5
@@ -46,20 +55,24 @@ def _require_stencil(p: PhasePoint, step: float):
 
 
 def _map_jacobian(
-    phi: Callable[[PhasePoint], np.ndarray], p: PhasePoint, step: float
+    phi: Callable[[np.ndarray], np.ndarray], p: PhasePoint, step: float
 ) -> np.ndarray:
-    """Finite-difference Jacobian of a map from a phase point to a vector,
-    rows = outputs, cols = inputs."""
+    """Finite-difference Jacobian at p of a map phi that takes a (K, 2n) stack
+    of coordinate vectors to a (K, m) stack of outputs, rows = outputs,
+    cols = inputs.  phi is called once, on the stencil: rows 2k and 2k + 1 are
+    p with coordinate k moved by +step and -step."""
     x0 = p.as_vector()
-    cols = []
-    for k in range(len(x0)):
-        xp, xm = x0.copy(), x0.copy()
-        xp[k] += step
-        xm[k] -= step
-        fp = phi(PhasePoint.from_vector(xp))
-        fm = phi(PhasePoint.from_vector(xm))
-        cols.append((fp - fm) / (2.0 * step))
-    return np.array(cols).T
+    k = np.arange(len(x0))
+    stencil = np.repeat(x0[None], 2 * len(x0), axis=0)
+    stencil[2 * k, k] += step
+    stencil[2 * k + 1, k] -= step
+    out = phi(stencil)
+    return ((out[0::2] - out[1::2]) / (2.0 * step)).T
+
+
+def _pointwise(phi: Callable[[PhasePoint], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """A map of one phase point as a map of a stack of coordinate vectors."""
+    return lambda xs: np.array([phi(PhasePoint.from_vector(x)) for x in xs])
 
 
 def _bracket_table(j: np.ndarray) -> np.ndarray:
@@ -73,7 +86,7 @@ def poisson_brackets(
     """The table of brackets {phi_i, phi_j} at p of a map phi from a phase point
     to a vector, by second-order central differences."""
     _require_stencil(p, step)
-    return _bracket_table(_map_jacobian(phi, p, step))
+    return _bracket_table(_map_jacobian(_pointwise(phi), p, step))
 
 
 def _canonicity(j: np.ndarray) -> dict:
@@ -99,11 +112,14 @@ def _form_residual(j: np.ndarray, sign: float) -> float:
     return float(np.abs(j.T @ om @ j + sign * om).max())
 
 
-def _spectral_and_flow(q: PhasePoint, g: Coupling) -> np.ndarray:
-    """(spectral image, time-1 flow) at q, both read from the one Lax bundle at q."""
-    frame = dual_frame(q, g)
-    flowed = _flow_step(_flow_frame(frame.bundle), g, 1.0)
-    return np.concatenate([frame.image.as_vector(), flowed.as_vector()])
+def _spectral_and_flow(x: np.ndarray, g: Coupling) -> np.ndarray:
+    """(spectral image, time-1 flow) over a (K, 2n) stack of points, both read
+    from the one stack of Lax data at those points."""
+    n = x.shape[-1] // 2
+    _, _, f, lam, matrix = lax_stack(x[:, :n], x[:, n:], g)
+    theta_hat, _, _, _, lambda_hat = spectral_stack(lam, f, matrix, g)
+    xi_t, eta_t = _flow_step(_flow_frame(lam, matrix), g, 1.0)
+    return np.concatenate([theta_hat, lambda_hat, xi_t, eta_t], axis=-1)
 
 
 def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> dict:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import re
 import sys
 
@@ -60,10 +62,17 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad time grid {spec!r}; use start:step:stop or a comma list") from exc
 
 
+def _json_value(value):
+    """A row value as strict JSON allows it: a non-finite float becomes null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(rows, header, args) -> str:
-    """Render rows (list of dicts) as csv or json text."""
+    """Render rows (list of dicts) as csv or json text.  JSON is strict: a
+    non-finite value (inf, nan) is written as null."""
     if args.format == "json":
-        return json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        rows = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        return json.dumps(rows, sort_keys=True, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -211,32 +220,26 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lax-check", help="Lax matrix structure invariants")
     common(sp)
-    sp.set_defaults(fn=cmd_lax_check)
 
     sp = sub.add_parser("duality", help="spectral-duality identities")
     common(sp)
-    sp.set_defaults(fn=cmd_duality)
 
     sp = sub.add_parser("flow", help="trajectory propagation")
     common(sp, points=None)
     sp.add_argument("--method", choices=("projection", "runge-kutta", "both"), default="both")
     sp.add_argument("--t", default="0:0.5:5", help="time grid start:step:stop or comma list")
-    sp.set_defaults(fn=cmd_flow)
 
     sp = sub.add_parser("scatter", help="asymptotic scattering identities")
     common(sp)
-    sp.set_defaults(fn=cmd_scatter)
 
     sp = sub.add_parser("brackets", help="finite-difference canonicity checks")
     common(sp, points=5)
     sp.add_argument("--step", type=float, default=1e-5)
-    sp.set_defaults(fn=cmd_brackets)
 
     sp = sub.add_parser("asymptotics", help="matrix-flow eigenvalue asymptotics")
     common(sp, points=5)
     sp.add_argument("--kind", choices=("exponential", "linear"), default="exponential")
     sp.add_argument("--t", default="4:1:10", help="time grid")
-    sp.set_defaults(fn=cmd_asymptotics)
 
     config = {key.replace("-", "_"): value for key, value in (config or {}).items()}
     known = set()
@@ -252,6 +255,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """build_parser() without a config, built once per process: parsing leaves
+    a parser unchanged, and a --config run builds its own."""
+    return build_parser()
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -265,7 +275,7 @@ def _load_config(path: str) -> dict:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _default_parser()
     args = parser.parse_args(argv)
     if args.config:
         # the config becomes each subcommand's defaults, so any explicit flag wins
@@ -277,7 +287,8 @@ def main(argv=None) -> int:
     try:
         if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
             raise UsageError(f"--tol-scale must be finite and positive, got {args.tol_scale}")
-        return args.fn(args)
+        # looked up at each call, not bound into the cached parser
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, PhaseSpaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

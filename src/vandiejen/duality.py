@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .lax import LaxBundle, lax_matrix
+from .lax import LaxBundle, conjugation_matrix, lax_matrix
 from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError
 
@@ -28,40 +28,43 @@ class DualityError(VandiejenError):
 
 
 def _angles(w: np.ndarray, n: int) -> np.ndarray:
-    """Positive half-spectrum angles from the ascending spectrum w of L:
+    """Positive half-spectrum angles from ascending spectra w of shape (..., 2n):
     theta_hat_a = ln(w_a)/2 for eigenvalues w > 1, sorted descending; reciprocal
-    pairing and simplicity are verified."""
-    pairing = np.abs(w * w[::-1] - 1.0)
+    pairing and simplicity are verified per point."""
+    pairing = np.abs(w * w[..., ::-1] - 1.0)
     if pairing.max() > 1e-6:
-        raise DualityError(f"spectrum fails reciprocal pairing: max residual {pairing.max():.3e}")
-    rel_gaps = np.diff(w) / np.abs(w[1:])
+        worst = pairing.max(axis=-1)
+        raise DualityError(
+            f"spectrum fails reciprocal pairing: max residual {worst[worst > 1e-6][0]:.3e}"
+        )
+    rel_gaps = (w[..., 1:] - w[..., :-1]) / np.abs(w[..., 1:])
     if rel_gaps.min() < SPECTRAL_GAP_TOL:
-        raise DualityError(f"degenerate spectrum: smallest relative gap {rel_gaps.min():.3e}")
-    theta_hat = 0.5 * np.log(w[n:][::-1])
-    if theta_hat[-1] <= 0:
+        gap = rel_gaps.min(axis=-1)
+        raise DualityError(
+            f"degenerate spectrum: smallest relative gap {gap[gap < SPECTRAL_GAP_TOL][0]:.3e}"
+        )
+    # One log over the whole stack, reversed as one 1-D view, so that point p's
+    # spectrum, reversed, is row P-1-p of the result.  numpy (2.4, on AVX-512)
+    # can round the log of a reversed 1-D operand differently in the last bit
+    # from that of a forward or 2-D one; a single point's spectrum is such a
+    # reversed 1-D operand, and this layout keeps it so at every stack size.
+    logs = np.log(w.reshape(-1)[::-1]).reshape(-1, 2 * n)[::-1, :n]
+    theta_hat = 0.5 * logs.reshape(w.shape[:-1] + (n,))
+    if theta_hat[..., -1].min() <= 0:
         raise DualityError("upper half-spectrum not above 1; spectrum too close to unity")
     return theta_hat
 
 
 def _full_angles(theta_hat: np.ndarray) -> np.ndarray:
-    return np.concatenate([theta_hat, -theta_hat])
-
-
-def diagonalizer(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (theta_hat, y_hat, f_hat), with y_hat the unique phase-fixed
-    diagonalizer and f_hat the transformed vector, from one eigendecomposition
-    of L; see _phase_fix."""
-    eig = hermitian_eig(bundle.matrix)
-    theta_hat = _angles(eig.eigenvalues, bundle.n)
-    # ascending eigenvalues: column 2n-1-a of the basis carries e^{2 theta_hat_a}
-    return (theta_hat, *_phase_fix(bundle, theta_hat, eig.basis[:, ::-1][:, : bundle.n]))
+    return np.concatenate([theta_hat, -theta_hat], axis=-1)
 
 
 def _phase_fix(
-    bundle: LaxBundle, theta_hat: np.ndarray, v: np.ndarray
+    lam: np.ndarray, f: np.ndarray, theta_hat: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(y_hat, f_hat) from a unitary eigenbasis v of the upper half-spectrum
-    (column a for e^{2 theta_hat_a}, descending).
+    """(y_hat, f_hat) over a stack of points, from the Lax data lam and f, shape
+    (..., 2n), and a unitary eigenbasis v of the upper half-spectrum, shape
+    (..., 2n, n) (column a for e^{2 theta_hat_a}, descending).
 
     Column a (a < n) of y_hat carries eigenvalue e^{2 theta_hat_a}; column n+a
     is C times column a and carries the reciprocal eigenvalue.  The resulting
@@ -72,20 +75,40 @@ def _phase_fix(
     F_hat is the unfixed product twisted by conj(m), its first n components
     set to their moduli.
     """
-    n = bundle.n
-    y = np.concatenate([v, bundle.c @ v], axis=1)
-    raw = np.exp(-_full_angles(theta_hat)) * (y.conj().T @ (np.exp(bundle.lam) * bundle.f))
-    mod = np.abs(raw[:n])
+    n = theta_hat.shape[-1]
+    y = np.concatenate([v, conjugation_matrix(n) @ v], axis=-1)
+    transformed = (y.conj().swapaxes(-1, -2) @ (np.exp(lam) * f)[..., None])[..., 0]
+    raw = np.exp(-_full_angles(theta_hat)) * transformed
+    mod = np.abs(raw[..., :n])
     if mod.min() < PHASE_MODULUS_TOL:
+        smallest = mod.min(axis=-1)
         raise DualityError(
-            f"positivity-normalizing component has modulus {mod.min():.3e}; phase fix breaks down"
+            f"positivity-normalizing component has modulus "
+            f"{smallest[smallest < PHASE_MODULUS_TOL][0]:.3e}; phase fix breaks down"
         )
-    m = np.concatenate([raw[:n] / mod] * 2)
+    m = np.concatenate([raw[..., :n] / mod] * 2, axis=-1)
     f_hat = m.conj() * raw
-    f_hat[:n] = mod
+    f_hat[..., :n] = mod
     if np.abs(f_hat).min() < PHASE_MODULUS_TOL:
         raise DualityError("vanishing component of the transformed vector")
-    return y * m[None, :], f_hat
+    return y * m[..., None, :], f_hat
+
+
+def spectral_stack(lam: np.ndarray, f: np.ndarray, matrix: np.ndarray, g: Coupling):
+    """(theta_hat, y_hat, f_hat, u_hat, lambda_hat) over a stack of points, from
+    their Lax data (lam, f, L) of lax_stack, each with the leading axes of the
+    stack: one stacked eigendecomposition of L, the angles, the phase fix and
+    the dual coordinates.  Each check runs over the whole stack and raises the
+    error of its first failing point, in stack order."""
+    n = lam.shape[-1] // 2
+    eig = hermitian_eig(matrix)
+    theta_hat = _angles(eig.eigenvalues, n)
+    # ascending eigenvalues: column 2n-1-a of the basis carries e^{2 theta_hat_a}
+    y_hat, f_hat = _phase_fix(lam, f, theta_hat, eig.basis[..., ::-1][..., :n])
+    g_hat = g.hat()
+    u_hat = _kernels.u_coeffs(theta_hat, g_hat.mu, g_hat.nu)  # closed form
+    lambda_hat = 2.0 * np.log(f_hat[..., :n].real) - np.log(u_hat)
+    return theta_hat, y_hat, f_hat, u_hat, lambda_hat
 
 
 @dataclass(frozen=True)
@@ -119,17 +142,13 @@ class DualFrame:
 
 
 def dual_frame(p: PhasePoint, g: Coupling) -> DualFrame:
-    """Build the full spectral frame at (p, g) from one eigendecomposition of L."""
+    """Build the full spectral frame at (p, g): spectral_stack on the point's bundle."""
     bundle = lax_matrix(p, g)
-    theta_hat, y_hat, f_hat = diagonalizer(bundle)
+    theta_hat, y_hat, f_hat, u_hat, lambda_hat = spectral_stack(bundle.lam, bundle.f, bundle.matrix, g)
     n = bundle.n
-    z_hat = f_hat[:n] * f_hat[n:].conj()
-    g_hat = g.hat()
-    u_hat = _kernels.u_coeffs(theta_hat, g_hat.mu, g_hat.nu)  # closed form
-    lambda_hat = 2.0 * np.log(f_hat[:n].real) - np.log(u_hat)
     return DualFrame(
-        bundle=bundle, theta_hat=theta_hat, y_hat=y_hat,
-        f_hat=f_hat, z_hat=z_hat, u_hat=u_hat, lambda_hat=lambda_hat,
+        bundle=bundle, theta_hat=theta_hat, y_hat=y_hat, f_hat=f_hat,
+        z_hat=f_hat[:n] * f_hat[n:].conj(), u_hat=u_hat, lambda_hat=lambda_hat,
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .lax import LaxBundle, energy, lax_matrix
+from .lax import LaxBundle, conjugation_matrix, energy, lax_matrix
 from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
 
@@ -103,66 +103,92 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
 
 @dataclass(frozen=True)
 class _FlowFrame:
-    """The time-independent data of the projection route at one initial point."""
+    """The time-independent data of the projection route at a stack of P
+    initial points, with the rows of G already in their order of decreasing Lam."""
 
-    lam: np.ndarray  # (xi, -xi)
-    beta: np.ndarray  # eigenvalues of B = L - C L C, ascending
-    v: np.ndarray  # unitary eigenvector basis of B
-
-
-def _flow_frame(bundle: LaxBundle) -> _FlowFrame:
-    eig = hermitian_eig(bundle.matrix - bundle.c @ bundle.matrix @ bundle.c)
-    return _FlowFrame(bundle.lam, eig.eigenvalues, eig.basis)
+    row_exp: np.ndarray  # Lam = (xi, -xi) sorted descending, shape (P, 2n)
+    beta: np.ndarray  # eigenvalues of B = L - C L C, ascending, shape (P, 2n)
+    v: np.ndarray  # unitary eigenvector bases of B, rows in row_exp order, shape (P, 2n, 2n)
 
 
-def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> PhasePoint:
-    """The point at time t, from the singular values of G = e^{Lam} V e^{t beta/2}."""
+def _flow_frame(lam: np.ndarray, matrix: np.ndarray) -> _FlowFrame:
+    """The frame from the Lax data (lam, L) of lax_stack, in one stacked eigensolve."""
+    c = conjugation_matrix(lam.shape[-1] // 2)
+    eig = hermitian_eig(matrix - c @ matrix @ c)
+    points = np.arange(len(lam))[:, None]
+    rows = np.argsort(-lam, axis=-1, kind="stable")
+    return _FlowFrame(lam[points, rows], eig.eigenvalues, eig.basis[points, rows])
+
+
+def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, eta) at time t of each point of the frame, shape (P, n) each, from
+    the singular values of G = e^{Lam} V e^{t beta/2}, in one stacked SVD.  Each
+    check runs over the whole stack and raises the error of its first failing
+    point, in stack order."""
     if not np.isfinite(t):
         raise DynamicsError(f"non-finite time {t}")
-    n = len(frame.lam) // 2
-    rows = np.argsort(-frame.lam, kind="stable")
-    cols = np.argsort(-t * frame.beta, kind="stable")
-    row_exp = frame.lam[rows]
-    col_exp = 0.5 * t * frame.beta[cols]
-    exp_range = row_exp[0] - row_exp[-1] + col_exp[0] - col_exp[-1]
-    if exp_range > EXPONENT_RANGE_CAP:
+    n = frame.beta.shape[-1] // 2
+    points = np.arange(len(frame.beta))[:, None]
+    cols = np.argsort(-t * frame.beta, axis=-1, kind="stable")
+    beta = frame.beta[points, cols]
+    row_exp = frame.row_exp
+    col_exp = 0.5 * t * beta
+    exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
+    if exp_range.max() > EXPONENT_RANGE_CAP:
+        first = exp_range[exp_range > EXPONENT_RANGE_CAP][0]
         raise DynamicsError(
-            f"flow exponent range {exp_range:.1f} exceeds the double range cap at t={t}"
+            f"flow exponent range {first:.1f} exceeds the double range cap at t={t}"
         )
     factor = (
-        np.exp(row_exp - row_exp[0])[:, None]
-        * frame.v[np.ix_(rows, cols)]
-        * np.exp(col_exp - col_exp[0])[None, :]
+        np.exp(row_exp - row_exp[:, :1])[:, :, None]
+        * frame.v[points[:, :, None], np.arange(2 * n)[:, None], cols[:, None, :]]
+        * np.exp(col_exp - col_exp[:, :1])[:, None, :]
     )
     _, sigma, wh = np.linalg.svd(factor)
-    top = sigma[:n]
+    top = sigma[:, :n]
     if top.min() <= 0:
         raise DynamicsError(f"flow factor lost rank (roundoff) at t={t}")
-    xi_t = np.log(top) + row_exp[0] + col_exp[0]
+    xi_t = np.log(top) + row_exp[:, :1] + col_exp[:, :1]
     if n > 1:
-        # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*
-        gap = -np.expm1(2.0 * np.diff(xi_t).max())
-        if gap < FLOW_GAP_TOL:
-            raise DynamicsError(f"eigenvalue collision along the flow: relative gap {gap:.3e}")
-    xi_dot = 0.5 * (np.abs(wh[:n]) ** 2 @ frame.beta[cols])
-    u_t = np.asarray(_kernels.u_coeffs(xi_t, g.mu, g.nu))
-    return PhasePoint(xi=xi_t, eta=np.arcsinh(xi_dot / u_t))
+        # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*;
+        # it falls as the largest step of xi_t rises, so the stack's largest
+        # step decides whether any point fails
+        steps = xi_t[:, 1:] - xi_t[:, :-1]
+        if -np.expm1(2.0 * steps.max()) < FLOW_GAP_TOL:
+            gap = -np.expm1(2.0 * steps.max(axis=-1))
+            first = gap[gap < FLOW_GAP_TOL][0]
+            raise DynamicsError(f"eigenvalue collision along the flow: relative gap {first:.3e}")
+    xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
+    u_t = _kernels.u_coeffs(xi_t, g.mu, g.nu)
+    return xi_t, np.arcsinh(xi_dot / u_t)
+
+
+def _step_of_one(frame: _FlowFrame, g: Coupling, t: float) -> PhasePoint:
+    """_flow_step on a frame of one point, as that point."""
+    xi, eta = _flow_step(frame, g, t)
+    return PhasePoint(xi=xi[0], eta=eta[0])
+
+
+def _frame_of_one(bundle: LaxBundle) -> _FlowFrame:
+    """_flow_frame on the stack of one point's bundle."""
+    return _flow_frame(bundle.lam[None], bundle.matrix[None])
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
-    """Exact propagation through the spectrum of the matrix flow."""
-    return _flow_step(_flow_frame(lax_matrix(p, g)), g, float(t))
+    """Exact propagation through the spectrum of the matrix flow: the projection
+    step on the stack of one point."""
+    return _step_of_one(_frame_of_one(lax_matrix(p, g)), g, float(t))
 
 
 def projection_outcomes(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundle | None = None):
     """projection_flow over a time grid, from one frame of the initial point: per
     time a TrajectorySample, or the DynamicsError that stopped the step at that
     time.  bundle is the Lax bundle at (p, g) when the caller already holds it."""
-    frame = _flow_frame(lax_matrix(p, g) if bundle is None else bundle)
+    frame = _frame_of_one(lax_matrix(p, g) if bundle is None else bundle)
     out = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
         try:
-            q = _flow_step(frame, g, float(t)) if t != 0.0 else p
+            q = _step_of_one(frame, g, float(t)) if t != 0.0 else p
         except DynamicsError as exc:
             out.append(exc)
         else:

@@ -7,11 +7,12 @@ independent cross-checks of correctness rather than imposed structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, require_valid
+from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, require_valid_stack
 
 COORD_CAP = 300.0
 DEGENERACY_TOL = 1e-12
@@ -21,21 +22,23 @@ class LaxError(VandiejenError):
     pass
 
 
-def _check_inputs(p: PhasePoint, g: Coupling):
-    require_valid(p)
+def _check_inputs(xi: np.ndarray, eta: np.ndarray, g: Coupling):
+    require_valid_stack(xi)
     if not g.in_base_class():
         raise PhaseSpaceError(
             f"coupling (mu={g.mu}, nu={g.nu}) outside the base class (sin too small)"
         )
-    if np.abs(p.xi).max() > COORD_CAP or np.abs(p.eta).max() > COORD_CAP:
+    if np.abs(xi).max() > COORD_CAP or np.abs(eta).max() > COORD_CAP:
         raise LaxError(f"coordinates exceed the overflow cap {COORD_CAP}")
 
 
+@lru_cache(maxsize=64)
 def conjugation_matrix(n: int) -> np.ndarray:
-    """The symmetric block matrix C = [[0, I], [I, 0]] of size 2n."""
+    """The symmetric block matrix C = [[0, I], [I, 0]] of size 2n, read-only."""
     c = np.zeros((2 * n, 2 * n))
     c[:n, n:] = np.eye(n)
     c[n:, :n] = np.eye(n)
+    c.flags.writeable = False
     return c
 
 
@@ -52,7 +55,7 @@ def _f_vector(eta: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column vector F: F_a = e^{eta_a/2} u_a^{1/2}, F_{n+a} = e^{-eta_a/2} conj(z_a) u_a^{-1/2}."""
     top = np.exp(eta / 2.0) * np.sqrt(u)
     bot = np.exp(-eta / 2.0) * z.conj() / np.sqrt(u)
-    return np.concatenate([top.astype(complex), bot])
+    return np.concatenate([top.astype(complex), bot], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -74,22 +77,32 @@ class LaxBundle:
         return self.point.n
 
 
-def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
-    """Assemble the full bundle; errors out on near-degenerate denominators.
-    The one builder of a point's Lax data: z and u once, F and the energy from them."""
-    _check_inputs(p, g)
+def lax_stack(xi: np.ndarray, eta: np.ndarray, g: Coupling):
+    """(z, u, f, lam, L) over a stack of points, xi and eta of shape (..., n),
+    each with the leading axes of the stack; a single point is the stack with
+    no leading axis.  The one assembly of the Lax data: z and u once, F from
+    them.  Each check runs over the whole stack and raises the error of its
+    first failing point, in stack order: the chamber, the coupling, the
+    coordinate cap, then near-degenerate denominators."""
+    _check_inputs(xi, eta, g)
     g.require_regular()
-    z = _kernels.z_coeffs(p.xi, g.mu, g.nu)
-    u = _kernels.u_coeffs(p.xi, g.mu, g.nu)
-    f = _f_vector(p.eta, z, u)
-    lam = np.concatenate([p.xi, -p.xi])
+    z = _kernels.z_coeffs(xi, g.mu, g.nu)
+    u = _kernels.u_coeffs(xi, g.mu, g.nu)
+    f = _f_vector(eta, z, u)
+    lam = np.concatenate([xi, -xi], axis=-1)
     den = _kernels.lax_denominators(lam, g.mu)
     if np.abs(den).min() < DEGENERACY_TOL:
         raise LaxError("near-degenerate Lax denominator: positions collide modulo mu")
-    c = conjugation_matrix(p.n)
+    c = conjugation_matrix(xi.shape[-1])
+    return z, u, f, lam, _kernels.lax_entries(f, den, c, g.mu, g.nu)
+
+
+def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
+    """The bundle at p: lax_stack on the point alone, plus the energy."""
+    z, u, f, lam, matrix = lax_stack(p.xi, p.eta, g)
     return LaxBundle(
         point=p, coupling=g, z=z, u=u, f=f, lam=lam,
-        c=c, matrix=_kernels.lax_entries(f, den, c, g.mu, g.nu), energy=_energy(p.eta, u),
+        c=conjugation_matrix(p.n), matrix=matrix, energy=_energy(p.eta, u),
     )
 
 
@@ -127,11 +140,3 @@ def structure_residuals(p: PhasePoint, g: Coupling) -> dict:
         "trace_minus_2h": float(abs(np.trace(m).real - 2 * b.energy) / abs(2 * b.energy)),
         "commutation": float(commutation_residual(b) / scale),
     }
-
-
-def trace_power_observable(bundle: LaxBundle, k: int) -> float:
-    """tr(L^k), real for Hermitian L; a conserved quantity of the flow."""
-    if k < 1:
-        raise LaxError("k must be >= 1")
-    val = np.trace(np.linalg.matrix_power(bundle.matrix, k))
-    return float(val.real)

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernel: eigendecompositions, minors, Cauchy determinants.
+"""Dense complex linear-algebra kernel: eigendecompositions and principal minors.
 
 All routines are pure functions on numpy arrays; sizes are small (N <= ~64),
 so everything is computed by direct dense factorizations.
@@ -15,7 +15,7 @@ HERMITICITY_TOL = 1e-12
 
 
 class LinalgError(VandiejenError):
-    """Raised on malformed inputs (non-square, non-finite, singular Cauchy data)."""
+    """Raised on malformed inputs (non-square, non-finite, non-Hermitian)."""
 
 
 def _as_square_stack(a) -> np.ndarray:
@@ -37,10 +37,11 @@ def _as_square_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Eigenvalues in ascending order and a unitary eigenvector basis."""
+    """Eigenvalues in ascending order and a unitary eigenvector basis, for a
+    matrix or, with the leading axes of the input, for each matrix of a stack."""
 
-    eigenvalues: np.ndarray  # real, ascending
-    basis: np.ndarray  # unitary; column j belongs to eigenvalues[j]
+    eigenvalues: np.ndarray  # real, ascending: shape (..., N)
+    basis: np.ndarray  # unitary; column j belongs to eigenvalues[..., j]: shape (..., N, N)
 
 
 @dataclass(frozen=True)
@@ -51,18 +52,25 @@ class GeneralEigen:
 
 
 def hermitian_eig(a) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of each matrix of a (..., N, N)
+    stack, in one np.linalg.eigh call, which runs the same LAPACK routine on
+    each matrix as on that matrix alone.
 
     The input is symmetrized as (A + A*)/2 before solving; an asymmetry larger
     than HERMITICITY_TOL relative to max|A| is an error rather than silently
-    repaired.
+    repaired.  Each matrix is checked on its own, and the error names the first
+    failing one in stack order.
     """
-    a = _as_square_matrix(a)
-    scale = max(np.abs(a).max(), 1.0)
-    asym = np.abs(a - a.conj().T).max()
-    if asym > HERMITICITY_TOL * scale:
-        raise LinalgError(f"matrix is not Hermitian: asymmetry {asym:.3e} (scale {scale:.3e})")
-    w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
+    a = _as_square_stack(a)
+    a_star = a.conj().swapaxes(-1, -2)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    asym = np.abs(a - a_star).max(axis=(-2, -1))
+    bad = asym > HERMITICITY_TOL * scale
+    if bad.any():
+        raise LinalgError(
+            f"matrix is not Hermitian: asymmetry {asym[bad][0]:.3e} (scale {scale[bad][0]:.3e})"
+        )
+    w, u = np.linalg.eigh((a + a_star) / 2.0)
     return HermitianEigen(eigenvalues=w, basis=u)
 
 
@@ -103,38 +111,3 @@ def principal_minors(m) -> tuple[np.ndarray, np.ndarray]:
 def leading_principal_minors(m) -> np.ndarray:
     """Determinants of the upper-left j x j blocks, j = 1..N (see principal_minors)."""
     return principal_minors(_as_square_matrix(m))[0]
-
-
-def hyperbolic_cauchy_matrix(alpha: float, xi, eta) -> np.ndarray:
-    """The matrix [sinh(i*alpha) / sinh(i*alpha + xi_k - eta_l)]."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    num = np.sinh(1j * alpha)
-    den = np.sinh(1j * alpha + xi[:, None] - eta[None, :])
-    if np.abs(den).min() < 1e-300:
-        raise LinalgError("singular Cauchy denominator")
-    return num / den
-
-
-def hyperbolic_cauchy_det(alpha: float, xi, eta) -> complex:
-    """Closed-form determinant of the hyperbolic Cauchy matrix.
-
-    det [sinh(ia)/sinh(ia + xi_k - eta_l)] =
-        sinh(ia)^m * prod_{k<l} sinh(xi_k - xi_l) sinh(eta_l - eta_k)
-                   / prod_{k,l} sinh(ia + xi_k - eta_l)
-    """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if xi.shape != eta.shape or xi.ndim != 1 or len(xi) == 0:
-        raise LinalgError("xi and eta must be equal-length non-empty vectors")
-    if abs(np.sin(alpha)) < 1e-300:
-        raise LinalgError("sin(alpha) = 0 makes the formula singular")
-    m = len(xi)
-    den = np.sinh(1j * alpha + xi[:, None] - eta[None, :])
-    if np.abs(den).min() < 1e-300:
-        raise LinalgError("singular Cauchy denominator")
-    val = np.sinh(1j * alpha) ** m / np.prod(den)
-    for k in range(m):
-        for l in range(k + 1, m):
-            val *= np.sinh(xi[k] - xi[l]) * np.sinh(eta[l] - eta[k])
-    return complex(val)

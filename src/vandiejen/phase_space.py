@@ -120,6 +120,16 @@ def require_valid(p: PhasePoint, gap: float = DEFAULT_GAP):
         raise PhaseSpaceError("; ".join(str(v) for v in bad))
 
 
+def require_valid_stack(xi: np.ndarray, gap: float = DEFAULT_GAP):
+    """require_valid over a (..., n) stack of positions, a single point having
+    no leading axis: raises the error of the first invalid point in stack order."""
+    steps = xi[..., :-1] - xi[..., 1:]
+    if steps.min(initial=xi[..., -1].min()) < gap:
+        rows = xi.reshape(-1, xi.shape[-1])
+        first = rows[np.argmin((rows[:, -1] >= gap) & (rows[:, :-1] - rows[:, 1:] >= gap).all(axis=-1))]
+        require_valid(PhasePoint(xi=first, eta=np.zeros_like(first)), gap)
+
+
 def sample(
     n: int,
     seed: int,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from vandiejen import Coupling, sample
+from vandiejen.lax import LaxError
+from vandiejen.linalg import LinalgError
 
 
 @pytest.fixture
@@ -28,3 +30,46 @@ def det_cofactor(m):
         sub = np.delete(np.delete(m, 0, axis=0), j, axis=1)
         total += (-1) ** j * m[0, j] * det_cofactor(sub)
     return total
+
+
+def hyperbolic_cauchy_matrix(alpha, xi, eta):
+    """The matrix [sinh(i*alpha) / sinh(i*alpha + xi_k - eta_l)]."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    num = np.sinh(1j * alpha)
+    den = np.sinh(1j * alpha + xi[:, None] - eta[None, :])
+    if np.abs(den).min() < 1e-300:
+        raise LinalgError("singular Cauchy denominator")
+    return num / den
+
+
+def hyperbolic_cauchy_det(alpha, xi, eta):
+    """Closed-form determinant of the hyperbolic Cauchy matrix.
+
+    det [sinh(ia)/sinh(ia + xi_k - eta_l)] =
+        sinh(ia)^m * prod_{k<l} sinh(xi_k - xi_l) sinh(eta_l - eta_k)
+                   / prod_{k,l} sinh(ia + xi_k - eta_l)
+    """
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    if xi.shape != eta.shape or xi.ndim != 1 or len(xi) == 0:
+        raise LinalgError("xi and eta must be equal-length non-empty vectors")
+    if abs(np.sin(alpha)) < 1e-300:
+        raise LinalgError("sin(alpha) = 0 makes the formula singular")
+    m = len(xi)
+    den = np.sinh(1j * alpha + xi[:, None] - eta[None, :])
+    if np.abs(den).min() < 1e-300:
+        raise LinalgError("singular Cauchy denominator")
+    val = np.sinh(1j * alpha) ** m / np.prod(den)
+    for k in range(m):
+        for l in range(k + 1, m):
+            val *= np.sinh(xi[k] - xi[l]) * np.sinh(eta[l] - eta[k])
+    return complex(val)
+
+
+def trace_power_observable(bundle, k):
+    """tr(L^k), real for Hermitian L; a conserved quantity of the flow."""
+    if k < 1:
+        raise LaxError("k must be >= 1")
+    val = np.trace(np.linalg.matrix_power(bundle.matrix, k))
+    return float(val.real)

@@ -21,11 +21,10 @@ from vandiejen.asymptotics import (
 )
 from vandiejen.checks import BATTERIES
 from vandiejen.dynamics import projection_flow, projection_trajectory, rk_flow
-from vandiejen.lax import lax_matrix, trace_power_observable
-from vandiejen.linalg import hyperbolic_cauchy_det
+from vandiejen.lax import lax_matrix
 from vandiejen.scattering import residual_trace
 
-from conftest import det_cofactor
+from conftest import det_cofactor, hyperbolic_cauchy_det, trace_power_observable
 
 G = Coupling(0.7, 0.4)
 SEEDS = range(50)

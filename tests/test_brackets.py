@@ -64,11 +64,11 @@ def test_flow_preserves_the_form(g):
 
 
 def test_double_spectral_map_has_identity_jacobian(g):
-    from vandiejen.brackets import _map_jacobian
+    from vandiejen.brackets import _map_jacobian, _pointwise
 
     p = point(2, seed=19)
     j = _map_jacobian(
-        lambda q: duality_map(duality_map(q, g), g.hat()).as_vector(), p, step=1e-5
+        _pointwise(lambda q: duality_map(duality_map(q, g), g.hat()).as_vector()), p, step=1e-5
     )
     assert np.abs(j - np.eye(4)).max() <= 1e-4
 

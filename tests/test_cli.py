@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from vandiejen import cli
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
@@ -115,6 +116,51 @@ def test_json_format_parses(tmp_path):
     assert run(["lax-check", "--points", "2", "--format", "json", "--out", str(out)]) == EXIT_PASS
     rows = json.loads(out.read_text())
     assert len(rows) == 2 and all(r["passed"] for r in rows)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_json_report_is_strict_with_non_finite_values_as_null(tmp_path, capsys):
+    # the projection step fails from t = 2.5 on: those rows hold inf and nan
+    out = tmp_path / "flow.json"
+    argv = ["flow", "--n", "7", "--mu", "1.3", "--nu", "0.2", "--format", "json"]
+    assert run([*argv, "--out", str(out)]) == EXIT_FAIL
+    capsys.readouterr()
+    rows = json.loads(out.read_text(), parse_constant=_reject_constant)
+    gaps = [row["propagator_gap"] for row in rows]
+    assert gaps[:5] == [g for g in gaps[:5] if isinstance(g, float)]
+    assert gaps[5:] == [None] * 6
+    csv_out = tmp_path / "flow.csv"
+    assert run([*argv[:-2], "--out", str(csv_out)]) == EXIT_FAIL
+    assert csv_out.read_text().count(",inf\n") == 6
+
+
+def test_main_in_one_process_matches_fresh_calls(tmp_path, capsys):
+    # the default parser is built once per process; a --config run builds its
+    # own, so its defaults never reach the cached one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "points": 2, "mu": 1.3, "nu": 0.2}))
+    calls = [
+        ["duality", "--points", "2"],
+        ["--config", str(cfg), "duality"],
+        ["duality", "--points", "2"],
+        ["lax-check", "--points", "1", "--format", "json"],
+    ]
+
+    def report(argv, fresh):
+        if fresh:
+            cli._default_parser.cache_clear()
+        out = tmp_path / "out.txt"
+        code = run([*argv, "--out", str(out)])
+        return code, out.read_text()
+
+    in_process = [report(argv, fresh=False) for argv in calls]
+    fresh = [report(argv, fresh=True) for argv in calls]
+    assert in_process == fresh
+    assert in_process[0] == in_process[2] != in_process[1]
+    assert capsys.readouterr().err == ""
 
 
 def test_config_defaults_and_flag_override(tmp_path):

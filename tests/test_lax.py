@@ -8,11 +8,10 @@ from vandiejen.lax import (
     commutation_residual,
     conjugation_matrix,
     lax_matrix,
-    trace_power_observable,
 )
 from vandiejen.phase_space import Coupling, PhasePoint, PhaseSpaceError
 
-from conftest import point
+from conftest import point, trace_power_observable
 
 
 def mp_z(xi, mu, nu, a):

@@ -6,13 +6,11 @@ from vandiejen.linalg import (
     LinalgError,
     general_eig,
     hermitian_eig,
-    hyperbolic_cauchy_det,
-    hyperbolic_cauchy_matrix,
     leading_principal_minors,
     principal_minors,
 )
 
-from conftest import det_cofactor
+from conftest import det_cofactor, hyperbolic_cauchy_det, hyperbolic_cauchy_matrix
 
 
 def test_hermitian_eig_identity():

@@ -32,7 +32,7 @@ def z_calls(monkeypatch):
         (lax.lax_matrix, lambda n: 1),
         (duality.identity_residuals, lambda n: 2),
         (scattering.identity_residuals, lambda n: 1),
-        (brackets.symplectic_residuals, lambda n: 4 * n),
+        (brackets.symplectic_residuals, lambda n: 1),  # one stack of 4n stencil points
         (lambda p, g: scattering.residual_trace(p, g, [1.0, 2.0, 3.0]), lambda n: 1),
     ],
     ids=["lax_matrix", "duality_row", "scatter_row", "brackets_row", "residual_trace"],

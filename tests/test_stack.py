@@ -1,0 +1,179 @@
+"""The bracket stencil as one stack: each point of a stacked pass gets
+bit-for-bit the numbers of that point alone, and a check that fails at some
+stencil point raises its typed error, for the first such point in stencil order
+at the earliest stage that fails."""
+import numpy as np
+import pytest
+
+from vandiejen import Coupling, PhasePoint, brackets, duality, dynamics
+from vandiejen.cli import EXIT_FAIL, main
+from vandiejen.duality import DualityError, dual_frame, spectral_stack
+from vandiejen.dynamics import DynamicsError, _flow_frame, _flow_step, projection_flow
+from vandiejen.lax import lax_matrix, lax_stack
+from vandiejen.linalg import hermitian_eig
+
+from conftest import point
+
+COUPLINGS = [Coupling(0.7, 0.4), Coupling(1.3, 0.2), Coupling(2.0, 1.0)]
+STEP = brackets.DEFAULT_STEP
+
+
+def stencil(p, step=STEP):
+    """The central-difference stencil of p in evaluation order: +step, then
+    -step, on each coordinate in turn."""
+    x0 = p.as_vector()
+    out = []
+    for k in range(len(x0)):
+        for sign in (1.0, -1.0):
+            x = x0.copy()
+            x[k] += sign * step
+            out.append(x)
+    return np.array(out)
+
+
+def joint_map_oracle(q, g):
+    """(spectral image, time-1 flow) at one point, through the public per-point routes."""
+    return np.concatenate([dual_frame(q, g).image.as_vector(), projection_flow(q, g, 1.0).as_vector()])
+
+
+def jacobian_oracle(p, g, step=STEP):
+    """The joint map's central-difference Jacobian, one point at a time."""
+    x0 = p.as_vector()
+    cols = []
+    for k in range(len(x0)):
+        xp, xm = x0.copy(), x0.copy()
+        xp[k] += step
+        xm[k] -= step
+        fp = joint_map_oracle(PhasePoint.from_vector(xp), g)
+        fm = joint_map_oracle(PhasePoint.from_vector(xm), g)
+        cols.append((fp - fm) / (2.0 * step))
+    return np.array(cols).T
+
+
+def stacked_jacobian(p, g, step=STEP):
+    return brackets._map_jacobian(lambda x: brackets._spectral_and_flow(x, g), p, step)
+
+
+def test_map_jacobian_evaluates_the_stencil_in_order():
+    p = point(2, seed=3)
+    seen = []
+    brackets._map_jacobian(lambda x: seen.append(x) or np.zeros((len(x), 1)), p, STEP)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], stencil(p))
+
+
+@pytest.mark.parametrize("g", COUPLINGS, ids=str)
+@pytest.mark.parametrize("seed", [2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_stacked_jacobian_equals_the_pointwise_oracle(n, seed, g):
+    p = point(n, seed=seed)
+    try:
+        expected = jacobian_oracle(p, g)
+    except DynamicsError as exc:
+        # n = 8 at the larger couplings: the time-1 flow passes the exponent cap
+        with pytest.raises(DynamicsError) as raised:
+            stacked_jacobian(p, g)
+        assert str(raised.value) == str(exc)
+        return
+    np.testing.assert_array_equal(stacked_jacobian(p, g), expected)
+
+
+def test_stacked_jacobian_equals_the_oracle_where_the_row_fails():
+    # brackets --n 3 --seed 7 fails its angle_angle check from truncation
+    p, g = point(3, seed=7), Coupling(0.7, 0.4)
+    np.testing.assert_array_equal(stacked_jacobian(p, g), jacobian_oracle(p, g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_stacked_frames_and_flow_steps_equal_each_point_alone(n):
+    g = Coupling(0.7, 0.4)
+    x = np.concatenate([stencil(point(n, seed=2), 1e-3), stencil(point(n, seed=5), 1e-3)])
+    _, _, f, lam, m = lax_stack(x[:, :n], x[:, n:], g)
+    stacked = spectral_stack(lam, f, m, g)
+    frame = _flow_frame(lam, m)
+    for t in (1.0, -0.7):
+        xi_t, eta_t = _flow_step(frame, g, t)
+        for i, row in enumerate(x):
+            q = PhasePoint.from_vector(row)
+            alone = projection_flow(q, g, t)
+            np.testing.assert_array_equal(xi_t[i], alone.xi)
+            np.testing.assert_array_equal(eta_t[i], alone.eta)
+            one = _flow_step(_flow_frame(lam[i : i + 1], m[i : i + 1]), g, t)
+            np.testing.assert_array_equal(xi_t[i : i + 1], one[0])
+    for i, row in enumerate(x):
+        fr = dual_frame(PhasePoint.from_vector(row), g)
+        alone = (fr.theta_hat, fr.y_hat, fr.f_hat, fr.u_hat, fr.lambda_hat)
+        one = spectral_stack(lam[i : i + 1], f[i : i + 1], m[i : i + 1], g)
+        for got, want, of_one in zip(stacked, alone, one):
+            np.testing.assert_array_equal(got[i], want)
+            np.testing.assert_array_equal(of_one[0], want)
+        np.testing.assert_array_equal(m[i], fr.bundle.matrix)
+
+
+def _spectral_gaps(p, g):
+    """Each stencil point's smallest relative spectral gap, as the angle check forms it."""
+    out = []
+    for row in stencil(p):
+        w = hermitian_eig(lax_matrix(PhasePoint.from_vector(row), g).matrix).eigenvalues
+        out.append(((w[1:] - w[:-1]) / np.abs(w[1:])).min())
+    return np.array(out)
+
+
+def _exponent_ranges(p, g):
+    """Each stencil point's flow exponent range at t = 1."""
+    out = []
+    for row in stencil(p):
+        b = lax_matrix(PhasePoint.from_vector(row), g)
+        beta = hermitian_eig(b.matrix - b.c @ b.matrix @ b.c).eigenvalues
+        out.append(np.ptp(b.lam) + 0.5 * np.ptp(beta))
+    return np.array(out)
+
+
+def _between_lowest(values):
+    """A threshold that only the points holding the smallest value fall below."""
+    low = np.unique(values)
+    return 0.5 * (low[0] + low[1]), np.flatnonzero(values == low[0])
+
+
+P_FAIL, G_FAIL = point(3, seed=4), Coupling(0.7, 0.4)
+
+
+def test_first_failing_stencil_point_raises_the_typed_error(monkeypatch):
+    gaps = _spectral_gaps(P_FAIL, G_FAIL)
+    tol, failing = _between_lowest(gaps)
+    assert failing[0] > 0  # the failure sits partway through the stack
+    monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", tol)
+    with pytest.raises(DualityError, match=f"smallest relative gap {gaps[failing[0]]:.3e}$"):
+        brackets.symplectic_residuals(P_FAIL, G_FAIL)
+
+    ranges = _exponent_ranges(P_FAIL, G_FAIL)
+    cap, failing = _between_lowest(-ranges)
+    assert failing[0] > 0
+    monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", 1e-7)
+    monkeypatch.setattr(dynamics, "EXPONENT_RANGE_CAP", -cap)
+    with pytest.raises(DynamicsError, match="flow exponent range .* at t=1.0$"):
+        brackets.symplectic_residuals(P_FAIL, G_FAIL)
+
+
+def test_the_earliest_failing_stage_wins(monkeypatch):
+    # a flow failure at one stencil point and a spectral failure at a later
+    # one: the spectral stage runs first, so its error is raised
+    gaps, ranges = _spectral_gaps(P_FAIL, G_FAIL), _exponent_ranges(P_FAIL, G_FAIL)
+    tol, gap_failing = _between_lowest(gaps)
+    cap, range_failing = _between_lowest(-ranges)
+    assert range_failing[0] < gap_failing[0]
+    monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", tol)
+    monkeypatch.setattr(dynamics, "EXPONENT_RANGE_CAP", -cap)
+    with pytest.raises(DualityError):
+        brackets.symplectic_residuals(P_FAIL, G_FAIL)
+
+
+def test_stencil_failure_ends_the_command_in_one_error_line(monkeypatch, tmp_path, capsys):
+    tol, _ = _between_lowest(_spectral_gaps(P_FAIL, G_FAIL))
+    monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", tol)
+    out = tmp_path / "out.csv"
+    argv = ["brackets", "--n", "3", "--seed", "4", "--points", "1", "--out", str(out)]
+    assert main(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate spectrum") and err.count("\n") == 1
+    assert not out.exists()
