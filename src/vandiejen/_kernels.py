@@ -19,10 +19,10 @@ errstate.  Past about 355 a position sum overflows sinh to inf, and q = 0 is
 still its limit; only the Runge-Kutta route, which has no cap, goes there, and
 it holds the overflow under its own errstate.
 
-The tables and the coefficients (z, u, the pair products, the Lax entries) take
-a stack of points: xi of shape (..., n) gives tables of shape (..., 2, n, n) and
-coefficients of shape (..., n), and a single point is the stack with no leading
-axis.  Each point's values are bit-for-bit those of the point alone: every
+The tables and the coefficients (z, u, the pair products, the phase shifts,
+the Lax entries) take a stack of points: xi of shape (..., n) gives tables of
+shape (..., 2, n, n) and coefficients of shape (..., n), and a single point is
+the stack with no leading axis.  Each point's values are bit-for-bit those of the point alone: every
 operation on a stack is elementwise, or a reduction or small product over one
 point's own axes.
 
@@ -119,8 +119,9 @@ def delta_shifts(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     + sum_{c != a} [sign(c - a) 1/2 ln(1 + q(xi_a - xi_c)) + 1/2 ln(1 + q(xi_a + xi_c))],
     the signed row sums of the difference block plus the row sums of the sum block."""
     logs = 0.5 * np.log1p(_table(xi, mu, nu)[1])
-    signed = np.triu(logs[0], 1) - np.tril(logs[0], -1)
-    return signed.sum(axis=1) + logs[1].sum(axis=1)
+    diff, total = logs[..., 0, :, :], logs[..., 1, :, :]
+    signed = np.triu(diff, 1) - np.tril(diff, -1)
+    return signed.sum(axis=-1) + total.sum(axis=-1)
 
 
 def lax_denominators(lam: np.ndarray, mu: float) -> np.ndarray:

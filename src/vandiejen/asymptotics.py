@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import general_eig, leading_principal_minors, principal_minors
+from .linalg import general_eig, principal_minors
 from .phase_space import VandiejenError
 
 MINOR_MARGIN = 1e-10
@@ -50,7 +50,7 @@ class FlowSpec:
         if np.any(np.diff(d.real) >= 0):
             raise AsymptoticsError("Re(d) must be strictly descending")
         if self.kind == "exponential":
-            pi = leading_principal_minors(m)
+            pi = principal_minors(m)[0]
             scale = max(np.abs(m).max(), 1.0)
             if np.abs(pi).min() <= MINOR_MARGIN * scale:
                 raise AsymptoticsError("leading principal minor too close to zero")
@@ -83,7 +83,7 @@ def _minor_ratios(pi: np.ndarray) -> np.ndarray:
 
 def m_coeffs(m) -> np.ndarray:
     """Leading-coefficient ratios: m_1 = M_11, m_j = pi_j / pi_{j-1}."""
-    return _minor_ratios(_nonzero(leading_principal_minors(m)))
+    return _minor_ratios(_nonzero(principal_minors(m)[0]))
 
 
 def _p_from_minors(pi: np.ndarray, bordered: np.ndarray) -> np.ndarray:
@@ -125,7 +125,7 @@ def flow_eigenvalues(spec: FlowSpec, t: float) -> np.ndarray:
         centered = spec.d - d_bar
         if abs(t) * (centered.real.max() - centered.real.min()) > EXP_CAP:
             raise AsymptoticsError("flow exponent exceeds overflow cap")
-        w = general_eig(spec.m * np.exp(t * centered)[None, :]).eigenvalues
+        w = general_eig(spec.m * np.exp(t * centered)[None, :])
         mods = np.abs(w)
         if len(w) > 1:
             rel = -np.diff(mods) / mods[:-1]
@@ -134,7 +134,7 @@ def flow_eigenvalues(spec: FlowSpec, t: float) -> np.ndarray:
                     f"modulus ordering ambiguous (relative gap {rel.min():.2e}); t too small"
                 )
         return w * np.exp(t * d_bar)
-    return general_eig(spec.m + t * np.diag(spec.d)).eigenvalues
+    return general_eig(spec.m + t * np.diag(spec.d))
 
 
 @dataclass(frozen=True)

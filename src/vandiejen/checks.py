@@ -1,10 +1,11 @@
-"""The table of checks: what each CLI battery computes at a point and the bound
-on each column of its report.
+"""The table of checks: what each CLI battery computes at its points and the
+bound on each column of its report.
 
-A battery pairs a function that computes one row of residuals at one phase
-point (from a single spectral frame, or a single Jacobian) with the ordered
-checks on that row's columns.  The CLI and the acceptance tests both read this
-table, so a bound is stated once.
+A battery pairs a function of residuals with the ordered checks on the columns
+of a row.  A phase-point battery's function takes a point or a stack of points
+(see PhasePoint) and returns one array per column, entry i the row of point i;
+an asymptotics battery's function returns the row of one flow spec.  The CLI
+and the acceptance tests both read this table, so a bound is stated once.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ class Check:
 
 @dataclass(frozen=True)
 class Battery:
-    residuals: Callable[..., dict]  # one row's columns, computed at one point
+    residuals: Callable[..., dict]  # a row's columns, over a stack of points or for one spec
     checks: tuple[Check, ...]  # in report column order
 
 

@@ -1,5 +1,7 @@
 """Command-line front end: runs the check batteries of `checks.BATTERIES` over
-seeded samples and writes deterministic CSV/JSON reports.
+seeded samples and writes deterministic CSV/JSON reports.  A battery makes one
+residual call on the stack of all its sampled points and splits the columns
+into one row per point.
 
 Each row's `passed` is that row's own verdict: every column within
 `bound * --tol-scale`, or above its lower bound.  Exit codes: 0 every row
@@ -23,7 +25,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import dynamics
 from .checks import ASYMPTOTICS, BATTERIES, FLOW_GAP
-from .phase_space import Coupling, PhaseSpaceError, VandiejenError, sample
+from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -94,10 +96,7 @@ def _write(text: str, args):
 
 def _coupling(args) -> Coupling:
     g = Coupling(mu=args.mu, nu=args.nu)
-    if not g.in_base_class():
-        raise UsageError(f"coupling (mu={args.mu}, nu={args.nu}) outside the base class")
-    if not g.is_regular():
-        raise UsageError(f"coupling (mu={args.mu}, nu={args.nu}) outside the regular class")
+    g.require_regular()
     return g
 
 
@@ -124,9 +123,12 @@ def _run_battery(args, name: str, fixed: dict | None = None, **options) -> int:
     battery = BATTERIES[name]
     g = _coupling(args)
     points = [sample(args.n, seed=args.seed + k) for k in range(_points(args))]
-    rows = [{**(fixed or {}), **battery.residuals(p, g, **options)} for p in points]
-    for i, row in enumerate(rows):
-        row["point"] = i
+    stack = PhasePoint(xi=np.stack([p.xi for p in points]), eta=np.stack([p.eta for p in points]))
+    columns = battery.residuals(stack, g, **options)
+    rows = [
+        {**(fixed or {}), "point": i, **{c: float(v[i]) for c, v in columns.items()}}
+        for i in range(len(points))
+    ]
     header = ["point", *(c.column for c in battery.checks), "passed"]
     return _report(rows, battery.checks, header, args)
 

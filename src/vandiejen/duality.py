@@ -7,6 +7,12 @@ F_hat = e^{-Theta_hat} y^{-1} e^{Lam} F must have positive first n components.
 Both are enforced constructively: C maps an eigenvector of w to an eigenvector
 of 1/w (since C L C = L^{-1}), which yields the C-preserving basis for free,
 and a diagonal phase twist applied to paired columns fixes positivity.
+
+A frame is built at a phase point or at a stack of them (see PhasePoint), in
+one stacked eigendecomposition; each array of a DualFrame, and each column of
+the identity residuals, carries the leading axes of the stack.  Each check runs
+over the whole stack and raises the error of its first failing point, in stack
+order.
 """
 from __future__ import annotations
 
@@ -94,34 +100,17 @@ def _phase_fix(
     return y * m[..., None, :], f_hat
 
 
-def spectral_stack(lam: np.ndarray, f: np.ndarray, matrix: np.ndarray, g: Coupling):
-    """(theta_hat, y_hat, f_hat, u_hat, lambda_hat) over a stack of points, from
-    their Lax data (lam, f, L) of lax_stack, each with the leading axes of the
-    stack: one stacked eigendecomposition of L, the angles, the phase fix and
-    the dual coordinates.  Each check runs over the whole stack and raises the
-    error of its first failing point, in stack order."""
-    n = lam.shape[-1] // 2
-    eig = hermitian_eig(matrix)
-    theta_hat = _angles(eig.eigenvalues, n)
-    # ascending eigenvalues: column 2n-1-a of the basis carries e^{2 theta_hat_a}
-    y_hat, f_hat = _phase_fix(lam, f, theta_hat, eig.basis[..., ::-1][..., :n])
-    g_hat = g.hat()
-    u_hat = _kernels.u_coeffs(theta_hat, g_hat.mu, g_hat.nu)  # closed form
-    lambda_hat = 2.0 * np.log(f_hat[..., :n].real) - np.log(u_hat)
-    return theta_hat, y_hat, f_hat, u_hat, lambda_hat
-
-
 @dataclass(frozen=True)
 class DualFrame:
     """Spectral data of a Lax bundle: angles, diagonalizer, dual coordinates, dual matrix."""
 
     bundle: LaxBundle
-    theta_hat: np.ndarray  # length n, descending positive
-    y_hat: np.ndarray  # 2n x 2n, unitary, C-preserving
-    f_hat: np.ndarray  # length 2n; first n positive real
-    z_hat: np.ndarray  # length n: F_hat_c * conj(F_hat_{n+c})
-    u_hat: np.ndarray  # length n, closed form, > 1
-    lambda_hat: np.ndarray  # length n
+    theta_hat: np.ndarray  # (..., n), descending positive
+    y_hat: np.ndarray  # (..., 2n, 2n), unitary, C-preserving
+    f_hat: np.ndarray  # (..., 2n); first n positive real
+    z_hat: np.ndarray  # (..., n): F_hat_c * conj(F_hat_{n+c})
+    u_hat: np.ndarray  # (..., n), closed form, > 1
+    lambda_hat: np.ndarray  # (..., n)
 
     @property
     def n(self) -> int:
@@ -138,17 +127,25 @@ class DualFrame:
 
     def dual_matrix(self) -> np.ndarray:
         """L_hat = y_hat^{-1} e^{2 Lam} y_hat."""
-        return self.y_hat.conj().T @ (np.exp(2 * self.bundle.lam)[:, None] * self.y_hat)
+        y = self.y_hat
+        return y.conj().swapaxes(-1, -2) @ (np.exp(2 * self.bundle.lam)[..., :, None] * y)
 
 
 def dual_frame(p: PhasePoint, g: Coupling) -> DualFrame:
-    """Build the full spectral frame at (p, g): spectral_stack on the point's bundle."""
+    """The full spectral frame at (p, g): one eigendecomposition of L, the
+    angles, the phase fix and the dual coordinates."""
     bundle = lax_matrix(p, g)
-    theta_hat, y_hat, f_hat, u_hat, lambda_hat = spectral_stack(bundle.lam, bundle.f, bundle.matrix, g)
     n = bundle.n
+    eig = hermitian_eig(bundle.matrix)
+    theta_hat = _angles(eig.eigenvalues, n)
+    # ascending eigenvalues: column 2n-1-a of the basis carries e^{2 theta_hat_a}
+    y_hat, f_hat = _phase_fix(bundle.lam, bundle.f, theta_hat, eig.basis[..., ::-1][..., :n])
+    g_hat = g.hat()
+    u_hat = _kernels.u_coeffs(theta_hat, g_hat.mu, g_hat.nu)  # closed form
     return DualFrame(
         bundle=bundle, theta_hat=theta_hat, y_hat=y_hat, f_hat=f_hat,
-        z_hat=f_hat[:n] * f_hat[n:].conj(), u_hat=u_hat, lambda_hat=lambda_hat,
+        z_hat=f_hat[..., :n] * f_hat[..., n:].conj(), u_hat=u_hat,
+        lambda_hat=2.0 * np.log(f_hat[..., :n].real) - np.log(u_hat),
     )
 
 
@@ -171,9 +168,9 @@ def _dual_lax_routes(frame: DualFrame, dual_bundle: LaxBundle):
     return frame.dual_matrix(), entrywise, dual_bundle.matrix
 
 
-def minor_identity_residuals(frame: DualFrame) -> tuple[float, float]:
-    """Max residuals of the linear and quadratic constraints tying z_hat (from
-    F_hat, not the closed form) to the angle data."""
+def minor_identity_residuals(frame: DualFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Max residuals, per point, of the linear and quadratic constraints tying
+    z_hat (from F_hat, not the closed form) to the angle data."""
     g_hat = frame.bundle.coupling.hat()
     mu, nu = g_hat.mu, g_hat.nu
     th = frame.theta_hat
@@ -191,26 +188,27 @@ def minor_identity_residuals(frame: DualFrame) -> tuple[float, float]:
         - np.sin(mu) * np.sin(mu - nu) * (wz + wz.conj()).real
         - (np.sin(mu) ** 2 + np.sin(mu - nu) ** 2 + np.sinh(2 * th) ** 2)
     )
-    return float(np.abs(linear).max()), float(np.abs(quadratic).max())
+    return np.abs(linear).max(axis=-1), np.abs(quadratic).max(axis=-1)
 
 
 def identity_residuals(p: PhasePoint, g: Coupling) -> dict:
-    """Residuals of the duality identities at p, from the frame at p and the
-    frame at the dual point: the latter gives the involution p -> p_hat -> p,
-    the pushed-forward dual Lax matrix and the closed-form z_hat."""
+    """Residuals of the duality identities at p, one array per column over the
+    stack p, from the frames at p and at the dual points: the latter give the
+    involution p -> p_hat -> p, the pushed-forward dual Lax matrix and the
+    closed-form z_hat."""
     fr = dual_frame(p, g)
     back = dual_frame(fr.image, g.hat())
     l_hat, entrywise, pushforward = _dual_lax_routes(fr, back.bundle)
-    scale = np.abs(l_hat).max()
+    scale = np.abs(l_hat).max(axis=(-2, -1))
     lin, quad = minor_identity_residuals(fr)
     z = fr.bundle.z
-    re_sum = abs(fr.z_hat.real.sum() - z.real.sum()) / np.abs(z).sum()
+    re_sum = np.abs(fr.z_hat.real.sum(axis=-1) - z.real.sum(axis=-1)) / np.abs(z).sum(axis=-1)
     return {
-        "involution": float(np.abs(back.image.as_vector() - p.as_vector()).max()),
-        "dual_lax_entrywise": float(np.abs(l_hat - entrywise).max() / scale),
-        "dual_lax_pushforward": float(np.abs(l_hat - pushforward).max() / scale),
-        "re_z_sum": float(re_sum),
-        "z_closed_form": float(np.abs(back.bundle.z - fr.z_hat).max()),
+        "involution": np.abs(back.image.as_vector() - p.as_vector()).max(axis=-1),
+        "dual_lax_entrywise": np.abs(l_hat - entrywise).max(axis=(-2, -1)) / scale,
+        "dual_lax_pushforward": np.abs(l_hat - pushforward).max(axis=(-2, -1)) / scale,
+        "re_z_sum": re_sum,
+        "z_closed_form": np.abs(back.bundle.z - fr.z_hat).max(axis=-1),
         "linear_identity": lin,
         "quadratic_identity": quad,
     }

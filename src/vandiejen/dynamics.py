@@ -16,6 +16,10 @@ accuracy when the rows of G are sorted by decreasing Lam, its columns by
 decreasing t beta, and it is scaled by its largest entry exponent.  The
 rapidities come in closed form from the right singular vectors W: since
 d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
+
+The projection route takes a phase point or a stack of them (see PhasePoint):
+its frame and step run one eigensolve and one SVD call per stack.  The
+Runge-Kutta route and the vector field take a single point.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .lax import LaxBundle, conjugation_matrix, energy, lax_matrix
+from .lax import LaxBundle, energy, lax_matrix
 from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
 
@@ -49,6 +53,7 @@ class TrajectorySample:
 
 def vector_field(p: PhasePoint, g: Coupling):
     """(xi_dot, eta_dot) of the Hamiltonian flow at p."""
+    p.require_one()
     require_valid(p)
     g.require_regular()
     return _kernels.vector_field(p.xi, p.eta, g.mu, g.nu)
@@ -62,6 +67,7 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if not np.all(np.isfinite(t_values)):
         raise DynamicsError("non-finite time grid")
+    p.require_one()
     require_valid(p)
     g.require_regular()
     n = p.n
@@ -103,28 +109,34 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
 
 @dataclass(frozen=True)
 class _FlowFrame:
-    """The time-independent data of the projection route at a stack of P
-    initial points, with the rows of G already in their order of decreasing Lam."""
+    """The time-independent data of the projection route at a point or a stack
+    of points, the stack flattened to P points in stack order, with the rows of
+    G already in their order of decreasing Lam."""
 
+    shape: tuple  # the leading axes of the stack
     row_exp: np.ndarray  # Lam = (xi, -xi) sorted descending, shape (P, 2n)
     beta: np.ndarray  # eigenvalues of B = L - C L C, ascending, shape (P, 2n)
     v: np.ndarray  # unitary eigenvector bases of B, rows in row_exp order, shape (P, 2n, 2n)
 
 
-def _flow_frame(lam: np.ndarray, matrix: np.ndarray) -> _FlowFrame:
-    """The frame from the Lax data (lam, L) of lax_stack, in one stacked eigensolve."""
-    c = conjugation_matrix(lam.shape[-1] // 2)
+def _flow_frame(bundle: LaxBundle) -> _FlowFrame:
+    """The frame from a Lax bundle, in one stacked eigensolve."""
+    matrix, c, n = bundle.matrix, bundle.c, bundle.n
     eig = hermitian_eig(matrix - c @ matrix @ c)
-    points = np.arange(len(lam))[:, None]
-    rows = np.argsort(-lam, axis=-1, kind="stable")
-    return _FlowFrame(lam[points, rows], eig.eigenvalues, eig.basis[points, rows])
+    # Lam = (xi, -xi) with xi descending positive (lax_matrix checks it), so
+    # rows 0..n-1 and then 2n-1..n order every point's Lam descending
+    rows = np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1)])
+    return _FlowFrame(
+        bundle.lam.shape[:-1], bundle.lam.reshape(-1, 2 * n)[:, rows],
+        eig.eigenvalues.reshape(-1, 2 * n), eig.basis.reshape(-1, 2 * n, 2 * n)[:, rows],
+    )
 
 
 def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, eta) at time t of each point of the frame, shape (P, n) each, from
-    the singular values of G = e^{Lam} V e^{t beta/2}, in one stacked SVD.  Each
-    check runs over the whole stack and raises the error of its first failing
-    point, in stack order."""
+    """(xi, eta) at time t of each point of the frame, with the frame's leading
+    axes, from the singular values of G = e^{Lam} V e^{t beta/2}, in one
+    stacked SVD.  Each check runs over the whole stack and raises the error of
+    its first failing point, in stack order."""
     if not np.isfinite(t):
         raise DynamicsError(f"non-finite time {t}")
     n = frame.beta.shape[-1] // 2
@@ -159,36 +171,24 @@ def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> tuple[np.ndarray, np
             first = gap[gap < FLOW_GAP_TOL][0]
             raise DynamicsError(f"eigenvalue collision along the flow: relative gap {first:.3e}")
     xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
-    u_t = _kernels.u_coeffs(xi_t, g.mu, g.nu)
-    return xi_t, np.arcsinh(xi_dot / u_t)
-
-
-def _step_of_one(frame: _FlowFrame, g: Coupling, t: float) -> PhasePoint:
-    """_flow_step on a frame of one point, as that point."""
-    xi, eta = _flow_step(frame, g, t)
-    return PhasePoint(xi=xi[0], eta=eta[0])
-
-
-def _frame_of_one(bundle: LaxBundle) -> _FlowFrame:
-    """_flow_frame on the stack of one point's bundle."""
-    return _flow_frame(bundle.lam[None], bundle.matrix[None])
+    eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
+    return xi_t.reshape(frame.shape + (n,)), eta_t.reshape(frame.shape + (n,))
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
-    """Exact propagation through the spectrum of the matrix flow: the projection
-    step on the stack of one point."""
-    return _step_of_one(_frame_of_one(lax_matrix(p, g)), g, float(t))
+    """Exact propagation through the spectrum of the matrix flow."""
+    return PhasePoint(*_flow_step(_flow_frame(lax_matrix(p, g)), g, float(t)))
 
 
 def projection_outcomes(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundle | None = None):
     """projection_flow over a time grid, from one frame of the initial point: per
     time a TrajectorySample, or the DynamicsError that stopped the step at that
     time.  bundle is the Lax bundle at (p, g) when the caller already holds it."""
-    frame = _frame_of_one(lax_matrix(p, g) if bundle is None else bundle)
+    frame = _flow_frame(lax_matrix(p, g) if bundle is None else bundle)
     out = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
         try:
-            q = _step_of_one(frame, g, float(t)) if t != 0.0 else p
+            q = PhasePoint(*_flow_step(frame, g, float(t))) if t != 0.0 else p
         except DynamicsError as exc:
             out.append(exc)
         else:

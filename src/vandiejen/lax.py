@@ -3,6 +3,11 @@
 The matrix is assembled verbatim from its entrywise definition; Hermiticity,
 unit determinant, positive definiteness, and the commutation relation are then
 independent cross-checks of correctness rather than imposed structure.
+
+Every routine takes a phase point or a stack of them (see PhasePoint): each
+array of a bundle, and each column of the structure residuals, carries the
+leading axes of the stack, and each point's values are bit-for-bit those of
+that point alone.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, require_valid_stack
+from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
 
 COORD_CAP = 300.0
 DEGENERACY_TOL = 1e-12
@@ -20,16 +25,6 @@ DEGENERACY_TOL = 1e-12
 
 class LaxError(VandiejenError):
     pass
-
-
-def _check_inputs(xi: np.ndarray, eta: np.ndarray, g: Coupling):
-    require_valid_stack(xi)
-    if not g.in_base_class():
-        raise PhaseSpaceError(
-            f"coupling (mu={g.mu}, nu={g.nu}) outside the base class (sin too small)"
-        )
-    if np.abs(xi).max() > COORD_CAP or np.abs(eta).max() > COORD_CAP:
-        raise LaxError(f"coordinates exceed the overflow cap {COORD_CAP}")
 
 
 @lru_cache(maxsize=64)
@@ -42,12 +37,13 @@ def conjugation_matrix(n: int) -> np.ndarray:
     return c
 
 
-def _energy(eta: np.ndarray, u: np.ndarray) -> float:
-    return float(np.cosh(eta) @ u)
+def _energy(eta: np.ndarray, u: np.ndarray):
+    # a (1, n) @ (n, 1) product per point rounds as the 1-D product does; einsum does not
+    return (np.cosh(eta)[..., None, :] @ u[..., :, None])[..., 0, 0]
 
 
-def energy(p: PhasePoint, g: Coupling) -> float:
-    """The Hamiltonian H = sum_a cosh(eta_a) u_a."""
+def energy(p: PhasePoint, g: Coupling):
+    """The Hamiltonian H = sum_a cosh(eta_a) u_a, at each point of p."""
     return _energy(p.eta, _kernels.u_coeffs(p.xi, g.mu, g.nu))
 
 
@@ -60,32 +56,34 @@ def _f_vector(eta: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaxBundle:
-    """All algebraic data at (p, g): coefficients, F, Lambda, C, L, and the energy."""
+    """All algebraic data at (p, g): coefficients, F, Lambda, C, L, and the energy,
+    each with the leading axes of p but C, which is shared."""
 
     point: PhasePoint
     coupling: Coupling
-    z: np.ndarray  # complex, length n
-    u: np.ndarray  # real, length n
-    f: np.ndarray  # complex, length 2n
-    lam: np.ndarray  # real, length 2n: (xi, -xi)
+    z: np.ndarray  # complex, (..., n)
+    u: np.ndarray  # real, (..., n)
+    f: np.ndarray  # complex, (..., 2n)
+    lam: np.ndarray  # real, (..., 2n): (xi, -xi)
     c: np.ndarray  # real 2n x 2n
-    matrix: np.ndarray  # complex 2n x 2n, Hermitian positive definite
-    energy: float
+    matrix: np.ndarray  # complex (..., 2n, 2n), Hermitian positive definite
+    energy: np.ndarray  # real, (...)
 
     @property
     def n(self) -> int:
         return self.point.n
 
 
-def lax_stack(xi: np.ndarray, eta: np.ndarray, g: Coupling):
-    """(z, u, f, lam, L) over a stack of points, xi and eta of shape (..., n),
-    each with the leading axes of the stack; a single point is the stack with
-    no leading axis.  The one assembly of the Lax data: z and u once, F from
-    them.  Each check runs over the whole stack and raises the error of its
-    first failing point, in stack order: the chamber, the coupling, the
-    coordinate cap, then near-degenerate denominators."""
-    _check_inputs(xi, eta, g)
+def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
+    """The bundle at p: z and u once, F from them, then L and the energy.  Each
+    check runs over the whole stack and raises the error of its first failing
+    point, in stack order: the chamber, the coupling, the coordinate cap, then
+    near-degenerate denominators."""
+    require_valid(p)
     g.require_regular()
+    xi, eta = p.xi, p.eta
+    if np.abs(xi).max() > COORD_CAP or np.abs(eta).max() > COORD_CAP:
+        raise LaxError(f"coordinates exceed the overflow cap {COORD_CAP}")
     z = _kernels.z_coeffs(xi, g.mu, g.nu)
     u = _kernels.u_coeffs(xi, g.mu, g.nu)
     f = _f_vector(eta, z, u)
@@ -93,16 +91,10 @@ def lax_stack(xi: np.ndarray, eta: np.ndarray, g: Coupling):
     den = _kernels.lax_denominators(lam, g.mu)
     if np.abs(den).min() < DEGENERACY_TOL:
         raise LaxError("near-degenerate Lax denominator: positions collide modulo mu")
-    c = conjugation_matrix(xi.shape[-1])
-    return z, u, f, lam, _kernels.lax_entries(f, den, c, g.mu, g.nu)
-
-
-def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
-    """The bundle at p: lax_stack on the point alone, plus the energy."""
-    z, u, f, lam, matrix = lax_stack(p.xi, p.eta, g)
+    c = conjugation_matrix(p.n)
     return LaxBundle(
-        point=p, coupling=g, z=z, u=u, f=f, lam=lam,
-        c=conjugation_matrix(p.n), matrix=matrix, energy=_energy(p.eta, u),
+        point=p, coupling=g, z=z, u=u, f=f, lam=lam, c=c,
+        matrix=_kernels.lax_entries(f, den, c, g.mu, g.nu), energy=_energy(eta, u),
     )
 
 
@@ -114,29 +106,34 @@ def commutation_residual(bundle: LaxBundle) -> float:
     """
     mu = bundle.coupling.mu
     nu = bundle.coupling.nu
-    el = np.exp(bundle.lam)
+    el = np.exp(bundle.lam)[..., :, None]
+    ml = np.exp(bundle.lam)[..., None, :]
     lhs = (
-        np.exp(1j * mu) * (el[:, None] * bundle.matrix / el[None, :])
-        - np.exp(-1j * mu) * (bundle.matrix * el[None, :] / el[:, None])
+        np.exp(1j * mu) * (el * bundle.matrix / ml)
+        - np.exp(-1j * mu) * (bundle.matrix * ml / el)
     )
-    rhs = 2j * np.sin(mu) * np.outer(bundle.f, bundle.f.conj()) + 2j * np.sin(mu - nu) * bundle.c
-    return float(np.abs(lhs - rhs).max())
+    outer = bundle.f[..., :, None] * bundle.f.conj()[..., None, :]
+    rhs = 2j * np.sin(mu) * outer + 2j * np.sin(mu - nu) * bundle.c
+    return np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
 def structure_residuals(p: PhasePoint, g: Coupling) -> dict:
     """Structure residuals of L at p: Hermiticity and the commutation relation
     relative to max|L|, |det L - 1|, the smallest eigenvalue (positive
     definiteness), the reciprocal pairing w_j w_{2n+1-j} = 1 of the spectrum,
-    and tr L against twice the energy."""
+    and tr L against twice the energy: one array per column over the stack p."""
     b = lax_matrix(p, g)
     m = b.matrix
-    scale = np.abs(m).max()
+    scale = np.abs(m).max(axis=(-2, -1))
     w = np.linalg.eigvalsh(m)
+    det = np.linalg.det(m) - 1.0
     return {
-        "hermiticity": float(np.abs(m - m.conj().T).max() / scale),
-        "det_minus_one": float(abs(np.linalg.det(m) - 1.0)),
-        "min_eigenvalue": float(w.min()),
-        "pairing": float(np.abs(w * w[::-1] - 1.0).max()),
-        "trace_minus_2h": float(abs(np.trace(m).real - 2 * b.energy) / abs(2 * b.energy)),
-        "commutation": float(commutation_residual(b) / scale),
+        "hermiticity": np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) / scale,
+        # the modulus as Python's abs forms it; np.abs of a complex rounds differently
+        "det_minus_one": np.hypot(det.real, det.imag),
+        "min_eigenvalue": w.min(axis=-1),
+        "pairing": np.abs(w * w[..., ::-1] - 1.0).max(axis=-1),
+        "trace_minus_2h": np.abs(np.trace(m, axis1=-2, axis2=-1).real - 2 * b.energy)
+        / np.abs(2 * b.energy),
+        "commutation": commutation_residual(b) / scale,
     }

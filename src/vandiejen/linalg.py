@@ -28,13 +28,6 @@ def _as_square_stack(a) -> np.ndarray:
     return a
 
 
-def _as_square_matrix(a) -> np.ndarray:
-    a = _as_square_stack(a)
-    if a.ndim != 2:
-        raise LinalgError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 @dataclass(frozen=True)
 class HermitianEigen:
     """Eigenvalues in ascending order and a unitary eigenvector basis, for a
@@ -42,13 +35,6 @@ class HermitianEigen:
 
     eigenvalues: np.ndarray  # real, ascending: shape (..., N)
     basis: np.ndarray  # unitary; column j belongs to eigenvalues[..., j]: shape (..., N, N)
-
-
-@dataclass(frozen=True)
-class GeneralEigen:
-    """Eigenvalues sorted by descending modulus (ties: descending real, then imag)."""
-
-    eigenvalues: np.ndarray  # complex
 
 
 def hermitian_eig(a) -> HermitianEigen:
@@ -74,12 +60,12 @@ def hermitian_eig(a) -> HermitianEigen:
     return HermitianEigen(eigenvalues=w, basis=u)
 
 
-def general_eig(a) -> GeneralEigen:
-    """Eigenvalues of a general complex matrix in the canonical ordering."""
-    a = _as_square_matrix(a)
-    w = np.linalg.eigvals(a)
-    order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
-    return GeneralEigen(eigenvalues=w[order])
+def general_eig(a) -> np.ndarray:
+    """Eigenvalues of a general complex matrix, or of each matrix of a stack,
+    sorted by descending modulus (ties: descending real, then imag)."""
+    w = np.linalg.eigvals(_as_square_stack(a))
+    order = np.lexsort((-w.imag, -w.real, -np.abs(w)), axis=-1)
+    return np.take_along_axis(w, order, axis=-1)
 
 
 def principal_minors(m) -> tuple[np.ndarray, np.ndarray]:
@@ -106,8 +92,3 @@ def principal_minors(m) -> tuple[np.ndarray, np.ndarray]:
         if k < n:
             bordered[..., k - 1] = dets[..., 1]
     return leading, bordered
-
-
-def leading_principal_minors(m) -> np.ndarray:
-    """Determinants of the upper-left j x j blocks, j = 1..N (see principal_minors)."""
-    return principal_minors(_as_square_matrix(m))[0]

@@ -1,7 +1,9 @@
 """Phase-space points, coupling parameters, regularity classes, deterministic sampling.
 
 A phase point carries ordered positive positions xi_1 > ... > xi_n > 0 and
-unconstrained rapidities eta.  Couplings g = (mu, nu) are classified by margin
+unconstrained rapidities eta.  A PhasePoint holds one point or a stack of
+points: xi and eta of shape (..., n), a single point being the stack with no
+leading axis.  Couplings g = (mu, nu) are classified by margin
 rather than exact inequality: near-degenerate couplings make the downstream
 eigenproblem ill-conditioned.
 """
@@ -31,8 +33,9 @@ class PhaseSpaceError(VandiejenError):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point (xi, eta) with n particles.  Only shape and finiteness are checked
-    here; the chamber xi strictly descending positive is checked by validate."""
+    """A point (xi, eta) with n particles, or a stack of them along leading axes.
+    Only shape and finiteness are checked here; the chamber xi strictly
+    descending positive is checked by validate and require_valid."""
 
     xi: np.ndarray
     eta: np.ndarray
@@ -40,24 +43,31 @@ class PhasePoint:
     def __post_init__(self):
         object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
-        if self.xi.ndim != 1 or self.xi.shape != self.eta.shape or len(self.xi) == 0:
+        if self.xi.ndim == 0 or self.xi.shape != self.eta.shape or self.xi.size == 0:
             raise PhaseSpaceError("xi and eta must be equal-length non-empty vectors")
-        if not (np.all(np.isfinite(self.xi)) and np.all(np.isfinite(self.eta))):
+        if not (np.isfinite(self.xi).all() and np.isfinite(self.eta).all()):
             raise PhaseSpaceError("non-finite coordinates")
 
     @property
     def n(self) -> int:
-        return len(self.xi)
+        return self.xi.shape[-1]
 
     def as_vector(self) -> np.ndarray:
-        """Coordinates in the canonical order (xi_1..xi_n, eta_1..eta_n)."""
-        return np.concatenate([self.xi, self.eta])
+        """Coordinates in the canonical order (xi_1..xi_n, eta_1..eta_n), shape (..., 2n)."""
+        return np.concatenate([self.xi, self.eta], axis=-1)
 
     @staticmethod
     def from_vector(x) -> "PhasePoint":
         x = np.asarray(x, dtype=float)
-        n = len(x) // 2
-        return PhasePoint(xi=x[:n], eta=x[n:])
+        n = x.shape[-1] // 2
+        return PhasePoint(xi=x[..., :n], eta=x[..., n:])
+
+    def require_one(self):
+        """Raise PhaseSpaceError for a stack: the check of every routine that takes one point."""
+        if self.xi.ndim != 1:
+            raise PhaseSpaceError(
+                f"expected one phase point, got a stack of shape {self.xi.shape[:-1]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -80,9 +90,12 @@ class Coupling:
         return self.is_regular() and abs(np.cos(self.mu - self.nu)) > DEFAULT_REG_MARGIN
 
     def require_regular(self):
+        """The one coupling check: raises PhaseSpaceError naming the base class
+        when the coupling misses it, else the regular class when it misses that."""
         if not self.is_regular():
+            missed = "regular" if self.in_base_class() else "base"
             raise PhaseSpaceError(
-                f"coupling (mu={self.mu}, nu={self.nu}) outside the regular class"
+                f"coupling (mu={self.mu}, nu={self.nu}) outside the {missed} class"
             )
 
     def hat(self) -> "Coupling":
@@ -103,7 +116,8 @@ class Violation:
 
 
 def validate(p: PhasePoint, gap: float = DEFAULT_GAP):
-    """Return a list of ordering violations (empty means the point is valid)."""
+    """Return a list of ordering violations of one point (empty means it is valid)."""
+    p.require_one()
     out = []
     for a in range(p.n - 1):
         d = p.xi[a] - p.xi[a + 1]
@@ -115,19 +129,15 @@ def validate(p: PhasePoint, gap: float = DEFAULT_GAP):
 
 
 def require_valid(p: PhasePoint, gap: float = DEFAULT_GAP):
-    bad = validate(p, gap)
-    if bad:
-        raise PhaseSpaceError("; ".join(str(v) for v in bad))
-
-
-def require_valid_stack(xi: np.ndarray, gap: float = DEFAULT_GAP):
-    """require_valid over a (..., n) stack of positions, a single point having
-    no leading axis: raises the error of the first invalid point in stack order."""
+    """Raise PhaseSpaceError naming the violations of the first invalid point
+    of p, in stack order."""
+    xi = p.xi
     steps = xi[..., :-1] - xi[..., 1:]
     if steps.min(initial=xi[..., -1].min()) < gap:
-        rows = xi.reshape(-1, xi.shape[-1])
+        rows = xi.reshape(-1, p.n)
         first = rows[np.argmin((rows[:, -1] >= gap) & (rows[:, :-1] - rows[:, 1:] >= gap).all(axis=-1))]
-        require_valid(PhasePoint(xi=first, eta=np.zeros_like(first)), gap)
+        bad = validate(PhasePoint(xi=first, eta=np.zeros_like(first)), gap)
+        raise PhaseSpaceError("; ".join(str(v) for v in bad))
 
 
 def sample(

@@ -5,6 +5,10 @@ The total phase shift of each particle is a sum of pairwise and one-body
 terms Delta_a; asymptotic positions come in two routes (a closed form in the
 dual coordinates and leading principal minors of the diagonal blocks of the
 dual matrix L_hat) which must agree.
+
+The phase shifts, the maps, the asymptotic data and the identity residuals
+take a phase point or a stack of them (see PhasePoint), each result carrying
+the leading axes of the stack; a residual trace follows one point.
 """
 from __future__ import annotations
 
@@ -13,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .asymptotics import _fit_order, _minor_ratios
 from .duality import DualFrame, dual_frame
 from .dynamics import projection_trajectory
-from .linalg import leading_principal_minors
+from .linalg import principal_minors
 from .phase_space import Coupling, PhasePoint, VandiejenError
 
 RESIDUAL_CLAMP = 1e-14
@@ -27,10 +32,11 @@ class ScatteringError(VandiejenError):
 
 
 def delta_vector(xi, g: Coupling) -> np.ndarray:
-    """Phase shifts Delta_a at the ordered positive vector xi: the one-body log
-    term in 2*xi_a plus signed two-body log terms over index pairs."""
+    """Phase shifts Delta_a at the ordered positive vector xi, or at each vector
+    of a (..., n) stack: the one-body log term in 2*xi_a plus signed two-body
+    log terms over index pairs."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if len(xi) > 1 and (np.min(-np.diff(xi)) <= 0 or xi[-1] <= 0):
+    if xi.shape[-1] > 1 and (np.diff(xi).max() >= 0 or xi[..., -1].min() <= 0):
         raise ScatteringError("xi must be strictly descending positive")
     return _kernels.delta_shifts(xi, g.mu, g.nu)
 
@@ -54,15 +60,6 @@ class AsymptoticData:
         return PhasePoint(xi=self.lambda_minus, eta=self.theta_minus)
 
 
-def _minor_half_logs(block: np.ndarray) -> np.ndarray:
-    """lambda_a = 0.5 * ln(pi_a / pi_{a-1}) from the leading minors of block."""
-    minors = leading_principal_minors(block).real
-    if np.any(minors <= 0):
-        raise ScatteringError("non-positive principal minor of a positive definite matrix")
-    ratios = minors / np.concatenate([[1.0], minors[:-1]])
-    return 0.5 * np.log(ratios)
-
-
 def asymptotic_data(p: PhasePoint, g: Coupling, frame: DualFrame | None = None) -> AsymptoticData:
     """Both routes to the asymptotic positions, cross-checkable by the caller."""
     if frame is None:
@@ -75,10 +72,13 @@ def asymptotic_data(p: PhasePoint, g: Coupling, frame: DualFrame | None = None) 
     # The minors of the flow matrix in regular form (W L_hat W, W = diag(I, J)
     # with J the order reversal, so its exponent diagonal descends), and of its
     # full reversal: the leading n x n blocks of both are the diagonal blocks
-    # of L_hat itself.
+    # of L_hat itself.  lambda_a = 0.5 * ln(pi_a / pi_{a-1}) from the leading
+    # minors pi of each block.
     l_hat = frame.dual_matrix()
-    minor_plus = _minor_half_logs(l_hat[:n, :n])
-    minor_minus = _minor_half_logs(l_hat[n:, n:])
+    minors = principal_minors(np.stack([l_hat[..., :n, :n], l_hat[..., n:, n:]]))[0].real
+    if np.any(minors <= 0):
+        raise ScatteringError("non-positive principal minor of a positive definite matrix")
+    minor_plus, minor_minus = 0.5 * np.log(_minor_ratios(minors))
     return AsymptoticData(
         theta_plus=2.0 * th,
         theta_minus=-2.0 * th,
@@ -94,7 +94,7 @@ def scattering_map(zeta: PhasePoint, g: Coupling) -> PhasePoint:
     """S: incoming free data (xi, eta) with eta ascending negative to outgoing
     (-xi_a + Delta_a(-eta/2), -eta)."""
     eta = zeta.eta
-    if (len(eta) > 1 and np.any(np.diff(eta) <= 0)) or eta[-1] >= 0:
+    if (zeta.n > 1 and np.diff(eta).min() <= 0) or eta[..., -1].max() >= 0:
         raise ScatteringError("incoming rapidities must be strictly ascending negative")
     new_xi = -zeta.xi + delta_vector(-eta / 2.0, g)
     return PhasePoint(xi=new_xi, eta=-eta)
@@ -114,19 +114,20 @@ def upsilon_minus_inverse(zeta: PhasePoint, g: Coupling) -> PhasePoint:
 
 
 def identity_residuals(p: PhasePoint, g: Coupling) -> dict:
-    """Residuals of the scattering identities at p, all from one asymptotic_data:
-    lambda_plus + lambda_minus = Delta, both minor routes, S(W_-) = W_+, and
-    S against its factorization through the half-shift maps."""
+    """Residuals of the scattering identities at p, one array per column over
+    the stack p, all from one asymptotic_data: lambda_plus + lambda_minus =
+    Delta, both minor routes, S(W_-) = W_+, and S against its factorization
+    through the half-shift maps."""
     data = asymptotic_data(p, g)
     wm, wp = data.wave(-1), data.wave(1)
     sw = scattering_map(wm, g)
     comp = upsilon(upsilon_minus_inverse(wm, g), g, 1)
     return {
-        "sum_identity": float(np.abs(data.lambda_plus + data.lambda_minus - data.delta).max()),
-        "minor_route_plus": float(np.abs(data.lambda_plus - data.minor_route_plus).max()),
-        "minor_route_minus": float(np.abs(data.lambda_minus - data.minor_route_minus).max()),
-        "scattering_consistency": float(np.abs(sw.as_vector() - wp.as_vector()).max()),
-        "composite_route": float(np.abs(sw.as_vector() - comp.as_vector()).max()),
+        "sum_identity": np.abs(data.lambda_plus + data.lambda_minus - data.delta).max(axis=-1),
+        "minor_route_plus": np.abs(data.lambda_plus - data.minor_route_plus).max(axis=-1),
+        "minor_route_minus": np.abs(data.lambda_minus - data.minor_route_minus).max(axis=-1),
+        "scattering_consistency": np.abs(sw.as_vector() - wp.as_vector()).max(axis=-1),
+        "composite_route": np.abs(sw.as_vector() - comp.as_vector()).max(axis=-1),
     }
 
 
@@ -141,20 +142,9 @@ class ResidualTrace:
     onset_index: int
 
 
-def _fit_decay(t: np.ndarray, r: np.ndarray) -> float:
-    """Least-squares slope of ln(residual) vs t over the upper half of usable points."""
-    usable = r > RESIDUAL_CLAMP
-    t_u, r_u = t[usable], r[usable]
-    if len(t_u) < MIN_FIT_POINTS:
-        return float("nan")
-    half = len(t_u) // 2
-    t_fit, r_fit = t_u[half - 1 :], r_u[half - 1 :]
-    slope = np.polyfit(t_fit, np.log(r_fit), 1)[0]
-    return float(-slope)
-
-
 def residual_trace(p: PhasePoint, g: Coupling, t_grid) -> ResidualTrace:
-    """Track the approach of the flow to its free asymptote over the grid."""
+    """Track the approach of the flow from one point to its free asymptote over the grid."""
+    p.require_one()
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ScatteringError("time grid must be strictly increasing")
@@ -172,12 +162,21 @@ def residual_trace(p: PhasePoint, g: Coupling, t_grid) -> ResidualTrace:
     worst = np.abs(pos_res).max(axis=1)
     worst_rap = np.abs(rap_res).max(axis=1)
     onset = int(np.argmax(worst < 0.1 * worst[0])) if np.any(worst < 0.1 * worst[0]) else len(worst)
+    rates = []
+    for r in (worst, worst_rap):
+        # the decay rate: minus the log slope over the upper half of the usable points
+        t_u, r_u = t_grid[r > RESIDUAL_CLAMP], r[r > RESIDUAL_CLAMP]
+        upper = len(t_u) // 2 - 1
+        rates.append(
+            -_fit_order(t_u[upper:], r_u[upper:], clamp=RESIDUAL_CLAMP)
+            if len(t_u) >= MIN_FIT_POINTS else float("nan")
+        )
     return ResidualTrace(
         t_grid=t_grid,
         position_residuals=pos_res,
         rapidity_residuals=rap_res,
-        fitted_rate=_fit_decay(t_grid, worst),
-        rapidity_fitted_rate=_fit_decay(t_grid, worst_rap),
+        fitted_rate=rates[0],
+        rapidity_fitted_rate=rates[1],
         min_gap=min_gap,
         onset_index=onset,
     )

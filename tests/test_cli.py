@@ -34,6 +34,31 @@ def test_bad_coupling_is_usage_error(tmp_path):
     assert run(["lax-check", "--mu", "0.0", "--points", "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "nu, missed", [("0.0", "base"), ("1.4", "regular")],  # sin(nu) = 0; sin(2 mu - nu) = 0
+)
+@pytest.mark.parametrize("command", ["lax-check", "flow"])
+def test_bad_coupling_names_the_class_it_misses(command, nu, missed, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run([command, "--mu", "0.7", "--nu", nu, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: coupling (mu=0.7, nu={nu}) outside the {missed} class\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lax-check", "duality", "scatter", "brackets"])
+def test_a_stack_of_points_reports_the_rows_of_each_point_alone(command, tmp_path):
+    # one residual call on seven points against seven calls on one point each
+    def rows(seed, points):
+        out = tmp_path / "out.csv"
+        argv = [command, "--n", "3", "--mu", "1.3", "--nu", "0.2", "--seed", str(seed)]
+        run([*argv, "--points", str(points), "--out", str(out)])
+        return [{k: v for k, v in r.items() if k != "point"} for r in csv.DictReader(out.open())]
+
+    stacked = rows(1, 7)
+    assert stacked == [rows(seed, 1)[0] for seed in range(1, 8)]
+
+
 def test_bad_grid_is_usage_error():
     assert run(["flow", "--t", "nonsense"]) == EXIT_USAGE
 

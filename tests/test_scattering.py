@@ -4,6 +4,8 @@ import pytest
 
 from vandiejen.duality import dual_frame
 from vandiejen.scattering import (
+    MIN_FIT_POINTS,
+    RESIDUAL_CLAMP,
     ScatteringError,
     asymptotic_data,
     delta_vector,
@@ -155,6 +157,34 @@ def test_residual_trace_mirrored_time_hits_minus_branch(g):
     res = q.xi + t * np.sinh(data.theta_minus) - data.lambda_minus
     assert np.abs(res).max() < 5e-3
     assert np.abs(q.eta - data.theta_minus).max() < 5e-3
+
+
+def _fit_decay_oracle(t, r):
+    """The decay fit as residual_trace once had it: the least-squares slope of
+    ln(residual) vs t over the upper half of the usable points."""
+    usable = r > RESIDUAL_CLAMP
+    t_u, r_u = t[usable], r[usable]
+    if len(t_u) < MIN_FIT_POINTS:
+        return float("nan")
+    half = len(t_u) // 2
+    t_fit, r_fit = t_u[half - 1 :], r_u[half - 1 :]
+    slope = np.polyfit(t_fit, np.log(r_fit), 1)[0]
+    return float(-slope)
+
+
+@pytest.mark.parametrize(
+    "n, seed, grid",
+    [(2, 7, np.arange(1.0, 12.1, 1.0)), (3, 4, np.arange(0.5, 30.1, 0.5)),
+     (1, 2, np.arange(1.0, 40.1, 3.0)), (2, 3, [1.0, 2.0, 3.0])],
+    ids=["decaying", "clamped-tail", "one-particle", "too-few-points"],
+)
+def test_residual_trace_rates_equal_the_old_fit(n, seed, grid, g):
+    trace = residual_trace(point(n, seed=seed), g, grid)
+    worst = np.abs(trace.position_residuals).max(axis=1)
+    worst_rap = np.abs(trace.rapidity_residuals).max(axis=1)
+    for got, r in ((trace.fitted_rate, worst), (trace.rapidity_fitted_rate, worst_rap)):
+        want = _fit_decay_oracle(trace.t_grid, r)
+        assert np.array_equal(got, want, equal_nan=True) and np.signbit(got) == np.signbit(want)
 
 
 def test_residual_trace_rejects_bad_grid(g):

@@ -6,6 +6,7 @@ import pytest
 
 from vandiejen import Coupling, _kernels, asymptotics, brackets, duality, lax, scattering
 from vandiejen.checks import ASYMPTOTICS
+from vandiejen.cli import main
 
 from conftest import point
 
@@ -41,6 +42,17 @@ def z_calls(monkeypatch):
 def test_z_kernel_runs_once_per_bundle(z_calls, unit, expected, n):
     unit(point(n, seed=4), COUPLINGS[0])
     assert len(z_calls) == expected(n)
+
+
+@pytest.mark.parametrize("points", [1, 20])
+@pytest.mark.parametrize(
+    "command, expected", [("lax-check", 1), ("duality", 2), ("scatter", 1), ("brackets", 1)]
+)
+def test_battery_runs_the_z_kernel_once_per_stack(z_calls, command, expected, points, tmp_path):
+    # every sampled point in one stack: the count does not grow with --points
+    argv = [command, "--n", "2", "--points", str(points), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert len(z_calls) == expected
 
 
 @pytest.mark.parametrize("kind, extra", [("linear", 0), ("exponential", 2)])

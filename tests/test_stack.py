@@ -1,16 +1,20 @@
-"""The bracket stencil as one stack: each point of a stacked pass gets
-bit-for-bit the numbers of that point alone, and a check that fails at some
-stencil point raises its typed error, for the first such point in stencil order
-at the earliest stage that fails."""
+"""Points as one stack: each point of a stacked pass, a battery's sampled
+points or the bracket stencil, gets bit-for-bit the numbers of that point
+alone, and a check that fails at some point of the stack raises its typed
+error, for the first such point in stack order at the earliest stage that
+fails."""
 import numpy as np
 import pytest
 
 from vandiejen import Coupling, PhasePoint, brackets, duality, dynamics
+from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_FAIL, main
-from vandiejen.duality import DualityError, dual_frame, spectral_stack
+from vandiejen.duality import DualityError, dual_frame
 from vandiejen.dynamics import DynamicsError, _flow_frame, _flow_step, projection_flow
-from vandiejen.lax import lax_matrix, lax_stack
+from vandiejen.lax import lax_matrix
 from vandiejen.linalg import hermitian_eig
+from vandiejen.phase_space import PhaseSpaceError, validate
+from vandiejen.scattering import residual_trace
 
 from conftest import point
 
@@ -88,35 +92,50 @@ def test_stacked_jacobian_equals_the_oracle_where_the_row_fails():
 def test_stacked_frames_and_flow_steps_equal_each_point_alone(n):
     g = Coupling(0.7, 0.4)
     x = np.concatenate([stencil(point(n, seed=2), 1e-3), stencil(point(n, seed=5), 1e-3)])
-    _, _, f, lam, m = lax_stack(x[:, :n], x[:, n:], g)
-    stacked = spectral_stack(lam, f, m, g)
-    frame = _flow_frame(lam, m)
+    frame = dual_frame(PhasePoint.from_vector(x.reshape(2, -1, 2 * n)), g)
+    flow = _flow_frame(frame.bundle)
     for t in (1.0, -0.7):
-        xi_t, eta_t = _flow_step(frame, g, t)
+        flowed = np.concatenate(_flow_step(flow, g, t), axis=-1).reshape(len(x), 2 * n)
         for i, row in enumerate(x):
-            q = PhasePoint.from_vector(row)
-            alone = projection_flow(q, g, t)
-            np.testing.assert_array_equal(xi_t[i], alone.xi)
-            np.testing.assert_array_equal(eta_t[i], alone.eta)
-            one = _flow_step(_flow_frame(lam[i : i + 1], m[i : i + 1]), g, t)
-            np.testing.assert_array_equal(xi_t[i : i + 1], one[0])
+            alone = projection_flow(PhasePoint.from_vector(row), g, t)
+            np.testing.assert_array_equal(flowed[i], alone.as_vector())
     for i, row in enumerate(x):
         fr = dual_frame(PhasePoint.from_vector(row), g)
-        alone = (fr.theta_hat, fr.y_hat, fr.f_hat, fr.u_hat, fr.lambda_hat)
-        one = spectral_stack(lam[i : i + 1], f[i : i + 1], m[i : i + 1], g)
-        for got, want, of_one in zip(stacked, alone, one):
-            np.testing.assert_array_equal(got[i], want)
-            np.testing.assert_array_equal(of_one[0], want)
-        np.testing.assert_array_equal(m[i], fr.bundle.matrix)
+        for name in ("theta_hat", "y_hat", "f_hat", "z_hat", "u_hat", "lambda_hat"):
+            got = getattr(frame, name)
+            want = getattr(fr, name)
+            np.testing.assert_array_equal(got.reshape((len(x),) + want.shape)[i], want)
+        b = frame.bundle
+        np.testing.assert_array_equal(b.matrix.reshape(len(x), 2 * n, 2 * n)[i], fr.bundle.matrix)
+        assert b.energy.reshape(-1)[i] == fr.bundle.energy
+
+
+def stack_of(points):
+    return PhasePoint(xi=np.stack([p.xi for p in points]), eta=np.stack([p.eta for p in points]))
+
+
+@pytest.mark.parametrize("g", COUPLINGS, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize(
+    "name, seeds", [("lax-check", 20), ("duality", 20), ("scatter", 20), ("brackets", 3)]
+)
+def test_stacked_battery_rows_equal_each_point_alone(name, seeds, n, g):
+    residuals = BATTERIES[name].residuals
+    points = [point(n, seed=seed) for seed in range(1, seeds + 1)]
+    columns = residuals(stack_of(points), g)
+    for i, p in enumerate(points):
+        assert {c: v[i] for c, v in columns.items()} == residuals(p, g)
+
+
+def _spectral_gaps_at(p, g):
+    """The smallest relative spectral gap at p, as the angle check forms it."""
+    w = hermitian_eig(lax_matrix(p, g).matrix).eigenvalues
+    return ((w[1:] - w[:-1]) / np.abs(w[1:])).min()
 
 
 def _spectral_gaps(p, g):
-    """Each stencil point's smallest relative spectral gap, as the angle check forms it."""
-    out = []
-    for row in stencil(p):
-        w = hermitian_eig(lax_matrix(PhasePoint.from_vector(row), g).matrix).eigenvalues
-        out.append(((w[1:] - w[:-1]) / np.abs(w[1:])).min())
-    return np.array(out)
+    """Each stencil point's smallest relative spectral gap."""
+    return np.array([_spectral_gaps_at(PhasePoint.from_vector(row), g) for row in stencil(p)])
 
 
 def _exponent_ranges(p, g):
@@ -177,3 +196,35 @@ def test_stencil_failure_ends_the_command_in_one_error_line(monkeypatch, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: degenerate spectrum") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_battery_names_the_first_failing_point_of_its_stack(monkeypatch, tmp_path, capsys):
+    # of the five points at seeds 14..18, only point 3 falls below this gap
+    # tolerance: the command ends in one error line with that point's gap
+    gaps = np.array([_spectral_gaps_at(point(3, seed=14 + k), G_FAIL) for k in range(5)])
+    tol, failing = _between_lowest(gaps)
+    assert list(failing) == [3]
+    monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", tol)
+    out = tmp_path / "out.csv"
+    argv = ["duality", "--n", "3", "--seed", "14", "--points", "5", "--out", str(out)]
+    assert main(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err == f"error: degenerate spectrum: smallest relative gap {gaps[3]:.3e}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, g: dynamics.rk_flow(p, g, [1.0]),
+        lambda p, g: dynamics.vector_field(p, g),
+        lambda p, g: brackets.poisson_brackets(lambda q: q.as_vector(), p),
+        lambda p, g: validate(p),
+        lambda p, g: residual_trace(p, g, [1.0, 2.0]),
+    ],
+    ids=["rk_flow", "vector_field", "poisson_brackets", "validate", "residual_trace"],
+)
+def test_single_point_routines_reject_a_stack(call):
+    stack = stack_of([point(2, seed=1), point(2, seed=2)])
+    with pytest.raises(PhaseSpaceError, match=r"expected one phase point, got a stack of shape"):
+        call(stack, G_FAIL)
