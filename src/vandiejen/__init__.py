@@ -7,7 +7,7 @@ from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, 
 from .lax import LaxBundle, lax_matrix
 from .duality import DualFrame, dual_frame, duality_map, minor_identity_residuals
 from .dynamics import TrajectorySample, projection_flow, rk_flow, vector_field
-from .scattering import AsymptoticData, ResidualTrace, asymptotic_data, residual_trace, scattering_map
+from .scattering import AsymptoticData, asymptotic_data, scattering_map
 from .brackets import poisson_brackets, symplectic_residuals
 from .asymptotics import FlowSpec, alpha_coeffs, flow_eigenvalues, m_coeffs, p_coeffs, sample_spec, verify_theorem_exponential, verify_theorem_linear
 
@@ -18,7 +18,7 @@ __all__ = [
     "LaxBundle", "lax_matrix",
     "DualFrame", "dual_frame", "duality_map", "minor_identity_residuals",
     "TrajectorySample", "projection_flow", "rk_flow", "vector_field",
-    "AsymptoticData", "ResidualTrace", "asymptotic_data", "residual_trace", "scattering_map",
+    "AsymptoticData", "asymptotic_data", "scattering_map",
     "poisson_brackets", "symplectic_residuals",
     "FlowSpec", "alpha_coeffs", "flow_eigenvalues", "m_coeffs", "p_coeffs",
     "sample_spec", "verify_theorem_exponential", "verify_theorem_linear",

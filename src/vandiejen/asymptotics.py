@@ -6,6 +6,13 @@ rho_j(t) = p_j e^{t(d_{j+1}-d_j)} - p_{j-1} e^{t(d_j-d_{j-1})} + higher order;
 for the linear flow they behave like M_jj + t d_j + alpha_j / t + O(1/t^2).
 This module computes the coefficient families and verifies the decay orders
 empirically on time grids.
+
+A FlowSpec holds one spec or a stack of specs (see FlowSpec), and every
+routine here takes either: its results carry the stack's leading axes.  The
+spectra of all specs at all times come from one general_eig call, each check
+runs over the whole stack and raises the error of its first failing spec, in
+stack order, at the earliest failing stage.  Only the decay fit runs per
+(spec, j) column, one np.polyfit each.
 """
 from __future__ import annotations
 
@@ -32,7 +39,10 @@ class AsymptoticsError(VandiejenError):
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """A matrix flow: M paired with diagonal values d, of exponential or linear kind."""
+    """A matrix flow: M paired with diagonal values d, of exponential or linear
+    kind.  m of shape (..., N, N) and d of shape (..., N) hold one spec or a
+    stack of specs of one kind, a single spec being the stack with no leading
+    axis."""
 
     m: np.ndarray
     d: np.ndarray
@@ -45,29 +55,29 @@ class FlowSpec:
         object.__setattr__(self, "d", d)
         if self.kind not in ("exponential", "linear"):
             raise AsymptoticsError(f"unknown kind {self.kind!r}")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(d):
+        if d.ndim < 1 or m.shape != d.shape + d.shape[-1:]:
             raise AsymptoticsError("M must be square and match the diagonal length")
-        if np.any(np.diff(d.real) >= 0):
+        if np.any(np.diff(d.real, axis=-1) >= 0):
             raise AsymptoticsError("Re(d) must be strictly descending")
         if self.kind == "exponential":
             pi = principal_minors(m)[0]
-            scale = max(np.abs(m).max(), 1.0)
-            if np.abs(pi).min() <= MINOR_MARGIN * scale:
+            scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+            if np.any(np.abs(pi).min(axis=-1) <= MINOR_MARGIN * scale):
                 raise AsymptoticsError("leading principal minor too close to zero")
 
     @property
     def size(self) -> int:
-        return len(self.d)
+        return self.d.shape[-1]
 
     @property
     def mu(self) -> np.ndarray:
         """Consecutive gaps of the real parts of d."""
-        return -np.diff(self.d.real)
+        return -np.diff(self.d.real, axis=-1)
 
     @property
-    def gap(self) -> float:
-        """R: the minimal gap."""
-        return float(self.mu.min())
+    def gap(self):
+        """R: the minimal gap, per spec."""
+        return self.mu.min(axis=-1)
 
 
 def _nonzero(pi: np.ndarray) -> np.ndarray:
@@ -100,54 +110,72 @@ def p_coeffs(m) -> np.ndarray:
 
 
 def alpha_coeffs(m, d) -> np.ndarray:
-    """Second-order perturbation sums alpha_j = sum_{k != j} M_jk M_kj / (d_j - d_k)."""
+    """Second-order perturbation sums alpha_j = sum_{k != j} M_jk M_kj / (d_j - d_k),
+    for one (M, d) or over the leading axes of a stack.  The sum runs over k
+    in order, as a loop: numpy's own reduction would regroup it."""
     m = np.asarray(m, dtype=complex)
     d = np.asarray(d, dtype=complex)
-    n = len(d)
-    diff = d[:, None] - d[None, :]
-    if np.abs(diff[~np.eye(n, dtype=bool)]).min() < 1e-12:
+    off = ~np.eye(d.shape[-1], dtype=bool)
+    diff = d[..., :, None] - d[..., None, :]
+    if np.abs(diff[..., off]).min() < 1e-12:
         raise AsymptoticsError("repeated diagonal values")
-    out = np.empty(n, dtype=complex)
-    for j in range(n):
-        out[j] = sum(m[j, k] * m[k, j] / diff[j, k] for k in range(n) if k != j)
-    return out
+    # M_jk M_kj in real parts, rounded as a complex scalar product: numpy's
+    # complex array product fuses multiply-adds, which can move the last bit
+    mt = m.swapaxes(-1, -2)
+    prod = (m.real * mt.real - m.imag * mt.imag) + 1j * (m.real * mt.imag + m.imag * mt.real)
+    terms = np.where(off, prod / np.where(off, diff, 1.0), 0.0)
+    return sum(terms[..., k] for k in range(d.shape[-1]))
 
 
-def flow_eigenvalues(spec: FlowSpec, t: float) -> np.ndarray:
-    """Eigenvalues of the flow matrix at time t, descending modulus.
+def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
+    """Eigenvalues of the flow matrix at time t, descending modulus, for each
+    spec of the stack: shape (..., N) at one time, (..., T, N) at an array of
+    T times.  One general_eig call solves every spec at every time.
 
     The exponential kind is centered by the mean of d before exponentiation
     (removing a scalar e^{t d_bar} factor) to stay in representable range.
     """
-    t = float(t)
+    t = np.asarray(t, dtype=float)
+    ts = np.atleast_1d(t)
     if spec.kind == "exponential":
-        d_bar = spec.d.mean()
-        centered = spec.d - d_bar
-        if abs(t) * (centered.real.max() - centered.real.min()) > EXP_CAP:
+        d_bar = spec.d.mean(axis=-1)
+        centered = spec.d - d_bar[..., None]
+        span = centered.real.max(axis=-1) - centered.real.min(axis=-1)
+        if np.any(np.abs(ts) * span[..., None] > EXP_CAP):
             raise AsymptoticsError("flow exponent exceeds overflow cap")
-        w = general_eig(spec.m * np.exp(t * centered)[None, :])
-        mods = np.abs(w)
-        if len(w) > 1:
-            rel = -np.diff(mods) / mods[:-1]
+        scale = np.exp(ts[:, None] * centered[..., None, :])
+        w = general_eig(spec.m[..., None, :, :] * scale[..., None, :])
+        if spec.size > 1:
+            mods = np.abs(w)
+            rel = (-np.diff(mods, axis=-1) / mods[..., :-1]).min(axis=-1)
             if rel.min() < ORDER_GAP_TOL:
+                first = rel[rel < ORDER_GAP_TOL][0]
                 raise AsymptoticsError(
-                    f"modulus ordering ambiguous (relative gap {rel.min():.2e}); t too small"
+                    f"modulus ordering ambiguous (relative gap {first:.2e}); t too small"
                 )
-        return w * np.exp(t * d_bar)
-    return general_eig(spec.m + t * np.diag(spec.d))
+        w = w * np.exp(ts * d_bar[..., None])[..., None]
+    else:
+        diag = np.zeros(spec.m.shape, dtype=complex)
+        index = np.arange(spec.size)
+        diag[..., index, index] = spec.d
+        w = general_eig(spec.m[..., None, :, :] + ts[:, None, None] * diag[..., None, :, :])
+    return w if t.ndim else w[..., 0, :]
 
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    gap: float
-    fitted_orders: np.ndarray  # per-j decay exponents
+    """A theorem check over a spec or a stack of specs: each field carries the
+    stack's leading axes, and each verdict is one bool per spec."""
+
+    gap: np.ndarray
+    fitted_orders: np.ndarray  # per-j decay exponents, shape (..., N)
     verdicts: dict
     p: np.ndarray | None = None  # exponential kind: first-order coefficients p_j
     orders_without_alpha: np.ndarray | None = None  # linear kind: the orders without alpha/t
 
     @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    def passed(self) -> np.ndarray:
+        return np.logical_and.reduce(list(self.verdicts.values()))
 
 
 def _fit_order(
@@ -161,6 +189,14 @@ def _fit_order(
     return float(np.polyfit(x, np.log(np.abs(values[usable])), 1)[0])
 
 
+def _decay_orders(t_grid: np.ndarray, r: np.ndarray, **fit) -> np.ndarray:
+    """Minus the fitted order of each (spec, j) column of r, shape (..., T, N),
+    as an array of shape (..., N)."""
+    lead, size = r.shape[:-2], r.shape[-1]
+    orders = [-_fit_order(t_grid, r[i][:, j], **fit) for i in np.ndindex(lead) for j in range(size)]
+    return np.array(orders).reshape(lead + (size,))
+
+
 def _fit_grid(t_grid) -> np.ndarray:
     """The time grid as a float array; a decay order needs two distinct times."""
     t_grid = np.asarray(t_grid, dtype=float)
@@ -170,80 +206,91 @@ def _fit_grid(t_grid) -> np.ndarray:
 
 
 def _relative_remainders(spec: FlowSpec, mj: np.ndarray, times) -> np.ndarray:
-    """rho_j(t) = lambda_j / (m_j e^{t d_j}) - 1, one row per time."""
-    rho = np.empty((len(times), spec.size), dtype=complex)
-    for i, t in enumerate(times):
-        rho[i] = flow_eigenvalues(spec, t) / (mj * np.exp(t * spec.d)) - 1.0
-    return rho
+    """rho_j(t) = lambda_j / (m_j e^{t d_j}) - 1, shape (..., T, N), from one
+    stacked solve over the distinct times."""
+    times, index = np.unique(np.asarray(times, dtype=float), return_inverse=True)
+    rho = flow_eigenvalues(spec, times) / (
+        mj[..., None, :] * np.exp(times[:, None] * spec.d[..., None, :])
+    ) - 1.0
+    return rho[..., index, :]
+
+
+def _exponential_report(spec: FlowSpec, t_grid, extra=()) -> tuple[AsymptoticReport, np.ndarray]:
+    """The exponential theorem report on the grid, and the remainders at the
+    extra times, shape (..., len(extra), N), from one principal_minors call
+    and one stacked solve over the grid and the extra times."""
+    if spec.kind != "exponential":
+        raise AsymptoticsError("spec is not of exponential kind")
+    t_grid = _fit_grid(t_grid)
+    pi, bordered = principal_minors(spec.m)
+    pj = _p_from_minors(_nonzero(pi), bordered)
+    rho = _relative_remainders(spec, _minor_ratios(pi), np.concatenate([t_grid, extra]))
+    rho, rho_extra = rho[..., : len(t_grid), :], rho[..., len(t_grid) :, :]
+    # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
+    first = pj[..., None, :] * np.exp(t_grid[:, None] * np.diff(spec.d, axis=-1)[..., None, :])
+    pad = [(0, 0)] * (first.ndim - 1)
+    subtracted = rho - (np.pad(first, pad + [(0, 1)]) - np.pad(first, pad + [(1, 0)]))
+    # the second-order remainder reaches the eigensolver noise floor quickly;
+    # clamp the decay fit above that floor so plateau points don't dilute it
+    orders = _decay_orders(t_grid, subtracted, clamp=1e-13)
+    # a component whose remainder sits entirely below the clamp decays faster
+    # than we can measure; only measurable components constrain the verdict
+    measured = np.isnan(orders) | (orders >= 1.8 * spec.gap[..., None])
+    shrinks = np.abs(rho[..., -1, :]) <= np.abs(rho[..., 0, :]) + FIT_CLAMP
+    verdicts = {
+        "post_subtraction_decay": np.all(measured, axis=-1),
+        "remainder_shrinks": np.all(shrinks, axis=-1),
+    }
+    return AsymptoticReport(gap=spec.gap, fitted_orders=orders, verdicts=verdicts, p=pj), rho_extra
 
 
 def verify_theorem_exponential(spec: FlowSpec, t_grid) -> AsymptoticReport:
     """Check the exponential-flow asymptotics on the grid: the relative
     remainders rho_j, their first-order model, and the post-subtraction
     second-order decay rate (expected about 2R, verified >= 1.8R)."""
-    if spec.kind != "exponential":
-        raise AsymptoticsError("spec is not of exponential kind")
-    t_grid = _fit_grid(t_grid)
-    pj = p_coeffs(spec.m)
-    rho = _relative_remainders(spec, m_coeffs(spec.m), t_grid)
-    # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
-    eps = np.exp(t_grid[:, None] * np.diff(spec.d))
-    zero = np.zeros((len(t_grid), 1))
-    p_pad = np.concatenate([[0.0], pj, [0.0]])
-    subtracted = rho - (p_pad[1:] * np.hstack([eps, zero]) - p_pad[:-1] * np.hstack([zero, eps]))
-    # the second-order remainder reaches the eigensolver noise floor quickly;
-    # clamp the decay fit above that floor so plateau points don't dilute it
-    orders = np.array(
-        [-_fit_order(t_grid, subtracted[:, j], clamp=1e-13) for j in range(spec.size)]
-    )
-    usable = ~np.isnan(orders)
-    # a component whose remainder sits entirely below the clamp decays faster
-    # than we can measure; only measurable components constrain the verdict
-    verdicts = {
-        "post_subtraction_decay": bool(np.all(orders[usable] >= 1.8 * spec.gap)),
-        "remainder_shrinks": bool(np.all(np.abs(rho[-1]) <= np.abs(rho[0]) + FIT_CLAMP)),
-    }
-    return AsymptoticReport(gap=spec.gap, fitted_orders=orders, verdicts=verdicts, p=pj)
+    return _exponential_report(spec, t_grid)[0]
+
+
+def _p_two_point(spec: FlowSpec, rho: np.ndarray) -> np.ndarray:
+    """p from the remainders rho, shape (..., 2, N), at the two P_RECOVERY_TIMES.
+
+    For each j the model rho_j = p_j e^{-t mu_j} - p_{j-1} e^{-t mu_{j-1}} is a
+    linear system in (p_j, p_{j-1}) over the two sample times; the first j has
+    the single-term model, and the systems of the others go to one solve call.
+    """
+    steps = np.diff(spec.d, axis=-1)  # d_{j+1} - d_j (negative real part)
+    growth = np.exp(np.array(P_RECOVERY_TIMES)[:, None] * steps[..., None, :])  # (..., 2, N-1)
+    out = np.empty(steps.shape, dtype=complex)
+    out[..., 0] = rho[..., 1, 0] / growth[..., 1, 0]
+    if spec.size > 2:
+        # system j, row i: [e^{t_i s_j}, -e^{t_i s_{j-1}}] p = rho_j(t_i)
+        a = np.moveaxis(np.stack([growth[..., 1:], -growth[..., :-1]], axis=-1), -3, -2)
+        b = np.moveaxis(rho[..., 1:-1], -2, -1)[..., None]
+        out[..., 1:] = np.linalg.solve(a, b)[..., 0, 0]
+    return out
 
 
 def recover_p_two_point(spec: FlowSpec) -> np.ndarray:
     """Independent recovery of the p coefficients from the remainders at the
-    two times P_RECOVERY_TIMES.
-
-    For each j the model rho_j = p_j e^{-t mu_j} - p_{j-1} e^{-t mu_{j-1}} is a
-    linear system in (p_j, p_{j-1}) over the two sample times.
-    """
-    t0, t1 = P_RECOVERY_TIMES
-    rho0, rho1 = _relative_remainders(spec, m_coeffs(spec.m), P_RECOVERY_TIMES)
-    steps = np.diff(spec.d)  # d_{j+1} - d_j (negative real part)
-    out = np.zeros(spec.size - 1, dtype=complex)
-    # j = 1 (0-based j=0): single-term model
-    out[0] = rho1[0] / np.exp(t1 * steps[0])
-    for j in range(1, spec.size - 1):
-        a = np.array(
-            [
-                [np.exp(t0 * steps[j]), -np.exp(t0 * steps[j - 1])],
-                [np.exp(t1 * steps[j]), -np.exp(t1 * steps[j - 1])],
-            ]
-        )
-        sol = np.linalg.solve(a, np.array([rho0[j], rho1[j]]))
-        out[j] = sol[0]
-    return out
+    two times P_RECOVERY_TIMES."""
+    return _p_two_point(spec, _relative_remainders(spec, m_coeffs(spec.m), P_RECOVERY_TIMES))
 
 
 def _linear_residuals(spec: FlowSpec, t_grid: np.ndarray, lams, shift) -> np.ndarray:
-    """r_j(t) = lambda_j - (M_jj + t d_j + shift_j / t), with shift alpha or 0,
-    each prediction matched to its nearest eigenvalue of the spectrum lams[i]
-    at t_grid[i]; a shared nearest eigenvalue is an error."""
-    diag = np.diag(spec.m)
-    resid = np.empty((len(t_grid), spec.size), dtype=complex)
-    for i, (t, lam) in enumerate(zip(t_grid, lams)):
-        pred = diag + t * spec.d + shift / t
-        assign = np.argmin(np.abs(lam[:, None] - pred[None, :]), axis=0)
-        if len(set(assign)) != spec.size:
-            raise AsymptoticsError(f"ambiguous eigenvalue matching at t={t}")
-        resid[i] = lam[assign] - pred
-    return resid
+    """r_j(t) = lambda_j - (M_jj + t d_j + shift_j / t), shape (..., T, N),
+    with shift alpha or 0 (shape (..., N)), each prediction matched to its
+    nearest eigenvalue of the spectrum lams[..., i, :] at t_grid[i]; a shared
+    nearest eigenvalue is an error."""
+    t = t_grid[:, None]
+    diag = np.diagonal(spec.m, axis1=-2, axis2=-1)[..., None, :]
+    pred = diag + t * spec.d[..., None, :] + np.asarray(shift)[..., None, :] / t
+    assign = np.argmin(np.abs(lams[..., :, None] - pred[..., None, :]), axis=-2)
+    ordered = np.sort(assign, axis=-1)
+    shared = np.any(ordered[..., 1:] == ordered[..., :-1], axis=-1)
+    if shared.any():
+        t_first = t_grid[np.argwhere(shared)[0][-1]]
+        raise AsymptoticsError(f"ambiguous eigenvalue matching at t={t_first}")
+    return np.take_along_axis(lams, assign, axis=-1) - pred
 
 
 def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
@@ -257,16 +304,15 @@ def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
     if t_grid.min() <= 0:
         raise AsymptoticsError("linear-kind grids must be strictly positive")
     alpha = alpha_coeffs(spec.m, spec.d)
-    lams = [flow_eigenvalues(spec, t) for t in t_grid]
-    resid, resid0 = (_linear_residuals(spec, t_grid, lams, shift) for shift in (alpha, 0.0))
-    orders, orders0 = (
-        np.array([-_fit_order(t_grid, r[:, j], log_t=True) for j in range(spec.size)])
-        for r in (resid, resid0)
+    lams = flow_eigenvalues(spec, t_grid)
+    resid, resid0 = (
+        _linear_residuals(spec, t_grid, lams, shift) for shift in (alpha, np.zeros(alpha.shape))
     )
+    orders, orders0 = (_decay_orders(t_grid, r, log_t=True) for r in (resid, resid0))
     t2r = (t_grid[:, None] ** 2) * np.abs(resid)
-    bound = t2r[0]
+    bound = t2r[..., :1, :]
     verdicts = {
-        "t2_bounded": bool(np.all(t2r <= 1.2 * np.maximum(bound, FIT_CLAMP) + 1e-12)),
+        "t2_bounded": np.all(t2r <= 1.2 * np.maximum(bound, FIT_CLAMP) + 1e-12, axis=(-2, -1)),
     }
     return AsymptoticReport(
         gap=spec.gap, fitted_orders=orders, verdicts=verdicts, orders_without_alpha=orders0
@@ -274,38 +320,42 @@ def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
 
 
 def exponential_summary(spec: FlowSpec, t_grid) -> dict:
-    """One report row for an exponential flow: the gap R, the smallest fitted
-    order, the relative error of the two-point p recovery, and under "passed"
-    the theorem report's own verdict.  A grid on which no component's order
-    can be fitted has no smallest order to report and is an error."""
-    rep = verify_theorem_exponential(spec, t_grid)
-    if np.isnan(rep.fitted_orders).all():
+    """The report columns of an exponential flow, one array per column over
+    the stack: the gap R, the smallest fitted order, the relative error of the
+    two-point p recovery, and under "passed" the theorem report's own verdict.
+    The recovery times share the grid's stacked solve.  A grid on which no
+    component's order can be fitted has no smallest order to report and is an
+    error."""
+    rep, rho = _exponential_report(spec, t_grid, P_RECOVERY_TIMES)
+    if np.isnan(rep.fitted_orders).all(axis=-1).any():
         raise AsymptoticsError(
             "no post-subtraction remainder rises above the 1e-13 fit floor on this "
             "grid; it is too late to fit a decay order"
         )
-    recovered = recover_p_two_point(spec)
+    recovered = _p_two_point(spec, rho)
     return {
         "R": rep.gap,
-        "min_fitted_order": float(np.nanmin(rep.fitted_orders)),
-        "p_recovery_rel_err": float(
-            (np.abs(recovered - rep.p) / np.maximum(np.abs(rep.p), 1e-12)).max()
-        ),
+        "min_fitted_order": np.nanmin(rep.fitted_orders, axis=-1),
+        "p_recovery_rel_err": (
+            np.abs(recovered - rep.p) / np.maximum(np.abs(rep.p), 1e-12)
+        ).max(axis=-1),
         "passed": rep.passed,
     }
 
 
 def linear_summary(spec: FlowSpec, t_grid) -> dict:
-    """One report row for a linear flow: the gap R and the mean fitted orders
-    with and without the alpha term; under "passed", the theorem report's own
-    verdict and whether those orders lie within 0.3 of 2 and of 1."""
+    """The report columns of a linear flow, one array per column over the
+    stack: the gap R and the mean fitted orders with and without the alpha
+    term; under "passed", the theorem report's own verdict and whether those
+    orders lie within 0.3 of 2 and of 1."""
     rep = verify_theorem_linear(spec, t_grid)
-    order, order0 = np.nanmean(rep.fitted_orders), np.nanmean(rep.orders_without_alpha)
+    order = np.nanmean(rep.fitted_orders, axis=-1)
+    order0 = np.nanmean(rep.orders_without_alpha, axis=-1)
     return {
         "R": rep.gap,
-        "order_with_alpha": float(order),
-        "order_without_alpha": float(order0),
-        "passed": rep.passed and abs(order - 2.0) <= 0.3 and abs(order0 - 1.0) <= 0.3,
+        "order_with_alpha": order,
+        "order_without_alpha": order0,
+        "passed": rep.passed & (np.abs(order - 2.0) <= 0.3) & (np.abs(order0 - 1.0) <= 0.3),
     }
 
 

@@ -1,11 +1,12 @@
-"""The table of checks: what each CLI battery computes at its points and the
+"""The table of checks: what each CLI battery computes on its units and the
 bound on each column of its report.
 
 A battery pairs a function of residuals with the ordered checks on the columns
-of a row.  A phase-point battery's function takes a point or a stack of points
-(see PhasePoint) and returns one array per column, entry i the row of point i;
-an asymptotics battery's function returns the row of one flow spec.  The CLI
-and the acceptance tests both read this table, so a bound is stated once.
+of a row.  Its function takes a stack of units, phase points (see PhasePoint)
+or flow specs (see FlowSpec), and returns one array per column in report
+order, entry i the row of unit i; an asymptotics battery's "passed" entry is
+the theorem's own verdict, for the checks that have no column.  The CLI and
+the acceptance tests both read this table, so a bound is stated once.
 """
 from __future__ import annotations
 
@@ -31,8 +32,9 @@ class Check:
 
 @dataclass(frozen=True)
 class Battery:
-    residuals: Callable[..., dict]  # a row's columns, over a stack of points or for one spec
+    residuals: Callable[..., dict]  # one array per column over a stack of units
     checks: tuple[Check, ...]  # in report column order
+    unit: str = "point"  # the report's unit column: "point" or "spec"
 
 
 BATTERIES = {
@@ -72,13 +74,11 @@ BATTERIES = {
         Check("antisymplectic", 1e-4),
         Check("flow_symplectic", 1e-4),
     )),
-}
-
-# Batteries over sampled flow specs, keyed by --kind.  Their rows carry the
-# theorem's own verdict under "passed", for the checks that have no column.
-ASYMPTOTICS = {
-    "exponential": Battery(asymptotics.exponential_summary, (Check("p_recovery_rel_err", 1e-3),)),
-    "linear": Battery(asymptotics.linear_summary, ()),
+    # the asymptotics command, one battery per --kind
+    "asymptotics-exponential": Battery(
+        asymptotics.exponential_summary, (Check("p_recovery_rel_err", 1e-3),), unit="spec"
+    ),
+    "asymptotics-linear": Battery(asymptotics.linear_summary, (), unit="spec"),
 }
 
 FLOW_GAP = Check("propagator_gap", 1e-6)  # RK against projection, per time sample

@@ -1,7 +1,8 @@
 """Command-line front end: runs the check batteries of `checks.BATTERIES` over
-seeded samples and writes deterministic CSV/JSON reports.  A battery makes one
-residual call on the stack of all its sampled points and splits the columns
-into one row per point.
+seeded samples and writes deterministic CSV/JSON reports.  A battery samples
+its units (phase points, or flow specs for `asymptotics`) one seed at a time,
+makes one residual call on the stack of them all and splits the columns into
+one row per unit.
 
 Each row's `passed` is that row's own verdict: every column within
 `bound * --tol-scale`, or above its lower bound.  Exit codes: 0 every row
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from . import dynamics
-from .checks import ASYMPTOTICS, BATTERIES, FLOW_GAP
+from .checks import BATTERIES, FLOW_GAP
 from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample
 
 EXIT_PASS = 0
@@ -53,15 +54,21 @@ def _fmt(x) -> str:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """The times of start:step:stop or a comma list: at least one, all finite."""
     try:
         if ":" in spec:
             start, step, stop = (float(v) for v in spec.split(":"))
             if step <= 0:
                 raise ValueError
-            return np.arange(start, stop + 1e-12, step)
-        return np.array([float(v) for v in spec.split(",")])
+            grid = np.arange(start, stop + 1e-12, step)
+        else:
+            grid = np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
         raise UsageError(f"bad time grid {spec!r}; use start:step:stop or a comma list") from exc
+    # an empty grid would be a report with nothing checked
+    if grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise UsageError(f"time grid {spec!r} must hold at least one time, all finite")
+    return grid
 
 
 def _json_value(value):
@@ -113,43 +120,50 @@ def _report(rows, checks, header, args) -> int:
     return EXIT_PASS if all(row["passed"] for row in rows) else EXIT_FAIL
 
 
-def _points(args) -> int:
+def _stack(args, unit: str):
+    """The --points units from seed --seed on, sampled one seed at a time, as one stack."""
     if args.points < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
-    return args.points
+    seeds = range(args.seed, args.seed + args.points)
+    if unit == "spec":
+        specs = [asy.sample_spec(args.n, seed=s, kind=args.kind) for s in seeds]
+        m, d = np.stack([s.m for s in specs]), np.stack([s.d for s in specs])
+        return asy.FlowSpec(m, d, args.kind)
+    points = [sample(args.n, seed=s) for s in seeds]
+    return PhasePoint(xi=np.stack([p.xi for p in points]), eta=np.stack([p.eta for p in points]))
 
 
-def _run_battery(args, name: str, fixed: dict | None = None, **options) -> int:
+def _run_battery(args, name: str, *context, fixed: dict | None = None, **options) -> int:
+    """One residual call on the stack of the sampled units; the header is the
+    unit column, the residual columns in their order, and `passed`."""
     battery = BATTERIES[name]
-    g = _coupling(args)
-    points = [sample(args.n, seed=args.seed + k) for k in range(_points(args))]
-    stack = PhasePoint(xi=np.stack([p.xi for p in points]), eta=np.stack([p.eta for p in points]))
-    columns = battery.residuals(stack, g, **options)
+    columns = battery.residuals(_stack(args, battery.unit), *context, **options)
+    header = [battery.unit, *(c for c in columns if c != "passed"), "passed"]
     rows = [
-        {**(fixed or {}), "point": i, **{c: float(v[i]) for c, v in columns.items()}}
-        for i in range(len(points))
+        {**(fixed or {}), battery.unit: i,
+         **{c: bool(v[i]) if c == "passed" else float(v[i]) for c, v in columns.items()}}
+        for i in range(args.points)
     ]
-    header = ["point", *(c.column for c in battery.checks), "passed"]
     return _report(rows, battery.checks, header, args)
 
 
 def cmd_lax_check(args) -> int:
     # lax-check rows also carry the seed, which shows in JSON reports
-    return _run_battery(args, "lax-check", {"seed": args.seed})
+    return _run_battery(args, "lax-check", _coupling(args), fixed={"seed": args.seed})
 
 
 def cmd_duality(args) -> int:
-    return _run_battery(args, "duality")
+    return _run_battery(args, "duality", _coupling(args))
 
 
 def cmd_scatter(args) -> int:
-    return _run_battery(args, "scatter")
+    return _run_battery(args, "scatter", _coupling(args))
 
 
 def cmd_brackets(args) -> int:
     if not (np.isfinite(args.step) and args.step > 0):
         raise UsageError(f"--step must be finite and positive, got {args.step}")
-    return _run_battery(args, "brackets", step=args.step)
+    return _run_battery(args, "brackets", _coupling(args), step=args.step)
 
 
 def cmd_flow(args) -> int:
@@ -189,13 +203,7 @@ def cmd_flow(args) -> int:
 def cmd_asymptotics(args) -> int:
     if args.n < 2:
         raise UsageError(f"asymptotics needs n >= 2, got {args.n}")
-    grid = _parse_grid(args.t)
-    battery = ASYMPTOTICS[args.kind]
-    specs = [
-        asy.sample_spec(args.n, seed=args.seed + k, kind=args.kind) for k in range(_points(args))
-    ]
-    rows = [{"spec": k, **battery.residuals(spec, grid)} for k, spec in enumerate(specs)]
-    return _report(rows, battery.checks, list(rows[0]), args)
+    return _run_battery(args, f"asymptotics-{args.kind}", _parse_grid(args.t))
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:

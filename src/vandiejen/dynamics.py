@@ -180,11 +180,11 @@ def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
     return PhasePoint(*_flow_step(_flow_frame(lax_matrix(p, g)), g, float(t)))
 
 
-def projection_outcomes(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundle | None = None):
+def projection_outcomes(p: PhasePoint, g: Coupling, t_values):
     """projection_flow over a time grid, from one frame of the initial point: per
     time a TrajectorySample, or the DynamicsError that stopped the step at that
-    time.  bundle is the Lax bundle at (p, g) when the caller already holds it."""
-    frame = _flow_frame(lax_matrix(p, g) if bundle is None else bundle)
+    time."""
+    frame = _flow_frame(lax_matrix(p, g))
     out = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
         try:
@@ -193,13 +193,4 @@ def projection_outcomes(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundle 
             out.append(exc)
         else:
             out.append(TrajectorySample(float(t), q, energy(q, g)))
-    return out
-
-
-def projection_trajectory(p: PhasePoint, g: Coupling, t_values, bundle: LaxBundle | None = None):
-    """projection_outcomes as samples only: raises the first time's DynamicsError."""
-    out = projection_outcomes(p, g, t_values, bundle)
-    for s in out:
-        if isinstance(s, DynamicsError):
-            raise s
     return out

@@ -1,5 +1,4 @@
-"""Asymptotic scattering data: phase shifts, wave maps, the factorized scattering map,
-and empirical verification that trajectories converge to their free asymptotes.
+"""Asymptotic scattering data: phase shifts, wave maps and the factorized scattering map.
 
 The total phase shift of each particle is a sum of pairwise and one-body
 terms Delta_a; asymptotic positions come in two routes (a closed form in the
@@ -8,7 +7,7 @@ dual matrix L_hat) which must agree.
 
 The phase shifts, the maps, the asymptotic data and the identity residuals
 take a phase point or a stack of them (see PhasePoint), each result carrying
-the leading axes of the stack; a residual trace follows one point.
+the leading axes of the stack.
 """
 from __future__ import annotations
 
@@ -17,14 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .asymptotics import _fit_order, _minor_ratios
-from .duality import DualFrame, dual_frame
-from .dynamics import projection_trajectory
+from .asymptotics import _minor_ratios
+from .duality import dual_frame
 from .linalg import principal_minors
 from .phase_space import Coupling, PhasePoint, VandiejenError
-
-RESIDUAL_CLAMP = 1e-14
-MIN_FIT_POINTS = 4
 
 
 class ScatteringError(VandiejenError):
@@ -36,7 +31,7 @@ def delta_vector(xi, g: Coupling) -> np.ndarray:
     of a (..., n) stack: the one-body log term in 2*xi_a plus signed two-body
     log terms over index pairs."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape[-1] > 1 and (np.diff(xi).max() >= 0 or xi[..., -1].min() <= 0):
+    if (xi.shape[-1] > 1 and np.diff(xi).max() >= 0) or xi[..., -1].min() <= 0:
         raise ScatteringError("xi must be strictly descending positive")
     return _kernels.delta_shifts(xi, g.mu, g.nu)
 
@@ -60,10 +55,9 @@ class AsymptoticData:
         return PhasePoint(xi=self.lambda_minus, eta=self.theta_minus)
 
 
-def asymptotic_data(p: PhasePoint, g: Coupling, frame: DualFrame | None = None) -> AsymptoticData:
+def asymptotic_data(p: PhasePoint, g: Coupling) -> AsymptoticData:
     """Both routes to the asymptotic positions, cross-checkable by the caller."""
-    if frame is None:
-        frame = dual_frame(p, g)
+    frame = dual_frame(p, g)
     n = frame.n
     th = frame.theta_hat
     delta = delta_vector(th, g)
@@ -129,54 +123,3 @@ def identity_residuals(p: PhasePoint, g: Coupling) -> dict:
         "scattering_consistency": np.abs(sw.as_vector() - wp.as_vector()).max(axis=-1),
         "composite_route": np.abs(sw.as_vector() - comp.as_vector()).max(axis=-1),
     }
-
-
-@dataclass(frozen=True)
-class ResidualTrace:
-    t_grid: np.ndarray
-    position_residuals: np.ndarray  # shape (len(t), n): lambda_a(t) - t sinh(theta+_a) - lambda+_a
-    rapidity_residuals: np.ndarray  # shape (len(t), n): eta_a(t) - theta+_a
-    fitted_rate: float  # decay rate of the slowest (max-over-a) position residual
-    rapidity_fitted_rate: float
-    min_gap: float  # minimal adjacent gap of 2*sinh applied to the ordered exponent diagonal
-    onset_index: int
-
-
-def residual_trace(p: PhasePoint, g: Coupling, t_grid) -> ResidualTrace:
-    """Track the approach of the flow from one point to its free asymptote over the grid."""
-    p.require_one()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ScatteringError("time grid must be strictly increasing")
-    frame = dual_frame(p, g)
-    data = asymptotic_data(p, g, frame)
-    theta_plus_diag = np.concatenate([data.theta_plus, data.theta_minus[::-1]])
-    gaps = -np.diff(2.0 * np.sinh(theta_plus_diag))
-    min_gap = float(gaps.min())
-    pos_res, rap_res = [], []
-    for s in projection_trajectory(p, g, t_grid, frame.bundle):
-        pos_res.append(s.point.xi - s.t * np.sinh(data.theta_plus) - data.lambda_plus)
-        rap_res.append(s.point.eta - data.theta_plus)
-    pos_res = np.array(pos_res)
-    rap_res = np.array(rap_res)
-    worst = np.abs(pos_res).max(axis=1)
-    worst_rap = np.abs(rap_res).max(axis=1)
-    onset = int(np.argmax(worst < 0.1 * worst[0])) if np.any(worst < 0.1 * worst[0]) else len(worst)
-    rates = []
-    for r in (worst, worst_rap):
-        # the decay rate: minus the log slope over the upper half of the usable points
-        t_u, r_u = t_grid[r > RESIDUAL_CLAMP], r[r > RESIDUAL_CLAMP]
-        upper = len(t_u) // 2 - 1
-        rates.append(
-            -_fit_order(t_u[upper:], r_u[upper:], clamp=RESIDUAL_CLAMP)
-            if len(t_u) >= MIN_FIT_POINTS else float("nan")
-        )
-    return ResidualTrace(
-        t_grid=t_grid,
-        position_residuals=pos_res,
-        rapidity_residuals=rap_res,
-        fitted_rate=rates[0],
-        rapidity_fitted_rate=rates[1],
-        min_gap=min_gap,
-        onset_index=onset,
-    )

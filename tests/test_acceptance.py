@@ -20,9 +20,8 @@ from vandiejen.asymptotics import (
     verify_theorem_linear,
 )
 from vandiejen.checks import BATTERIES
-from vandiejen.dynamics import projection_flow, projection_trajectory, rk_flow
+from vandiejen.dynamics import projection_flow, projection_outcomes, rk_flow
 from vandiejen.lax import lax_matrix
-from vandiejen.scattering import residual_trace
 
 from conftest import det_cofactor, hyperbolic_cauchy_det, trace_power_observable
 
@@ -101,7 +100,7 @@ def test_acceptance_propagators_and_conservation():
         for seed in (3, 7):
             p = sample(n, seed=seed)
             rk = rk_flow(p, G, grid)
-            pr = projection_trajectory(p, G, grid)
+            pr = projection_outcomes(p, G, grid)
             for a, b in zip(rk, pr):
                 worst_gap = max(
                     worst_gap, np.abs(a.point.as_vector() - b.point.as_vector()).max()
@@ -130,13 +129,7 @@ def test_acceptance_scattering():
     ok, worst = _battery_worst("scatter", points)
     # S(W_-) = W_+ is held to the composite route's bound here, tighter than the CLI's
     ok = ok and worst["scattering_consistency"] <= 1e-12
-    trace = residual_trace(sample(2, seed=7), G, np.arange(1.0, 12.1, 1.0))
-    rate_ok = 0.5 <= trace.fitted_rate / trace.min_gap <= 1.5
-    rap_ok = 0.5 <= trace.rapidity_fitted_rate / trace.min_gap <= 1.5
-    _report(
-        "scattering", ok and rate_ok and rap_ok,
-        f"{worst} rate/gap {trace.fitted_rate / trace.min_gap:.2f}",
-    )
+    _report("scattering", ok, str(worst))
 
 
 def test_acceptance_canonicity():

@@ -57,6 +57,15 @@ def _reference_sample_spec(size, seed, min_gap=1.5, gap_spread=0.5, off_scale=0.
     raise AssertionError("no candidate accepted")
 
 
+def _reference_alpha(m, d):
+    """alpha_j as one scalar sum per j, over k in order."""
+    diff = d[:, None] - d[None, :]
+    n = len(d)
+    return np.array(
+        [sum(m[j, k] * m[k, j] / diff[j, k] for k in range(n) if k != j) for j in range(n)]
+    )
+
+
 def test_m_coeffs_diagonal():
     npt.assert_allclose(m_coeffs(np.diag([2.0, 3.0, 5.0])), [2, 3, 5])
 
@@ -94,6 +103,14 @@ def test_alpha_coeffs_two_by_two_antisymmetric():
     a = alpha_coeffs(m, [2.0, -1.0])
     assert a[0] == pytest.approx(-a[1], rel=1e-12)
     assert a[0] == pytest.approx(0.4 * 0.9 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [2, 4, 6, 8])
+def test_alpha_coeffs_equal_the_scalar_sums(size):
+    # bit for bit: the linear rows fit their orders to residuals built on alpha
+    for seed in range(1, 13):
+        spec = sample_spec(size, seed=seed, kind="linear")
+        assert np.array_equal(alpha_coeffs(spec.m, spec.d), _reference_alpha(spec.m, spec.d))
 
 
 def test_alpha_coeffs_reversed_sum_oracle():
@@ -260,7 +277,79 @@ def test_ambiguous_matching_without_alpha_is_rejected():
         d=np.array([1.0, 0.0, -1.0]), kind="linear",
     )
     grid = np.array([1.0, 2.0])
-    lams = [flow_eigenvalues(spec, t) for t in grid]
+    lams = flow_eigenvalues(spec, grid)
     asymptotics._linear_residuals(spec, grid, lams, alpha_coeffs(spec.m, spec.d))
     with pytest.raises(AsymptoticsError, match="ambiguous eigenvalue matching at t=1.0"):
         verify_theorem_linear(spec, grid)
+
+
+# -- a stack of specs: one eigensolve, the numbers of each spec alone ----------
+
+
+def _stack(specs):
+    return FlowSpec(np.stack([s.m for s in specs]), np.stack([s.d for s in specs]), specs[0].kind)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "linear"])
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_stacked_rows_equal_the_rows_of_each_spec_alone(kind, size):
+    # seeds 1-12 at n = 4, 6, 8 are the specs the benchmark's survey catalogue draws
+    summary = asymptotics.exponential_summary if kind == "exponential" else asymptotics.linear_summary
+    grid = np.arange(4.0, 10.5, 1.0)
+    specs = [sample_spec(size, seed=seed, kind=kind) for seed in range(1, 13)]
+    stacked = summary(_stack(specs), grid)
+    for k, spec in enumerate(specs):
+        alone = summary(spec, grid)
+        assert list(alone) == list(stacked)
+        for column, values in stacked.items():
+            assert values[k] == alone[column], (k, column)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "linear"])
+def test_flow_eigenvalues_over_times_equal_the_per_time_calls(kind):
+    times = np.array([0.5, 4.0, 8.0, 10.0, 12.0])
+    specs = [sample_spec(5, seed=seed, kind=kind) for seed in (1, 2, 3)]
+    stacked = flow_eigenvalues(_stack(specs), times)
+    assert stacked.shape == (3, 5, 5)
+    for k, spec in enumerate(specs):
+        over_times = flow_eigenvalues(spec, times)
+        for i, t in enumerate(times):
+            assert np.array_equal(over_times[i], flow_eigenvalues(spec, t))
+            assert np.array_equal(stacked[k, i], over_times[i])
+
+
+def test_recovery_and_alpha_of_a_stack_equal_those_of_each_spec():
+    specs = [sample_spec(6, seed=seed) for seed in range(1, 6)]
+    stack = _stack(specs)
+    recovered, alpha = recover_p_two_point(stack), alpha_coeffs(stack.m, stack.d)
+    for k, spec in enumerate(specs):
+        assert np.array_equal(recovered[k], recover_p_two_point(spec))
+        assert np.array_equal(alpha[k], alpha_coeffs(spec.m, spec.d))
+
+
+def test_a_stack_raises_the_error_of_its_first_failing_spec():
+    good = FlowSpec(m=np.diag([2.0, 1.0]), d=np.array([0.1, -0.1]), kind="exponential")
+    bad = FlowSpec(m=np.array([[1.0, 1.0], [-1.0, 1.0]]), d=np.array([0.1, -0.1]), kind="exponential")
+    with pytest.raises(AsymptoticsError) as alone:
+        flow_eigenvalues(bad, 1e-9)
+    with pytest.raises(AsymptoticsError) as stacked:
+        flow_eigenvalues(_stack([good, bad, bad]), [1.0, 1e-9])
+    assert str(stacked.value) == str(alone.value)
+    # the linear matching: the same message as the ambiguous spec alone
+    ambiguous = FlowSpec(
+        m=np.array([[0.5, -0.9, -1.8], [-1.9, 1.3, 1.7], [0.4, 0.9, 0.2]]),
+        d=np.array([1.0, 0.0, -1.0]), kind="linear",
+    )
+    fine = FlowSpec(m=np.eye(3), d=np.array([1.0, 0.0, -1.0]), kind="linear")
+    with pytest.raises(AsymptoticsError, match="ambiguous eigenvalue matching at t=1.0"):
+        verify_theorem_linear(_stack([fine, ambiguous]), [1.0, 2.0])
+
+
+def test_flow_spec_stack_checks_every_spec():
+    m = np.stack([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    with pytest.raises(AsymptoticsError, match="leading principal minor"):
+        FlowSpec(m=m, d=[[1.0, -1.0], [1.0, -1.0]], kind="exponential")
+    with pytest.raises(AsymptoticsError, match="strictly descending"):
+        FlowSpec(m=m, d=[[1.0, -1.0], [1.0, 1.0]], kind="linear")
+    with pytest.raises(AsymptoticsError, match="square"):
+        FlowSpec(m=m, d=[1.0, -1.0], kind="linear")

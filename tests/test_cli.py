@@ -46,14 +46,14 @@ def test_bad_coupling_names_the_class_it_misses(command, nu, missed, tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["lax-check", "duality", "scatter", "brackets"])
+@pytest.mark.parametrize("command", ["lax-check", "duality", "scatter", "brackets", "asymptotics"])
 def test_a_stack_of_points_reports_the_rows_of_each_point_alone(command, tmp_path):
-    # one residual call on seven points against seven calls on one point each
+    # one residual call on seven units against seven calls on one unit each
     def rows(seed, points):
         out = tmp_path / "out.csv"
         argv = [command, "--n", "3", "--mu", "1.3", "--nu", "0.2", "--seed", str(seed)]
         run([*argv, "--points", str(points), "--out", str(out)])
-        return [{k: v for k, v in r.items() if k != "point"} for r in csv.DictReader(out.open())]
+        return [{k: v for k, v in r.items() if k not in ("point", "spec")} for r in csv.DictReader(out.open())]
 
     stacked = rows(1, 7)
     assert stacked == [rows(seed, 1)[0] for seed in range(1, 8)]
@@ -249,6 +249,13 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
         # options the subcommand does not take: a parse error, which exits
         ["lax-check", "--points", "1", "--pointz", "3"],
         ["flow", "--n", "2", "--t", "0,1", "--points", "7"],
+        # a time grid with no time, or with a non-finite one
+        ["flow", "--n", "2", "--t", "5:1:0"],
+        ["flow", "--n", "2", "--t", "inf"],
+        ["flow", "--n", "2", "--t", "0,nan"],
+        ["asymptotics", "--n", "3", "--t", "5:1:0"],
+        ["asymptotics", "--n", "3", "--kind", "linear", "--t", "4,nan"],
+        ["asymptotics", "--n", "3", "--t", "4,-inf"],
     ],
 )
 def test_bad_option_value_is_one_line_usage_error(argv, tmp_path, capsys):

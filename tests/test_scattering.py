@@ -4,12 +4,9 @@ import pytest
 
 from vandiejen.duality import dual_frame
 from vandiejen.scattering import (
-    MIN_FIT_POINTS,
-    RESIDUAL_CLAMP,
     ScatteringError,
     asymptotic_data,
     delta_vector,
-    residual_trace,
     scattering_map,
     upsilon,
     upsilon_minus_inverse,
@@ -49,6 +46,16 @@ def test_delta_rejects_unordered(g):
         delta_vector([0.5, 1.0], g)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "xi", [[-0.5], [0.0], [[0.7], [0.0]], [1.0, 0.0], [1.0, -0.5]], ids=str
+)
+def test_delta_rejects_a_non_positive_entry_at_every_size(xi, g):
+    # one particle too: 0 would divide by sinh(0) and warn, -0.5 would pass unnoticed
+    with pytest.raises(ScatteringError, match="strictly descending positive"):
+        delta_vector(xi, g)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_minor_routes_match_closed_form(n, g):
     data = asymptotic_data(point(n, seed=5 + n), g)
@@ -65,7 +72,7 @@ def test_sum_identity(g):
 def test_single_particle_lambda_plus_closed_form(g):
     p = point(1, seed=11)
     frame = dual_frame(p, g)
-    data = asymptotic_data(p, g, frame)
+    data = asymptotic_data(p, g)
     th = frame.theta_hat[0]
     expect = 0.5 * frame.lambda_hat[0] + 0.25 * np.log1p(np.sin(g.nu) ** 2 / np.sinh(2 * th) ** 2)
     assert data.lambda_plus[0] == pytest.approx(expect, rel=1e-12)
@@ -135,18 +142,6 @@ def test_upsilon_minus_inverse_round_trip(g):
     npt.assert_allclose(back.eta, q.eta, atol=1e-12)
 
 
-def test_residuals_decay_and_rate_tracks_gap(g):
-    p = point(2, seed=7)
-    trace = residual_trace(p, g, np.arange(1.0, 12.1, 1.0))
-    worst = np.abs(trace.position_residuals).max(axis=1)
-    # strictly smaller residual when t doubles (within the pre-clamp range)
-    assert worst[7] < worst[3] < worst[1]
-    rap = np.abs(trace.rapidity_residuals).max(axis=1)
-    assert rap[-1] < rap[1] / 4
-    assert 0.5 <= trace.fitted_rate / trace.min_gap <= 1.5
-    assert 0.5 <= trace.rapidity_fitted_rate / trace.min_gap <= 1.5
-
-
 def test_residual_trace_mirrored_time_hits_minus_branch(g):
     p = point(2, seed=7)
     from vandiejen.dynamics import projection_flow
@@ -157,39 +152,6 @@ def test_residual_trace_mirrored_time_hits_minus_branch(g):
     res = q.xi + t * np.sinh(data.theta_minus) - data.lambda_minus
     assert np.abs(res).max() < 5e-3
     assert np.abs(q.eta - data.theta_minus).max() < 5e-3
-
-
-def _fit_decay_oracle(t, r):
-    """The decay fit as residual_trace once had it: the least-squares slope of
-    ln(residual) vs t over the upper half of the usable points."""
-    usable = r > RESIDUAL_CLAMP
-    t_u, r_u = t[usable], r[usable]
-    if len(t_u) < MIN_FIT_POINTS:
-        return float("nan")
-    half = len(t_u) // 2
-    t_fit, r_fit = t_u[half - 1 :], r_u[half - 1 :]
-    slope = np.polyfit(t_fit, np.log(r_fit), 1)[0]
-    return float(-slope)
-
-
-@pytest.mark.parametrize(
-    "n, seed, grid",
-    [(2, 7, np.arange(1.0, 12.1, 1.0)), (3, 4, np.arange(0.5, 30.1, 0.5)),
-     (1, 2, np.arange(1.0, 40.1, 3.0)), (2, 3, [1.0, 2.0, 3.0])],
-    ids=["decaying", "clamped-tail", "one-particle", "too-few-points"],
-)
-def test_residual_trace_rates_equal_the_old_fit(n, seed, grid, g):
-    trace = residual_trace(point(n, seed=seed), g, grid)
-    worst = np.abs(trace.position_residuals).max(axis=1)
-    worst_rap = np.abs(trace.rapidity_residuals).max(axis=1)
-    for got, r in ((trace.fitted_rate, worst), (trace.rapidity_fitted_rate, worst_rap)):
-        want = _fit_decay_oracle(trace.t_grid, r)
-        assert np.array_equal(got, want, equal_nan=True) and np.signbit(got) == np.signbit(want)
-
-
-def test_residual_trace_rejects_bad_grid(g):
-    with pytest.raises(ScatteringError):
-        residual_trace(point(1, seed=1), g, [2.0, 1.0])
 
 
 def test_wave_map_rejects_bad_sign(g):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vandiejen import Coupling, _kernels, asymptotics, brackets, duality, lax, scattering
-from vandiejen.checks import ASYMPTOTICS
+from vandiejen.checks import BATTERIES
 from vandiejen.cli import main
 
 from conftest import point
@@ -34,9 +34,8 @@ def z_calls(monkeypatch):
         (duality.identity_residuals, lambda n: 2),
         (scattering.identity_residuals, lambda n: 1),
         (brackets.symplectic_residuals, lambda n: 1),  # one stack of 4n stencil points
-        (lambda p, g: scattering.residual_trace(p, g, [1.0, 2.0, 3.0]), lambda n: 1),
     ],
-    ids=["lax_matrix", "duality_row", "scatter_row", "brackets_row", "residual_trace"],
+    ids=["lax_matrix", "duality_row", "scatter_row", "brackets_row"],
 )
 @pytest.mark.parametrize("n", [2, 3])
 def test_z_kernel_runs_once_per_bundle(z_calls, unit, expected, n):
@@ -58,7 +57,8 @@ def test_battery_runs_the_z_kernel_once_per_stack(z_calls, command, expected, po
 @pytest.mark.parametrize("kind, extra", [("linear", 0), ("exponential", 2)])
 @pytest.mark.parametrize("grid", [[4.0, 5.0], np.arange(4.0, 10.5, 1.0)], ids=["2", "7"])
 def test_asymptotics_row_solves_each_spectrum_once(monkeypatch, kind, extra, grid):
-    # the exponential row adds the two times of the p recovery
+    # one eigensolve for the whole stack of specs: each distinct time of the
+    # grid, with the exponential row's `extra` times of the p recovery, once
     calls = []
     original = asymptotics.general_eig
 
@@ -67,8 +67,13 @@ def test_asymptotics_row_solves_each_spectrum_once(monkeypatch, kind, extra, gri
         return original(a)
 
     monkeypatch.setattr(asymptotics, "general_eig", counted)
-    ASYMPTOTICS[kind].residuals(asymptotics.sample_spec(4, seed=2, kind=kind), grid)
-    assert len(calls) == len(grid) + extra
+    specs = [asymptotics.sample_spec(4, seed=seed, kind=kind) for seed in (2, 3, 4)]
+    stack = asymptotics.FlowSpec(
+        np.stack([s.m for s in specs]), np.stack([s.d for s in specs]), kind
+    )
+    BATTERIES[f"asymptotics-{kind}"].residuals(stack, grid)
+    times = np.unique(np.concatenate([grid, asymptotics.P_RECOVERY_TIMES[:extra]]))
+    assert [a.shape for a in calls] == [(3, len(times), 4, 4)]
 
 
 @pytest.mark.parametrize("g", COUPLINGS, ids=str)

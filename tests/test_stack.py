@@ -14,7 +14,6 @@ from vandiejen.dynamics import DynamicsError, _flow_frame, _flow_step, projectio
 from vandiejen.lax import lax_matrix
 from vandiejen.linalg import hermitian_eig
 from vandiejen.phase_space import PhaseSpaceError, validate
-from vandiejen.scattering import residual_trace
 
 from conftest import point
 
@@ -220,9 +219,8 @@ def test_battery_names_the_first_failing_point_of_its_stack(monkeypatch, tmp_pat
         lambda p, g: dynamics.vector_field(p, g),
         lambda p, g: brackets.poisson_brackets(lambda q: q.as_vector(), p),
         lambda p, g: validate(p),
-        lambda p, g: residual_trace(p, g, [1.0, 2.0]),
     ],
-    ids=["rk_flow", "vector_field", "poisson_brackets", "validate", "residual_trace"],
+    ids=["rk_flow", "vector_field", "poisson_brackets", "validate"],
 )
 def test_single_point_routines_reject_a_stack(call):
     stack = stack_of([point(2, seed=1), point(2, seed=2)])
