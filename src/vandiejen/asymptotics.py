@@ -37,6 +37,11 @@ class AsymptoticsError(VandiejenError):
     pass
 
 
+def _require_size(size: int):
+    if size < 2:  # a flow needs a gap R and a perturbation sum
+        raise AsymptoticsError(f"a flow spec needs size >= 2, got {size}")
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """A matrix flow: M paired with diagonal values d, of exponential or linear
@@ -57,6 +62,7 @@ class FlowSpec:
             raise AsymptoticsError(f"unknown kind {self.kind!r}")
         if d.ndim < 1 or m.shape != d.shape + d.shape[-1:]:
             raise AsymptoticsError("M must be square and match the diagonal length")
+        _require_size(d.shape[-1])
         if np.any(np.diff(d.real, axis=-1) >= 0):
             raise AsymptoticsError("Re(d) must be strictly descending")
         if self.kind == "exponential":
@@ -115,6 +121,7 @@ def alpha_coeffs(m, d) -> np.ndarray:
     in order, as a loop: numpy's own reduction would regroup it."""
     m = np.asarray(m, dtype=complex)
     d = np.asarray(d, dtype=complex)
+    _require_size(d.shape[-1])
     off = ~np.eye(d.shape[-1], dtype=bool)
     diff = d[..., :, None] - d[..., None, :]
     if np.abs(diff[..., off]).min() < 1e-12:
@@ -384,8 +391,7 @@ def sample_spec(size: int, seed: int, kind: str = "exponential") -> FlowSpec:
     default_rng(seed * 1009 + k), and the spec returned is the first accepted
     in attempt order, so the result does not depend on the blocking.
     """
-    if size < 2:
-        raise AsymptoticsError(f"a flow spec needs size >= 2, got {size}")
+    _require_size(size)
 
     slots = np.linspace(0.0, SPEC_GAP_SPREAD, size - 1)
     jitter = 0.1 * SPEC_GAP_SPREAD / max(size - 2, 1)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .duality import dual_frame
-from .dynamics import _flow_frame, _flow_step
+from .dynamics import _flow_step
 from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, require_valid
 
 DEFAULT_STEP = 1e-5
@@ -119,9 +119,10 @@ def _form_residual(j: np.ndarray, sign: float) -> np.ndarray:
 
 def _spectral_and_flow(x: np.ndarray, g: Coupling) -> np.ndarray:
     """(spectral image, time-1 flow) over a (K, 2n) stack of points, both read
-    from the one Lax bundle at those points."""
+    from the one spectrum of L at those points."""
     frame = dual_frame(PhasePoint.from_vector(x), g)
-    xi_t, eta_t = _flow_step(_flow_frame(frame.bundle), g, 1.0)
+    # the basis before the phase fix, as projection_flow takes it: the same bits
+    xi_t, eta_t = _flow_step((frame.bundle.lam, frame.theta_hat, frame.basis), g, 1.0)
     return np.concatenate([frame.theta_hat, frame.lambda_hat, xi_t, eta_t], axis=-1)
 
 

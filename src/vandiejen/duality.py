@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .lax import LaxBundle, conjugation_matrix, lax_matrix
+from .lax import LaxBundle, lax_matrix
 from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError
 
@@ -33,10 +33,22 @@ class DualityError(VandiejenError):
     pass
 
 
-def _angles(w: np.ndarray, n: int) -> np.ndarray:
-    """Positive half-spectrum angles from ascending spectra w of shape (..., 2n):
-    theta_hat_a = ln(w_a)/2 for eigenvalues w > 1, sorted descending; reciprocal
-    pairing and simplicity are verified per point."""
+def _full_angles(theta_hat: np.ndarray) -> np.ndarray:
+    return np.concatenate([theta_hat, -theta_hat], axis=-1)
+
+
+def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:
+    """(theta_hat, basis) from one stacked eigensolve of L.
+
+    theta_hat_a = ln(w_a)/2 for the eigenvalues w > 1, sorted descending;
+    reciprocal pairing and simplicity are verified per point.  Column a < n of
+    the unitary basis carries e^{2 theta_hat_a}, with the phase eigh gives it,
+    and column n+a is C times column a, which carries the reciprocal eigenvalue
+    (C L C = L^{-1}).
+    """
+    n = bundle.n
+    eig = hermitian_eig(bundle.matrix)
+    w = eig.eigenvalues
     pairing = np.abs(w * w[..., ::-1] - 1.0)
     if pairing.max() > 1e-6:
         worst = pairing.max(axis=-1)
@@ -58,32 +70,24 @@ def _angles(w: np.ndarray, n: int) -> np.ndarray:
     theta_hat = 0.5 * logs.reshape(w.shape[:-1] + (n,))
     if theta_hat[..., -1].min() <= 0:
         raise DualityError("upper half-spectrum not above 1; spectrum too close to unity")
-    return theta_hat
-
-
-def _full_angles(theta_hat: np.ndarray) -> np.ndarray:
-    return np.concatenate([theta_hat, -theta_hat], axis=-1)
+    # ascending eigenvalues: column 2n-1-a of eig.basis carries e^{2 theta_hat_a}
+    v = eig.basis[..., ::-1][..., :n]
+    return theta_hat, np.concatenate([v, bundle.c @ v], axis=-1)
 
 
 def _phase_fix(
-    lam: np.ndarray, f: np.ndarray, theta_hat: np.ndarray, v: np.ndarray
+    lam: np.ndarray, f: np.ndarray, theta_hat: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(y_hat, f_hat) over a stack of points, from the Lax data lam and f, shape
-    (..., 2n), and a unitary eigenbasis v of the upper half-spectrum, shape
-    (..., 2n, n) (column a for e^{2 theta_hat_a}, descending).
-
-    Column a (a < n) of y_hat carries eigenvalue e^{2 theta_hat_a}; column n+a
-    is C times column a and carries the reciprocal eigenvalue.  The resulting
-    basis is unitary and satisfies y* C y = C identically; the phase twist m_a
-    (applied to both paired columns, preserving both structures) makes the
-    first n components of F_hat = e^{-Theta_hat} y_hat^{-1} e^{Lam} F real
-    positive, so y_hat does not depend on the phases of the columns of v.
-    F_hat is the unfixed product twisted by conj(m), its first n components
-    set to their moduli.
+    (..., 2n), and a basis of _spectrum.  The phase twist m_a, applied to both
+    paired columns a and n+a, keeps the basis unitary and C-preserving
+    (y* C y = C) and makes the first n components of
+    F_hat = e^{-Theta_hat} y_hat^{-1} e^{Lam} F real positive, so y_hat does not
+    depend on the phases of the basis columns.  F_hat is the unfixed product
+    twisted by conj(m), its first n components set to their moduli.
     """
     n = theta_hat.shape[-1]
-    y = np.concatenate([v, conjugation_matrix(n) @ v], axis=-1)
-    transformed = (y.conj().swapaxes(-1, -2) @ (np.exp(lam) * f)[..., None])[..., 0]
+    transformed = (basis.conj().swapaxes(-1, -2) @ (np.exp(lam) * f)[..., None])[..., 0]
     raw = np.exp(-_full_angles(theta_hat)) * transformed
     mod = np.abs(raw[..., :n])
     if mod.min() < PHASE_MODULUS_TOL:
@@ -97,15 +101,17 @@ def _phase_fix(
     f_hat[..., :n] = mod
     if np.abs(f_hat).min() < PHASE_MODULUS_TOL:
         raise DualityError("vanishing component of the transformed vector")
-    return y * m[..., None, :], f_hat
+    return basis * m[..., None, :], f_hat
 
 
 @dataclass(frozen=True)
 class DualFrame:
-    """Spectral data of a Lax bundle: angles, diagonalizer, dual coordinates, dual matrix."""
+    """Spectral data of a Lax bundle: angles, eigenbasis, diagonalizer, dual
+    coordinates, dual matrix."""
 
     bundle: LaxBundle
     theta_hat: np.ndarray  # (..., n), descending positive
+    basis: np.ndarray  # (..., 2n, 2n), C-paired eigenbasis of L before the phase fix
     y_hat: np.ndarray  # (..., 2n, 2n), unitary, C-preserving
     f_hat: np.ndarray  # (..., 2n); first n positive real
     z_hat: np.ndarray  # (..., n): F_hat_c * conj(F_hat_{n+c})
@@ -136,14 +142,12 @@ def dual_frame(p: PhasePoint, g: Coupling) -> DualFrame:
     angles, the phase fix and the dual coordinates."""
     bundle = lax_matrix(p, g)
     n = bundle.n
-    eig = hermitian_eig(bundle.matrix)
-    theta_hat = _angles(eig.eigenvalues, n)
-    # ascending eigenvalues: column 2n-1-a of the basis carries e^{2 theta_hat_a}
-    y_hat, f_hat = _phase_fix(bundle.lam, bundle.f, theta_hat, eig.basis[..., ::-1][..., :n])
+    theta_hat, basis = _spectrum(bundle)
+    y_hat, f_hat = _phase_fix(bundle.lam, bundle.f, theta_hat, basis)
     g_hat = g.hat()
     u_hat = _kernels.u_coeffs(theta_hat, g_hat.mu, g_hat.nu)  # closed form
     return DualFrame(
-        bundle=bundle, theta_hat=theta_hat, y_hat=y_hat, f_hat=f_hat,
+        bundle=bundle, theta_hat=theta_hat, basis=basis, y_hat=y_hat, f_hat=f_hat,
         z_hat=f_hat[..., :n] * f_hat[..., n:].conj(), u_hat=u_hat,
         lambda_hat=2.0 * np.log(f_hat[..., :n].real) - np.log(u_hat),
     )

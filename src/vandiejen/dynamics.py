@@ -5,10 +5,12 @@ explicit 8(5,3) Runge-Kutta pair of Dormand and Prince (Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.10), which meets the tolerance in about half
 the vector-field evaluations of a 5(4) pair.
 
-The projection route reads the flow off a spectrum.  With
-B = L - L^{-1} = V diag(beta) V* (L^{-1} = C L C, so no inverse is formed), the
-flow matrix e^{2 Lam} e^{tB} is similar to G G* with G = e^{Lam} V e^{t beta/2},
-and the positions at time t are the logs of the n largest singular values of G.
+The projection route reads the flow off the spectrum of L that the spectral
+map takes, L = Y e^{2 Theta_hat} Y* with Y C-paired (duality._spectrum).  As
+C L C = L^{-1}, B = L - L^{-1} = Y diag(beta) Y* with beta = 2 sinh 2 Theta_hat,
+the action velocities of H = sum cosh 2 theta_hat.  The flow matrix
+e^{2 Lam} e^{tB} is similar to G G* with G = e^{Lam} Y e^{t beta/2}, and the
+positions at time t are the logs of the n largest singular values of G.
 G is diagonal x unitary x diagonal, so its singular values are determined to
 high relative accuracy however graded its rows and columns are (Demmel et al.,
 LAA 1999; Drmac & Veselic, SIMAX 2008).  One double-precision SVD realizes that
@@ -18,7 +20,7 @@ rapidities come in closed form from the right singular vectors W: since
 d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 
 The projection route takes a phase point or a stack of them (see PhasePoint):
-its frame and step run one eigensolve and one SVD call per stack.  The
+its frame is one stacked eigensolve, and each time step one stacked SVD.  The
 Runge-Kutta route and the vector field take a single point.
 """
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .duality import _full_angles, _spectrum
 from .lax import LaxBundle, energy, lax_matrix
-from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
 
 RK_REL_TOL = 1e-10
@@ -107,43 +109,29 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
     return [by_time[float(t)] for t in t_values]
 
 
-@dataclass(frozen=True)
-class _FlowFrame:
-    """The time-independent data of the projection route at a point or a stack
-    of points, the stack flattened to P points in stack order, with the rows of
-    G already in their order of decreasing Lam."""
-
-    shape: tuple  # the leading axes of the stack
-    row_exp: np.ndarray  # Lam = (xi, -xi) sorted descending, shape (P, 2n)
-    beta: np.ndarray  # eigenvalues of B = L - C L C, ascending, shape (P, 2n)
-    v: np.ndarray  # unitary eigenvector bases of B, rows in row_exp order, shape (P, 2n, 2n)
+def _flow_frame(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Lam, theta_hat, basis) at a point or a stack: the time-independent data
+    of the projection route, in one stacked eigensolve."""
+    return (bundle.lam, *_spectrum(bundle))
 
 
-def _flow_frame(bundle: LaxBundle) -> _FlowFrame:
-    """The frame from a Lax bundle, in one stacked eigensolve."""
-    matrix, c, n = bundle.matrix, bundle.c, bundle.n
-    eig = hermitian_eig(matrix - c @ matrix @ c)
+def _flow_step(frame: tuple, g: Coupling, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, eta) at time t of each point of a frame (Lam, theta_hat, basis), with
+    the frame's leading axes, in one stacked SVD of G.  Each check runs over
+    the whole stack and raises the error of its first failing point, in stack
+    order."""
+    if not np.isfinite(t):
+        raise DynamicsError(f"non-finite time {t}")
+    lam, theta_hat, basis = frame
+    shape, n = theta_hat.shape[:-1], theta_hat.shape[-1]
+    velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))  # beta by column
+    points = np.arange(len(velocities))[:, None]
+    cols = np.argsort(-t * velocities, axis=-1, kind="stable")
+    beta = velocities[points, cols]
     # Lam = (xi, -xi) with xi descending positive (lax_matrix checks it), so
     # rows 0..n-1 and then 2n-1..n order every point's Lam descending
     rows = np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1)])
-    return _FlowFrame(
-        bundle.lam.shape[:-1], bundle.lam.reshape(-1, 2 * n)[:, rows],
-        eig.eigenvalues.reshape(-1, 2 * n), eig.basis.reshape(-1, 2 * n, 2 * n)[:, rows],
-    )
-
-
-def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, eta) at time t of each point of the frame, with the frame's leading
-    axes, from the singular values of G = e^{Lam} V e^{t beta/2}, in one
-    stacked SVD.  Each check runs over the whole stack and raises the error of
-    its first failing point, in stack order."""
-    if not np.isfinite(t):
-        raise DynamicsError(f"non-finite time {t}")
-    n = frame.beta.shape[-1] // 2
-    points = np.arange(len(frame.beta))[:, None]
-    cols = np.argsort(-t * frame.beta, axis=-1, kind="stable")
-    beta = frame.beta[points, cols]
-    row_exp = frame.row_exp
+    row_exp = lam.reshape(-1, 2 * n)[:, rows]
     col_exp = 0.5 * t * beta
     exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
     if exp_range.max() > EXPONENT_RANGE_CAP:
@@ -153,7 +141,7 @@ def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> tuple[np.ndarray, np
         )
     factor = (
         np.exp(row_exp - row_exp[:, :1])[:, :, None]
-        * frame.v[points[:, :, None], np.arange(2 * n)[:, None], cols[:, None, :]]
+        * basis.reshape(-1, 2 * n, 2 * n)[points[:, :, None], rows[:, None], cols[:, None, :]]
         * np.exp(col_exp - col_exp[:, :1])[:, None, :]
     )
     _, sigma, wh = np.linalg.svd(factor)
@@ -172,7 +160,7 @@ def _flow_step(frame: _FlowFrame, g: Coupling, t: float) -> tuple[np.ndarray, np
             raise DynamicsError(f"eigenvalue collision along the flow: relative gap {first:.3e}")
     xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
     eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
-    return xi_t.reshape(frame.shape + (n,)), eta_t.reshape(frame.shape + (n,))
+    return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,))
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:

@@ -19,7 +19,7 @@ from vandiejen.asymptotics import (
     verify_theorem_exponential,
     verify_theorem_linear,
 )
-from vandiejen.checks import BATTERIES
+from vandiejen.checks import BATTERIES, FLOW_GAP
 from vandiejen.dynamics import projection_flow, projection_outcomes, rk_flow
 from vandiejen.lax import lax_matrix
 
@@ -117,7 +117,7 @@ def test_acceptance_propagators_and_conservation():
             one = projection_flow(p, G, 3.0)
             two = projection_flow(projection_flow(p, G, 1.2), G, 1.8)
             worst_group = max(worst_group, np.abs(one.as_vector() - two.as_vector()).max())
-    ok = worst_gap <= 1e-6 and worst_cons <= 1e-8 and worst_group <= 1e-7
+    ok = worst_gap <= FLOW_GAP.bound and worst_cons <= 1e-8 and worst_group <= 1e-7
     _report(
         "propagators-and-conservation", ok,
         f"gap {worst_gap:.3e} conservation {worst_cons:.3e} group {worst_group:.3e}",
@@ -160,7 +160,8 @@ def test_acceptance_exponential_flow_asymptotics():
             worst_rec = max(worst_rec, float(rel))
         tri = np.triu(0.3 * np.ones((size, size))) + np.eye(size)
         worst_tri = max(worst_tri, float(np.abs(p_coeffs(tri)).max()))
-    ok = ok and worst_rec <= 1e-3 and worst_tri <= 1e-12
+    (recovery,) = BATTERIES["asymptotics-exponential"].checks
+    ok = ok and worst_rec <= recovery.bound and worst_tri <= 1e-12
     _report(
         "exponential-flow-asymptotics", ok,
         f"recovery {worst_rec:.3e} triangular {worst_tri:.3e}",

@@ -221,6 +221,22 @@ def test_sample_spec_rejects_size_below_two(size):
         sample_spec(size, seed=1)
 
 
+def test_every_entry_point_rejects_a_spec_of_size_one():
+    # a single diagonal value has no gap R and no perturbation sum
+    grid = [4.0, 5.0, 6.0]
+    entry_points = [
+        (asymptotics.exponential_summary, "exponential"),
+        (verify_theorem_exponential, "exponential"),
+        (asymptotics.linear_summary, "linear"),
+        (verify_theorem_linear, "linear"),
+    ]
+    for run, kind in entry_points:
+        with pytest.raises(AsymptoticsError, match="size >= 2"):
+            run(FlowSpec(m=[[2.0]], d=[1.0], kind=kind), grid)
+    with pytest.raises(AsymptoticsError, match="size >= 2"):
+        alpha_coeffs([[2.0]], [1.0])
+
+
 @pytest.mark.parametrize("grid", [[5.0], [5.0, 5.0], []])
 def test_grid_without_two_distinct_times_is_rejected(grid):
     exp, lin = sample_spec(3, seed=7), sample_spec(3, seed=7, kind="linear")

@@ -61,7 +61,8 @@ def test_diagonalizer_invariant_under_basis_rephasing(g):
     theta, y_ref, _ = diagonalizer(b)
     v = hermitian_eig(b.matrix).basis[:, ::-1][:, :3]
     phases = np.exp(1j * np.array([0.3, -1.1, 2.4]))
-    y_alt, _ = _phase_fix(b.lam, b.f, theta, v * phases[None, :])
+    v = v * phases[None, :]
+    y_alt, _ = _phase_fix(b.lam, b.f, theta, np.concatenate([v, b.c @ v], axis=-1))
     assert np.abs(y_alt - y_ref).max() <= 1e-9
 
 

@@ -226,3 +226,30 @@ def test_single_point_routines_reject_a_stack(call):
     stack = stack_of([point(2, seed=1), point(2, seed=2)])
     with pytest.raises(PhaseSpaceError, match=r"expected one phase point, got a stack of shape"):
         call(stack, G_FAIL)
+
+
+def _count_eigensolves(monkeypatch) -> list:
+    """Record each np.linalg.eigh call from now on; the list grows by one per call."""
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
+def test_a_bracket_row_takes_one_eigensolve_for_its_whole_stack(monkeypatch):
+    # the spectral block and the flow block read the one spectrum of L
+    stack = stack_of([point(2, seed=s) for s in (1, 2, 3)])
+    calls = _count_eigensolves(monkeypatch)
+    brackets.symplectic_residuals(stack, G_FAIL)
+    assert calls == [(3 * 4 * 2, 4, 4)]
+
+
+def test_projection_outcomes_take_one_eigensolve_for_the_grid(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    outcomes = dynamics.projection_outcomes(point(3, seed=2), G_FAIL, np.linspace(-2.0, 2.0, 9))
+    assert len(outcomes) == 9 and len(calls) == 1
+
+
+def test_duality_identities_take_the_frames_at_p_and_at_the_dual_point(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    duality.identity_residuals(stack_of([point(3, seed=s) for s in (1, 2)]), G_FAIL)
+    assert len(calls) == 2
