@@ -3,7 +3,7 @@ Lax matrices, spectral duality, projection-method dynamics, factorized
 scattering, Poisson-bracket certification, and matrix-flow eigenvalue
 asymptotics.
 """
-from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample, validate
+from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample
 from .lax import LaxBundle, lax_matrix
 from .duality import DualFrame, dual_frame, duality_map, minor_identity_residuals
 from .dynamics import TrajectorySample, projection_flow, rk_flow, vector_field
@@ -14,7 +14,7 @@ from .asymptotics import FlowSpec, alpha_coeffs, flow_eigenvalues, m_coeffs, p_c
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coupling", "PhasePoint", "PhaseSpaceError", "VandiejenError", "sample", "validate",
+    "Coupling", "PhasePoint", "PhaseSpaceError", "VandiejenError", "sample",
     "LaxBundle", "lax_matrix",
     "DualFrame", "dual_frame", "duality_map", "minor_identity_residuals",
     "TrajectorySample", "projection_flow", "rk_flow", "vector_field",

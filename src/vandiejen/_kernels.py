@@ -27,7 +27,7 @@ operation on a stack is elementwise, or a reduction or small product over one
 point's own axes.
 
 Plain numpy on arrays and floats, with no input checks: the modules that call
-these validate the phase point and coupling first.
+these check the phase point and coupling first.
 """
 from __future__ import annotations
 

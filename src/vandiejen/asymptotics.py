@@ -30,7 +30,7 @@ EXP_CAP = 600.0
 SPEC_ATTEMPTS = 200
 # sample_spec: diagonal gaps in MIN_GAP + [0, GAP_SPREAD], M = I + OFF_SCALE * noise
 SPEC_MIN_GAP, SPEC_GAP_SPREAD, SPEC_OFF_SCALE = 1.5, 0.5, 0.2
-P_RECOVERY_TIMES = (8.0, 10.0)  # the two sample times of recover_p_two_point
+P_RECOVERY_TIMES = (8.0, 10.0)  # the two sample times of exponential_summary's p recovery
 
 
 class AsymptoticsError(VandiejenError):
@@ -152,14 +152,13 @@ def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
             raise AsymptoticsError("flow exponent exceeds overflow cap")
         scale = np.exp(ts[:, None] * centered[..., None, :])
         w = general_eig(spec.m[..., None, :, :] * scale[..., None, :])
-        if spec.size > 1:
-            mods = np.abs(w)
-            rel = (-np.diff(mods, axis=-1) / mods[..., :-1]).min(axis=-1)
-            if rel.min() < ORDER_GAP_TOL:
-                first = rel[rel < ORDER_GAP_TOL][0]
-                raise AsymptoticsError(
-                    f"modulus ordering ambiguous (relative gap {first:.2e}); t too small"
-                )
+        mods = np.abs(w)
+        rel = (-np.diff(mods, axis=-1) / mods[..., :-1]).min(axis=-1)
+        if rel.min() < ORDER_GAP_TOL:
+            first = rel[rel < ORDER_GAP_TOL][0]
+            raise AsymptoticsError(
+                f"modulus ordering ambiguous (relative gap {first:.2e}); t too small"
+            )
         w = w * np.exp(ts * d_bar[..., None])[..., None]
     else:
         diag = np.zeros(spec.m.shape, dtype=complex)
@@ -275,12 +274,6 @@ def _p_two_point(spec: FlowSpec, rho: np.ndarray) -> np.ndarray:
         b = np.moveaxis(rho[..., 1:-1], -2, -1)[..., None]
         out[..., 1:] = np.linalg.solve(a, b)[..., 0, 0]
     return out
-
-
-def recover_p_two_point(spec: FlowSpec) -> np.ndarray:
-    """Independent recovery of the p coefficients from the remainders at the
-    two times P_RECOVERY_TIMES."""
-    return _p_two_point(spec, _relative_remainders(spec, m_coeffs(spec.m), P_RECOVERY_TIMES))
 
 
 def _linear_residuals(spec: FlowSpec, t_grid: np.ndarray, lams, shift) -> np.ndarray:

@@ -13,7 +13,8 @@ the Lax matrices, their spectral images and their time-1 flows come from one
 stacked pass, so each eigensolve or SVD is one numpy call.  Each stencil
 point's values are bit-for-bit those of that point alone.  A check that fails
 at some stencil point raises its typed error for the first such point in stack
-order, at the earliest stage that fails.  poisson_brackets takes one point.
+order, at the earliest stage that fails.  poisson_brackets takes a map of a
+stack and a point or a stack in the same way.
 """
 from __future__ import annotations
 
@@ -73,11 +74,6 @@ def _map_jacobian(
     return ((out[..., 0::2, :] - out[..., 1::2, :]) / (2.0 * step)).swapaxes(-1, -2)
 
 
-def _pointwise(phi: Callable[[PhasePoint], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """A map of one phase point as a map of a stack of coordinate vectors."""
-    return lambda xs: np.array([phi(PhasePoint.from_vector(x)) for x in xs])
-
-
 def _bracket_table(j: np.ndarray) -> np.ndarray:
     """{phi_i, phi_j} = J Omega J^T for the Jacobians J of a vector map phi."""
     return j @ omega_matrix(j.shape[-1] // 2) @ j.swapaxes(-1, -2)
@@ -86,11 +82,11 @@ def _bracket_table(j: np.ndarray) -> np.ndarray:
 def poisson_brackets(
     phi: Callable[[PhasePoint], np.ndarray], p: PhasePoint, step: float = DEFAULT_STEP
 ) -> np.ndarray:
-    """The table of brackets {phi_i, phi_j} at p of a map phi from a phase point
-    to a vector, by second-order central differences."""
-    p.require_one()
+    """The table of brackets {phi_i, phi_j} at each point of p, shape (..., m, m),
+    by second-order central differences, of a map phi that takes a (K, n)
+    stack of phase points to a (K, m) stack of vectors."""
     _require_stencil(p, step)
-    return _bracket_table(_map_jacobian(_pointwise(phi), p, step))
+    return _bracket_table(_map_jacobian(lambda x: phi(PhasePoint.from_vector(x)), p, step))
 
 
 def _canonicity(j: np.ndarray) -> dict:
@@ -122,7 +118,7 @@ def _spectral_and_flow(x: np.ndarray, g: Coupling) -> np.ndarray:
     from the one spectrum of L at those points."""
     frame = dual_frame(PhasePoint.from_vector(x), g)
     # the basis before the phase fix, as projection_flow takes it: the same bits
-    xi_t, eta_t = _flow_step((frame.bundle.lam, frame.theta_hat, frame.basis), g, 1.0)
+    xi_t, eta_t = _flow_step(frame.bundle, frame.theta_hat, frame.basis, 1.0)
     return np.concatenate([frame.theta_hat, frame.lambda_hat, xi_t, eta_t], axis=-1)
 
 

@@ -1,14 +1,18 @@
 """Command-line front end: runs the check batteries of `checks.BATTERIES` over
 seeded samples and writes deterministic CSV/JSON reports.  A battery samples
 its units (phase points, or flow specs for `asymptotics`) one seed at a time,
-makes one residual call on the stack of them all and splits the columns into
-one row per unit.
+from --seed on, makes one residual call on the stack of them all and splits
+the columns into one row per unit; a row's JSON also holds its unit's seed.
+`flow` propagates one point over a time grid, one row per time.
 
-Each row's `passed` is that row's own verdict: every column within
-`bound * --tol-scale`, or above its lower bound.  Exit codes: 0 every row
-passed, 1 at least one row failed or a numerical failure (a library error
-other than a phase-space one) stopped the command, 2 bad usage or
-configuration.  Identical configuration and seed produce byte-identical output.
+Every report goes through one writer, which stamps each row's `passed` with
+that row's own verdict: every column within `bound * --tol-scale`, or above
+its lower bound, and for `flow` a projection step that did not fail.  CSV
+reports show `passed` for the batteries only, JSON reports for every command.
+Exit codes: 0 every row passed, 1 at least one row failed or a numerical
+failure (a library error other than a phase-space one) stopped the command,
+2 bad usage or configuration.  Identical configuration and seed produce
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -133,14 +137,15 @@ def _stack(args, unit: str):
     return PhasePoint(xi=np.stack([p.xi for p in points]), eta=np.stack([p.eta for p in points]))
 
 
-def _run_battery(args, name: str, *context, fixed: dict | None = None, **options) -> int:
+def _run_battery(args, name: str, *context, **options) -> int:
     """One residual call on the stack of the sampled units; the header is the
-    unit column, the residual columns in their order, and `passed`."""
+    unit column, the residual columns in their order, and `passed`.  Row i
+    also carries its unit's seed, --seed + i, which shows in JSON reports."""
     battery = BATTERIES[name]
     columns = battery.residuals(_stack(args, battery.unit), *context, **options)
     header = [battery.unit, *(c for c in columns if c != "passed"), "passed"]
     rows = [
-        {**(fixed or {}), battery.unit: i,
+        {"seed": args.seed + i, battery.unit: i,
          **{c: bool(v[i]) if c == "passed" else float(v[i]) for c, v in columns.items()}}
         for i in range(args.points)
     ]
@@ -148,8 +153,7 @@ def _run_battery(args, name: str, *context, fixed: dict | None = None, **options
 
 
 def cmd_lax_check(args) -> int:
-    # lax-check rows also carry the seed, which shows in JSON reports
-    return _run_battery(args, "lax-check", _coupling(args), fixed={"seed": args.seed})
+    return _run_battery(args, "lax-check", _coupling(args))
 
 
 def cmd_duality(args) -> int:
@@ -167,9 +171,9 @@ def cmd_brackets(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    """A time whose projection step fails stays a row: the RK sample under
-    --method both (its propagator_gap inf), nan under --method projection; one
-    error line names the failed times and the command exits 1."""
+    """A time whose projection step fails stays a row that does not pass: the
+    RK sample under --method both (its propagator_gap inf), nan under
+    --method projection; one error line names the failed times."""
     g = _coupling(args)
     grid = _parse_grid(args.t)
     p = sample(args.n, seed=args.seed)
@@ -185,6 +189,8 @@ def cmd_flow(args) -> int:
     for t, s in zip(grid, primary):
         values = nan if s is None else [*s.point.xi, *s.point.eta, s.energy]
         rows.append(dict(zip(header, map(float, [t, *values]))))
+    for i in failed:
+        rows[i]["passed"] = False
     if args.method == "both":
         header.append(FLOW_GAP.column)
         for row, a, b in zip(rows, proj, rk):
@@ -195,9 +201,7 @@ def cmd_flow(args) -> int:
     if failed:
         times = ",".join(format(grid[i], "g") for i in failed)
         sys.stderr.write(f"error: projection step failed at t={times}: {proj[failed[0]]}\n")
-    _write(_emit(rows, header, args), args)
-    ok = not failed and (args.method != "both" or all(FLOW_GAP.holds(r, args.tol_scale) for r in rows))
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _report(rows, (FLOW_GAP,) if args.method == "both" else (), header, args)
 
 
 def cmd_asymptotics(args) -> int:
@@ -297,6 +301,8 @@ def main(argv=None) -> int:
     try:
         if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
             raise UsageError(f"--tol-scale must be finite and positive, got {args.tol_scale}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         # looked up at each call, not bound into the cached parser
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, PhaseSpaceError) as exc:

@@ -26,6 +26,7 @@ from .linalg import hermitian_eig
 from .phase_space import Coupling, PhasePoint, VandiejenError
 
 SPECTRAL_GAP_TOL = 1e-7
+PAIRING_TOL = 1e-6  # largest |w_j w_{2n+1-j} - 1| of the spectrum of L
 PHASE_MODULUS_TOL = 1e-10
 
 
@@ -50,10 +51,10 @@ def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:
     eig = hermitian_eig(bundle.matrix)
     w = eig.eigenvalues
     pairing = np.abs(w * w[..., ::-1] - 1.0)
-    if pairing.max() > 1e-6:
+    if pairing.max() > PAIRING_TOL:
         worst = pairing.max(axis=-1)
         raise DualityError(
-            f"spectrum fails reciprocal pairing: max residual {worst[worst > 1e-6][0]:.3e}"
+            f"spectrum fails reciprocal pairing: max residual {worst[worst > PAIRING_TOL][0]:.3e}"
         )
     rel_gaps = (w[..., 1:] - w[..., :-1]) / np.abs(w[..., 1:])
     if rel_gaps.min() < SPECTRAL_GAP_TOL:

@@ -20,7 +20,7 @@ rapidities come in closed form from the right singular vectors W: since
 d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 
 The projection route takes a phase point or a stack of them (see PhasePoint):
-its frame is one stacked eigensolve, and each time step one stacked SVD.  The
+its spectrum is one stacked eigensolve, and each time step one stacked SVD.  The
 Runge-Kutta route and the vector field take a single point.
 """
 from __future__ import annotations
@@ -109,20 +109,16 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
     return [by_time[float(t)] for t in t_values]
 
 
-def _flow_frame(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Lam, theta_hat, basis) at a point or a stack: the time-independent data
-    of the projection route, in one stacked eigensolve."""
-    return (bundle.lam, *_spectrum(bundle))
-
-
-def _flow_step(frame: tuple, g: Coupling, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, eta) at time t of each point of a frame (Lam, theta_hat, basis), with
-    the frame's leading axes, in one stacked SVD of G.  Each check runs over
-    the whole stack and raises the error of its first failing point, in stack
-    order."""
+def _flow_step(
+    bundle: LaxBundle, theta_hat: np.ndarray, basis: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, eta) at time t of each point of a bundle, from the spectrum
+    (theta_hat, basis) of _spectrum, with the bundle's leading axes, in one
+    stacked SVD of G.  Each check runs over the whole stack and raises the
+    error of its first failing point, in stack order."""
     if not np.isfinite(t):
         raise DynamicsError(f"non-finite time {t}")
-    lam, theta_hat, basis = frame
+    lam, g = bundle.lam, bundle.coupling
     shape, n = theta_hat.shape[:-1], theta_hat.shape[-1]
     velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))  # beta by column
     points = np.arange(len(velocities))[:, None]
@@ -165,18 +161,20 @@ def _flow_step(frame: tuple, g: Coupling, t: float) -> tuple[np.ndarray, np.ndar
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
     """Exact propagation through the spectrum of the matrix flow."""
-    return PhasePoint(*_flow_step(_flow_frame(lax_matrix(p, g)), g, float(t)))
+    bundle = lax_matrix(p, g)
+    return PhasePoint(*_flow_step(bundle, *_spectrum(bundle), float(t)))
 
 
 def projection_outcomes(p: PhasePoint, g: Coupling, t_values):
-    """projection_flow over a time grid, from one frame of the initial point: per
+    """projection_flow over a time grid, from one spectrum of the initial point: per
     time a TrajectorySample, or the DynamicsError that stopped the step at that
     time."""
-    frame = _flow_frame(lax_matrix(p, g))
+    bundle = lax_matrix(p, g)
+    spectrum = _spectrum(bundle)
     out = []
     for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
         try:
-            q = PhasePoint(*_flow_step(frame, g, float(t))) if t != 0.0 else p
+            q = PhasePoint(*_flow_step(bundle, *spectrum, float(t))) if t != 0.0 else p
         except DynamicsError as exc:
             out.append(exc)
         else:

@@ -35,7 +35,7 @@ class PhaseSpaceError(VandiejenError):
 class PhasePoint:
     """A point (xi, eta) with n particles, or a stack of them along leading axes.
     Only shape and finiteness are checked here; the chamber xi strictly
-    descending positive is checked by validate and require_valid."""
+    descending positive is checked by require_valid."""
 
     xi: np.ndarray
     eta: np.ndarray
@@ -78,8 +78,10 @@ class Coupling:
     nu: float
 
     def in_base_class(self) -> bool:
-        """sin(mu) != 0 != sin(nu), by margin."""
-        return min(abs(np.sin(self.mu)), abs(np.sin(self.nu))) > DEFAULT_REG_MARGIN
+        """mu and nu finite and sin(mu) != 0 != sin(nu), by margin."""
+        return bool(np.isfinite([self.mu, self.nu]).all()) and (
+            min(abs(np.sin(self.mu)), abs(np.sin(self.nu))) > DEFAULT_REG_MARGIN
+        )
 
     def is_regular(self) -> bool:
         """Base class plus sin(2 mu - nu) != 0: the Lax spectrum is then simple."""
@@ -103,60 +105,36 @@ class Coupling:
         return Coupling(mu=-self.mu, nu=-self.nu)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "order" | "positivity"
-    index: int
-    margin: float
-
-    def __str__(self):
-        if self.kind == "order":
-            return f"xi[{self.index}] - xi[{self.index + 1}] = {self.margin:.3e} below gap"
-        return f"xi[{self.index}] = {self.margin:.3e} below gap"
-
-
-def validate(p: PhasePoint, gap: float = DEFAULT_GAP):
-    """Return a list of ordering violations of one point (empty means it is valid)."""
-    p.require_one()
-    out = []
-    for a in range(p.n - 1):
-        d = p.xi[a] - p.xi[a + 1]
-        if d < gap:
-            out.append(Violation("order", a, d))
-    if p.xi[-1] < gap:
-        out.append(Violation("positivity", p.n - 1, p.xi[-1]))
-    return out
-
-
 def require_valid(p: PhasePoint, gap: float = DEFAULT_GAP):
     """Raise PhaseSpaceError naming the violations of the first invalid point
-    of p, in stack order."""
-    xi = p.xi
-    steps = xi[..., :-1] - xi[..., 1:]
-    if steps.min(initial=xi[..., -1].min()) < gap:
-        rows = xi.reshape(-1, p.n)
-        first = rows[np.argmin((rows[:, -1] >= gap) & (rows[:, :-1] - rows[:, 1:] >= gap).all(axis=-1))]
-        bad = validate(PhasePoint(xi=first, eta=np.zeros_like(first)), gap)
-        raise PhaseSpaceError("; ".join(str(v) for v in bad))
+    of p, in stack order: each step xi_a - xi_{a+1}, then the last position,
+    below gap."""
+    xi = p.xi.reshape(-1, p.n)
+    margins = np.concatenate([xi[:, :-1] - xi[:, 1:], xi[:, -1:]], axis=-1)
+    if margins.min() < gap:
+        first = margins[(margins < gap).any(axis=-1)][0]
+        raise PhaseSpaceError("; ".join(
+            f"xi[{a}] - xi[{a + 1}] = {m:.3e} below gap" if a < p.n - 1
+            else f"xi[{a}] = {m:.3e} below gap"
+            for a, m in enumerate(first) if m < gap
+        ))
 
 
-def sample(
-    n: int,
-    seed: int,
-    xi_range=DEFAULT_XI_RANGE,
-    xi_gap: float = DEFAULT_XI_GAP,
-    eta_range=DEFAULT_ETA_RANGE,
-) -> PhasePoint:
-    """Deterministic sample: positions in a box, sorted descending with enforced gap."""
+def sample(n: int, seed: int) -> PhasePoint:
+    """Deterministic sample: positions in the box DEFAULT_XI_RANGE, sorted
+    descending with steps of at least DEFAULT_XI_GAP, and rapidities in
+    DEFAULT_ETA_RANGE."""
     if n < 1:
         raise PhaseSpaceError("n must be >= 1")
-    lo, hi = xi_range
-    if lo <= 0 or hi - lo < (n - 1) * xi_gap or lo < xi_gap:
-        raise PhaseSpaceError(f"infeasible position bounds {xi_range} for n={n}, gap={xi_gap}")
+    lo, hi = DEFAULT_XI_RANGE
+    if hi - lo < (n - 1) * DEFAULT_XI_GAP:
+        raise PhaseSpaceError(
+            f"infeasible position bounds {DEFAULT_XI_RANGE} for n={n}, gap={DEFAULT_XI_GAP}"
+        )
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         xi = np.sort(rng.uniform(lo, hi, size=n))[::-1]
-        if n == 1 or np.min(-np.diff(xi)) >= xi_gap:
-            eta = rng.uniform(eta_range[0], eta_range[1], size=n)
+        if n == 1 or np.min(-np.diff(xi)) >= DEFAULT_XI_GAP:
+            eta = rng.uniform(*DEFAULT_ETA_RANGE, size=n)
             return PhasePoint(xi=xi, eta=eta)
     raise PhaseSpaceError("could not realize the requested minimal gap")

@@ -12,9 +12,9 @@ from vandiejen import (
     sample,
 )
 from vandiejen.asymptotics import (
+    exponential_summary,
     flow_eigenvalues,
     p_coeffs,
-    recover_p_two_point,
     sample_spec,
     verify_theorem_exponential,
     verify_theorem_linear,
@@ -154,10 +154,11 @@ def test_acceptance_exponential_flow_asymptotics():
             for t in (8.0, 10.0):
                 flow_eigenvalues(spec, t)  # modulus ordering must hold
             report = verify_theorem_exponential(spec, np.arange(6.0, 12.1, 1.0))
-            ok = ok and report.passed
-            p_ref = p_coeffs(spec.m)
-            rel = (np.abs(recover_p_two_point(spec) - p_ref) / np.abs(p_ref)).max()
-            worst_rec = max(worst_rec, float(rel))
+            # the battery's row on the CLI's default grid: on the later grid
+            # above, some size-2 remainders sit below the fit floor throughout
+            row = exponential_summary(spec, np.arange(4.0, 10.5, 1.0))
+            ok = ok and report.passed and row["passed"]
+            worst_rec = max(worst_rec, float(row["p_recovery_rel_err"]))
         tri = np.triu(0.3 * np.ones((size, size))) + np.eye(size)
         worst_tri = max(worst_tri, float(np.abs(p_coeffs(tri)).max()))
     (recovery,) = BATTERIES["asymptotics-exponential"].checks

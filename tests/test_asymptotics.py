@@ -10,7 +10,6 @@ from vandiejen.asymptotics import (
     flow_eigenvalues,
     m_coeffs,
     p_coeffs,
-    recover_p_two_point,
     sample_spec,
     verify_theorem_exponential,
     verify_theorem_linear,
@@ -155,10 +154,8 @@ def test_exponential_theorem_report(size):
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_two_point_p_recovery(size):
     spec = sample_spec(size, seed=10 + size)
-    p_ref = p_coeffs(spec.m)
-    p_rec = recover_p_two_point(spec)
-    rel = np.abs(p_rec - p_ref) / np.abs(p_ref)
-    assert rel.max() <= 1e-3
+    row = asymptotics.exponential_summary(spec, np.arange(6.0, 12.1, 1.0))
+    assert row["p_recovery_rel_err"] <= 1e-3
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
@@ -336,10 +333,11 @@ def test_flow_eigenvalues_over_times_equal_the_per_time_calls(kind):
 
 def test_recovery_and_alpha_of_a_stack_equal_those_of_each_spec():
     specs = [sample_spec(6, seed=seed) for seed in range(1, 6)]
-    stack = _stack(specs)
-    recovered, alpha = recover_p_two_point(stack), alpha_coeffs(stack.m, stack.d)
+    stack, grid = _stack(specs), np.arange(6.0, 12.1, 1.0)
+    recovered = asymptotics.exponential_summary(stack, grid)["p_recovery_rel_err"]
+    alpha = alpha_coeffs(stack.m, stack.d)
     for k, spec in enumerate(specs):
-        assert np.array_equal(recovered[k], recover_p_two_point(spec))
+        assert recovered[k] == asymptotics.exponential_summary(spec, grid)["p_recovery_rel_err"]
         assert np.array_equal(alpha[k], alpha_coeffs(spec.m, spec.d))
 
 

@@ -143,6 +143,35 @@ def test_json_format_parses(tmp_path):
     assert len(rows) == 2 and all(r["passed"] for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lax-check"], ["duality"], ["scatter"], ["brackets"],
+        ["asymptotics", "--kind", "exponential"], ["asymptotics", "--kind", "linear"],
+    ],
+)
+def test_json_rows_carry_the_seed_of_their_unit(argv, tmp_path):
+    out = tmp_path / "out.json"
+    run([*argv, "--n", "3", "--points", "3", "--seed", "4", "--format", "json", "--out", str(out)])
+    rows = json.loads(out.read_text())
+    assert [row["seed"] for row in rows] == [4, 5, 6]
+
+
+@pytest.mark.parametrize("method", ["projection", "runge-kutta", "both"])
+def test_flow_json_passed_agrees_with_the_exit_code(method, tmp_path, capsys):
+    # the projection step fails from t = 2.5 on
+    out = tmp_path / "flow.json"
+    argv = ["flow", "--n", "7", "--mu", "1.3", "--nu", "0.2", "--method", method]
+    code = run([*argv, "--format", "json", "--out", str(out)])
+    capsys.readouterr()
+    passed = [row["passed"] for row in json.loads(out.read_text())]
+    assert len(passed) == 11
+    if method == "runge-kutta":
+        assert code == EXIT_PASS and all(passed)
+    else:
+        assert code == EXIT_FAIL and passed == [True] * 5 + [False] * 6
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -256,6 +285,13 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
         ["asymptotics", "--n", "3", "--t", "5:1:0"],
         ["asymptotics", "--n", "3", "--kind", "linear", "--t", "4,nan"],
         ["asymptotics", "--n", "3", "--t", "4,-inf"],
+        # a negative seed, which numpy's generators reject
+        ["lax-check", "--points", "1", "--seed", "-1"],
+        ["asymptotics", "--n", "3", "--points", "1", "--seed", "-3"],
+        ["flow", "--n", "2", "--t", "0,1", "--seed", "-2"],
+        # a non-finite coupling is outside the base class, without a sin warning
+        ["lax-check", "--points", "1", "--mu", "inf"],
+        ["flow", "--n", "2", "--t", "0,1", "--nu=-inf"],
     ],
 )
 def test_bad_option_value_is_one_line_usage_error(argv, tmp_path, capsys):

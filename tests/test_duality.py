@@ -147,9 +147,9 @@ def test_duality_is_involution(n, g):
 
 
 def test_image_is_valid_phase_point(g):
-    from vandiejen.phase_space import validate
+    from vandiejen.phase_space import require_valid
 
-    assert validate(duality_map(point(4, seed=50), g)) == []
+    require_valid(duality_map(point(4, seed=50), g))
 
 
 def test_dual_u_exceeds_one(g):

@@ -3,26 +3,40 @@ import numpy.testing as npt
 import pytest
 
 from vandiejen.phase_space import (
+    DEFAULT_ETA_RANGE,
+    DEFAULT_XI_GAP,
+    DEFAULT_XI_RANGE,
     Coupling,
     PhasePoint,
     PhaseSpaceError,
+    require_valid,
     sample,
-    validate,
 )
 
 
 def test_validate_ordered_point():
-    assert validate(PhasePoint(xi=[1.0, 0.5], eta=[0.0, 0.0])) == []
+    require_valid(PhasePoint(xi=[1.0, 0.5], eta=[0.0, 0.0]))
 
 
 def test_validate_reversed_order():
-    bad = validate(PhasePoint(xi=[0.5, 1.0], eta=[0.0, 0.0]))
-    assert len(bad) == 1 and bad[0].kind == "order" and bad[0].index == 0
+    with pytest.raises(PhaseSpaceError) as exc:
+        require_valid(PhasePoint(xi=[0.5, 1.0], eta=[0.0, 0.0]))
+    assert str(exc.value) == "xi[0] - xi[1] = -5.000e-01 below gap"
 
 
 def test_validate_positivity_margin():
-    bad = validate(PhasePoint(xi=[1e-9], eta=[0.0]))
-    assert len(bad) == 1 and bad[0].kind == "positivity"
+    with pytest.raises(PhaseSpaceError) as exc:
+        require_valid(PhasePoint(xi=[1e-9], eta=[0.0]))
+    assert str(exc.value) == "xi[0] = 1.000e-09 below gap"
+
+
+def test_require_valid_names_every_violation_of_the_first_invalid_point():
+    stack = PhasePoint(
+        xi=[[2.0, 1.0, 0.5], [1.0, 1.0, 1e-9], [0.1, 0.2, 0.3]], eta=np.zeros((3, 3))
+    )
+    with pytest.raises(PhaseSpaceError) as exc:
+        require_valid(stack)
+    assert str(exc.value) == "xi[0] - xi[1] = 0.000e+00 below gap; xi[2] = 1.000e-09 below gap"
 
 
 def test_point_rejects_non_finite():
@@ -45,6 +59,9 @@ def test_vector_round_trip():
 def test_coupling_classes():
     assert Coupling(0.7, 0.4).is_strongly_regular()
     assert not Coupling(0.0, 0.4).in_base_class()
+    # a non-finite coupling is outside, with no sin evaluated (it would warn)
+    assert not Coupling(np.inf, 0.4).in_base_class()
+    assert not Coupling(0.7, -np.inf).is_regular()
     # sin(2 mu - nu) = 0 here: base class but not regular
     g = Coupling(0.7, 1.4)
     assert g.in_base_class() and not g.is_regular()
@@ -79,15 +96,17 @@ def test_sample_deterministic():
 
 def test_sample_is_valid():
     for n in (1, 2, 3, 5):
-        assert validate(sample(n, seed=7)) == []
+        require_valid(sample(n, seed=7), gap=DEFAULT_XI_GAP)
 
 
 def test_sample_respects_bounds():
-    p = sample(1, seed=0, xi_range=(0.2, 2.0), eta_range=(-1.0, 1.0))
-    assert 0.2 <= p.xi[0] <= 2.0
-    assert -1.0 <= p.eta[0] <= 1.0
+    for n in (1, 3):
+        p = sample(n, seed=0)
+        assert np.all((DEFAULT_XI_RANGE[0] <= p.xi) & (p.xi <= DEFAULT_XI_RANGE[1]))
+        assert np.all((DEFAULT_ETA_RANGE[0] <= p.eta) & (p.eta <= DEFAULT_ETA_RANGE[1]))
 
 
 def test_sample_rejects_infeasible_bounds():
-    with pytest.raises(PhaseSpaceError):
-        sample(5, seed=0, xi_range=(0.3, 0.6), xi_gap=0.2)
+    # 12 steps of DEFAULT_XI_GAP fill the box DEFAULT_XI_RANGE; 13 do not fit
+    with pytest.raises(PhaseSpaceError, match="infeasible position bounds"):
+        sample(14, seed=0)

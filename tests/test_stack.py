@@ -10,10 +10,10 @@ from vandiejen import Coupling, PhasePoint, brackets, duality, dynamics
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_FAIL, main
 from vandiejen.duality import DualityError, dual_frame
-from vandiejen.dynamics import DynamicsError, _flow_frame, _flow_step, projection_flow
-from vandiejen.lax import lax_matrix
+from vandiejen.dynamics import DynamicsError, _flow_step, projection_flow
+from vandiejen.lax import energy, lax_matrix
 from vandiejen.linalg import hermitian_eig
-from vandiejen.phase_space import PhaseSpaceError, validate
+from vandiejen.phase_space import PhaseSpaceError
 
 from conftest import point
 
@@ -92,9 +92,10 @@ def test_stacked_frames_and_flow_steps_equal_each_point_alone(n):
     g = Coupling(0.7, 0.4)
     x = np.concatenate([stencil(point(n, seed=2), 1e-3), stencil(point(n, seed=5), 1e-3)])
     frame = dual_frame(PhasePoint.from_vector(x.reshape(2, -1, 2 * n)), g)
-    flow = _flow_frame(frame.bundle)
     for t in (1.0, -0.7):
-        flowed = np.concatenate(_flow_step(flow, g, t), axis=-1).reshape(len(x), 2 * n)
+        flowed = np.concatenate(
+            _flow_step(frame.bundle, frame.theta_hat, frame.basis, t), axis=-1
+        ).reshape(len(x), 2 * n)
         for i, row in enumerate(x):
             alone = projection_flow(PhasePoint.from_vector(row), g, t)
             np.testing.assert_array_equal(flowed[i], alone.as_vector())
@@ -212,15 +213,28 @@ def test_battery_names_the_first_failing_point_of_its_stack(monkeypatch, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_poisson_brackets_over_a_stack_equal_each_point_alone(n):
+    g = Coupling(0.7, 0.4)
+    points = [point(n, seed=s) for s in (2, 5, 9)]
+
+    def phi(q):
+        image = duality.duality_map(q, g).as_vector()
+        return np.concatenate([image, energy(q, g)[:, None]], axis=-1)
+
+    stacked = brackets.poisson_brackets(phi, stack_of(points))
+    assert stacked.shape == (3, 2 * n + 1, 2 * n + 1)
+    for k, p in enumerate(points):
+        np.testing.assert_array_equal(stacked[k], brackets.poisson_brackets(phi, p))
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda p, g: dynamics.rk_flow(p, g, [1.0]),
         lambda p, g: dynamics.vector_field(p, g),
-        lambda p, g: brackets.poisson_brackets(lambda q: q.as_vector(), p),
-        lambda p, g: validate(p),
     ],
-    ids=["rk_flow", "vector_field", "poisson_brackets", "validate"],
+    ids=["rk_flow", "vector_field"],
 )
 def test_single_point_routines_reject_a_stack(call):
     stack = stack_of([point(2, seed=1), point(2, seed=2)])
