@@ -3,7 +3,10 @@
 The runge-kutta route integrates Hamilton's equations with DOP853, the
 explicit 8(5,3) Runge-Kutta pair of Dormand and Prince (Hairer, Norsett &
 Wanner, Solving ODEs I, sec. II.10), which meets the tolerance in about half
-the vector-field evaluations of a 5(4) pair.
+the vector-field evaluations of a 5(4) pair.  It is written here in numpy, so
+that the package needs no scipy; it takes the steps of scipy's
+solve_ivp(method="DOP853") and reads the requested times off the same dense
+output, which the tests check against scipy.
 
 The projection route reads the flow off the spectrum of L that the spectral
 map takes, L = Y e^{2 Theta_hat} Y* with Y C-paired (duality._spectrum).  As
@@ -61,11 +64,243 @@ def vector_field(p: PhasePoint, g: Coupling):
     return _kernels.vector_field(p.xi, p.eta, g.mu, g.nu)
 
 
+# The DOP853 tableau, as in the authors' dop853.f and in scipy's DOP853: stages
+# 0..11, then row 12 of A, the 8th-order weights B, whose stage is the field at
+# the new state, then the three extra stages 13..15 of the dense output.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778,
+])
+_A = np.zeros((16, 16))
+_A[1, 0] = 5.26001519587677318785587544488e-2
+_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, [0, 2]] = [2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2]
+_A[4, [0, 2, 3]] = [
+    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1,
+]
+_A[5, [0, 3, 4]] = [
+    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1,
+]
+_A[6, [0, 3, 4, 5]] = [
+    3.7109375e-2, 1.70252211019544039314978060272e-1,
+    6.02165389804559606850219397283e-2, -1.7578125e-2,
+]
+_A[7, [0, 3, 4, 5, 6]] = [
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3,
+]
+_A[8, [0, 3, 4, 5, 6, 7]] = [
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+]
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2,
+]
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022,
+]
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1,
+]
+_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+]
+_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [
+    5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
+    -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+    1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+    7.56789766054569976138603589584e-3, -8.298e-3,
+]
+_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [
+    3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
+    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
+    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1,
+]
+_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [
+    -4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
+    7.68342119606259904184240953878, 4.06898981839711007970213554331,
+    3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
+    2.9475147891527723389556272149, -9.15095847217987001081870187138,
+]
+_B = _A[12, :12]
+# The 5th- and 3rd-order error estimates, over stages 0..12
+_E5 = np.zeros(13)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+]
+_E3 = np.zeros(13)
+_E3[:12] = _B
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+# The last four of the seven dense-output coefficients, over stages 0..15
+_D = np.zeros((4, 16))
+_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
+    [
+        -0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+        -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+        0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+        0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+        -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+        -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1,
+    ],
+    [
+        0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+        0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+        -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+        -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+        0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+        -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2,
+    ],
+    [
+        0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+        -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+        -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+        -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+        -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+        0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2,
+    ],
+    [
+        -0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+        -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+        0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+        0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+        -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+        -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3,
+    ],
+]
+# Step-size control: an accepted step's error norm e sets the next step to
+# h * SAFETY * e^(-1/8), the factor held to [MIN_FACTOR, MAX_FACTOR]
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+ERROR_EXPONENT = -1.0 / 8.0
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float):
+    """States at t_samples of y' = fun(t, y), y(0) = y0, as rows, in one sweep
+    from t = 0 to t_samples[-1]; the samples are nonzero, of one sign and
+    strictly increasing in |t|.
+
+    This is scipy's solve_ivp(method="DOP853", t_eval=t_samples) step for step:
+    its initial step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), its
+    RMS error norm of the 5th-order estimate weighted against the 3rd-order one
+    (sec. II.10), its step control, and each sample read off the dense output
+    of the step that reaches it.  The one difference: a nan step counts as too
+    small, where solve_ivp loops for ever on a field that is nan at y0."""
+    t_end = t_samples[-1]
+    direction = np.sign(t_end)
+    t, y = 0.0, y0
+    f = fun(t, y)
+
+    # initial step
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t_end))
+    f1 = fun(t + h0 * direction, y + h0 * direction * f)
+    d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, abs(t_end))
+
+    K = np.empty((16, len(y0)))
+    out = np.empty((len(t_samples), len(y0)))
+    done = 0
+    while done < len(t_samples):
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise DynamicsError(
+                    "integrator failed: Required step size is less than spacing between numbers."
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 12):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:12].T, _B)
+            f_new = K[12] = fun(t + h, y_new)
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5_sq = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
+            err3_sq = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
+            if err5_sq == 0 and err3_sq == 0:
+                error_norm = 0.0
+            else:
+                error_norm = np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * len(scale))
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+
+        # the samples this step reaches, from its dense output
+        reached = done + int(np.count_nonzero(direction * (t_samples[done:] - t_new) <= 0))
+        if reached > done:
+            for s in range(13, 16):
+                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            delta_y = y_new - y
+            F = [
+                delta_y,
+                h * f - delta_y,
+                2 * delta_y - h * (f_new + f),
+                *(h * np.dot(_D, K)),
+            ]
+            x = ((t_samples[done:reached] - t) / h)[:, None]
+            z = np.zeros((reached - done, len(y0)))
+            for i, term in enumerate(reversed(F)):
+                z += term
+                z *= x if i % 2 == 0 else 1 - x
+            out[done:reached] = z + y
+            done = reached
+        t, y, f = t_new, y_new, f_new
+    return out
+
+
 def rk_flow(p: PhasePoint, g: Coupling, t_values):
     """Adaptive DOP853 propagation, sampled at the requested times (in their order,
     repeats allowed)."""
-    from scipy.integrate import solve_ivp  # scipy loads only when a flow runs
-
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if not np.all(np.isfinite(t_values)):
         raise DynamicsError("non-finite time grid")
@@ -78,8 +313,7 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
         xd, ed = _kernels.vector_field(x[:n], x[n:], g.mu, g.nu)
         return np.concatenate([xd, ed])
 
-    # solve_ivp wants a monotone span and a strictly monotone t_eval: one sweep
-    # per sign over the unique nonzero |t|, with the samples read from sol.y
+    # One sweep per sign over the unique nonzero |t|
     by_time = {0.0: TrajectorySample(0.0, p, energy(p, g))}
     for sign in (1.0, -1.0):
         ts = sign * np.unique(sign * t_values[sign * t_values > 0])
@@ -90,20 +324,15 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
         # the step-size control rejects the stage.  That is expected and not
         # reported; an accepted non-finite state is caught below.
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(
-                rhs, (0.0, ts[-1]), p.as_vector(), method="DOP853",
-                t_eval=ts, rtol=RK_REL_TOL, atol=RK_ABS_TOL,
-            )
-        if not sol.success:
-            raise DynamicsError(f"integrator failed: {sol.message}")
-        if not np.all(np.isfinite(sol.y)):
+            states = _dop853(rhs, p.as_vector(), ts, RK_REL_TOL, RK_ABS_TOL)
+        if not np.all(np.isfinite(states)):
             raise DynamicsError("integrator returned a non-finite state")
         # Unlike the Lax route, this one has no coordinate cap: positions past
         # ~355 make sinh of a position sum overflow in the kernels, where the
         # q term is 0, its limit.  In the field that falls under the errstate
         # above; in the sampled energies it falls under this one.
         with np.errstate(over="ignore"):
-            for t, x in zip(ts, sol.y.T):
+            for t, x in zip(ts, states):
                 q = PhasePoint.from_vector(x)
                 by_time[float(t)] = TrajectorySample(float(t), q, energy(q, g))
     return [by_time[float(t)] for t in t_values]

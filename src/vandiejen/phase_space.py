@@ -87,10 +87,6 @@ class Coupling:
         """Base class plus sin(2 mu - nu) != 0: the Lax spectrum is then simple."""
         return self.in_base_class() and abs(np.sin(2 * self.mu - self.nu)) > DEFAULT_REG_MARGIN
 
-    def is_strongly_regular(self) -> bool:
-        """Regular plus cos(mu - nu) != 0."""
-        return self.is_regular() and abs(np.cos(self.mu - self.nu)) > DEFAULT_REG_MARGIN
-
     def require_regular(self):
         """The one coupling check: raises PhaseSpaceError naming the base class
         when the coupling misses it, else the regular class when it misses that."""

@@ -4,6 +4,7 @@ import pytest
 from vandiejen import Coupling, sample
 from vandiejen.lax import LaxError
 from vandiejen.linalg import LinalgError
+from vandiejen.phase_space import PhasePoint
 
 
 @pytest.fixture
@@ -18,6 +19,14 @@ def g_hat(g):
 
 def point(n, seed):
     return sample(n, seed=seed)
+
+
+def overflow_point():
+    """An n = 8 point whose DOP853 trial stages towards t = 2 push sinh/cosh(eta)
+    past the double range."""
+    rng = np.random.default_rng(2)
+    xi = np.cumsum(rng.uniform(0.2, 0.4, 8))[::-1] + 0.3
+    return PhasePoint(xi=xi, eta=rng.uniform(-3, 3, 8))
 
 
 def det_cofactor(m):

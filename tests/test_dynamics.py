@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vandiejen import _kernels
+from vandiejen import _kernels, dynamics
 from vandiejen.duality import dual_frame
 from vandiejen.dynamics import (
     DynamicsError,
@@ -15,7 +15,7 @@ from vandiejen.dynamics import (
 from vandiejen.lax import LaxBundle, lax_matrix
 from vandiejen.phase_space import Coupling, PhasePoint
 
-from conftest import point
+from conftest import overflow_point, point
 
 
 # The oracle: every flow quantity rebuilt and eigensolved in mpmath at dps digits.
@@ -273,29 +273,38 @@ def test_rk_repeated_times_share_one_sample(g):
 
 
 def test_rk_quiet_when_trial_stages_overflow(g):
-    """DOP853 trial stages at this point push sinh/cosh(eta) past the double
-    range; pytest turns any RuntimeWarning into an error (pyproject.toml)."""
-    rng = np.random.default_rng(2)
-    xi = np.cumsum(rng.uniform(0.2, 0.4, 8))[::-1] + 0.3
-    p = PhasePoint(xi=xi, eta=rng.uniform(-3, 3, 8))
+    """pytest turns any RuntimeWarning into an error (pyproject.toml)."""
+    p = overflow_point()
     r = rk_flow(p, g, [2.0])[0].point
     q = projection_flow(p, g, 2.0)
     assert np.abs(r.as_vector() - q.as_vector()).max() <= 1e-6
 
 
 def test_rk_rejects_non_finite_state(g, monkeypatch):
-    import scipy.integrate
-
-    real = scipy.integrate.solve_ivp
+    real = dynamics._dop853
 
     def poisoned(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        sol.y[:, -1] = np.inf
-        return sol
+        states = real(*args, **kwargs)
+        states[-1] = np.inf
+        return states
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", poisoned)
+    monkeypatch.setattr(dynamics, "_dop853", poisoned)
     with pytest.raises(DynamicsError, match="non-finite state"):
         rk_flow(point(2, seed=21), g, [1.0])
+
+
+def test_rk_fails_on_a_field_that_is_always_nan(g, monkeypatch):
+    """The initial step is nan; it must count as below the minimum step, where
+    a loop on `h < min_step` would run for ever."""
+    monkeypatch.setattr(_kernels, "vector_field", lambda xi, *_: (xi * np.nan, xi * np.nan))
+    with pytest.raises(DynamicsError, match="^integrator failed: "):
+        rk_flow(point(2, seed=21), g, [1.0, -1.0])
+
+
+def test_integration_to_a_blow_up_fails_at_the_minimum_step():
+    """y' = y^2, y(0) = 1 blows up at t = 1: the step shrinks to its minimum there."""
+    with pytest.raises(DynamicsError, match="^integrator failed: "):
+        dynamics._dop853(lambda _t, y: y * y, np.ones(1), np.array([2.0]), 1e-10, 1e-12)
 
 
 def test_non_regular_coupling_rejected():

@@ -57,7 +57,7 @@ def test_vector_round_trip():
 
 
 def test_coupling_classes():
-    assert Coupling(0.7, 0.4).is_strongly_regular()
+    assert Coupling(0.7, 0.4).is_regular()
     assert not Coupling(0.0, 0.4).in_base_class()
     # a non-finite coupling is outside, with no sin evaluated (it would warn)
     assert not Coupling(np.inf, 0.4).in_base_class()
@@ -65,9 +65,6 @@ def test_coupling_classes():
     # sin(2 mu - nu) = 0 here: base class but not regular
     g = Coupling(0.7, 1.4)
     assert g.in_base_class() and not g.is_regular()
-    # cos(mu - nu) = 0: regular but not strongly regular
-    g = Coupling(0.7, 0.7 - np.pi / 2)
-    assert g.is_regular() and not g.is_strongly_regular()
 
 
 def test_require_regular_raises():
