@@ -28,6 +28,8 @@ ORDER_GAP_TOL = 1e-8
 FIT_CLAMP = 1e-14
 EXP_CAP = 600.0
 SPEC_ATTEMPTS = 200
+# sample_spec's first block, timed at N = 4, 6, 8: most specs there need 2-150 attempts
+SPEC_FIRST_BLOCK = 8
 # sample_spec: diagonal gaps in MIN_GAP + [0, GAP_SPREAD], M = I + OFF_SCALE * noise
 SPEC_MIN_GAP, SPEC_GAP_SPREAD, SPEC_OFF_SCALE = 1.5, 0.5, 0.2
 P_RECOVERY_TIMES = (8.0, 10.0)  # the two sample times of exponential_summary's p recovery
@@ -203,11 +205,15 @@ def _decay_orders(t_grid: np.ndarray, r: np.ndarray, **fit) -> np.ndarray:
     return np.array(orders).reshape(lead + (size,))
 
 
-def _fit_grid(t_grid) -> np.ndarray:
-    """The time grid as a float array; a decay order needs two distinct times."""
+def fit_grid(t_grid, kind: str) -> np.ndarray:
+    """The time grid of a check of the given kind as a float array: a decay
+    order needs two distinct times, and the linear kind's alpha / t term
+    strictly positive ones."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or t_grid.min() == t_grid.max():
         raise AsymptoticsError("the time grid needs at least two distinct times")
+    if kind == "linear" and t_grid.min() <= 0:
+        raise AsymptoticsError("linear-kind grids must be strictly positive")
     return t_grid
 
 
@@ -227,7 +233,7 @@ def _exponential_report(spec: FlowSpec, t_grid, extra=()) -> tuple[AsymptoticRep
     and one stacked solve over the grid and the extra times."""
     if spec.kind != "exponential":
         raise AsymptoticsError("spec is not of exponential kind")
-    t_grid = _fit_grid(t_grid)
+    t_grid = fit_grid(t_grid, spec.kind)
     pi, bordered = principal_minors(spec.m)
     pj = _p_from_minors(_nonzero(pi), bordered)
     rho = _relative_remainders(spec, _minor_ratios(pi), np.concatenate([t_grid, extra]))
@@ -300,9 +306,7 @@ def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
     from about 2 to about 1, reported as orders_without_alpha."""
     if spec.kind != "linear":
         raise AsymptoticsError("spec is not of linear kind")
-    t_grid = _fit_grid(t_grid)
-    if t_grid.min() <= 0:
-        raise AsymptoticsError("linear-kind grids must be strictly positive")
+    t_grid = fit_grid(t_grid, spec.kind)
     alpha = alpha_coeffs(spec.m, spec.d)
     lams = flow_eigenvalues(spec, t_grid)
     resid, resid0 = (
@@ -378,37 +382,42 @@ def sample_spec(size: int, seed: int, kind: str = "exponential") -> FlowSpec:
     comfortably away from zero (relative recovery would otherwise divide by a
     near-cancellation).
 
-    Candidates come in blocks of 1, 2, 4, 8, ... attempts, SPEC_ATTEMPTS in
-    all, and the p coefficients of a block come from one principal_minors call
-    over the stack of its M.  Attempt k draws from its own
-    default_rng(seed * 1009 + k), and the spec returned is the first accepted
-    in attempt order, so the result does not depend on the blocking.
+    Candidates come in blocks of 8, 16, 32, ... attempts, SPEC_ATTEMPTS in
+    all.  Attempt k draws from its own default_rng(seed * 1009 + k): the slot
+    permutation (N > 2), then N - 1 + 2 N^2 numbers of rng.random, the stream
+    of uniform draws for the gaps and for the real and imaginary noise of M.
+    Each block's noise and M come from one expression over the stack of its
+    draws, mapped as rng.uniform(-1, 1) maps them (-1 + 2 u, exact), and their
+    p coefficients from one principal_minors call.  The spec returned is the
+    first accepted in attempt order, and only its gaps and d are built, so the
+    result does not depend on the blocking.
     """
     _require_size(size)
 
     slots = np.linspace(0.0, SPEC_GAP_SPREAD, size - 1)
     jitter = 0.1 * SPEC_GAP_SPREAD / max(size - 2, 1)
-    eye = np.eye(size)
 
-    def candidate(attempt: int) -> tuple[np.ndarray, np.ndarray]:
-        """(gaps, M) of one attempt: the same draws in the same order for every attempt."""
+    def draws(attempt: int) -> tuple[np.ndarray | None, np.ndarray]:
+        """(slot permutation or None, uniforms) of one attempt, in one order for all."""
         rng = np.random.default_rng(seed * 1009 + attempt)
-        if size == 2:
-            gaps = np.array([SPEC_MIN_GAP + SPEC_GAP_SPREAD * rng.uniform()])
-        else:
-            gaps = SPEC_MIN_GAP + rng.permutation(slots) + jitter * rng.uniform(-1, 1, size - 1)
-        m = eye + SPEC_OFF_SCALE * (
-            rng.uniform(-1, 1, (size, size)) + 1j * rng.uniform(-1, 1, (size, size))
-        )
-        return gaps, m
+        shift = rng.permutation(slots) if size > 2 else None
+        return shift, rng.random(size - 1 + 2 * size * size)
 
-    start, block = 0, 1
+    start, block = 0, SPEC_FIRST_BLOCK
     while start < SPEC_ATTEMPTS:
-        drawn = [candidate(k) for k in range(start, min(start + block, SPEC_ATTEMPTS))]
-        ok = _accepted(np.stack([m for _, m in drawn]), 0.5 * SPEC_OFF_SCALE ** 2)
+        drawn = [draws(k) for k in range(start, min(start + block, SPEC_ATTEMPTS))]
+        u = np.stack([v for _, v in drawn])
+        noise = (-1.0 + 2.0 * u[:, size - 1:]).reshape(-1, 2, size, size)
+        ms = np.eye(size) + SPEC_OFF_SCALE * (noise[:, 0] + 1j * noise[:, 1])
+        ok = _accepted(ms, 0.5 * SPEC_OFF_SCALE ** 2)
         if ok.any():
-            gaps, m = drawn[int(np.argmax(ok))]
+            i = int(np.argmax(ok))
+            shift, v = drawn[i]
+            if size == 2:
+                gaps = SPEC_MIN_GAP + SPEC_GAP_SPREAD * v[:1]
+            else:
+                gaps = SPEC_MIN_GAP + shift + jitter * (-1.0 + 2.0 * v[: size - 1])
             d = np.concatenate([[0.0], -np.cumsum(gaps)])
-            return FlowSpec(m=m, d=(d - d.mean()).astype(complex), kind=kind)
-        start, block = start + block, 2 * block
+            return FlowSpec(m=ms[i], d=(d - d.mean()).astype(complex), kind=kind)
+        start, block = start + len(drawn), 2 * block
     raise AsymptoticsError("could not realize a well-conditioned spec")

@@ -207,7 +207,11 @@ def cmd_flow(args) -> int:
 def cmd_asymptotics(args) -> int:
     if args.n < 2:
         raise UsageError(f"asymptotics needs n >= 2, got {args.n}")
-    return _run_battery(args, f"asymptotics-{args.kind}", _parse_grid(args.t))
+    try:
+        grid = asy.fit_grid(_parse_grid(args.t), args.kind)
+    except asy.AsymptoticsError as exc:  # the grid alone decides, as --n does
+        raise UsageError(str(exc)) from exc
+    return _run_battery(args, f"asymptotics-{args.kind}", grid)
 
 
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:

@@ -21,6 +21,8 @@ DEFAULT_REG_MARGIN = 1e-6
 DEFAULT_XI_RANGE = (0.3, 2.5)
 DEFAULT_XI_GAP = 0.2
 DEFAULT_ETA_RANGE = (-1.5, 1.5)
+XI_ATTEMPTS = 1000
+XI_FIRST_BLOCK = 16  # sample's first block, timed at n = 2, 4, 6 (about 39 attempts a point at 6)
 
 
 class VandiejenError(ValueError):
@@ -119,7 +121,16 @@ def require_valid(p: PhasePoint, gap: float = DEFAULT_GAP):
 def sample(n: int, seed: int) -> PhasePoint:
     """Deterministic sample: positions in the box DEFAULT_XI_RANGE, sorted
     descending with steps of at least DEFAULT_XI_GAP, and rapidities in
-    DEFAULT_ETA_RANGE."""
+    DEFAULT_ETA_RANGE.
+
+    One default_rng(seed) gives XI_ATTEMPTS attempts, drawn in blocks of
+    16, 32, 64, ... rows of rng.random((k, n)).  A row maps to positions
+    through lo + (hi - lo) * u, bit-for-bit rng.uniform(lo, hi, n), and the
+    first row whose sorted steps all clear DEFAULT_XI_GAP is taken.  The
+    rapidities are the next n numbers of the stream: the block's next row, or
+    one more rng.random(n) after its last.  So the point is the one that
+    drawing one attempt at a time with rng.uniform gives, whatever the
+    blocking."""
     if n < 1:
         raise PhaseSpaceError("n must be >= 1")
     lo, hi = DEFAULT_XI_RANGE
@@ -128,9 +139,15 @@ def sample(n: int, seed: int) -> PhasePoint:
             f"infeasible position bounds {DEFAULT_XI_RANGE} for n={n}, gap={DEFAULT_XI_GAP}"
         )
     rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        xi = np.sort(rng.uniform(lo, hi, size=n))[::-1]
-        if n == 1 or np.min(-np.diff(xi)) >= DEFAULT_XI_GAP:
-            eta = rng.uniform(*DEFAULT_ETA_RANGE, size=n)
-            return PhasePoint(xi=xi, eta=eta)
+    start, block = 0, XI_FIRST_BLOCK
+    while start < XI_ATTEMPTS:
+        u = rng.random((min(block, XI_ATTEMPTS - start), n))
+        xi = np.sort(lo + (hi - lo) * u, axis=-1)
+        ok = np.all(np.diff(xi, axis=-1) >= DEFAULT_XI_GAP, axis=-1)
+        if ok.any():
+            i = int(np.argmax(ok))
+            v = u[i + 1] if i + 1 < len(u) else rng.random(n)
+            eta_lo, eta_hi = DEFAULT_ETA_RANGE
+            return PhasePoint(xi=xi[i, ::-1], eta=eta_lo + (eta_hi - eta_lo) * v)
+        start, block = start + len(u), 2 * block
     raise PhaseSpaceError("could not realize the requested minimal gap")

@@ -53,7 +53,8 @@ def test_a_stack_of_points_reports_the_rows_of_each_point_alone(command, tmp_pat
         out = tmp_path / "out.csv"
         argv = [command, "--n", "3", "--mu", "1.3", "--nu", "0.2", "--seed", str(seed)]
         run([*argv, "--points", str(points), "--out", str(out)])
-        return [{k: v for k, v in r.items() if k not in ("point", "spec")} for r in csv.DictReader(out.open())]
+        rows = csv.DictReader(out.read_text().splitlines())
+        return [{k: v for k, v in r.items() if k not in ("point", "spec")} for r in rows]
 
     stacked = rows(1, 7)
     assert stacked == [rows(seed, 1)[0] for seed in range(1, 8)]
@@ -96,10 +97,10 @@ def test_asymptotics_size_below_two_is_usage_error(n, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["exponential", "linear"])
-def test_asymptotics_single_time_is_reported_failure(kind, tmp_path, capsys):
-    # no decay order can be fitted from one time; RuntimeWarnings are errors here
+def test_asymptotics_single_time_is_usage_error(kind, tmp_path, capsys):
+    # no decay order can be fitted from one time, which argv alone shows
     out = tmp_path / "out.csv"
-    assert run(["asymptotics", "--n", "3", "--kind", kind, "--t", "5", "--out", str(out)]) == EXIT_FAIL
+    assert run(["asymptotics", "--n", "3", "--kind", kind, "--t", "5", "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not out.exists()
@@ -251,7 +252,7 @@ def test_flow_csv_has_expected_header(tmp_path):
 def test_passed_is_each_rows_own_verdict(argv, tmp_path):
     out = tmp_path / "out.csv"
     code = run(argv + ["--out", str(out)])
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == int(argv[-1])
     for row in rows:
         own = all(
@@ -292,6 +293,9 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
         # a non-finite coupling is outside the base class, without a sin warning
         ["lax-check", "--points", "1", "--mu", "inf"],
         ["flow", "--n", "2", "--t", "0,1", "--nu=-inf"],
+        # an asymptotics grid from which no decay order can be fitted (one time: below)
+        ["asymptotics", "--n", "3", "--t", "5,5"],
+        ["asymptotics", "--n", "3", "--kind", "linear", "--t", "0,5"],
     ],
 )
 def test_bad_option_value_is_one_line_usage_error(argv, tmp_path, capsys):

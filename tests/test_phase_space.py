@@ -14,6 +14,17 @@ from vandiejen.phase_space import (
 )
 
 
+def _reference_sample(n, seed):
+    """(xi, eta) of the first accepted attempt, drawing and testing one attempt at a time."""
+    lo, hi = DEFAULT_XI_RANGE
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        xi = np.sort(rng.uniform(lo, hi, size=n))[::-1]
+        if n == 1 or np.min(-np.diff(xi)) >= DEFAULT_XI_GAP:
+            return xi, rng.uniform(*DEFAULT_ETA_RANGE, size=n)
+    raise PhaseSpaceError("could not realize the requested minimal gap")
+
+
 def test_validate_ordered_point():
     require_valid(PhasePoint(xi=[1.0, 0.5], eta=[0.0, 0.0]))
 
@@ -107,3 +118,19 @@ def test_sample_rejects_infeasible_bounds():
     # 12 steps of DEFAULT_XI_GAP fill the box DEFAULT_XI_RANGE; 13 do not fit
     with pytest.raises(PhaseSpaceError, match="infeasible position bounds"):
         sample(14, seed=0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sample_equals_one_attempt_at_a_time(n):
+    # bit for bit, and the same error where every attempt fails (most seeds at n = 9, all above)
+    for seed in range(200):
+        try:
+            xi, eta = _reference_sample(n, seed)
+        except PhaseSpaceError as exc:
+            with pytest.raises(PhaseSpaceError) as got:
+                sample(n, seed)
+            assert str(got.value) == str(exc)
+            continue
+        p = sample(n, seed)
+        assert np.array_equal(p.xi.view(np.uint64), xi.view(np.uint64))
+        assert np.array_equal(p.eta.view(np.uint64), eta.view(np.uint64))
