@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _seeding
 from .linalg import general_eig, principal_minors
-from .phase_space import VandiejenError
+from .phase_space import VandiejenError, _rounds, _seed_list
 
 MINOR_MARGIN = 1e-10
 ORDER_GAP_TOL = 1e-8
@@ -97,11 +98,6 @@ def _nonzero(pi: np.ndarray) -> np.ndarray:
 def _minor_ratios(pi: np.ndarray) -> np.ndarray:
     """pi_j / pi_{j-1} (pi_0 = 1) over the last axis of the leading principal minors pi."""
     return pi / np.concatenate([np.ones_like(pi[..., :1]), pi[..., :-1]], axis=-1)
-
-
-def m_coeffs(m) -> np.ndarray:
-    """Leading-coefficient ratios: m_1 = M_11, m_j = pi_j / pi_{j-1}."""
-    return _minor_ratios(_nonzero(principal_minors(m)[0]))
 
 
 def _p_from_minors(pi: np.ndarray, bordered: np.ndarray) -> np.ndarray:
@@ -373,8 +369,10 @@ def _accepted(ms: np.ndarray, floor: float) -> np.ndarray:
         return np.all(pi != 0, axis=-1) & (smallest >= floor)
 
 
-def sample_spec(size: int, seed: int, kind: str = "exponential") -> FlowSpec:
-    """Deterministic well-conditioned flow spec.
+def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
+    """Deterministic well-conditioned flow spec: one seed gives one spec, a
+    sequence of seeds the stack of their specs, spec i being the spec of
+    seed[i] alone.
 
     The diagonal gaps are drawn from evenly spread slots (pairwise distinct, so
     two-point coefficient recovery stays well-conditioned) and M = identity
@@ -382,42 +380,54 @@ def sample_spec(size: int, seed: int, kind: str = "exponential") -> FlowSpec:
     comfortably away from zero (relative recovery would otherwise divide by a
     near-cancellation).
 
-    Candidates come in blocks of 8, 16, 32, ... attempts, SPEC_ATTEMPTS in
-    all.  Attempt k draws from its own default_rng(seed * 1009 + k): the slot
-    permutation (N > 2), then N - 1 + 2 N^2 numbers of rng.random, the stream
-    of uniform draws for the gaps and for the real and imaginary noise of M.
-    Each block's noise and M come from one expression over the stack of its
-    draws, mapped as rng.uniform(-1, 1) maps them (-1 + 2 u, exact), and their
-    p coefficients from one principal_minors call.  The spec returned is the
-    first accepted in attempt order, and only its gaps and d are built, so the
-    result does not depend on the blocking.
+    Each seed has SPEC_ATTEMPTS attempts, in blocks of 8, 16, 32, ...
+    Attempt k draws the stream of default_rng(seed * 1009 + k): the slot
+    permutation (N > 2), then N - 1 + 2 N^2 numbers of rng.random, the
+    uniform draws for the gaps and for the real and imaginary noise of M.
+    That stream comes from one reused generator, not a new one: a PCG64's
+    state dict is its whole state, and _seeding computes the state that
+    SeedSequence and the PCG64 seeding step give (numpy's
+    random/bit_generator.pyx and random/src/pcg64/pcg64.c), so assigning it
+    continues exactly as a fresh default_rng(seed * 1009 + k).  The
+    blocks of all seeds still unfinished after a round go through one
+    expression for their noise and M, mapped as rng.uniform(-1, 1) maps them
+    (-1 + 2 u, exact), and one principal_minors call for their p
+    coefficients, at most CANDIDATE_CAP candidates per call (see
+    phase_space._rounds).  A seed's spec is its first accepted attempt, and
+    only its gaps and d are built, so the result does not depend on the
+    blocking or on the other seeds; a seed that runs out of attempts is an
+    error.
     """
     _require_size(size)
-
+    seeds, one = _seed_list(seed)
     slots = np.linspace(0.0, SPEC_GAP_SPREAD, size - 1)
     jitter = 0.1 * SPEC_GAP_SPREAD / max(size - 2, 1)
-
-    def draws(attempt: int) -> tuple[np.ndarray | None, np.ndarray]:
-        """(slot permutation or None, uniforms) of one attempt, in one order for all."""
-        rng = np.random.default_rng(seed * 1009 + attempt)
-        shift = rng.permutation(slots) if size > 2 else None
-        return shift, rng.random(size - 1 + 2 * size * size)
-
-    start, block = 0, SPEC_FIRST_BLOCK
-    while start < SPEC_ATTEMPTS:
-        drawn = [draws(k) for k in range(start, min(start + block, SPEC_ATTEMPTS))]
-        u = np.stack([v for _, v in drawn])
+    shift, v = np.empty((len(seeds), size - 1)), np.empty((len(seeds), size - 1))
+    m = np.empty((len(seeds), size, size), dtype=complex)
+    pending = dict.fromkeys(range(len(seeds)))
+    for chunk, start, take in _rounds(pending, SPEC_FIRST_BLOCK, SPEC_ATTEMPTS):
+        entropies = [seeds[i] * 1009 + k for i in chunk for k in range(start, start + take)]
+        # rng.shuffle of a copy of slots is rng.permutation(slots), in place
+        shifts = np.tile(slots, (len(entropies), 1))
+        u = np.empty((len(entropies), size - 1 + 2 * size * size))
+        for row, rng in enumerate(_seeding.streams(entropies)):
+            if size > 2:
+                rng.shuffle(shifts[row])
+            rng.random(out=u[row])
         noise = (-1.0 + 2.0 * u[:, size - 1:]).reshape(-1, 2, size, size)
         ms = np.eye(size) + SPEC_OFF_SCALE * (noise[:, 0] + 1j * noise[:, 1])
-        ok = _accepted(ms, 0.5 * SPEC_OFF_SCALE ** 2)
-        if ok.any():
-            i = int(np.argmax(ok))
-            shift, v = drawn[i]
-            if size == 2:
-                gaps = SPEC_MIN_GAP + SPEC_GAP_SPREAD * v[:1]
-            else:
-                gaps = SPEC_MIN_GAP + shift + jitter * (-1.0 + 2.0 * v[: size - 1])
-            d = np.concatenate([[0.0], -np.cumsum(gaps)])
-            return FlowSpec(m=ms[i], d=(d - d.mean()).astype(complex), kind=kind)
-        start, block = start + len(drawn), 2 * block
-    raise AsymptoticsError("could not realize a well-conditioned spec")
+        ok = _accepted(ms, 0.5 * SPEC_OFF_SCALE ** 2).reshape(len(chunk), take)
+        for row, i in enumerate(chunk):
+            if ok[row].any():
+                j = row * take + int(np.argmax(ok[row]))
+                shift[i], v[i], m[i] = shifts[j], u[j, : size - 1], ms[j]
+                del pending[i]
+    if pending:
+        raise AsymptoticsError("could not realize a well-conditioned spec")
+    if size == 2:
+        gaps = SPEC_MIN_GAP + SPEC_GAP_SPREAD * v
+    else:
+        gaps = SPEC_MIN_GAP + shift + jitter * (-1.0 + 2.0 * v)
+    d = np.concatenate([np.zeros((len(seeds), 1)), -np.cumsum(gaps, axis=-1)], axis=-1)
+    d = (d - d.mean(axis=-1, keepdims=True)).astype(complex)
+    return FlowSpec(m=m[0], d=d[0], kind=kind) if one else FlowSpec(m=m, d=d, kind=kind)

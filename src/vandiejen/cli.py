@@ -1,8 +1,9 @@
 """Command-line front end: runs the check batteries of `checks.BATTERIES` over
 seeded samples and writes deterministic CSV/JSON reports.  A battery samples
-its units (phase points, or flow specs for `asymptotics`) one seed at a time,
-from --seed on, makes one residual call on the stack of them all and splits
-the columns into one row per unit; a row's JSON also holds its unit's seed.
+the stack of its units (phase points, or flow specs for `asymptotics`) for
+the seeds from --seed on in one sampler call, each unit the one its seed gives
+alone, makes one residual call on that stack and splits the columns into one
+row per unit; a row's JSON also holds its unit's seed.
 `flow` propagates one point over a time grid, one row per time.
 
 Every report goes through one writer, which stamps each row's `passed` with
@@ -30,7 +31,7 @@ import numpy as np
 from . import asymptotics as asy
 from . import dynamics
 from .checks import BATTERIES, FLOW_GAP
-from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample
+from .phase_space import Coupling, PhaseSpaceError, VandiejenError, sample
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -125,16 +126,13 @@ def _report(rows, checks, header, args) -> int:
 
 
 def _stack(args, unit: str):
-    """The --points units from seed --seed on, sampled one seed at a time, as one stack."""
+    """The --points units from seed --seed on, as one stack from one sampler call."""
     if args.points < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
     seeds = range(args.seed, args.seed + args.points)
     if unit == "spec":
-        specs = [asy.sample_spec(args.n, seed=s, kind=args.kind) for s in seeds]
-        m, d = np.stack([s.m for s in specs]), np.stack([s.d for s in specs])
-        return asy.FlowSpec(m, d, args.kind)
-    points = [sample(args.n, seed=s) for s in seeds]
-    return PhasePoint(xi=np.stack([p.xi for p in points]), eta=np.stack([p.eta for p in points]))
+        return asy.sample_spec(args.n, seed=seeds, kind=args.kind)
+    return sample(args.n, seed=seeds)
 
 
 def _run_battery(args, name: str, *context, **options) -> int:

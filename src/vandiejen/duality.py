@@ -129,7 +129,8 @@ class DualFrame:
 
     @property
     def image(self) -> PhasePoint:
-        """The dual phase point (theta_hat as positions, lambda_hat as rapidities)."""
+        """The spectral map of the point: the dual phase point, theta_hat as
+        positions and lambda_hat as rapidities."""
         return PhasePoint(xi=self.theta_hat, eta=self.lambda_hat)
 
     def dual_matrix(self) -> np.ndarray:
@@ -152,11 +153,6 @@ def dual_frame(p: PhasePoint, g: Coupling) -> DualFrame:
         z_hat=f_hat[..., :n] * f_hat[..., n:].conj(), u_hat=u_hat,
         lambda_hat=2.0 * np.log(f_hat[..., :n].real) - np.log(u_hat),
     )
-
-
-def duality_map(p: PhasePoint, g: Coupling) -> PhasePoint:
-    """The spectral map: p -> (theta_hat, lambda_hat)."""
-    return dual_frame(p, g).image
 
 
 def _dual_lax_routes(frame: DualFrame, dual_bundle: LaxBundle):

@@ -9,6 +9,7 @@ eigenproblem ill-conditioned.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ DEFAULT_XI_GAP = 0.2
 DEFAULT_ETA_RANGE = (-1.5, 1.5)
 XI_ATTEMPTS = 1000
 XI_FIRST_BLOCK = 16  # sample's first block, timed at n = 2, 4, 6 (about 39 attempts a point at 6)
+# candidates per stacked call of a seeded sampler: a bound on its working memory
+CANDIDATE_CAP = 128
 
 
 class VandiejenError(ValueError):
@@ -118,19 +121,47 @@ def require_valid(p: PhasePoint, gap: float = DEFAULT_GAP):
         ))
 
 
-def sample(n: int, seed: int) -> PhasePoint:
+def _seed_list(seed) -> tuple[list[int], bool]:
+    """The seeds of one seed or a sequence of seeds, and whether it was one."""
+    one = np.ndim(seed) == 0
+    return [operator.index(s) for s in ([seed] if one else seed)], one
+
+
+def _rounds(pending: dict, first_block: int, attempts: int):
+    """The attempt schedule of the seeded samplers, over the units (keys) in
+    pending, in order.
+
+    Round r draws attempts start .. start + take - 1 of every unit still in
+    pending, take = first_block * 2**r up to attempts in all, as one chunk of
+    units after another, each holding at most CANDIDATE_CAP candidates (one
+    unit at least).  Yields (chunk, start, take); the caller deletes from
+    pending every unit that it has finished, and what remains after the last
+    round has run out of attempts."""
+    start, block = 0, first_block
+    while pending and start < attempts:
+        take = min(block, attempts - start)
+        units, per_call = list(pending), max(1, CANDIDATE_CAP // take)
+        for c in range(0, len(units), per_call):
+            yield units[c : c + per_call], start, take
+        start, block = start + take, 2 * block
+
+
+def sample(n: int, seed) -> PhasePoint:
     """Deterministic sample: positions in the box DEFAULT_XI_RANGE, sorted
     descending with steps of at least DEFAULT_XI_GAP, and rapidities in
-    DEFAULT_ETA_RANGE.
+    DEFAULT_ETA_RANGE.  One seed gives one point, a sequence of seeds the
+    stack of their points, point i being the point of seed[i] alone.
 
-    One default_rng(seed) gives XI_ATTEMPTS attempts, drawn in blocks of
-    16, 32, 64, ... rows of rng.random((k, n)).  A row maps to positions
-    through lo + (hi - lo) * u, bit-for-bit rng.uniform(lo, hi, n), and the
-    first row whose sorted steps all clear DEFAULT_XI_GAP is taken.  The
-    rapidities are the next n numbers of the stream: the block's next row, or
-    one more rng.random(n) after its last.  So the point is the one that
-    drawing one attempt at a time with rng.uniform gives, whatever the
-    blocking."""
+    Each point draws from its own default_rng(seed), XI_ATTEMPTS attempts in
+    blocks of 16, 32, 64, ... rows of rng.random((k, n)).  A row maps to
+    positions through lo + (hi - lo) * u, bit-for-bit rng.uniform(lo, hi, n),
+    and the first row whose sorted steps all clear DEFAULT_XI_GAP is taken.
+    The rapidities are the next n numbers of the stream: the block's next
+    row, or one more rng.random(n) after its last.  So a point is the one
+    that drawing one attempt at a time with rng.uniform gives, whatever the
+    blocking.  The blocks of all points still unfinished after a round are
+    sorted and tested together, at most CANDIDATE_CAP rows per call (see
+    _rounds); a seed that runs out of attempts is an error."""
     if n < 1:
         raise PhaseSpaceError("n must be >= 1")
     lo, hi = DEFAULT_XI_RANGE
@@ -138,16 +169,25 @@ def sample(n: int, seed: int) -> PhasePoint:
         raise PhaseSpaceError(
             f"infeasible position bounds {DEFAULT_XI_RANGE} for n={n}, gap={DEFAULT_XI_GAP}"
         )
-    rng = np.random.default_rng(seed)
-    start, block = 0, XI_FIRST_BLOCK
-    while start < XI_ATTEMPTS:
-        u = rng.random((min(block, XI_ATTEMPTS - start), n))
-        xi = np.sort(lo + (hi - lo) * u, axis=-1)
-        ok = np.all(np.diff(xi, axis=-1) >= DEFAULT_XI_GAP, axis=-1)
-        if ok.any():
-            i = int(np.argmax(ok))
-            v = u[i + 1] if i + 1 < len(u) else rng.random(n)
-            eta_lo, eta_hi = DEFAULT_ETA_RANGE
-            return PhasePoint(xi=xi[i, ::-1], eta=eta_lo + (eta_hi - eta_lo) * v)
-        start, block = start + len(u), 2 * block
-    raise PhaseSpaceError("could not realize the requested minimal gap")
+    seeds, one = _seed_list(seed)
+    xi, v = np.empty((len(seeds), n)), np.empty((len(seeds), n))
+    pending, rngs = dict.fromkeys(range(len(seeds))), {}  # rngs: the generators of units begun
+    for chunk, start, take in _rounds(pending, XI_FIRST_BLOCK, XI_ATTEMPTS):
+        u = np.empty((len(chunk), take, n))
+        for row, i in enumerate(chunk):
+            if start == 0:
+                rngs[i] = np.random.default_rng(seeds[i])
+            rngs[i].random(out=u[row])
+        xs = np.sort(lo + (hi - lo) * u, axis=-1)
+        ok = np.all(np.diff(xs, axis=-1) >= DEFAULT_XI_GAP, axis=-1)
+        for row, i in enumerate(chunk):
+            if ok[row].any():
+                j, rng = int(np.argmax(ok[row])), rngs.pop(i)
+                xi[i] = xs[row, j, ::-1]
+                v[i] = u[row, j + 1] if j + 1 < take else rng.random(n)
+                del pending[i]
+    if pending:
+        raise PhaseSpaceError("could not realize the requested minimal gap")
+    eta_lo, eta_hi = DEFAULT_ETA_RANGE
+    p = PhasePoint(xi=xi, eta=eta_lo + (eta_hi - eta_lo) * v)
+    return PhasePoint(xi=p.xi[0], eta=p.eta[0]) if one else p

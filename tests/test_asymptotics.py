@@ -8,12 +8,13 @@ from vandiejen.asymptotics import (
     FlowSpec,
     alpha_coeffs,
     flow_eigenvalues,
-    m_coeffs,
     p_coeffs,
     sample_spec,
     verify_theorem_exponential,
     verify_theorem_linear,
 )
+
+from vandiejen.linalg import principal_minors
 
 from conftest import det_cofactor
 
@@ -65,20 +66,25 @@ def _reference_alpha(m, d):
     )
 
 
-def test_m_coeffs_diagonal():
-    npt.assert_allclose(m_coeffs(np.diag([2.0, 3.0, 5.0])), [2, 3, 5])
+def _m_coeffs(m):
+    """Leading-coefficient ratios m_j = pi_j / pi_{j-1}, from the leading principal minors."""
+    return asymptotics._minor_ratios(principal_minors(m)[0])
 
 
-def test_m_coeffs_triangular_ignores_off_diagonal():
+def test_minor_ratios_diagonal():
+    npt.assert_allclose(_m_coeffs(np.diag([2.0, 3.0, 5.0])), [2, 3, 5])
+
+
+def test_minor_ratios_triangular_ignores_off_diagonal():
     m = np.array([[2.0, 7.0], [0.0, 3.0]])
-    npt.assert_allclose(m_coeffs(m), [2, 3])
+    npt.assert_allclose(_m_coeffs(m), [2, 3])
 
 
-def test_m_coeffs_product_is_determinant():
+def test_minor_ratios_product_is_determinant():
     rng = np.random.default_rng(4)
     m = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
     det = det_cofactor(m)
-    assert abs(np.prod(m_coeffs(m)) - det) <= 1e-10 * abs(det)
+    assert abs(np.prod(_m_coeffs(m)) - det) <= 1e-10 * abs(det)
 
 
 def test_p_coeffs_triangular_vanish():
@@ -200,6 +206,44 @@ def test_sample_spec_equals_one_candidate_at_a_time(size):
             assert np.array_equal(spec.m, m) and np.array_equal(spec.d, d)
             assert spec.kind == kind
         assert np.array_equal(p_coeffs(m), _reference_p_coeffs(m))
+
+
+# contiguous, and scattered with a repeat and a three-word seed; at size 9
+# seeds 9, 33, 34 and 40 run out, and each stack holds one of them
+SPEC_STACKS = [range(1, 13), [40, 3, 3, 9, 10**23], [8, 33, 34, 2]]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("seeds", SPEC_STACKS, ids=["contiguous", "scattered", "runs-out"])
+@pytest.mark.parametrize("size", range(2, 10))
+def test_stacked_sample_spec_equals_one_seed_at_a_time(size, seeds):
+    # bit for bit; where a seed runs out, the oracle's error of the first such seed
+    expected = []
+    for seed in seeds:
+        try:
+            expected.append(_reference_sample_spec(size, seed))
+        except AsymptoticsError as exc:
+            with pytest.raises(AsymptoticsError) as got:
+                sample_spec(size, seeds)
+            assert str(got.value) == str(exc)
+            return
+    for kind in ("exponential", "linear"):
+        spec = sample_spec(size, seeds, kind)
+        assert spec.m.shape == (len(seeds), size, size) and spec.kind == kind
+        for k, (m, d) in enumerate(expected):
+            assert np.array_equal(_bits(spec.m[k]), _bits(m))
+            assert np.array_equal(_bits(spec.d[k]), _bits(d))
+
+
+@pytest.mark.parametrize("size", [2, 5, 8])
+def test_one_seed_spec_is_row_0_of_its_stack_of_one(size):
+    one, stack = sample_spec(size, 17), sample_spec(size, [17])
+    assert one.m.shape == (size, size) and stack.m.shape == (1, size, size)
+    assert np.array_equal(_bits(one.m), _bits(stack.m[0]))
+    assert np.array_equal(_bits(one.d), _bits(stack.d[0]))
 
 
 def test_zero_leading_minor_is_skipped_in_a_stack():

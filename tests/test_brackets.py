@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vandiejen.brackets import BracketError, omega_matrix, poisson_brackets, symplectic_residuals
-from vandiejen.duality import duality_map
+from vandiejen.duality import dual_frame
 from vandiejen.dynamics import energy
 from vandiejen.phase_space import PhasePoint
 
@@ -35,7 +35,7 @@ def test_energy_self_bracket_vanishes(g):
 def test_dual_angles_commute_with_energy(g):
     # theta_hat are conserved quantities, so {theta_hat, H} = 0
     table = poisson_brackets(
-        lambda q: np.concatenate([duality_map(q, g).xi, energy(q, g)[:, None]], axis=-1),
+        lambda q: np.concatenate([dual_frame(q, g).image.xi, energy(q, g)[:, None]], axis=-1),
         point(2, seed=7),
     )
     assert np.abs(table[:2, 2]).max() <= 1e-6
@@ -69,7 +69,7 @@ def test_double_spectral_map_has_identity_jacobian(g):
 
     p = point(2, seed=19)
     j = _map_jacobian(
-        lambda x: duality_map(duality_map(PhasePoint.from_vector(x), g), g.hat()).as_vector(),
+        lambda x: dual_frame(dual_frame(PhasePoint.from_vector(x), g).image, g.hat()).image.as_vector(),
         p, step=1e-5,
     )
     assert np.abs(j - np.eye(4)).max() <= 1e-4

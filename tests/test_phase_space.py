@@ -134,3 +134,35 @@ def test_sample_equals_one_attempt_at_a_time(n):
         p = sample(n, seed)
         assert np.array_equal(p.xi.view(np.uint64), xi.view(np.uint64))
         assert np.array_equal(p.eta.view(np.uint64), eta.view(np.uint64))
+
+
+# contiguous, scattered with a repeat and a three-word seed, and every seed of
+# the one-at-a-time test above
+SEED_STACKS = [range(0, 12), [40, 3, 3, 9, 10**23], range(0, 200)]
+
+
+@pytest.mark.parametrize("seeds", SEED_STACKS, ids=["contiguous", "scattered", "all"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stacked_sample_equals_one_seed_at_a_time(n, seeds):
+    # bit for bit; where a seed runs out, the oracle's error of the first such seed
+    expected = []
+    for seed in seeds:
+        try:
+            expected.append(_reference_sample(n, seed))
+        except PhaseSpaceError as exc:
+            with pytest.raises(PhaseSpaceError) as got:
+                sample(n, seeds)
+            assert str(got.value) == str(exc)
+            return
+    p = sample(n, seeds)
+    assert p.xi.shape == (len(seeds), n)
+    for k, (xi, eta) in enumerate(expected):
+        assert np.array_equal(p.xi[k].view(np.uint64), xi.view(np.uint64))
+        assert np.array_equal(p.eta[k].view(np.uint64), eta.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_one_seed_is_row_0_of_its_stack_of_one(n):
+    one, stack = sample(n, 17), sample(n, [17])
+    assert one.xi.shape == (n,) and stack.xi.shape == (1, n)
+    assert np.array_equal(one.as_vector().view(np.uint64), stack.as_vector()[0].view(np.uint64))

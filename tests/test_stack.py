@@ -6,14 +6,14 @@ fails."""
 import numpy as np
 import pytest
 
-from vandiejen import Coupling, PhasePoint, brackets, duality, dynamics
+from vandiejen import Coupling, PhasePoint, asymptotics, brackets, cli, duality, dynamics
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_FAIL, main
 from vandiejen.duality import DualityError, dual_frame
 from vandiejen.dynamics import DynamicsError, _flow_step, projection_flow
 from vandiejen.lax import energy, lax_matrix
 from vandiejen.linalg import hermitian_eig
-from vandiejen.phase_space import PhaseSpaceError
+from vandiejen.phase_space import CANDIDATE_CAP, PhaseSpaceError
 
 from conftest import point
 
@@ -219,7 +219,7 @@ def test_poisson_brackets_over_a_stack_equal_each_point_alone(n):
     points = [point(n, seed=s) for s in (2, 5, 9)]
 
     def phi(q):
-        image = duality.duality_map(q, g).as_vector()
+        image = duality.dual_frame(q, g).image.as_vector()
         return np.concatenate([image, energy(q, g)[:, None]], axis=-1)
 
     stacked = brackets.poisson_brackets(phi, stack_of(points))
@@ -267,3 +267,49 @@ def test_duality_identities_take_the_frames_at_p_and_at_the_dual_point(monkeypat
     calls = _count_eigensolves(monkeypatch)
     duality.identity_residuals(stack_of([point(3, seed=s) for s in (1, 2)]), G_FAIL)
     assert len(calls) == 2
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record the (args, kwargs) of each call of owner.name from now on."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append((a, k)) or fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("battery", list(BATTERIES))
+def test_a_battery_samples_its_stack_in_one_sampler_call(battery, monkeypatch, tmp_path):
+    points = _count_calls(monkeypatch, cli, "sample")
+    specs = _count_calls(monkeypatch, asymptotics, "sample_spec")
+    kind = battery.removeprefix("asymptotics-")
+    argv = ["asymptotics", "--kind", kind] if kind != battery else [battery]
+    main([*argv, "--n", "3", "--seed", "4", "--points", "5", "--out", str(tmp_path / "out.csv")])
+    calls = specs if BATTERIES[battery].unit == "spec" else points
+    assert len(points) + len(specs) == 1
+    assert [list(k["seed"]) for _, k in calls] == [[4, 5, 6, 7, 8]]
+
+
+def test_spec_attempts_build_no_generator_and_share_minors_calls(monkeypatch):
+    size, seeds = 8, range(1, 13)
+    # each seed alone takes one principal_minors call per round, as a block fits one call
+    rounds = []
+    for seed in seeds:
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, asymptotics, "principal_minors")
+            asymptotics.sample_spec(size, seed, kind="linear")
+        rounds.append(len(calls))
+    built = {name: _count_calls(monkeypatch, np.random, name)
+             for name in ("default_rng", "SeedSequence", "PCG64")}
+    calls = _count_calls(monkeypatch, asymptotics, "principal_minors")
+    asymptotics.sample_spec(size, seeds, kind="linear")
+    minors = [len(a[0]) for a, _ in calls]  # candidates per call
+    # round r splits the seeds still unfinished into calls of CANDIDATE_CAP candidates at most
+    expected, start, block = [], 0, asymptotics.SPEC_FIRST_BLOCK
+    for r in range(max(rounds)):
+        take = min(block, asymptotics.SPEC_ATTEMPTS - start)
+        pending, per_call = sum(count > r for count in rounds), max(1, CANDIDATE_CAP // take)
+        expected += [take * min(per_call, pending - c) for c in range(0, pending, per_call)]
+        start, block = start + take, 2 * block
+    assert minors == expected and max(minors) <= CANDIDATE_CAP
+    assert sum(minors) > 1000  # the seeds at this size take up to 200 attempts each
+    assert built["default_rng"] == built["SeedSequence"] == []
+    assert len(built["PCG64"]) == len(minors)  # one reused generator per call
