@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _seeding
 from .linalg import general_eig, principal_minors
-from .phase_space import VandiejenError, _rounds, _seed_list
+from .phase_space import VandiejenError, _seed_list
 
 MINOR_MARGIN = 1e-10
 ORDER_GAP_TOL = 1e-8
@@ -31,6 +31,8 @@ EXP_CAP = 600.0
 SPEC_ATTEMPTS = 200
 # sample_spec's first block, timed at N = 4, 6, 8: most specs there need 2-150 attempts
 SPEC_FIRST_BLOCK = 8
+# candidates per stacked call of sample_spec: a bound on its working memory
+CANDIDATE_CAP = 128
 # sample_spec: diagonal gaps in MIN_GAP + [0, GAP_SPREAD], M = I + OFF_SCALE * noise
 SPEC_MIN_GAP, SPEC_GAP_SPREAD, SPEC_OFF_SCALE = 1.5, 0.5, 0.2
 P_RECOVERY_TIMES = (8.0, 10.0)  # the two sample times of exponential_summary's p recovery
@@ -359,6 +361,22 @@ def linear_summary(spec: FlowSpec, t_grid) -> dict:
     }
 
 
+def _rounds(pending: dict):
+    """sample_spec's attempt schedule over the seeds (keys) in pending, in order.
+    Round r draws attempts start .. start + take - 1 of every seed still in
+    pending, take = SPEC_FIRST_BLOCK * 2**r up to SPEC_ATTEMPTS in all, in
+    chunks of at most CANDIDATE_CAP candidates (one seed at least).  Yields
+    (chunk, start, take); the caller deletes every seed it has finished from
+    pending, and what remains after the last round has run out of attempts."""
+    start, block = 0, SPEC_FIRST_BLOCK
+    while pending and start < SPEC_ATTEMPTS:
+        take = min(block, SPEC_ATTEMPTS - start)
+        units, per_call = list(pending), max(1, CANDIDATE_CAP // take)
+        for c in range(0, len(units), per_call):
+            yield units[c : c + per_call], start, take
+        start, block = start + take, 2 * block
+
+
 def _accepted(ms: np.ndarray, floor: float) -> np.ndarray:
     """Mask over a (P, N, N) stack of M: every leading minor nonzero and every
     |p_j| >= floor.  A candidate with a zero leading minor gets inf or nan p
@@ -393,7 +411,7 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     expression for their noise and M, mapped as rng.uniform(-1, 1) maps them
     (-1 + 2 u, exact), and one principal_minors call for their p
     coefficients, at most CANDIDATE_CAP candidates per call (see
-    phase_space._rounds).  A seed's spec is its first accepted attempt, and
+    _rounds).  A seed's spec is its first accepted attempt, and
     only its gaps and d are built, so the result does not depend on the
     blocking or on the other seeds; a seed that runs out of attempts is an
     error.
@@ -405,7 +423,7 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     shift, v = np.empty((len(seeds), size - 1)), np.empty((len(seeds), size - 1))
     m = np.empty((len(seeds), size, size), dtype=complex)
     pending = dict.fromkeys(range(len(seeds)))
-    for chunk, start, take in _rounds(pending, SPEC_FIRST_BLOCK, SPEC_ATTEMPTS):
+    for chunk, start, take in _rounds(pending):
         entropies = [seeds[i] * 1009 + k for i in chunk for k in range(start, start + take)]
         # rng.shuffle of a copy of slots is rng.permutation(slots), in place
         shifts = np.tile(slots, (len(entropies), 1))

@@ -171,7 +171,8 @@ def _dual_lax_routes(frame: DualFrame, dual_bundle: LaxBundle):
 
 def minor_identity_residuals(frame: DualFrame) -> tuple[np.ndarray, np.ndarray]:
     """Max residuals, per point, of the linear and quadratic constraints tying
-    z_hat (from F_hat, not the closed form) to the angle data."""
+    z_hat (from F_hat, not the closed form) to the angle data.  The quadratic
+    one is relative to the sum of its three terms' moduli."""
     g_hat = frame.bundle.coupling.hat()
     mu, nu = g_hat.mu, g_hat.nu
     th = frame.theta_hat
@@ -184,12 +185,13 @@ def minor_identity_residuals(frame: DualFrame) -> tuple[np.ndarray, np.ndarray]:
         + np.sin(mu) / s_m * wz.conj()
         + np.sin(mu - nu) * (1.0 / s_p + 1.0 / s_m)
     )
-    quadratic = (
-        np.sinh(2 * th) ** 2 * np.abs(wz) ** 2
-        - np.sin(mu) * np.sin(mu - nu) * (wz + wz.conj()).real
-        - (np.sin(mu) ** 2 + np.sin(mu - nu) ** 2 + np.sinh(2 * th) ** 2)
+    terms = (
+        np.sinh(2 * th) ** 2 * np.abs(wz) ** 2,
+        np.sin(mu) * np.sin(mu - nu) * (wz + wz.conj()).real,
+        np.sin(mu) ** 2 + np.sin(mu - nu) ** 2 + np.sinh(2 * th) ** 2,
     )
-    return np.abs(linear).max(axis=-1), np.abs(quadratic).max(axis=-1)
+    quadratic = np.abs(terms[0] - terms[1] - terms[2]) / sum(np.abs(t) for t in terms)
+    return np.abs(linear).max(axis=-1), quadratic.max(axis=-1)
 
 
 def identity_residuals(p: PhasePoint, g: Coupling) -> dict:

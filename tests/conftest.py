@@ -4,7 +4,7 @@ import pytest
 from vandiejen import Coupling, sample
 from vandiejen.lax import LaxError
 from vandiejen.linalg import LinalgError
-from vandiejen.phase_space import PhasePoint
+from vandiejen.phase_space import DEFAULT_ETA_RANGE, DEFAULT_XI_GAP, DEFAULT_XI_RANGE, PhasePoint
 
 
 @pytest.fixture
@@ -19,6 +19,19 @@ def g_hat(g):
 
 def point(n, seed):
     return sample(n, seed=seed)
+
+
+def rejection_sample(n, seed):
+    """(xi, eta) of the first uniform box of default_rng(seed) whose sorted
+    positions clear DEFAULT_XI_GAP, one attempt at a time: the law that
+    sample draws constructively."""
+    lo, hi = DEFAULT_XI_RANGE
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        xi = np.sort(rng.uniform(lo, hi, size=n))[::-1]
+        if n == 1 or np.min(-np.diff(xi)) >= DEFAULT_XI_GAP:
+            return xi, rng.uniform(*DEFAULT_ETA_RANGE, size=n)
+    raise AssertionError("no attempt cleared the gaps")
 
 
 def overflow_point():

@@ -1,7 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from vandiejen.brackets import BracketError, omega_matrix, poisson_brackets, symplectic_residuals
+from vandiejen.checks import BATTERIES
+from vandiejen.cli import EXIT_PASS, main
 from vandiejen.duality import dual_frame
 from vandiejen.dynamics import energy
 from vandiejen.phase_space import PhasePoint
@@ -93,3 +97,21 @@ def test_bracket_row_rejects_step_that_is_not_finite_and_positive(step, g):
         symplectic_residuals(point(2, seed=1), g, step)
     with pytest.raises(BracketError, match="finite and positive"):
         poisson_brackets(lambda q: q.as_vector(), point(2, seed=1), step)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="h^2 truncation of the central-difference spectral block (ROADMAP item 6)",
+)
+def test_brackets_row_where_the_truncation_shows_passes(tmp_path):
+    # angle_angle reads 2.4e-5 against 1e-5 here; any other failing column is
+    # a failure of its own, not this known defect
+    out = tmp_path / "out.csv"
+    code = main(["brackets", "--n", "3", "--seed", "2529", "--points", "1", "--out", str(out)])
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    checks = BATTERIES["brackets"].checks
+    values = {c.column: float(row[c.column]) for c in checks}
+    failing = [c.column for c in checks if not c.holds(values)]
+    if failing not in ([], ["angle_angle"]):
+        pytest.fail(f"failing columns {failing}, expected angle_angle alone")
+    assert code == EXIT_PASS and not failing

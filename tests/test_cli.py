@@ -160,7 +160,7 @@ def test_json_rows_carry_the_seed_of_their_unit(argv, tmp_path):
 
 @pytest.mark.parametrize("method", ["projection", "runge-kutta", "both"])
 def test_flow_json_passed_agrees_with_the_exit_code(method, tmp_path, capsys):
-    # the projection step fails from t = 2.5 on
+    # the projection step fails from t = 3.5 on
     out = tmp_path / "flow.json"
     argv = ["flow", "--n", "7", "--mu", "1.3", "--nu", "0.2", "--method", method]
     code = run([*argv, "--format", "json", "--out", str(out)])
@@ -170,7 +170,7 @@ def test_flow_json_passed_agrees_with_the_exit_code(method, tmp_path, capsys):
     if method == "runge-kutta":
         assert code == EXIT_PASS and all(passed)
     else:
-        assert code == EXIT_FAIL and passed == [True] * 5 + [False] * 6
+        assert code == EXIT_FAIL and passed == [True] * 7 + [False] * 4
 
 
 def _reject_constant(name):
@@ -178,18 +178,18 @@ def _reject_constant(name):
 
 
 def test_json_report_is_strict_with_non_finite_values_as_null(tmp_path, capsys):
-    # the projection step fails from t = 2.5 on: those rows hold inf and nan
+    # the projection step fails from t = 3.5 on: those rows hold inf and nan
     out = tmp_path / "flow.json"
     argv = ["flow", "--n", "7", "--mu", "1.3", "--nu", "0.2", "--format", "json"]
     assert run([*argv, "--out", str(out)]) == EXIT_FAIL
     capsys.readouterr()
     rows = json.loads(out.read_text(), parse_constant=_reject_constant)
     gaps = [row["propagator_gap"] for row in rows]
-    assert gaps[:5] == [g for g in gaps[:5] if isinstance(g, float)]
-    assert gaps[5:] == [None] * 6
+    assert gaps[:7] == [g for g in gaps[:7] if isinstance(g, float)]
+    assert gaps[7:] == [None] * 4
     csv_out = tmp_path / "flow.csv"
     assert run([*argv[:-2], "--out", str(csv_out)]) == EXIT_FAIL
-    assert csv_out.read_text().count(",inf\n") == 6
+    assert csv_out.read_text().count(",inf\n") == 4
 
 
 def test_main_in_one_process_matches_fresh_calls(tmp_path, capsys):
@@ -330,15 +330,15 @@ def test_flow_takes_no_points_option(tmp_path):
 
 
 def test_flow_keeps_its_report_when_the_projection_step_fails(tmp_path, capsys):
-    # the flow exponent range passes the cap from t = 2.5 on; the RK leg runs on
+    # the flow exponent range passes the cap from t = 3.5 on; the RK leg runs on
     base = ["flow", "--n", "7", "--mu", "1.3", "--nu", "0.2"]
-    late = ["2.5", "3", "3.5", "4", "4.5", "5"]
+    late = ["3.5", "4", "4.5", "5"]
     reports = {}
     for method, grid, want in [
         ("both", "0:0.5:5", EXIT_FAIL),
         ("projection", "0:0.5:5", EXIT_FAIL),
         ("runge-kutta", "0:0.5:5", EXIT_PASS),
-        ("projection", "0:0.5:2", EXIT_PASS),
+        ("projection", "0:0.5:3", EXIT_PASS),
     ]:
         out = tmp_path / f"{method}-{grid}.csv"
         assert run(base + ["--method", method, "--t", grid, "--out", str(out)]) == want
@@ -353,9 +353,9 @@ def test_flow_keeps_its_report_when_the_projection_step_fails(tmp_path, capsys):
     rk = reports["runge-kutta", "0:0.5:5"]
     assert len(both) == len(proj) == 12
     # the rows before the failure and the header are those of a grid that stops short
-    assert proj[:6] == reports["projection", "0:0.5:2"]
-    for line_both, line_proj, line_rk in zip(both[6:], proj[6:], rk[6:]):
+    assert proj[:8] == reports["projection", "0:0.5:3"]
+    for line_both, line_proj, line_rk in zip(both[8:], proj[8:], rk[8:]):
         t, *values = line_proj.split(",")
         assert t in late and values == ["nan"] * 15
         assert line_both == f"{line_rk},inf"
-    assert all(float(line.split(",")[-1]) < 1e-6 for line in both[1:6])
+    assert all(float(line.split(",")[-1]) < 1e-6 for line in both[1:8])

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from vandiejen import _kernels
+from vandiejen.checks import BATTERIES
 from vandiejen.duality import (
     DualityError,
     _dual_lax_routes,
@@ -10,9 +12,9 @@ from vandiejen.duality import (
     minor_identity_residuals,
 )
 from vandiejen.lax import conjugation_matrix, lax_matrix
-from vandiejen.phase_space import PhasePoint, PhaseSpaceError
+from vandiejen.phase_space import Coupling, PhasePoint, PhaseSpaceError
 
-from conftest import point
+from conftest import point, rejection_sample
 
 
 def diagonalizer(b):
@@ -117,6 +119,28 @@ def test_minor_identities(g):
         lin, quad = minor_identity_residuals(dual_frame(point(n, seed=23 + n), g))
         assert lin <= 1e-9
         assert quad <= 1e-8
+
+
+def test_quadratic_identity_is_relative_to_its_terms():
+    # at this point of the rejection sampler the terms reach about 1e5, so the
+    # absolute residual passes 1e-8 while the relative one reads 435 eps
+    g = Coupling(1.3, 0.2)
+    frame = dual_frame(PhasePoint(*rejection_sample(6, 218)), g)
+    mu, nu = g.hat().mu, g.hat().nu
+    th = frame.theta_hat
+    wz = frame.z_hat / _kernels.pair_product(th, mu)
+    terms = (
+        np.sinh(2 * th) ** 2 * np.abs(wz) ** 2,
+        np.sin(mu) * np.sin(mu - nu) * 2 * wz.real,
+        np.sin(mu) ** 2 + np.sin(mu - nu) ** 2 + np.sinh(2 * th) ** 2,
+    )
+    absolute = np.abs(terms[0] - terms[1] - terms[2])
+    assert absolute.max() > 1e-8
+    (check,) = [c for c in BATTERIES["duality"].checks if c.column == "quadratic_identity"]
+    _, quad = minor_identity_residuals(frame)
+    # the same model up to the rounding of its own terms
+    assert quad == pytest.approx((absolute / sum(np.abs(t) for t in terms)).max(), rel=0.05)
+    assert quad <= 1e3 * np.finfo(float).eps <= check.bound
 
 
 def test_spectral_invariant_sum(g):

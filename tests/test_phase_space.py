@@ -13,16 +13,7 @@ from vandiejen.phase_space import (
     sample,
 )
 
-
-def _reference_sample(n, seed):
-    """(xi, eta) of the first accepted attempt, drawing and testing one attempt at a time."""
-    lo, hi = DEFAULT_XI_RANGE
-    rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        xi = np.sort(rng.uniform(lo, hi, size=n))[::-1]
-        if n == 1 or np.min(-np.diff(xi)) >= DEFAULT_XI_GAP:
-            return xi, rng.uniform(*DEFAULT_ETA_RANGE, size=n)
-    raise PhaseSpaceError("could not realize the requested minimal gap")
+from conftest import rejection_sample
 
 
 def test_validate_ordered_point():
@@ -115,50 +106,48 @@ def test_sample_respects_bounds():
 
 
 def test_sample_rejects_infeasible_bounds():
-    # 12 steps of DEFAULT_XI_GAP fill the box DEFAULT_XI_RANGE; 13 do not fit
-    with pytest.raises(PhaseSpaceError, match="infeasible position bounds"):
-        sample(14, seed=0)
+    # 11 steps of DEFAULT_XI_GAP fill the box DEFAULT_XI_RANGE; 12 do not fit
+    lo, hi = DEFAULT_XI_RANGE
+    with pytest.raises(PhaseSpaceError) as exc:
+        sample(13, seed=0)
+    assert str(exc.value) == f"infeasible position bounds ({lo}, {hi}) for n=13, gap={DEFAULT_XI_GAP}"
+
+
+def _one_attempt(n, seed):
+    """(xi, eta) of the constructive rule drawn with rng.uniform from a fresh
+    default_rng(seed): sorted positions in a box of side slack, shifted up by
+    the minimum gaps."""
+    lo, hi = DEFAULT_XI_RANGE
+    rng = np.random.default_rng(seed)
+    y = np.sort(rng.uniform(0.0, hi - lo - (n - 1) * DEFAULT_XI_GAP, size=n))[::-1]
+    xi = lo + y + DEFAULT_XI_GAP * np.arange(n - 1, -1, -1)
+    return xi, rng.uniform(*DEFAULT_ETA_RANGE, size=n)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sample_equals_one_attempt_at_a_time(n):
-    # bit for bit, and the same error where every attempt fails (most seeds at n = 9, all above)
+    # every point is one attempt, bit for bit, at every feasible n
     for seed in range(200):
-        try:
-            xi, eta = _reference_sample(n, seed)
-        except PhaseSpaceError as exc:
-            with pytest.raises(PhaseSpaceError) as got:
-                sample(n, seed)
-            assert str(got.value) == str(exc)
-            continue
+        xi, eta = _one_attempt(n, seed)
         p = sample(n, seed)
         assert np.array_equal(p.xi.view(np.uint64), xi.view(np.uint64))
         assert np.array_equal(p.eta.view(np.uint64), eta.view(np.uint64))
 
 
 # contiguous, scattered with a repeat and a three-word seed, and every seed of
-# the one-at-a-time test above
+# the one-attempt test above
 SEED_STACKS = [range(0, 12), [40, 3, 3, 9, 10**23], range(0, 200)]
 
 
 @pytest.mark.parametrize("seeds", SEED_STACKS, ids=["contiguous", "scattered", "all"])
 @pytest.mark.parametrize("n", range(1, 13))
 def test_stacked_sample_equals_one_seed_at_a_time(n, seeds):
-    # bit for bit; where a seed runs out, the oracle's error of the first such seed
-    expected = []
-    for seed in seeds:
-        try:
-            expected.append(_reference_sample(n, seed))
-        except PhaseSpaceError as exc:
-            with pytest.raises(PhaseSpaceError) as got:
-                sample(n, seeds)
-            assert str(got.value) == str(exc)
-            return
+    # bit for bit
     p = sample(n, seeds)
     assert p.xi.shape == (len(seeds), n)
-    for k, (xi, eta) in enumerate(expected):
-        assert np.array_equal(p.xi[k].view(np.uint64), xi.view(np.uint64))
-        assert np.array_equal(p.eta[k].view(np.uint64), eta.view(np.uint64))
+    for k, seed in enumerate(seeds):
+        alone = sample(n, seed).as_vector()
+        assert np.array_equal(p.as_vector()[k].view(np.uint64), alone.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [1, 4, 6])
@@ -166,3 +155,40 @@ def test_one_seed_is_row_0_of_its_stack_of_one(n):
     one, stack = sample(n, 17), sample(n, [17])
     assert one.xi.shape == (n,) and stack.xi.shape == (1, n)
     assert np.array_equal(one.as_vector().view(np.uint64), stack.as_vector()[0].view(np.uint64))
+
+
+def _ks_distance(a, b):
+    """The two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    return np.abs(
+        np.searchsorted(a, at, side="right") / len(a) - np.searchsorted(b, at, side="right") / len(b)
+    ).max()
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_sample_has_the_law_of_drawing_boxes_until_one_clears_the_gaps(n):
+    # each coordinate of 2000 points against 2000 rejection draws from other
+    # seeds, two-sample KS at level alpha = 1e-3 each: the asymptotic critical
+    # distance is c sqrt(2 / 2000), c = sqrt(-ln(alpha / 2) / 2) = 1.949
+    size, alpha = 2000, 1e-3
+    p = sample(n, range(size, 2 * size))
+    ref = np.array([np.concatenate(rejection_sample(n, seed)) for seed in range(size)])
+    critical = np.sqrt(-np.log(alpha / 2) / 2) * np.sqrt(2 / size)
+    for column in range(2 * n):
+        assert _ks_distance(p.as_vector()[:, column], ref[:, column]) < critical, column
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sample_steps_clear_the_gap(n):
+    # at every n the box holds, n = 9..12 included, where the rejection
+    # sampler ran out of its 1000 attempts for most seeds.  xi_a - xi_{a+1} is
+    # slack (s_a - s_{a+1}) + DEFAULT_XI_GAP before rounding; each position
+    # takes four roundings of half an ulp of hi at most, so a step may fall
+    # short of the gap by 4 ulps of hi (at n = 12, where the slack is 0, steps
+    # read 0.625 ulps short)
+    lo, hi = DEFAULT_XI_RANGE
+    p = sample(n, range(1, 501))
+    steps = -np.diff(p.xi, axis=-1)
+    assert steps.min() >= DEFAULT_XI_GAP - 4 * np.spacing(hi)
+    assert p.xi.min() >= lo and p.xi.max() <= hi

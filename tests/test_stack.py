@@ -13,7 +13,7 @@ from vandiejen.duality import DualityError, dual_frame
 from vandiejen.dynamics import DynamicsError, _flow_step, projection_flow
 from vandiejen.lax import energy, lax_matrix
 from vandiejen.linalg import hermitian_eig
-from vandiejen.phase_space import CANDIDATE_CAP, PhaseSpaceError
+from vandiejen.phase_space import PhaseSpaceError
 
 from conftest import point
 
@@ -82,8 +82,8 @@ def test_stacked_jacobian_equals_the_pointwise_oracle(n, seed, g):
 
 
 def test_stacked_jacobian_equals_the_oracle_where_the_row_fails():
-    # brackets --n 3 --seed 7 fails its angle_angle check from truncation
-    p, g = point(3, seed=7), Coupling(0.7, 0.4)
+    # brackets --n 3 --seed 2529 fails its angle_angle check from truncation
+    p, g = point(3, seed=2529), Coupling(0.7, 0.4)
     np.testing.assert_array_equal(stacked_jacobian(p, g), jacobian_oracle(p, g))
 
 
@@ -199,14 +199,14 @@ def test_stencil_failure_ends_the_command_in_one_error_line(monkeypatch, tmp_pat
 
 
 def test_battery_names_the_first_failing_point_of_its_stack(monkeypatch, tmp_path, capsys):
-    # of the five points at seeds 14..18, only point 3 falls below this gap
+    # of the five points at seeds 10..14, only point 3 falls below this gap
     # tolerance: the command ends in one error line with that point's gap
-    gaps = np.array([_spectral_gaps_at(point(3, seed=14 + k), G_FAIL) for k in range(5)])
+    gaps = np.array([_spectral_gaps_at(point(3, seed=10 + k), G_FAIL) for k in range(5)])
     tol, failing = _between_lowest(gaps)
     assert list(failing) == [3]
     monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", tol)
     out = tmp_path / "out.csv"
-    argv = ["duality", "--n", "3", "--seed", "14", "--points", "5", "--out", str(out)]
+    argv = ["duality", "--n", "3", "--seed", "10", "--points", "5", "--out", str(out)]
     assert main(argv) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err == f"error: degenerate spectrum: smallest relative gap {gaps[3]:.3e}\n"
@@ -306,10 +306,10 @@ def test_spec_attempts_build_no_generator_and_share_minors_calls(monkeypatch):
     expected, start, block = [], 0, asymptotics.SPEC_FIRST_BLOCK
     for r in range(max(rounds)):
         take = min(block, asymptotics.SPEC_ATTEMPTS - start)
-        pending, per_call = sum(count > r for count in rounds), max(1, CANDIDATE_CAP // take)
+        pending, per_call = sum(count > r for count in rounds), max(1, asymptotics.CANDIDATE_CAP // take)
         expected += [take * min(per_call, pending - c) for c in range(0, pending, per_call)]
         start, block = start + take, 2 * block
-    assert minors == expected and max(minors) <= CANDIDATE_CAP
+    assert minors == expected and max(minors) <= asymptotics.CANDIDATE_CAP
     assert sum(minors) > 1000  # the seeds at this size take up to 200 attempts each
     assert built["default_rng"] == built["SeedSequence"] == []
     assert len(built["PCG64"]) == len(minors)  # one reused generator per call
