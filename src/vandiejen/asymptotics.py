@@ -361,22 +361,6 @@ def linear_summary(spec: FlowSpec, t_grid) -> dict:
     }
 
 
-def _rounds(pending: dict):
-    """sample_spec's attempt schedule over the seeds (keys) in pending, in order.
-    Round r draws attempts start .. start + take - 1 of every seed still in
-    pending, take = SPEC_FIRST_BLOCK * 2**r up to SPEC_ATTEMPTS in all, in
-    chunks of at most CANDIDATE_CAP candidates (one seed at least).  Yields
-    (chunk, start, take); the caller deletes every seed it has finished from
-    pending, and what remains after the last round has run out of attempts."""
-    start, block = 0, SPEC_FIRST_BLOCK
-    while pending and start < SPEC_ATTEMPTS:
-        take = min(block, SPEC_ATTEMPTS - start)
-        units, per_call = list(pending), max(1, CANDIDATE_CAP // take)
-        for c in range(0, len(units), per_call):
-            yield units[c : c + per_call], start, take
-        start, block = start + take, 2 * block
-
-
 def _accepted(ms: np.ndarray, floor: float) -> np.ndarray:
     """Mask over a (P, N, N) stack of M: every leading minor nonzero and every
     |p_j| >= floor.  A candidate with a zero leading minor gets inf or nan p
@@ -410,8 +394,8 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     blocks of all seeds still unfinished after a round go through one
     expression for their noise and M, mapped as rng.uniform(-1, 1) maps them
     (-1 + 2 u, exact), and one principal_minors call for their p
-    coefficients, at most CANDIDATE_CAP candidates per call (see
-    _rounds).  A seed's spec is its first accepted attempt, and
+    coefficients, at most CANDIDATE_CAP candidates per call (one seed at
+    least).  A seed's spec is its first accepted attempt, and
     only its gaps and d are built, so the result does not depend on the
     blocking or on the other seeds; a seed that runs out of attempts is an
     error.
@@ -423,23 +407,30 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     shift, v = np.empty((len(seeds), size - 1)), np.empty((len(seeds), size - 1))
     m = np.empty((len(seeds), size, size), dtype=complex)
     pending = dict.fromkeys(range(len(seeds)))
-    for chunk, start, take in _rounds(pending):
-        entropies = [seeds[i] * 1009 + k for i in chunk for k in range(start, start + take)]
-        # rng.shuffle of a copy of slots is rng.permutation(slots), in place
-        shifts = np.tile(slots, (len(entropies), 1))
-        u = np.empty((len(entropies), size - 1 + 2 * size * size))
-        for row, rng in enumerate(_seeding.streams(entropies)):
-            if size > 2:
-                rng.shuffle(shifts[row])
-            rng.random(out=u[row])
-        noise = (-1.0 + 2.0 * u[:, size - 1:]).reshape(-1, 2, size, size)
-        ms = np.eye(size) + SPEC_OFF_SCALE * (noise[:, 0] + 1j * noise[:, 1])
-        ok = _accepted(ms, 0.5 * SPEC_OFF_SCALE ** 2).reshape(len(chunk), take)
-        for row, i in enumerate(chunk):
-            if ok[row].any():
-                j = row * take + int(np.argmax(ok[row]))
-                shift[i], v[i], m[i] = shifts[j], u[j, : size - 1], ms[j]
-                del pending[i]
+    start, block = 0, SPEC_FIRST_BLOCK
+    # round r draws attempts start .. start + take - 1 of every seed still pending
+    while pending and start < SPEC_ATTEMPTS:
+        take = min(block, SPEC_ATTEMPTS - start)
+        units, per_call = list(pending), max(1, CANDIDATE_CAP // take)
+        for c in range(0, len(units), per_call):
+            chunk = units[c : c + per_call]
+            entropies = [seeds[i] * 1009 + k for i in chunk for k in range(start, start + take)]
+            # rng.shuffle of a copy of slots is rng.permutation(slots), in place
+            shifts = np.tile(slots, (len(entropies), 1))
+            u = np.empty((len(entropies), size - 1 + 2 * size * size))
+            for row, rng in enumerate(_seeding.streams(entropies)):
+                if size > 2:
+                    rng.shuffle(shifts[row])
+                rng.random(out=u[row])
+            noise = (-1.0 + 2.0 * u[:, size - 1:]).reshape(-1, 2, size, size)
+            ms = np.eye(size) + SPEC_OFF_SCALE * (noise[:, 0] + 1j * noise[:, 1])
+            ok = _accepted(ms, 0.5 * SPEC_OFF_SCALE ** 2).reshape(len(chunk), take)
+            for row, i in enumerate(chunk):
+                if ok[row].any():
+                    j = row * take + int(np.argmax(ok[row]))
+                    shift[i], v[i], m[i] = shifts[j], u[j, : size - 1], ms[j]
+                    del pending[i]
+        start, block = start + take, 2 * block
     if pending:
         raise AsymptoticsError("could not realize a well-conditioned spec")
     if size == 2:

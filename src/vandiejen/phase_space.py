@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _seeding
-
 DEFAULT_GAP = 1e-8
 DEFAULT_REG_MARGIN = 1e-6
 
@@ -127,18 +125,20 @@ def _seed_list(seed) -> tuple[list[int], bool]:
 
 def sample(n: int, seed) -> PhasePoint:
     """Deterministic sample: positions in the box DEFAULT_XI_RANGE, sorted
-    descending with steps of at least DEFAULT_XI_GAP, and rapidities in
-    DEFAULT_ETA_RANGE.  One seed gives one point, a sequence of seeds the
-    stack of their points, point i being the point of seed[i] alone.
+    descending with steps of DEFAULT_XI_GAP or more (up to a few ulps of
+    rounding), and rapidities in DEFAULT_ETA_RANGE.  One seed gives one
+    point, a sequence of seeds the stack of their points, point i being the
+    point of seed[i] alone.
 
-    A point reads the first 2n numbers u of default_rng(seed).random, through
-    one reused generator (_seeding.streams).  With slack = hi - lo - (n - 1)
-    DEFAULT_XI_GAP, xi_a = lo + slack s_a + DEFAULT_XI_GAP (n - 1 - a), s the
-    first n of u sorted descending, and eta maps the last n onto
-    DEFAULT_ETA_RANGE.  x_(k) - (k - 1) DEFAULT_XI_GAP maps the feasible set
-    onto sorted points in a box of side slack with unit Jacobian, so the
-    points have the law of drawing boxes until one clears the gaps (Devroye,
-    Non-Uniform Random Variate Generation, 1986, ch. V)."""
+    A point reads the first 2n numbers u of default_rng(seed).random.  With
+    slack = hi - lo - (n - 1) DEFAULT_XI_GAP, xi_a = lo + slack s_a +
+    DEFAULT_XI_GAP (n - 1 - a), s the first n of u sorted descending, and eta
+    maps the last n onto DEFAULT_ETA_RANGE.  x_(k) - (k - 1) DEFAULT_XI_GAP
+    maps the feasible set onto sorted points in a box of side slack with unit
+    Jacobian, so the points have the law of drawing boxes until one clears
+    the gaps (Devroye, Non-Uniform Random Variate Generation, 1986, ch. V).
+    At n = 12 the slack is 0: the positions are the same for every seed and
+    only eta is random."""
     if n < 1:
         raise PhaseSpaceError("n must be >= 1")
     lo, hi = DEFAULT_XI_RANGE
@@ -148,9 +148,7 @@ def sample(n: int, seed) -> PhasePoint:
             f"infeasible position bounds {DEFAULT_XI_RANGE} for n={n}, gap={DEFAULT_XI_GAP}"
         )
     seeds, one = _seed_list(seed)
-    u = np.empty((len(seeds), 2 * n))
-    for row, rng in zip(u, _seeding.streams(seeds)):
-        rng.random(out=row)
+    u = np.array([np.random.default_rng(s).random(2 * n) for s in seeds]).reshape(-1, 2 * n)
     steps = DEFAULT_XI_GAP * np.arange(n - 1, -1, -1)
     eta_lo, eta_hi = DEFAULT_ETA_RANGE
     p = PhasePoint(
