@@ -9,10 +9,9 @@ empirically on time grids.
 
 A FlowSpec holds one spec or a stack of specs (see FlowSpec), and every
 routine here takes either: its results carry the stack's leading axes.  The
-spectra of all specs at all times come from one general_eig call, each check
-runs over the whole stack and raises the error of its first failing spec, in
-stack order, at the earliest failing stage.  Only the decay fit runs per
-(spec, j) column, one np.polyfit each.
+spectra of all specs at all times come from one general_eig call, and the
+checks follow phase_space.raise_first.  Only the decay fit runs per (spec, j)
+column, one np.polyfit each.
 """
 from __future__ import annotations
 
@@ -22,17 +21,14 @@ import numpy as np
 
 from . import _seeding
 from .linalg import general_eig, principal_minors
-from .phase_space import VandiejenError, _seed_list
+from .phase_space import VandiejenError, _seed_list, raise_first
 
 MINOR_MARGIN = 1e-10
 ORDER_GAP_TOL = 1e-8
 FIT_CLAMP = 1e-14
 EXP_CAP = 600.0
 SPEC_ATTEMPTS = 200
-# sample_spec's first block, timed at N = 4, 6, 8: most specs there need 2-150 attempts
-SPEC_FIRST_BLOCK = 8
-# candidates per stacked call of sample_spec: a bound on its working memory
-CANDIDATE_CAP = 128
+SPEC_BLOCK = 20  # attempts per seed in one round of sample_spec; divides SPEC_ATTEMPTS
 # sample_spec: diagonal gaps in MIN_GAP + [0, GAP_SPREAD], M = I + OFF_SCALE * noise
 SPEC_MIN_GAP, SPEC_GAP_SPREAD, SPEC_OFF_SCALE = 1.5, 0.5, 0.2
 P_RECOVERY_TIMES = (8.0, 10.0)  # the two sample times of exponential_summary's p recovery
@@ -154,11 +150,9 @@ def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
         w = general_eig(spec.m[..., None, :, :] * scale[..., None, :])
         mods = np.abs(w)
         rel = (-np.diff(mods, axis=-1) / mods[..., :-1]).min(axis=-1)
-        if rel.min() < ORDER_GAP_TOL:
-            first = rel[rel < ORDER_GAP_TOL][0]
-            raise AsymptoticsError(
-                f"modulus ordering ambiguous (relative gap {first:.2e}); t too small"
-            )
+        raise_first(rel < ORDER_GAP_TOL, AsymptoticsError, lambda i: (
+            f"modulus ordering ambiguous (relative gap {rel[i]:.2e}); t too small"
+        ))
         w = w * np.exp(ts * d_bar[..., None])[..., None]
     else:
         diag = np.zeros(spec.m.shape, dtype=complex)
@@ -291,9 +285,9 @@ def _linear_residuals(spec: FlowSpec, t_grid: np.ndarray, lams, shift) -> np.nda
     assign = np.argmin(np.abs(lams[..., :, None] - pred[..., None, :]), axis=-2)
     ordered = np.sort(assign, axis=-1)
     shared = np.any(ordered[..., 1:] == ordered[..., :-1], axis=-1)
-    if shared.any():
-        t_first = t_grid[np.argwhere(shared)[0][-1]]
-        raise AsymptoticsError(f"ambiguous eigenvalue matching at t={t_first}")
+    raise_first(shared, AsymptoticsError, lambda i: (
+        f"ambiguous eigenvalue matching at t={t_grid[i[-1]]}"
+    ))
     return np.take_along_axis(lams, assign, axis=-1) - pred
 
 
@@ -382,23 +376,21 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     comfortably away from zero (relative recovery would otherwise divide by a
     near-cancellation).
 
-    Each seed has SPEC_ATTEMPTS attempts, in blocks of 8, 16, 32, ...
-    Attempt k draws the stream of default_rng(seed * 1009 + k): the slot
-    permutation (N > 2), then N - 1 + 2 N^2 numbers of rng.random, the
-    uniform draws for the gaps and for the real and imaginary noise of M.
-    That stream comes from one reused generator, not a new one: a PCG64's
-    state dict is its whole state, and _seeding computes the state that
-    SeedSequence and the PCG64 seeding step give (numpy's
-    random/bit_generator.pyx and random/src/pcg64/pcg64.c), so assigning it
-    continues exactly as a fresh default_rng(seed * 1009 + k).  The
-    blocks of all seeds still unfinished after a round go through one
-    expression for their noise and M, mapped as rng.uniform(-1, 1) maps them
-    (-1 + 2 u, exact), and one principal_minors call for their p
-    coefficients, at most CANDIDATE_CAP candidates per call (one seed at
-    least).  A seed's spec is its first accepted attempt, and
-    only its gaps and d are built, so the result does not depend on the
-    blocking or on the other seeds; a seed that runs out of attempts is an
-    error.
+    Each seed has SPEC_ATTEMPTS attempts.  Attempt k draws the stream of
+    default_rng(seed * 1009 + k): the slot permutation (N > 2), then
+    N - 1 + 2 N^2 numbers of rng.random, the uniform draws for the gaps and
+    for the real and imaginary noise of M.  That stream comes from one reused
+    generator, not a new one: a PCG64's state dict is its whole state, and
+    _seeding computes the state that SeedSequence and the PCG64 seeding step
+    give (numpy's random/bit_generator.pyx and random/src/pcg64/pcg64.c), so
+    assigning it continues exactly as a fresh default_rng(seed * 1009 + k).
+    Each round draws the next SPEC_BLOCK attempts of every seed still pending,
+    in one _seeding.streams pass, builds their noise and M in one expression,
+    mapped as rng.uniform(-1, 1) maps them (-1 + 2 u, exact), and takes their
+    p coefficients from one principal_minors call.  A seed's spec is its first
+    accepted attempt, and only its gaps and d are built, so the result does
+    not depend on the rounds or on the other seeds; a seed that runs out of
+    attempts is an error.
     """
     _require_size(size)
     seeds, one = _seed_list(seed)
@@ -406,32 +398,26 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     jitter = 0.1 * SPEC_GAP_SPREAD / max(size - 2, 1)
     shift, v = np.empty((len(seeds), size - 1)), np.empty((len(seeds), size - 1))
     m = np.empty((len(seeds), size, size), dtype=complex)
-    pending = dict.fromkeys(range(len(seeds)))
-    start, block = 0, SPEC_FIRST_BLOCK
-    # round r draws attempts start .. start + take - 1 of every seed still pending
-    while pending and start < SPEC_ATTEMPTS:
-        take = min(block, SPEC_ATTEMPTS - start)
-        units, per_call = list(pending), max(1, CANDIDATE_CAP // take)
-        for c in range(0, len(units), per_call):
-            chunk = units[c : c + per_call]
-            entropies = [seeds[i] * 1009 + k for i in chunk for k in range(start, start + take)]
-            # rng.shuffle of a copy of slots is rng.permutation(slots), in place
-            shifts = np.tile(slots, (len(entropies), 1))
-            u = np.empty((len(entropies), size - 1 + 2 * size * size))
-            for row, rng in enumerate(_seeding.streams(entropies)):
-                if size > 2:
-                    rng.shuffle(shifts[row])
-                rng.random(out=u[row])
-            noise = (-1.0 + 2.0 * u[:, size - 1:]).reshape(-1, 2, size, size)
-            ms = np.eye(size) + SPEC_OFF_SCALE * (noise[:, 0] + 1j * noise[:, 1])
-            ok = _accepted(ms, 0.5 * SPEC_OFF_SCALE ** 2).reshape(len(chunk), take)
-            for row, i in enumerate(chunk):
-                if ok[row].any():
-                    j = row * take + int(np.argmax(ok[row]))
-                    shift[i], v[i], m[i] = shifts[j], u[j, : size - 1], ms[j]
-                    del pending[i]
-        start, block = start + take, 2 * block
-    if pending:
+    pending = np.arange(len(seeds))
+    for start in range(0, SPEC_ATTEMPTS, SPEC_BLOCK):
+        if not pending.size:
+            break
+        entropies = [seeds[i] * 1009 + k for i in pending for k in range(start, start + SPEC_BLOCK)]
+        # rng.shuffle of a copy of slots is rng.permutation(slots), in place
+        shifts = np.tile(slots, (len(entropies), 1))
+        u = np.empty((len(entropies), size - 1 + 2 * size * size))
+        for row, rng in enumerate(_seeding.streams(entropies)):
+            if size > 2:
+                rng.shuffle(shifts[row])
+            rng.random(out=u[row])
+        noise = (-1.0 + 2.0 * u[:, size - 1:]).reshape(-1, 2, size, size)
+        ms = np.eye(size) + SPEC_OFF_SCALE * (noise[:, 0] + 1j * noise[:, 1])
+        ok = _accepted(ms, 0.5 * SPEC_OFF_SCALE ** 2).reshape(len(pending), SPEC_BLOCK)
+        found = ok.any(axis=-1)
+        first = (SPEC_BLOCK * np.arange(len(pending)) + np.argmax(ok, axis=-1))[found]
+        done, pending = pending[found], pending[~found]
+        shift[done], v[done], m[done] = shifts[first], u[first, : size - 1], ms[first]
+    if pending.size:
         raise AsymptoticsError("could not realize a well-conditioned spec")
     if size == 2:
         gaps = SPEC_MIN_GAP + SPEC_GAP_SPREAD * v

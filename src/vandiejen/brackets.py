@@ -11,10 +11,9 @@ returns one array per column.  Its Jacobians evaluate their map once, on the
 central-difference stencils of all points as one flat stack of 4n points each:
 the Lax matrices, their spectral images and their time-1 flows come from one
 stacked pass, so each eigensolve or SVD is one numpy call.  Each stencil
-point's values are bit-for-bit those of that point alone.  A check that fails
-at some stencil point raises its typed error for the first such point in stack
-order, at the earliest stage that fails.  poisson_brackets takes a map of a
-stack and a point or a stack in the same way.
+point's values are bit-for-bit those of that point alone, and a failing
+stencil point raises by the rule of phase_space.raise_first.  poisson_brackets
+takes a map of a stack and a point or a stack in the same way.
 """
 from __future__ import annotations
 

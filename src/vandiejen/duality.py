@@ -10,9 +10,8 @@ and a diagonal phase twist applied to paired columns fixes positivity.
 
 A frame is built at a phase point or at a stack of them (see PhasePoint), in
 one stacked eigendecomposition; each array of a DualFrame, and each column of
-the identity residuals, carries the leading axes of the stack.  Each check runs
-over the whole stack and raises the error of its first failing point, in stack
-order.
+the identity residuals, carries the leading axes of the stack.  Its checks
+follow phase_space.raise_first.
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .lax import LaxBundle, lax_matrix
 from .linalg import hermitian_eig
-from .phase_space import Coupling, PhasePoint, VandiejenError
+from .phase_space import Coupling, PhasePoint, VandiejenError, raise_first
 
 SPECTRAL_GAP_TOL = 1e-7
 PAIRING_TOL = 1e-6  # largest |w_j w_{2n+1-j} - 1| of the spectrum of L
@@ -50,18 +49,14 @@ def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:
     n = bundle.n
     eig = hermitian_eig(bundle.matrix)
     w = eig.eigenvalues
-    pairing = np.abs(w * w[..., ::-1] - 1.0)
-    if pairing.max() > PAIRING_TOL:
-        worst = pairing.max(axis=-1)
-        raise DualityError(
-            f"spectrum fails reciprocal pairing: max residual {worst[worst > PAIRING_TOL][0]:.3e}"
-        )
-    rel_gaps = (w[..., 1:] - w[..., :-1]) / np.abs(w[..., 1:])
-    if rel_gaps.min() < SPECTRAL_GAP_TOL:
-        gap = rel_gaps.min(axis=-1)
-        raise DualityError(
-            f"degenerate spectrum: smallest relative gap {gap[gap < SPECTRAL_GAP_TOL][0]:.3e}"
-        )
+    worst = np.abs(w * w[..., ::-1] - 1.0).max(axis=-1)
+    raise_first(worst > PAIRING_TOL, DualityError, lambda i: (
+        f"spectrum fails reciprocal pairing: max residual {worst[i]:.3e}"
+    ))
+    gap = ((w[..., 1:] - w[..., :-1]) / np.abs(w[..., 1:])).min(axis=-1)
+    raise_first(gap < SPECTRAL_GAP_TOL, DualityError, lambda i: (
+        f"degenerate spectrum: smallest relative gap {gap[i]:.3e}"
+    ))
     # One log over the whole stack, reversed as one 1-D view, so that point p's
     # spectrum, reversed, is row P-1-p of the result.  numpy (2.4, on AVX-512)
     # can round the log of a reversed 1-D operand differently in the last bit
@@ -91,12 +86,10 @@ def _phase_fix(
     transformed = (basis.conj().swapaxes(-1, -2) @ (np.exp(lam) * f)[..., None])[..., 0]
     raw = np.exp(-_full_angles(theta_hat)) * transformed
     mod = np.abs(raw[..., :n])
-    if mod.min() < PHASE_MODULUS_TOL:
-        smallest = mod.min(axis=-1)
-        raise DualityError(
-            f"positivity-normalizing component has modulus "
-            f"{smallest[smallest < PHASE_MODULUS_TOL][0]:.3e}; phase fix breaks down"
-        )
+    smallest = mod.min(axis=-1)
+    raise_first(smallest < PHASE_MODULUS_TOL, DualityError, lambda i: (
+        f"positivity-normalizing component has modulus {smallest[i]:.3e}; phase fix breaks down"
+    ))
     m = np.concatenate([raw[..., :n] / mod] * 2, axis=-1)
     f_hat = m.conj() * raw
     f_hat[..., :n] = mod

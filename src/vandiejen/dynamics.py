@@ -23,8 +23,9 @@ rapidities come in closed form from the right singular vectors W: since
 d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 
 The projection route takes a phase point or a stack of them (see PhasePoint):
-its spectrum is one stacked eigensolve, and each time step one stacked SVD.  The
-Runge-Kutta route and the vector field take a single point.
+its spectrum is one stacked eigensolve, each time step one stacked SVD, and its
+checks follow phase_space.raise_first.  The Runge-Kutta route and the vector
+field take a single point.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .duality import _full_angles, _spectrum
 from .lax import LaxBundle, energy, lax_matrix
-from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
+from .phase_space import Coupling, PhasePoint, VandiejenError, raise_first, require_valid
 
 RK_REL_TOL = 1e-10
 RK_ABS_TOL = 1e-12
@@ -343,8 +344,7 @@ def _flow_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(xi, eta) at time t of each point of a bundle, from the spectrum
     (theta_hat, basis) of _spectrum, with the bundle's leading axes, in one
-    stacked SVD of G.  Each check runs over the whole stack and raises the
-    error of its first failing point, in stack order."""
+    stacked SVD of G."""
     if not np.isfinite(t):
         raise DynamicsError(f"non-finite time {t}")
     lam, g = bundle.lam, bundle.coupling
@@ -359,11 +359,9 @@ def _flow_step(
     row_exp = lam.reshape(-1, 2 * n)[:, rows]
     col_exp = 0.5 * t * beta
     exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
-    if exp_range.max() > EXPONENT_RANGE_CAP:
-        first = exp_range[exp_range > EXPONENT_RANGE_CAP][0]
-        raise DynamicsError(
-            f"flow exponent range {first:.1f} exceeds the double range cap at t={t}"
-        )
+    raise_first(exp_range > EXPONENT_RANGE_CAP, DynamicsError, lambda i: (
+        f"flow exponent range {exp_range[i]:.1f} exceeds the double range cap at t={t}"
+    ))
     factor = (
         np.exp(row_exp - row_exp[:, :1])[:, :, None]
         * basis.reshape(-1, 2 * n, 2 * n)[points[:, :, None], rows[:, None], cols[:, None, :]]
@@ -375,14 +373,12 @@ def _flow_step(
         raise DynamicsError(f"flow factor lost rank (roundoff) at t={t}")
     xi_t = np.log(top) + row_exp[:, :1] + col_exp[:, :1]
     if n > 1:
-        # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*;
-        # it falls as the largest step of xi_t rises, so the stack's largest
-        # step decides whether any point fails
-        steps = xi_t[:, 1:] - xi_t[:, :-1]
-        if -np.expm1(2.0 * steps.max()) < FLOW_GAP_TOL:
-            gap = -np.expm1(2.0 * steps.max(axis=-1))
-            first = gap[gap < FLOW_GAP_TOL][0]
-            raise DynamicsError(f"eigenvalue collision along the flow: relative gap {first:.3e}")
+        # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*,
+        # which falls as the largest step of xi_t rises
+        gap = -np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1))
+        raise_first(gap < FLOW_GAP_TOL, DynamicsError, lambda i: (
+            f"eigenvalue collision along the flow: relative gap {gap[i]:.3e}"
+        ))
     xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
     eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
     return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,))

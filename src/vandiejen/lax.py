@@ -7,7 +7,7 @@ independent cross-checks of correctness rather than imposed structure.
 Every routine takes a phase point or a stack of them (see PhasePoint): each
 array of a bundle, and each column of the structure residuals, carries the
 leading axes of the stack, and each point's values are bit-for-bit those of
-that point alone.
+that point alone.  Its checks follow phase_space.raise_first.
 """
 from __future__ import annotations
 
@@ -75,10 +75,9 @@ class LaxBundle:
 
 
 def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
-    """The bundle at p: z and u once, F from them, then L and the energy.  Each
-    check runs over the whole stack and raises the error of its first failing
-    point, in stack order: the chamber, the coupling, the coordinate cap, then
-    near-degenerate denominators."""
+    """The bundle at p: z and u once, F from them, then L and the energy.  The
+    checks run in this order: the chamber, the coupling, the coordinate cap,
+    then near-degenerate denominators."""
     require_valid(p)
     g.require_regular()
     xi, eta = p.xi, p.eta

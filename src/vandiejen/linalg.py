@@ -1,7 +1,9 @@
 """Dense complex linear-algebra kernel: eigendecompositions and principal minors.
 
 All routines are pure functions on numpy arrays; sizes are small (N <= ~64),
-so everything is computed by direct dense factorizations.
+so everything is computed by direct dense factorizations.  A routine that
+takes a stack checks each matrix on its own, by the rule of
+phase_space.raise_first.
 """
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import VandiejenError
+from .phase_space import VandiejenError, raise_first
 
 HERMITICITY_TOL = 1e-12
 
@@ -44,18 +46,15 @@ def hermitian_eig(a) -> HermitianEigen:
 
     The input is symmetrized as (A + A*)/2 before solving; an asymmetry larger
     than HERMITICITY_TOL relative to max|A| is an error rather than silently
-    repaired.  Each matrix is checked on its own, and the error names the first
-    failing one in stack order.
+    repaired.
     """
     a = _as_square_stack(a)
     a_star = a.conj().swapaxes(-1, -2)
     scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
     asym = np.abs(a - a_star).max(axis=(-2, -1))
-    bad = asym > HERMITICITY_TOL * scale
-    if bad.any():
-        raise LinalgError(
-            f"matrix is not Hermitian: asymmetry {asym[bad][0]:.3e} (scale {scale[bad][0]:.3e})"
-        )
+    raise_first(asym > HERMITICITY_TOL * scale, LinalgError, lambda i: (
+        f"matrix is not Hermitian: asymmetry {asym[i]:.3e} (scale {scale[i]:.3e})"
+    ))
     w, u = np.linalg.eigh((a + a_star) / 2.0)
     return HermitianEigen(eigenvalues=w, basis=u)
 

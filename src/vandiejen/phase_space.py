@@ -102,19 +102,28 @@ class Coupling:
         return Coupling(mu=-self.mu, nu=-self.nu)
 
 
+def raise_first(bad, error, message):
+    """The rule of every check that names a unit of a stack: where the boolean
+    array bad (one entry per unit, the stack's leading axes) holds for some
+    unit, raise error(message(i)) for the first such unit in C order, i being
+    its index tuple (() for a single unit).  Each stage check runs over the
+    whole stack before the next stage, so a stack raises at its earliest
+    failing stage, for the first unit that fails there."""
+    bad = np.asarray(bad)
+    if bad.any():
+        raise error(message(np.unravel_index(np.argmax(bad), bad.shape)))
+
+
 def require_valid(p: PhasePoint, gap: float = DEFAULT_GAP):
     """Raise PhaseSpaceError naming the violations of the first invalid point
-    of p, in stack order: each step xi_a - xi_{a+1}, then the last position,
+    of p (see raise_first): each step xi_a - xi_{a+1}, then the last position,
     below gap."""
-    xi = p.xi.reshape(-1, p.n)
-    margins = np.concatenate([xi[:, :-1] - xi[:, 1:], xi[:, -1:]], axis=-1)
-    if margins.min() < gap:
-        first = margins[(margins < gap).any(axis=-1)][0]
-        raise PhaseSpaceError("; ".join(
-            f"xi[{a}] - xi[{a + 1}] = {m:.3e} below gap" if a < p.n - 1
-            else f"xi[{a}] = {m:.3e} below gap"
-            for a, m in enumerate(first) if m < gap
-        ))
+    margins = np.concatenate([p.xi[..., :-1] - p.xi[..., 1:], p.xi[..., -1:]], axis=-1)
+    raise_first((margins < gap).any(axis=-1), PhaseSpaceError, lambda i: "; ".join(
+        f"xi[{a}] - xi[{a + 1}] = {m:.3e} below gap" if a < p.n - 1
+        else f"xi[{a}] = {m:.3e} below gap"
+        for a, m in enumerate(margins[i]) if m < gap
+    ))
 
 
 def _seed_list(seed) -> tuple[list[int], bool]:

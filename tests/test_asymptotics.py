@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ from vandiejen.asymptotics import (
     AsymptoticsError,
     FlowSpec,
     alpha_coeffs,
+    exponential_summary,
     flow_eigenvalues,
     p_coeffs,
     sample_spec,
@@ -14,6 +17,8 @@ from vandiejen.asymptotics import (
     verify_theorem_linear,
 )
 
+from vandiejen.checks import BATTERIES
+from vandiejen.cli import EXIT_PASS, main
 from vandiejen.linalg import principal_minors
 
 from conftest import det_cofactor
@@ -155,6 +160,41 @@ def test_exponential_theorem_report(size):
     report = verify_theorem_exponential(spec, np.arange(6.0, 12.1, 1.0))
     assert report.passed, report.verdicts
     assert report.gap >= 1.0
+
+
+# The acceptance test samples seeds 0-19 at sizes 2-5.  Over seeds 0-399 the
+# recovery bound fails 29, 15 and 14 specs at sizes 3, 4 and 5, and the decay
+# verdict on its grid 6..12 fails 3 at size 4 and 11 at size 5 (ROADMAP Defects).
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="two-point p recovery past its 1e-3 bound (ROADMAP item 7)",
+)
+@pytest.mark.parametrize("size, seed", [(3, 35), (4, 24)])
+def test_asymptotics_row_where_the_recovery_error_shows_passes(size, seed, tmp_path):
+    # p_recovery_rel_err reads 1.106e-3 at size 3 and 1.587e-3 at size 4; a
+    # failing theorem verdict is a failure of its own, not this known defect
+    out = tmp_path / "out.csv"
+    argv = ["asymptotics", "--n", str(size), "--seed", str(seed), "--points", "1"]
+    code = main([*argv, "--out", str(out)])
+    (row,) = csv.DictReader(out.read_text().splitlines())
+    summary = exponential_summary(sample_spec(size, seed=seed), np.arange(4.0, 10.5, 1.0))
+    if not summary["passed"]:
+        pytest.fail("the theorem verdict fails, expected the recovery bound alone")
+    (recovery,) = BATTERIES["asymptotics-exponential"].checks
+    assert code == EXIT_PASS and recovery.holds({recovery.column: float(row[recovery.column])})
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="decay verdict of a size-5 spec on the late grid (ROADMAP item 7)",
+)
+def test_exponential_theorem_where_the_late_grid_decay_shows_passes():
+    # the smallest fitted order reads 2.54 against 1.8 R = 2.70
+    report = verify_theorem_exponential(sample_spec(5, seed=20), np.arange(6.0, 12.1, 1.0))
+    failing = [name for name, ok in report.verdicts.items() if not ok]
+    if failing not in ([], ["post_subtraction_decay"]):
+        pytest.fail(f"failing verdicts {failing}, expected post_subtraction_decay alone")
+    assert not failing
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])

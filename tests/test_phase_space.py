@@ -9,6 +9,7 @@ from vandiejen.phase_space import (
     Coupling,
     PhasePoint,
     PhaseSpaceError,
+    raise_first,
     require_valid,
     sample,
 )
@@ -39,6 +40,32 @@ def test_require_valid_names_every_violation_of_the_first_invalid_point():
     with pytest.raises(PhaseSpaceError) as exc:
         require_valid(stack)
     assert str(exc.value) == "xi[0] - xi[1] = 0.000e+00 below gap; xi[2] = 1.000e-09 below gap"
+
+
+@pytest.mark.parametrize("bad, first", [
+    (np.array(True), ()),
+    (np.array([False, False, True, True]), (2,)),
+    (np.array([[False, False, False], [False, True, False], [True, False, False]]), (1, 1)),
+    (np.array([[False, True], [True, False]]), (0, 1)),
+])
+def test_raise_first_names_the_first_failing_unit_in_c_order(bad, first):
+    with pytest.raises(PhaseSpaceError) as exc:
+        raise_first(bad, PhaseSpaceError, lambda i: f"unit {tuple(map(int, i))}")
+    assert str(exc.value) == f"unit {first}"
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_raise_first_passes_when_no_unit_fails(shape):
+    raise_first(np.zeros(shape, dtype=bool), PhaseSpaceError, lambda i: pytest.fail("no unit fails"))
+
+
+def test_require_valid_names_the_first_invalid_point_of_a_two_axis_stack():
+    xi = np.tile([2.0, 1.0, 0.5], (2, 2, 1))
+    xi[1, 0] = [1.0, 2.0, 0.5]
+    xi[1, 1] = [2.0, 1.0, -1.0]
+    with pytest.raises(PhaseSpaceError) as exc:
+        require_valid(PhasePoint(xi=xi, eta=np.zeros(xi.shape)))
+    assert str(exc.value) == "xi[0] - xi[1] = -1.000e+00 below gap"
 
 
 def test_point_rejects_non_finite():

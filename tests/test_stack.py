@@ -290,7 +290,7 @@ def test_a_battery_samples_its_stack_in_one_sampler_call(battery, monkeypatch, t
 
 def test_spec_attempts_build_no_generator_and_share_minors_calls(monkeypatch):
     size, seeds = 8, range(1, 13)
-    # each seed alone takes one principal_minors call per round, as a block fits one call
+    # each seed alone takes one principal_minors call per round of SPEC_BLOCK attempts
     rounds = []
     for seed in seeds:
         with monkeypatch.context() as patch:
@@ -302,14 +302,11 @@ def test_spec_attempts_build_no_generator_and_share_minors_calls(monkeypatch):
     calls = _count_calls(monkeypatch, asymptotics, "principal_minors")
     asymptotics.sample_spec(size, seeds, kind="linear")
     minors = [len(a[0]) for a, _ in calls]  # candidates per call
-    # round r splits the seeds still unfinished into calls of CANDIDATE_CAP candidates at most
-    expected, start, block = [], 0, asymptotics.SPEC_FIRST_BLOCK
-    for r in range(max(rounds)):
-        take = min(block, asymptotics.SPEC_ATTEMPTS - start)
-        pending, per_call = sum(count > r for count in rounds), max(1, asymptotics.CANDIDATE_CAP // take)
-        expected += [take * min(per_call, pending - c) for c in range(0, pending, per_call)]
-        start, block = start + take, 2 * block
-    assert minors == expected and max(minors) <= asymptotics.CANDIDATE_CAP
+    # round r is one call over the next SPEC_BLOCK attempts of every seed still pending
+    expected = [asymptotics.SPEC_BLOCK * sum(count > r for count in rounds)
+                for r in range(max(rounds))]
+    assert asymptotics.SPEC_ATTEMPTS % asymptotics.SPEC_BLOCK == 0
+    assert minors == expected
     assert sum(minors) > 1000  # the seeds at this size take up to 200 attempts each
     assert built["default_rng"] == built["SeedSequence"] == []
-    assert len(built["PCG64"]) == len(minors)  # one reused generator per call
+    assert len(built["PCG64"]) == len(minors)  # one reused generator per round
