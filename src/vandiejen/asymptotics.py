@@ -10,8 +10,8 @@ empirically on time grids.
 A FlowSpec holds one spec or a stack of specs (see FlowSpec), and every
 routine here takes either: its results carry the stack's leading axes.  The
 spectra of all specs at all times come from one general_eig call, and the
-checks follow phase_space.raise_first.  Only the decay fit runs per (spec, j)
-column, one np.polyfit each.
+checks follow phase_space.raise_first, and the decay orders of every
+(spec, j) column come from one stacked least-squares slope.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _seeding
 from .linalg import general_eig, principal_minors
 from .phase_space import VandiejenError, _seed_list, raise_first
 
@@ -178,23 +177,23 @@ class AsymptoticReport:
         return np.logical_and.reduce(list(self.verdicts.values()))
 
 
-def _fit_order(
-    t: np.ndarray, values: np.ndarray, log_t: bool = False, clamp: float = FIT_CLAMP
-) -> float:
-    """Slope of ln|values| against t (or ln t); nan when too few usable points."""
-    usable = np.abs(values) > clamp
-    if usable.sum() < 2:
-        return float("nan")
-    x = np.log(t[usable]) if log_t else t[usable]
-    return float(np.polyfit(x, np.log(np.abs(values[usable])), 1)[0])
-
-
-def _decay_orders(t_grid: np.ndarray, r: np.ndarray, **fit) -> np.ndarray:
-    """Minus the fitted order of each (spec, j) column of r, shape (..., T, N),
-    as an array of shape (..., N)."""
-    lead, size = r.shape[:-2], r.shape[-1]
-    orders = [-_fit_order(t_grid, r[i][:, j], **fit) for i in np.ndindex(lead) for j in range(size)]
-    return np.array(orders).reshape(lead + (size,))
+def _decay_orders(
+    t_grid: np.ndarray, r: np.ndarray, log_t: bool = False, clamp: float = FIT_CLAMP
+) -> np.ndarray:
+    """Minus the slope of ln|r| against t (or ln t) in each (spec, j) column of
+    r, shape (..., T, N), as an array of shape (..., N): one least-squares
+    slope per column over its usable times, |r| > clamp, for the whole stack
+    at once; nan where fewer than two times are usable."""
+    usable = np.abs(r) > clamp
+    count = usable.sum(axis=-2)
+    x = np.where(usable, (np.log(t_grid) if log_t else t_grid)[:, None], 0.0)
+    y = np.log(np.abs(r), out=np.zeros(r.shape), where=usable)
+    # deviations from the means over the usable times, 0 at the others
+    n = np.maximum(count, 1)[..., None, :]
+    xc, yc = (np.where(usable, v - v.sum(axis=-2, keepdims=True) / n, 0.0) for v in (x, y))
+    slope = np.divide((xc * yc).sum(axis=-2), (xc * xc).sum(axis=-2),
+                      out=np.full(count.shape, np.nan), where=count >= 2)
+    return -slope
 
 
 def fit_grid(t_grid, kind: str) -> np.ndarray:
@@ -305,10 +304,16 @@ def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
         _linear_residuals(spec, t_grid, lams, shift) for shift in (alpha, np.zeros(alpha.shape))
     )
     orders, orders0 = (_decay_orders(t_grid, r, log_t=True) for r in (resid, resid0))
-    t2r = (t_grid[:, None] ** 2) * np.abs(resid)
-    bound = t2r[..., :1, :]
+    # t^2 |r| in units of 4^e, 2^e above the largest time and 1: no square
+    # overflows, and the scaling by a power of two is exact away from
+    # subnormals, so it moves no verdict
+    e = max(int(np.frexp(t_grid.max())[1]), 0)
+    t2r = np.ldexp(t_grid, -e)[:, None] ** 2 * np.abs(resid)
+    floor, slack = np.ldexp([FIT_CLAMP, 1e-12], -2 * e)
     verdicts = {
-        "t2_bounded": np.all(t2r <= 1.2 * np.maximum(bound, FIT_CLAMP) + 1e-12, axis=(-2, -1)),
+        "t2_bounded": np.all(
+            t2r <= 1.2 * np.maximum(t2r[..., :1, :], floor) + slack, axis=(-2, -1)
+        ),
     }
     return AsymptoticReport(
         gap=spec.gap, fitted_orders=orders, verdicts=verdicts, orders_without_alpha=orders0
@@ -376,21 +381,16 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     comfortably away from zero (relative recovery would otherwise divide by a
     near-cancellation).
 
-    Each seed has SPEC_ATTEMPTS attempts.  Attempt k draws the stream of
-    default_rng(seed * 1009 + k): the slot permutation (N > 2), then
-    N - 1 + 2 N^2 numbers of rng.random, the uniform draws for the gaps and
-    for the real and imaginary noise of M.  That stream comes from one reused
-    generator, not a new one: a PCG64's state dict is its whole state, and
-    _seeding computes the state that SeedSequence and the PCG64 seeding step
-    give (numpy's random/bit_generator.pyx and random/src/pcg64/pcg64.c), so
-    assigning it continues exactly as a fresh default_rng(seed * 1009 + k).
-    Each round draws the next SPEC_BLOCK attempts of every seed still pending,
-    in one _seeding.streams pass, builds their noise and M in one expression,
-    mapped as rng.uniform(-1, 1) maps them (-1 + 2 u, exact), and takes their
-    p coefficients from one principal_minors call.  A seed's spec is its first
-    accepted attempt, and only its gaps and d are built, so the result does
-    not depend on the rounds or on the other seeds; a seed that runs out of
-    attempts is an error.
+    Each seed has SPEC_ATTEMPTS attempts.  Attempt k draws from
+    np.random.default_rng(seed * 1009 + k): the slot permutation (N > 2),
+    then N - 1 + 2 N^2 numbers of rng.random, the uniform draws for the gaps
+    and for the real and imaginary noise of M.  Each round draws the next
+    SPEC_BLOCK attempts of every seed still pending, builds their noise and M
+    in one expression, mapped as rng.uniform(-1, 1) maps them (-1 + 2 u,
+    exact), and takes their p coefficients from one principal_minors call.
+    A seed's spec is its first accepted attempt, and only its gaps and d are
+    built, so the result does not depend on the rounds or on the other seeds;
+    a seed that runs out of attempts is an error.
     """
     _require_size(size)
     seeds, one = _seed_list(seed)
@@ -406,7 +406,8 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
         # rng.shuffle of a copy of slots is rng.permutation(slots), in place
         shifts = np.tile(slots, (len(entropies), 1))
         u = np.empty((len(entropies), size - 1 + 2 * size * size))
-        for row, rng in enumerate(_seeding.streams(entropies)):
+        for row, entropy in enumerate(entropies):
+            rng = np.random.default_rng(entropy)
             if size > 2:
                 rng.shuffle(shifts[row])
             rng.random(out=u[row])

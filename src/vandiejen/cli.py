@@ -59,7 +59,8 @@ def _fmt(x) -> str:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """The times of start:step:stop or a comma list: at least one, all finite."""
+    """The times of start:step:stop or a comma list: at least one, all finite,
+    and few enough for numpy to allocate."""
     try:
         if ":" in spec:
             start, step, stop = (float(v) for v in spec.split(":"))
@@ -70,6 +71,8 @@ def _parse_grid(spec: str) -> np.ndarray:
             grid = np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
         raise UsageError(f"bad time grid {spec!r}; use start:step:stop or a comma list") from exc
+    except MemoryError as exc:
+        raise UsageError(f"time grid {spec!r} holds too many times to allocate") from exc
     # an empty grid would be a report with nothing checked
     if grid.size == 0 or not np.all(np.isfinite(grid)):
         raise UsageError(f"time grid {spec!r} must hold at least one time, all finite")

@@ -167,7 +167,7 @@ def test_exponential_theorem_report(size):
 # verdict on its grid 6..12 fails 3 at size 4 and 11 at size 5 (ROADMAP Defects).
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="two-point p recovery past its 1e-3 bound (ROADMAP item 7)",
+    reason="two-point p recovery past its 1e-3 bound (ROADMAP item 8)",
 )
 @pytest.mark.parametrize("size, seed", [(3, 35), (4, 24)])
 def test_asymptotics_row_where_the_recovery_error_shows_passes(size, seed, tmp_path):
@@ -186,7 +186,7 @@ def test_asymptotics_row_where_the_recovery_error_shows_passes(size, seed, tmp_p
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="decay verdict of a size-5 spec on the late grid (ROADMAP item 7)",
+    reason="decay verdict of a size-5 spec on the late grid (ROADMAP item 8)",
 )
 def test_exponential_theorem_where_the_late_grid_decay_shows_passes():
     # the smallest fitted order reads 2.54 against 1.8 R = 2.70
@@ -213,6 +213,59 @@ def test_linear_theorem_report(size):
     # dropping the alpha/t term degrades the decay order from ~2 to ~1
     assert np.nanmax(np.abs(report.fitted_orders - 2.0)) <= 0.3
     assert np.nanmax(np.abs(report.orders_without_alpha - 1.0)) <= 0.3
+
+
+def _reference_decay_orders(t_grid, r, log_t=False, clamp=asymptotics.FIT_CLAMP):
+    """Minus the np.polyfit slope of ln|r| over the usable times, one (spec, j) column at a time."""
+    orders = np.full(r.shape[:-2] + r.shape[-1:], np.nan)
+    for i in np.ndindex(orders.shape):
+        column = r[i[:-1]][:, i[-1]]
+        usable = np.abs(column) > clamp
+        if usable.sum() >= 2:
+            x = np.log(t_grid[usable]) if log_t else t_grid[usable]
+            orders[i] = -np.polyfit(x, np.log(np.abs(column[usable])), 1)[0]
+    return orders
+
+
+@pytest.mark.parametrize("kind, grid, fits", [
+    ("exponential", np.arange(4.0, 10.5, 1.0), [{"clamp": 1e-13}]),
+    ("exponential", np.arange(6.0, 12.1, 1.0), [{"clamp": 1e-13}]),
+    ("linear", np.arange(4.0, 10.5, 1.0), [{"log_t": True}] * 2),
+    ("linear", np.array([10.0, 15.0, 20.0, 30.0, 40.0]), [{"log_t": True}] * 2),
+])
+def test_stacked_decay_orders_equal_the_per_column_fit(kind, grid, fits, monkeypatch):
+    # the residual stacks the theorem checks fit, both kinds, recorded as they go in
+    stacks, fit = [], asymptotics._decay_orders
+    monkeypatch.setattr(asymptotics, "_decay_orders",
+                        lambda t, r, **kw: stacks.append((t, r, kw)) or fit(t, r, **kw))
+    verify = verify_theorem_exponential if kind == "exponential" else verify_theorem_linear
+    verify(sample_spec(4, seed=range(1, 13), kind=kind), grid)
+    assert [kw for _, _, kw in stacks] == fits
+    for t, r, kw in stacks:
+        # a column with no usable time and one with a single usable time
+        r = r.copy()
+        r[0, :, 0] = 0.0
+        r[1, 1:, 2] = 0.0
+        orders = fit(t, r, **kw)
+        assert np.isnan(orders[0, 0]) and np.isnan(orders[1, 2])
+        assert np.isnan(orders).sum() < orders.size
+        npt.assert_allclose(orders, _reference_decay_orders(t, r, **kw), rtol=1e-12)
+
+
+@pytest.mark.parametrize("grid", [
+    np.arange(4.0, 10.5, 1.0), np.array([10.0, 15.0, 20.0, 30.0, 40.0]),
+    np.array([1.0, 1.5, 2.0]), np.array([3e3, 1e3, 2e3]), np.array([1e5, 2e5]),
+])
+def test_t2_bounded_verdict_equals_the_unscaled_rule(grid, monkeypatch):
+    residuals, fit = [], asymptotics._decay_orders
+    monkeypatch.setattr(asymptotics, "_decay_orders",
+                        lambda t, r, **kw: residuals.append(r) or fit(t, r, **kw))
+    for size in (2, 4, 6):
+        report = verify_theorem_linear(sample_spec(size, seed=range(1, 13), kind="linear"), grid)
+        # t^2 |r| unscaled, r the residuals with the alpha term, fitted first
+        t2r = grid[:, None] ** 2 * np.abs(residuals[-2])
+        bound = 1.2 * np.maximum(t2r[..., :1, :], asymptotics.FIT_CLAMP) + 1e-12
+        assert np.array_equal(report.verdicts["t2_bounded"], np.all(t2r <= bound, axis=(-2, -1)))
 
 
 def test_sample_spec_deterministic():

@@ -101,7 +101,7 @@ def test_bracket_row_rejects_step_that_is_not_finite_and_positive(step, g):
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="h^2 truncation of the central-difference spectral block (ROADMAP item 6)",
+    reason="h^2 truncation of the central-difference spectral block (ROADMAP item 11)",
 )
 def test_brackets_row_where_the_truncation_shows_passes(tmp_path):
     # angle_angle reads 2.4e-5 against 1e-5 here; any other failing column is

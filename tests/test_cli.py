@@ -130,6 +130,16 @@ def test_asymptotics_grid_too_late_to_fit_is_reported_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_asymptotics_linear_grid_past_the_square_overflow_is_reported(tmp_path, capsys):
+    # t^2 overflows from t = 1.3e154; RuntimeWarnings are errors here
+    out = tmp_path / "out.csv"
+    argv = ["asymptotics", "--n", "3", "--kind", "linear", "--t", "1e200,1e201", "--points", "2"]
+    assert run([*argv, "--out", str(out)]) == EXIT_FAIL
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [row["passed"] for row in rows] == ["False", "False"]
+
+
 def test_deterministic_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
@@ -283,6 +293,8 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
         ["flow", "--n", "2", "--t", "5:1:0"],
         ["flow", "--n", "2", "--t", "inf"],
         ["flow", "--n", "2", "--t", "0,nan"],
+        # 10^15 times, about 8 PB, which numpy cannot allocate
+        ["flow", "--n", "2", "--t", "0:1e-12:1e3"],
         ["asymptotics", "--n", "3", "--t", "5:1:0"],
         ["asymptotics", "--n", "3", "--kind", "linear", "--t", "4,nan"],
         ["asymptotics", "--n", "3", "--t", "4,-inf"],

@@ -288,7 +288,7 @@ def test_a_battery_samples_its_stack_in_one_sampler_call(battery, monkeypatch, t
     assert [list(k["seed"]) for _, k in calls] == [[4, 5, 6, 7, 8]]
 
 
-def test_spec_attempts_build_no_generator_and_share_minors_calls(monkeypatch):
+def test_spec_attempts_draw_one_default_rng_each_and_share_minors_calls(monkeypatch):
     size, seeds = 8, range(1, 13)
     # each seed alone takes one principal_minors call per round of SPEC_BLOCK attempts
     rounds = []
@@ -308,5 +308,8 @@ def test_spec_attempts_build_no_generator_and_share_minors_calls(monkeypatch):
     assert asymptotics.SPEC_ATTEMPTS % asymptotics.SPEC_BLOCK == 0
     assert minors == expected
     assert sum(minors) > 1000  # the seeds at this size take up to 200 attempts each
-    assert built["default_rng"] == built["SeedSequence"] == []
-    assert len(built["PCG64"]) == len(minors)  # one reused generator per round
+    # one generator per drawn attempt, attempt k of seed s from default_rng(s * 1009 + k)
+    assert len(built["default_rng"]) == sum(minors)
+    first_round = [s * 1009 + k for s in seeds for k in range(asymptotics.SPEC_BLOCK)]
+    assert [a[0] for a, _ in built["default_rng"][: len(first_round)]] == first_round
+    assert built["SeedSequence"] == built["PCG64"] == []
