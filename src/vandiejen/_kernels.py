@@ -26,6 +26,10 @@ the stack with no leading axis.  Each point's values are bit-for-bit those of th
 operation on a stack is elementwise, or a reduction or small product over one
 point's own axes.
 
+The flow field takes one point, as a flat state (xi, eta): field_kernel
+builds its tables once per (n, mu, nu) and returns a function that writes the
+field in place, so that a trajectory evaluates it with no allocation.
+
 Plain numpy on arrays and floats, with no input checks: the modules that call
 these check the phase point and coupling first.
 """
@@ -137,17 +141,63 @@ def lax_entries(f: np.ndarray, den: np.ndarray, c: np.ndarray, mu: float, nu: fl
     return num / den
 
 
-def vector_field(xi: np.ndarray, eta: np.ndarray, mu: float, nu: float):
-    """Hamiltonian vector field: xi_dot_a = sinh(eta_a) u_a,
-    eta_dot_a = -sum_c w_c d ln(u_c)/d xi_a with w = cosh(eta) u.
+def field_kernel(n: int, mu: float, nu: float):
+    """The Hamiltonian vector field at (n, mu, nu) as field(y, out), which
+    reads the flat state y = (xi, eta) and writes (xi_dot, eta_dot) into out:
+    xi_dot_a = sinh(eta_a) u_a, eta_dot_a = -sum_c w_c d ln(u_c)/d xi_a with
+    w = cosh(eta) u.
 
     With Xi = q / (tanh(x) (1 + q)) = -d/dx ln sqrt(1 + q) over the table,
     d ln(u_a)/d xi_b is Xi[0]_ab - Xi[1]_ab, less the row sum of Xi over both
     blocks on the diagonal; there the one-body term Xi[1]_aa enters twice, as
     its argument is 2 xi_a.
+
+    The stencil, the amplitudes and every scratch table are fetched or built
+    here, once; each call then runs the float operations of _table, _moduli
+    and the sums in their order (np.multiply.reduce and np.add.reduce are what
+    .prod and .sum call), every one into a buffer, and allocates nothing.  A
+    kernel serves one caller at a time: its tables are overwritten by each call.
     """
-    x, q, one_plus_q = _table(xi, mu, nu)
-    xi_term = q / (np.tanh(x) * one_plus_q)
-    u = _moduli(one_plus_q)
-    w = np.cosh(eta) * u
-    return np.sinh(eta) * u, w * xi_term.sum(axis=(0, 2)) - w @ (xi_term[0] - xi_term[1])
+    t, d = _stencil(n)
+    amplitudes = _amplitudes(n, mu, nu)
+    ones = np.ones((2, n, n))
+    flat = np.empty(2 * n * n)
+    x = flat.reshape(2, n, n)
+    q, one_plus_q, xi_term = np.empty((3, 2, n, n))
+    xi_term_diff, xi_term_sum = xi_term
+    u, w, total, cross = np.empty((4, n))
+    diff = np.empty((n, n))
+
+    def field(y: np.ndarray, out: np.ndarray) -> None:
+        eta, xi_dot, eta_dot = y[n:], out[:n], out[n:]
+        y[:n].dot(t, out=flat)
+        np.add(flat, d, out=flat)
+        np.sinh(x, out=q)
+        np.divide(amplitudes, q, out=q)
+        np.square(q, out=q)
+        np.add(ones, q, out=one_plus_q)
+        np.tanh(x, out=xi_term)
+        np.multiply(xi_term, one_plus_q, out=xi_term)
+        np.divide(q, xi_term, out=xi_term)
+        np.multiply.reduce(one_plus_q, axis=(0, 2), out=u)
+        np.sqrt(u, out=u)
+        np.cosh(eta, out=w)
+        np.multiply(w, u, out=w)
+        np.sinh(eta, out=xi_dot)
+        np.multiply(xi_dot, u, out=xi_dot)
+        np.add.reduce(xi_term, axis=(0, 2), out=total)
+        np.multiply(w, total, out=total)
+        np.subtract(xi_term_diff, xi_term_sum, out=diff)
+        np.matmul(w, diff, out=cross)
+        np.subtract(total, cross, out=eta_dot)
+
+    return field
+
+
+def vector_field(xi: np.ndarray, eta: np.ndarray, mu: float, nu: float):
+    """(xi_dot, eta_dot) at one point, from a field_kernel built for it."""
+    n = len(xi)
+    y = np.concatenate([xi, eta], dtype=float)
+    out = np.empty(2 * n)
+    field_kernel(n, mu, nu)(y, out)
+    return out[:n], out[n:]

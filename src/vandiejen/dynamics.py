@@ -6,7 +6,10 @@ Wanner, Solving ODEs I, sec. II.10), which meets the tolerance in about half
 the vector-field evaluations of a 5(4) pair.  It is written here in numpy, so
 that the package needs no scipy; it takes the steps of scipy's
 solve_ivp(method="DOP853") and reads the requested times off the same dense
-output, which the tests check against scipy.
+output, which the tests check against scipy.  The field is one
+_kernels.field_kernel, built once per trajectory: each call writes the field
+at a flat state y = (xi, eta) in place, straight into a row of the stage
+table, so a step allocates nothing.
 
 The projection route reads the flow off the spectrum of L that the spectral
 map takes, L = Y e^{2 Theta_hat} Y* with Y C-paired (duality._spectrum).  As
@@ -29,6 +32,7 @@ field take a single point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +71,8 @@ def vector_field(p: PhasePoint, g: Coupling):
 
 # The DOP853 tableau, as in the authors' dop853.f and in scipy's DOP853: stages
 # 0..11, then row 12 of A, the 8th-order weights B, whose stage is the field at
-# the new state, then the three extra stages 13..15 of the dense output.
+# the new state, then the three extra stages 13..15 of the dense output.  The
+# field is autonomous, so the stage times _C are kept with the tableau but not read.
 _C = np.array([
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
@@ -201,43 +206,67 @@ ERROR_EXPONENT = -1.0 / 8.0
 
 
 def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size ** 0.5
+    """np.linalg.norm(x) / sqrt(x.size): the norm of a vector is sqrt(x.dot(x))."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float):
-    """States at t_samples of y' = fun(t, y), y(0) = y0, as rows, in one sweep
+    """States at t_samples of y' = f(y), y(0) = y0, as rows, in one sweep
     from t = 0 to t_samples[-1]; the samples are nonzero, of one sign and
-    strictly increasing in |t|.
+    strictly increasing in |t|.  fun(y, out) writes f(y) into out.
 
     This is scipy's solve_ivp(method="DOP853", t_eval=t_samples) step for step:
     its initial step (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4), its
     RMS error norm of the 5th-order estimate weighted against the 3rd-order one
     (sec. II.10), its step control, and each sample read off the dense output
     of the step that reaches it.  The one difference: a nan step counts as too
-    small, where solve_ivp loops for ever on a field that is nan at y0."""
-    t_end = t_samples[-1]
-    direction = np.sign(t_end)
-    t, y = 0.0, y0
-    f = fun(t, y)
+    small, where solve_ivp loops for ever on a field that is nan at y0.
+
+    Each stage is written straight into its row of K, whose row 0 holds the
+    field at the step's start and row 12 the field at its end; the stage sums
+    K[:s].T A[s, :s] run over views built once, and the step control on
+    Python floats, so a step allocates nothing."""
+    t_end = float(t_samples[-1])
+    direction = math.copysign(1.0, t_end)
+    t, dim = 0.0, len(y0)
+    K = np.empty((16, dim))
+    stages = [(K[:s].T, _A[s, :s], K[s]) for s in range(16)]
+    y, y_new, stage, work = np.empty((4, dim))
+    y[:] = y0
+    f, f_new = K[0], K[12]
+    fun(y, f)
 
     # initial step
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, abs(t_end))
-    f1 = fun(t + h0 * direction, y + h0 * direction * f)
-    d2 = _rms((f1 - f) / scale) / h0
+    fun(y + h0 * direction * f, K[1])
+    d2 = _rms((K[1] - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, abs(t_end))
 
-    K = np.empty((16, len(y0)))
-    out = np.empty((len(t_samples), len(y0)))
+    def stage_field(s: int, h: float, state: np.ndarray):
+        """state = y + (K[:s].T A[s, :s]) h and K[s] = f(state)."""
+        kt, a, k = stages[s]
+        kt.dot(a, out=work)
+        np.multiply(work, h, out=work)
+        np.add(y, work, out=state)
+        fun(state, k)
+
+    def error_sq(weights: np.ndarray) -> float:
+        """The squared norm of (K[:13].T weights) / scale."""
+        stages[13][0].dot(weights, out=work)
+        np.divide(work, scale, out=work)
+        return math.sqrt(work.dot(work)) ** 2
+
+    out = np.empty((len(t_samples), dim))
     done = 0
     while done < len(t_samples):
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -250,20 +279,21 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
             if direction * (t_new - t_end) > 0:
                 t_new = t_end
             h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
+            h_abs = abs(h)
             for s in range(1, 12):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:12].T, _B)
-            f_new = K[12] = fun(t + h, y_new)
+                stage_field(s, h, stage)
+            stage_field(12, h, y_new)  # A[12, :12] = B: the step's end and f there
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5_sq = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
-            err3_sq = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
+            np.abs(y, out=scale)
+            np.abs(y_new, out=work)
+            np.maximum(scale, work, out=scale)
+            np.multiply(scale, rtol, out=scale)
+            np.add(atol, scale, out=scale)
+            err5_sq, err3_sq = error_sq(_E5), error_sq(_E3)
             if err5_sq == 0 and err3_sq == 0:
                 error_norm = 0.0
             else:
-                error_norm = np.abs(h) * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * len(scale))
+                error_norm = h_abs * err5_sq / math.sqrt((err5_sq + 0.01 * err3_sq) * dim)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -280,7 +310,7 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
         reached = done + int(np.count_nonzero(direction * (t_samples[done:] - t_new) <= 0))
         if reached > done:
             for s in range(13, 16):
-                K[s] = fun(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+                stage_field(s, h, stage)
             delta_y = y_new - y
             F = [
                 delta_y,
@@ -289,30 +319,27 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
                 *(h * np.dot(_D, K)),
             ]
             x = ((t_samples[done:reached] - t) / h)[:, None]
-            z = np.zeros((reached - done, len(y0)))
+            z = np.zeros((reached - done, dim))
             for i, term in enumerate(reversed(F)):
                 z += term
                 z *= x if i % 2 == 0 else 1 - x
             out[done:reached] = z + y
             done = reached
-        t, y, f = t_new, y_new, f_new
+        t, y, y_new = t_new, y_new, y
+        f[:] = f_new
     return out
 
 
 def rk_flow(p: PhasePoint, g: Coupling, t_values):
     """Adaptive DOP853 propagation, sampled at the requested times (in their order,
-    repeats allowed)."""
+    repeats allowed), with one field kernel for the whole trajectory."""
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if not np.all(np.isfinite(t_values)):
         raise DynamicsError("non-finite time grid")
     p.require_one()
     require_valid(p)
     g.require_regular()
-    n = p.n
-
-    def rhs(_t, x):
-        xd, ed = _kernels.vector_field(x[:n], x[n:], g.mu, g.nu)
-        return np.concatenate([xd, ed])
+    field = _kernels.field_kernel(p.n, g.mu, g.nu)
 
     # One sweep per sign over the unique nonzero |t|
     by_time = {0.0: TrajectorySample(0.0, p, energy(p, g))}
@@ -325,17 +352,17 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
         # the step-size control rejects the stage.  That is expected and not
         # reported; an accepted non-finite state is caught below.
         with np.errstate(over="ignore", invalid="ignore"):
-            states = _dop853(rhs, p.as_vector(), ts, RK_REL_TOL, RK_ABS_TOL)
+            states = _dop853(field, p.as_vector(), ts, RK_REL_TOL, RK_ABS_TOL)
         if not np.all(np.isfinite(states)):
             raise DynamicsError("integrator returned a non-finite state")
         # Unlike the Lax route, this one has no coordinate cap: positions past
         # ~355 make sinh of a position sum overflow in the kernels, where the
         # q term is 0, its limit.  In the field that falls under the errstate
-        # above; in the sampled energies it falls under this one.
+        # above; in the sampled energies, one stacked call, under this one.
         with np.errstate(over="ignore"):
-            for t, x in zip(ts, states):
-                q = PhasePoint.from_vector(x)
-                by_time[float(t)] = TrajectorySample(float(t), q, energy(q, g))
+            energies = energy(PhasePoint.from_vector(states), g)
+        for t, x, e in zip(ts, states, energies):
+            by_time[float(t)] = TrajectorySample(float(t), PhasePoint.from_vector(x), e)
     return [by_time[float(t)] for t in t_values]
 
 
@@ -393,15 +420,19 @@ def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
 def projection_outcomes(p: PhasePoint, g: Coupling, t_values):
     """projection_flow over a time grid, from one spectrum of the initial point: per
     time a TrajectorySample, or the DynamicsError that stopped the step at that
-    time."""
+    time.  The energies of the reached points come from one stacked call."""
     bundle = lax_matrix(p, g)
     spectrum = _spectrum(bundle)
+    times = [float(t) for t in np.atleast_1d(np.asarray(t_values, dtype=float))]
     out = []
-    for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
+    for t in times:
         try:
-            q = PhasePoint(*_flow_step(bundle, *spectrum, float(t))) if t != 0.0 else p
+            out.append(PhasePoint(*_flow_step(bundle, *spectrum, t)) if t != 0.0 else p)
         except DynamicsError as exc:
             out.append(exc)
-        else:
-            out.append(TrajectorySample(float(t), q, energy(q, g)))
+    reached = [i for i, q in enumerate(out) if isinstance(q, PhasePoint)]
+    if reached:
+        stack = PhasePoint.from_vector([out[i].as_vector() for i in reached])
+        for i, e in zip(reached, energy(stack, g)):
+            out[i] = TrajectorySample(times[i], out[i], e)
     return out

@@ -42,6 +42,26 @@ def overflow_point():
     return PhasePoint(xi=xi, eta=rng.uniform(-3, 3, 8))
 
 
+def allocating_field(xi, eta, mu, nu):
+    """(xi_dot, eta_dot) in the float operations and order of
+    _kernels.field_kernel, each one allocating its result: the reference for
+    the kernel's in-place buffers."""
+    from vandiejen import _kernels
+
+    x, q, one_plus_q = _kernels._table(xi, mu, nu)
+    xi_term = q / (np.tanh(x) * one_plus_q)
+    u = _kernels._moduli(one_plus_q)
+    w = np.cosh(eta) * u
+    return np.sinh(eta) * u, w * xi_term.sum(axis=(0, 2)) - w @ (xi_term[0] - xi_term[1])
+
+
+def spread_point(n, seed):
+    """A point past the sampler's box: gaps U(0.5, 1.0) above 0.3, eta U(-1.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    xi = np.cumsum(rng.uniform(0.5, 1.0, n))[::-1] + 0.3
+    return PhasePoint(xi=xi, eta=rng.uniform(-1.5, 1.5, n))
+
+
 def det_cofactor(m):
     """Brute-force determinant by first-row cofactor expansion (test oracle)."""
     m = np.asarray(m, dtype=complex)

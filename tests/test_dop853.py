@@ -60,8 +60,13 @@ def test_samples_and_evaluations_match_solve_ivp(case, g, monkeypatch):
     p = make_point()
     expected, nfev = _solve_ivp_flow(p, g, t_values)
     calls = []
-    field = _kernels.vector_field
-    monkeypatch.setattr(_kernels, "vector_field", lambda *a: calls.append(1) or field(*a))
+    kernel = _kernels.field_kernel
+
+    def counted(*args):
+        field = kernel(*args)
+        return lambda y, out: calls.append(1) or field(y, out)
+
+    monkeypatch.setattr(_kernels, "field_kernel", counted)
     for s in rk_flow(p, g, t_values):
         ref = expected[s.t]
         assert np.abs(s.point.as_vector() - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -5,6 +5,8 @@ import pytest
 from vandiejen import _kernels, dynamics
 from vandiejen.duality import dual_frame
 from vandiejen.dynamics import (
+    RK_ABS_TOL,
+    RK_REL_TOL,
     DynamicsError,
     energy,
     projection_flow,
@@ -15,7 +17,7 @@ from vandiejen.dynamics import (
 from vandiejen.lax import LaxBundle, lax_matrix
 from vandiejen.phase_space import Coupling, PhasePoint
 
-from conftest import overflow_point, point
+from conftest import allocating_field, overflow_point, point, spread_point
 
 
 # The oracle: every flow quantity rebuilt and eigensolved in mpmath at dps digits.
@@ -296,7 +298,9 @@ def test_rk_rejects_non_finite_state(g, monkeypatch):
 def test_rk_fails_on_a_field_that_is_always_nan(g, monkeypatch):
     """The initial step is nan; it must count as below the minimum step, where
     a loop on `h < min_step` would run for ever."""
-    monkeypatch.setattr(_kernels, "vector_field", lambda xi, *_: (xi * np.nan, xi * np.nan))
+    monkeypatch.setattr(
+        _kernels, "field_kernel", lambda *_: lambda y, out: np.multiply(y, np.nan, out=out)
+    )
     with pytest.raises(DynamicsError, match="^integrator failed: "):
         rk_flow(point(2, seed=21), g, [1.0, -1.0])
 
@@ -304,7 +308,46 @@ def test_rk_fails_on_a_field_that_is_always_nan(g, monkeypatch):
 def test_integration_to_a_blow_up_fails_at_the_minimum_step():
     """y' = y^2, y(0) = 1 blows up at t = 1: the step shrinks to its minimum there."""
     with pytest.raises(DynamicsError, match="^integrator failed: "):
-        dynamics._dop853(lambda _t, y: y * y, np.ones(1), np.array([2.0]), 1e-10, 1e-12)
+        dynamics._dop853(
+            lambda y, out: np.multiply(y, y, out=out), np.ones(1), np.array([2.0]), 1e-10, 1e-12
+        )
+
+
+def test_vector_field_is_the_kernel(g):
+    for n in (1, 2, 5):
+        p = point(n, seed=4)
+        out = np.empty(2 * n)
+        _kernels.field_kernel(n, g.mu, g.nu)(p.as_vector(), out)
+        got = np.concatenate(vector_field(p, g))
+        npt.assert_array_equal(got.view(np.uint64), out.view(np.uint64))
+
+
+DOP853_CASES = {
+    "n2": (lambda: point(2, 3), [0.25, 0.5, 1.0]),
+    "n3": (lambda: point(3, 2), [-0.5, -1.0, -2.0]),
+    "n4": (lambda: point(4, 1), [0.25, 0.5, 1.0]),
+    "n16": (lambda: spread_point(16, 1), [0.25, 0.5, 1.0]),
+    "stage-overflow": (overflow_point, [2.0]),
+}
+
+
+@pytest.mark.parametrize("case", DOP853_CASES)
+def test_dop853_with_the_kernel_is_the_allocating_route_bit_for_bit(case, g):
+    """Each stage written in place into K, over one kernel's buffers, gives the
+    states of fields that allocate every result."""
+    make_point, times = DOP853_CASES[case]
+    p = make_point()
+    n, ts = p.n, np.array(times)
+
+    def allocating(y, out):
+        out[:] = np.concatenate(allocating_field(y[:n], y[n:], g.mu, g.nu))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _kernels.field_kernel(n, g.mu, g.nu)
+        got = dynamics._dop853(kernel, p.as_vector(), ts, RK_REL_TOL, RK_ABS_TOL)
+        ref = dynamics._dop853(allocating, p.as_vector(), ts, RK_REL_TOL, RK_ABS_TOL)
+    assert np.all(np.isfinite(got))
+    npt.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_non_regular_coupling_rejected():

@@ -10,13 +10,14 @@ identically by both routes, so only the evaluation of each term differs.
 import warnings
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from vandiejen import Coupling, _kernels
 from vandiejen.dynamics import rk_flow
 from vandiejen.lax import COORD_CAP
 
-from conftest import point
+from conftest import allocating_field, point
 
 EPS = np.finfo(float).eps
 COUPLINGS = [(0.7, 0.4), (1.3, 0.2), (0.3, 2.5), (2.0, 1.0)]
@@ -192,13 +193,74 @@ def test_vector_field_is_finite_and_quiet_far_out():
         assert np.all(u >= 1.0) and np.all(u - 1.0 < 1e-8)
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("n,mu,nu,seed", CASES)
+def test_field_kernel_is_the_allocating_field_bit_for_bit(n, mu, nu, seed):
+    p = point(n, seed)
+    y, out = p.as_vector(), np.full(2 * n, np.nan)
+    _kernels.field_kernel(n, mu, nu)(y, out)
+    ref = np.concatenate(allocating_field(p.xi, p.eta, mu, nu))
+    npt.assert_array_equal(_bits(out), _bits(ref))
+    npt.assert_array_equal(y, p.as_vector())
+
+
+def test_field_kernel_matches_the_allocating_field_past_the_overflows():
+    # Runge-Kutta trial stages: positions past 355, rapidities past 710, and
+    # nan or inf entries, where sinh and cosh overflow and the field turns inf
+    # or nan; the kernel must give the same bits, nan payloads included
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 9):
+        field = _kernels.field_kernel(n, 1.3, 0.2)
+        for k in range(40):
+            size = (0.3, 5.0, 400.0, 800.0)[k % 4]
+            xi, eta = np.sort(rng.uniform(0, size, n))[::-1], rng.uniform(-size, size, n)
+            if k % 5 == 0:
+                (xi if k % 10 else eta)[-1] = (np.nan, np.inf)[k % 3 == 0]
+            out = np.empty(2 * n)
+            with np.errstate(all="ignore"):
+                field(np.concatenate([xi, eta]), out)
+                ref = np.concatenate(allocating_field(xi, eta, 1.3, 0.2))
+            npt.assert_array_equal(_bits(out), _bits(ref))
+
+
+def test_field_kernel_reuses_its_buffers_bit_for_bit():
+    # one kernel called on a run of states, a second of another (n, mu, nu)
+    # called in turn with it, each into one output buffer: every result is
+    # that of a fresh kernel at that state
+    rng = np.random.default_rng(11)
+    specs = [(3, 0.7, 0.4), (5, 1.3, 0.2)]
+    kernels = {spec: _kernels.field_kernel(*spec) for spec in specs}
+    outs = {spec: np.empty(2 * spec[0]) for spec in specs}
+    states = {
+        spec: [np.concatenate([np.sort(rng.uniform(0.3, 4.0, spec[0]))[::-1],
+                               rng.uniform(-2.0, 2.0, spec[0])]) for _ in range(6)]
+        for spec in specs
+    }
+    for i in (0, 1, 2, 0, 5, 3, 1, 4, 0):
+        for spec in specs:
+            y, out, ref = states[spec][i], outs[spec], np.empty(2 * spec[0])
+            kernels[spec](y, out)
+            _kernels.field_kernel(*spec)(y, ref)
+            npt.assert_array_equal(_bits(out), _bits(ref))
+
+
 def test_amplitude_table_is_built_once_per_flow(monkeypatch):
-    evaluations = []
-    field = _kernels.vector_field
-    monkeypatch.setattr(_kernels, "vector_field", lambda *a: evaluations.append(1) or field(*a))
+    # one kernel serves both sweeps of the flow; it fetches the table once
+    kernels, evaluations = [], []
+    kernel = _kernels.field_kernel
+
+    def counted(*args):
+        kernels.append(args)
+        field = kernel(*args)
+        return lambda y, out: evaluations.append(1) or field(y, out)
+
+    monkeypatch.setattr(_kernels, "field_kernel", counted)
     _kernels._amplitudes.cache_clear()
-    rk_flow(point(3, 1), Coupling(0.7, 0.4), [1.0, 2.0])
+    rk_flow(point(3, 1), Coupling(0.7, 0.4), [1.0, 2.0, -1.0])
     info = _kernels._amplitudes.cache_info()
-    assert len(evaluations) > 100
-    assert info.misses == 1 and info.hits >= len(evaluations)
+    assert len(evaluations) > 100 and kernels == [(3, 0.7, 0.4)]
+    assert info.misses == 1
     assert not _kernels._amplitudes(3, 0.7, 0.4).flags.writeable
