@@ -17,7 +17,8 @@ mask.  Within the coordinate cap (lax.COORD_CAP = 300) |x| <= 600, so sinh(x)
 is finite and q, at worst, underflows quietly to 0: the kernels need no
 errstate.  Past about 355 a position sum overflows sinh to inf, and q = 0 is
 still its limit; only the Runge-Kutta route, which has no cap, goes there, and
-it holds the overflow under its own errstate.
+its callers hold the overflow under their own errstate: rk_flow around its
+field evaluations, the flow command around the energies of its states.
 
 The tables and the coefficients (z, u, the pair products, the phase shifts,
 the Lax entries) take a stack of points: xi of shape (..., n) gives tables of
@@ -28,7 +29,8 @@ point's own axes.
 
 The flow field takes one point, as a flat state (xi, eta): field_kernel
 builds its tables once per (n, mu, nu) and returns a function that writes the
-field in place, so that a trajectory evaluates it with no allocation.
+field in place, so that a trajectory evaluates it with no allocation.  It is
+the one implementation of the field; dynamics.vector_field calls it too.
 
 Plain numpy on arrays and floats, with no input checks: the modules that call
 these check the phase point and coupling first.
@@ -193,11 +195,3 @@ def field_kernel(n: int, mu: float, nu: float):
 
     return field
 
-
-def vector_field(xi: np.ndarray, eta: np.ndarray, mu: float, nu: float):
-    """(xi_dot, eta_dot) at one point, from a field_kernel built for it."""
-    n = len(xi)
-    y = np.concatenate([xi, eta], dtype=float)
-    out = np.empty(2 * n)
-    field_kernel(n, mu, nu)(y, out)
-    return out[:n], out[n:]

@@ -31,15 +31,19 @@ import numpy as np
 from . import asymptotics as asy
 from . import dynamics
 from .checks import BATTERIES, FLOW_GAP
-from .phase_space import Coupling, PhaseSpaceError, VandiejenError, sample
+from .lax import energy
+from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # argparse's own pattern (as of Python 3.10 and 3.11) reads "-1e-5" as an option
-# string, so "--step -1e-5" would lack its value; this one takes exponent notation
-NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# string, so "--step -1e-5" would lack its value; this one takes exponent
+# notation, and a time grid that starts with a negative time ("--t -1:0.5:1")
+NEGATIVE_NUMBER = re.compile(
+    r"^-{x}([:,]-?{x})*$".format(x=r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+)
 
 
 class UsageError(ValueError):
@@ -102,11 +106,16 @@ def _emit(rows, header, args) -> str:
 
 
 def _write(text: str, args):
-    if args.out:
+    """Write the report to --out, or to stdout; an --out that cannot be written
+    (a missing directory, a directory, a full device) is a UsageError."""
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from exc
 
 
 def _coupling(args) -> Coupling:
@@ -173,36 +182,44 @@ def cmd_brackets(args) -> int:
 
 def cmd_flow(args) -> int:
     """A time whose projection step fails stays a row that does not pass: the
-    RK sample under --method both (its propagator_gap inf), nan under
-    --method projection; one error line names the failed times."""
+    RK state under --method both (its propagator_gap inf), nan under
+    --method projection; one error line names the failed times.  The energies
+    of the rows' states come from one energy call on their stack."""
     g = _coupling(args)
     grid = _parse_grid(args.t)
     p = sample(args.n, seed=args.seed)
     proj = dynamics.projection_outcomes(p, g, grid) if args.method != "runge-kutta" else None
-    rk = dynamics.rk_flow(p, g, grid) if args.method != "projection" else None
+    rk = dynamics.rk_flow(p, g, grid).as_vector() if args.method != "projection" else None
     failed = [i for i, s in enumerate(proj or ()) if isinstance(s, dynamics.DynamicsError)]
-    primary = list(proj) if proj is not None else rk
-    for i in failed:
-        primary[i] = rk[i] if rk is not None else None
+    # a row's state: the projection's where its step succeeded, else RK's, else nan
+    states = np.full((len(grid), 2 * args.n), np.nan) if rk is None else rk.copy()
+    for i, s in enumerate(proj or ()):
+        if isinstance(s, PhasePoint):
+            states[i] = s.as_vector()
+    energies = np.full(len(grid), np.nan)
+    known = ~np.isnan(states[:, 0])
+    if known.any():
+        # Unlike the Lax route, RK has no coordinate cap: positions past ~355
+        # make sinh of a position sum overflow in the kernels, where the q term
+        # is 0, its limit
+        with np.errstate(over="ignore"):
+            energies[known] = energy(PhasePoint.from_vector(states[known]), g)
     coords = [f"{x}_{a + 1}" for x in ("lambda", "theta") for a in range(args.n)]
     header = ["t", *coords, "energy"]
-    rows, nan = [], [np.nan] * (len(header) - 1)
-    for t, s in zip(grid, primary):
-        values = nan if s is None else [*s.point.xi, *s.point.eta, s.energy]
-        rows.append(dict(zip(header, map(float, [t, *values]))))
+    rows = [dict(zip(header, map(float, [t, *x, e]))) for t, x, e in zip(grid, states, energies)]
     for i in failed:
         rows[i]["passed"] = False
     if args.method == "both":
         header.append(FLOW_GAP.column)
-        for row, a, b in zip(rows, proj, rk):
+        for row, s, x, r in zip(rows, proj, states, rk):
             row[FLOW_GAP.column] = (
-                np.inf if isinstance(a, dynamics.DynamicsError)
-                else float(np.abs(a.point.as_vector() - b.point.as_vector()).max())
+                np.inf if isinstance(s, dynamics.DynamicsError) else float(np.abs(x - r).max())
             )
-    if failed:
+    code = _report(rows, (FLOW_GAP,) if args.method == "both" else (), header, args)
+    if failed:  # after the report, so that an unwritable --out is the one error line
         times = ",".join(format(grid[i], "g") for i in failed)
         sys.stderr.write(f"error: projection step failed at t={times}: {proj[failed[0]]}\n")
-    return _report(rows, (FLOW_GAP,) if args.method == "both" else (), header, args)
+    return code
 
 
 def cmd_asymptotics(args) -> int:

@@ -47,8 +47,7 @@ def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:
     (C L C = L^{-1}).
     """
     n = bundle.n
-    eig = hermitian_eig(bundle.matrix)
-    w = eig.eigenvalues
+    w, basis = hermitian_eig(bundle.matrix)
     worst = np.abs(w * w[..., ::-1] - 1.0).max(axis=-1)
     raise_first(worst > PAIRING_TOL, DualityError, lambda i: (
         f"spectrum fails reciprocal pairing: max residual {worst[i]:.3e}"
@@ -66,8 +65,8 @@ def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:
     theta_hat = 0.5 * logs.reshape(w.shape[:-1] + (n,))
     if theta_hat[..., -1].min() <= 0:
         raise DualityError("upper half-spectrum not above 1; spectrum too close to unity")
-    # ascending eigenvalues: column 2n-1-a of eig.basis carries e^{2 theta_hat_a}
-    v = eig.basis[..., ::-1][..., :n]
+    # ascending eigenvalues: column 2n-1-a of basis carries e^{2 theta_hat_a}
+    v = basis[..., ::-1][..., :n]
     return theta_hat, np.concatenate([v, bundle.c @ v], axis=-1)
 
 

@@ -28,18 +28,18 @@ d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 The projection route takes a phase point or a stack of them (see PhasePoint):
 its spectrum is one stacked eigensolve, each time step one stacked SVD, and its
 checks follow phase_space.raise_first.  The Runge-Kutta route and the vector
-field take a single point.
+field take a single point.  Both routes return the states they reach and
+nothing else: a caller that wants the energies takes them from lax.energy.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .duality import _full_angles, _spectrum
-from .lax import LaxBundle, energy, lax_matrix
+from .lax import LaxBundle, lax_matrix
 from .phase_space import Coupling, PhasePoint, VandiejenError, raise_first, require_valid
 
 RK_REL_TOL = 1e-10
@@ -54,32 +54,21 @@ class DynamicsError(VandiejenError):
     pass
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    point: PhasePoint
-    energy: float
-
-
 def vector_field(p: PhasePoint, g: Coupling):
-    """(xi_dot, eta_dot) of the Hamiltonian flow at p."""
+    """(xi_dot, eta_dot) of the Hamiltonian flow at p, from a field_kernel built for it."""
     p.require_one()
     require_valid(p)
     g.require_regular()
-    return _kernels.vector_field(p.xi, p.eta, g.mu, g.nu)
+    n = p.n
+    out = np.empty(2 * n)
+    _kernels.field_kernel(n, g.mu, g.nu)(p.as_vector(), out)
+    return out[:n], out[n:]
 
 
 # The DOP853 tableau, as in the authors' dop853.f and in scipy's DOP853: stages
 # 0..11, then row 12 of A, the 8th-order weights B, whose stage is the field at
 # the new state, then the three extra stages 13..15 of the dense output.  The
-# field is autonomous, so the stage times _C are kept with the tableau but not read.
-_C = np.array([
-    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510, 0.281649658092772603273242802490,
-    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
-    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
-    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778,
-])
+# field is autonomous, so the stage times are not needed.
 _A = np.zeros((16, 16))
 _A[1, 0] = 5.26001519587677318785587544488e-2
 _A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
@@ -330,9 +319,11 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
     return out
 
 
-def rk_flow(p: PhasePoint, g: Coupling, t_values):
-    """Adaptive DOP853 propagation, sampled at the requested times (in their order,
-    repeats allowed), with one field kernel for the whole trajectory."""
+def rk_flow(p: PhasePoint, g: Coupling, t_values) -> PhasePoint:
+    """Adaptive DOP853 propagation: the states at the requested times as one
+    PhasePoint stack of shape (T, n), row k at t_values[k] (the order kept,
+    repeats allowed, p at t = 0), with one field kernel for the whole
+    trajectory."""
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if not np.all(np.isfinite(t_values)):
         raise DynamicsError("non-finite time grid")
@@ -341,10 +332,12 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
     g.require_regular()
     field = _kernels.field_kernel(p.n, g.mu, g.nu)
 
+    states = np.empty((len(t_values), 2 * p.n))
+    states[t_values == 0] = p.as_vector()
     # One sweep per sign over the unique nonzero |t|
-    by_time = {0.0: TrajectorySample(0.0, p, energy(p, g))}
     for sign in (1.0, -1.0):
-        ts = sign * np.unique(sign * t_values[sign * t_values > 0])
+        chosen = sign * t_values > 0
+        ts, row = np.unique(sign * t_values[chosen], return_inverse=True)
         if len(ts) == 0:
             continue
         # A trial stage can reach |eta| past ~710, where sinh/cosh in the field
@@ -352,18 +345,11 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values):
         # the step-size control rejects the stage.  That is expected and not
         # reported; an accepted non-finite state is caught below.
         with np.errstate(over="ignore", invalid="ignore"):
-            states = _dop853(field, p.as_vector(), ts, RK_REL_TOL, RK_ABS_TOL)
-        if not np.all(np.isfinite(states)):
+            swept = _dop853(field, p.as_vector(), sign * ts, RK_REL_TOL, RK_ABS_TOL)
+        if not np.all(np.isfinite(swept)):
             raise DynamicsError("integrator returned a non-finite state")
-        # Unlike the Lax route, this one has no coordinate cap: positions past
-        # ~355 make sinh of a position sum overflow in the kernels, where the
-        # q term is 0, its limit.  In the field that falls under the errstate
-        # above; in the sampled energies, one stacked call, under this one.
-        with np.errstate(over="ignore"):
-            energies = energy(PhasePoint.from_vector(states), g)
-        for t, x, e in zip(ts, states, energies):
-            by_time[float(t)] = TrajectorySample(float(t), PhasePoint.from_vector(x), e)
-    return [by_time[float(t)] for t in t_values]
+        states[chosen] = swept[row]
+    return PhasePoint.from_vector(states)
 
 
 def _flow_step(
@@ -419,20 +405,14 @@ def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
 
 def projection_outcomes(p: PhasePoint, g: Coupling, t_values):
     """projection_flow over a time grid, from one spectrum of the initial point: per
-    time a TrajectorySample, or the DynamicsError that stopped the step at that
-    time.  The energies of the reached points come from one stacked call."""
+    time the PhasePoint reached (p itself at t = 0), or the DynamicsError that
+    stopped the step at that time."""
     bundle = lax_matrix(p, g)
     spectrum = _spectrum(bundle)
-    times = [float(t) for t in np.atleast_1d(np.asarray(t_values, dtype=float))]
     out = []
-    for t in times:
+    for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
         try:
-            out.append(PhasePoint(*_flow_step(bundle, *spectrum, t)) if t != 0.0 else p)
+            out.append(PhasePoint(*_flow_step(bundle, *spectrum, float(t))) if t != 0.0 else p)
         except DynamicsError as exc:
             out.append(exc)
-    reached = [i for i, q in enumerate(out) if isinstance(q, PhasePoint)]
-    if reached:
-        stack = PhasePoint.from_vector([out[i].as_vector() for i in reached])
-        for i, e in zip(reached, energy(stack, g)):
-            out[i] = TrajectorySample(times[i], out[i], e)
     return out

@@ -7,8 +7,6 @@ phase_space.raise_first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .phase_space import VandiejenError, raise_first
@@ -30,19 +28,12 @@ def _as_square_stack(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigenvalues in ascending order and a unitary eigenvector basis, for a
-    matrix or, with the leading axes of the input, for each matrix of a stack."""
-
-    eigenvalues: np.ndarray  # real, ascending: shape (..., N)
-    basis: np.ndarray  # unitary; column j belongs to eigenvalues[..., j]: shape (..., N, N)
-
-
-def hermitian_eig(a) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix or of each matrix of a (..., N, N)
-    stack, in one np.linalg.eigh call, which runs the same LAPACK routine on
-    each matrix as on that matrix alone.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of a Hermitian matrix, or of each matrix of a (..., N, N) stack,
+    as np.linalg.eigh gives them: the real eigenvalues w in ascending order,
+    shape (..., N), and a unitary basis v whose column j belongs to w[..., j],
+    shape (..., N, N).  One eigh call runs the same LAPACK routine on each
+    matrix as on that matrix alone.
 
     The input is symmetrized as (A + A*)/2 before solving; an asymmetry larger
     than HERMITICITY_TOL relative to max|A| is an error rather than silently
@@ -55,8 +46,8 @@ def hermitian_eig(a) -> HermitianEigen:
     raise_first(asym > HERMITICITY_TOL * scale, LinalgError, lambda i: (
         f"matrix is not Hermitian: asymmetry {asym[i]:.3e} (scale {scale[i]:.3e})"
     ))
-    w, u = np.linalg.eigh((a + a_star) / 2.0)
-    return HermitianEigen(eigenvalues=w, basis=u)
+    w, v = np.linalg.eigh((a + a_star) / 2.0)
+    return w, v
 
 
 def general_eig(a) -> np.ndarray:

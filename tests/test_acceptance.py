@@ -101,14 +101,12 @@ def test_acceptance_propagators_and_conservation():
             p = sample(n, seed=seed)
             rk = rk_flow(p, G, grid)
             pr = projection_outcomes(p, G, grid)
-            for a, b in zip(rk, pr):
-                worst_gap = max(
-                    worst_gap, np.abs(a.point.as_vector() - b.point.as_vector()).max()
-                )
+            for a, b in zip(rk.as_vector(), pr):
+                worst_gap = max(worst_gap, np.abs(a - b.as_vector()).max())
             b0 = lax_matrix(p, G)
             refs = [b0.energy] + [trace_power_observable(b0, k) for k in (2, 3)]
             for s in pr[1:]:
-                bt = lax_matrix(s.point, G)
+                bt = lax_matrix(s, G)
                 vals = [bt.energy] + [trace_power_observable(bt, k) for k in (2, 3)]
                 worst_cons = max(
                     worst_cons,

@@ -7,7 +7,7 @@ from vandiejen.brackets import BracketError, omega_matrix, poisson_brackets, sym
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_PASS, main
 from vandiejen.duality import dual_frame
-from vandiejen.dynamics import energy
+from vandiejen.lax import energy
 from vandiejen.phase_space import PhasePoint
 
 from conftest import point

@@ -324,10 +324,21 @@ def test_bad_option_value_is_one_line_usage_error(argv, tmp_path, capsys):
 
 
 def test_negative_exponent_value_after_a_flag_is_read_as_a_number(tmp_path):
+    # a negative number in exponent notation, and a time grid that starts below 0
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(["flow", "--n", "2", "--mu", "-1e-1", "--t", "0,1", "--out", str(a)]) == EXIT_PASS
-    assert run(["flow", "--n", "2", "--mu=-1e-1", "--t", "0,1", "--out", str(b)]) == EXIT_PASS
-    assert a.read_bytes() == b.read_bytes()
+    for flag, value in [("--mu", "-1e-1"), ("--t", "-1:0.5:1")]:
+        base = ["flow", "--n", "2", "--t", "0,1"]
+        assert run([*base, flag, value, "--out", str(a)]) == EXIT_PASS
+        assert run([*base, f"{flag}={value}", "--out", str(b)]) == EXIT_PASS
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-directory", "directory"])
+def test_unwritable_out_is_one_line_usage_error(target, tmp_path, capsys):
+    out = tmp_path / target
+    assert run(["lax-check", "--points", "1", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out: ") and err.count("\n") == 1
 
 
 def test_flow_takes_no_points_option(tmp_path):
