@@ -3,9 +3,16 @@
 For the exponential flow with strictly graded D and nonzero leading principal
 minors of M, eigenvalues behave like m_j e^{t d_j} (1 + rho_j(t)) with
 rho_j(t) = p_j e^{t(d_{j+1}-d_j)} - p_{j-1} e^{t(d_j-d_{j-1})} + higher order;
-for the linear flow they behave like M_jj + t d_j + alpha_j / t + O(1/t^2).
-This module computes the coefficient families and verifies the decay orders
-empirically on time grids.
+for the linear flow they behave like
+M_jj + t d_j + alpha_j / t + gamma_j / t^2 + O(1/t^3).  This module computes
+the coefficient families and checks each verdict against its expansion on a
+time grid: p is recovered by weighted least squares with the second-order
+terms in the model, and t^2 r_j - gamma_j is checked to decay like 1/t.  A
+datum at the eigensolver's rounding level counts as unmeasurable, not fitted.
+
+sample_spec builds each spec from its factors, M = L diag(D) U with unit
+triangular L and U, so that p_j = L_{j+1,j} U_{j,j+1} holds exactly and meets
+its floor by construction: one generator and no rejected attempt per spec.
 
 A FlowSpec holds one spec or a stack of specs (see FlowSpec), and every
 routine here takes either: its results carry the stack's leading axes.  The
@@ -26,11 +33,13 @@ MINOR_MARGIN = 1e-10
 ORDER_GAP_TOL = 1e-8
 FIT_CLAMP = 1e-14
 EXP_CAP = 600.0
-SPEC_ATTEMPTS = 200
-SPEC_BLOCK = 20  # attempts per seed in one round of sample_spec; divides SPEC_ATTEMPTS
-# sample_spec: diagonal gaps in MIN_GAP + [0, GAP_SPREAD], M = I + OFF_SCALE * noise
+# sample_spec: diagonal gaps in MIN_GAP + [0, GAP_SPREAD], factor noise of scale OFF_SCALE
 SPEC_MIN_GAP, SPEC_GAP_SPREAD, SPEC_OFF_SCALE = 1.5, 0.5, 0.2
-P_RECOVERY_TIMES = (8.0, 10.0)  # the two sample times of exponential_summary's p recovery
+# The computed eigenvalues of M + tD are off by at most 2 N eps (max|M| + t max|d|)
+# (measured against mpmath at N = 3, 8, 16 and t = 4 .. 1e6); a linear residual is
+# measurable where it exceeds ROUNDING_MARGIN times N eps (max|M| + t max|d|),
+# so that its rounding is under a tenth of it.
+ROUNDING_MARGIN = 20.0
 
 
 class AsymptoticsError(VandiejenError):
@@ -110,23 +119,42 @@ def p_coeffs(m) -> np.ndarray:
     return _p_from_minors(_nonzero(pi), bordered)
 
 
-def alpha_coeffs(m, d) -> np.ndarray:
-    """Second-order perturbation sums alpha_j = sum_{k != j} M_jk M_kj / (d_j - d_k),
-    for one (M, d) or over the leading axes of a stack.  The sum runs over k
-    in order, as a loop: numpy's own reduction would regroup it."""
-    m = np.asarray(m, dtype=complex)
+def _differences(m, d):
+    """(M, off, diff) for the perturbation sums: M as a complex array, the
+    off-diagonal mask and d_j - d_k, with 1 on the diagonal."""
     d = np.asarray(d, dtype=complex)
     _require_size(d.shape[-1])
     off = ~np.eye(d.shape[-1], dtype=bool)
     diff = d[..., :, None] - d[..., None, :]
     if np.abs(diff[..., off]).min() < 1e-12:
         raise AsymptoticsError("repeated diagonal values")
+    return np.asarray(m, dtype=complex), off, np.where(off, diff, 1.0)
+
+
+def alpha_coeffs(m, d) -> np.ndarray:
+    """Second-order perturbation sums alpha_j = sum_{k != j} M_jk M_kj / (d_j - d_k),
+    for one (M, d) or over the leading axes of a stack.  The sum runs over k
+    in order, as a loop: numpy's own reduction would regroup it."""
+    m, off, diff = _differences(m, d)
     # M_jk M_kj in real parts, rounded as a complex scalar product: numpy's
     # complex array product fuses multiply-adds, which can move the last bit
     mt = m.swapaxes(-1, -2)
     prod = (m.real * mt.real - m.imag * mt.imag) + 1j * (m.real * mt.imag + m.imag * mt.real)
-    terms = np.where(off, prod / np.where(off, diff, 1.0), 0.0)
-    return sum(terms[..., k] for k in range(d.shape[-1]))
+    terms = np.where(off, prod / diff, 0.0)
+    return sum(terms[..., k] for k in range(m.shape[-1]))
+
+
+def gamma_coeffs(m, d) -> np.ndarray:
+    """Third-order perturbation sums
+      gamma_j = sum_{k, l != j} M_jk M_kl M_lj / ((d_j - d_k)(d_j - d_l))
+                - M_jj sum_{k != j} M_jk M_kj / (d_j - d_k)^2,
+    for one (M, d) or over the leading axes of a stack.  Eigenvalue j of
+    M + tD is t (eigenvalue j of D + M/t), whose Rayleigh-Schroedinger series
+    in 1/t gives t d_j + M_jj + alpha_j / t + gamma_j / t^2 + O(1/t^3)."""
+    m, off, diff = _differences(m, d)
+    g = np.where(off, m / diff, 0.0)  # g_jk = M_jk / (d_j - d_k)
+    h = np.where(off, m.swapaxes(-1, -2) / diff, 0.0)  # h_jl = M_lj / (d_j - d_l)
+    return ((g @ m) * h).sum(axis=-1) - np.diagonal(m, axis1=-2, axis2=-1) * (g * h).sum(axis=-1)
 
 
 def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
@@ -182,8 +210,9 @@ def _decay_orders(
 ) -> np.ndarray:
     """Minus the slope of ln|r| against t (or ln t) in each (spec, j) column of
     r, shape (..., T, N), as an array of shape (..., N): one least-squares
-    slope per column over its usable times, |r| > clamp, for the whole stack
-    at once; nan where fewer than two times are usable."""
+    slope per column over its usable times, |r| > clamp (a number, or an
+    array broadcast against r), for the whole stack at once; nan where fewer
+    than two times are usable."""
     usable = np.abs(r) > clamp
     count = usable.sum(axis=-2)
     x = np.where(usable, (np.log(t_grid) if log_t else t_grid)[:, None], 0.0)
@@ -218,24 +247,23 @@ def _relative_remainders(spec: FlowSpec, mj: np.ndarray, times) -> np.ndarray:
     return rho[..., index, :]
 
 
-def _exponential_report(spec: FlowSpec, t_grid, extra=()) -> tuple[AsymptoticReport, np.ndarray]:
-    """The exponential theorem report on the grid, and the remainders at the
-    extra times, shape (..., len(extra), N), from one principal_minors call
-    and one stacked solve over the grid and the extra times."""
+def _exponential_report(spec: FlowSpec, t_grid) -> tuple[AsymptoticReport, np.ndarray]:
+    """The exponential theorem report on the grid, and the remainders rho on
+    the grid, shape (..., T, N), from one principal_minors call and one
+    stacked solve over the grid."""
     if spec.kind != "exponential":
         raise AsymptoticsError("spec is not of exponential kind")
     t_grid = fit_grid(t_grid, spec.kind)
     pi, bordered = principal_minors(spec.m)
     pj = _p_from_minors(_nonzero(pi), bordered)
-    rho = _relative_remainders(spec, _minor_ratios(pi), np.concatenate([t_grid, extra]))
-    rho, rho_extra = rho[..., : len(t_grid), :], rho[..., len(t_grid) :, :]
+    rho = _relative_remainders(spec, _minor_ratios(pi), t_grid)
     # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
-    first = pj[..., None, :] * np.exp(t_grid[:, None] * np.diff(spec.d, axis=-1)[..., None, :])
+    first = pj[..., None, :] * _eps(spec, t_grid)
     pad = [(0, 0)] * (first.ndim - 1)
     subtracted = rho - (np.pad(first, pad + [(0, 1)]) - np.pad(first, pad + [(1, 0)]))
     # the second-order remainder reaches the eigensolver noise floor quickly;
-    # clamp the decay fit above that floor so plateau points don't dilute it
-    orders = _decay_orders(t_grid, subtracted, clamp=1e-13)
+    # the decay fit counts a time only where the remainder clears it
+    orders = _decay_orders(t_grid, subtracted, clamp=_noise_level(rho))
     # a component whose remainder sits entirely below the clamp decays faster
     # than we can measure; only measurable components constrain the verdict
     measured = np.isnan(orders) | (orders >= 1.8 * spec.gap[..., None])
@@ -244,33 +272,68 @@ def _exponential_report(spec: FlowSpec, t_grid, extra=()) -> tuple[AsymptoticRep
         "post_subtraction_decay": np.all(measured, axis=-1),
         "remainder_shrinks": np.all(shrinks, axis=-1),
     }
-    return AsymptoticReport(gap=spec.gap, fitted_orders=orders, verdicts=verdicts, p=pj), rho_extra
+    return AsymptoticReport(gap=spec.gap, fitted_orders=orders, verdicts=verdicts, p=pj), rho
+
+
+def _noise_level(rho: np.ndarray) -> np.ndarray:
+    """ROUNDING_MARGIN times the eigensolver's error on the remainders rho,
+    shape (..., T, 1): the product of the 1 + rho_j is det M e^{t tr D} over
+    m_1 ... m_N e^{t tr D} = 1 exactly, so its computed distance from 1
+    measures the error at each time (N eps at the least)."""
+    closure = np.abs(np.prod(1.0 + rho, axis=-1) - 1.0)
+    return ROUNDING_MARGIN * np.maximum(closure, rho.shape[-1] * np.finfo(float).eps)[..., None]
+
+
+def _eps(spec: FlowSpec, t_grid: np.ndarray) -> np.ndarray:
+    """eps_j(t) = e^{t(d_{j+1} - d_j)}, shape (..., T, N - 1)."""
+    return np.exp(t_grid[:, None] * np.diff(spec.d, axis=-1)[..., None, :])
 
 
 def verify_theorem_exponential(spec: FlowSpec, t_grid) -> AsymptoticReport:
     """Check the exponential-flow asymptotics on the grid: the relative
     remainders rho_j, their first-order model, and the post-subtraction
-    second-order decay rate (expected about 2R, verified >= 1.8R)."""
+    second-order decay rate (expected about 2R, verified >= 1.8R), fitted
+    over the times where the remainder clears the eigensolver's noise."""
     return _exponential_report(spec, t_grid)[0]
 
 
-def _p_two_point(spec: FlowSpec, rho: np.ndarray) -> np.ndarray:
-    """p from the remainders rho, shape (..., 2, N), at the two P_RECOVERY_TIMES.
+def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """p_1 .. p_{N-1} recovered from the remainders rho on the grid, shape
+    (..., T, N), by one weighted least-squares fit per (spec, j).
 
-    For each j the model rho_j = p_j e^{-t mu_j} - p_{j-1} e^{-t mu_{j-1}} is a
-    linear system in (p_j, p_{j-1}) over the two sample times; the first j has
-    the single-term model, and the systems of the others go to one solve call.
+    The product remainder sigma_j = (1 + rho_1) ... (1 + rho_j) - 1 is that of
+    lambda_1 ... lambda_j, the sum over the j-subsets S of the principal minors
+    M(S) e^{t d_S} less the other j-fold products of eigenvalues, relative to
+    its leading term M(1..j) e^{t(d_1 + ... + d_j)}.  Every other term moves
+    an index across the gap between d_j and d_{j+1}, so it carries eps_j:
+      sigma_j(t) = eps_j (p_j + a eps_j + b eps_{j-1} + c eps_{j+1} + O(eps^2)),
+    second order in full (absent neighbours dropped).  The fit takes the
+    terms in this order, as many as the grid has times, for y = sigma_j / eps_j.
+
+    The eigensolver gives each lambda_j at time t with a relative error
+    eps kappa(t), which _noise_level measures at each time, so the datum y
+    at t has relative error about eps kappa(t) / |sigma_j(t)|, that
+    is eps kappa(t) / |p_j eps_j(t)|, and each time is weighted by the
+    inverse, |eps_j(t)| / (eps kappa(t)) (the constant |p_j| drops out).  The
+    recovered p_j is then off by the neglected O(eps_j(t_0)^2) terms at the
+    first time t_0 plus eps kappa / |eps_j(t_0)|, relative to |p_j|.  On the
+    default grid 4..10 (eps_j(4) <= e^{-5.8}) this reads at most 1.1e-5 at
+    N <= 8 and 6.3e-4 at N = 10..16 over seeds 0-399, inside the 1e-3 bound
+    of p_recovery_rel_err.
     """
-    steps = np.diff(spec.d, axis=-1)  # d_{j+1} - d_j (negative real part)
-    growth = np.exp(np.array(P_RECOVERY_TIMES)[:, None] * steps[..., None, :])  # (..., 2, N-1)
-    out = np.empty(steps.shape, dtype=complex)
-    out[..., 0] = rho[..., 1, 0] / growth[..., 1, 0]
-    if spec.size > 2:
-        # system j, row i: [e^{t_i s_j}, -e^{t_i s_{j-1}}] p = rho_j(t_i)
-        a = np.moveaxis(np.stack([growth[..., 1:], -growth[..., :-1]], axis=-1), -3, -2)
-        b = np.moveaxis(rho[..., 1:-1], -2, -1)[..., None]
-        out[..., 1:] = np.linalg.solve(a, b)[..., 0, 0]
-    return out
+    eps_ = _eps(spec, t_grid)
+    sigma = np.cumprod(1.0 + rho[..., :-1], axis=-1) - 1.0
+    pad = [(0, 0)] * (eps_.ndim - 1)
+    terms = (np.ones(eps_.shape), eps_,
+             np.pad(eps_[..., :-1], pad + [(1, 0)]), np.pad(eps_[..., 1:], pad + [(0, 1)]))
+    weight = np.abs(eps_) / _noise_level(rho)
+    # rows (spec, j, time), columns the model terms; the weighted datum
+    # weight * sigma / eps is sigma times the phase of 1 / eps, without overflow
+    a = np.stack([weight * v for v in terms[: len(t_grid)]], axis=-1).swapaxes(-3, -2)
+    b = (sigma * (weight / eps_)).swapaxes(-1, -2)[..., None]
+    scale = np.abs(a).max(axis=-2, keepdims=True)
+    scale = np.where(scale > 0, scale, 1.0)
+    return (np.linalg.pinv(a / scale) @ b)[..., 0, 0] / scale[..., 0, 0]
 
 
 def _linear_residuals(spec: FlowSpec, t_grid: np.ndarray, lams, shift) -> np.ndarray:
@@ -290,29 +353,71 @@ def _linear_residuals(spec: FlowSpec, t_grid: np.ndarray, lams, shift) -> np.nda
     return np.take_along_axis(lams, assign, axis=-1) - pred
 
 
+def cauchy_bound(spec: FlowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(radius, constant), each of shape (..., N), bounding the linear
+    expansion beyond gamma: t^3 |r_j(t) - gamma_j / t^2| <= constant_j /
+    (1 - 1 / (radius_j t)) at every t > 1 / radius_j, r_j the residual after
+    the alpha term.
+
+    With s = 1/t, eigenvalue j of M + tD is t lambda_j(s), lambda_j(s) that
+    of diag(d_k + s M_kk) + s B, B the off-diagonal part of M.  By Bauer-Fike
+    the eigenvalues lie in the discs |z - d_k - s M_kk| <= |s| ||B||_2, and
+    disc j is apart from the others while |s| < radius_j =
+    min_{k != j} |d_j - d_k| / (2 ||B||_2 + |M_jj - M_kk|); there
+    lambda_j(s) - d_j - s M_jj is analytic and at most |s| ||B||_2, so
+    Cauchy's estimate bounds its s^k coefficient by ||B||_2 radius_j^(1-k),
+    and the terms from k = 4 on sum to the bound with
+    constant_j = ||B||_2 / radius_j^3."""
+    m, off, diff = _differences(spec.m, spec.d)
+    b = np.where(off, m, 0.0)
+    norm = np.linalg.norm(b, 2, axis=(-2, -1))[..., None, None]
+    diag = np.diagonal(m, axis1=-2, axis2=-1)
+    spread = np.abs(diag[..., :, None] - diag[..., None, :])
+    radius = np.where(off, np.abs(diff) / (2.0 * norm + spread), np.inf).min(axis=-1)
+    return radius, norm[..., 0] / radius ** 3
+
+
 def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
-    """Check the linear-flow asymptotics: r_j(t) = lambda_j - M_jj - t d_j - alpha_j/t
-    stays O(1/t^2) (t^2 |r_j| bounded over the grid).  One spectrum per time
-    serves both predictions: omitting the alpha term degrades the fitted order
-    from about 2 to about 1, reported as orders_without_alpha."""
+    """Check the linear-flow asymptotics: the residual
+    r_j(t) = lambda_j - M_jj - t d_j - alpha_j / t has t^2 r_j - gamma_j = O(1/t)
+    (gamma_coeffs).  The verdict t2_bounded holds where t |t^2 r_j - gamma_j|
+    stays within the theorem's own constant (cauchy_bound) plus the rounding
+    allowance t^3 ROUNDING_MARGIN N eps (max|M| + t max|d|), at every time
+    inside the bound's range.  One spectrum per time serves every
+    prediction: with alpha the fitted order is about 2, without it about 1
+    (orders_without_alpha).
+
+    A residual counts in a fitted order only at the times where it clears
+    ROUNDING_MARGIN times the eigensolver's rounding level
+    N eps (max|M| + t max|d|); a component with fewer than two such times is
+    unmeasurable, its order nan."""
     if spec.kind != "linear":
         raise AsymptoticsError("spec is not of linear kind")
     t_grid = fit_grid(t_grid, spec.kind)
     alpha = alpha_coeffs(spec.m, spec.d)
+    gamma = gamma_coeffs(spec.m, spec.d)
     lams = flow_eigenvalues(spec, t_grid)
     resid, resid0 = (
         _linear_residuals(spec, t_grid, lams, shift) for shift in (alpha, np.zeros(alpha.shape))
     )
-    orders, orders0 = (_decay_orders(t_grid, r, log_t=True) for r in (resid, resid0))
-    # t^2 |r| in units of 4^e, 2^e above the largest time and 1: no square
-    # overflows, and the scaling by a power of two is exact away from
-    # subnormals, so it moves no verdict
+    # the rounding level ROUNDING_MARGIN N eps (max|M| + t max|d|), shape (..., T, 1)
+    m_max = np.abs(spec.m).max(axis=(-2, -1))[..., None, None]
+    d_max = np.abs(spec.d).max(axis=-1)[..., None, None]
+    level = ROUNDING_MARGIN * spec.size * np.finfo(float).eps * (m_max + t_grid[:, None] * d_max)
+    orders, orders0 = (_decay_orders(t_grid, r, log_t=True, clamp=level) for r in (resid, resid0))
+    # t |t^2 r_j - gamma_j| and its bound in units of 8^e, 2^e above the
+    # largest time and 1: no cube overflows, and the scaling by a power of two
+    # is exact away from subnormals, so it moves no verdict
+    radius, constant = cauchy_bound(spec)
+    inside = t_grid[:, None] * radius[..., None, :] > 1.0
+    tail = np.divide(constant[..., None, :], 1.0 - 1.0 / (t_grid[:, None] * radius[..., None, :]),
+                     out=np.full(inside.shape, np.inf), where=inside)
     e = max(int(np.frexp(t_grid.max())[1]), 0)
-    t2r = np.ldexp(t_grid, -e)[:, None] ** 2 * np.abs(resid)
-    floor, slack = np.ldexp([FIT_CLAMP, 1e-12], -2 * e)
+    t_e = np.ldexp(t_grid, -e)[:, None]
+    deviation = t_e * np.abs(t_e ** 2 * resid - gamma[..., None, :] * np.ldexp(1.0, -2 * e))
     verdicts = {
         "t2_bounded": np.all(
-            t2r <= 1.2 * np.maximum(t2r[..., :1, :], floor) + slack, axis=(-2, -1)
+            ~inside | (deviation <= np.ldexp(tail, -3 * e) + t_e ** 3 * level), axis=(-2, -1)
         ),
     }
     return AsymptoticReport(
@@ -323,17 +428,17 @@ def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
 def exponential_summary(spec: FlowSpec, t_grid) -> dict:
     """The report columns of an exponential flow, one array per column over
     the stack: the gap R, the smallest fitted order, the relative error of the
-    two-point p recovery, and under "passed" the theorem report's own verdict.
-    The recovery times share the grid's stacked solve.  A grid on which no
-    component's order can be fitted has no smallest order to report and is an
-    error."""
-    rep, rho = _exponential_report(spec, t_grid, P_RECOVERY_TIMES)
+    least-squares p recovery (_p_least_squares) against the p of the minors,
+    and under "passed" the theorem report's own verdict.  The recovery reads
+    the grid's own stacked solve.  A grid on which no component's order can
+    be fitted has no smallest order to report and is an error."""
+    rep, rho = _exponential_report(spec, t_grid)
     if np.isnan(rep.fitted_orders).all(axis=-1).any():
         raise AsymptoticsError(
-            "no post-subtraction remainder rises above the 1e-13 fit floor on this "
-            "grid; it is too late to fit a decay order"
+            "no post-subtraction remainder rises above the fit floor (the eigensolver's "
+            "noise) on this grid; it is too late to fit a decay order"
         )
-    recovered = _p_two_point(spec, rho)
+    recovered = _p_least_squares(spec, np.asarray(t_grid, dtype=float), rho)
     return {
         "R": rep.gap,
         "min_fitted_order": np.nanmin(rep.fitted_orders, axis=-1),
@@ -344,14 +449,23 @@ def exponential_summary(spec: FlowSpec, t_grid) -> dict:
     }
 
 
+def _measured_mean(orders: np.ndarray) -> np.ndarray:
+    """The mean of the fitted orders over the last axis, unmeasurable (nan)
+    components left out; nan where no component is measurable."""
+    measured = ~np.isnan(orders)
+    return np.divide(np.where(measured, orders, 0.0).sum(axis=-1), measured.sum(axis=-1),
+                     out=np.full(orders.shape[:-1], np.nan), where=measured.any(axis=-1))
+
+
 def linear_summary(spec: FlowSpec, t_grid) -> dict:
     """The report columns of a linear flow, one array per column over the
     stack: the gap R and the mean fitted orders with and without the alpha
-    term; under "passed", the theorem report's own verdict and whether those
-    orders lie within 0.3 of 2 and of 1."""
+    term over the measurable components (nan where none is); under "passed",
+    the theorem report's own verdict and whether those orders lie within 0.3
+    of 2 and of 1, so an unmeasurable row does not pass."""
     rep = verify_theorem_linear(spec, t_grid)
-    order = np.nanmean(rep.fitted_orders, axis=-1)
-    order0 = np.nanmean(rep.orders_without_alpha, axis=-1)
+    order = _measured_mean(rep.fitted_orders)
+    order0 = _measured_mean(rep.orders_without_alpha)
     return {
         "R": rep.gap,
         "order_with_alpha": order,
@@ -360,70 +474,48 @@ def linear_summary(spec: FlowSpec, t_grid) -> dict:
     }
 
 
-def _accepted(ms: np.ndarray, floor: float) -> np.ndarray:
-    """Mask over a (P, N, N) stack of M: every leading minor nonzero and every
-    |p_j| >= floor.  A candidate with a zero leading minor gets inf or nan p
-    entries, which the mask drops without a warning."""
-    pi, bordered = principal_minors(ms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smallest = np.abs(_p_from_minors(pi, bordered)).min(axis=-1)
-        return np.all(pi != 0, axis=-1) & (smallest >= floor)
-
-
 def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     """Deterministic well-conditioned flow spec: one seed gives one spec, a
     sequence of seeds the stack of their specs, spec i being the spec of
     seed[i] alone.
 
-    The diagonal gaps are drawn from evenly spread slots (pairwise distinct, so
-    two-point coefficient recovery stays well-conditioned) and M = identity
-    plus a scaled complex perturbation, resampled until every p coefficient is
-    comfortably away from zero (relative recovery would otherwise divide by a
-    near-cancellation).
+    The diagonal gaps take evenly spread slots in a random order, each with a
+    small jitter (pairwise distinct, so the second-order terms of the p
+    recovery stay apart), and M = L diag(D) U is built from its factors: L
+    and U unit lower and upper triangular, D diagonal, with
+      D_j = 1 + OFF_SCALE * z and every other entry of L and U OFF_SCALE * z,
+        z complex with real and imaginary parts uniform on [-1, 1],
+      except L_{j+1,j} and U_{j,j+1}: modulus uniform on
+        [OFF_SCALE / sqrt 2, OFF_SCALE], phase uniform.
+    By Cauchy-Binet, the minor on the indices 1..j-1, j+1 is
+    D_1 ... D_{j-1} (D_j L_{j+1,j} U_{j,j+1} + D_{j+1}), and m_j = D_j, so
+    p_j = L_{j+1,j} U_{j,j+1} and |p_j| >= OFF_SCALE^2 / 2 by construction.
 
-    Each seed has SPEC_ATTEMPTS attempts.  Attempt k draws from
-    np.random.default_rng(seed * 1009 + k): the slot permutation (N > 2),
-    then N - 1 + 2 N^2 numbers of rng.random, the uniform draws for the gaps
-    and for the real and imaginary noise of M.  Each round draws the next
-    SPEC_BLOCK attempts of every seed still pending, builds their noise and M
-    in one expression, mapped as rng.uniform(-1, 1) maps them (-1 + 2 u,
-    exact), and takes their p coefficients from one principal_minors call.
-    A seed's spec is its first accepted attempt, and only its gaps and d are
-    built, so the result does not depend on the rounds or on the other seeds;
-    a seed that runs out of attempts is an error.
+    Spec s reads its numbers from one np.random.default_rng(s).random call,
+    in this order: N - 1 slot keys (the slots go in the order of their keys),
+    N - 1 jitters, the real parts and then the imaginary parts of the noise
+    of D, L and U (N + 2 N^2 each, L and U row by row), 2 (N - 1) moduli and
+    2 (N - 1) phases of the pairs (L's, then U's).  A uniform u maps to the
+    interval [a, b] as a + (b - a) u, as rng.uniform maps it.  The stack is
+    then built in one expression per factor.
     """
     _require_size(size)
     seeds, one = _seed_list(seed)
-    slots = np.linspace(0.0, SPEC_GAP_SPREAD, size - 1)
-    jitter = 0.1 * SPEC_GAP_SPREAD / max(size - 2, 1)
-    shift, v = np.empty((len(seeds), size - 1)), np.empty((len(seeds), size - 1))
-    m = np.empty((len(seeds), size, size), dtype=complex)
-    pending = np.arange(len(seeds))
-    for start in range(0, SPEC_ATTEMPTS, SPEC_BLOCK):
-        if not pending.size:
-            break
-        entropies = [seeds[i] * 1009 + k for i in pending for k in range(start, start + SPEC_BLOCK)]
-        # rng.shuffle of a copy of slots is rng.permutation(slots), in place
-        shifts = np.tile(slots, (len(entropies), 1))
-        u = np.empty((len(entropies), size - 1 + 2 * size * size))
-        for row, entropy in enumerate(entropies):
-            rng = np.random.default_rng(entropy)
-            if size > 2:
-                rng.shuffle(shifts[row])
-            rng.random(out=u[row])
-        noise = (-1.0 + 2.0 * u[:, size - 1:]).reshape(-1, 2, size, size)
-        ms = np.eye(size) + SPEC_OFF_SCALE * (noise[:, 0] + 1j * noise[:, 1])
-        ok = _accepted(ms, 0.5 * SPEC_OFF_SCALE ** 2).reshape(len(pending), SPEC_BLOCK)
-        found = ok.any(axis=-1)
-        first = (SPEC_BLOCK * np.arange(len(pending)) + np.argmax(ok, axis=-1))[found]
-        done, pending = pending[found], pending[~found]
-        shift[done], v[done], m[done] = shifts[first], u[first, : size - 1], ms[first]
-    if pending.size:
-        raise AsymptoticsError("could not realize a well-conditioned spec")
-    if size == 2:
-        gaps = SPEC_MIN_GAP + SPEC_GAP_SPREAD * v
-    else:
-        gaps = SPEC_MIN_GAP + shift + jitter * (-1.0 + 2.0 * v)
+    n = size
+    counts = np.array([n - 1, n - 1, n + 2 * n * n, n + 2 * n * n, 2 * (n - 1), 2 * (n - 1)])
+    u = np.array([np.random.default_rng(s).random(counts.sum()) for s in seeds])
+    keys, jitter, re, im, moduli, phases = np.split(u, np.cumsum(counts)[:-1], axis=-1)
+    slots = np.linspace(0.0, SPEC_GAP_SPREAD, n - 1)[np.argsort(keys, axis=-1, kind="stable")]
+    spread = 0.1 * SPEC_GAP_SPREAD / max(n - 2, 1)
+    gaps = SPEC_MIN_GAP + slots + spread * (-1.0 + 2.0 * jitter)
     d = np.concatenate([np.zeros((len(seeds), 1)), -np.cumsum(gaps, axis=-1)], axis=-1)
     d = (d - d.mean(axis=-1, keepdims=True)).astype(complex)
+    z = SPEC_OFF_SCALE * ((-1.0 + 2.0 * re) + 1j * (-1.0 + 2.0 * im))
+    lower, upper = z[:, n:].reshape(-1, 2, n, n).swapaxes(0, 1)
+    lower, upper = np.tril(lower, -1) + np.eye(n), np.triu(upper, 1) + np.eye(n)
+    floor = 1.0 / np.sqrt(2.0)
+    pair = SPEC_OFF_SCALE * (floor + (1.0 - floor) * moduli) * np.exp(2j * np.pi * phases)
+    j = np.arange(n - 1)
+    lower[:, j + 1, j], upper[:, j, j + 1] = pair[:, : n - 1], pair[:, n - 1 :]
+    m = (lower * (1.0 + z[:, None, :n])) @ upper
     return FlowSpec(m=m[0], d=d[0], kind=kind) if one else FlowSpec(m=m, d=d, kind=kind)

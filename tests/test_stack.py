@@ -288,28 +288,12 @@ def test_a_battery_samples_its_stack_in_one_sampler_call(battery, monkeypatch, t
     assert [list(k["seed"]) for _, k in calls] == [[4, 5, 6, 7, 8]]
 
 
-def test_spec_attempts_draw_one_default_rng_each_and_share_minors_calls(monkeypatch):
+def test_specs_draw_one_default_rng_each_and_no_minors(monkeypatch):
     size, seeds = 8, range(1, 13)
-    # each seed alone takes one principal_minors call per round of SPEC_BLOCK attempts
-    rounds = []
-    for seed in seeds:
-        with monkeypatch.context() as patch:
-            calls = _count_calls(patch, asymptotics, "principal_minors")
-            asymptotics.sample_spec(size, seed, kind="linear")
-        rounds.append(len(calls))
     built = {name: _count_calls(monkeypatch, np.random, name)
              for name in ("default_rng", "SeedSequence", "PCG64")}
-    calls = _count_calls(monkeypatch, asymptotics, "principal_minors")
+    minors = _count_calls(monkeypatch, asymptotics, "principal_minors")
     asymptotics.sample_spec(size, seeds, kind="linear")
-    minors = [len(a[0]) for a, _ in calls]  # candidates per call
-    # round r is one call over the next SPEC_BLOCK attempts of every seed still pending
-    expected = [asymptotics.SPEC_BLOCK * sum(count > r for count in rounds)
-                for r in range(max(rounds))]
-    assert asymptotics.SPEC_ATTEMPTS % asymptotics.SPEC_BLOCK == 0
-    assert minors == expected
-    assert sum(minors) > 1000  # the seeds at this size take up to 200 attempts each
-    # one generator per drawn attempt, attempt k of seed s from default_rng(s * 1009 + k)
-    assert len(built["default_rng"]) == sum(minors)
-    first_round = [s * 1009 + k for s in seeds for k in range(asymptotics.SPEC_BLOCK)]
-    assert [a[0] for a, _ in built["default_rng"][: len(first_round)]] == first_round
-    assert built["SeedSequence"] == built["PCG64"] == []
+    # spec s from default_rng(s) alone, built from its factors: no minor is taken
+    assert [a[0] for a, _ in built["default_rng"]] == list(seeds)
+    assert built["SeedSequence"] == built["PCG64"] == minors == []
