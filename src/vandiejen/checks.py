@@ -18,16 +18,16 @@ from . import asymptotics, brackets, duality, lax, scattering
 
 @dataclass(frozen=True)
 class Check:
-    """A row passes when ``row[column] <= bound * tol_scale``, or, for a lower
-    bound, when ``row[column] > bound``."""
+    """A row passes when ``row[column] <= bound``, or, for a lower bound, when
+    ``row[column] > bound``."""
 
     column: str
     bound: float
     lower: bool = False
 
-    def holds(self, row: dict, tol_scale: float = 1.0) -> bool:
+    def holds(self, row: dict) -> bool:
         value = row[self.column]
-        return value > self.bound if self.lower else value <= self.bound * tol_scale
+        return value > self.bound if self.lower else value <= self.bound
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ row per unit; a row's JSON also holds its unit's seed.
 `flow` propagates one point over a time grid, one row per time.
 
 Every report goes through one writer, which stamps each row's `passed` with
-that row's own verdict: every column within `bound * --tol-scale`, or above
-its lower bound, and for `flow` a projection step that did not fail.  CSV
-reports show `passed` for the batteries only, JSON reports for every command.
-Exit codes: 0 every row passed, 1 at least one row failed or a numerical
-failure (a library error other than a phase-space one) stopped the command,
-2 bad usage or configuration.  Identical configuration and seed produce
+that row's own verdict: every column within its bound, or above its lower
+bound, and for `flow` a projection step that did not fail.  CSV reports show
+`passed` for the batteries only, JSON reports for every command.  Options come
+from argv alone, parsed once.  Exit codes: 0 every row passed, 1 at least one
+row failed or a numerical failure (a library error other than a phase-space
+one) stopped the command, 2 bad usage.  Identical arguments produce
 byte-identical output.
 """
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _report(rows, checks, header, args) -> int:
     """
     for row in rows:
         row["passed"] = bool(
-            row.get("passed", True) and all(c.holds(row, args.tol_scale) for c in checks)
+            row.get("passed", True) and all(c.holds(row) for c in checks)
         )
     _write(_emit(rows, header, args), args)
     return EXIT_PASS if all(row["passed"] for row in rows) else EXIT_FAIL
@@ -232,14 +232,13 @@ def cmd_asymptotics(args) -> int:
     return _run_battery(args, f"asymptotics-{args.kind}", grid)
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The `vandiejen` parser; `config` holds option defaults, which explicit flags
-    override.  A config key that is no option of any subcommand is a UsageError."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The `vandiejen` parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="vandiejen",
         description="Numerical checks for a two-parameter hyperbolic integrable many-body system",
     )
-    parser.add_argument("--config", help="JSON file of option defaults (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, points=20):
@@ -252,7 +251,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             sp.add_argument("--points", type=int, default=points)
         sp.add_argument("--out", help="output file (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
 
     sp = sub.add_parser("lax-check", help="Lax matrix structure invariants")
     common(sp)
@@ -277,52 +275,15 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=("exponential", "linear"), default="exponential")
     sp.add_argument("--t", default="4:1:10", help="time grid")
 
-    config = {key.replace("-", "_"): value for key, value in (config or {}).items()}
-    known = set()
     parser._negative_number_matcher = NEGATIVE_NUMBER
     for sp in sub.choices.values():
         sp._negative_number_matcher = NEGATIVE_NUMBER
-        options = {a.dest for a in sp._actions if a.option_strings} - {"help"}
-        sp.set_defaults(**{k: v for k, v in config.items() if k in options})
-        known |= options
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise UsageError(f"unknown option(s) {', '.join(unknown)}")
     return parser
 
 
-@functools.cache
-def _default_parser() -> argparse.ArgumentParser:
-    """build_parser() without a config, built once per process: parsing leaves
-    a parser unchanged, and a --config run builds its own."""
-    return build_parser()
-
-
-def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError("config must be a JSON object")
-        return config
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _default_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        # the config becomes each subcommand's defaults, so any explicit flag wins
-        try:
-            parser = build_parser(_load_config(args.config))
-        except UsageError as exc:
-            parser.exit(EXIT_USAGE, f"error: bad config: {exc}\n")
-        args = parser.parse_args(argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if not (np.isfinite(args.tol_scale) and args.tol_scale > 0):
-            raise UsageError(f"--tol-scale must be finite and positive, got {args.tol_scale}")
         if args.seed < 0:
             raise UsageError(f"--seed must be non-negative, got {args.seed}")
         # looked up at each call, not bound into the cached parser

@@ -279,10 +279,15 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
             np.multiply(scale, rtol, out=scale)
             np.add(atol, scale, out=scale)
             err5_sq, err3_sq = error_sq(_E5), error_sq(_E3)
+            denominator = math.sqrt((err5_sq + 0.01 * err3_sq) * dim)
             if err5_sq == 0 and err3_sq == 0:
                 error_norm = 0.0
+            elif denominator == 0:
+                # 0.01 * err3_sq underflowed: scipy's numpy scalars read 0 / 0
+                # as nan, which rejects the step and shrinks it by MIN_FACTOR
+                error_norm = math.nan
             else:
-                error_norm = h_abs * err5_sq / math.sqrt((err5_sq + 0.01 * err3_sq) * dim)
+                error_norm = h_abs * err5_sq / denominator
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR

@@ -64,24 +64,6 @@ def test_bad_grid_is_usage_error():
     assert run(["flow", "--t", "nonsense"]) == EXIT_USAGE
 
 
-def test_bad_config_is_usage_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]")
-    with pytest.raises(SystemExit) as exc:
-        run(["--config", str(cfg), "lax-check"])
-    assert exc.value.code == EXIT_USAGE
-
-
-@pytest.mark.parametrize("config", [{"fn": 3}, {"pointz": 3}, {"command": "flow"}])
-def test_config_key_that_is_no_option_is_usage_error(config, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    with pytest.raises(SystemExit) as exc:
-        run(["--config", str(cfg), "lax-check", "--points", "1"])
-    assert exc.value.code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: bad config")
-
-
 def test_numerical_failure_is_reported_without_traceback(tmp_path, capsys):
     # t = 1e6 puts the flow's exponent range far past what double precision holds
     argv = ["flow", "--n", "2", "--method", "projection", "--t", "0,1e6"]
@@ -121,13 +103,17 @@ def test_brackets_step_that_is_not_finite_and_positive_is_usage_error(step, tmp_
 
 
 def test_asymptotics_grid_too_late_to_fit_is_reported_failure(tmp_path, capsys):
-    # every remainder is below the fit floor at t = 30, 31; RuntimeWarnings are errors here
+    # every remainder is below the fit floor at t = 30, 31, and spec 1's from
+    # t = 8 on: such a row has no fitted order and fails beside the others;
+    # RuntimeWarnings are errors here
     out = tmp_path / "out.csv"
-    argv = ["asymptotics", "--n", "3", "--t", "30,31", "--points", "2", "--out", str(out)]
-    assert run(argv) == EXIT_FAIL
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not out.exists()
+    for grid, passed in [("30,31", ["False", "False"]), ("8:1:14", ["True", "False"])]:
+        argv = ["asymptotics", "--n", "3", "--t", grid, "--points", "2", "--out", str(out)]
+        assert run(argv) == EXIT_FAIL
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["passed"] for row in rows] == passed
+        assert [row["min_fitted_order"] == "nan" for row in rows] == [p == "False" for p in passed]
 
 
 def test_asymptotics_linear_grid_past_the_square_overflow_is_reported(tmp_path, capsys):
@@ -203,20 +189,17 @@ def test_json_report_is_strict_with_non_finite_values_as_null(tmp_path, capsys):
 
 
 def test_main_in_one_process_matches_fresh_calls(tmp_path, capsys):
-    # the default parser is built once per process; a --config run builds its
-    # own, so its defaults never reach the cached one
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 3, "points": 2, "mu": 1.3, "nu": 0.2}))
+    # the parser is built once per process; one call's flags never reach the next
     calls = [
         ["duality", "--points", "2"],
-        ["--config", str(cfg), "duality"],
+        ["duality", "--n", "3", "--points", "2", "--mu", "1.3", "--nu", "0.2"],
         ["duality", "--points", "2"],
         ["lax-check", "--points", "1", "--format", "json"],
     ]
 
     def report(argv, fresh):
         if fresh:
-            cli._default_parser.cache_clear()
+            cli.build_parser.cache_clear()
         out = tmp_path / "out.txt"
         code = run([*argv, "--out", str(out)])
         return code, out.read_text()
@@ -226,18 +209,6 @@ def test_main_in_one_process_matches_fresh_calls(tmp_path, capsys):
     assert in_process == fresh
     assert in_process[0] == in_process[2] != in_process[1]
     assert capsys.readouterr().err == ""
-
-
-def test_config_defaults_and_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 1, "points": 2, "format": "json"}))
-    out = tmp_path / "out.json"
-    assert run(["--config", str(cfg), "lax-check", "--out", str(out)]) == EXIT_PASS
-    assert len(json.loads(out.read_text())) == 2
-    # an explicit flag beats the config value, in either spelling
-    for flag in (["--points", "1"], ["--points=1"]):
-        assert run(["--config", str(cfg), "lax-check", *flag, "--out", str(out)]) == EXIT_PASS
-        assert len(json.loads(out.read_text())) == 1
 
 
 def test_flow_csv_has_expected_header(tmp_path):
@@ -282,6 +253,7 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
         ["scatter", "--points", "0"],
         ["brackets", "--n", "2", "--points", "0"],
         ["asymptotics", "--n", "3", "--points", "0"],
+        # removed options (--tol-scale; --config below) are options no parser takes
         ["lax-check", "--points", "1", "--tol-scale", "nan"],
         ["lax-check", "--points", "1", "--tol-scale", "inf"],
         ["lax-check", "--points", "1", "--tol-scale", "0"],
@@ -308,6 +280,7 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
         # an asymptotics grid from which no decay order can be fitted (one time: below)
         ["asymptotics", "--n", "3", "--t", "5,5"],
         ["asymptotics", "--n", "3", "--kind", "linear", "--t", "0,5"],
+        ["--config", "x", "lax-check", "--points", "1"],
     ],
 )
 def test_bad_option_value_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -341,15 +314,10 @@ def test_unwritable_out_is_one_line_usage_error(target, tmp_path, capsys):
     assert err.startswith("error: cannot write --out: ") and err.count("\n") == 1
 
 
-def test_flow_takes_no_points_option(tmp_path):
+def test_flow_takes_no_points_option():
     with pytest.raises(SystemExit) as exc:
         run(["flow", "--n", "2", "--t", "0,1", "--points", "7"])
     assert exc.value.code == EXIT_USAGE
-    # a config key `points` stays valid: the other subcommands take it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"points": 7}))
-    out = tmp_path / "out.csv"
-    assert run(["--config", str(cfg), "flow", "--n", "2", "--t", "0,1", "--out", str(out)]) == EXIT_PASS
 
 
 def test_flow_keeps_its_report_when_the_projection_step_fails(tmp_path, capsys):

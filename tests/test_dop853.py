@@ -23,8 +23,8 @@ def test_tableau_is_scipys_bit_for_bit():
         npt.assert_array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
 
-def _solve_ivp_flow(p, g, t_values):
-    """rk_flow's sweeps through solve_ivp: {t: state} and the evaluation count."""
+def _solve_ivp(p, g, ts):
+    """solve_ivp's DOP853 sweep from t = 0 to ts[-1], sampled at ts, with rk_flow's tolerances."""
     field = _kernels.field_kernel(p.n, g.mu, g.nu)
 
     def rhs(_t, x):
@@ -32,19 +32,37 @@ def _solve_ivp_flow(p, g, t_values):
         field(x, out)
         return out
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scipy_integrate.solve_ivp(
+            rhs, (0.0, ts[-1]), p.as_vector(), method="DOP853",
+            t_eval=ts, rtol=RK_REL_TOL, atol=RK_ABS_TOL,
+        )
+
+
+def _solve_ivp_flow(p, g, t_values):
+    """rk_flow's sweeps through solve_ivp: {t: state} and the evaluation count."""
     states, nfev = {0.0: p.as_vector()}, 0
     for sign in (1.0, -1.0):
         ts = sign * np.unique(sign * t_values[sign * t_values > 0])
         if len(ts):
-            with np.errstate(over="ignore", invalid="ignore"):
-                sol = scipy_integrate.solve_ivp(
-                    rhs, (0.0, ts[-1]), p.as_vector(), method="DOP853",
-                    t_eval=ts, rtol=RK_REL_TOL, atol=RK_ABS_TOL,
-                )
+            sol = _solve_ivp(p, g, ts)
             assert sol.success
             states.update(zip(ts.tolist(), sol.y.T))
             nfev += sol.nfev
     return states, nfev
+
+
+def _count_field_calls(monkeypatch) -> list:
+    """A list that grows by one at each evaluation of a field kernel built from now on."""
+    calls = []
+    kernel = _kernels.field_kernel
+
+    def counted(*args):
+        field = kernel(*args)
+        return lambda y, out: calls.append(1) or field(y, out)
+
+    monkeypatch.setattr(_kernels, "field_kernel", counted)
+    return calls
 
 
 GRID = np.arange(9) * 0.25  # the trajectory benchmark's 0:0.25:2
@@ -61,15 +79,21 @@ def test_samples_and_evaluations_match_solve_ivp(case, g, monkeypatch):
     make_point, t_values = CASES[case]
     p = make_point()
     expected, nfev = _solve_ivp_flow(p, g, t_values)
-    calls = []
-    kernel = _kernels.field_kernel
-
-    def counted(*args):
-        field = kernel(*args)
-        return lambda y, out: calls.append(1) or field(y, out)
-
-    monkeypatch.setattr(_kernels, "field_kernel", counted)
+    calls = _count_field_calls(monkeypatch)
     for t, state in zip(t_values, rk_flow(p, g, t_values).as_vector()):
         ref = expected[float(t)]
         assert np.abs(state - ref).max() <= 1e-12 * np.abs(ref).max()
     assert len(calls) == nfev
+
+
+@pytest.mark.parametrize("t_end", [1e200, 1e300])
+def test_steps_below_the_time_spacing_fail_as_in_solve_ivp(t_end, g, monkeypatch):
+    # at such times a step's 3rd-order error estimate underflows to 0 in the
+    # step control; solve_ivp reads that 0 / 0 as a rejected step and gives up
+    p = point(2, 1)
+    sol = _solve_ivp(p, g, [t_end])
+    assert sol.status == -1 and sol.message.startswith("Required step size")
+    calls = _count_field_calls(monkeypatch)
+    with pytest.raises(dynamics.DynamicsError, match=f"integrator failed: {sol.message}"):
+        rk_flow(p, g, [t_end])
+    assert len(calls) == sol.nfev
