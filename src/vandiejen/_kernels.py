@@ -2,17 +2,20 @@
 
 Every coefficient is built from the function sinh(i alpha + x)/sinh(x): two-body
 with alpha = mu at x = xi_a - xi_c and xi_a + xi_c, one-body with alpha = nu at
-x = 2 xi_a.  The real kernels (u, the phase shifts, the flow field) hold all of
-it in one (2, n, n) table per point: x[0] = xi_a - xi_c with +inf on the
-diagonal, and x[1] = xi_a + xi_c, whose diagonal 2 xi_a is exactly the one-body
-argument.  A read-only amplitude table of the same shape, built once per
-(n, mu, nu), holds sin(nu) on the diagonal of x[1] and sin(mu) everywhere
-else, so the diagonal of the sum block is the one-body term at 2 xi_a with nu.
+x = 2 xi_a.  The real kernels u and the phase shifts hold all of it in one
+(2, n, n) table per point: x[0] = xi_a - xi_c with +inf on the diagonal, and
+x[1] = xi_a + xi_c, whose diagonal 2 xi_a is exactly the one-body argument.  A
+read-only amplitude table of the same shape, built once per (n, mu, nu), holds
+sin(nu) on the diagonal of x[1] and sin(mu) everywhere else, so the diagonal
+of the sum block is the one-body term at 2 xi_a with nu.  The flow field
+takes the same entries without the difference diagonal: a compact table of
+2n - 1 per particle (_compact), with its amplitudes picked from the same
+table.
 
 The moduli, logs and flow terms depend on x only through
 q = (sin(alpha) / sinh(x))^2, since |sinh(i alpha + x)/sinh(x)|^2 = 1 + q, and
 through tanh(x).  On the diagonal of x[0] sinh = inf and tanh = 1, so every
-modulus factor there is exactly 1 and every log or Xi term exactly 0, with no
+modulus factor there is exactly 1 and every log term exactly 0, with no
 mask.  Within the coordinate cap (lax.COORD_CAP = 300) |x| <= 600, so sinh(x)
 is finite and q, at worst, underflows quietly to 0: the kernels need no
 errstate.  Past about 355 a position sum overflows sinh to inf, and q = 0 is
@@ -30,7 +33,10 @@ point's own axes.
 The flow field takes one point, as a flat state (xi, eta): field_kernel
 builds its tables once per (n, mu, nu) and returns a function that writes the
 field in place, so that a trajectory evaluates it with no allocation.  It is
-the one implementation of the field; dynamics.vector_field calls it too.
+one forward pass over the compact table, which gives u and xi_dot bit for bit
+as u_coeffs does, and one adjoint pass, the chain rule through the stencil,
+which gives eta_dot = -dH/dxi.  It is the one implementation of the field;
+dynamics.vector_field calls it too.
 
 Plain numpy on arrays and floats, with no input checks: the modules that call
 these check the phase point and coupling first.
@@ -143,55 +149,79 @@ def lax_entries(f: np.ndarray, den: np.ndarray, c: np.ndarray, mu: float, nu: fl
     return num / den
 
 
+@lru_cache(maxsize=64)
+def _compact(n: int):
+    """(columns, S, T) of the flow field's compact table, all read-only.
+
+    Row a of the table holds x[0]_ac = xi_a - xi_c for every c != a, then
+    x[1]_ac = xi_a + xi_c for every c, 2n - 1 entries; at c = a that is the
+    one-body argument 2 xi_a.  columns are their flat indices in the pair
+    table, T = _stencil(n)[0][:, columns] their (n, n (2n - 1)) stencil, and
+    S = [[T, 0], [0, 1]] extends it by an identity block, so that y @ S is
+    [x, eta] for the flat state y = (xi, eta), every entry rounded as in the
+    pair table.
+    """
+    off = _off_diagonal(n).reshape(n, n - 1)
+    columns = np.concatenate([off, n * n + np.arange(n * n).reshape(n, n)], axis=1).reshape(-1)
+    t = _stencil(n)[0][:, columns]
+    size = len(columns)
+    s = np.zeros((2 * n, size + n))
+    s[:n, :size] = t
+    s[n:, size:] = np.eye(n)
+    for table in (columns, s, t):
+        table.flags.writeable = False
+    return columns, s, t
+
+
 def field_kernel(n: int, mu: float, nu: float):
     """The Hamiltonian vector field at (n, mu, nu) as field(y, out), which
-    reads the flat state y = (xi, eta) and writes (xi_dot, eta_dot) into out:
-    xi_dot_a = sinh(eta_a) u_a, eta_dot_a = -sum_c w_c d ln(u_c)/d xi_a with
-    w = cosh(eta) u.
+    reads the flat state y = (xi, eta) and writes (xi_dot, eta_dot) into the
+    contiguous out: xi_dot_a = sinh(eta_a) u_a, eta_dot = -dH/dxi with
+    H = sum_a w_a, w = cosh(eta) u.
 
-    With Xi = q / (tanh(x) (1 + q)) = -d/dx ln sqrt(1 + q) over the table,
-    d ln(u_a)/d xi_b is Xi[0]_ab - Xi[1]_ab, less the row sum of Xi over both
-    blocks on the diagonal; there the one-body term Xi[1]_aa enters twice, as
-    its argument is 2 xi_a.
+    The field runs over the compact table x of _compact, one forward and one
+    adjoint pass.  Forward: one product y @ S gives [x, eta], one sinh both
+    sinh(x) and sinh(eta), and u_a is the square root of the product of row a
+    of 1 + q.  Adjoint: with Xi = q / (tanh(x) (1 + q)) = -d/dx ln sqrt(1 + q),
+    d ln(u_a)/dx_ac = -Xi_ac, so the chain rule through the stencil gives
+    eta_dot = T vec(diag(w) Xi), row a of Xi weighted by w_a.  The one-body
+    entry 2 xi_a has stencil coefficient 2, so it enters eta_dot_a twice.  The
+    weighting is a product with diag(w), whose off-diagonal zeros add exact
+    zeros: a broadcast multiply by w would buffer the table on every call.
 
     The stencil, the amplitudes and every scratch table are fetched or built
-    here, once; each call then runs the float operations of _table, _moduli
-    and the sums in their order (np.multiply.reduce and np.add.reduce are what
-    .prod and .sum call), every one into a buffer, and allocates nothing.  A
-    kernel serves one caller at a time: its tables are overwritten by each call.
+    here, once; each call then makes 15 numpy calls, every one into a buffer,
+    and allocates no array.  A kernel serves one caller at a time: its tables
+    are overwritten by each call.
     """
-    t, d = _stencil(n)
-    amplitudes = _amplitudes(n, mu, nu)
-    ones = np.ones((2, n, n))
-    flat = np.empty(2 * n * n)
-    x = flat.reshape(2, n, n)
-    q, one_plus_q, xi_term = np.empty((3, 2, n, n))
-    xi_term_diff, xi_term_sum = xi_term
-    u, w, total, cross = np.empty((4, n))
-    diff = np.empty((n, n))
+    columns, stencil, t = _compact(n)
+    width, size = 2 * n - 1, len(columns)
+    amplitudes = _amplitudes(n, mu, nu).reshape(-1)[columns].reshape(n, width)
+    ones = np.ones((n, width))
+    forward, sinh_forward = np.empty((2, size + n))
+    x, eta = forward[:size].reshape(n, width), forward[size:]
+    sinh_x, sinh_eta = sinh_forward[:size].reshape(n, width), sinh_forward[size:]
+    q, one_plus_q, xi_term, weighted = np.empty((4, n, width))
+    flat_weighted = weighted.reshape(-1)
+    u = np.empty(n)
+    weights = np.zeros((n, n))
+    w = weights.reshape(-1)[:: n + 1]
 
     def field(y: np.ndarray, out: np.ndarray) -> None:
-        eta, xi_dot, eta_dot = y[n:], out[:n], out[n:]
-        y[:n].dot(t, out=flat)
-        np.add(flat, d, out=flat)
-        np.sinh(x, out=q)
-        np.divide(amplitudes, q, out=q)
+        y.dot(stencil, out=forward)
+        np.sinh(forward, out=sinh_forward)
+        np.divide(amplitudes, sinh_x, out=q)
         np.square(q, out=q)
         np.add(ones, q, out=one_plus_q)
         np.tanh(x, out=xi_term)
         np.multiply(xi_term, one_plus_q, out=xi_term)
         np.divide(q, xi_term, out=xi_term)
-        np.multiply.reduce(one_plus_q, axis=(0, 2), out=u)
+        np.multiply.reduce(one_plus_q, axis=1, out=u)
         np.sqrt(u, out=u)
         np.cosh(eta, out=w)
         np.multiply(w, u, out=w)
-        np.sinh(eta, out=xi_dot)
-        np.multiply(xi_dot, u, out=xi_dot)
-        np.add.reduce(xi_term, axis=(0, 2), out=total)
-        np.multiply(w, total, out=total)
-        np.subtract(xi_term_diff, xi_term_sum, out=diff)
-        np.matmul(w, diff, out=cross)
-        np.subtract(total, cross, out=eta_dot)
+        np.multiply(sinh_eta, u, out=out[:n])
+        weights.dot(xi_term, out=weighted)
+        t.dot(flat_weighted, out=out[n:])
 
     return field
-

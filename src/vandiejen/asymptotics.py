@@ -432,17 +432,17 @@ def exponential_summary(spec: FlowSpec, t_grid) -> dict:
     and under "passed" the theorem report's own verdict.  The recovery reads
     the grid's own stacked solve.  A row on which no component's order can be
     fitted (every remainder below the fit floor, a grid too late) has no
-    smallest order, nan, and does not pass."""
+    smallest order and no measurable recovery, both nan, and does not pass."""
     rep, rho = _exponential_report(spec, t_grid)
     recovered = _p_least_squares(spec, np.asarray(t_grid, dtype=float), rho)
     min_order = np.fmin.reduce(rep.fitted_orders, axis=-1)
+    unmeasured = np.isnan(min_order)
+    recovery = (np.abs(recovered - rep.p) / np.maximum(np.abs(rep.p), 1e-12)).max(axis=-1)
     return {
         "R": rep.gap,
         "min_fitted_order": min_order,
-        "p_recovery_rel_err": (
-            np.abs(recovered - rep.p) / np.maximum(np.abs(rep.p), 1e-12)
-        ).max(axis=-1),
-        "passed": rep.passed & ~np.isnan(min_order),
+        "p_recovery_rel_err": np.where(unmeasured, np.nan, recovery),
+        "passed": rep.passed & ~unmeasured,
     }
 
 

@@ -253,6 +253,7 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
         return math.sqrt(work.dot(work)) ** 2
 
     out = np.empty((len(t_samples), dim))
+    ahead = (direction * t_samples).tolist()  # |t| of each sample, increasing
     done = 0
     while done < len(t_samples):
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -301,7 +302,9 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
             rejected = True
 
         # the samples this step reaches, from its dense output
-        reached = done + int(np.count_nonzero(direction * (t_samples[done:] - t_new) <= 0))
+        reached = done
+        while reached < len(ahead) and ahead[reached] <= direction * t_new:
+            reached += 1
         if reached > done:
             for s in range(13, 16):
                 stage_field(s, h, stage)
@@ -378,7 +381,7 @@ def _flow_step(
     col_exp = 0.5 * t * beta
     exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
     raise_first(exp_range > EXPONENT_RANGE_CAP, DynamicsError, lambda i: (
-        f"flow exponent range {exp_range[i]:.1f} exceeds the double range cap at t={t}"
+        f"flow exponent range {exp_range[i]:.4g} exceeds the double range cap at t={t}"
     ))
     factor = (
         np.exp(row_exp - row_exp[:, :1])[:, :, None]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,11 +50,46 @@ def allocating_field(xi, eta, mu, nu):
     the kernel's in-place buffers."""
     from vandiejen import _kernels
 
-    x, q, one_plus_q = _kernels._table(xi, mu, nu)
+    n = len(xi)
+    columns, stencil, t = _kernels._compact(n)
+    forward = np.concatenate([xi, eta]).dot(stencil)
+    sinh_forward = np.sinh(forward)
+    x, sinh_x = forward[:-n].reshape(n, -1), sinh_forward[:-n].reshape(n, -1)
+    amplitudes = _kernels._amplitudes(n, mu, nu).reshape(-1)[columns].reshape(n, -1)
+    q = np.square(amplitudes / sinh_x)
+    one_plus_q = 1.0 + q
     xi_term = q / (np.tanh(x) * one_plus_q)
-    u = _kernels._moduli(one_plus_q)
-    w = np.cosh(eta) * u
-    return np.sinh(eta) * u, w * xi_term.sum(axis=(0, 2)) - w @ (xi_term[0] - xi_term[1])
+    u = np.sqrt(one_plus_q.prod(axis=1))
+    weights = np.diag(np.cosh(forward[-n:]) * u)
+    return sinh_forward[-n:] * u, t.dot(weights.dot(xi_term).reshape(-1))
+
+
+def count_field_calls(monkeypatch) -> list:
+    """A list that grows by one at each evaluation of a field kernel built from now on."""
+    from vandiejen import _kernels
+
+    calls = []
+    kernel = _kernels.field_kernel
+
+    def counted(*args):
+        field = kernel(*args)
+        return lambda y, out: calls.append(1) or field(y, out)
+
+    monkeypatch.setattr(_kernels, "field_kernel", counted)
+    return calls
+
+
+def traced_peak(run):
+    """Bytes that tracemalloc sees allocated at the peak of run(), above those
+    allocated when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def spread_point(n, seed):

@@ -452,13 +452,14 @@ def test_grid_without_two_distinct_times_is_rejected(grid):
 def test_grid_too_late_to_fit_a_decay_order_is_rejected(grid):
     # every remainder sits below the fit floor, so no order can be fitted: the
     # theorem report counts that as measured, the summary row has no smallest
-    # order and does not pass; RuntimeWarnings are errors here, so an all-nan
+    # order and no measurable recovery and does not pass; RuntimeWarnings are errors here, so an all-nan
     # reduction would fail too
     spec = sample_spec(3, seed=1)
     report = verify_theorem_exponential(spec, grid)
     assert np.isnan(report.fitted_orders).all() and report.passed
     row = asymptotics.exponential_summary(spec, grid)
     assert np.isnan(row["min_fitted_order"]) and not row["passed"]
+    assert np.isnan(row["p_recovery_rel_err"])
 
 
 def test_error_paths():

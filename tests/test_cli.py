@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -114,6 +115,27 @@ def test_asymptotics_grid_too_late_to_fit_is_reported_failure(tmp_path, capsys):
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [row["passed"] for row in rows] == passed
         assert [row["min_fitted_order"] == "nan" for row in rows] == [p == "False" for p in passed]
+
+
+def test_asymptotics_grid_too_late_to_fit_has_no_measurable_recovery(tmp_path, capsys):
+    # no order is fitted at t = 30, 31: the p recovery reads off noise there,
+    # so it is nan beside the order, and the row fails
+    out = tmp_path / "out.csv"
+    argv = ["asymptotics", "--n", "3", "--t", "30,31", "--points", "2", "--out", str(out)]
+    assert run(argv) == EXIT_FAIL
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["min_fitted_order"] == row["p_recovery_rel_err"] == "nan"
+        assert row["passed"] == "False"
+
+
+def test_flow_exponent_range_past_the_cap_is_one_short_error_line(tmp_path, capsys):
+    argv = ["flow", "--n", "2", "--t", "1e300", "--method", "projection"]
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 120
+    assert re.search("flow exponent range .* exceeds the double range cap at t=", err)
 
 
 def test_asymptotics_linear_grid_past_the_square_overflow_is_reported(tmp_path, capsys):

@@ -4,10 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from vandiejen import _kernels, dynamics
+from vandiejen import Coupling, _kernels, dynamics
 from vandiejen.dynamics import RK_ABS_TOL, RK_REL_TOL, rk_flow
 
-from conftest import overflow_point, point
+from conftest import count_field_calls, overflow_point, point
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
@@ -52,34 +52,27 @@ def _solve_ivp_flow(p, g, t_values):
     return states, nfev
 
 
-def _count_field_calls(monkeypatch) -> list:
-    """A list that grows by one at each evaluation of a field kernel built from now on."""
-    calls = []
-    kernel = _kernels.field_kernel
-
-    def counted(*args):
-        field = kernel(*args)
-        return lambda y, out: calls.append(1) or field(y, out)
-
-    monkeypatch.setattr(_kernels, "field_kernel", counted)
-    return calls
-
-
 GRID = np.arange(9) * 0.25  # the trajectory benchmark's 0:0.25:2
+COUPLING = (0.7, 0.4)
 CASES = {
-    f"n{n}-seed{seed}": (lambda n=n, seed=seed: point(n, seed), GRID)
+    f"n{n}-seed{seed}": (lambda n=n, seed=seed: point(n, seed), GRID, COUPLING)
     for n, count in {2: 20, 3: 10, 4: 5}.items() for seed in range(1, count + 1)
 }
-CASES["mixed-signs"] = (lambda: point(2, 1), np.array([0, 1, 1, -0.5, 0.5]))
-CASES["stage-overflow"] = (overflow_point, np.array([2.0]))
+# sizes the catalogue lacks, up to the largest the sampler draws, at two couplings
+CASES.update({
+    f"n{n}-seed{seed}-mu{mu}-nu{nu}": (lambda n=n, seed=seed: point(n, seed), GRID, (mu, nu))
+    for n in (1, 6, 8, 12) for seed in (1, 2) for mu, nu in (COUPLING, (1.3, 0.2))
+})
+CASES["mixed-signs"] = (lambda: point(2, 1), np.array([0, 1, 1, -0.5, 0.5]), COUPLING)
+CASES["stage-overflow"] = (overflow_point, np.array([2.0]), COUPLING)
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_samples_and_evaluations_match_solve_ivp(case, g, monkeypatch):
-    make_point, t_values = CASES[case]
-    p = make_point()
+def test_samples_and_evaluations_match_solve_ivp(case, monkeypatch):
+    make_point, t_values, coupling = CASES[case]
+    p, g = make_point(), Coupling(*coupling)
     expected, nfev = _solve_ivp_flow(p, g, t_values)
-    calls = _count_field_calls(monkeypatch)
+    calls = count_field_calls(monkeypatch)
     for t, state in zip(t_values, rk_flow(p, g, t_values).as_vector()):
         ref = expected[float(t)]
         assert np.abs(state - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -93,7 +86,7 @@ def test_steps_below_the_time_spacing_fail_as_in_solve_ivp(t_end, g, monkeypatch
     p = point(2, 1)
     sol = _solve_ivp(p, g, [t_end])
     assert sol.status == -1 and sol.message.startswith("Required step size")
-    calls = _count_field_calls(monkeypatch)
+    calls = count_field_calls(monkeypatch)
     with pytest.raises(dynamics.DynamicsError, match=f"integrator failed: {sol.message}"):
         rk_flow(p, g, [t_end])
     assert len(calls) == sol.nfev

@@ -7,6 +7,7 @@ value that is a sum of N terms, each computed with k operations, is then within
 the model differ by at most twice that.  The arguments xi_a -+ xi_c are rounded
 identically by both routes, so only the evaluation of each term differs.
 """
+import dis
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from vandiejen import Coupling, _kernels
 from vandiejen.dynamics import rk_flow
 from vandiejen.lax import COORD_CAP
 
-from conftest import allocating_field, point
+from conftest import allocating_field, count_field_calls, point, spread_point, traced_peak
 
 EPS = np.finfo(float).eps
 COUPLINGS = [(0.7, 0.4), (1.3, 0.2), (0.3, 2.5), (2.0, 1.0)]
@@ -135,9 +136,10 @@ def _field(xi, eta, mu, nu):
     return out[:n], out[n:]
 
 
-@pytest.mark.parametrize("n,mu,nu,seed", CASES)
-def test_vector_field_matches_loop_gradient(n, mu, nu, seed):
-    p = point(n, seed)
+def _assert_field_matches_loop_gradient(p, mu, nu):
+    """xi_dot at p is sinh(eta) u bit for bit, eta_dot within the rounding
+    bound of the loop gradient."""
+    n = p.n
     xi_dot, eta_dot = _field(p.xi, p.eta, mu, nu)
     u = _kernels.u_coeffs(p.xi, mu, nu)
     np.testing.assert_array_equal(xi_dot, np.sinh(p.eta) * u)
@@ -148,6 +150,17 @@ def test_vector_field_matches_loop_gradient(n, mu, nu, seed):
     terms, ops = 4 * n - 3, 10
     bound = 2 * (terms - 1 + ops) * EPS * (weight @ _abs_gradient_terms(p.xi, mu, nu))
     assert np.all(np.abs(eta_dot - ref) <= bound)
+
+
+@pytest.mark.parametrize("n,mu,nu,seed", CASES)
+def test_vector_field_matches_loop_gradient(n, mu, nu, seed):
+    _assert_field_matches_loop_gradient(point(n, seed), mu, nu)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("mu,nu", COUPLINGS[:2])
+def test_vector_field_matches_loop_gradient_past_the_sampler(n, mu, nu):
+    _assert_field_matches_loop_gradient(spread_point(n, 1), mu, nu)
 
 
 @pytest.mark.parametrize("n,mu,nu,seed", CASES)
@@ -253,6 +266,51 @@ def test_field_kernel_reuses_its_buffers_bit_for_bit():
             kernels[spec](y, out)
             _kernels.field_kernel(*spec)(y, ref)
             npt.assert_array_equal(_bits(out), _bits(ref))
+
+
+def test_field_kernel_is_straight_line_code_of_at_most_15_calls():
+    # every numpy call of an evaluation is a call in the field's own body,
+    # which has no branch or loop
+    calls = {"CALL", "CALL_FUNCTION", "CALL_METHOD", "CALL_FUNCTION_KW", "CALL_KW",
+             "CALL_FUNCTION_EX"}
+    field = _kernels.field_kernel(4, 0.7, 0.4)
+    ops = [ins.opname for ins in dis.get_instructions(field)]
+    assert not [op for op in ops if "JUMP" in op or op == "FOR_ITER"]
+    assert sum(op in calls for op in ops) <= 15
+
+
+def test_field_kernel_allocates_no_per_call_arrays():
+    # the peak over 1000 evaluations is that over 10, and below one compact
+    # table: no evaluation leaves an array behind or makes a table-sized one
+    n = 16
+    y, out = spread_point(n, 1).as_vector(), np.empty(2 * n)
+    field = _kernels.field_kernel(n, 0.7, 0.4)
+    field(y, out)
+
+    def evaluations(count):
+        def run():
+            for _ in range(count):
+                field(y, out)
+        return run
+
+    few, many = traced_peak(evaluations(10)), traced_peak(evaluations(1000))
+    # the loop's own integers past 256 are allocated, one at a time
+    assert many - few <= 256
+    assert many < 8 * n * (2 * n - 1)
+
+
+def test_rk_flow_peak_does_not_grow_with_the_evaluation_count(monkeypatch):
+    # one sample time, a short and a long sweep: the long one evaluates the
+    # field ten times as often, on the same buffers
+    p, g, times = point(4, 1), Coupling(0.7, 0.4), (0.01, 4.0)
+    rk_flow(p, g, [times[0]])
+    short, long = (traced_peak(lambda: rk_flow(p, g, [t])) for t in times)
+    calls = count_field_calls(monkeypatch)
+    rk_flow(p, g, [times[0]])
+    few = len(calls)
+    rk_flow(p, g, [times[1]])
+    assert len(calls) - few >= 10 * few
+    assert long - short <= 256
 
 
 def test_amplitude_table_is_built_once_per_flow(monkeypatch):
