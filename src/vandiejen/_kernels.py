@@ -190,9 +190,10 @@ def field_kernel(n: int, mu: float, nu: float):
     zeros: a broadcast multiply by w would buffer the table on every call.
 
     The stencil, the amplitudes and every scratch table are fetched or built
-    here, once; each call then makes 15 numpy calls, every one into a buffer,
-    and allocates no array.  A kernel serves one caller at a time: its tables
-    are overwritten by each call.
+    here, once, and every ufunc and product is bound here too; each call then
+    makes 15 numpy calls, every one into a buffer with its out passed by
+    position, and allocates no array.  A kernel serves one caller at a time:
+    its tables are overwritten by each call.
     """
     columns, stencil, t = _compact(n)
     width, size = 2 * n - 1, len(columns)
@@ -207,21 +208,26 @@ def field_kernel(n: int, mu: float, nu: float):
     weights = np.zeros((n, n))
     w = weights.reshape(-1)[:: n + 1]
 
+    # ndarray.dot, not np.dot: the latter dispatches through __array_function__
+    dot, sinh, cosh, tanh, sqrt = np.ndarray.dot, np.sinh, np.cosh, np.tanh, np.sqrt
+    add, multiply, divide, square = np.add, np.multiply, np.divide, np.square
+    row_product, weigh, adjoint = np.multiply.reduce, weights.dot, t.dot
+
     def field(y: np.ndarray, out: np.ndarray) -> None:
-        y.dot(stencil, out=forward)
-        np.sinh(forward, out=sinh_forward)
-        np.divide(amplitudes, sinh_x, out=q)
-        np.square(q, out=q)
-        np.add(ones, q, out=one_plus_q)
-        np.tanh(x, out=xi_term)
-        np.multiply(xi_term, one_plus_q, out=xi_term)
-        np.divide(q, xi_term, out=xi_term)
-        np.multiply.reduce(one_plus_q, axis=1, out=u)
-        np.sqrt(u, out=u)
-        np.cosh(eta, out=w)
-        np.multiply(w, u, out=w)
-        np.multiply(sinh_eta, u, out=out[:n])
-        weights.dot(xi_term, out=weighted)
-        t.dot(flat_weighted, out=out[n:])
+        dot(y, stencil, forward)
+        sinh(forward, sinh_forward)
+        divide(amplitudes, sinh_x, q)
+        square(q, q)
+        add(ones, q, one_plus_q)
+        tanh(x, xi_term)
+        multiply(xi_term, one_plus_q, xi_term)
+        divide(q, xi_term, xi_term)
+        row_product(one_plus_q, 1, None, u)
+        sqrt(u, u)
+        cosh(eta, w)
+        multiply(w, u, w)
+        multiply(sinh_eta, u, out[:n])
+        weigh(xi_term, weighted)
+        adjoint(flat_weighted, out[n:])
 
     return field

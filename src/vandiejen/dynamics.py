@@ -9,7 +9,8 @@ solve_ivp(method="DOP853") and reads the requested times off the same dense
 output, which the tests check against scipy.  The field is one
 _kernels.field_kernel, built once per trajectory: each call writes the field
 at a flat state y = (xi, eta) in place, straight into a row of the stage
-table, so a step allocates nothing.
+table, so a step allocates nothing, and a stage makes 18 numpy calls with
+little Python work around them.
 
 The projection route reads the flow off the spectrum of L that the spectral
 map takes, L = Y e^{2 Theta_hat} Y* with Y C-paired (duality._spectrum).  As
@@ -26,10 +27,12 @@ rapidities come in closed form from the right singular vectors W: since
 d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 
 The projection route takes a phase point or a stack of them (see PhasePoint):
-its spectrum is one stacked eigensolve, each time step one stacked SVD, and its
-checks follow phase_space.raise_first.  The Runge-Kutta route and the vector
-field take a single point.  Both routes return the states they reach and
-nothing else: a caller that wants the energies takes them from lax.energy.
+its spectrum is one stacked eigensolve, and one stacked SVD flows every unit
+of the stack to a time of its own, so a time grid takes one SVD.  Its checks
+are per-unit masks, raised by the rule of phase_space.raise_first.  The
+Runge-Kutta route and the vector field take a single point.  Both routes
+return the states they reach and nothing else: a caller that wants the
+energies takes them from lax.energy.
 """
 from __future__ import annotations
 
@@ -212,15 +215,23 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
     small, where solve_ivp loops for ever on a field that is nan at y0.
 
     Each stage is written straight into its row of K, whose row 0 holds the
-    field at the step's start and row 12 the field at its end; the stage sums
-    K[:s].T A[s, :s] run over views built once, and the step control on
-    Python floats, so a step allocates nothing."""
+    field at the step's start and row 12 the field at its end.  The stages
+    run over (product, weights, state, row) tuples built once per sweep, one
+    loop for a step's 12 and one for the dense output's 3, with every ufunc
+    bound and its out passed by position (but for np.maximum, which takes out
+    by keyword alone), and h, rtol and atol reach the ufuncs as 0-d arrays;
+    the step control runs on Python floats.  A stage makes 18 numpy calls, 3
+    for its sum and 15 in the field, and a step allocates nothing."""
     t_end = float(t_samples[-1])
     direction = math.copysign(1.0, t_end)
     t, dim = 0.0, len(y0)
     K = np.empty((16, dim))
-    stages = [(K[:s].T, _A[s, :s], K[s]) for s in range(16)]
     y, y_new, stage, work = np.empty((4, dim))
+    # (stage sum, its weights, the state it makes, the row f(state) goes to);
+    # A[12, :12] = B, so stage 12 is the step's end and f there
+    stages = [(K[:s].T.dot, _A[s, :s], y_new if s == 12 else stage, K[s]) for s in range(16)]
+    step_stages, dense_stages = stages[1:13], stages[13:]
+    error_sum = K[:13].T.dot
     y[:] = y0
     f, f_new = K[0], K[12]
     fun(y, f)
@@ -238,19 +249,24 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, abs(t_end))
 
-    def stage_field(s: int, h: float, state: np.ndarray):
-        """state = y + (K[:s].T A[s, :s]) h and K[s] = f(state)."""
-        kt, a, k = stages[s]
-        kt.dot(a, out=work)
-        np.multiply(work, h, out=work)
-        np.add(y, work, out=state)
-        fun(state, k)
+    absolute, add, divide, maximum, multiply = np.abs, np.add, np.divide, np.maximum, np.multiply
+    # a ufunc takes a 0-d array faster than a Python float
+    step, rtol, atol = np.array(0.0), np.array(rtol), np.array(atol)
+    norm_sq = work.dot
+
+    def run(block: list) -> None:
+        """Each stage's state y + (K[:s].T A[s, :s]) h, and K[s] = f(state)."""
+        for stage_sum, a, state, row in block:
+            stage_sum(a, work)
+            multiply(work, step, work)
+            add(y, work, state)
+            fun(state, row)
 
     def error_sq(weights: np.ndarray) -> float:
         """The squared norm of (K[:13].T weights) / scale."""
-        stages[13][0].dot(weights, out=work)
-        np.divide(work, scale, out=work)
-        return math.sqrt(work.dot(work)) ** 2
+        error_sum(weights, work)
+        divide(work, scale, work)
+        return math.sqrt(norm_sq(work)) ** 2
 
     out = np.empty((len(t_samples), dim))
     ahead = (direction * t_samples).tolist()  # |t| of each sample, increasing
@@ -270,15 +286,14 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            for s in range(1, 12):
-                stage_field(s, h, stage)
-            stage_field(12, h, y_new)  # A[12, :12] = B: the step's end and f there
+            step[()] = h
+            run(step_stages)
 
-            np.abs(y, out=scale)
-            np.abs(y_new, out=work)
-            np.maximum(scale, work, out=scale)
-            np.multiply(scale, rtol, out=scale)
-            np.add(atol, scale, out=scale)
+            absolute(y, scale)
+            absolute(y_new, work)
+            maximum(scale, work, out=scale)
+            multiply(scale, rtol, scale)
+            add(atol, scale, scale)
             err5_sq, err3_sq = error_sq(_E5), error_sq(_E3)
             denominator = math.sqrt((err5_sq + 0.01 * err3_sq) * dim)
             if err5_sq == 0 and err3_sq == 0:
@@ -306,8 +321,7 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
         while reached < len(ahead) and ahead[reached] <= direction * t_new:
             reached += 1
         if reached > done:
-            for s in range(13, 16):
-                stage_field(s, h, stage)
+            run(dense_stages)
             delta_y = y_new - y
             F = [
                 delta_y,
@@ -322,7 +336,8 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
                 z *= x if i % 2 == 0 else 1 - x
             out[done:reached] = z + y
             done = reached
-        t, y, y_new = t_new, y_new, y
+        t = t_new
+        y[:] = y_new
         f[:] = f_new
     return out
 
@@ -360,49 +375,111 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values) -> PhasePoint:
     return PhasePoint.from_vector(states)
 
 
-def _flow_step(
-    bundle: LaxBundle, theta_hat: np.ndarray, basis: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, eta) at time t of each point of a bundle, from the spectrum
-    (theta_hat, basis) of _spectrum, with the bundle's leading axes, in one
-    stacked SVD of G."""
-    if not np.isfinite(t):
-        raise DynamicsError(f"non-finite time {t}")
+def _flow_units(
+    bundle: LaxBundle, theta_hat: np.ndarray, basis: np.ndarray, t
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """The flow of each unit of a stack to a time of its own, in one stacked
+    SVD of G.  The units are the leading axes of the spectrum (theta_hat,
+    basis) of _spectrum, those of the bundle, broadcast against the times t:
+    one time for every unit, or one per unit.
+
+    Returns (xi_t, eta_t, checks): the states with the units' axes, and the
+    check stages in order (non-finite time, range cap, lost rank, collision),
+    each a mask that marks the units failing it, flat over the units in C
+    order (the non-finite one has the shape of t), and the message that
+    names unit i.  A unit's state holds where it fails no stage.  Units that
+    fail one of the first two stay out of the SVD, and their states are nan."""
     lam, g = bundle.lam, bundle.coupling
-    shape, n = theta_hat.shape[:-1], theta_hat.shape[-1]
+    n, shape = theta_hat.shape[-1], theta_hat.shape[:-1]
+    times = np.asarray(t, dtype=float)
     velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))  # beta by column
-    points = np.arange(len(velocities))[:, None]
-    cols = np.argsort(-t * velocities, axis=-1, kind="stable")
-    beta = velocities[points, cols]
     # Lam = (xi, -xi) with xi descending positive (lax_matrix checks it), so
     # rows 0..n-1 and then 2n-1..n order every point's Lam descending
     rows = np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1)])
     row_exp = lam.reshape(-1, 2 * n)[:, rows]
+    basis = basis.reshape(-1, 2 * n, 2 * n)
+    if times.ndim == 0:  # one time for every unit
+        finite = np.isfinite(times)
+        every_finite = bool(finite)
+        t = float(times) if every_finite else 0.0
+    else:
+        if times.shape != shape:  # a spectrum may serve several units
+            spectra = np.arange(len(velocities)).reshape(shape)
+            shape = np.broadcast_shapes(shape, times.shape)
+            spectra = np.broadcast_to(spectra, shape).reshape(-1)
+            velocities, row_exp, basis = velocities[spectra], row_exp[spectra], basis[spectra]
+            times = np.broadcast_to(times, shape)
+        times = times.reshape(-1)
+        finite = np.isfinite(times)
+        every_finite = finite.all()
+        t = np.where(finite, times, 0.0)[:, None]
+    units = np.arange(len(velocities))[:, None]
+    cols = np.argsort(-t * velocities, axis=-1, kind="stable")
+    beta = velocities[units, cols]
     col_exp = 0.5 * t * beta
     exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
-    raise_first(exp_range > EXPONENT_RANGE_CAP, DynamicsError, lambda i: (
-        f"flow exponent range {exp_range[i]:.4g} exceeds the double range cap at t={t}"
-    ))
+    capped = exp_range > EXPONENT_RANGE_CAP
+    every = every_finite and not capped.any()
+    keep = slice(None) if every else np.flatnonzero(finite & ~capped)
+
+    def spread(values: np.ndarray, fill) -> np.ndarray:
+        """Values over the units in the SVD, spread over all units with fill elsewhere."""
+        if every:
+            return values
+        out = np.full(units.shape[:1] + values.shape[1:], fill, dtype=values.dtype)
+        out[keep] = values
+        return out
+
+    def at(i) -> float:
+        """The time of unit i."""
+        return float(times[i] if times.ndim else times)
+
+    row_exp, col_exp, cols, beta = row_exp[keep], col_exp[keep], cols[keep], beta[keep]
     factor = (
         np.exp(row_exp - row_exp[:, :1])[:, :, None]
-        * basis.reshape(-1, 2 * n, 2 * n)[points[:, :, None], rows[:, None], cols[:, None, :]]
+        * basis[units[keep, :, None], rows[:, None], cols[:, None, :]]
         * np.exp(col_exp - col_exp[:, :1])[:, None, :]
     )
     _, sigma, wh = np.linalg.svd(factor)
     top = sigma[:, :n]
-    if top.min() <= 0:
-        raise DynamicsError(f"flow factor lost rank (roundoff) at t={t}")
+    lost = top[:, -1] <= 0
+    if lost.any():
+        top[lost] = 1.0  # a placeholder for the log: these units fail at the rank stage
     xi_t = np.log(top) + row_exp[:, :1] + col_exp[:, :1]
-    if n > 1:
-        # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*,
-        # which falls as the largest step of xi_t rises
-        gap = -np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1))
-        raise_first(gap < FLOW_GAP_TOL, DynamicsError, lambda i: (
-            f"eigenvalue collision along the flow: relative gap {gap[i]:.3e}"
-        ))
+    # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*,
+    # which falls as the largest step of xi_t rises; 1 at n = 1
+    gap = -np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1, initial=-np.inf))
     xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
     eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
-    return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,))
+    lost, gap = spread(lost, False), spread(gap, np.inf)
+    checks = [
+        (~finite, lambda i: f"non-finite time {at(i)}"),
+        (capped, lambda i: (
+            f"flow exponent range {exp_range[i]:.4g} exceeds the double range cap at t={at(i)}"
+        )),
+        (lost, lambda i: f"flow factor lost rank (roundoff) at t={at(i)}"),
+        (gap < FLOW_GAP_TOL, lambda i: (
+            f"eigenvalue collision along the flow: relative gap {gap[i]:.3e}"
+        )),
+    ]
+    return (
+        spread(xi_t, np.nan).reshape(shape + (n,)),
+        spread(eta_t, np.nan).reshape(shape + (n,)),
+        checks,
+    )
+
+
+def _flow_step(
+    bundle: LaxBundle, theta_hat: np.ndarray, basis: np.ndarray, t
+) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, eta) at time t of each point of a bundle, from the spectrum
+    (theta_hat, basis) of _spectrum, with the bundle's leading axes (t one
+    time, or one per point), in one stacked SVD of G.  The checks of
+    _flow_units raise by phase_space.raise_first, stage by stage."""
+    xi_t, eta_t, checks = _flow_units(bundle, theta_hat, basis, t)
+    for bad, message in checks:
+        raise_first(bad, DynamicsError, message)
+    return xi_t, eta_t
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
@@ -412,15 +489,16 @@ def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
 
 
 def projection_outcomes(p: PhasePoint, g: Coupling, t_values):
-    """projection_flow over a time grid, from one spectrum of the initial point: per
-    time the PhasePoint reached (p itself at t = 0), or the DynamicsError that
-    stopped the step at that time."""
+    """projection_flow over a time grid, from one spectrum of the initial point
+    and one stacked SVD for every nonzero time: per time the PhasePoint reached
+    (p itself at t = 0), or the DynamicsError of the first check that its step
+    fails."""
     bundle = lax_matrix(p, g)
-    spectrum = _spectrum(bundle)
-    out = []
-    for t in np.atleast_1d(np.asarray(t_values, dtype=float)):
-        try:
-            out.append(PhasePoint(*_flow_step(bundle, *spectrum, float(t))) if t != 0.0 else p)
-        except DynamicsError as exc:
-            out.append(exc)
+    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    moving = np.flatnonzero(t_values != 0.0)
+    xi_t, eta_t, checks = _flow_units(bundle, *_spectrum(bundle), t_values[moving])
+    out = [p] * len(t_values)
+    for k, i in enumerate(moving.tolist()):
+        failed = next((message for bad, message in checks if bad[k]), None)
+        out[i] = PhasePoint(xi_t[k], eta_t[k]) if failed is None else DynamicsError(failed((k,)))
     return out

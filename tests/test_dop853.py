@@ -74,8 +74,7 @@ def test_samples_and_evaluations_match_solve_ivp(case, monkeypatch):
     expected, nfev = _solve_ivp_flow(p, g, t_values)
     calls = count_field_calls(monkeypatch)
     for t, state in zip(t_values, rk_flow(p, g, t_values).as_vector()):
-        ref = expected[float(t)]
-        assert np.abs(state - ref).max() <= 1e-12 * np.abs(ref).max()
+        npt.assert_array_equal(state, expected[float(t)])
     assert len(calls) == nfev
 
 

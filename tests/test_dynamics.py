@@ -248,6 +248,25 @@ def test_projection_outcomes_keep_the_times_before_a_failure(g):
         npt.assert_array_equal(s.as_vector(), ref.as_vector())
 
 
+def test_a_failing_time_keeps_its_message_and_the_others_flow():
+    # flow --n 6 --mu 1.3 --nu 0.2 on its default grid fails at t = 5 alone
+    p, g, grid = point(6, seed=1), Coupling(1.3, 0.2), np.arange(11) * 0.5
+    out = projection_outcomes(p, g, grid)
+    assert str(out[-1]) == "flow exponent range 727.2 exceeds the double range cap at t=5.0"
+    assert out[0] is p
+    for t, s in zip(grid[1:-1], out[1:-1]):
+        npt.assert_array_equal(s.as_vector(), projection_flow(p, g, t).as_vector())
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_time_fails_alone(t, g):
+    p = point(2, seed=3)
+    out = projection_outcomes(p, g, [1.0, t, 2.0])
+    assert isinstance(out[1], DynamicsError) and str(out[1]) == f"non-finite time {t}"
+    for s, ref in zip([out[0], out[2]], [1.0, 2.0]):
+        npt.assert_array_equal(s.as_vector(), projection_flow(p, g, ref).as_vector())
+
+
 def test_rk_far_positions_are_quiet():
     # positions pass 355 before t = 5, where sinh of a position sum overflows in
     # the kernels (its q term is 0); pytest turns a RuntimeWarning into an error

@@ -3,14 +3,16 @@ points or the bracket stencil, gets bit-for-bit the numbers of that point
 alone, and a check that fails at some point of the stack raises its typed
 error, for the first such point in stack order at the earliest stage that
 fails."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vandiejen import Coupling, PhasePoint, asymptotics, brackets, cli, duality, dynamics
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_FAIL, main
-from vandiejen.duality import DualityError, dual_frame
-from vandiejen.dynamics import DynamicsError, _flow_step, projection_flow
+from vandiejen.duality import DualityError, _spectrum, dual_frame
+from vandiejen.dynamics import DynamicsError, _flow_step, _flow_units, projection_flow
 from vandiejen.lax import energy, lax_matrix
 from vandiejen.linalg import hermitian_eig
 from vandiejen.phase_space import PhaseSpaceError
@@ -187,6 +189,25 @@ def test_the_earliest_failing_stage_wins(monkeypatch):
         brackets.symplectic_residuals(P_FAIL, G_FAIL)
 
 
+def test_a_later_unit_failing_an_earlier_flow_stage_wins():
+    # unit 0 fails the last stage, the collision check, and unit 1 the range
+    # cap: the cap runs first, so unit 1's error is raised.  Lam = (x, x, -x, -x)
+    # makes e^{2 Lam} a double eigenvalue, which t = 1e-13 splits by far less
+    # than the gap tolerance.
+    bundle = lax_matrix(point(2, seed=3), G_FAIL)
+    x = bundle.lam[0]
+    twin = dataclasses.replace(bundle, lam=np.array([x, x, -x, -x]))
+    spectrum, t = _spectrum(bundle), np.array([1e-13, 1e6])
+    checks = _flow_units(twin, *spectrum, t)[2]
+    assert [bad.tolist() for bad, _ in checks] == [
+        [False, False], [False, True], [False, False], [True, False]
+    ]
+    with pytest.raises(DynamicsError, match=r"^eigenvalue collision along the flow"):
+        _flow_step(twin, *spectrum, t[0])
+    with pytest.raises(DynamicsError, match=r"^flow exponent range .* at t=1000000.0$"):
+        _flow_step(twin, *spectrum, t)
+
+
 def test_stencil_failure_ends_the_command_in_one_error_line(monkeypatch, tmp_path, capsys):
     tol, _ = _between_lowest(_spectral_gaps(P_FAIL, G_FAIL))
     monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", tol)
@@ -259,8 +280,25 @@ def test_a_bracket_row_takes_one_eigensolve_for_its_whole_stack(monkeypatch):
 
 def test_projection_outcomes_take_one_eigensolve_for_the_grid(monkeypatch):
     calls = _count_eigensolves(monkeypatch)
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a: svds.append(a.shape) or svd(a))
     outcomes = dynamics.projection_outcomes(point(3, seed=2), G_FAIL, np.linspace(-2.0, 2.0, 9))
     assert len(outcomes) == 9 and len(calls) == 1
+    assert svds == [(8, 6, 6)]  # every time but t = 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("grid", [[0, 1, 1, -0.5, 0.5], np.arange(-1.0, 1.25, 0.5)], ids=str)
+def test_projection_outcomes_equal_projection_flow_at_each_time(grid, n):
+    # mixed signs, a repeated time and t = 0 in one stacked step
+    p = point(n, seed=7)
+    for t, got in zip(grid, dynamics.projection_outcomes(p, G_FAIL, grid)):
+        if t == 0:
+            assert got is p
+        else:
+            np.testing.assert_array_equal(
+                got.as_vector(), projection_flow(p, G_FAIL, t).as_vector()
+            )
 
 
 def test_duality_identities_take_the_frames_at_p_and_at_the_dual_point(monkeypatch):
