@@ -9,7 +9,10 @@ from .duality import DualFrame, dual_frame, minor_identity_residuals
 from .dynamics import projection_flow, rk_flow, vector_field
 from .scattering import AsymptoticData, asymptotic_data, scattering_map
 from .brackets import poisson_brackets, symplectic_residuals
-from .asymptotics import FlowSpec, alpha_coeffs, flow_eigenvalues, gamma_coeffs, p_coeffs, sample_spec, verify_theorem_exponential, verify_theorem_linear
+from .asymptotics import (
+    FlowSpec, alpha_coeffs, exponential_summary, flow_eigenvalues, gamma_coeffs, linear_summary,
+    sample_spec,
+)
 
 __version__ = "0.1.0"
 
@@ -20,6 +23,6 @@ __all__ = [
     "projection_flow", "rk_flow", "vector_field",
     "AsymptoticData", "asymptotic_data", "scattering_map",
     "poisson_brackets", "symplectic_residuals",
-    "FlowSpec", "alpha_coeffs", "flow_eigenvalues", "gamma_coeffs", "p_coeffs",
-    "sample_spec", "verify_theorem_exponential", "verify_theorem_linear",
+    "FlowSpec", "alpha_coeffs", "exponential_summary", "flow_eigenvalues", "gamma_coeffs",
+    "linear_summary", "sample_spec",
 ]

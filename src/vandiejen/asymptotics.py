@@ -9,6 +9,8 @@ the coefficient families and checks each verdict against its expansion on a
 time grid: p is recovered by weighted least squares with the second-order
 terms in the model, and t^2 r_j - gamma_j is checked to decay like 1/t.  A
 datum at the eigensolver's rounding level counts as unmeasurable, not fitted.
+Each kind has one check from a spec and a grid to its report columns and
+their one verdict: exponential_summary and linear_summary.
 
 sample_spec builds each spec from its factors, M = L diag(D) U with unit
 triangular L and U, so that p_j = L_{j+1,j} U_{j,j+1} holds exactly and meets
@@ -95,12 +97,6 @@ class FlowSpec:
         return self.mu.min(axis=-1)
 
 
-def _nonzero(pi: np.ndarray) -> np.ndarray:
-    if np.abs(pi).min() == 0:
-        raise AsymptoticsError("zero principal minor")
-    return pi
-
-
 def _minor_ratios(pi: np.ndarray) -> np.ndarray:
     """pi_j / pi_{j-1} (pi_0 = 1) over the last axis of the leading principal minors pi."""
     return pi / np.concatenate([np.ones_like(pi[..., :1]), pi[..., :-1]], axis=-1)
@@ -110,13 +106,6 @@ def _p_from_minors(pi: np.ndarray, bordered: np.ndarray) -> np.ndarray:
     """p_j over the last axis, from the two minor sets of principal_minors."""
     mj = _minor_ratios(pi)
     return bordered / pi[..., :-1] - mj[..., 1:] / mj[..., :-1]
-
-
-def p_coeffs(m) -> np.ndarray:
-    """First-order remainder coefficients p_1 .. p_{N-1}:
-    p_j = M(1..j-1, j+1) / M(1..j) - m_{j+1} / m_j (principal minors by index set)."""
-    pi, bordered = principal_minors(m)
-    return _p_from_minors(_nonzero(pi), bordered)
 
 
 def _differences(m, d):
@@ -167,11 +156,14 @@ def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t)
+    raise_first(~np.isfinite(ts), AsymptoticsError, lambda i: f"non-finite time {ts[i]}")
     if spec.kind == "exponential":
         d_bar = spec.d.mean(axis=-1)
         centered = spec.d - d_bar[..., None]
         span = centered.real.max(axis=-1) - centered.real.min(axis=-1)
-        if np.any(np.abs(ts) * span[..., None] > EXP_CAP):
+        with np.errstate(over="ignore"):  # a product past the double range is over the cap
+            capped = np.abs(ts) * span[..., None] > EXP_CAP
+        if np.any(capped):
             raise AsymptoticsError("flow exponent exceeds overflow cap")
         scale = np.exp(ts[:, None] * centered[..., None, :])
         w = general_eig(spec.m[..., None, :, :] * scale[..., None, :])
@@ -185,24 +177,12 @@ def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
         diag = np.zeros(spec.m.shape, dtype=complex)
         index = np.arange(spec.size)
         diag[..., index, index] = spec.d
-        w = general_eig(spec.m[..., None, :, :] + ts[:, None, None] * diag[..., None, :, :])
+        with np.errstate(over="ignore"):  # t d_j past the double range: raised below
+            a = spec.m[..., None, :, :] + ts[:, None, None] * diag[..., None, :, :]
+        raise_first(~np.isfinite(np.diagonal(a, axis1=-2, axis2=-1)).all(axis=-1), AsymptoticsError,
+                    lambda i: f"flow matrix M + tD is not finite at t={ts[i[-1]]}")
+        w = general_eig(a)
     return w if t.ndim else w[..., 0, :]
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """A theorem check over a spec or a stack of specs: each field carries the
-    stack's leading axes, and each verdict is one bool per spec."""
-
-    gap: np.ndarray
-    fitted_orders: np.ndarray  # per-j decay exponents, shape (..., N)
-    verdicts: dict
-    p: np.ndarray | None = None  # exponential kind: first-order coefficients p_j
-    orders_without_alpha: np.ndarray | None = None  # linear kind: the orders without alpha/t
-
-    @property
-    def passed(self) -> np.ndarray:
-        return np.logical_and.reduce(list(self.verdicts.values()))
 
 
 def _decay_orders(
@@ -227,9 +207,11 @@ def _decay_orders(
 
 def fit_grid(t_grid, kind: str) -> np.ndarray:
     """The time grid of a check of the given kind as a float array: a decay
-    order needs two distinct times, and the linear kind's alpha / t term
-    strictly positive ones."""
+    order needs two distinct finite times, and the linear kind's alpha / t
+    term strictly positive ones."""
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise AsymptoticsError(f"non-finite time {t_grid[~np.isfinite(t_grid)][0]} in the grid")
     if t_grid.size < 2 or t_grid.min() == t_grid.max():
         raise AsymptoticsError("the time grid needs at least two distinct times")
     if kind == "linear" and t_grid.min() <= 0:
@@ -247,34 +229,6 @@ def _relative_remainders(spec: FlowSpec, mj: np.ndarray, times) -> np.ndarray:
     return rho[..., index, :]
 
 
-def _exponential_report(spec: FlowSpec, t_grid) -> tuple[AsymptoticReport, np.ndarray]:
-    """The exponential theorem report on the grid, and the remainders rho on
-    the grid, shape (..., T, N), from one principal_minors call and one
-    stacked solve over the grid."""
-    if spec.kind != "exponential":
-        raise AsymptoticsError("spec is not of exponential kind")
-    t_grid = fit_grid(t_grid, spec.kind)
-    pi, bordered = principal_minors(spec.m)
-    pj = _p_from_minors(_nonzero(pi), bordered)
-    rho = _relative_remainders(spec, _minor_ratios(pi), t_grid)
-    # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
-    first = pj[..., None, :] * _eps(spec, t_grid)
-    pad = [(0, 0)] * (first.ndim - 1)
-    subtracted = rho - (np.pad(first, pad + [(0, 1)]) - np.pad(first, pad + [(1, 0)]))
-    # the second-order remainder reaches the eigensolver noise floor quickly;
-    # the decay fit counts a time only where the remainder clears it
-    orders = _decay_orders(t_grid, subtracted, clamp=_noise_level(rho))
-    # a component whose remainder sits entirely below the clamp decays faster
-    # than we can measure; only measurable components constrain the verdict
-    measured = np.isnan(orders) | (orders >= 1.8 * spec.gap[..., None])
-    shrinks = np.abs(rho[..., -1, :]) <= np.abs(rho[..., 0, :]) + FIT_CLAMP
-    verdicts = {
-        "post_subtraction_decay": np.all(measured, axis=-1),
-        "remainder_shrinks": np.all(shrinks, axis=-1),
-    }
-    return AsymptoticReport(gap=spec.gap, fitted_orders=orders, verdicts=verdicts, p=pj), rho
-
-
 def _noise_level(rho: np.ndarray) -> np.ndarray:
     """ROUNDING_MARGIN times the eigensolver's error on the remainders rho,
     shape (..., T, 1): the product of the 1 + rho_j is det M e^{t tr D} over
@@ -287,14 +241,6 @@ def _noise_level(rho: np.ndarray) -> np.ndarray:
 def _eps(spec: FlowSpec, t_grid: np.ndarray) -> np.ndarray:
     """eps_j(t) = e^{t(d_{j+1} - d_j)}, shape (..., T, N - 1)."""
     return np.exp(t_grid[:, None] * np.diff(spec.d, axis=-1)[..., None, :])
-
-
-def verify_theorem_exponential(spec: FlowSpec, t_grid) -> AsymptoticReport:
-    """Check the exponential-flow asymptotics on the grid: the relative
-    remainders rho_j, their first-order model, and the post-subtraction
-    second-order decay rate (expected about 2R, verified >= 1.8R), fitted
-    over the times where the remainder clears the eigensolver's noise."""
-    return _exponential_report(spec, t_grid)[0]
 
 
 def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -334,6 +280,40 @@ def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.
     scale = np.abs(a).max(axis=-2, keepdims=True)
     scale = np.where(scale > 0, scale, 1.0)
     return (np.linalg.pinv(a / scale) @ b)[..., 0, 0] / scale[..., 0, 0]
+
+
+def exponential_summary(spec: FlowSpec, t_grid) -> dict:
+    """The exponential-flow check on the grid as report columns, one array per
+    column over the stack: the gap R, the smallest fitted order, the relative
+    error of the least-squares p recovery (_p_least_squares) against the p of
+    the minors, and the verdict "passed".  The remainders rho_j come from one
+    stacked solve; less their first-order model, they decay at about 2R,
+    fitted over the times where they clear the eigensolver's noise.  A row
+    passes where every measurable component decays at 1.8R or faster and no
+    |rho_j| grows from the first time to the last.  A row with no measurable
+    component (a grid too late) has no smallest order and no measurable
+    recovery, both nan, and does not pass."""
+    if spec.kind != "exponential":
+        raise AsymptoticsError("spec is not of exponential kind")
+    t_grid = fit_grid(t_grid, spec.kind)
+    pi, bordered = principal_minors(spec.m)
+    pj = _p_from_minors(pi, bordered)
+    rho = _relative_remainders(spec, _minor_ratios(pi), t_grid)
+    # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
+    first = pj[..., None, :] * _eps(spec, t_grid)
+    pad = [(0, 0)] * (first.ndim - 1)
+    subtracted = rho - (np.pad(first, pad + [(0, 1)]) - np.pad(first, pad + [(1, 0)]))
+    orders = _decay_orders(t_grid, subtracted, clamp=_noise_level(rho))
+    min_order = np.fmin.reduce(orders, axis=-1)  # nan where no component is measurable
+    shrinks = np.abs(rho[..., -1, :]) <= np.abs(rho[..., 0, :]) + FIT_CLAMP
+    recovered = _p_least_squares(spec, t_grid, rho)
+    recovery = (np.abs(recovered - pj) / np.maximum(np.abs(pj), 1e-12)).max(axis=-1)
+    return {
+        "R": spec.gap,
+        "min_fitted_order": min_order,
+        "p_recovery_rel_err": np.where(np.isnan(min_order), np.nan, recovery),
+        "passed": (min_order >= 1.8 * spec.gap) & np.all(shrinks, axis=-1),
+    }
 
 
 def _linear_residuals(spec: FlowSpec, t_grid: np.ndarray, lams, shift) -> np.ndarray:
@@ -377,34 +357,13 @@ def cauchy_bound(spec: FlowSpec) -> tuple[np.ndarray, np.ndarray]:
     return radius, norm[..., 0] / radius ** 3
 
 
-def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
-    """Check the linear-flow asymptotics: the residual
-    r_j(t) = lambda_j - M_jj - t d_j - alpha_j / t has t^2 r_j - gamma_j = O(1/t)
-    (gamma_coeffs).  The verdict t2_bounded holds where t |t^2 r_j - gamma_j|
-    stays within the theorem's own constant (cauchy_bound) plus the rounding
-    allowance t^3 ROUNDING_MARGIN N eps (max|M| + t max|d|), at every time
-    inside the bound's range.  One spectrum per time serves every
-    prediction: with alpha the fitted order is about 2, without it about 1
-    (orders_without_alpha).
-
-    A residual counts in a fitted order only at the times where it clears
-    ROUNDING_MARGIN times the eigensolver's rounding level
-    N eps (max|M| + t max|d|); a component with fewer than two such times is
-    unmeasurable, its order nan."""
-    if spec.kind != "linear":
-        raise AsymptoticsError("spec is not of linear kind")
-    t_grid = fit_grid(t_grid, spec.kind)
-    alpha = alpha_coeffs(spec.m, spec.d)
+def _t2_bounded(spec: FlowSpec, t_grid: np.ndarray, resid: np.ndarray, level) -> np.ndarray:
+    """Whether t^2 r_j - gamma_j = O(1/t) (gamma_coeffs) holds within the
+    theorem's own bound, per spec: t |t^2 r_j - gamma_j| within the constant
+    of cauchy_bound plus the rounding allowance t^3 level, at every time
+    inside the bound's range.  resid holds the residuals r_j after the alpha
+    term, shape (..., T, N), and level their rounding level, shape (..., T, 1)."""
     gamma = gamma_coeffs(spec.m, spec.d)
-    lams = flow_eigenvalues(spec, t_grid)
-    resid, resid0 = (
-        _linear_residuals(spec, t_grid, lams, shift) for shift in (alpha, np.zeros(alpha.shape))
-    )
-    # the rounding level ROUNDING_MARGIN N eps (max|M| + t max|d|), shape (..., T, 1)
-    m_max = np.abs(spec.m).max(axis=(-2, -1))[..., None, None]
-    d_max = np.abs(spec.d).max(axis=-1)[..., None, None]
-    level = ROUNDING_MARGIN * spec.size * np.finfo(float).eps * (m_max + t_grid[:, None] * d_max)
-    orders, orders0 = (_decay_orders(t_grid, r, log_t=True, clamp=level) for r in (resid, resid0))
     # t |t^2 r_j - gamma_j| and its bound in units of 8^e, 2^e above the
     # largest time and 1: no cube overflows, and the scaling by a power of two
     # is exact away from subnormals, so it moves no verdict
@@ -415,35 +374,8 @@ def verify_theorem_linear(spec: FlowSpec, t_grid) -> AsymptoticReport:
     e = max(int(np.frexp(t_grid.max())[1]), 0)
     t_e = np.ldexp(t_grid, -e)[:, None]
     deviation = t_e * np.abs(t_e ** 2 * resid - gamma[..., None, :] * np.ldexp(1.0, -2 * e))
-    verdicts = {
-        "t2_bounded": np.all(
-            ~inside | (deviation <= np.ldexp(tail, -3 * e) + t_e ** 3 * level), axis=(-2, -1)
-        ),
-    }
-    return AsymptoticReport(
-        gap=spec.gap, fitted_orders=orders, verdicts=verdicts, orders_without_alpha=orders0
-    )
-
-
-def exponential_summary(spec: FlowSpec, t_grid) -> dict:
-    """The report columns of an exponential flow, one array per column over
-    the stack: the gap R, the smallest fitted order, the relative error of the
-    least-squares p recovery (_p_least_squares) against the p of the minors,
-    and under "passed" the theorem report's own verdict.  The recovery reads
-    the grid's own stacked solve.  A row on which no component's order can be
-    fitted (every remainder below the fit floor, a grid too late) has no
-    smallest order and no measurable recovery, both nan, and does not pass."""
-    rep, rho = _exponential_report(spec, t_grid)
-    recovered = _p_least_squares(spec, np.asarray(t_grid, dtype=float), rho)
-    min_order = np.fmin.reduce(rep.fitted_orders, axis=-1)
-    unmeasured = np.isnan(min_order)
-    recovery = (np.abs(recovered - rep.p) / np.maximum(np.abs(rep.p), 1e-12)).max(axis=-1)
-    return {
-        "R": rep.gap,
-        "min_fitted_order": min_order,
-        "p_recovery_rel_err": np.where(unmeasured, np.nan, recovery),
-        "passed": rep.passed & ~unmeasured,
-    }
+    bounded = deviation <= np.ldexp(tail, -3 * e) + t_e ** 3 * level
+    return np.all(~inside | bounded, axis=(-2, -1))
 
 
 def _measured_mean(orders: np.ndarray) -> np.ndarray:
@@ -455,19 +387,36 @@ def _measured_mean(orders: np.ndarray) -> np.ndarray:
 
 
 def linear_summary(spec: FlowSpec, t_grid) -> dict:
-    """The report columns of a linear flow, one array per column over the
-    stack: the gap R and the mean fitted orders with and without the alpha
-    term over the measurable components (nan where none is); under "passed",
-    the theorem report's own verdict and whether those orders lie within 0.3
-    of 2 and of 1, so an unmeasurable row does not pass."""
-    rep = verify_theorem_linear(spec, t_grid)
-    order = _measured_mean(rep.fitted_orders)
-    order0 = _measured_mean(rep.orders_without_alpha)
+    """The linear-flow check on the grid as report columns, one array per
+    column over the stack: the gap R, the mean decay orders of the residual
+    r_j(t) = lambda_j - M_jj - t d_j - alpha_j / t with and without the alpha
+    term over the measurable components (nan where none is; about 2 and 1),
+    and the verdict "passed", where _t2_bounded holds and the two orders lie
+    within 0.3 of 2 and of 1 (so a row with no measurable component fails).
+    One spectrum per time serves both residuals, each counted at the times
+    where it clears ROUNDING_MARGIN times the eigensolver's rounding level
+    N eps (max|M| + t max|d|)."""
+    if spec.kind != "linear":
+        raise AsymptoticsError("spec is not of linear kind")
+    t_grid = fit_grid(t_grid, spec.kind)
+    alpha = alpha_coeffs(spec.m, spec.d)
+    lams = flow_eigenvalues(spec, t_grid)
+    resid, resid0 = (
+        _linear_residuals(spec, t_grid, lams, shift) for shift in (alpha, np.zeros(alpha.shape))
+    )
+    # the rounding level ROUNDING_MARGIN N eps (max|M| + t max|d|), shape (..., T, 1)
+    m_max = np.abs(spec.m).max(axis=(-2, -1))[..., None, None]
+    d_max = np.abs(spec.d).max(axis=-1)[..., None, None]
+    level = ROUNDING_MARGIN * spec.size * np.finfo(float).eps * (m_max + t_grid[:, None] * d_max)
+    order, order0 = (
+        _measured_mean(_decay_orders(t_grid, r, log_t=True, clamp=level)) for r in (resid, resid0)
+    )
     return {
-        "R": rep.gap,
+        "R": spec.gap,
         "order_with_alpha": order,
         "order_without_alpha": order0,
-        "passed": rep.passed & (np.abs(order - 2.0) <= 0.3) & (np.abs(order0 - 1.0) <= 0.3),
+        "passed": _t2_bounded(spec, t_grid, resid, level)
+        & (np.abs(order - 2.0) <= 0.3) & (np.abs(order0 - 1.0) <= 0.3),
     }
 
 
@@ -498,6 +447,8 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     """
     _require_size(size)
     seeds, one = _seed_list(seed)
+    if not seeds:
+        raise AsymptoticsError("a stack of specs needs at least one seed")
     n = size
     counts = np.array([n - 1, n - 1, n + 2 * n * n, n + 2 * n * n, 2 * (n - 1), 2 * (n - 1)])
     u = np.array([np.random.default_rng(s).random(counts.sum()) for s in seeds])

@@ -414,10 +414,11 @@ def _flow_units(
         every_finite = finite.all()
         t = np.where(finite, times, 0.0)[:, None]
     units = np.arange(len(velocities))[:, None]
-    cols = np.argsort(-t * velocities, axis=-1, kind="stable")
-    beta = velocities[units, cols]
-    col_exp = 0.5 * t * beta
-    exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
+    with np.errstate(over="ignore"):  # past the double range: an inf range, over the cap
+        cols = np.argsort(-t * velocities, axis=-1, kind="stable")
+        beta = velocities[units, cols]
+        col_exp = 0.5 * t * beta
+        exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
     capped = exp_range > EXPONENT_RANGE_CAP
     every = every_finite and not capped.any()
     keep = slice(None) if every else np.flatnonzero(finite & ~capped)

@@ -79,6 +79,14 @@ def count_field_calls(monkeypatch) -> list:
     return calls
 
 
+def record_returns(monkeypatch, module, name) -> list:
+    """A list that grows by the value each call of module.name returns from now on."""
+    returned, call = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kw: returned.append(call(*args, **kw)) or returned[-1])
+    return returned
+
+
 def traced_peak(run):
     """Bytes that tracemalloc sees allocated at the peak of run(), above those
     allocated when it starts."""

@@ -9,21 +9,21 @@ import pytest
 from vandiejen import (
     Coupling,
     PhasePoint,
+    asymptotics,
     sample,
 )
 from vandiejen.asymptotics import (
     exponential_summary,
     flow_eigenvalues,
-    p_coeffs,
+    linear_summary,
     sample_spec,
-    verify_theorem_exponential,
-    verify_theorem_linear,
 )
 from vandiejen.checks import BATTERIES, FLOW_GAP
 from vandiejen.dynamics import projection_flow, projection_outcomes, rk_flow
 from vandiejen.lax import lax_matrix
+from vandiejen.linalg import principal_minors
 
-from conftest import det_cofactor, hyperbolic_cauchy_det, trace_power_observable
+from conftest import det_cofactor, hyperbolic_cauchy_det, record_returns, trace_power_observable
 
 G = Coupling(0.7, 0.4)
 SEEDS = range(50)
@@ -151,14 +151,15 @@ def test_acceptance_exponential_flow_asymptotics():
             assert spec.gap >= 0.3
             for t in (8.0, 10.0):
                 flow_eigenvalues(spec, t)  # modulus ordering must hold
-            report = verify_theorem_exponential(spec, np.arange(6.0, 12.1, 1.0))
-            # the battery's row on the CLI's default grid: on the later grid
+            late = exponential_summary(spec, np.arange(6.0, 12.1, 1.0))
+            # the recovery on the CLI's default grid: on the later grid
             # above, some size-2 remainders sit below the fit floor throughout
             row = exponential_summary(spec, np.arange(4.0, 10.5, 1.0))
-            ok = ok and report.passed and row["passed"]
+            ok = ok and late["passed"] and row["passed"]
             worst_rec = max(worst_rec, float(row["p_recovery_rel_err"]))
         tri = np.triu(0.3 * np.ones((size, size))) + np.eye(size)
-        worst_tri = max(worst_tri, float(np.abs(p_coeffs(tri)).max()))
+        p_tri = asymptotics._p_from_minors(*principal_minors(tri))
+        worst_tri = max(worst_tri, float(np.abs(p_tri).max()))
     (recovery,) = BATTERIES["asymptotics-exponential"].checks
     ok = ok and worst_rec <= recovery.bound and worst_tri <= 1e-12
     _report(
@@ -167,19 +168,19 @@ def test_acceptance_exponential_flow_asymptotics():
     )
 
 
-def test_acceptance_linear_flow_asymptotics():
+def test_acceptance_linear_flow_asymptotics(monkeypatch):
+    fits = record_returns(monkeypatch, asymptotics, "_decay_orders")  # per component
     ok = True
     detail = []
     for size in (2, 3, 4):
         spec = sample_spec(size, seed=31 + size, kind="linear")
-        bound = verify_theorem_linear(spec, np.array([10.0, 15.0, 20.0]))
-        ok = ok and bound.verdicts["t2_bounded"]
-        orders = verify_theorem_linear(spec, np.array([10.0, 15.0, 20.0, 30.0, 40.0]))
-        ok = ok and np.nanmax(np.abs(orders.fitted_orders - 2.0)) <= 0.3
-        ok = ok and np.nanmax(np.abs(orders.orders_without_alpha - 1.0)) <= 0.3
+        ok = ok and linear_summary(spec, np.array([10.0, 15.0, 20.0]))["passed"]
+        ok = ok and linear_summary(spec, np.array([10.0, 15.0, 20.0, 30.0, 40.0]))["passed"]
+        orders, orders_without_alpha = fits[-2:]
+        ok = ok and np.nanmax(np.abs(orders - 2.0)) <= 0.3
+        ok = ok and np.nanmax(np.abs(orders_without_alpha - 1.0)) <= 0.3
         detail.append(
-            f"N={size} order {np.nanmean(orders.fitted_orders):.2f}/"
-            f"{np.nanmean(orders.orders_without_alpha):.2f}"
+            f"N={size} order {np.nanmean(orders):.2f}/{np.nanmean(orders_without_alpha):.2f}"
         )
     _report("linear-flow-asymptotics", ok, " ".join(detail))
 

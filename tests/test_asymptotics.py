@@ -11,17 +11,15 @@ from vandiejen.asymptotics import (
     alpha_coeffs,
     exponential_summary,
     flow_eigenvalues,
-    p_coeffs,
+    linear_summary,
     sample_spec,
-    verify_theorem_exponential,
-    verify_theorem_linear,
 )
 
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_PASS, main
 from vandiejen.linalg import principal_minors
 
-from conftest import det_cofactor
+from conftest import det_cofactor, record_returns
 
 D4 = np.array([3.0, 1.0, -1.0, -3.0])
 
@@ -105,13 +103,15 @@ def test_minor_ratios_product_is_determinant():
 def test_p_coeffs_triangular_vanish():
     rng = np.random.default_rng(6)
     m = np.triu(rng.normal(size=(4, 4))) + 3 * np.eye(4)
-    assert np.abs(p_coeffs(m)).max() <= 1e-12
+    assert np.abs(asymptotics._p_from_minors(*principal_minors(m))).max() <= 1e-12
 
 
 def test_p_first_coefficient_two_by_two():
     m = np.array([[2.0, 0.5], [0.7, 3.0]])
     # p_1 = M_12 M_21 / M_11^2
-    assert p_coeffs(m)[0] == pytest.approx(0.5 * 0.7 / 4.0, rel=1e-12)
+    assert asymptotics._p_from_minors(*principal_minors(m))[0] == pytest.approx(
+        0.5 * 0.7 / 4.0, rel=1e-12
+    )
 
 
 def test_alpha_coeffs_diagonal_vanish():
@@ -198,9 +198,9 @@ def test_flow_eigenvalues_two_by_two_quadratic_oracle():
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_exponential_theorem_report(size):
     spec = sample_spec(size, seed=size)
-    report = verify_theorem_exponential(spec, np.arange(6.0, 12.1, 1.0))
-    assert report.passed, report.verdicts
-    assert report.gap >= 1.0
+    row = exponential_summary(spec, np.arange(6.0, 12.1, 1.0))
+    assert row["passed"], row
+    assert row["R"] >= 1.0
 
 
 # The acceptance test samples seeds 0-19 at sizes 2-5.  Over seeds 0-399 at
@@ -226,11 +226,15 @@ def test_asymptotics_row_where_the_recovery_error_shows_passes(size, seed, tmp_p
 def test_exponential_theorem_where_the_late_grid_decay_shows_passes():
     # the smallest fitted order reads 2.67 against 1.8 R = 2.72, in the last
     # component, whose second-order terms decay at 3.5 or faster
-    report = verify_theorem_exponential(sample_spec(5, seed=303), np.arange(6.0, 12.1, 1.0))
-    failing = [name for name, ok in report.verdicts.items() if not ok]
-    if failing not in ([], ["post_subtraction_decay"]):
-        pytest.fail(f"failing verdicts {failing}, expected post_subtraction_decay alone")
-    assert not failing
+    spec, grid = sample_spec(5, seed=303), np.arange(6.0, 12.1, 1.0)
+    row = exponential_summary(spec, grid)
+    ratios = asymptotics._minor_ratios(principal_minors(spec.m)[0])
+    rho = asymptotics._relative_remainders(spec, ratios, grid)
+    shrinks = np.all(np.abs(rho[-1]) <= np.abs(rho[0]) + asymptotics.FIT_CLAMP)
+    decays = not row["min_fitted_order"] < 1.8 * row["R"]
+    if not shrinks or decays != row["passed"]:
+        pytest.fail(f"expected the decay verdict alone to decide the row: {row}")
+    assert decays
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
@@ -238,9 +242,10 @@ def test_two_point_p_recovery(size):
     # the smallest grid the fit takes, the former recovery times 8 and 10:
     # two times, so the model p_j + a eps_j
     spec, grid = sample_spec(size, seed=10 + size), np.array([8.0, 10.0])
-    report, rho = asymptotics._exponential_report(spec, grid)
+    pi, bordered = principal_minors(spec.m)
+    rho = asymptotics._relative_remainders(spec, asymptotics._minor_ratios(pi), grid)
     recovered = asymptotics._p_least_squares(spec, grid, rho)
-    assert np.abs(recovered / report.p - 1).max() <= 1e-3
+    assert np.abs(recovered / asymptotics._p_from_minors(pi, bordered) - 1).max() <= 1e-3
 
 
 @pytest.mark.parametrize("size", [2, 5, 8])
@@ -252,14 +257,17 @@ def test_p_recovery_on_the_default_grid_is_far_inside_its_bound(size):
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
-def test_linear_theorem_report(size):
+def test_linear_theorem_report(size, monkeypatch):
     spec = sample_spec(size, seed=20 + size, kind="linear")
     grid = np.array([10.0, 15.0, 20.0, 30.0, 40.0])
-    report = verify_theorem_linear(spec, grid)
-    assert report.passed, report.verdicts
-    # dropping the alpha/t term degrades the decay order from ~2 to ~1
-    assert np.nanmax(np.abs(report.fitted_orders - 2.0)) <= 0.3
-    assert np.nanmax(np.abs(report.orders_without_alpha - 1.0)) <= 0.3
+    orders = record_returns(monkeypatch, asymptotics, "_decay_orders")
+    row = linear_summary(spec, grid)
+    assert row["passed"], row
+    # dropping the alpha/t term degrades the decay order from ~2 to ~1, in
+    # every component
+    with_alpha, without_alpha = orders
+    assert np.nanmax(np.abs(with_alpha - 2.0)) <= 0.3
+    assert np.nanmax(np.abs(without_alpha - 1.0)) <= 0.3
 
 
 def _reference_decay_orders(t_grid, r, log_t=False, clamp=asymptotics.FIT_CLAMP):
@@ -287,8 +295,8 @@ def test_stacked_decay_orders_equal_the_per_column_fit(kind, grid, fits, monkeyp
     stacks, fit = [], asymptotics._decay_orders
     monkeypatch.setattr(asymptotics, "_decay_orders",
                         lambda t, r, **kw: stacks.append((t, r, kw)) or fit(t, r, **kw))
-    verify = verify_theorem_exponential if kind == "exponential" else verify_theorem_linear
-    verify(sample_spec(4, seed=range(1, 13), kind=kind), grid)
+    summary = exponential_summary if kind == "exponential" else linear_summary
+    summary(sample_spec(4, seed=range(1, 13), kind=kind), grid)
     assert [set(kw) for _, _, kw in stacks] == fits
     for t, r, kw in stacks:
         assert np.shape(kw["clamp"]) == r.shape[:-1] + (1,)
@@ -313,9 +321,10 @@ def test_t2_bounded_verdict_equals_the_unscaled_rule(grid, monkeypatch):
     fits, fit = [], asymptotics._decay_orders
     monkeypatch.setattr(asymptotics, "_decay_orders",
                         lambda t, r, **kw: fits.append((r, kw["clamp"])) or fit(t, r, **kw))
+    bounded = record_returns(monkeypatch, asymptotics, "_t2_bounded")
     for size in (2, 4, 6):
         spec = sample_spec(size, seed=range(1, 13), kind="linear")
-        report = verify_theorem_linear(spec, grid)
+        row = linear_summary(spec, grid)
         resid, level = fits[-2]
         t = grid[:, None]
         radius, constant = asymptotics.cauchy_bound(spec)
@@ -326,7 +335,8 @@ def test_t2_bounded_verdict_equals_the_unscaled_rule(grid, monkeypatch):
         gamma = asymptotics.gamma_coeffs(spec.m, spec.d)
         deviation = t * np.abs(t ** 2 * resid - gamma[:, None, :])
         rule = np.all(~inside | (deviation <= tail + t ** 3 * level), axis=(-2, -1))
-        assert np.array_equal(report.verdicts["t2_bounded"], rule)
+        assert np.array_equal(bounded[-1], rule)
+        assert not np.any(row["passed"] & ~rule)
 
 
 def test_sample_spec_deterministic():
@@ -354,14 +364,15 @@ def test_sample_spec_equals_one_candidate_at_a_time(size):
             spec = sample_spec(size, seed=seed, kind=kind)
             npt.assert_allclose(spec.m, m, rtol=0, atol=1e-15)
             assert np.array_equal(spec.d, d) and spec.kind == kind
-        npt.assert_allclose(p_coeffs(m), _reference_p_coeffs(m), rtol=1e-12)
+        npt.assert_allclose(asymptotics._p_from_minors(*principal_minors(m)),
+                            _reference_p_coeffs(m), rtol=1e-12)
 
 
 @pytest.mark.parametrize("size", range(2, 17))
 def test_p_coeffs_of_a_spec_are_its_factor_pairs(size):
     # p_j = L_{j+1,j} U_{j,j+1} by Cauchy-Binet, at least OFF_SCALE^2 / 2
     seeds = range(1, 201)
-    p = p_coeffs(sample_spec(size, seed=seeds).m)
+    p = asymptotics._p_from_minors(*principal_minors(sample_spec(size, seed=seeds).m))
     floor = 0.5 * asymptotics.SPEC_OFF_SCALE ** 2
     j = np.arange(size - 1)
     for k, seed in enumerate(seeds):
@@ -402,7 +413,9 @@ def test_one_seed_spec_is_row_0_of_its_stack_of_one(size):
     assert np.array_equal(_bits(one.d), _bits(stack.d[0]))
 
 
-def test_p_coeffs_rejects_a_zero_leading_minor():
+def test_exponential_spec_rejects_a_zero_leading_minor():
+    # the p coefficients divide by the leading minors, so no exponential spec
+    # holds a zero one
     good = np.eye(3) + 0.2 * np.arange(9).reshape(3, 3) / 9
     zero_first = good.copy()
     zero_first[0, 0] = 0.0
@@ -410,11 +423,18 @@ def test_p_coeffs_rejects_a_zero_leading_minor():
     zero_second[1] = zero_second[0]  # pi_1 != 0, pi_2 = pi_3 = 0
     zero_last = good.copy()
     zero_last[2] = zero_last[0]  # only det M = 0
+    d = [1.0, 0.0, -1.0]
+    FlowSpec(m=good, d=d, kind="exponential")
     for bad in (zero_first, zero_second, zero_last):
-        with pytest.raises(AsymptoticsError):
-            p_coeffs(bad)
-    with pytest.raises(AsymptoticsError):
-        p_coeffs(np.stack([good, zero_second]))
+        with pytest.raises(AsymptoticsError, match="leading principal minor"):
+            FlowSpec(m=bad, d=d, kind="exponential")
+    with pytest.raises(AsymptoticsError, match="leading principal minor"):
+        FlowSpec(m=np.stack([good, zero_second]), d=[d, d], kind="exponential")
+
+
+def test_sample_spec_rejects_an_empty_seed_list():
+    with pytest.raises(AsymptoticsError, match="at least one seed"):
+        sample_spec(3, seed=[])
 
 
 @pytest.mark.parametrize("size", [-1, 0, 1])
@@ -426,12 +446,7 @@ def test_sample_spec_rejects_size_below_two(size):
 def test_every_entry_point_rejects_a_spec_of_size_one():
     # a single diagonal value has no gap R and no perturbation sum
     grid = [4.0, 5.0, 6.0]
-    entry_points = [
-        (asymptotics.exponential_summary, "exponential"),
-        (verify_theorem_exponential, "exponential"),
-        (asymptotics.linear_summary, "linear"),
-        (verify_theorem_linear, "linear"),
-    ]
+    entry_points = [(exponential_summary, "exponential"), (linear_summary, "linear")]
     for run, kind in entry_points:
         with pytest.raises(AsymptoticsError, match="size >= 2"):
             run(FlowSpec(m=[[2.0]], d=[1.0], kind=kind), grid)
@@ -443,21 +458,30 @@ def test_every_entry_point_rejects_a_spec_of_size_one():
 def test_grid_without_two_distinct_times_is_rejected(grid):
     exp, lin = sample_spec(3, seed=7), sample_spec(3, seed=7, kind="linear")
     with pytest.raises(AsymptoticsError):
-        verify_theorem_exponential(exp, grid)
+        exponential_summary(exp, grid)
     with pytest.raises(AsymptoticsError):
-        verify_theorem_linear(lin, grid)
+        linear_summary(lin, grid)
+
+
+@pytest.mark.parametrize("grid", [[4.0, np.inf], [4.0, np.nan], [-np.inf, 4.0, 5.0]])
+def test_grid_with_a_non_finite_time_is_rejected(grid):
+    # RuntimeWarnings are errors here
+    exp, lin = sample_spec(3, seed=7), sample_spec(3, seed=7, kind="linear")
+    with pytest.raises(AsymptoticsError, match="non-finite time"):
+        exponential_summary(exp, grid)
+    with pytest.raises(AsymptoticsError, match="non-finite time"):
+        linear_summary(lin, grid)
 
 
 @pytest.mark.parametrize("grid", [[30.0, 31.0], np.arange(40.0, 45.5, 1.0)])
-def test_grid_too_late_to_fit_a_decay_order_is_rejected(grid):
+def test_grid_too_late_to_fit_a_decay_order_is_rejected(grid, monkeypatch):
     # every remainder sits below the fit floor, so no order can be fitted: the
-    # theorem report counts that as measured, the summary row has no smallest
-    # order and no measurable recovery and does not pass; RuntimeWarnings are errors here, so an all-nan
-    # reduction would fail too
+    # row has no smallest order and no measurable recovery and does not pass;
+    # RuntimeWarnings are errors here, so an all-nan reduction would fail too
     spec = sample_spec(3, seed=1)
-    report = verify_theorem_exponential(spec, grid)
-    assert np.isnan(report.fitted_orders).all() and report.passed
-    row = asymptotics.exponential_summary(spec, grid)
+    orders = record_returns(monkeypatch, asymptotics, "_decay_orders")
+    row = exponential_summary(spec, grid)
+    assert np.isnan(orders[-1]).all()
     assert np.isnan(row["min_fitted_order"]) and not row["passed"]
     assert np.isnan(row["p_recovery_rel_err"])
 
@@ -473,11 +497,31 @@ def test_error_paths():
     spec = sample_spec(3, seed=7)
     with pytest.raises(AsymptoticsError):
         flow_eigenvalues(spec, 1e9)
-    with pytest.raises(AsymptoticsError):
-        verify_theorem_linear(spec, [10.0, 20.0])
+    with pytest.raises(AsymptoticsError, match="not of linear kind"):
+        linear_summary(spec, [10.0, 20.0])
     lin = sample_spec(3, seed=7, kind="linear")
+    with pytest.raises(AsymptoticsError, match="not of exponential kind"):
+        exponential_summary(lin, [10.0, 20.0])
     with pytest.raises(AsymptoticsError):
-        verify_theorem_linear(lin, [-1.0, 10.0])
+        linear_summary(lin, [-1.0, 10.0])
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308, [4.0, 1e308]])
+def test_flow_eigenvalues_past_the_double_range_raise_without_warnings(t):
+    # RuntimeWarnings are errors here: neither the exponential kind's cap
+    # test nor the linear kind's M + tD may overflow in passing
+    with pytest.raises(AsymptoticsError, match="flow exponent exceeds overflow cap"):
+        flow_eigenvalues(sample_spec(3, seed=1), t)
+    with pytest.raises(AsymptoticsError, match=r"M \+ tD is not finite at t=-?1e\+308"):
+        flow_eigenvalues(sample_spec(3, seed=1, kind="linear"), t)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "linear"])
+@pytest.mark.parametrize("t, shown", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan"),
+                                      ([4.0, np.inf, np.nan], "inf")])
+def test_flow_eigenvalues_reject_a_non_finite_time_without_warnings(kind, t, shown):
+    with pytest.raises(AsymptoticsError, match=f"^non-finite time {shown}$"):
+        flow_eigenvalues(sample_spec(3, seed=1, kind=kind), t)
 
 
 def test_ambiguous_ordering_rejected_at_tiny_time():
@@ -502,7 +546,7 @@ def test_ambiguous_matching_without_alpha_is_rejected():
     lams = flow_eigenvalues(spec, grid)
     asymptotics._linear_residuals(spec, grid, lams, alpha_coeffs(spec.m, spec.d))
     with pytest.raises(AsymptoticsError, match="ambiguous eigenvalue matching at t=1.0"):
-        verify_theorem_linear(spec, grid)
+        linear_summary(spec, grid)
 
 
 # -- a stack of specs: one eigensolve, the numbers of each spec alone ----------
@@ -565,7 +609,7 @@ def test_a_stack_raises_the_error_of_its_first_failing_spec():
     )
     fine = FlowSpec(m=np.eye(3), d=np.array([1.0, 0.0, -1.0]), kind="linear")
     with pytest.raises(AsymptoticsError, match="ambiguous eigenvalue matching at t=1.0"):
-        verify_theorem_linear(_stack([fine, ambiguous]), [1.0, 2.0])
+        linear_summary(_stack([fine, ambiguous]), [1.0, 2.0])
 
 
 def test_flow_spec_stack_checks_every_spec():

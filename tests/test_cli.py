@@ -138,6 +138,19 @@ def test_flow_exponent_range_past_the_cap_is_one_short_error_line(tmp_path, caps
     assert re.search("flow exponent range .* exceeds the double range cap at t=", err)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "--n", "2", "--t", "1e308", "--method", "projection"], "flow exponent range inf"),
+    (["asymptotics", "--n", "3", "--t", "4,1e308"], "flow exponent exceeds overflow cap"),
+    (["asymptotics", "--n", "3", "--kind", "linear", "--t", "1e307,1e308"],
+     "flow matrix M + tD is not finite at t=1e+308"),
+], ids=["flow", "exponential", "linear"])
+def test_a_time_past_the_double_range_is_one_error_line(argv, message, tmp_path, capsys):
+    # RuntimeWarnings are errors here
+    assert run([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+
+
 def test_asymptotics_linear_grid_past_the_square_overflow_is_reported(tmp_path, capsys):
     # t^2 overflows from t = 1.3e154; RuntimeWarnings are errors here
     out = tmp_path / "out.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -238,6 +240,21 @@ def lax_matrix_eigendata(p, g, t):
 def test_overflow_cap_raises(g):
     with pytest.raises(DynamicsError):
         projection_flow(point(2, seed=3), g, 1e6)
+
+
+# 1.5 DBL_MAX / vmax: t beta stays finite, t vmax and the range overflow
+@pytest.mark.parametrize("t", [1e308, -1e308, "window"])
+def test_a_time_past_the_double_range_fails_at_the_range_cap(g, t):
+    # t beta or the exponent range overflows to inf, and the range cap names
+    # it; RuntimeWarnings are errors here
+    if t == "window":
+        vmax = 2.0 * np.sinh(2.0 * dual_frame(point(2, seed=3), g).theta_hat.max())
+        t = float(np.finfo(float).max / vmax * 1.5)
+    message = f"flow exponent range inf exceeds the double range cap at t={t}"
+    with pytest.raises(DynamicsError, match=re.escape(message)):
+        projection_flow(point(2, seed=3), g, t)
+    out = projection_outcomes(point(2, seed=3), g, [1.0, t])
+    assert isinstance(out[0], PhasePoint) and isinstance(out[1], DynamicsError)
 
 
 def test_projection_outcomes_keep_the_times_before_a_failure(g):
