@@ -21,7 +21,7 @@ is finite and q, at worst, underflows quietly to 0: the kernels need no
 errstate.  Past about 355 a position sum overflows sinh to inf, and q = 0 is
 still its limit; only the Runge-Kutta route, which has no cap, goes there, and
 its callers hold the overflow under their own errstate: rk_flow around its
-field evaluations, the flow command around the energies of its states.
+field evaluations, flow_residuals around the energies of its states.
 
 The tables and the coefficients (z, u, the pair products, the phase shifts,
 the Lax entries) take a stack of points: xi of shape (..., n) gives tables of

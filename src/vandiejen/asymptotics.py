@@ -74,12 +74,17 @@ class FlowSpec:
         if d.ndim < 1 or m.shape != d.shape + d.shape[-1:]:
             raise AsymptoticsError("M must be square and match the diagonal length")
         _require_size(d.shape[-1])
+        if not (np.isfinite(m).all() and np.isfinite(d).all()):
+            raise AsymptoticsError("M and d must be finite")
         if np.any(np.diff(d.real, axis=-1) >= 0):
             raise AsymptoticsError("Re(d) must be strictly descending")
         if self.kind == "exponential":
-            pi = principal_minors(m)[0]
-            scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-            if np.any(np.abs(pi).min(axis=-1) <= MINOR_MARGIN * scale):
+            with np.errstate(over="ignore", invalid="ignore"):  # typed below, not warned
+                minors = np.abs(principal_minors(m)[0])
+                scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+            if not (np.isfinite(minors).all() and np.isfinite(scale).all()):
+                raise AsymptoticsError("|M| or its leading principal minors overflow")
+            if np.any(minors.min(axis=-1) <= MINOR_MARGIN * scale):
                 raise AsymptoticsError("leading principal minor too close to zero")
 
     @property

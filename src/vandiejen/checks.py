@@ -2,18 +2,22 @@
 bound on each column of its report.
 
 A battery pairs a function of residuals with the ordered checks on the columns
-of a row.  Its function takes a stack of units, phase points (see PhasePoint)
-or flow specs (see FlowSpec), and returns one array per column in report
-order, entry i the row of unit i; an asymptotics battery's "passed" entry is
-the theorem's own verdict, for the checks that have no column.  The CLI and
-the acceptance tests both read this table, so a bound is stated once.
+of a row.  Its function takes a stack of units, phase points (see PhasePoint),
+flow specs (see FlowSpec) or the times of a flow grid, and returns one array
+per column in report order, entry i the row of unit i.  A "passed" entry is
+the row's own verdict beyond its checks (the theorem's, or a projection step
+that did not fail), and a flow battery's "error" the one error line naming
+its failed times, or None.  The CLI and the acceptance tests both read this
+table, so a bound is stated once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import asymptotics, brackets, duality, lax, scattering
+from .dynamics import flow_residuals
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,7 @@ class Check:
 class Battery:
     residuals: Callable[..., dict]  # one array per column over a stack of units
     checks: tuple[Check, ...]  # in report column order
-    unit: str = "point"  # the report's unit column: "point" or "spec"
+    unit: str = "point"  # the report's unit column: "point", "spec" or "t"
 
 
 BATTERIES = {
@@ -89,6 +93,10 @@ BATTERIES = {
         asymptotics.exponential_summary, (Check("p_recovery_rel_err", 1e-3),), unit="spec"
     ),
     "asymptotics-linear": Battery(asymptotics.linear_summary, (), unit="spec"),
+    # the flow command, one battery per --method: a point over the times of a grid
+    "flow-both": Battery(partial(flow_residuals, method="both"), (
+        Check("propagator_gap", 1e-6),  # RK against projection, per time
+    ), unit="t"),
+    "flow-projection": Battery(partial(flow_residuals, method="projection"), (), unit="t"),
+    "flow-runge-kutta": Battery(partial(flow_residuals, method="runge-kutta"), (), unit="t"),
 }
-
-FLOW_GAP = Check("propagator_gap", 1e-6)  # RK against projection, per time sample

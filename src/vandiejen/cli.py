@@ -1,19 +1,18 @@
-"""Command-line front end: runs the check batteries of `checks.BATTERIES` over
-seeded samples and writes deterministic CSV/JSON reports.  A battery samples
-the stack of its units (phase points, or flow specs for `asymptotics`) for
-the seeds from --seed on in one sampler call, each unit the one its seed gives
-alone, makes one residual call on that stack and splits the columns into one
-row per unit; a row's JSON also holds its unit's seed.
-`flow` propagates one point over a time grid, one row per time.
+"""Command-line front end: runs the check batteries of `checks.BATTERIES` and
+writes deterministic CSV/JSON reports.  A battery makes one residual call on
+the stack of its units, one row per unit.  The units are phase points, or
+flow specs for `asymptotics`, sampled for the seeds from --seed on in one
+sampler call, each the unit its seed gives alone, whose seed a JSON row also
+holds; for `flow` they are the times of --t, to which one point is flowed.
 
-Every report goes through one writer, which stamps each row's `passed` with
+Every command goes through one writer, which stamps each row's `passed` with
 that row's own verdict: every column within its bound, or above its lower
-bound, and for `flow` a projection step that did not fail.  CSV reports show
-`passed` for the batteries only, JSON reports for every command.  Options come
-from argv alone, parsed once.  Exit codes: 0 every row passed, 1 at least one
-row failed or a numerical failure (a library error other than a phase-space
-one) stopped the command, 2 bad usage.  Identical arguments produce
-byte-identical output.
+bound, and the battery's own verdict where it gives one (for `flow`, a
+projection step that did not fail); then a battery's error line goes to
+stderr.  Options come from argv alone, parsed once.  Exit codes: 0 every row
+passed, 1 at least one row failed or a numerical failure (a library error
+other than a phase-space one) stopped the command, 2 bad usage.  Identical
+arguments produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -29,10 +28,8 @@ import sys
 import numpy as np
 
 from . import asymptotics as asy
-from . import dynamics
-from .checks import BATTERIES, FLOW_GAP
-from .lax import energy
-from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample
+from .checks import BATTERIES
+from .phase_space import Coupling, PhaseSpaceError, VandiejenError, sample
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -70,7 +67,10 @@ def _parse_grid(spec: str) -> np.ndarray:
             start, step, stop = (float(v) for v in spec.split(":"))
             if step <= 0:
                 raise ValueError
-            grid = np.arange(start, stop + 1e-12, step)
+            # the stop counts up to rounding relative to the larger end (an absolute
+            # 1e-12 is below half an ulp from 16384 on); tiny keeps 0:s:0 one time
+            slack = 1e-12 * max(abs(start), abs(stop), np.finfo(float).tiny)
+            grid = np.arange(start, stop + slack, step)
         else:
             grid = np.array([float(v) for v in spec.split(",")])
     except ValueError as exc:
@@ -124,21 +124,11 @@ def _coupling(args) -> Coupling:
     return g
 
 
-def _report(rows, checks, header, args) -> int:
-    """Stamp each row's own verdict into `passed`, write the report, return the exit code.
-
-    A row may arrive with a verdict of its own in `passed`; the checks are added to it.
-    """
-    for row in rows:
-        row["passed"] = bool(
-            row.get("passed", True) and all(c.holds(row) for c in checks)
-        )
-    _write(_emit(rows, header, args), args)
-    return EXIT_PASS if all(row["passed"] for row in rows) else EXIT_FAIL
-
-
 def _stack(args, unit: str):
-    """The --points units from seed --seed on, as one stack from one sampler call."""
+    """A battery's units: the times of --t for unit "t", else the --points
+    units from seed --seed on, as one stack from one sampler call."""
+    if unit == "t":
+        return _parse_grid(args.t)
     if args.points < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
     seeds = range(args.seed, args.seed + args.points)
@@ -148,18 +138,25 @@ def _stack(args, unit: str):
 
 
 def _run_battery(args, name: str, *context, **options) -> int:
-    """One residual call on the stack of the sampled units; the header is the
-    unit column, the residual columns in their order, and `passed`.  Row i
-    also carries its unit's seed, --seed + i, which shows in JSON reports."""
+    """One residual call on the battery's units, one row each; the report, then the
+    battery's error line.  The header is the unit column, the residual columns in
+    order, and `passed`; a sampled unit's column is its index i, its seed --seed + i."""
     battery = BATTERIES[name]
     columns = battery.residuals(_stack(args, battery.unit), *context, **options)
-    header = [battery.unit, *(c for c in columns if c != "passed"), "passed"]
+    error = columns.pop("error", None)
+    header = [battery.unit, *(c for c in columns if c not in (battery.unit, "passed")), "passed"]
     rows = [
-        {"seed": args.seed + i, battery.unit: i,
-         **{c: bool(v[i]) if c == "passed" else float(v[i]) for c, v in columns.items()}}
-        for i in range(args.points)
+        {c: bool(x) if c == "passed" else float(x) for c, x in zip(columns, values)}
+        for values in zip(*columns.values())
     ]
-    return _report(rows, battery.checks, header, args)
+    for i, row in enumerate(rows):
+        if battery.unit not in columns:
+            row.update({"seed": args.seed + i, battery.unit: i})
+        row["passed"] = bool(row.get("passed", True) and all(c.holds(row) for c in battery.checks))
+    _write(_emit(rows, header, args), args)
+    if error:  # after the report, so that an unwritable --out is the one error line
+        sys.stderr.write(f"error: {error}\n")
+    return EXIT_PASS if all(row["passed"] for row in rows) else EXIT_FAIL
 
 
 def cmd_lax_check(args) -> int:
@@ -181,45 +178,8 @@ def cmd_brackets(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    """A time whose projection step fails stays a row that does not pass: the
-    RK state under --method both (its propagator_gap inf), nan under
-    --method projection; one error line names the failed times.  The energies
-    of the rows' states come from one energy call on their stack."""
     g = _coupling(args)
-    grid = _parse_grid(args.t)
-    p = sample(args.n, seed=args.seed)
-    proj = dynamics.projection_outcomes(p, g, grid) if args.method != "runge-kutta" else None
-    rk = dynamics.rk_flow(p, g, grid).as_vector() if args.method != "projection" else None
-    failed = [i for i, s in enumerate(proj or ()) if isinstance(s, dynamics.DynamicsError)]
-    # a row's state: the projection's where its step succeeded, else RK's, else nan
-    states = np.full((len(grid), 2 * args.n), np.nan) if rk is None else rk.copy()
-    for i, s in enumerate(proj or ()):
-        if isinstance(s, PhasePoint):
-            states[i] = s.as_vector()
-    energies = np.full(len(grid), np.nan)
-    known = ~np.isnan(states[:, 0])
-    if known.any():
-        # Unlike the Lax route, RK has no coordinate cap: positions past ~355
-        # make sinh of a position sum overflow in the kernels, where the q term
-        # is 0, its limit
-        with np.errstate(over="ignore"):
-            energies[known] = energy(PhasePoint.from_vector(states[known]), g)
-    coords = [f"{x}_{a + 1}" for x in ("lambda", "theta") for a in range(args.n)]
-    header = ["t", *coords, "energy"]
-    rows = [dict(zip(header, map(float, [t, *x, e]))) for t, x, e in zip(grid, states, energies)]
-    for i in failed:
-        rows[i]["passed"] = False
-    if args.method == "both":
-        header.append(FLOW_GAP.column)
-        for row, s, x, r in zip(rows, proj, states, rk):
-            row[FLOW_GAP.column] = (
-                np.inf if isinstance(s, dynamics.DynamicsError) else float(np.abs(x - r).max())
-            )
-    code = _report(rows, (FLOW_GAP,) if args.method == "both" else (), header, args)
-    if failed:  # after the report, so that an unwritable --out is the one error line
-        times = ",".join(format(grid[i], "g") for i in failed)
-        sys.stderr.write(f"error: projection step failed at t={times}: {proj[failed[0]]}\n")
-    return code
+    return _run_battery(args, f"flow-{args.method}", sample(args.n, seed=args.seed), g)
 
 
 def cmd_asymptotics(args) -> int:

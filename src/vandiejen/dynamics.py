@@ -31,8 +31,8 @@ its spectrum is one stacked eigensolve, and one stacked SVD flows every unit
 of the stack to a time of its own, so a time grid takes one SVD.  Its checks
 are per-unit masks, raised by the rule of phase_space.raise_first.  The
 Runge-Kutta route and the vector field take a single point.  Both routes
-return the states they reach and nothing else: a caller that wants the
-energies takes them from lax.energy.
+return the states they reach and nothing else; flow_residuals, the flow
+command's battery, reports them over a time grid with their energies.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _kernels
 from .duality import _full_angles, _spectrum
-from .lax import LaxBundle, lax_matrix
+from .lax import LaxBundle, energy, lax_matrix
 from .phase_space import Coupling, PhasePoint, VandiejenError, raise_first, require_valid
 
 RK_REL_TOL = 1e-10
@@ -489,17 +489,43 @@ def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
     return PhasePoint(*_flow_step(bundle, *_spectrum(bundle), float(t)))
 
 
-def projection_outcomes(p: PhasePoint, g: Coupling, t_values):
-    """projection_flow over a time grid, from one spectrum of the initial point
-    and one stacked SVD for every nonzero time: per time the PhasePoint reached
-    (p itself at t = 0), or the DynamicsError of the first check that its step
-    fails."""
-    bundle = lax_matrix(p, g)
+def flow_residuals(t_values, p: PhasePoint, g: Coupling, method: str) -> dict:
+    """The flow command's battery: one point p over a time grid by `method`
+    ("projection", "runge-kutta" or "both"), one array per column over the times:
+    t, lambda_a and theta_a (xi and eta), energy, propagator_gap under "both"
+    (max |projection - RK|) and passed.  The projection takes one spectrum and one
+    stacked SVD, and reads each time's failure off the masks of _flow_units: its
+    row does not pass and holds RK's state under "both" (propagator_gap inf), else
+    nan; "error" names the failed times and the first one's check, or is None."""
+    p.require_one()
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    moving = np.flatnonzero(t_values != 0.0)
-    xi_t, eta_t, checks = _flow_units(bundle, *_spectrum(bundle), t_values[moving])
-    out = [p] * len(t_values)
-    for k, i in enumerate(moving.tolist()):
-        failed = next((message for bad, message in checks if bad[k]), None)
-        out[i] = PhasePoint(xi_t[k], eta_t[k]) if failed is None else DynamicsError(failed((k,)))
-    return out
+    states = np.full((len(t_values), 2 * p.n), np.nan)
+    failed, error, gap = np.zeros(len(t_values), dtype=bool), None, {}
+    if method != "runge-kutta":
+        bundle = lax_matrix(p, g)
+        moving = np.flatnonzero(t_values != 0.0)
+        xi_t, eta_t, checks = _flow_units(bundle, *_spectrum(bundle), t_values[moving])
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        states[t_values == 0.0] = p.as_vector()
+        states[moving[~bad]] = np.concatenate([xi_t, eta_t], axis=-1)[~bad]
+        failed[moving[bad]] = True
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            first = next(message for mask, message in checks if mask[k])((k,))
+            times = ",".join(format(t, "g") for t in t_values[failed])
+            error = f"projection step failed at t={times}: {first}"
+    if method != "projection":
+        rk = rk_flow(p, g, t_values).as_vector()
+        if method == "both":
+            gap["propagator_gap"] = np.where(failed, np.inf, np.abs(states - rk).max(axis=-1))
+        states = rk if method == "runge-kutta" else np.where(failed[:, None], rk, states)
+    energies = np.full(len(t_values), np.nan)
+    known = ~np.isnan(states[:, 0])
+    if known.any():
+        # RK has no coordinate cap: past ~355 sinh of a position sum overflows
+        # in the kernels, where the q term is 0, its limit
+        with np.errstate(over="ignore"):
+            energies[known] = energy(PhasePoint.from_vector(states[known]), g)
+    coords = [f"{x}_{a + 1}" for x in ("lambda", "theta") for a in range(p.n)]
+    return {"t": t_values, **dict(zip(coords, states.T)), "energy": energies, **gap,
+            "passed": ~failed, "error": error}

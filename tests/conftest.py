@@ -23,6 +23,11 @@ def point(n, seed):
     return sample(n, seed=seed)
 
 
+def flow_states(columns, n) -> np.ndarray:
+    """The lambda and theta columns of a flow report, as one state (xi, eta) per time."""
+    return np.stack([columns[f"{x}_{a + 1}"] for x in ("lambda", "theta") for a in range(n)], -1)
+
+
 def rejection_sample(n, seed):
     """(xi, eta) of the first uniform box of default_rng(seed) whose sorted
     positions clear DEFAULT_XI_GAP, one attempt at a time: the law that

@@ -620,3 +620,41 @@ def test_flow_spec_stack_checks_every_spec():
         FlowSpec(m=m, d=[[1.0, -1.0], [1.0, 1.0]], kind="linear")
     with pytest.raises(AsymptoticsError, match="square"):
         FlowSpec(m=m, d=[1.0, -1.0], kind="linear")
+
+
+@pytest.mark.parametrize("kind", ["exponential", "linear"])
+@pytest.mark.parametrize(
+    "where, value", [("m", np.inf), ("m", np.nan), ("d", np.nan), ("d", -np.inf)], ids=str
+)
+def test_flow_spec_rejects_a_non_finite_entry(kind, where, value):
+    # an inf in M reached the eigensolver's LinalgError, and a nan in d passed
+    # the descending check, since no comparison with nan holds
+    spec = sample_spec(3, seed=1, kind=kind)
+    m, d = spec.m.copy(), spec.d.copy()
+    if where == "m":
+        m[1, 2] = value
+    else:
+        d[1] = value
+    for args in ((m, d), (np.stack([spec.m, m]), np.stack([spec.d, d]))):
+        with pytest.raises(AsymptoticsError, match="^M and d must be finite$"):
+            FlowSpec(*args, kind=kind)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # det of the leading 2 x 2 block is 1e600
+        np.array([[1e300, 1.0, 0.0], [1.0, 1e300, 0.0], [0.0, 0.0, 1.0]]),
+        # |M_11| = 1.5 sqrt(2) 1e308 is past the double range
+        np.diag([1.5e308 * (1 + 1j), 1.0, 1.0]),
+    ],
+    ids=["det", "modulus"],
+)
+def test_exponential_spec_past_the_double_range_is_rejected_without_warnings(m):
+    # RuntimeWarnings are errors here; the linear kind takes no minors, and
+    # such a spec stays valid there
+    d = [1.0, 0.0, -1.0]
+    message = r"^\|M\| or its leading principal minors overflow$"
+    with pytest.raises(AsymptoticsError, match=message):
+        FlowSpec(m, d, kind="exponential")
+    FlowSpec(m, d, kind="linear")

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
 
 from vandiejen import cli
@@ -63,6 +64,31 @@ def test_a_stack_of_points_reports_the_rows_of_each_point_alone(command, tmp_pat
 
 def test_bad_grid_is_usage_error():
     assert run(["flow", "--t", "nonsense"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("spec, times", [
+    # the benchmark's and the README's grids keep their values bit for bit
+    ("0:0.25:2", [0.25 * k for k in range(9)]),
+    ("4:1:10", [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]),
+    ("0:0.5:5", [0.5 * k for k in range(11)]),
+    ("0:0.5:2", [0.0, 0.5, 1.0, 1.5, 2.0]),
+    ("0:0.1:0.3", [0.0, 0.1, 0.2, 0.30000000000000004]),
+    # from a stop of 16384 on, an absolute slack of 1e-12 is below half an ulp
+    ("0:4096:16384", [0.0, 4096.0, 8192.0, 12288.0, 16384.0]),
+    ("0:10000:20000", [0.0, 10000.0, 20000.0]),
+    ("2e4:1:2e4", [2e4]),
+    ("5:1:5", [5.0]),
+    ("0:1:0", [0.0]),
+    # a slack relative to the larger end: the old absolute one was ten steps here
+    ("0:1e-13:5e-13", [1e-13 * k for k in range(6)]),
+])
+def test_a_grid_reaches_its_stop_at_every_magnitude(spec, times, tmp_path):
+    grid = cli._parse_grid(spec)
+    assert grid.tobytes() == np.array(times).tobytes()
+    out = tmp_path / "flow.csv"
+    run(["flow", "--n", "2", "--method", "runge-kutta", "--t", spec, "--out", str(out)])
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [float(row["t"]) for row in rows] == times
 
 
 def test_numerical_failure_is_reported_without_traceback(tmp_path, capsys):
@@ -189,19 +215,43 @@ def test_json_rows_carry_the_seed_of_their_unit(argv, tmp_path):
     assert [row["seed"] for row in rows] == [4, 5, 6]
 
 
-@pytest.mark.parametrize("method", ["projection", "runge-kutta", "both"])
-def test_flow_json_passed_agrees_with_the_exit_code(method, tmp_path, capsys):
-    # the projection step fails from t = 3.5 on
-    out = tmp_path / "flow.json"
-    argv = ["flow", "--n", "7", "--mu", "1.3", "--nu", "0.2", "--method", method]
-    code = run([*argv, "--format", "json", "--out", str(out)])
+# the projection step fails from t = 3.5 on
+LATE_FLOW = ["flow", "--n", "7", "--mu", "1.3", "--nu", "0.2"]
+LATE_PASSED = [True] * 7 + [False] * 4
+
+
+@pytest.mark.parametrize("argv, want", [
+    pytest.param([*LATE_FLOW, "--method", "projection"], LATE_PASSED, id="projection"),
+    pytest.param([*LATE_FLOW, "--method", "runge-kutta"], [True] * 11, id="runge-kutta"),
+    pytest.param([*LATE_FLOW, "--method", "both"], LATE_PASSED, id="both"),
+    pytest.param(["lax-check", "--n", "3", "--points", "4"], [True] * 4, id="lax-check"),
+    pytest.param(["duality", "--n", "3", "--points", "4"], [True] * 4, id="duality"),
+    pytest.param(["scatter", "--n", "3", "--points", "4"], [True] * 4, id="scatter"),
+    # of seeds 2528..2530, 2529 fails its angle_angle check from truncation
+    pytest.param(
+        ["brackets", "--n", "3", "--seed", "2528", "--points", "3"], [True, False, True],
+        id="brackets",
+    ),
+    # spec 1's remainders fall below the fit floor from t = 8 on
+    pytest.param(
+        ["asymptotics", "--n", "3", "--t", "8:1:14", "--points", "2"], [True, False],
+        id="asymptotics",
+    ),
+])
+def test_flow_json_passed_agrees_with_the_exit_code(argv, want, tmp_path, capsys):
+    # every command's CSV and JSON reports carry the same per-row `passed`,
+    # and the exit code is 1 exactly when some row fails
+    codes, passed = {}, {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        codes[fmt] = run([*argv, "--format", fmt, "--out", str(out)])
+        text = out.read_text()
+        rows = json.loads(text) if fmt == "json" else csv.DictReader(text.splitlines())
+        passed[fmt] = [{"True": True, "False": False}.get(r["passed"], r["passed"]) for r in rows]
     capsys.readouterr()
-    passed = [row["passed"] for row in json.loads(out.read_text())]
-    assert len(passed) == 11
-    if method == "runge-kutta":
-        assert code == EXIT_PASS and all(passed)
-    else:
-        assert code == EXIT_FAIL and passed == [True] * 7 + [False] * 4
+    assert passed["csv"] == passed["json"]
+    assert codes["csv"] == codes["json"] == (EXIT_PASS if all(passed["json"]) else EXIT_FAIL)
+    assert passed["json"] == want
 
 
 def _reject_constant(name):
@@ -220,7 +270,7 @@ def test_json_report_is_strict_with_non_finite_values_as_null(tmp_path, capsys):
     assert gaps[7:] == [None] * 4
     csv_out = tmp_path / "flow.csv"
     assert run([*argv[:-2], "--out", str(csv_out)]) == EXIT_FAIL
-    assert csv_out.read_text().count(",inf\n") == 4
+    assert csv_out.read_text().count(",inf,False\n") == 4
 
 
 def test_main_in_one_process_matches_fresh_calls(tmp_path, capsys):
@@ -251,7 +301,7 @@ def test_flow_csv_has_expected_header(tmp_path):
     assert run(["flow", "--n", "2", "--t", "0,1", "--out", str(out)]) == EXIT_PASS
     header = out.read_text().splitlines()[0].split(",")
     assert header == [
-        "t", "lambda_1", "lambda_2", "theta_1", "theta_2", "energy", "propagator_gap",
+        "t", "lambda_1", "lambda_2", "theta_1", "theta_2", "energy", "propagator_gap", "passed",
     ]
 
 
@@ -382,6 +432,7 @@ def test_flow_keeps_its_report_when_the_projection_step_fails(tmp_path, capsys):
     assert proj[:8] == reports["projection", "0:0.5:3"]
     for line_both, line_proj, line_rk in zip(both[8:], proj[8:], rk[8:]):
         t, *values = line_proj.split(",")
-        assert t in late and values == ["nan"] * 15
-        assert line_both == f"{line_rk},inf"
-    assert all(float(line.split(",")[-1]) < 1e-6 for line in both[1:8])
+        assert t in late and values == ["nan"] * 15 + ["False"]
+        assert line_both == f"{line_rk.removesuffix(',True')},inf,False"
+    assert all(line.endswith(",True") for line in [*both[1:8], *proj[1:8], *rk[1:]])
+    assert all(float(line.split(",")[-2]) < 1e-6 for line in both[1:8])

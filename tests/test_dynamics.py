@@ -10,15 +10,15 @@ from vandiejen.dynamics import (
     RK_ABS_TOL,
     RK_REL_TOL,
     DynamicsError,
+    flow_residuals,
     projection_flow,
-    projection_outcomes,
     rk_flow,
     vector_field,
 )
 from vandiejen.lax import LaxBundle, energy, lax_matrix
 from vandiejen.phase_space import Coupling, PhasePoint
 
-from conftest import allocating_field, overflow_point, point, spread_point
+from conftest import allocating_field, flow_states, overflow_point, point, spread_point
 
 
 # The oracle: every flow quantity rebuilt and eigensolved in mpmath at dps digits.
@@ -121,10 +121,9 @@ def test_propagators_agree(n, seed, g):
     p = point(n, seed=seed)
     grid = [0.5, 2.0, 5.0]
     rk = rk_flow(p, g, grid)
-    pr = projection_outcomes(p, g, grid)
-    for a_xi, a_eta, b in zip(rk.xi, rk.eta, pr):
-        assert np.abs(a_xi - b.xi).max() <= 1e-6
-        assert np.abs(a_eta - b.eta).max() <= 1e-6
+    pr = PhasePoint.from_vector(flow_states(flow_residuals(grid, p, g, "projection"), n))
+    assert np.abs(rk.xi - pr.xi).max() <= 1e-6
+    assert np.abs(rk.eta - pr.eta).max() <= 1e-6
 
 
 def test_projection_flow_identity_at_zero_time(g):
@@ -253,35 +252,48 @@ def test_a_time_past_the_double_range_fails_at_the_range_cap(g, t):
     message = f"flow exponent range inf exceeds the double range cap at t={t}"
     with pytest.raises(DynamicsError, match=re.escape(message)):
         projection_flow(point(2, seed=3), g, t)
-    out = projection_outcomes(point(2, seed=3), g, [1.0, t])
-    assert isinstance(out[0], PhasePoint) and isinstance(out[1], DynamicsError)
+    out = flow_residuals([1.0, t], point(2, seed=3), g, "projection")
+    assert out["passed"].tolist() == [True, False]
+    assert out["error"] == f"projection step failed at t={t:g}: {message}"
 
 
 def test_projection_outcomes_keep_the_times_before_a_failure(g):
+    # the projection route's outcome per time: a state, or a failed row of nan
     p, grid = point(2, seed=3), [0.0, 1.0, 1e6, 2.0]
-    out = projection_outcomes(p, g, grid)
-    assert isinstance(out[2], DynamicsError) and "t=1000000" in str(out[2])
-    for s, ref in zip([out[0], out[1], out[3]], projection_outcomes(p, g, [0.0, 1.0, 2.0])):
-        npt.assert_array_equal(s.as_vector(), ref.as_vector())
+    out = flow_residuals(grid, p, g, "projection")
+    assert out["passed"].tolist() == [True, True, False, True]
+    assert out["error"].startswith("projection step failed at t=1e+06: ")
+    assert "t=1000000" in out["error"]
+    states = flow_states(out, 2)
+    assert np.isnan(states[2]).all() and np.isnan(out["energy"][2])
+    ref = flow_states(flow_residuals([0.0, 1.0, 2.0], p, g, "projection"), 2)
+    npt.assert_array_equal(states[[0, 1, 3]], ref)
 
 
 def test_a_failing_time_keeps_its_message_and_the_others_flow():
     # flow --n 6 --mu 1.3 --nu 0.2 on its default grid fails at t = 5 alone
     p, g, grid = point(6, seed=1), Coupling(1.3, 0.2), np.arange(11) * 0.5
-    out = projection_outcomes(p, g, grid)
-    assert str(out[-1]) == "flow exponent range 727.2 exceeds the double range cap at t=5.0"
-    assert out[0] is p
-    for t, s in zip(grid[1:-1], out[1:-1]):
-        npt.assert_array_equal(s.as_vector(), projection_flow(p, g, t).as_vector())
+    out = flow_residuals(grid, p, g, "projection")
+    assert out["error"] == (
+        "projection step failed at t=5: "
+        "flow exponent range 727.2 exceeds the double range cap at t=5.0"
+    )
+    assert out["passed"].tolist() == [True] * 10 + [False]
+    states = flow_states(out, 6)
+    npt.assert_array_equal(states[0], p.as_vector())
+    for t, s in zip(grid[1:-1], states[1:-1]):
+        npt.assert_array_equal(s, projection_flow(p, g, t).as_vector())
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_time_fails_alone(t, g):
     p = point(2, seed=3)
-    out = projection_outcomes(p, g, [1.0, t, 2.0])
-    assert isinstance(out[1], DynamicsError) and str(out[1]) == f"non-finite time {t}"
-    for s, ref in zip([out[0], out[2]], [1.0, 2.0]):
-        npt.assert_array_equal(s.as_vector(), projection_flow(p, g, ref).as_vector())
+    out = flow_residuals([1.0, t, 2.0], p, g, "projection")
+    assert out["passed"].tolist() == [True, False, True]
+    assert out["error"] == f"projection step failed at t={t:g}: non-finite time {t}"
+    states = flow_states(out, 2)
+    for s, ref in zip(states[[0, 2]], [1.0, 2.0]):
+        npt.assert_array_equal(s, projection_flow(p, g, ref).as_vector())
 
 
 def test_rk_far_positions_are_quiet():
@@ -289,7 +301,7 @@ def test_rk_far_positions_are_quiet():
     # the kernels (its q term is 0); pytest turns a RuntimeWarning into an error
     p, g = point(7, seed=1), Coupling(1.3, 0.2)
     q = rk_flow(p, g, [5.0])
-    with np.errstate(over="ignore"):  # the one cmd_flow holds its energies under
+    with np.errstate(over="ignore"):  # the one flow_residuals holds its energies under
         e = energy(q, g)[0]
     assert q.xi[0, 0] > 355 and np.isfinite(e)
     assert abs(e - energy(p, g)) <= 1e-9 * energy(p, g)

@@ -17,7 +17,7 @@ from vandiejen.lax import energy, lax_matrix
 from vandiejen.linalg import hermitian_eig
 from vandiejen.phase_space import PhaseSpaceError
 
-from conftest import point
+from conftest import flow_states, point
 
 COUPLINGS = [Coupling(0.7, 0.4), Coupling(1.3, 0.2), Coupling(2.0, 1.0)]
 STEP = brackets.DEFAULT_STEP
@@ -254,8 +254,9 @@ def test_poisson_brackets_over_a_stack_equal_each_point_alone(n):
     [
         lambda p, g: dynamics.rk_flow(p, g, [1.0]),
         lambda p, g: dynamics.vector_field(p, g),
+        lambda p, g: dynamics.flow_residuals([1.0], p, g, "projection"),
     ],
-    ids=["rk_flow", "vector_field"],
+    ids=["rk_flow", "vector_field", "flow_residuals"],
 )
 def test_single_point_routines_reject_a_stack(call):
     stack = stack_of([point(2, seed=1), point(2, seed=2)])
@@ -279,11 +280,13 @@ def test_a_bracket_row_takes_one_eigensolve_for_its_whole_stack(monkeypatch):
 
 
 def test_projection_outcomes_take_one_eigensolve_for_the_grid(monkeypatch):
+    # the projection route's outcome at every time of a flow report
     calls = _count_eigensolves(monkeypatch)
     svds, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a: svds.append(a.shape) or svd(a))
-    outcomes = dynamics.projection_outcomes(point(3, seed=2), G_FAIL, np.linspace(-2.0, 2.0, 9))
-    assert len(outcomes) == 9 and len(calls) == 1
+    grid = np.linspace(-2.0, 2.0, 9)
+    columns = dynamics.flow_residuals(grid, point(3, seed=2), G_FAIL, "projection")
+    assert columns["passed"].all() and len(columns["t"]) == 9 and len(calls) == 1
     assert svds == [(8, 6, 6)]  # every time but t = 0
 
 
@@ -292,13 +295,10 @@ def test_projection_outcomes_take_one_eigensolve_for_the_grid(monkeypatch):
 def test_projection_outcomes_equal_projection_flow_at_each_time(grid, n):
     # mixed signs, a repeated time and t = 0 in one stacked step
     p = point(n, seed=7)
-    for t, got in zip(grid, dynamics.projection_outcomes(p, G_FAIL, grid)):
-        if t == 0:
-            assert got is p
-        else:
-            np.testing.assert_array_equal(
-                got.as_vector(), projection_flow(p, G_FAIL, t).as_vector()
-            )
+    columns = dynamics.flow_residuals(grid, p, G_FAIL, "projection")
+    for t, got in zip(grid, flow_states(columns, n)):
+        want = p if t == 0 else projection_flow(p, G_FAIL, t)
+        np.testing.assert_array_equal(got, want.as_vector())
 
 
 def test_duality_identities_take_the_frames_at_p_and_at_the_dual_point(monkeypatch):
@@ -314,16 +314,27 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def _battery_argv(battery: str) -> list:
+    """The subcommand and option that run a battery of BATTERIES."""
+    for command, option in (("asymptotics", "--kind"), ("flow", "--method")):
+        if battery.startswith(command + "-"):
+            return [command, option, battery.removeprefix(command + "-")]
+    return [battery]
+
+
 @pytest.mark.parametrize("battery", list(BATTERIES))
 def test_a_battery_samples_its_stack_in_one_sampler_call(battery, monkeypatch, tmp_path):
     points = _count_calls(monkeypatch, cli, "sample")
     specs = _count_calls(monkeypatch, asymptotics, "sample_spec")
-    kind = battery.removeprefix("asymptotics-")
-    argv = ["asymptotics", "--kind", kind] if kind != battery else [battery]
-    main([*argv, "--n", "3", "--seed", "4", "--points", "5", "--out", str(tmp_path / "out.csv")])
-    calls = specs if BATTERIES[battery].unit == "spec" else points
+    unit = BATTERIES[battery].unit
+    # a flow battery's units are its times: it samples its one point for --seed
+    extra = ["--t", "0:1:4"] if unit == "t" else ["--points", "5"]
+    argv = [*_battery_argv(battery), "--n", "3", "--seed", "4", *extra]
+    main([*argv, "--out", str(tmp_path / "out.csv")])
+    calls = specs if unit == "spec" else points
     assert len(points) + len(specs) == 1
-    assert [list(k["seed"]) for _, k in calls] == [[4, 5, 6, 7, 8]]
+    seeds = [4] if unit == "t" else [range(4, 9)]
+    assert [k["seed"] for _, k in calls] == seeds
 
 
 def test_specs_draw_one_default_rng_each_and_no_minors(monkeypatch):
