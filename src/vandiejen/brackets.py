@@ -11,8 +11,11 @@ returns one array per column.  Its Jacobians evaluate their map once, on the
 central-difference stencils of all points as one flat stack of 4n points each:
 the Lax matrices, their spectral images and their time-1 flows come from one
 stacked pass, so each eigensolve or SVD is one numpy call.  Each stencil
-point's values are bit-for-bit those of that point alone, and a failing
-stencil point raises by the rule of phase_space.raise_first.  poisson_brackets
+point's values are bit-for-bit those of that point alone.  A stencil point
+that fails a spectral check raises by the rule of phase_space.raise_first; one
+whose time-1 flow fails a check of dynamics._flow_units has a nan flow, so its
+point keeps its spectral columns, reads nan flow_symplectic and fails, and the
+battery's "error" names the first such stencil point's check.  poisson_brackets
 takes a map of a stack and a point or a stack in the same way.
 """
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .duality import dual_frame
-from .dynamics import _flow_step
+from .dynamics import _first_failure, _flow_units
 from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, require_valid
 
 DEFAULT_STEP = 1e-5
@@ -112,13 +115,14 @@ def _form_residual(j: np.ndarray, sign: float) -> np.ndarray:
     return np.abs(j.swapaxes(-1, -2) @ om @ j + sign * om).max(axis=(-2, -1))
 
 
-def _spectral_and_flow(x: np.ndarray, g: Coupling) -> np.ndarray:
+def _spectral_and_flow(x: np.ndarray, g: Coupling) -> tuple[np.ndarray, list]:
     """(spectral image, time-1 flow) over a (K, 2n) stack of points, both read
-    from the one spectrum of L at those points."""
+    from the one spectrum of L at those points, and the flow's checks (see
+    dynamics._flow_units): a point that fails one has a nan flow."""
     frame = dual_frame(PhasePoint.from_vector(x), g)
     # the basis before the phase fix, as projection_flow takes it: the same bits
-    xi_t, eta_t = _flow_step(frame.bundle, frame.theta_hat, frame.basis, 1.0)
-    return np.concatenate([frame.theta_hat, frame.lambda_hat, xi_t, eta_t], axis=-1)
+    xi_t, eta_t, checks = _flow_units(frame.bundle, frame.theta_hat, frame.basis, 1.0)
+    return np.concatenate([frame.theta_hat, frame.lambda_hat, xi_t, eta_t], axis=-1), checks
 
 
 def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> dict:
@@ -126,12 +130,20 @@ def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP)
     Jacobian per point of the joint map q -> (spectral image, time-1 flow): the
     spectral block gives the canonicity of the dual coordinates and the
     reversal of the form, the flow block the preservation of the form by the
-    flow."""
+    flow.  "error" is the first failed flow check of the stencil, or None."""
     _require_stencil(p, step)
-    j = _map_jacobian(lambda q: _spectral_and_flow(q, g), p, step)
+    flow_checks = []
+
+    def joint_map(x: np.ndarray) -> np.ndarray:
+        values, checks = _spectral_and_flow(x, g)
+        flow_checks.extend(checks)
+        return values
+
+    j = _map_jacobian(joint_map, p, step)
     spectral, flow = j[..., : 2 * p.n, :], j[..., 2 * p.n :, :]
     return {
         **_canonicity(spectral),
         "antisymplectic": _form_residual(spectral, 1.0),
         "flow_symplectic": _form_residual(flow, -1.0),
+        "error": _first_failure(flow_checks),
     }

@@ -6,9 +6,9 @@ of a row.  Its function takes a stack of units, phase points (see PhasePoint),
 flow specs (see FlowSpec) or the times of a flow grid, and returns one array
 per column in report order, entry i the row of unit i.  A "passed" entry is
 the row's own verdict beyond its checks (the theorem's, or a projection step
-that did not fail), and a flow battery's "error" the one error line naming
-its failed times, or None.  The CLI and the acceptance tests both read this
-table, so a bound is stated once.
+that did not fail), and the "error" of a flow or brackets battery the one
+error line naming its failed flow, or None.  The CLI and the acceptance
+tests both read this table, so a bound is stated once.
 """
 from __future__ import annotations
 

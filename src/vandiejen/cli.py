@@ -8,10 +8,11 @@ holds; for `flow` they are the times of --t, to which one point is flowed.
 Every command goes through one writer, which stamps each row's `passed` with
 that row's own verdict: every column within its bound, or above its lower
 bound, and the battery's own verdict where it gives one (for `flow`, a
-projection step that did not fail); then a battery's error line goes to
-stderr.  Options come from argv alone, parsed once.  Exit codes: 0 every row
-passed, 1 at least one row failed or a numerical failure (a library error
-other than a phase-space one) stopped the command, 2 bad usage.  Identical
+projection step that did not fail); then a battery's error line (from `flow`
+or `brackets`, naming a failed flow) goes to stderr.  Options come from argv
+alone, parsed once.  Exit codes: 0 every row passed, 1 at least one row
+failed or a numerical failure (a library error other than a phase-space one)
+stopped the command with no report, 2 bad usage.  Identical
 arguments produce byte-identical output.
 """
 from __future__ import annotations

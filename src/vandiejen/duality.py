@@ -63,8 +63,9 @@ def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:
     # reversed 1-D operand, and this layout keeps it so at every stack size.
     logs = np.log(w.reshape(-1)[::-1]).reshape(-1, 2 * n)[::-1, :n]
     theta_hat = 0.5 * logs.reshape(w.shape[:-1] + (n,))
-    if theta_hat[..., -1].min() <= 0:
-        raise DualityError("upper half-spectrum not above 1; spectrum too close to unity")
+    raise_first(theta_hat[..., -1] <= 0, DualityError, lambda i: (
+        f"upper half-spectrum not above 1: smallest angle {theta_hat[i][-1]:.3e}"
+    ))
     # ascending eigenvalues: column 2n-1-a of basis carries e^{2 theta_hat_a}
     v = basis[..., ::-1][..., :n]
     return theta_hat, np.concatenate([v, bundle.c @ v], axis=-1)
@@ -92,8 +93,10 @@ def _phase_fix(
     m = np.concatenate([raw[..., :n] / mod] * 2, axis=-1)
     f_hat = m.conj() * raw
     f_hat[..., :n] = mod
-    if np.abs(f_hat).min() < PHASE_MODULUS_TOL:
-        raise DualityError("vanishing component of the transformed vector")
+    weakest = np.abs(f_hat).min(axis=-1)
+    raise_first(weakest < PHASE_MODULUS_TOL, DualityError, lambda i: (
+        f"vanishing component of the transformed vector: modulus {weakest[i]:.3e}"
+    ))
     return basis * m[..., None, :], f_hat
 
 

@@ -29,10 +29,12 @@ d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 The projection route takes a phase point or a stack of them (see PhasePoint):
 its spectrum is one stacked eigensolve, and one stacked SVD flows every unit
 of the stack to a time of its own, so a time grid takes one SVD.  Its checks
-are per-unit masks, raised by the rule of phase_space.raise_first.  The
-Runge-Kutta route and the vector field take a single point.  Both routes
-return the states they reach and nothing else; flow_residuals, the flow
-command's battery, reports them over a time grid with their energies.
+are per-unit masks, its one failure path: the flow and brackets batteries
+report the first failing unit's check, and projection_flow raises them by the
+rule of phase_space.raise_first.  The Runge-Kutta route and the vector field
+take a single point.  Both routes return the states they reach and nothing
+else; flow_residuals, the flow command's battery, reports them over a time
+grid with their energies.
 """
 from __future__ import annotations
 
@@ -380,113 +382,86 @@ def _flow_units(
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """The flow of each unit of a stack to a time of its own, in one stacked
     SVD of G.  The units are the leading axes of the spectrum (theta_hat,
-    basis) of _spectrum, those of the bundle, broadcast against the times t:
-    one time for every unit, or one per unit.
+    basis) of _spectrum, those of the bundle, broadcast against the times t.
 
     Returns (xi_t, eta_t, checks): the states with the units' axes, and the
     check stages in order (non-finite time, range cap, lost rank, collision),
     each a mask that marks the units failing it, flat over the units in C
-    order (the non-finite one has the shape of t), and the message that
-    names unit i.  A unit's state holds where it fails no stage.  Units that
-    fail one of the first two stay out of the SVD, and their states are nan."""
+    order, and the message that names unit i.  A unit that fails a stage has
+    a nan state.  Every unit goes through the SVD: one at a non-finite time
+    with t = 0, and one over the range cap with its column exponents zeroed,
+    a finite stand-in factor; neither fails a later stage."""
     lam, g = bundle.lam, bundle.coupling
-    n, shape = theta_hat.shape[-1], theta_hat.shape[:-1]
-    times = np.asarray(t, dtype=float)
-    velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))  # beta by column
+    n = theta_hat.shape[-1]
+    spectra = np.arange(theta_hat[..., 0].size).reshape(theta_hat.shape[:-1])
+    spectra, times = np.broadcast_arrays(spectra, np.asarray(t, dtype=float))
+    shape, spectra, times = times.shape, spectra.reshape(-1), times.reshape(-1)
+    # beta by column
+    velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))[spectra]
     # Lam = (xi, -xi) with xi descending positive (lax_matrix checks it), so
     # rows 0..n-1 and then 2n-1..n order every point's Lam descending
     rows = np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1)])
-    row_exp = lam.reshape(-1, 2 * n)[:, rows]
-    basis = basis.reshape(-1, 2 * n, 2 * n)
-    if times.ndim == 0:  # one time for every unit
-        finite = np.isfinite(times)
-        every_finite = bool(finite)
-        t = float(times) if every_finite else 0.0
-    else:
-        if times.shape != shape:  # a spectrum may serve several units
-            spectra = np.arange(len(velocities)).reshape(shape)
-            shape = np.broadcast_shapes(shape, times.shape)
-            spectra = np.broadcast_to(spectra, shape).reshape(-1)
-            velocities, row_exp, basis = velocities[spectra], row_exp[spectra], basis[spectra]
-            times = np.broadcast_to(times, shape)
-        times = times.reshape(-1)
-        finite = np.isfinite(times)
-        every_finite = finite.all()
-        t = np.where(finite, times, 0.0)[:, None]
-    units = np.arange(len(velocities))[:, None]
+    row_exp = lam.reshape(-1, 2 * n)[spectra[:, None], rows]
+    finite = np.isfinite(times)
+    t = np.where(finite, times, 0.0)[:, None]
+    units = np.arange(len(times))[:, None]
     with np.errstate(over="ignore"):  # past the double range: an inf range, over the cap
         cols = np.argsort(-t * velocities, axis=-1, kind="stable")
         beta = velocities[units, cols]
         col_exp = 0.5 * t * beta
         exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
     capped = exp_range > EXPONENT_RANGE_CAP
-    every = every_finite and not capped.any()
-    keep = slice(None) if every else np.flatnonzero(finite & ~capped)
-
-    def spread(values: np.ndarray, fill) -> np.ndarray:
-        """Values over the units in the SVD, spread over all units with fill elsewhere."""
-        if every:
-            return values
-        out = np.full(units.shape[:1] + values.shape[1:], fill, dtype=values.dtype)
-        out[keep] = values
-        return out
-
-    def at(i) -> float:
-        """The time of unit i."""
-        return float(times[i] if times.ndim else times)
-
-    row_exp, col_exp, cols, beta = row_exp[keep], col_exp[keep], cols[keep], beta[keep]
+    col_exp[capped] = 0.0
     factor = (
         np.exp(row_exp - row_exp[:, :1])[:, :, None]
-        * basis[units[keep, :, None], rows[:, None], cols[:, None, :]]
+        * basis.reshape(-1, 2 * n, 2 * n)[spectra[:, None, None], rows[:, None], cols[:, None, :]]
         * np.exp(col_exp - col_exp[:, :1])[:, None, :]
     )
     _, sigma, wh = np.linalg.svd(factor)
     top = sigma[:, :n]
-    lost = top[:, -1] <= 0
-    if lost.any():
-        top[lost] = 1.0  # a placeholder for the log: these units fail at the rank stage
+    stand_in = ~finite | capped
+    lost = (top[:, -1] <= 0) & ~stand_in
+    top[lost] = 1.0  # a placeholder for the log: these units fail at the rank stage
     xi_t = np.log(top) + row_exp[:, :1] + col_exp[:, :1]
     # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*,
     # which falls as the largest step of xi_t rises; 1 at n = 1
     gap = -np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1, initial=-np.inf))
     xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
     eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
-    lost, gap = spread(lost, False), spread(gap, np.inf)
     checks = [
-        (~finite, lambda i: f"non-finite time {at(i)}"),
+        (~finite, lambda i: f"non-finite time {float(times[i])}"),
         (capped, lambda i: (
-            f"flow exponent range {exp_range[i]:.4g} exceeds the double range cap at t={at(i)}"
+            f"flow exponent range {exp_range[i]:.4g} exceeds the double range cap "
+            f"at t={float(times[i])}"
         )),
-        (lost, lambda i: f"flow factor lost rank (roundoff) at t={at(i)}"),
-        (gap < FLOW_GAP_TOL, lambda i: (
+        (lost, lambda i: f"flow factor lost rank (roundoff) at t={float(times[i])}"),
+        ((gap < FLOW_GAP_TOL) & ~stand_in, lambda i: (
             f"eigenvalue collision along the flow: relative gap {gap[i]:.3e}"
         )),
     ]
-    return (
-        spread(xi_t, np.nan).reshape(shape + (n,)),
-        spread(eta_t, np.nan).reshape(shape + (n,)),
-        checks,
-    )
+    failed = np.logical_or.reduce([bad for bad, _ in checks])
+    xi_t[failed] = eta_t[failed] = np.nan
+    return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,)), checks
 
 
-def _flow_step(
-    bundle: LaxBundle, theta_hat: np.ndarray, basis: np.ndarray, t
-) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, eta) at time t of each point of a bundle, from the spectrum
-    (theta_hat, basis) of _spectrum, with the bundle's leading axes (t one
-    time, or one per point), in one stacked SVD of G.  The checks of
-    _flow_units raise by phase_space.raise_first, stage by stage."""
-    xi_t, eta_t, checks = _flow_units(bundle, theta_hat, basis, t)
-    for bad, message in checks:
-        raise_first(bad, DynamicsError, message)
-    return xi_t, eta_t
+def _first_failure(checks: list) -> str | None:
+    """The message of the first unit that fails a check of _flow_units, for
+    the first check it fails, or None where every unit passes."""
+    failed = np.logical_or.reduce([bad for bad, _ in checks])
+    if not failed.any():
+        return None
+    k = np.argmax(failed)
+    return next(message for bad, message in checks if bad[k])((k,))
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
-    """Exact propagation through the spectrum of the matrix flow."""
+    """Exact propagation through the spectrum of the matrix flow.  The checks
+    of _flow_units raise by phase_space.raise_first, stage by stage."""
     bundle = lax_matrix(p, g)
-    return PhasePoint(*_flow_step(bundle, *_spectrum(bundle), float(t)))
+    xi_t, eta_t, checks = _flow_units(bundle, *_spectrum(bundle), float(t))
+    for bad, message in checks:
+        raise_first(bad, DynamicsError, message)
+    return PhasePoint(xi_t, eta_t)
 
 
 def flow_residuals(t_values, p: PhasePoint, g: Coupling, method: str) -> dict:
@@ -503,15 +478,13 @@ def flow_residuals(t_values, p: PhasePoint, g: Coupling, method: str) -> dict:
     failed, error, gap = np.zeros(len(t_values), dtype=bool), None, {}
     if method != "runge-kutta":
         bundle = lax_matrix(p, g)
-        moving = np.flatnonzero(t_values != 0.0)
+        moving = t_values != 0.0
         xi_t, eta_t, checks = _flow_units(bundle, *_spectrum(bundle), t_values[moving])
-        bad = np.logical_or.reduce([mask for mask, _ in checks])
-        states[t_values == 0.0] = p.as_vector()
-        states[moving[~bad]] = np.concatenate([xi_t, eta_t], axis=-1)[~bad]
-        failed[moving[bad]] = True
-        if bad.any():
-            k = np.flatnonzero(bad)[0]
-            first = next(message for mask, message in checks if mask[k])((k,))
+        states[~moving] = p.as_vector()
+        states[moving] = np.concatenate([xi_t, eta_t], axis=-1)
+        failed[moving] = np.logical_or.reduce([bad for bad, _ in checks])
+        first = _first_failure(checks)
+        if first:
             times = ",".join(format(t, "g") for t in t_values[failed])
             error = f"projection step failed at t={times}: {first}"
     if method != "projection":

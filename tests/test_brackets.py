@@ -1,11 +1,13 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
+from vandiejen import Coupling, brackets
 from vandiejen.brackets import BracketError, omega_matrix, poisson_brackets, symplectic_residuals
 from vandiejen.checks import BATTERIES
-from vandiejen.cli import EXIT_PASS, main
+from vandiejen.cli import EXIT_FAIL, EXIT_PASS, main
 from vandiejen.duality import dual_frame
 from vandiejen.lax import energy
 from vandiejen.phase_space import PhasePoint
@@ -115,3 +117,32 @@ def test_brackets_row_where_the_truncation_shows_passes(tmp_path):
     if failing not in ([], ["angle_angle"]):
         pytest.fail(f"failing columns {failing}, expected angle_angle alone")
     assert code == EXIT_PASS and not failing
+
+
+def test_a_failing_time_1_flow_keeps_the_spectral_columns(tmp_path, capsys):
+    # a stencil point's time-1 flow passes the exponent range cap: the row keeps
+    # the columns of the spectral block, reads nan flow_symplectic and fails
+    argv = ["brackets", "--n", "8", "--seed", "2", "--points", "1", "--mu", "1.3", "--nu", "0.2"]
+    reports = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == EXIT_FAIL
+        error = "error: flow exponent range 865.2 exceeds the double range cap at t=1.0\n"
+        assert capsys.readouterr().err == error
+        reports[fmt] = out.read_text()
+    (row,) = csv.DictReader(reports["csv"].splitlines())
+    (record,) = json.loads(reports["json"])
+
+    g, p = Coupling(1.3, 0.2), point(8, seed=2)
+
+    def image(x):
+        return dual_frame(PhasePoint.from_vector(x), g).image.as_vector()
+
+    j = brackets._map_jacobian(image, p, brackets.DEFAULT_STEP)
+    spectral = {**brackets._canonicity(j), "antisymplectic": brackets._form_residual(j, 1.0)}
+    checks = {c.column: c for c in BATTERIES["brackets"].checks}
+    for column, value in spectral.items():
+        assert np.isfinite(value) and checks[column].holds({column: value})
+        assert float(row[column]) == record[column] == value
+    assert row["flow_symplectic"] == "nan" and record["flow_symplectic"] is None
+    assert row["passed"] == "False" and record["passed"] is False

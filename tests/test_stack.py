@@ -2,8 +2,11 @@
 points or the bracket stencil, gets bit-for-bit the numbers of that point
 alone, and a check that fails at some point of the stack raises its typed
 error, for the first such point in stack order at the earliest stage that
-fails."""
+fails; a failing flow of the bracket stencil is the battery's error instead,
+that of its first failing stencil point."""
 import dataclasses
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from vandiejen import Coupling, PhasePoint, asymptotics, brackets, cli, duality,
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_FAIL, main
 from vandiejen.duality import DualityError, _spectrum, dual_frame
-from vandiejen.dynamics import DynamicsError, _flow_step, _flow_units, projection_flow
+from vandiejen.dynamics import DynamicsError, _first_failure, _flow_units, projection_flow
 from vandiejen.lax import energy, lax_matrix
 from vandiejen.linalg import hermitian_eig
 from vandiejen.phase_space import PhaseSpaceError
@@ -41,22 +44,28 @@ def joint_map_oracle(q, g):
     return np.concatenate([dual_frame(q, g).image.as_vector(), projection_flow(q, g, 1.0).as_vector()])
 
 
-def jacobian_oracle(p, g, step=STEP):
-    """The joint map's central-difference Jacobian, one point at a time."""
+def spectral_map_oracle(q, g):
+    """The spectral image alone at one point."""
+    return dual_frame(q, g).image.as_vector()
+
+
+def jacobian_oracle(p, g, step=STEP, oracle=joint_map_oracle):
+    """A map's central-difference Jacobian, one point at a time: by default
+    the joint map's."""
     x0 = p.as_vector()
     cols = []
     for k in range(len(x0)):
         xp, xm = x0.copy(), x0.copy()
         xp[k] += step
         xm[k] -= step
-        fp = joint_map_oracle(PhasePoint.from_vector(xp), g)
-        fm = joint_map_oracle(PhasePoint.from_vector(xm), g)
+        fp = oracle(PhasePoint.from_vector(xp), g)
+        fm = oracle(PhasePoint.from_vector(xm), g)
         cols.append((fp - fm) / (2.0 * step))
     return np.array(cols).T
 
 
 def stacked_jacobian(p, g, step=STEP):
-    return brackets._map_jacobian(lambda x: brackets._spectral_and_flow(x, g), p, step)
+    return brackets._map_jacobian(lambda x: brackets._spectral_and_flow(x, g)[0], p, step)
 
 
 def test_map_jacobian_evaluates_the_stencil_in_order():
@@ -76,9 +85,12 @@ def test_stacked_jacobian_equals_the_pointwise_oracle(n, seed, g):
         expected = jacobian_oracle(p, g)
     except DynamicsError as exc:
         # n = 8 at the larger couplings: the time-1 flow passes the exponent cap
-        with pytest.raises(DynamicsError) as raised:
-            stacked_jacobian(p, g)
-        assert str(raised.value) == str(exc)
+        # at some stencil point.  Its flow is nan, the spectral block stays, and
+        # the battery names the oracle's error.
+        got, spectral = stacked_jacobian(p, g), jacobian_oracle(p, g, oracle=spectral_map_oracle)
+        np.testing.assert_array_equal(got[: 2 * n], spectral)
+        assert np.isnan(got[2 * n :]).any()
+        assert brackets.symplectic_residuals(p, g)["error"] == str(exc)
         return
     np.testing.assert_array_equal(stacked_jacobian(p, g), expected)
 
@@ -95,9 +107,9 @@ def test_stacked_frames_and_flow_steps_equal_each_point_alone(n):
     x = np.concatenate([stencil(point(n, seed=2), 1e-3), stencil(point(n, seed=5), 1e-3)])
     frame = dual_frame(PhasePoint.from_vector(x.reshape(2, -1, 2 * n)), g)
     for t in (1.0, -0.7):
-        flowed = np.concatenate(
-            _flow_step(frame.bundle, frame.theta_hat, frame.basis, t), axis=-1
-        ).reshape(len(x), 2 * n)
+        xi_t, eta_t, checks = _flow_units(frame.bundle, frame.theta_hat, frame.basis, t)
+        assert not any(bad.any() for bad, _ in checks)
+        flowed = np.concatenate([xi_t, eta_t], axis=-1).reshape(len(x), 2 * n)
         for i, row in enumerate(x):
             alone = projection_flow(PhasePoint.from_vector(row), g, t)
             np.testing.assert_array_equal(flowed[i], alone.as_vector())
@@ -125,8 +137,12 @@ def test_stacked_battery_rows_equal_each_point_alone(name, seeds, n, g):
     residuals = BATTERIES[name].residuals
     points = [point(n, seed=seed) for seed in range(1, seeds + 1)]
     columns = residuals(stack_of(points), g)
+    # the battery's one error line, not a column: None where no flow fails
+    assert columns.pop("error", None) is None
     for i, p in enumerate(points):
-        assert {c: v[i] for c, v in columns.items()} == residuals(p, g)
+        alone = residuals(p, g)
+        assert alone.pop("error", None) is None
+        assert {c: v[i] for c, v in columns.items()} == alone
 
 
 def _spectral_gaps_at(p, g):
@@ -167,13 +183,16 @@ def test_first_failing_stencil_point_raises_the_typed_error(monkeypatch):
     with pytest.raises(DualityError, match=f"smallest relative gap {gaps[failing[0]]:.3e}$"):
         brackets.symplectic_residuals(P_FAIL, G_FAIL)
 
+    # a failing time-1 flow is the battery's error, and the row's flow_symplectic is nan
     ranges = _exponent_ranges(P_FAIL, G_FAIL)
     cap, failing = _between_lowest(-ranges)
     assert failing[0] > 0
     monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", 1e-7)
     monkeypatch.setattr(dynamics, "EXPONENT_RANGE_CAP", -cap)
-    with pytest.raises(DynamicsError, match="flow exponent range .* at t=1.0$"):
-        brackets.symplectic_residuals(P_FAIL, G_FAIL)
+    columns = brackets.symplectic_residuals(P_FAIL, G_FAIL)
+    assert re.search("flow exponent range .* at t=1.0$", columns["error"])
+    assert columns["error"].startswith(f"flow exponent range {ranges[failing[0]]:.4g} ")
+    assert np.isnan(columns["flow_symplectic"])
 
 
 def test_the_earliest_failing_stage_wins(monkeypatch):
@@ -189,7 +208,7 @@ def test_the_earliest_failing_stage_wins(monkeypatch):
         brackets.symplectic_residuals(P_FAIL, G_FAIL)
 
 
-def test_a_later_unit_failing_an_earlier_flow_stage_wins():
+def test_a_later_unit_failing_an_earlier_flow_stage_wins(monkeypatch):
     # unit 0 fails the last stage, the collision check, and unit 1 the range
     # cap: the cap runs first, so unit 1's error is raised.  Lam = (x, x, -x, -x)
     # makes e^{2 Lam} a double eigenvalue, which t = 1e-13 splits by far less
@@ -202,10 +221,16 @@ def test_a_later_unit_failing_an_earlier_flow_stage_wins():
     assert [bad.tolist() for bad, _ in checks] == [
         [False, False], [False, True], [False, False], [True, False]
     ]
+    # a report names the first failing unit's first check instead
+    assert _first_failure(checks).startswith("eigenvalue collision along the flow")
+    # projection_flow raises the checks of _flow_units, here the twin's
+    flow_units, p = dynamics._flow_units, point(2, seed=3)
+    monkeypatch.setattr(dynamics, "_flow_units", lambda *_: flow_units(twin, *spectrum, t[0]))
     with pytest.raises(DynamicsError, match=r"^eigenvalue collision along the flow"):
-        _flow_step(twin, *spectrum, t[0])
+        projection_flow(p, G_FAIL, 1.0)
+    monkeypatch.setattr(dynamics, "_flow_units", lambda *_: flow_units(twin, *spectrum, t))
     with pytest.raises(DynamicsError, match=r"^flow exponent range .* at t=1000000.0$"):
-        _flow_step(twin, *spectrum, t)
+        projection_flow(p, G_FAIL, 1.0)
 
 
 def test_stencil_failure_ends_the_command_in_one_error_line(monkeypatch, tmp_path, capsys):
@@ -232,6 +257,35 @@ def test_battery_names_the_first_failing_point_of_its_stack(monkeypatch, tmp_pat
     err = capsys.readouterr().err
     assert err == f"error: degenerate spectrum: smallest relative gap {gaps[3]:.3e}\n"
     assert not out.exists()
+
+
+def test_a_later_unit_without_an_upper_half_spectrum_is_named(monkeypatch):
+    # L = diag(w) with ascending w = (1/4, 1/2, 2, 4), (1/4, 0.8, 0.9, 4) and
+    # (1/4, 0.4, 0.5, 4): a pairing tolerance of 1 lets the last two through,
+    # and their upper halves hold 0.9 and 0.5, below 1.  The first of them is named.
+    monkeypatch.setattr(duality, "PAIRING_TOL", 1.0)
+    spectra = [[4.0, 2.0, 0.5, 0.25], [4.0, 0.9, 0.8, 0.25], [4.0, 0.5, 0.4, 0.25]]
+    matrix = np.stack([np.diag(w) for w in spectra]).astype(complex)
+    bundle = SimpleNamespace(n=2, c=np.eye(4)[::-1], matrix=matrix)
+    message = f"upper half-spectrum not above 1: smallest angle {0.5 * np.log(0.9):.3e}"
+    with pytest.raises(DualityError, match="^" + re.escape(message) + "$"):
+        _spectrum(bundle)
+
+
+def test_a_later_unit_with_a_vanishing_transformed_component_is_named(monkeypatch):
+    # of the five points at seeds 6..10, only point 2 has a component of F_hat
+    # below this tolerance, in its second half, which the positivity-normalizing
+    # check before it does not read
+    points = [point(3, seed=6 + k) for k in range(5)]
+    frames = [dual_frame(p, G_FAIL) for p in points]
+    moduli = np.array([np.abs(fr.f_hat).min() for fr in frames])
+    tol, failing = _between_lowest(moduli)
+    assert list(failing) == [2]
+    assert min(np.abs(fr.f_hat[:3]).min() for fr in frames) > tol
+    monkeypatch.setattr(duality, "PHASE_MODULUS_TOL", tol)
+    message = f"vanishing component of the transformed vector: modulus {moduli[2]:.3e}"
+    with pytest.raises(DualityError, match="^" + re.escape(message) + "$"):
+        dual_frame(stack_of(points), G_FAIL)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
