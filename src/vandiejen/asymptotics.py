@@ -2,7 +2,9 @@
 
 For the exponential flow with strictly graded D and nonzero leading principal
 minors of M, eigenvalues behave like m_j e^{t d_j} (1 + rho_j(t)) with
-rho_j(t) = p_j e^{t(d_{j+1}-d_j)} - p_{j-1} e^{t(d_j-d_{j-1})} + higher order;
+rho_j(t) = p_j e^{t(d_{j+1}-d_j)} - p_{j-1} e^{t(d_j-d_{j-1})} + higher order,
+where m_j = D_j and p_j = L_{j+1,j} U_{j,j+1} of the unpivoted factors
+M = L diag(D) U (linalg.ldu), which an exponential FlowSpec takes once;
 for the linear flow they behave like
 M_jj + t d_j + alpha_j / t + gamma_j / t^2 + O(1/t^3).  This module computes
 the coefficient families and checks each verdict against its expansion on a
@@ -13,8 +15,8 @@ Each kind has one check from a spec and a grid to its report columns and
 their one verdict: exponential_summary and linear_summary.
 
 sample_spec builds each spec from its factors, M = L diag(D) U with unit
-triangular L and U, so that p_j = L_{j+1,j} U_{j,j+1} holds exactly and meets
-its floor by construction: one generator and no rejected attempt per spec.
+triangular L and U, so that p_j = L_{j+1,j} U_{j,j+1} meets its floor by
+construction: one generator and no rejected attempt per spec.
 
 A FlowSpec holds one spec or a stack of specs (see FlowSpec), and every
 routine here takes either: its results carry the stack's leading axes.  The
@@ -24,11 +26,11 @@ checks follow phase_space.raise_first, and the decay orders of every
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import general_eig, principal_minors
+from .linalg import general_eig, ldu
 from .phase_space import VandiejenError, _seed_list, raise_first
 
 MINOR_MARGIN = 1e-10
@@ -63,6 +65,8 @@ class FlowSpec:
     m: np.ndarray
     d: np.ndarray
     kind: str  # "exponential" | "linear"
+    # exponential kind: (m_j, p_j) = (D_j, L_{j+1,j} U_{j,j+1}) of M = L diag(D) U
+    coeffs: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=complex)
@@ -79,13 +83,19 @@ class FlowSpec:
         if np.any(np.diff(d.real, axis=-1) >= 0):
             raise AsymptoticsError("Re(d) must be strictly descending")
         if self.kind == "exponential":
+            lower, pivots, upper = ldu(m)
             with np.errstate(over="ignore", invalid="ignore"):  # typed below, not warned
-                minors = np.abs(principal_minors(m)[0])
-                scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-            if not (np.isfinite(minors).all() and np.isfinite(scale).all()):
+                scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)[..., None]
+                minors = np.cumprod(np.abs(pivots), axis=-1)
+                pairs = np.diagonal(lower, -1, -2, -1) * np.diagonal(upper, 1, -2, -1)
+            if not np.isfinite(scale).all():  # before the margin, which an inf scale meets
                 raise AsymptoticsError("|M| or its leading principal minors overflow")
-            if np.any(minors.min(axis=-1) <= MINOR_MARGIN * scale):
+            # a zero pivot leaves nan minors after it, which no comparison holds
+            if np.any(minors <= MINOR_MARGIN * scale):
                 raise AsymptoticsError("leading principal minor too close to zero")
+            if not (np.isfinite(minors).all() and np.isfinite(pairs).all()):
+                raise AsymptoticsError("|M| or its leading principal minors overflow")
+            object.__setattr__(self, "coeffs", (pivots, pairs))
 
     @property
     def size(self) -> int:
@@ -100,17 +110,6 @@ class FlowSpec:
     def gap(self):
         """R: the minimal gap, per spec."""
         return self.mu.min(axis=-1)
-
-
-def _minor_ratios(pi: np.ndarray) -> np.ndarray:
-    """pi_j / pi_{j-1} (pi_0 = 1) over the last axis of the leading principal minors pi."""
-    return pi / np.concatenate([np.ones_like(pi[..., :1]), pi[..., :-1]], axis=-1)
-
-
-def _p_from_minors(pi: np.ndarray, bordered: np.ndarray) -> np.ndarray:
-    """p_j over the last axis, from the two minor sets of principal_minors."""
-    mj = _minor_ratios(pi)
-    return bordered / pi[..., :-1] - mj[..., 1:] / mj[..., :-1]
 
 
 def _differences(m, d):
@@ -268,8 +267,8 @@ def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.
     inverse, |eps_j(t)| / (eps kappa(t)) (the constant |p_j| drops out).  The
     recovered p_j is then off by the neglected O(eps_j(t_0)^2) terms at the
     first time t_0 plus eps kappa / |eps_j(t_0)|, relative to |p_j|.  On the
-    default grid 4..10 (eps_j(4) <= e^{-5.8}) this reads at most 1.1e-5 at
-    N <= 8 and 6.3e-4 at N = 10..16 over seeds 0-399, inside the 1e-3 bound
+    default grid 4..10 (eps_j(4) <= e^{-5.8}) this reads at most 1.14e-5 at
+    N <= 8 and 6.30e-4 at N = 10..16 over seeds 0-399, inside the 1e-3 bound
     of p_recovery_rel_err.
     """
     eps_ = _eps(spec, t_grid)
@@ -290,20 +289,19 @@ def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.
 def exponential_summary(spec: FlowSpec, t_grid) -> dict:
     """The exponential-flow check on the grid as report columns, one array per
     column over the stack: the gap R, the smallest fitted order, the relative
-    error of the least-squares p recovery (_p_least_squares) against the p of
-    the minors, and the verdict "passed".  The remainders rho_j come from one
-    stacked solve; less their first-order model, they decay at about 2R,
-    fitted over the times where they clear the eigensolver's noise.  A row
-    passes where every measurable component decays at 1.8R or faster and no
-    |rho_j| grows from the first time to the last.  A row with no measurable
-    component (a grid too late) has no smallest order and no measurable
-    recovery, both nan, and does not pass."""
+    error of the least-squares p recovery (_p_least_squares) against the p
+    of the spec's factors (FlowSpec.coeffs), and the verdict "passed".  The
+    remainders rho_j come from one stacked solve; less their first-order
+    model, they decay at about 2R, fitted over the times where they clear
+    the eigensolver's noise.  A row passes where every measurable component
+    decays at 1.8R or faster and no |rho_j| grows from the first time to the
+    last.  A row with no measurable component (a grid too late) has no
+    smallest order and no measurable recovery, both nan, and does not pass."""
     if spec.kind != "exponential":
         raise AsymptoticsError("spec is not of exponential kind")
     t_grid = fit_grid(t_grid, spec.kind)
-    pi, bordered = principal_minors(spec.m)
-    pj = _p_from_minors(pi, bordered)
-    rho = _relative_remainders(spec, _minor_ratios(pi), t_grid)
+    mj, pj = spec.coeffs
+    rho = _relative_remainders(spec, mj, t_grid)
     # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
     first = pj[..., None, :] * _eps(spec, t_grid)
     pad = [(0, 0)] * (first.ndim - 1)

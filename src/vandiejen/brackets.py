@@ -15,8 +15,9 @@ point's values are bit-for-bit those of that point alone.  A stencil point
 that fails a spectral check raises by the rule of phase_space.raise_first; one
 whose time-1 flow fails a check of dynamics._flow_units has a nan flow, so its
 point keeps its spectral columns, reads nan flow_symplectic and fails, and the
-battery's "error" names the first such stencil point's check.  poisson_brackets
-takes a map of a stack and a point or a stack in the same way.
+battery's "error" names the first such stencil point's check and the point
+whose stencil it is.  poisson_brackets takes a map of a stack and a point or
+a stack in the same way.
 """
 from __future__ import annotations
 
@@ -130,7 +131,8 @@ def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP)
     Jacobian per point of the joint map q -> (spectral image, time-1 flow): the
     spectral block gives the canonicity of the dual coordinates and the
     reversal of the form, the flow block the preservation of the form by the
-    flow.  "error" is the first failed flow check of the stencil, or None."""
+    flow.  "error" is the first failed flow check of the stencil, after the
+    index of the point whose stencil it is (the report's point column), or None."""
     _require_stencil(p, step)
     flow_checks = []
 
@@ -141,9 +143,10 @@ def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP)
 
     j = _map_jacobian(joint_map, p, step)
     spectral, flow = j[..., : 2 * p.n, :], j[..., 2 * p.n :, :]
+    first = _first_failure(flow_checks)
     return {
         **_canonicity(spectral),
         "antisymplectic": _form_residual(spectral, 1.0),
         "flow_symplectic": _form_residual(flow, -1.0),
-        "error": _first_failure(flow_checks),
+        "error": f"point {first[0] // (4 * p.n)}: {first[1]}" if first else None,
     }

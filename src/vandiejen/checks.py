@@ -85,11 +85,11 @@ BATTERIES = {
     )),
     # the asymptotics command, one battery per --kind
     "asymptotics-exponential": Battery(
-        # max_j |p_j - p_j(minors)| / |p_j| of the weighted least-squares
+        # max_j |p_j - p_j(factors)| / |p_j| of the weighted least-squares
         # recovery (asymptotics._p_least_squares): the neglected third-order
         # terms leave about eps_j(t_0)^2 relative at the first time t_0, and
         # the eigensolver's noise eps kappa / |eps_j(t_0)|; on the default
-        # grid, seeds 0-399, at most 1.1e-5 at n <= 8 and 6.3e-4 at n <= 16
+        # grid, seeds 0-399, at most 1.14e-5 at n <= 8 and 6.30e-4 at n <= 16
         asymptotics.exponential_summary, (Check("p_recovery_rel_err", 1e-3),), unit="spec"
     ),
     "asymptotics-linear": Battery(asymptotics.linear_summary, (), unit="spec"),

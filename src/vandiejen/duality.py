@@ -37,6 +37,11 @@ def _full_angles(theta_hat: np.ndarray) -> np.ndarray:
     return np.concatenate([theta_hat, -theta_hat], axis=-1)
 
 
+def _descending_rows(n: int) -> np.ndarray:
+    """Rows 0..n-1, then 2n-1..n: every point's Lam = (xi, -xi) in descending order."""
+    return np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1)])
+
+
 def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:
     """(theta_hat, basis) from one stacked eigensolve of L.
 

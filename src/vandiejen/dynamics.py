@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .duality import _full_angles, _spectrum
+from .duality import _descending_rows, _full_angles, _spectrum
 from .lax import LaxBundle, energy, lax_matrix
 from .phase_space import Coupling, PhasePoint, VandiejenError, raise_first, require_valid
 
@@ -398,9 +398,7 @@ def _flow_units(
     shape, spectra, times = times.shape, spectra.reshape(-1), times.reshape(-1)
     # beta by column
     velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))[spectra]
-    # Lam = (xi, -xi) with xi descending positive (lax_matrix checks it), so
-    # rows 0..n-1 and then 2n-1..n order every point's Lam descending
-    rows = np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1)])
+    rows = _descending_rows(n)
     row_exp = lam.reshape(-1, 2 * n)[spectra[:, None], rows]
     finite = np.isfinite(times)
     t = np.where(finite, times, 0.0)[:, None]
@@ -444,14 +442,14 @@ def _flow_units(
     return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,)), checks
 
 
-def _first_failure(checks: list) -> str | None:
-    """The message of the first unit that fails a check of _flow_units, for
-    the first check it fails, or None where every unit passes."""
+def _first_failure(checks: list) -> tuple[int, str] | None:
+    """(k, message) of the first unit k (flat, in C order) that fails a check
+    of _flow_units, for the first check it fails; None where every unit passes."""
     failed = np.logical_or.reduce([bad for bad, _ in checks])
     if not failed.any():
         return None
-    k = np.argmax(failed)
-    return next(message for bad, message in checks if bad[k])((k,))
+    k = int(np.argmax(failed))
+    return k, next(message for bad, message in checks if bad[k])((k,))
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
@@ -486,7 +484,7 @@ def flow_residuals(t_values, p: PhasePoint, g: Coupling, method: str) -> dict:
         first = _first_failure(checks)
         if first:
             times = ",".join(format(t, "g") for t in t_values[failed])
-            error = f"projection step failed at t={times}: {first}"
+            error = f"projection step failed at t={times}: {first[1]}"
     if method != "projection":
         rk = rk_flow(p, g, t_values).as_vector()
         if method == "both":

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernel: eigendecompositions and principal minors.
+"""Dense complex linear-algebra kernel: eigendecompositions and the unpivoted LDU.
 
 All routines are pure functions on numpy arrays; sizes are small (N <= ~64),
 so everything is computed by direct dense factorizations.  A routine that
@@ -58,27 +58,24 @@ def general_eig(a) -> np.ndarray:
     return np.take_along_axis(w, order, axis=-1)
 
 
-def principal_minors(m) -> tuple[np.ndarray, np.ndarray]:
-    """Leading and bordered principal minors of a matrix or a (..., N, N) stack.
-
-    Returns (leading, bordered): leading[..., k-1] = det M[:k, :k] for
-    k = 1..N, and bordered[..., k-1] = det M(1..k-1, k+1), the minor on the
-    indices 1..k-1 and k+1, for k = 1..N-1.  Each size k takes one det call
-    over the k x k submatrices of every matrix in the stack, so each minor is
-    bit-for-bit np.linalg.det(M[np.ix_(s, s)]): the same LAPACK factorization
-    of the same size, looped over the stack.  Each submatrix is factorized
-    from scratch (partial pivoting); at these sizes correctness beats Schur
-    updates.
+def ldu(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unpivoted factors M = L diag(D) U of a matrix or of each matrix of a
+    (..., N, N) stack: L unit lower and U unit upper triangular, shape
+    (..., N, N), and the pivots D, shape (..., N).  Pivot D_k is the ratio of
+    the leading principal minors of sizes k + 1 and k, so cumprod(D) lists
+    those minors.  The N - 1 elimination steps each run over the whole stack
+    in elementwise operations, so each matrix's factors are bit-for-bit those
+    of that matrix alone.  A zero pivot leaves the later factors non-finite,
+    without a warning: the caller checks cumprod(D).
     """
-    m = _as_square_stack(m)
-    n = m.shape[-1]
-    leading = np.empty(m.shape[:-1], dtype=complex)
-    bordered = np.empty(m.shape[:-2] + (n - 1,), dtype=complex)
-    for k in range(1, n + 1):
-        lead = np.arange(k)
-        sets = np.stack([lead, np.append(lead[:-1], k)]) if k < n else lead[None]
-        dets = np.linalg.det(m[..., sets[:, :, None], sets[:, None, :]])
-        leading[..., k - 1] = dets[..., 0]
-        if k < n:
-            bordered[..., k - 1] = dets[..., 1]
-    return leading, bordered
+    a = _as_square_stack(m).copy()
+    n = a.shape[-1]
+    lower = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+    upper = lower.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1):
+            pivot = a[..., k, k, None]
+            lower[..., k + 1 :, k] = a[..., k + 1 :, k] / pivot
+            upper[..., k, k + 1 :] = a[..., k, k + 1 :] / pivot
+            a[..., k + 1 :, k + 1 :] -= lower[..., k + 1 :, k, None] * a[..., None, k, k + 1 :]
+    return lower, np.diagonal(a, axis1=-2, axis2=-1).copy(), upper

@@ -2,8 +2,9 @@
 
 The total phase shift of each particle is a sum of pairwise and one-body
 terms Delta_a; asymptotic positions come in two routes (a closed form in the
-dual coordinates and leading principal minors of the diagonal blocks of the
-dual matrix L_hat) which must agree.
+dual coordinates, and the leading principal minors of the diagonal blocks of
+the dual matrix L_hat = B* B, read off a QR of the factor B's columns) which
+must agree.
 
 The phase shifts, the maps, the asymptotic data and the identity residuals
 take a phase point or a stack of them (see PhasePoint), each result carrying
@@ -16,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .asymptotics import _minor_ratios
-from .duality import dual_frame
-from .linalg import principal_minors
+from .duality import _descending_rows, dual_frame
 from .phase_space import Coupling, PhasePoint, VandiejenError
 
 
@@ -43,7 +42,7 @@ class AsymptoticData:
     lambda_plus: np.ndarray
     lambda_minus: np.ndarray
     delta: np.ndarray
-    minor_route_plus: np.ndarray  # lambda_plus recomputed from principal minors
+    minor_route_plus: np.ndarray  # lambda_plus recomputed from the leading minors
     minor_route_minus: np.ndarray
 
     def wave(self, sign: int) -> PhasePoint:
@@ -63,16 +62,15 @@ def asymptotic_data(p: PhasePoint, g: Coupling) -> AsymptoticData:
     delta = delta_vector(th, g)
     lam_plus = 0.5 * frame.lambda_hat + 0.5 * delta
     lam_minus = -0.5 * frame.lambda_hat + 0.5 * delta
-    # The minors of the flow matrix in regular form (W L_hat W, W = diag(I, J)
-    # with J the order reversal, so its exponent diagonal descends), and of its
-    # full reversal: the leading n x n blocks of both are the diagonal blocks
-    # of L_hat itself.  lambda_a = 0.5 * ln(pi_a / pi_{a-1}) from the leading
-    # minors pi of each block.
-    l_hat = frame.dual_matrix()
-    minors = principal_minors(np.stack([l_hat[..., :n, :n], l_hat[..., n:, n:]]))[0].real
-    if np.any(minors <= 0):
-        raise ScatteringError("non-positive principal minor of a positive definite matrix")
-    minor_plus, minor_minus = 0.5 * np.log(_minor_ratios(minors))
+    # lambda_a = 0.5 ln(pi_a / pi_{a-1}), pi the leading minors of a diagonal
+    # block of L_hat (the blocks the flow matrix in regular form and its full
+    # reversal start with).  L_hat = B* B, B = e^{Lam} y_hat, so that is ln |R_aa|
+    # of a QR of the block's columns of B, rows in descending Lam as graded rows
+    # need; the phase fix scales basis columns by unit factors, which |R_aa| keeps.
+    rows = _descending_rows(n)
+    b = np.exp(frame.bundle.lam)[..., rows, None] * frame.basis[..., rows, :]
+    r = np.linalg.qr(np.stack([b[..., :n], b[..., n:]]), mode="r")
+    minor_plus, minor_minus = np.log(np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
     return AsymptoticData(
         theta_plus=2.0 * th,
         theta_minus=-2.0 * th,

@@ -17,7 +17,6 @@ from vandiejen.asymptotics import (
 
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_PASS, main
-from vandiejen.linalg import principal_minors
 
 from conftest import det_cofactor, record_returns
 
@@ -79,9 +78,17 @@ def _reference_alpha(m, d):
     )
 
 
+def _coeffs(m):
+    """(m_j, p_j) of M, as an exponential spec holds them, from the factors
+    M = L diag(D) U: m_j = D_j and p_j = L_{j+1,j} U_{j,j+1}."""
+    m = np.asarray(m, dtype=complex)
+    return FlowSpec(m, -np.arange(m.shape[-1], dtype=float), kind="exponential").coeffs
+
+
 def _m_coeffs(m):
-    """Leading-coefficient ratios m_j = pi_j / pi_{j-1}, from the leading principal minors."""
-    return asymptotics._minor_ratios(principal_minors(m)[0])
+    """Leading-coefficient ratios m_j = pi_j / pi_{j-1} of the leading principal
+    minors, read as the pivots D_j of the factors."""
+    return _coeffs(m)[0]
 
 
 def test_minor_ratios_diagonal():
@@ -103,15 +110,13 @@ def test_minor_ratios_product_is_determinant():
 def test_p_coeffs_triangular_vanish():
     rng = np.random.default_rng(6)
     m = np.triu(rng.normal(size=(4, 4))) + 3 * np.eye(4)
-    assert np.abs(asymptotics._p_from_minors(*principal_minors(m))).max() <= 1e-12
+    assert np.abs(_coeffs(m)[1]).max() <= 1e-12
 
 
 def test_p_first_coefficient_two_by_two():
     m = np.array([[2.0, 0.5], [0.7, 3.0]])
     # p_1 = M_12 M_21 / M_11^2
-    assert asymptotics._p_from_minors(*principal_minors(m))[0] == pytest.approx(
-        0.5 * 0.7 / 4.0, rel=1e-12
-    )
+    assert _coeffs(m)[1][0] == pytest.approx(0.5 * 0.7 / 4.0, rel=1e-12)
 
 
 def test_alpha_coeffs_diagonal_vanish():
@@ -228,8 +233,7 @@ def test_exponential_theorem_where_the_late_grid_decay_shows_passes():
     # component, whose second-order terms decay at 3.5 or faster
     spec, grid = sample_spec(5, seed=303), np.arange(6.0, 12.1, 1.0)
     row = exponential_summary(spec, grid)
-    ratios = asymptotics._minor_ratios(principal_minors(spec.m)[0])
-    rho = asymptotics._relative_remainders(spec, ratios, grid)
+    rho = asymptotics._relative_remainders(spec, spec.coeffs[0], grid)
     shrinks = np.all(np.abs(rho[-1]) <= np.abs(rho[0]) + asymptotics.FIT_CLAMP)
     decays = not row["min_fitted_order"] < 1.8 * row["R"]
     if not shrinks or decays != row["passed"]:
@@ -242,10 +246,10 @@ def test_two_point_p_recovery(size):
     # the smallest grid the fit takes, the former recovery times 8 and 10:
     # two times, so the model p_j + a eps_j
     spec, grid = sample_spec(size, seed=10 + size), np.array([8.0, 10.0])
-    pi, bordered = principal_minors(spec.m)
-    rho = asymptotics._relative_remainders(spec, asymptotics._minor_ratios(pi), grid)
+    mj, pj = spec.coeffs
+    rho = asymptotics._relative_remainders(spec, mj, grid)
     recovered = asymptotics._p_least_squares(spec, grid, rho)
-    assert np.abs(recovered / asymptotics._p_from_minors(pi, bordered) - 1).max() <= 1e-3
+    assert np.abs(recovered / pj - 1).max() <= 1e-3
 
 
 @pytest.mark.parametrize("size", [2, 5, 8])
@@ -364,15 +368,14 @@ def test_sample_spec_equals_one_candidate_at_a_time(size):
             spec = sample_spec(size, seed=seed, kind=kind)
             npt.assert_allclose(spec.m, m, rtol=0, atol=1e-15)
             assert np.array_equal(spec.d, d) and spec.kind == kind
-        npt.assert_allclose(asymptotics._p_from_minors(*principal_minors(m)),
-                            _reference_p_coeffs(m), rtol=1e-12)
+        npt.assert_allclose(_coeffs(m)[1], _reference_p_coeffs(m), rtol=1e-12)
 
 
 @pytest.mark.parametrize("size", range(2, 17))
 def test_p_coeffs_of_a_spec_are_its_factor_pairs(size):
     # p_j = L_{j+1,j} U_{j,j+1} by Cauchy-Binet, at least OFF_SCALE^2 / 2
     seeds = range(1, 201)
-    p = asymptotics._p_from_minors(*principal_minors(sample_spec(size, seed=seeds).m))
+    p = sample_spec(size, seed=seeds).coeffs[1]
     floor = 0.5 * asymptotics.SPEC_OFF_SCALE ** 2
     j = np.arange(size - 1)
     for k, seed in enumerate(seeds):

@@ -127,7 +127,7 @@ def test_a_failing_time_1_flow_keeps_the_spectral_columns(tmp_path, capsys):
     for fmt in ("csv", "json"):
         out = tmp_path / f"out.{fmt}"
         assert main([*argv, "--format", fmt, "--out", str(out)]) == EXIT_FAIL
-        error = "error: flow exponent range 865.2 exceeds the double range cap at t=1.0\n"
+        error = "error: point 0: flow exponent range 865.2 exceeds the double range cap at t=1.0\n"
         assert capsys.readouterr().err == error
         reports[fmt] = out.read_text()
     (row,) = csv.DictReader(reports["csv"].splitlines())

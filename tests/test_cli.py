@@ -335,6 +335,21 @@ def test_passed_is_each_rows_own_verdict(argv, tmp_path):
     assert code == (EXIT_FAIL if any(r["passed"] == "False" for r in rows) else EXIT_PASS)
 
 
+@pytest.mark.parametrize("seed, failing", [(3, 0), (4, 1)])
+def test_a_brackets_error_line_names_its_point(seed, failing, tmp_path, capsys):
+    # the error names the point column of the row whose stencil's time-1 flow
+    # failed first: seed 3 (point 0) fails the exponent range cap, as does
+    # seed 5 (point 1 of the stack from seed 4) alone
+    out = tmp_path / "out.csv"
+    argv = [*MIXED_ROWS[:-4], "--seed", str(seed), "--points", "2", "--out", str(out)]
+    assert run(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    pattern = rf"error: point {failing}: flow exponent range \S+ exceeds the double range cap at t=1.0\n"
+    assert re.fullmatch(pattern, err), err
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert rows[failing]["point"] == str(failing) and rows[failing]["flow_symplectic"] == "nan"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

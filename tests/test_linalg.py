@@ -6,7 +6,7 @@ from vandiejen.linalg import (
     LinalgError,
     general_eig,
     hermitian_eig,
-    principal_minors,
+    ldu,
 )
 
 from conftest import det_cofactor, hyperbolic_cauchy_det, hyperbolic_cauchy_matrix
@@ -73,69 +73,94 @@ def test_general_eig_of_a_stack_equals_each_matrix_alone():
         npt.assert_array_equal(w[p], general_eig(m))
 
 
+def _bordered_minors(lower, pivots, upper):
+    """det M(1..k-1, k+1), the minors on the indices 1..k-1 and k+1 for
+    k = 1..N-1, from the factors M = L diag(D) U: by Cauchy-Binet,
+    D_1 ... D_{k-1} (D_k L_{k+1,k} U_{k,k+1} + D_{k+1})."""
+    k = np.arange(len(pivots) - 1)
+    before = np.concatenate([[1.0], np.cumprod(pivots)[:-2]])
+    return before * (pivots[k] * lower[k + 1, k] * upper[k, k + 1] + pivots[k + 1])
+
+
 def test_leading_principal_minors_diagonal():
     d = np.array([2.0, 3.0, 5.0])
-    npt.assert_allclose(principal_minors(np.diag(d))[0], np.cumprod(d))
+    lower, pivots, upper = ldu(np.diag(d))
+    npt.assert_array_equal(pivots, d)
+    npt.assert_array_equal(lower, np.eye(3))
+    npt.assert_array_equal(upper, np.eye(3))
 
 
 def test_leading_principal_minors_2x2():
-    npt.assert_allclose(principal_minors(np.array([[1.0, 2.0], [3.0, 4.0]]))[0], [1, -2])
+    lower, pivots, upper = ldu(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    npt.assert_allclose(np.cumprod(pivots), [1, -2])  # det M[:1, :1] and det M
+    npt.assert_allclose(lower, [[1, 0], [3, 1]])
+    npt.assert_allclose(upper, [[1, 2], [0, 1]])
 
 
 def test_leading_principal_minors_vs_cofactor_oracle():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    pi = principal_minors(m)[0]
+    pi = np.cumprod(ldu(m)[1])
     for j in range(1, 6):
         ref = det_cofactor(m[:j, :j])
         assert abs(pi[j - 1] - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
-def _minor_sets(n):
-    """The index sets of principal_minors: leading 0..k-1, bordered 0..k-2 and k."""
-    leading = [list(range(k)) for k in range(1, n + 1)]
-    bordered = [list(range(k - 1)) + [k] for k in range(1, n)]
-    return leading, bordered
-
-
 @pytest.mark.parametrize("n", range(1, 11))
-def test_principal_minors_bitwise_equal_to_one_det_per_submatrix(n):
+def test_ldu_rebuilds_the_matrix(n):
+    rng = np.random.default_rng(200 + n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 3 * np.eye(n)
+    lower, pivots, upper = ldu(m)
+    npt.assert_array_equal(np.triu(lower, 1), 0)
+    npt.assert_array_equal(np.tril(upper, -1), 0)
+    npt.assert_array_equal(np.diagonal(lower), 1)
+    npt.assert_array_equal(np.diagonal(upper), 1)
+    assert np.abs(lower @ np.diag(pivots) @ upper - m).max() <= 1e-13 * np.abs(m).max()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_ldu_of_a_stack_equals_each_matrix_alone(n):
+    # bit for bit, also with a second stack axis
     rng = np.random.default_rng(100 + n)
-    stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
-    leading_sets, bordered_sets = _minor_sets(n)
-    pi_stack, bordered_stack = principal_minors(stack)
-    assert pi_stack.shape == (5, n) and bordered_stack.shape == (5, n - 1)
+    stack = rng.normal(size=(7, n, n)) + 1j * rng.normal(size=(7, n, n))
+    factors = ldu(stack)
+    assert [f.shape for f in factors] == [(7, n, n), (7, n), (7, n, n)]
     for p, m in enumerate(stack):
-        pi, bordered = principal_minors(m)
-        assert np.array_equal(pi, pi_stack[p]) and np.array_equal(bordered, bordered_stack[p])
-        for got, sets in ((pi, leading_sets), (bordered, bordered_sets)):
-            for value, s in zip(got, sets):
-                assert value == np.linalg.det(m[np.ix_(s, s)])
+        for stacked, alone in zip(factors, ldu(m)):
+            assert np.array_equal(stacked[p], alone)
+    for stacked, nested in zip(factors, ldu(stack.reshape(7, 1, n, n))):
+        assert np.array_equal(stacked, nested[:, 0])
 
 
 def test_principal_minors_bordered_vs_cofactor_oracle():
     rng = np.random.default_rng(13)
     for n in range(2, 7):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        _, bordered = principal_minors(m)
-        for value, s in zip(bordered, _minor_sets(n)[1]):
+        for k, value in enumerate(_bordered_minors(*ldu(m)), start=1):
+            s = list(range(k - 1)) + [k]
             ref = det_cofactor(m[np.ix_(s, s)])
             assert abs(value - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 def test_principal_minors_small_cases():
-    pi, bordered = principal_minors(np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]]))
-    npt.assert_allclose(pi, [1, -2, -10])
-    npt.assert_allclose(bordered, [4, 5])  # det M[1, 1] and det M[{0, 2}, {0, 2}]
-    pi, bordered = principal_minors([[7.0]])
-    npt.assert_allclose(pi, [7])
-    assert bordered.shape == (0,)
+    factors = ldu(np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [0.0, 0.0, 5.0]]))
+    npt.assert_allclose(np.cumprod(factors[1]), [1, -2, -10])
+    npt.assert_allclose(_bordered_minors(*factors), [4, 5])  # det M[1, 1], det M[{0, 2}, {0, 2}]
+    lower, pivots, upper = ldu([[7.0]])
+    assert lower.shape == upper.shape == (1, 1) and lower[0, 0] == upper[0, 0] == 1
+    npt.assert_array_equal(pivots, [7])
 
 
-def test_principal_minors_rejects_bad_input():
+def test_ldu_rejects_bad_input():
     for bad in (np.ones(3), np.ones((2, 3)), np.ones((4, 0, 0)), [[np.inf]]):
         with pytest.raises(LinalgError):
-            principal_minors(bad)
+            ldu(bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ldu_zero_pivot_is_quiet_and_shows_in_the_pivots():
+    _, pivots, _ = ldu(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert pivots[0] == 0 and not np.isfinite(pivots[1:]).all()
 
 
 def test_cauchy_det_single_entry():

@@ -7,11 +7,13 @@ from vandiejen.scattering import (
     ScatteringError,
     asymptotic_data,
     delta_vector,
+    identity_residuals,
     scattering_map,
     upsilon,
     upsilon_minus_inverse,
 )
-from vandiejen.phase_space import PhasePoint
+from vandiejen.checks import BATTERIES
+from vandiejen.phase_space import Coupling, PhasePoint
 
 from conftest import point
 
@@ -61,6 +63,31 @@ def test_minor_routes_match_closed_form(n, g):
     data = asymptotic_data(point(n, seed=5 + n), g)
     assert np.abs(data.minor_route_plus - data.lambda_plus).max() <= 1e-9
     assert np.abs(data.minor_route_minus - data.lambda_minus).max() <= 1e-9
+
+
+def graded_point(n, gaps, seed):
+    """A point past the sampler's box: xi_n = 0.3 + U(0, 0.2), then n - 1 gaps
+    U(*gaps) upwards, and eta U(-1.5, 1.5), from one default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    base = 0.3 + rng.uniform(0.0, 0.2)
+    steps = rng.uniform(*gaps, n - 1)
+    eta = rng.uniform(-1.5, 1.5, n)
+    return PhasePoint(xi=base + np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]]), eta=eta)
+
+
+@pytest.mark.parametrize("mu, nu", [(0.7, 0.4), (1.3, 0.2), (2.0, 1.0), (0.5, 1.1)])
+@pytest.mark.parametrize("gaps", [(0.3, 0.4), (0.35, 0.5)], ids=str)
+def test_minor_routes_hold_at_sixteen_graded_particles(gaps, mu, nu):
+    # xi_1 lies in 5.5..6.8 here, and L_hat = B* B spans e^{4 xi_1}: minors
+    # taken as determinants of L_hat's blocks were off by up to 3.1e-7, where
+    # a QR of the row-sorted factor B holds them to 1e-11
+    points = [graded_point(16, gaps, seed) for seed in (1, 2, 3)]
+    stack = PhasePoint(xi=np.stack([p.xi for p in points]), eta=np.stack([p.eta for p in points]))
+    columns = identity_residuals(stack, Coupling(mu, nu))
+    bounds = {c.column: c.bound for c in BATTERIES["scatter"].checks}
+    for route in ("minor_route_plus", "minor_route_minus"):
+        assert bounds[route] == 1e-9
+        assert columns[route].max() <= bounds[route], (route, columns[route])
 
 
 def test_sum_identity(g):

@@ -86,11 +86,11 @@ def test_stacked_jacobian_equals_the_pointwise_oracle(n, seed, g):
     except DynamicsError as exc:
         # n = 8 at the larger couplings: the time-1 flow passes the exponent cap
         # at some stencil point.  Its flow is nan, the spectral block stays, and
-        # the battery names the oracle's error.
+        # the battery names the oracle's error, after the point's index.
         got, spectral = stacked_jacobian(p, g), jacobian_oracle(p, g, oracle=spectral_map_oracle)
         np.testing.assert_array_equal(got[: 2 * n], spectral)
         assert np.isnan(got[2 * n :]).any()
-        assert brackets.symplectic_residuals(p, g)["error"] == str(exc)
+        assert brackets.symplectic_residuals(p, g)["error"] == f"point 0: {exc}"
         return
     np.testing.assert_array_equal(stacked_jacobian(p, g), expected)
 
@@ -190,8 +190,9 @@ def test_first_failing_stencil_point_raises_the_typed_error(monkeypatch):
     monkeypatch.setattr(duality, "SPECTRAL_GAP_TOL", 1e-7)
     monkeypatch.setattr(dynamics, "EXPONENT_RANGE_CAP", -cap)
     columns = brackets.symplectic_residuals(P_FAIL, G_FAIL)
+    # the failing stencil point lies past the first, and its point is point 0
     assert re.search("flow exponent range .* at t=1.0$", columns["error"])
-    assert columns["error"].startswith(f"flow exponent range {ranges[failing[0]]:.4g} ")
+    assert columns["error"].startswith(f"point 0: flow exponent range {ranges[failing[0]]:.4g} ")
     assert np.isnan(columns["flow_symplectic"])
 
 
@@ -222,7 +223,8 @@ def test_a_later_unit_failing_an_earlier_flow_stage_wins(monkeypatch):
         [False, False], [False, True], [False, False], [True, False]
     ]
     # a report names the first failing unit's first check instead
-    assert _first_failure(checks).startswith("eigenvalue collision along the flow")
+    k, message = _first_failure(checks)
+    assert k == 0 and message.startswith("eigenvalue collision along the flow")
     # projection_flow raises the checks of _flow_units, here the twin's
     flow_units, p = dynamics._flow_units, point(2, seed=3)
     monkeypatch.setattr(dynamics, "_flow_units", lambda *_: flow_units(twin, *spectrum, t[0]))
@@ -395,8 +397,17 @@ def test_specs_draw_one_default_rng_each_and_no_minors(monkeypatch):
     size, seeds = 8, range(1, 13)
     built = {name: _count_calls(monkeypatch, np.random, name)
              for name in ("default_rng", "SeedSequence", "PCG64")}
-    minors = _count_calls(monkeypatch, asymptotics, "principal_minors")
+    factored = _count_calls(monkeypatch, asymptotics, "ldu")
     asymptotics.sample_spec(size, seeds, kind="linear")
     # spec s from default_rng(s) alone, built from its factors: no minor is taken
     assert [a[0] for a, _ in built["default_rng"]] == list(seeds)
-    assert built["SeedSequence"] == built["PCG64"] == minors == []
+    assert built["SeedSequence"] == built["PCG64"] == factored == []
+
+
+def test_an_exponential_stack_and_its_summary_take_one_ldu(monkeypatch):
+    # the spec factors M once, at construction, and the summary reads m_j and
+    # p_j off those factors
+    factored = _count_calls(monkeypatch, asymptotics, "ldu")
+    spec = asymptotics.sample_spec(8, range(1, 13))
+    asymptotics.exponential_summary(spec, np.arange(4.0, 10.5, 1.0))
+    assert len(factored) == 1 and factored[0][0][0].shape == (12, 8, 8)
