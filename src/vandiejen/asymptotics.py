@@ -273,9 +273,10 @@ def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.
     """
     eps_ = _eps(spec, t_grid)
     sigma = np.cumprod(1.0 + rho[..., :-1], axis=-1) - 1.0
-    pad = [(0, 0)] * (eps_.ndim - 1)
-    terms = (np.ones(eps_.shape), eps_,
-             np.pad(eps_[..., :-1], pad + [(1, 0)]), np.pad(eps_[..., 1:], pad + [(0, 1)]))
+    # the neighbours eps_{j-1} and eps_{j+1}, 0 where absent
+    before, after = np.zeros((2,) + eps_.shape, dtype=eps_.dtype)
+    before[..., 1:], after[..., :-1] = eps_[..., :-1], eps_[..., 1:]
+    terms = (np.ones(eps_.shape), eps_, before, after)
     weight = np.abs(eps_) / _noise_level(rho)
     # rows (spec, j, time), columns the model terms; the weighted datum
     # weight * sigma / eps is sigma times the phase of 1 / eps, without overflow
@@ -304,8 +305,9 @@ def exponential_summary(spec: FlowSpec, t_grid) -> dict:
     rho = _relative_remainders(spec, mj, t_grid)
     # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
     first = pj[..., None, :] * _eps(spec, t_grid)
-    pad = [(0, 0)] * (first.ndim - 1)
-    subtracted = rho - (np.pad(first, pad + [(0, 1)]) - np.pad(first, pad + [(1, 0)]))
+    model = np.zeros((2,) + rho.shape, dtype=first.dtype)
+    model[0, ..., :-1], model[1, ..., 1:] = first, first
+    subtracted = rho - (model[0] - model[1])
     orders = _decay_orders(t_grid, subtracted, clamp=_noise_level(rho))
     min_order = np.fmin.reduce(orders, axis=-1)  # nan where no component is measurable
     shrinks = np.abs(rho[..., -1, :]) <= np.abs(rho[..., 0, :]) + FIT_CLAMP

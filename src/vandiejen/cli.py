@@ -5,24 +5,24 @@ flow specs for `asymptotics`, sampled for the seeds from --seed on in one
 sampler call, each the unit its seed gives alone, whose seed a JSON row also
 holds; for `flow` they are the times of --t, to which one point is flowed.
 
-Every command goes through one writer, which stamps each row's `passed` with
-that row's own verdict: every column within its bound, or above its lower
-bound, and the battery's own verdict where it gives one (for `flow`, a
-projection step that did not fail); then a battery's error line (from `flow`
+Every command goes through one writer over one float table: the unit column,
+the residual columns and `passed`.  It stamps each row's `passed` with that
+row's own verdict, each check one comparison over its column: every column
+within its bound, or above its lower bound, and the battery's own verdict
+where it gives one (for `flow`, a projection step that did not fail).  Both
+formats render that table: a CSV row is one "%.17g" format over the row, a
+JSON row a dict of the same values.  Then a battery's error line (from `flow`
 or `brackets`, naming a failed flow) goes to stderr.  Options come from argv
 alone, parsed once.  Exit codes: 0 every row passed, 1 at least one row
 failed or a numerical failure (a library error other than a phase-space one)
-stopped the command with no report, 2 bad usage.  Identical
-arguments produce byte-identical output.
+stopped the command with no report, 2 bad usage.  Identical arguments produce
+byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
-import math
 import re
 import sys
 
@@ -56,10 +56,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_grid(spec: str) -> np.ndarray:
     """The times of start:step:stop or a comma list: at least one, all finite,
     and few enough for numpy to allocate."""
@@ -84,26 +80,26 @@ def _parse_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def _json_value(value):
-    """A row value as strict JSON allows it: a non-finite float becomes null."""
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
-def _emit(rows, header, args) -> str:
-    """Render rows (list of dicts) as csv or json text.  JSON is strict: a
-    non-finite value (inf, nan) is written as null."""
+def _emit(header: list, table: np.ndarray, args, seed=None) -> str:
+    """Render the column table, one row per unit and one column per header
+    name, the last `passed` (0 or 1), as csv or json text.  Every float takes
+    Python's repr in JSON and its .17g form in CSV, one format over the whole
+    row.  JSON is strict: a non-finite value (inf, nan) is written as null.
+    With a seed the unit column is the row index i, and a JSON row holds it
+    and its seed, seed + i, as integers."""
+    values, passed = table[:, :-1].tolist(), table[:, -1].astype(bool).tolist()
     if args.format == "json":
-        rows = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        rows = []
+        finite = np.isfinite(table[:, :-1]).tolist()
+        for i, (row, known, ok) in enumerate(zip(values, finite, passed)):
+            record = {k: v if f else None for k, v, f in zip(header, row, known)}
+            record["passed"] = ok
+            if seed is not None:
+                record.update({header[0]: i, "seed": seed + i})
+            rows.append(record)
         return json.dumps(rows, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [_fmt(row[k]) if isinstance(row[k], (int, float)) and not isinstance(row[k], bool)
-             else row[k] for k in header]
-        )
-    return buf.getvalue()
+    line = ",".join(["%.17g"] * (len(header) - 1) + ["%s"]) + "\n"
+    return ",".join(header) + "\n" + "".join(line % (*row, ok) for row, ok in zip(values, passed))
 
 
 def _write(text: str, args):
@@ -141,23 +137,29 @@ def _stack(args, unit: str):
 def _run_battery(args, name: str, *context, **options) -> int:
     """One residual call on the battery's units, one row each; the report, then the
     battery's error line.  The header is the unit column, the residual columns in
-    order, and `passed`; a sampled unit's column is its index i, its seed --seed + i."""
+    order, and `passed`; a sampled unit's column is its index i, its seed --seed + i.
+    The columns go into one float table, and each check is one comparison over
+    its column: a row passes where every check holds and the battery's own
+    verdict, if it gives one, is true."""
     battery = BATTERIES[name]
     columns = battery.residuals(_stack(args, battery.unit), *context, **options)
     error = columns.pop("error", None)
-    header = [battery.unit, *(c for c in columns if c not in (battery.unit, "passed")), "passed"]
-    rows = [
-        {c: bool(x) if c == "passed" else float(x) for c, x in zip(columns, values)}
-        for values in zip(*columns.values())
-    ]
-    for i, row in enumerate(rows):
-        if battery.unit not in columns:
-            row.update({"seed": args.seed + i, battery.unit: i})
-        row["passed"] = bool(row.get("passed", True) and all(c.holds(row) for c in battery.checks))
-    _write(_emit(rows, header, args), args)
+    verdict = columns.pop("passed", True)
+    sampled = battery.unit not in columns
+    header = [battery.unit, *(c for c in columns if c != battery.unit), "passed"]
+    table = np.empty((len(next(iter(columns.values()))), len(header)))
+    table[:, 0] = np.arange(len(table)) if sampled else columns[battery.unit]
+    view = {c: table[:, k] for k, c in enumerate(header[1:-1], 1)}
+    for c, column in view.items():
+        column[:] = columns[c]
+    passed = np.full(len(table), True) & verdict
+    for check in battery.checks:
+        passed &= check.holds(view)
+    table[:, -1] = passed
+    _write(_emit(header, table, args, args.seed if sampled else None), args)
     if error:  # after the report, so that an unwritable --out is the one error line
         sys.stderr.write(f"error: {error}\n")
-    return EXIT_PASS if all(row["passed"] for row in rows) else EXIT_FAIL
+    return EXIT_PASS if passed.all() else EXIT_FAIL
 
 
 def cmd_lax_check(args) -> int:
