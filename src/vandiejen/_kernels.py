@@ -102,6 +102,19 @@ def _off_diagonal(n: int) -> np.ndarray:
     return np.flatnonzero(~np.eye(n, dtype=bool))
 
 
+def shifted_sinh(alpha: float, x: np.ndarray) -> np.ndarray:
+    """sinh(i alpha + x) = sinh(x) cos(alpha) + i cosh(x) sin(alpha) over real x.
+
+    The one complex kernel: every coefficient's sinh(i alpha + x) goes
+    through it.  libm's csinh takes the same formula; here each part is one
+    real sinh or cosh and one product, each within an ulp, so each part of
+    the result is within 2 ulp of its exact value."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.multiply(np.sinh(x), np.cos(alpha), out=out.real)
+    np.multiply(np.cosh(x), np.sin(alpha), out=out.imag)
+    return out
+
+
 def pair_product(xi: np.ndarray, mu: float) -> np.ndarray:
     """prod_{c != a} sinh(i mu + x)/sinh(x) over x = xi_a - xi_c and xi_a + xi_c.
 
@@ -112,13 +125,13 @@ def pair_product(xi: np.ndarray, mu: float) -> np.ndarray:
     x = _pair_table(xi).reshape(lead + (2, n * n))[..., off]
     d, s = x[..., 0, :], x[..., 1, :]
     fac = np.ones(lead + (n * n,), dtype=complex)
-    fac[..., off] = np.sinh(1j * mu + d) / np.sinh(d) * np.sinh(1j * mu + s) / np.sinh(s)
+    fac[..., off] = shifted_sinh(mu, d) / np.sinh(d) * shifted_sinh(mu, s) / np.sinh(s)
     return fac.reshape(lead + (n, n)).prod(axis=-1)
 
 
 def z_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """z_a = -sinh(i nu + 2 xi_a)/sinh(2 xi_a) * pair_product(xi, mu)_a."""
-    return -np.sinh(1j * nu + 2 * xi) / np.sinh(2 * xi) * pair_product(xi, mu)
+    return -shifted_sinh(nu, 2 * xi) / np.sinh(2 * xi) * pair_product(xi, mu)
 
 
 def u_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
@@ -138,7 +151,7 @@ def delta_shifts(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
 
 def lax_denominators(lam: np.ndarray, mu: float) -> np.ndarray:
     """The table sinh(i mu + Lam_k - Lam_l) of the Lax entries."""
-    return np.sinh(1j * mu + lam[..., :, None] - lam[..., None, :])
+    return shifted_sinh(mu, lam[..., :, None] - lam[..., None, :])
 
 
 def lax_entries(f: np.ndarray, den: np.ndarray, c: np.ndarray, mu: float, nu: float) -> np.ndarray:

@@ -178,8 +178,8 @@ def minor_identity_residuals(frame: DualFrame) -> tuple[np.ndarray, np.ndarray]:
     th = frame.theta_hat
     w = 1.0 / _kernels.pair_product(th, mu)  # the Cauchy-type weights omega_c
     wz = w * frame.z_hat
-    s_p = np.sinh(1j * mu + 2 * th)
-    s_m = np.sinh(1j * mu - 2 * th)
+    s_p = _kernels.shifted_sinh(mu, 2 * th)
+    s_m = _kernels.shifted_sinh(mu, -2 * th)
     linear = (
         np.sin(mu) / s_p * wz
         + np.sin(mu) / s_m * wz.conj()
