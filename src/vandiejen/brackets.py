@@ -21,6 +21,7 @@ a stack in the same way.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,11 +38,13 @@ class BracketError(VandiejenError):
     pass
 
 
+@lru_cache(maxsize=64)
 def omega_matrix(n: int) -> np.ndarray:
-    """The canonical Poisson matrix [[0, I], [-I, 0]] of size 2n."""
+    """The canonical Poisson matrix [[0, I], [-I, 0]] of size 2n, read-only."""
     om = np.zeros((2 * n, 2 * n))
     om[:n, n:] = np.eye(n)
     om[n:, :n] = -np.eye(n)
+    om.flags.writeable = False
     return om
 
 

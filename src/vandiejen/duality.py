@@ -16,6 +16,7 @@ follow phase_space.raise_first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +38,13 @@ def _full_angles(theta_hat: np.ndarray) -> np.ndarray:
     return np.concatenate([theta_hat, -theta_hat], axis=-1)
 
 
+@lru_cache(maxsize=64)
 def _descending_rows(n: int) -> np.ndarray:
-    """Rows 0..n-1, then 2n-1..n: every point's Lam = (xi, -xi) in descending order."""
-    return np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1)])
+    """Rows 0..n-1, then 2n-1..n: every point's Lam = (xi, -xi) in descending
+    order, read-only."""
+    rows = np.concatenate([np.arange(n), np.arange(2 * n - 1, n - 1, -1)])
+    rows.flags.writeable = False
+    return rows
 
 
 def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:

@@ -394,18 +394,22 @@ def _flow_units(
     lam, g = bundle.lam, bundle.coupling
     n = theta_hat.shape[-1]
     spectra = np.arange(theta_hat[..., 0].size).reshape(theta_hat.shape[:-1])
-    spectra, times = np.broadcast_arrays(spectra, np.asarray(t, dtype=float))
-    shape, spectra, times = times.shape, spectra.reshape(-1), times.reshape(-1)
+    t = np.asarray(t, dtype=float)
+    # each unit's spectrum and time, by assignment into the broadcast shape
+    # (np.broadcast_arrays costs several times as much on these small stacks)
+    shape = np.broadcast(spectra, t).shape
+    units, times = np.empty(shape, dtype=np.intp), np.empty(shape)
+    units[...], times[...] = spectra, t
+    spectra, times = units.reshape(-1), times.reshape(-1)
     # beta by column
     velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))[spectra]
     rows = _descending_rows(n)
     row_exp = lam.reshape(-1, 2 * n)[spectra[:, None], rows]
     finite = np.isfinite(times)
     t = np.where(finite, times, 0.0)[:, None]
-    units = np.arange(len(times))[:, None]
     with np.errstate(over="ignore"):  # past the double range: an inf range, over the cap
         cols = np.argsort(-t * velocities, axis=-1, kind="stable")
-        beta = velocities[units, cols]
+        beta = velocities[np.arange(len(times))[:, None], cols]
         col_exp = 0.5 * t * beta
         exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
     capped = exp_range > EXPONENT_RANGE_CAP
@@ -426,6 +430,7 @@ def _flow_units(
     gap = -np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1, initial=-np.inf))
     xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
     eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
+    collided = (gap < FLOW_GAP_TOL) & ~stand_in
     checks = [
         (~finite, lambda i: f"non-finite time {float(times[i])}"),
         (capped, lambda i: (
@@ -433,22 +438,23 @@ def _flow_units(
             f"at t={float(times[i])}"
         )),
         (lost, lambda i: f"flow factor lost rank (roundoff) at t={float(times[i])}"),
-        ((gap < FLOW_GAP_TOL) & ~stand_in, lambda i: (
+        (collided, lambda i: (
             f"eigenvalue collision along the flow: relative gap {gap[i]:.3e}"
         )),
     ]
-    failed = np.logical_or.reduce([bad for bad, _ in checks])
-    xi_t[failed] = eta_t[failed] = np.nan
+    failed = stand_in | lost | collided
+    if failed.any():
+        xi_t[failed] = eta_t[failed] = np.nan
     return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,)), checks
 
 
 def _first_failure(checks: list) -> tuple[int, str] | None:
     """(k, message) of the first unit k (flat, in C order) that fails a check
     of _flow_units, for the first check it fails; None where every unit passes."""
-    failed = np.logical_or.reduce([bad for bad, _ in checks])
-    if not failed.any():
+    firsts = [int(np.argmax(bad)) for bad, _ in checks if bad.any()]
+    if not firsts:
         return None
-    k = int(np.argmax(failed))
+    k = min(firsts)
     return k, next(message for bad, message in checks if bad[k])((k,))
 
 

@@ -27,6 +27,13 @@ def test_omega_matrix_shape_and_square():
     np.testing.assert_array_equal(om @ om, -np.eye(4))
 
 
+def test_omega_matrix_is_one_read_only_table_per_size():
+    om = omega_matrix(3)
+    assert omega_matrix(3) is om and not om.flags.writeable
+    with pytest.raises(ValueError):
+        om[0, 0] = 1.0
+
+
 def test_canonical_pairs(g):
     # {xi_a, eta_b} = delta_ab and {xi_a, xi_b} = {eta_a, eta_b} = 0
     table = poisson_brackets(lambda q: q.as_vector(), point(2, seed=3))
