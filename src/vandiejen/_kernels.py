@@ -2,7 +2,11 @@
 
 Every coefficient is built from the function sinh(i alpha + x)/sinh(x): two-body
 with alpha = mu at x = xi_a - xi_c and xi_a + xi_c, one-body with alpha = nu at
-x = 2 xi_a.  The real kernels u and the phase shifts hold all of it in one
+x = 2 xi_a.  The one complex kernel is shifted_sinh(alpha, x), which gives
+sinh(i alpha + x) = sinh(x) cos(alpha) + i cosh(x) sin(alpha) over real x from
+real ufuncs; z, the pair products, the Lax denominators sinh(i mu + Lam_k -
+Lam_l) and the duality identities take it, and nothing calls a complex sinh.
+The real kernels u and the phase shifts hold all of it in one
 (2, n, n) table per point: x[0] = xi_a - xi_c with +inf on the diagonal, and
 x[1] = xi_a + xi_c, whose diagonal 2 xi_a is exactly the one-body argument.  A
 read-only amplitude table of the same shape, built once per (n, mu, nu), holds
@@ -106,9 +110,10 @@ def shifted_sinh(alpha: float, x: np.ndarray) -> np.ndarray:
     """sinh(i alpha + x) = sinh(x) cos(alpha) + i cosh(x) sin(alpha) over real x.
 
     The one complex kernel: every coefficient's sinh(i alpha + x) goes
-    through it.  libm's csinh takes the same formula; here each part is one
-    real sinh or cosh and one product, each within an ulp, so each part of
-    the result is within 2 ulp of its exact value."""
+    through it.  libm's csinh takes the same formula.  Each part is a real
+    sinh or cosh (within an ulp) times the rounded cos or sin of alpha,
+    rounded once more, so it is within 2 ulp of its exact value.  Two real
+    ufuncs cost less than one complex sinh."""
     out = np.empty(np.shape(x), dtype=complex)
     np.multiply(np.sinh(x), np.cos(alpha), out=out.real)
     np.multiply(np.cosh(x), np.sin(alpha), out=out.imag)
