@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from vandiejen import cli
-from vandiejen.checks import BATTERIES
+from vandiejen.checks import BATTERIES, Battery, Check
 from vandiejen.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -457,3 +458,79 @@ def test_flow_keeps_its_report_when_the_projection_step_fails(tmp_path, capsys):
         assert line_both == f"{line_rk.removesuffix(',True')},inf,False"
     assert all(line.endswith(",True") for line in [*both[1:8], *proj[1:8], *rk[1:]])
     assert all(float(line.split(",")[-2]) < 1e-6 for line in both[1:8])
+
+
+# -- the writer, on a battery stub ---------------------------------------------
+
+EXTREMES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 1e-9]
+
+
+def _per_row_report(header, rows, fmt):
+    """A report rendered row by row: the csv module over format(float(x), ".17g")
+    with bools as is, or one dict per row with null for a non-finite float."""
+    if fmt == "json":
+        strict = [{k: None if isinstance(v, float) and not np.isfinite(v) else v
+                   for k, v in row.items()} for row in rows]
+        return json.dumps(strict, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, bool) else format(float(v), ".17g")
+                         for v in (row[k] for k in header)])
+    return buf.getvalue()
+
+
+def _stub(monkeypatch, columns, unit):
+    checks = (Check("upper", 1e-8), Check("lower", 0.0, lower=True))
+    monkeypatch.setitem(BATTERIES, "stub", Battery(lambda *_: dict(columns), checks, unit))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_renders_the_column_table_as_the_per_row_report(fmt, monkeypatch, tmp_path):
+    # sampled units: integer unit column and seeds, past 64 bits in the seed
+    # the last two rows hold every check; the battery's own verdict fails the last
+    columns = {
+        "upper": np.array(EXTREMES + [0.0, 0.0]),
+        "lower": np.array(EXTREMES[::-1] + [1.0, 1.0]),
+        "passed": np.arange(len(EXTREMES) + 2) != len(EXTREMES) + 1,
+    }
+    size = len(columns["upper"])
+    _stub(monkeypatch, columns, "point")
+    seed = 10**22
+    out = tmp_path / f"out.{fmt}"
+    args = cli.build_parser().parse_args(
+        ["lax-check", "--points", str(size), "--seed", str(seed), "--format", fmt, "--out", str(out)])
+    code = cli._run_battery(args, "stub")
+    passed = [
+        bool(columns["passed"][i] and u <= 1e-8 and v > 0.0)
+        for i, (u, v) in enumerate(zip(columns["upper"], columns["lower"]))
+    ]
+    rows = [
+        {"point": i, "seed": seed + i, "upper": float(u), "lower": float(v), "passed": p}
+        for i, (u, v, p) in enumerate(zip(columns["upper"], columns["lower"], passed))
+    ]
+    assert out.read_text() == _per_row_report(["point", "upper", "lower", "passed"], rows, fmt)
+    assert code == EXIT_FAIL
+    # nan fails its upper bound (row 0) and its lower bound (row 6)
+    assert passed == [False, False, True, False, False, False, False, True, False]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_keeps_a_float_unit_column_of_the_battery(fmt, monkeypatch, tmp_path):
+    # a unit column the battery gives (flow's times): floats, and no seed
+    times = np.array([-0.0, 0.5, 1e300])
+    columns = {"t": times, "upper": np.zeros(3), "lower": np.array([1.0, 5e-324, 2.0])}
+    _stub(monkeypatch, columns, "t")
+    out = tmp_path / f"out.{fmt}"
+    args = cli.build_parser().parse_args(["flow", "--format", fmt, "--out", str(out)])
+    assert cli._run_battery(args, "stub") == EXIT_PASS
+    rows = [{"t": float(t), "upper": 0.0, "lower": float(v), "passed": True}
+            for t, v in zip(times, columns["lower"])]
+    assert out.read_text() == _per_row_report(["t", "upper", "lower", "passed"], rows, fmt)
+
+
+def test_a_nan_column_fails_both_an_upper_and_a_lower_check():
+    view = {"x": np.array([np.nan, 0.5, 2.0])}
+    assert Check("x", 1.0).holds(view).tolist() == [False, True, False]
+    assert Check("x", 1.0, lower=True).holds(view).tolist() == [False, False, True]

@@ -8,11 +8,14 @@ the model differ by at most twice that.  The arguments xi_a -+ xi_c are rounded
 identically by both routes, so only the evaluation of each term differs.
 """
 import dis
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from mpmath import mp
 
 from vandiejen import Coupling, _kernels
 from vandiejen.dynamics import rk_flow
@@ -196,6 +199,32 @@ def test_pair_product_gives_the_loop_weights(n, mu, nu, seed):
     got = 1.0 / _kernels.pair_product(theta_hat, mu_hat)
     ops = 8 * 2 * (n - 1) + 1
     assert np.all(np.abs(got - ref) <= 2 * ops * 4 * EPS * np.abs(ref))
+
+
+def _ulps(got: float, exact) -> float:
+    """|got - exact| in units of the spacing of doubles at exact."""
+    if exact == 0:
+        return 0.0 if got == 0 else np.inf
+    return float(abs(mp.mpf(got) - exact)) / np.spacing(abs(float(exact)))
+
+
+@pytest.mark.parametrize("alpha", [0.7, -1.3, 0.4])
+def test_shifted_sinh_is_within_2_ulp_of_the_exact_value(alpha):
+    # over the range the coordinate cap allows, and near 0, where sinh(x) cos(alpha)
+    # is small beside the imaginary part; each part against 200-bit mpmath
+    xs = np.concatenate([np.linspace(-600.0, 600.0, 1201), np.linspace(-1e-3, 1e-3, 201)])
+    got = _kernels.shifted_sinh(alpha, xs)
+    with mp.workprec(200):
+        for x, z in zip(xs, got):
+            exact = mp.sinh(mp.mpc(x, alpha))
+            assert _ulps(z.real, exact.real) <= 2 and _ulps(z.imag, exact.imag) <= 2, x
+
+
+def test_no_complex_sinh_in_the_library():
+    # shifted_sinh is the one complex kernel; conftest keeps np.sinh(1j ...) as its oracle
+    src = Path(_kernels.__file__).parent
+    calls = [f.name for f in sorted(src.glob("*.py")) if re.search(r"np\.sinh\(\s*1j", f.read_text())]
+    assert calls == []
 
 
 def test_vector_field_is_finite_and_quiet_far_out():
