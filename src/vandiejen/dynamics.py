@@ -426,11 +426,13 @@ def _flow_units(
     top[lost] = 1.0  # a placeholder for the log: these units fail at the rank stage
     xi_t = np.log(top) + row_exp[:, :1] + col_exp[:, :1]
     # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*,
-    # which falls as the largest step of xi_t rises; 1 at n = 1
-    gap = -np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1, initial=-np.inf))
+    # which falls as the largest step of xi_t rises; 1 at n = 1, +0 (not -0) at a tie
+    gap = 0.0 - np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1, initial=-np.inf))
+    collided = (gap < FLOW_GAP_TOL) & ~stand_in
+    failed = stand_in | lost | collided
+    xi_t[failed] = np.nan  # before u, which has no value where positions coincide
     xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
     eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
-    collided = (gap < FLOW_GAP_TOL) & ~stand_in
     checks = [
         (~finite, lambda i: f"non-finite time {float(times[i])}"),
         (capped, lambda i: (
@@ -442,9 +444,6 @@ def _flow_units(
             f"eigenvalue collision along the flow: relative gap {gap[i]:.3e}"
         )),
     ]
-    failed = stand_in | lost | collided
-    if failed.any():
-        xi_t[failed] = eta_t[failed] = np.nan
     return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,)), checks
 
 

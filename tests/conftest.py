@@ -56,12 +56,11 @@ def allocating_field(xi, eta, mu, nu):
     from vandiejen import _kernels
 
     n = len(xi)
-    columns, stencil, t = _kernels._compact(n)
+    stencil, t, _, _ = _kernels._compact(n)
     forward = np.concatenate([xi, eta]).dot(stencil)
     sinh_forward = np.sinh(forward)
     x, sinh_x = forward[:-n].reshape(n, -1), sinh_forward[:-n].reshape(n, -1)
-    amplitudes = _kernels._amplitudes(n, mu, nu).reshape(-1)[columns].reshape(n, -1)
-    q = np.square(amplitudes / sinh_x)
+    q = np.square(_kernels._amplitudes(n, mu, nu) / sinh_x)
     one_plus_q = 1.0 + q
     xi_term = q / (np.tanh(x) * one_plus_q)
     u = np.sqrt(one_plus_q.prod(axis=1))
@@ -103,6 +102,16 @@ def traced_peak(run):
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def graded_point(n, gaps, seed):
+    """A point past the sampler's box: xi_n = 0.3 + U(0, 0.2), then n - 1 gaps
+    U(*gaps) upwards, and eta U(-1.5, 1.5), from one default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    base = 0.3 + rng.uniform(0.0, 0.2)
+    steps = rng.uniform(*gaps, n - 1)
+    eta = rng.uniform(-1.5, 1.5, n)
+    return PhasePoint(xi=base + np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]]), eta=eta)
 
 
 def spread_point(n, seed):

@@ -18,7 +18,9 @@ from vandiejen.dynamics import (
 from vandiejen.lax import LaxBundle, energy, lax_matrix
 from vandiejen.phase_space import Coupling, PhasePoint
 
-from conftest import allocating_field, flow_states, overflow_point, point, spread_point
+from conftest import (
+    allocating_field, flow_states, graded_point, overflow_point, point, spread_point,
+)
 
 
 # The oracle: every flow quantity rebuilt and eigensolved in mpmath at dps digits.
@@ -294,6 +296,16 @@ def test_a_non_finite_time_fails_alone(t, g):
     states = flow_states(out, 2)
     for s, ref in zip(states[[0, 2]], [1.0, 2.0]):
         npt.assert_array_equal(s, projection_flow(p, g, ref).as_vector())
+
+
+def test_coinciding_flowed_positions_fail_at_the_collision_stage():
+    # 16 positions at gaps U(0.35, 0.5): two of them coincide at t = 1.5,
+    # where u has no value; the unit fails the collision check with a zero
+    # gap, and no RuntimeWarning (an error here) comes before it
+    p = graded_point(16, (0.35, 0.5), seed=1)
+    message = "eigenvalue collision along the flow: relative gap 0.000e+00"
+    with pytest.raises(DynamicsError, match=f"^{re.escape(message)}$"):
+        projection_flow(p, Coupling(0.7, 0.4), 1.5)
 
 
 def test_rk_far_positions_are_quiet():

@@ -201,6 +201,26 @@ def test_pair_product_gives_the_loop_weights(n, mu, nu, seed):
     assert np.all(np.abs(got - ref) <= 2 * ops * 4 * EPS * np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16])
+@pytest.mark.parametrize("mu,nu", COUPLINGS[:2])
+def test_stacked_kernels_give_each_point_its_bits_alone(n, mu, nu):
+    # a (2, 2) stack of points; n = 8, 9 and 16 cross numpy's 8-wide pairwise
+    # summation block, and n = 16 lies past the sampler's box
+    points = [spread_point(n, seed) if n == 16 else point(n, seed) for seed in (1, 2, 3, 4)]
+    xi = np.stack([p.xi for p in points]).reshape(2, 2, n)
+    kernels = {
+        "u": lambda x: _kernels.u_coeffs(x, mu, nu),
+        "delta": lambda x: _kernels.delta_shifts(x, mu, nu),
+        "pair": lambda x: _kernels.pair_product(x, mu),
+        "z": lambda x: _kernels.z_coeffs(x, mu, nu),
+    }
+    for name, kernel in kernels.items():
+        stacked = kernel(xi)
+        alone = np.array([[kernel(x) for x in row] for row in xi])
+        assert stacked.shape == alone.shape == (2, 2, n), name
+        npt.assert_array_equal(stacked.view(np.uint64), alone.view(np.uint64), err_msg=name)
+
+
 def _ulps(got: float, exact) -> float:
     """|got - exact| in units of the spacing of doubles at exact."""
     if exact == 0:

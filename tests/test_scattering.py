@@ -15,7 +15,7 @@ from vandiejen.scattering import (
 from vandiejen.checks import BATTERIES
 from vandiejen.phase_space import Coupling, PhasePoint
 
-from conftest import point
+from conftest import graded_point, point
 
 
 def test_delta_single_particle_closed_form(g):
@@ -63,16 +63,6 @@ def test_minor_routes_match_closed_form(n, g):
     data = asymptotic_data(point(n, seed=5 + n), g)
     assert np.abs(data.minor_route_plus - data.lambda_plus).max() <= 1e-9
     assert np.abs(data.minor_route_minus - data.lambda_minus).max() <= 1e-9
-
-
-def graded_point(n, gaps, seed):
-    """A point past the sampler's box: xi_n = 0.3 + U(0, 0.2), then n - 1 gaps
-    U(*gaps) upwards, and eta U(-1.5, 1.5), from one default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    base = 0.3 + rng.uniform(0.0, 0.2)
-    steps = rng.uniform(*gaps, n - 1)
-    eta = rng.uniform(-1.5, 1.5, n)
-    return PhasePoint(xi=base + np.concatenate([np.cumsum(steps[::-1])[::-1], [0.0]]), eta=eta)
 
 
 @pytest.mark.parametrize("mu, nu", [(0.7, 0.4), (1.3, 0.2), (2.0, 1.0), (0.5, 1.1)])

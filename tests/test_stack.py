@@ -129,9 +129,11 @@ def stack_of(points):
 
 
 @pytest.mark.parametrize("g", COUPLINGS, ids=str)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 @pytest.mark.parametrize(
-    "name, seeds", [("lax-check", 20), ("duality", 20), ("scatter", 20), ("brackets", 3)]
+    "name, seeds, n",
+    # n = 8 and 12 cross numpy's 8-wide pairwise summation block
+    [(name, 20, n) for name in ("lax-check", "duality", "scatter") for n in (1, 2, 3, 4, 6, 8, 12)]
+    + [("brackets", 3, n) for n in (1, 2, 3, 4, 6)],
 )
 def test_stacked_battery_rows_equal_each_point_alone(name, seeds, n, g):
     residuals = BATTERIES[name].residuals
