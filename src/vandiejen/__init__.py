@@ -2,27 +2,39 @@
 Lax matrices, spectral duality, projection-method dynamics, factorized
 scattering, Poisson-bracket certification, and matrix-flow eigenvalue
 asymptotics.
+
+The namespace is lazy (PEP 562): each name of ``__all__`` is looked up in its
+defining submodule on access, which imports that submodule then and not
+before.  So ``import vandiejen.cli`` compiles and runs only the modules the
+command it runs needs, and ``vandiejen.sample is vandiejen.phase_space.sample``.
 """
-from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, sample
-from .lax import LaxBundle, lax_matrix
-from .duality import DualFrame, dual_frame, minor_identity_residuals
-from .dynamics import projection_flow, rk_flow, vector_field
-from .scattering import AsymptoticData, asymptotic_data, scattering_map
-from .brackets import poisson_brackets, symplectic_residuals
-from .asymptotics import (
-    FlowSpec, alpha_coeffs, exponential_summary, flow_eigenvalues, gamma_coeffs, linear_summary,
-    sample_spec,
-)
+import importlib as _importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Coupling", "PhasePoint", "PhaseSpaceError", "VandiejenError", "sample",
-    "LaxBundle", "lax_matrix",
-    "DualFrame", "dual_frame", "minor_identity_residuals",
-    "projection_flow", "rk_flow", "vector_field",
-    "AsymptoticData", "asymptotic_data", "scattering_map",
-    "poisson_brackets", "symplectic_residuals",
-    "FlowSpec", "alpha_coeffs", "exponential_summary", "flow_eigenvalues", "gamma_coeffs",
-    "linear_summary", "sample_spec",
-]
+# each exported name's defining submodule
+_SOURCES = {
+    "phase_space": ("Coupling", "PhasePoint", "PhaseSpaceError", "VandiejenError", "sample"),
+    "lax": ("LaxBundle", "lax_matrix"),
+    "duality": ("DualFrame", "dual_frame", "minor_identity_residuals"),
+    "dynamics": ("projection_flow", "rk_flow", "vector_field"),
+    "scattering": ("AsymptoticData", "asymptotic_data", "scattering_map"),
+    "brackets": ("poisson_brackets", "symplectic_residuals"),
+    "asymptotics": (
+        "FlowSpec", "alpha_coeffs", "exponential_summary", "flow_eigenvalues", "gamma_coeffs",
+        "linear_summary", "sample_spec",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -9,15 +9,16 @@ the row's own verdict beyond its checks (the theorem's, or a projection step
 that did not fail), and the "error" of a flow or brackets battery the one
 error line naming its failed flow, or None.  The CLI and the acceptance
 tests both read this table, so a bound is stated once.
+
+A battery names its function by module and name, and imports and looks it up
+at each call: a command compiles only the modules its own battery runs, and a
+function patched in its module (by a test or a tracer) is the one called.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from importlib import import_module
 from typing import Callable
-
-from . import asymptotics, brackets, duality, lax, scattering
-from .dynamics import flow_residuals
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,16 @@ class Check:
         return value > self.bound if self.lower else value <= self.bound
 
 
+def _deferred(module: str, name: str, **options) -> Callable[..., dict]:
+    """The function `name` of the submodule `module`, imported and looked up at
+    each call, with the keyword options bound (the flow battery's method)."""
+
+    def residuals(*args, **kwargs) -> dict:
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **options, **kwargs)
+
+    return residuals
+
+
 @dataclass(frozen=True)
 class Battery:
     residuals: Callable[..., dict]  # one array per column over a stack of units
@@ -42,7 +53,7 @@ class Battery:
 
 
 BATTERIES = {
-    "lax-check": Battery(lax.structure_residuals, (
+    "lax-check": Battery(_deferred("lax", "structure_residuals"), (
         Check("hermiticity", 1e-12),
         Check("det_minus_one", 1e-8),
         Check("min_eigenvalue", 0.0, lower=True),
@@ -50,7 +61,7 @@ BATTERIES = {
         Check("trace_minus_2h", 1e-12),
         Check("commutation", 1e-10),
     )),
-    "duality": Battery(duality.identity_residuals, (
+    "duality": Battery(_deferred("duality", "identity_residuals"), (
         Check("involution", 1e-7),
         Check("dual_lax_entrywise", 1e-8),
         Check("dual_lax_pushforward", 1e-8),
@@ -69,14 +80,14 @@ BATTERIES = {
         # sinh(2 theta_hat)^2; an absolute residual failed most points at n >= 9.
         Check("quadratic_identity", 1e-8),
     )),
-    "scatter": Battery(scattering.identity_residuals, (
+    "scatter": Battery(_deferred("scattering", "identity_residuals"), (
         Check("sum_identity", 1e-9),
         Check("minor_route_plus", 1e-9),
         Check("minor_route_minus", 1e-9),
         Check("scattering_consistency", 1e-9),
         Check("composite_route", 1e-12),
     )),
-    "brackets": Battery(brackets.symplectic_residuals, (
+    "brackets": Battery(_deferred("brackets", "symplectic_residuals"), (
         Check("action_action", 1e-5),
         Check("angle_angle", 1e-5),
         Check("cross_deviation", 1e-5),
@@ -90,13 +101,18 @@ BATTERIES = {
         # terms leave about eps_j(t_0)^2 relative at the first time t_0, and
         # the eigensolver's noise eps kappa / |eps_j(t_0)|; on the default
         # grid, seeds 0-399, at most 1.14e-5 at n <= 8 and 6.30e-4 at n <= 16
-        asymptotics.exponential_summary, (Check("p_recovery_rel_err", 1e-3),), unit="spec"
+        _deferred("asymptotics", "exponential_summary"),
+        (Check("p_recovery_rel_err", 1e-3),), unit="spec",
     ),
-    "asymptotics-linear": Battery(asymptotics.linear_summary, (), unit="spec"),
+    "asymptotics-linear": Battery(_deferred("asymptotics", "linear_summary"), (), unit="spec"),
     # the flow command, one battery per --method: a point over the times of a grid
-    "flow-both": Battery(partial(flow_residuals, method="both"), (
+    "flow-both": Battery(_deferred("dynamics", "flow_residuals", method="both"), (
         Check("propagator_gap", 1e-6),  # RK against projection, per time
     ), unit="t"),
-    "flow-projection": Battery(partial(flow_residuals, method="projection"), (), unit="t"),
-    "flow-runge-kutta": Battery(partial(flow_residuals, method="runge-kutta"), (), unit="t"),
+    "flow-projection": Battery(
+        _deferred("dynamics", "flow_residuals", method="projection"), (), unit="t"
+    ),
+    "flow-runge-kutta": Battery(
+        _deferred("dynamics", "flow_residuals", method="runge-kutta"), (), unit="t"
+    ),
 }

@@ -17,18 +17,21 @@ alone, parsed once.  Exit codes: 0 every row passed, 1 at least one row
 failed or a numerical failure (a library error other than a phase-space one)
 stopped the command with no report, 2 bad usage.  Identical arguments produce
 byte-identical output.
+
+A command runs in a fresh interpreter, which compiles every module it imports
+where no bytecode is cached, so this module imports the check table and the
+sampler alone: a battery imports its own modules when it runs, `asymptotics`
+is imported for its command and `json` for a JSON report.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
 import numpy as np
 
-from . import asymptotics as asy
 from .checks import BATTERIES
 from .phase_space import Coupling, PhaseSpaceError, VandiejenError, sample
 
@@ -89,6 +92,8 @@ def _emit(header: list, table: np.ndarray, args, seed=None) -> str:
     and its seed, seed + i, as integers."""
     values, passed = table[:, :-1].tolist(), table[:, -1].astype(bool).tolist()
     if args.format == "json":
+        import json
+
         rows = []
         finite = np.isfinite(table[:, :-1]).tolist()
         for i, (row, known, ok) in enumerate(zip(values, finite, passed)):
@@ -123,15 +128,21 @@ def _coupling(args) -> Coupling:
 
 def _stack(args, unit: str):
     """A battery's units: the times of --t for unit "t", else the --points
-    units from seed --seed on, as one stack from one sampler call."""
+    units from seed --seed on, as one stack from one sampler call, of few
+    enough units for numpy to allocate."""
     if unit == "t":
         return _parse_grid(args.t)
     if args.points < 1:
         raise UsageError(f"--points must be at least 1, got {args.points}")
     seeds = range(args.seed, args.seed + args.points)
-    if unit == "spec":
-        return asy.sample_spec(args.n, seed=seeds, kind=args.kind)
-    return sample(args.n, seed=seeds)
+    try:
+        if unit == "spec":
+            from .asymptotics import sample_spec
+
+            return sample_spec(args.n, seed=seeds, kind=args.kind)
+        return sample(args.n, seed=seeds)
+    except MemoryError as exc:
+        raise UsageError(f"--points {args.points} holds too many units to allocate") from exc
 
 
 def _run_battery(args, name: str, *context, **options) -> int:
@@ -186,11 +197,13 @@ def cmd_flow(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    from .asymptotics import AsymptoticsError, fit_grid
+
     if args.n < 2:
         raise UsageError(f"asymptotics needs n >= 2, got {args.n}")
     try:
-        grid = asy.fit_grid(_parse_grid(args.t), args.kind)
-    except asy.AsymptoticsError as exc:  # the grid alone decides, as --n does
+        grid = fit_grid(_parse_grid(args.t), args.kind)
+    except AsymptoticsError as exc:  # the grid alone decides, as --n does
         raise UsageError(str(exc)) from exc
     return _run_battery(args, f"asymptotics-{args.kind}", grid)
 

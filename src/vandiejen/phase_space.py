@@ -136,8 +136,8 @@ def sample(n: int, seed) -> PhasePoint:
     """Deterministic sample: positions in the box DEFAULT_XI_RANGE, sorted
     descending with steps of DEFAULT_XI_GAP or more (up to a few ulps of
     rounding), and rapidities in DEFAULT_ETA_RANGE.  One seed gives one
-    point, a sequence of seeds the stack of their points, point i being the
-    point of seed[i] alone.
+    point, a sequence of seeds (at least one) the stack of their points,
+    point i being the point of seed[i] alone.
 
     A point reads the first 2n numbers u of default_rng(seed).random.  With
     slack = hi - lo - (n - 1) DEFAULT_XI_GAP, xi_a = lo + slack s_a +
@@ -157,6 +157,8 @@ def sample(n: int, seed) -> PhasePoint:
             f"infeasible position bounds {DEFAULT_XI_RANGE} for n={n}, gap={DEFAULT_XI_GAP}"
         )
     seeds, one = _seed_list(seed)
+    if not seeds:
+        raise PhaseSpaceError("a stack of points needs at least one seed")
     u = np.array([np.random.default_rng(s).random(2 * n) for s in seeds]).reshape(-1, 2 * n)
     steps = DEFAULT_XI_GAP * np.arange(n - 1, -1, -1)
     eta_lo, eta_hi = DEFAULT_ETA_RANGE

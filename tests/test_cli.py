@@ -374,6 +374,10 @@ def test_a_brackets_error_line_names_its_point(seed, failing, tmp_path, capsys):
         ["flow", "--n", "2", "--t", "0,nan"],
         # 10^15 times, about 8 PB, which numpy cannot allocate
         ["flow", "--n", "2", "--t", "0:1e-12:1e3"],
+        # 10^15 seeds, about 8 PB, which numpy cannot allocate
+        ["lax-check", "--points", "1000000000000000"],
+        ["brackets", "--points", "1000000000000000"],
+        ["asymptotics", "--n", "3", "--points", "1000000000000000"],
         ["asymptotics", "--n", "3", "--t", "5:1:0"],
         ["asymptotics", "--n", "3", "--kind", "linear", "--t", "4,nan"],
         ["asymptotics", "--n", "3", "--t", "4,-inf"],

@@ -140,6 +140,13 @@ def test_sample_rejects_infeasible_bounds():
     assert str(exc.value) == f"infeasible position bounds ({lo}, {hi}) for n=13, gap={DEFAULT_XI_GAP}"
 
 
+@pytest.mark.parametrize("seeds", [[], range(5, 5)], ids=["list", "range"])
+def test_sample_rejects_an_empty_seed_list(seeds):
+    with pytest.raises(PhaseSpaceError) as exc:
+        sample(2, seeds)
+    assert str(exc.value) == "a stack of points needs at least one seed"
+
+
 def _one_attempt(n, seed):
     """(xi, eta) of the constructive rule drawn with rng.uniform from a fresh
     default_rng(seed): sorted positions in a box of side slack, shifted up by
