@@ -4,8 +4,8 @@ scattering, Poisson-bracket certification, and matrix-flow eigenvalue
 asymptotics.
 
 The namespace is lazy (PEP 562): each name of ``__all__`` is looked up in its
-defining submodule on access, which imports that submodule then and not
-before.  So ``import vandiejen.cli`` compiles and runs only the modules the
+defining submodule at each access, and the first access imports that
+submodule.  So ``import vandiejen.cli`` compiles and runs only the modules the
 command it runs needs, and ``vandiejen.sample is vandiejen.phase_space.sample``.
 """
 import importlib as _importlib
