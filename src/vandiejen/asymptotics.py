@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import general_eig, ldu
-from .phase_space import VandiejenError, _seed_list, raise_first
+from .phase_space import VandiejenError, raise_first, seeded_uniforms
 
 MINOR_MARGIN = 1e-10
 ORDER_GAP_TOL = 1e-8
@@ -189,9 +189,7 @@ def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
     return w if t.ndim else w[..., 0, :]
 
 
-def _decay_orders(
-    t_grid: np.ndarray, r: np.ndarray, log_t: bool = False, clamp: float = FIT_CLAMP
-) -> np.ndarray:
+def _decay_orders(t_grid: np.ndarray, r: np.ndarray, clamp, log_t: bool = False) -> np.ndarray:
     """Minus the slope of ln|r| against t (or ln t) in each (spec, j) column of
     r, shape (..., T, N), as an array of shape (..., N): one least-squares
     slope per column over its usable times, |r| > clamp (a number, or an
@@ -247,9 +245,9 @@ def _eps(spec: FlowSpec, t_grid: np.ndarray) -> np.ndarray:
     return np.exp(t_grid[:, None] * np.diff(spec.d, axis=-1)[..., None, :])
 
 
-def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """p_1 .. p_{N-1} recovered from the remainders rho on the grid, shape
-    (..., T, N), by one weighted least-squares fit per (spec, j).
+def _p_least_squares(rho: np.ndarray, eps_: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """p_1 .. p_{N-1} from the remainders rho on the grid, shape (..., T, N), by one weighted
+    least-squares fit per (spec, j); eps_ is _eps on the grid and noise _noise_level(rho).
 
     The product remainder sigma_j = (1 + rho_1) ... (1 + rho_j) - 1 is that of
     lambda_1 ... lambda_j, the sum over the j-subsets S of the principal minors
@@ -261,7 +259,7 @@ def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.
     terms in this order, as many as the grid has times, for y = sigma_j / eps_j.
 
     The eigensolver gives each lambda_j at time t with a relative error
-    eps kappa(t), which _noise_level measures at each time, so the datum y
+    eps kappa(t), which noise measures at each time, so the datum y
     at t has relative error about eps kappa(t) / |sigma_j(t)|, that
     is eps kappa(t) / |p_j eps_j(t)|, and each time is weighted by the
     inverse, |eps_j(t)| / (eps kappa(t)) (the constant |p_j| drops out).  The
@@ -271,16 +269,15 @@ def _p_least_squares(spec: FlowSpec, t_grid: np.ndarray, rho: np.ndarray) -> np.
     N <= 8 and 6.30e-4 at N = 10..16 over seeds 0-399, inside the 1e-3 bound
     of p_recovery_rel_err.
     """
-    eps_ = _eps(spec, t_grid)
     sigma = np.cumprod(1.0 + rho[..., :-1], axis=-1) - 1.0
     # the neighbours eps_{j-1} and eps_{j+1}, 0 where absent
     before, after = np.zeros((2,) + eps_.shape, dtype=eps_.dtype)
     before[..., 1:], after[..., :-1] = eps_[..., :-1], eps_[..., 1:]
     terms = (np.ones(eps_.shape), eps_, before, after)
-    weight = np.abs(eps_) / _noise_level(rho)
+    weight = np.abs(eps_) / noise
     # rows (spec, j, time), columns the model terms; the weighted datum
     # weight * sigma / eps is sigma times the phase of 1 / eps, without overflow
-    a = np.stack([weight * v for v in terms[: len(t_grid)]], axis=-1).swapaxes(-3, -2)
+    a = np.stack([weight * v for v in terms[: eps_.shape[-2]]], axis=-1).swapaxes(-3, -2)
     b = (sigma * (weight / eps_)).swapaxes(-1, -2)[..., None]
     scale = np.abs(a).max(axis=-2, keepdims=True)
     scale = np.where(scale > 0, scale, 1.0)
@@ -303,15 +300,16 @@ def exponential_summary(spec: FlowSpec, t_grid) -> dict:
     t_grid = fit_grid(t_grid, spec.kind)
     mj, pj = spec.coeffs
     rho = _relative_remainders(spec, mj, t_grid)
+    eps_, noise = _eps(spec, t_grid), _noise_level(rho)
     # first-order model p_j eps_j - p_{j-1} eps_{j-1}, eps_j = e^{t(d_{j+1} - d_j)}
-    first = pj[..., None, :] * _eps(spec, t_grid)
+    first = pj[..., None, :] * eps_
     model = np.zeros((2,) + rho.shape, dtype=first.dtype)
     model[0, ..., :-1], model[1, ..., 1:] = first, first
     subtracted = rho - (model[0] - model[1])
-    orders = _decay_orders(t_grid, subtracted, clamp=_noise_level(rho))
+    orders = _decay_orders(t_grid, subtracted, clamp=noise)
     min_order = np.fmin.reduce(orders, axis=-1)  # nan where no component is measurable
     shrinks = np.abs(rho[..., -1, :]) <= np.abs(rho[..., 0, :]) + FIT_CLAMP
-    recovered = _p_least_squares(spec, t_grid, rho)
+    recovered = _p_least_squares(rho, eps_, noise)
     recovery = (np.abs(recovered - pj) / np.maximum(np.abs(pj), 1e-12)).max(axis=-1)
     return {
         "R": spec.gap,
@@ -442,8 +440,8 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     D_1 ... D_{j-1} (D_j L_{j+1,j} U_{j,j+1} + D_{j+1}), and m_j = D_j, so
     p_j = L_{j+1,j} U_{j,j+1} and |p_j| >= OFF_SCALE^2 / 2 by construction.
 
-    Spec s reads its numbers from one np.random.default_rng(s).random call,
-    in this order: N - 1 slot keys (the slots go in the order of their keys),
+    Spec s reads its numbers from one phase_space.seeded_uniforms row, in
+    this order: N - 1 slot keys (the slots go in the order of their keys),
     N - 1 jitters, the real parts and then the imaginary parts of the noise
     of D, L and U (N + 2 N^2 each, L and U row by row), 2 (N - 1) moduli and
     2 (N - 1) phases of the pairs (L's, then U's).  A uniform u maps to the
@@ -451,17 +449,14 @@ def sample_spec(size: int, seed, kind: str = "exponential") -> FlowSpec:
     then built in one expression per factor.
     """
     _require_size(size)
-    seeds, one = _seed_list(seed)
-    if not seeds:
-        raise AsymptoticsError("a stack of specs needs at least one seed")
     n = size
     counts = np.array([n - 1, n - 1, n + 2 * n * n, n + 2 * n * n, 2 * (n - 1), 2 * (n - 1)])
-    u = np.array([np.random.default_rng(s).random(counts.sum()) for s in seeds])
+    u, one = seeded_uniforms(seed, counts.sum(), "specs")
     keys, jitter, re, im, moduli, phases = np.split(u, np.cumsum(counts)[:-1], axis=-1)
     slots = np.linspace(0.0, SPEC_GAP_SPREAD, n - 1)[np.argsort(keys, axis=-1, kind="stable")]
     spread = 0.1 * SPEC_GAP_SPREAD / max(n - 2, 1)
     gaps = SPEC_MIN_GAP + slots + spread * (-1.0 + 2.0 * jitter)
-    d = np.concatenate([np.zeros((len(seeds), 1)), -np.cumsum(gaps, axis=-1)], axis=-1)
+    d = np.concatenate([np.zeros((len(u), 1)), -np.cumsum(gaps, axis=-1)], axis=-1)
     d = (d - d.mean(axis=-1, keepdims=True)).astype(complex)
     z = SPEC_OFF_SCALE * ((-1.0 + 2.0 * re) + 1j * (-1.0 + 2.0 * im))
     lower, upper = z[:, n:].reshape(-1, 2, n, n).swapaxes(0, 1)

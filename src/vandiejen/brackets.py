@@ -18,6 +18,9 @@ point keeps its spectral columns, reads nan flow_symplectic and fails, and the
 battery's "error" names the first such stencil point's check and the point
 whose stencil it is.  poisson_brackets takes a map of a stack and a point or
 a stack in the same way.
+
+Both first check the step and its stencils in _require_stencil, the one raise
+of BracketError: bad input, so a PhaseSpaceError, which the CLI reads as usage.
 """
 from __future__ import annotations
 
@@ -28,13 +31,13 @@ import numpy as np
 
 from .duality import dual_frame
 from .dynamics import _first_failure, _flow_units
-from .phase_space import Coupling, PhasePoint, PhaseSpaceError, VandiejenError, require_valid
+from .phase_space import Coupling, PhasePoint, PhaseSpaceError, require_valid
 
 DEFAULT_STEP = 1e-5
 INTERIOR_FACTOR = 10.0
 
 
-class BracketError(VandiejenError):
+class BracketError(PhaseSpaceError):
     pass
 
 

@@ -18,6 +18,11 @@ failed or a numerical failure (a library error other than a phase-space one)
 stopped the command with no report, 2 bad usage.  Identical arguments produce
 byte-identical output.
 
+The library routine that uses a value checks it (the sampler --n, --seed and
+--points, lax_matrix and rk_flow the coupling, brackets the step and its
+stencils) and raises a PhaseSpaceError, bad usage here; this module checks
+only the time grid, --out, and the asymptotics size and grid.
+
 A command runs in a fresh interpreter, which compiles every module it imports
 where no bytecode is cached, so this module imports the check table and the
 sampler alone: a battery imports its own modules when it runs, `asymptotics`
@@ -120,20 +125,12 @@ def _write(text: str, args):
         raise UsageError(f"cannot write --out: {exc}") from exc
 
 
-def _coupling(args) -> Coupling:
-    g = Coupling(mu=args.mu, nu=args.nu)
-    g.require_regular()
-    return g
-
-
 def _stack(args, unit: str):
     """A battery's units: the times of --t for unit "t", else the --points
     units from seed --seed on, as one stack from one sampler call, of few
     enough units for numpy to allocate."""
     if unit == "t":
         return _parse_grid(args.t)
-    if args.points < 1:
-        raise UsageError(f"--points must be at least 1, got {args.points}")
     seeds = range(args.seed, args.seed + args.points)
     try:
         if unit == "spec":
@@ -174,36 +171,36 @@ def _run_battery(args, name: str, *context, **options) -> int:
 
 
 def cmd_lax_check(args) -> int:
-    return _run_battery(args, "lax-check", _coupling(args))
+    return _run_battery(args, "lax-check", Coupling(args.mu, args.nu))
 
 
 def cmd_duality(args) -> int:
-    return _run_battery(args, "duality", _coupling(args))
+    return _run_battery(args, "duality", Coupling(args.mu, args.nu))
 
 
 def cmd_scatter(args) -> int:
-    return _run_battery(args, "scatter", _coupling(args))
+    return _run_battery(args, "scatter", Coupling(args.mu, args.nu))
 
 
 def cmd_brackets(args) -> int:
-    if not (np.isfinite(args.step) and args.step > 0):
-        raise UsageError(f"--step must be finite and positive, got {args.step}")
-    return _run_battery(args, "brackets", _coupling(args), step=args.step)
+    return _run_battery(args, "brackets", Coupling(args.mu, args.nu), step=args.step)
 
 
 def cmd_flow(args) -> int:
-    g = _coupling(args)
-    return _run_battery(args, f"flow-{args.method}", sample(args.n, seed=args.seed), g)
+    point = sample(args.n, seed=args.seed)
+    return _run_battery(args, f"flow-{args.method}", point, Coupling(args.mu, args.nu))
 
 
 def cmd_asymptotics(args) -> int:
     from .asymptotics import AsymptoticsError, fit_grid
 
+    # argv alone decides the size and the grid, checked here as usage: the
+    # battery's AsymptoticsError is also its numerical failure, exit 1
     if args.n < 2:
         raise UsageError(f"asymptotics needs n >= 2, got {args.n}")
     try:
         grid = fit_grid(_parse_grid(args.t), args.kind)
-    except AsymptoticsError as exc:  # the grid alone decides, as --n does
+    except AsymptoticsError as exc:
         raise UsageError(str(exc)) from exc
     return _run_battery(args, f"asymptotics-{args.kind}", grid)
 
@@ -217,11 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, points=20):
-        """The options every subcommand takes; --points (at least 1) unless points is None."""
+    def common(sp, points=20, coupling=True):
+        """Every subcommand's options: --points unless points is None, --mu/--nu if coupling."""
         sp.add_argument("--n", type=int, default=2, help="particle count / matrix size")
-        sp.add_argument("--mu", type=float, default=0.7)
-        sp.add_argument("--nu", type=float, default=0.4)
+        if coupling:
+            sp.add_argument("--mu", type=float, default=0.7)
+            sp.add_argument("--nu", type=float, default=0.4)
         sp.add_argument("--seed", type=int, default=1)
         if points is not None:
             sp.add_argument("--points", type=int, default=points)
@@ -247,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step", type=float, default=1e-5)
 
     sp = sub.add_parser("asymptotics", help="matrix-flow eigenvalue asymptotics")
-    common(sp, points=5)
+    common(sp, points=5, coupling=False)
     sp.add_argument("--kind", choices=("exponential", "linear"), default="exponential")
     sp.add_argument("--t", default="4:1:10", help="time grid")
 
@@ -260,11 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if args.seed < 0:
-            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         # looked up at each call, not bound into the cached parser
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (UsageError, PhaseSpaceError) as exc:
+    except (UsageError, PhaseSpaceError) as exc:  # a BracketError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except VandiejenError as exc:  # a numerical failure: typed, reported, no traceback

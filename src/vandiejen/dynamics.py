@@ -474,7 +474,10 @@ def flow_residuals(t_values, p: PhasePoint, g: Coupling, method: str) -> dict:
     (max |projection - RK|) and passed.  The projection takes one spectrum and one
     stacked SVD, and reads each time's failure off the masks of _flow_units: its
     row does not pass and holds RK's state under "both" (propagator_gap inf), else
-    nan; "error" names the failed times and the first one's check, or is None."""
+    nan; "error" names the failed times and the first one's check, or is None.
+    Another method raises DynamicsError."""
+    if method not in ("projection", "runge-kutta", "both"):
+        raise DynamicsError(f"unknown method {method!r}")
     p.require_one()
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     states = np.full((len(t_values), 2 * p.n), np.nan)

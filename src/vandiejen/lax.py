@@ -20,7 +20,6 @@ from . import _kernels
 from .phase_space import Coupling, PhasePoint, VandiejenError, require_valid
 
 COORD_CAP = 300.0
-DEGENERACY_TOL = 1e-12
 
 
 class LaxError(VandiejenError):
@@ -76,8 +75,10 @@ class LaxBundle:
 
 def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
     """The bundle at p: z and u once, F from them, then L and the energy.  The
-    checks run in this order: the chamber, the coupling, the coordinate cap,
-    then near-degenerate denominators."""
+    checks run in this order: the chamber, the coupling, the coordinate cap.
+    No denominator of L needs one: |sinh(i mu + x)|^2 = sinh(x)^2 + sin(mu)^2,
+    so every one is at least |sin mu|, above DEFAULT_REG_MARGIN for a regular
+    coupling."""
     require_valid(p)
     g.require_regular()
     xi, eta = p.xi, p.eta
@@ -88,8 +89,6 @@ def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
     f = _f_vector(eta, z, u)
     lam = np.concatenate([xi, -xi], axis=-1)
     den = _kernels.lax_denominators(lam, g.mu)
-    if np.abs(den).min() < DEGENERACY_TOL:
-        raise LaxError("near-degenerate Lax denominator: positions collide modulo mu")
     c = conjugation_matrix(p.n)
     return LaxBundle(
         point=p, coupling=g, z=z, u=u, f=f, lam=lam, c=c,

@@ -126,10 +126,18 @@ def require_valid(p: PhasePoint, gap: float = DEFAULT_GAP):
     ))
 
 
-def _seed_list(seed) -> tuple[list[int], bool]:
-    """The seeds of one seed or a sequence of seeds, and whether it was one."""
+def seeded_uniforms(seed, k: int, units: str) -> tuple[np.ndarray, bool]:
+    """Every sampler's draws: (u, one), row i of u the first k numbers of
+    np.random.default_rng(s).random for seed s, the i-th of a sequence or the
+    one seed, and whether it is one.  An empty sequence (naming the units) or
+    a negative seed raises PhaseSpaceError, too many seeds MemoryError."""
     one = np.ndim(seed) == 0
-    return [operator.index(s) for s in ([seed] if one else seed)], one
+    seeds = [operator.index(s) for s in ([seed] if one else seed)]
+    if not seeds:
+        raise PhaseSpaceError(f"a stack of {units} needs at least one seed")
+    if min(seeds) < 0:
+        raise PhaseSpaceError(f"a seed must be non-negative, got {min(seeds)}")
+    return np.array([np.random.default_rng(s).random(k) for s in seeds]), one
 
 
 def sample(n: int, seed) -> PhasePoint:
@@ -139,7 +147,7 @@ def sample(n: int, seed) -> PhasePoint:
     point, a sequence of seeds (at least one) the stack of their points,
     point i being the point of seed[i] alone.
 
-    A point reads the first 2n numbers u of default_rng(seed).random.  With
+    A point reads its 2n numbers u from seeded_uniforms.  With
     slack = hi - lo - (n - 1) DEFAULT_XI_GAP, xi_a = lo + slack s_a +
     DEFAULT_XI_GAP (n - 1 - a), s the first n of u sorted descending, and eta
     maps the last n onto DEFAULT_ETA_RANGE.  x_(k) - (k - 1) DEFAULT_XI_GAP
@@ -156,14 +164,9 @@ def sample(n: int, seed) -> PhasePoint:
         raise PhaseSpaceError(
             f"infeasible position bounds {DEFAULT_XI_RANGE} for n={n}, gap={DEFAULT_XI_GAP}"
         )
-    seeds, one = _seed_list(seed)
-    if not seeds:
-        raise PhaseSpaceError("a stack of points needs at least one seed")
-    u = np.array([np.random.default_rng(s).random(2 * n) for s in seeds]).reshape(-1, 2 * n)
+    u, one = seeded_uniforms(seed, 2 * n, "points")
     steps = DEFAULT_XI_GAP * np.arange(n - 1, -1, -1)
     eta_lo, eta_hi = DEFAULT_ETA_RANGE
-    p = PhasePoint(
-        xi=lo + slack * np.sort(u[:, :n])[:, ::-1] + steps,
-        eta=eta_lo + (eta_hi - eta_lo) * u[:, n:],
-    )
-    return PhasePoint(xi=p.xi[0], eta=p.eta[0]) if one else p
+    u = u[0] if one else u
+    return PhasePoint(xi=lo + slack * np.sort(u[..., :n])[..., ::-1] + steps,
+                      eta=eta_lo + (eta_hi - eta_lo) * u[..., n:])

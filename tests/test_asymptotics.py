@@ -17,6 +17,7 @@ from vandiejen.asymptotics import (
 
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_PASS, main
+from vandiejen.phase_space import PhaseSpaceError
 
 from conftest import det_cofactor, record_returns
 
@@ -248,7 +249,8 @@ def test_two_point_p_recovery(size):
     spec, grid = sample_spec(size, seed=10 + size), np.array([8.0, 10.0])
     mj, pj = spec.coeffs
     rho = asymptotics._relative_remainders(spec, mj, grid)
-    recovered = asymptotics._p_least_squares(spec, grid, rho)
+    eps_, noise = asymptotics._eps(spec, grid), asymptotics._noise_level(rho)
+    recovered = asymptotics._p_least_squares(rho, eps_, noise)
     assert np.abs(recovered / pj - 1).max() <= 1e-3
 
 
@@ -436,8 +438,22 @@ def test_exponential_spec_rejects_a_zero_leading_minor():
 
 
 def test_sample_spec_rejects_an_empty_seed_list():
-    with pytest.raises(AsymptoticsError, match="at least one seed"):
+    # the seeding rule of phase_space.seeded_uniforms, shared with sample
+    with pytest.raises(PhaseSpaceError, match="^a stack of specs needs at least one seed$"):
         sample_spec(3, seed=[])
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -1], range(-2, 2)])
+def test_sample_spec_rejects_a_negative_seed(seed):
+    with pytest.raises(PhaseSpaceError, match="^a seed must be non-negative, got -[12]$"):
+        sample_spec(3, seed=seed)
+
+
+def test_perturbation_sums_reject_repeated_diagonal_values():
+    m = np.arange(9.0).reshape(3, 3)
+    for coeffs in (alpha_coeffs, asymptotics.gamma_coeffs):
+        with pytest.raises(AsymptoticsError, match="^repeated diagonal values$"):
+            coeffs(m, [1.0, 1.0, -1.0])
 
 
 @pytest.mark.parametrize("size", [-1, 0, 1])

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vandiejen
 from vandiejen import cli
 from vandiejen.checks import BATTERIES, Battery, Check
 from vandiejen.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
@@ -54,7 +59,8 @@ def test_a_stack_of_points_reports_the_rows_of_each_point_alone(command, tmp_pat
     # one residual call on seven units against seven calls on one unit each
     def rows(seed, points):
         out = tmp_path / "out.csv"
-        argv = [command, "--n", "3", "--mu", "1.3", "--nu", "0.2", "--seed", str(seed)]
+        coupling = [] if command == "asymptotics" else ["--mu", "1.3", "--nu", "0.2"]
+        argv = [command, "--n", "3", *coupling, "--seed", str(seed)]
         run([*argv, "--points", str(points), "--out", str(out)])
         rows = csv.DictReader(out.read_text().splitlines())
         return [{k: v for k, v in r.items() if k not in ("point", "spec")} for r in rows]
@@ -372,6 +378,9 @@ def test_a_brackets_error_line_names_its_point(seed, failing, tmp_path, capsys):
         ["flow", "--n", "2", "--t", "5:1:0"],
         ["flow", "--n", "2", "--t", "inf"],
         ["flow", "--n", "2", "--t", "0,nan"],
+        # a step that is not positive
+        ["flow", "--n", "2", "--t", "0:0:1"],
+        ["flow", "--n", "2", "--t", "0:-1:1"],
         # 10^15 times, about 8 PB, which numpy cannot allocate
         ["flow", "--n", "2", "--t", "0:1e-12:1e3"],
         # 10^15 seeds, about 8 PB, which numpy cannot allocate
@@ -392,6 +401,9 @@ def test_a_brackets_error_line_names_its_point(seed, failing, tmp_path, capsys):
         ["asymptotics", "--n", "3", "--t", "5,5"],
         ["asymptotics", "--n", "3", "--kind", "linear", "--t", "0,5"],
         ["--config", "x", "lax-check", "--points", "1"],
+        # asymptotics takes no coupling
+        ["asymptotics", "--n", "3", "--mu", "0.7"],
+        ["asymptotics", "--mu", "99", "--nu", "nan"],
     ],
 )
 def test_bad_option_value_is_one_line_usage_error(argv, tmp_path, capsys):
@@ -538,3 +550,46 @@ def test_a_nan_column_fails_both_an_upper_and_a_lower_check():
     view = {"x": np.array([np.nan, 0.5, 2.0])}
     assert Check("x", 1.0).holds(view).tolist() == [False, True, False]
     assert Check("x", 1.0, lower=True).holds(view).tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lax-check", "--n", "0"], "n must be >= 1"),
+    (["lax-check", "--seed", "-1"], "a seed must be non-negative, got -1"),
+    (["asymptotics", "--n", "3", "--points", "0"], "a stack of specs needs at least one seed"),
+    (["brackets", "--n", "2", "--points", "1", "--step", "0.5"],
+     "point within 5.0e+00 of a phase-space constraint; "
+     "central stencils would leave the valid region"),
+])
+def test_a_library_input_error_is_the_usage_error_line(argv, message, tmp_path, capsys):
+    # the rule lives in the library routine that reads the value; main reports it
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_asymptotics_takes_no_coupling_options(capsys):
+    helps = {}
+    for command in ("asymptotics", "lax-check"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        helps[command] = capsys.readouterr().out
+    assert "--mu" not in helps["asymptotics"] and "--nu" not in helps["asymptotics"]
+    assert "--mu" in helps["lax-check"] and "--nu" in helps["lax-check"]
+
+
+def test_the_module_entry_point_exits_with_mains_code(capsys):
+    # python -m vandiejen.cli in a fresh interpreter: sys.exit(main()) passes on
+    # the exit code, with the report and the error line that main writes in process
+    argv = [*LATE_FLOW, "--method", "projection"]
+    src = str(Path(vandiejen.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vandiejen.cli", *argv], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run(argv) == proc.returncode == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+    assert proc.stderr.startswith("error: projection step failed") and proc.stderr.count("\n") == 1

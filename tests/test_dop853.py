@@ -89,3 +89,22 @@ def test_steps_below_the_time_spacing_fail_as_in_solve_ivp(t_end, g, monkeypatch
     with pytest.raises(dynamics.DynamicsError, match=f"integrator failed: {sol.message}"):
         rk_flow(p, g, [t_end])
     assert len(calls) == sol.nfev
+
+
+def test_a_zero_field_steps_as_in_solve_ivp():
+    # f = 0: the initial step takes its floor (d1 and d2 at most 1e-15), every
+    # error norm is 0, and each accepted step grows by MAX_FACTOR
+    y0, ts = np.array([0.5, -1.0, 2.0]), np.array([0.5, 3.0, 40.0])
+    calls = []
+
+    def zero(_y, out):
+        calls.append(1)
+        out[:] = 0.0
+
+    sol = scipy_integrate.solve_ivp(
+        lambda _t, y: np.zeros_like(y), (0.0, ts[-1]), y0, method="DOP853",
+        t_eval=ts, rtol=RK_REL_TOL, atol=RK_ABS_TOL,
+    )
+    assert sol.success
+    npt.assert_array_equal(dynamics._dop853(zero, y0, ts, RK_REL_TOL, RK_ABS_TOL), sol.y.T)
+    assert len(calls) == sol.nfev

@@ -298,6 +298,19 @@ def test_a_non_finite_time_fails_alone(t, g):
         npt.assert_array_equal(s, projection_flow(p, g, ref).as_vector())
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_rk_rejects_a_non_finite_grid(t, g):
+    with pytest.raises(DynamicsError, match="^non-finite time grid$"):
+        rk_flow(point(2, seed=3), g, [0.0, t, 1.0])
+
+
+@pytest.mark.parametrize("method", ["rk", "Projection", ""])
+def test_flow_residuals_rejects_an_unknown_method(method, g):
+    # one of its three methods, or a typed error: never a silent run of both
+    with pytest.raises(DynamicsError, match=f"^unknown method {method!r}$"):
+        flow_residuals(np.array([0.0, 1.0]), point(2, seed=3), g, method)
+
+
 def test_coinciding_flowed_positions_fail_at_the_collision_stage():
     # 16 positions at gaps U(0.35, 0.5): two of them coincide at t = 1.5,
     # where u has no value; the unit fails the collision check with a zero

@@ -147,6 +147,13 @@ def test_sample_rejects_an_empty_seed_list(seeds):
     assert str(exc.value) == "a stack of points needs at least one seed"
 
 
+@pytest.mark.parametrize("seeds", [-1, [4, -3], range(-1, 3)])
+def test_sample_rejects_a_negative_seed(seeds):
+    # the library's own error, not numpy's untyped ValueError
+    with pytest.raises(PhaseSpaceError, match="^a seed must be non-negative, got -[13]$"):
+        sample(2, seeds)
+
+
 def _one_attempt(n, seed):
     """(xi, eta) of the constructive rule drawn with rng.uniform from a fresh
     default_rng(seed): sorted positions in a box of side slack, shifted up by

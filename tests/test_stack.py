@@ -292,6 +292,35 @@ def test_a_later_unit_with_a_vanishing_transformed_component_is_named(monkeypatc
         dual_frame(stack_of(points), G_FAIL)
 
 
+# of the five points at seeds 10..14, point 3 alone has both the largest
+# pairing residual and the smallest positivity-normalizing component
+NAMED = stack_of([point(3, seed=10 + k) for k in range(5)])
+
+
+def test_a_later_unit_failing_reciprocal_pairing_is_named(monkeypatch):
+    w, _ = hermitian_eig(lax_matrix(NAMED, G_FAIL).matrix)
+    worst = np.abs(w * w[..., ::-1] - 1.0).max(axis=-1)
+    tol, failing = _between_lowest(-worst)
+    assert list(failing) == [3]
+    monkeypatch.setattr(duality, "PAIRING_TOL", -tol)
+    message = f"spectrum fails reciprocal pairing: max residual {worst[3]:.3e}"
+    with pytest.raises(DualityError, match="^" + re.escape(message) + "$"):
+        dual_frame(NAMED, G_FAIL)
+
+
+def test_a_later_unit_with_a_weak_positivity_normalizing_component_is_named(monkeypatch):
+    # the first n components of F_hat are the moduli the phase fix divides by
+    moduli = dual_frame(NAMED, G_FAIL).f_hat[:, :3].real.min(axis=-1)
+    tol, failing = _between_lowest(moduli)
+    assert list(failing) == [3]
+    monkeypatch.setattr(duality, "PHASE_MODULUS_TOL", tol)
+    message = (
+        f"positivity-normalizing component has modulus {moduli[3]:.3e}; phase fix breaks down"
+    )
+    with pytest.raises(DualityError, match="^" + re.escape(message) + "$"):
+        dual_frame(NAMED, G_FAIL)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_poisson_brackets_over_a_stack_equal_each_point_alone(n):
     g = Coupling(0.7, 0.4)
