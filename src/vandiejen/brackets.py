@@ -15,7 +15,7 @@ point's values are bit-for-bit those of that point alone.  A stencil point
 that fails a spectral check raises by the rule of phase_space.raise_first; one
 whose time-1 flow fails a check of dynamics._flow_units has a nan flow, so its
 point keeps its spectral columns, reads nan flow_symplectic and fails, and the
-battery's "error" names the first such stencil point's check and the point
+battery's "error" names the first such stencil point's reason and the point
 whose stencil it is.  poisson_brackets takes a map of a stack and a point or
 a stack in the same way.
 
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .duality import dual_frame
-from .dynamics import _first_failure, _flow_units
+from .dynamics import _flow_units
 from .phase_space import Coupling, PhasePoint, PhaseSpaceError, require_valid
 
 DEFAULT_STEP = 1e-5
@@ -122,14 +122,14 @@ def _form_residual(j: np.ndarray, sign: float) -> np.ndarray:
     return np.abs(j.swapaxes(-1, -2) @ om @ j + sign * om).max(axis=(-2, -1))
 
 
-def _spectral_and_flow(x: np.ndarray, g: Coupling) -> tuple[np.ndarray, list]:
+def _spectral_and_flow(x: np.ndarray, g: Coupling) -> tuple[np.ndarray, np.ndarray, Callable]:
     """(spectral image, time-1 flow) over a (K, 2n) stack of points, both read
-    from the one spectrum of L at those points, and the flow's checks (see
-    dynamics._flow_units): a point that fails one has a nan flow."""
+    from the one spectrum of L at those points, then the flow's failure mask
+    and reason (see dynamics._flow_units): a point that fails has a nan flow."""
     frame = dual_frame(PhasePoint.from_vector(x), g)
     # the basis before the phase fix, as projection_flow takes it: the same bits
-    xi_t, eta_t, checks = _flow_units(frame.bundle, frame.theta_hat, frame.basis, 1.0)
-    return np.concatenate([frame.theta_hat, frame.lambda_hat, xi_t, eta_t], axis=-1), checks
+    xi_t, eta_t, failed, reason = _flow_units(frame.bundle, frame.theta_hat, frame.basis, 1.0)
+    return np.concatenate([frame.theta_hat, frame.lambda_hat, xi_t, eta_t], axis=-1), failed, reason
 
 
 def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP) -> dict:
@@ -137,22 +137,24 @@ def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP)
     Jacobian per point of the joint map q -> (spectral image, time-1 flow): the
     spectral block gives the canonicity of the dual coordinates and the
     reversal of the form, the flow block the preservation of the form by the
-    flow.  "error" is the first failed flow check of the stencil, after the
-    index of the point whose stencil it is (the report's point column), or None."""
+    flow.  "error" is the reason of the first stencil point whose flow fails,
+    after the index of the point whose stencil it is (the report's point
+    column), or None."""
     _require_stencil(p, step)
-    flow_checks = []
+    flow_failure = []
 
     def joint_map(x: np.ndarray) -> np.ndarray:
-        values, checks = _spectral_and_flow(x, g)
-        flow_checks.extend(checks)
+        values, *failure = _spectral_and_flow(x, g)
+        flow_failure.extend(failure)
         return values
 
     j = _map_jacobian(joint_map, p, step)
     spectral, flow = j[..., : 2 * p.n, :], j[..., 2 * p.n :, :]
-    first = _first_failure(flow_checks)
+    failed, reason = flow_failure
+    k = int(np.argmax(failed))
     return {
         **_canonicity(spectral),
         "antisymplectic": _form_residual(spectral, 1.0),
         "flow_symplectic": _form_residual(flow, -1.0),
-        "error": f"point {first[0] // (4 * p.n)}: {first[1]}" if first else None,
+        "error": f"point {k // (4 * p.n)}: {reason(k)}" if failed.any() else None,
     }

@@ -28,17 +28,20 @@ d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 
 The projection route takes a phase point or a stack of them (see PhasePoint):
 its spectrum is one stacked eigensolve, and one stacked SVD flows every unit
-of the stack to a time of its own, so a time grid takes one SVD.  Its checks
-are per-unit masks, its one failure path: the flow and brackets batteries
-report the first failing unit's check, and projection_flow raises them by the
-rule of phase_space.raise_first.  The Runge-Kutta route and the vector field
-take a single point.  Both routes return the states they reach and nothing
-else; flow_residuals, the flow command's battery, reports them over a time
-grid with their energies.
+of the stack to a finite time of its own, so a time grid takes one SVD.  A
+step fails only numerically, by the exponent range cap, lost rank or a
+collision, and its one failure record is a mask over the units with the
+reason of each: the flow and brackets batteries report the first failing
+unit's reason, and projection_flow raises it by the rule of
+phase_space.raise_first.  A non-finite time is rejected before any step.
+The Runge-Kutta route and the vector field take a single point.  Both routes
+return the states they reach and nothing else; flow_residuals, the flow
+command's battery, reports them over a time grid with their energies.
 """
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -344,14 +347,20 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
     return out
 
 
+def _time_grid(t_values) -> np.ndarray:
+    """t_values as a 1-d float array; DynamicsError if a time is not finite."""
+    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    if not np.all(np.isfinite(t_values)):
+        raise DynamicsError("non-finite time grid")
+    return t_values
+
+
 def rk_flow(p: PhasePoint, g: Coupling, t_values) -> PhasePoint:
     """Adaptive DOP853 propagation: the states at the requested times as one
     PhasePoint stack of shape (T, n), row k at t_values[k] (the order kept,
     repeats allowed, p at t = 0), with one field kernel for the whole
     trajectory."""
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if not np.all(np.isfinite(t_values)):
-        raise DynamicsError("non-finite time grid")
+    t_values = _time_grid(t_values)
     p.require_one()
     require_valid(p)
     g.require_regular()
@@ -379,18 +388,17 @@ def rk_flow(p: PhasePoint, g: Coupling, t_values) -> PhasePoint:
 
 def _flow_units(
     bundle: LaxBundle, theta_hat: np.ndarray, basis: np.ndarray, t
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """The flow of each unit of a stack to a time of its own, in one stacked
-    SVD of G.  The units are the leading axes of the spectrum (theta_hat,
-    basis) of _spectrum, those of the bundle, broadcast against the times t.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int], str]]:
+    """The flow of each unit of a stack to a finite time of its own, in one
+    stacked SVD of G.  The units are the leading axes of the spectrum
+    (theta_hat, basis) of _spectrum, those of the bundle, broadcast against t.
 
-    Returns (xi_t, eta_t, checks): the states with the units' axes, and the
-    check stages in order (non-finite time, range cap, lost rank, collision),
-    each a mask that marks the units failing it, flat over the units in C
-    order, and the message that names unit i.  A unit that fails a stage has
-    a nan state.  Every unit goes through the SVD: one at a non-finite time
-    with t = 0, and one over the range cap with its column exponents zeroed,
-    a finite stand-in factor; neither fails a later stage."""
+    Returns (xi_t, eta_t, failed, reason): the states with the units' axes,
+    the mask of the units that fail a check, flat over the units in C order,
+    and reason(k), the message of the first check unit k fails, in the order
+    range cap, lost rank, collision.  A failed unit has a nan state.  Every
+    unit goes through the SVD: one over the range cap with its column
+    exponents zeroed, a finite stand-in factor."""
     lam, g = bundle.lam, bundle.coupling
     n = theta_hat.shape[-1]
     spectra = np.arange(theta_hat[..., 0].size).reshape(theta_hat.shape[:-1])
@@ -405,8 +413,7 @@ def _flow_units(
     velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))[spectra]
     rows = _descending_rows(n)
     row_exp = lam.reshape(-1, 2 * n)[spectra[:, None], rows]
-    finite = np.isfinite(times)
-    t = np.where(finite, times, 0.0)[:, None]
+    t = times[:, None]
     with np.errstate(over="ignore"):  # past the double range: an inf range, over the cap
         cols = np.argsort(-t * velocities, axis=-1, kind="stable")
         beta = velocities[np.arange(len(times))[:, None], cols]
@@ -421,49 +428,39 @@ def _flow_units(
     )
     _, sigma, wh = np.linalg.svd(factor)
     top = sigma[:, :n]
-    stand_in = ~finite | capped
-    lost = (top[:, -1] <= 0) & ~stand_in
-    top[lost] = 1.0  # a placeholder for the log: these units fail at the rank stage
+    lost = top[:, -1] <= 0
+    top[lost] = 1.0  # a placeholder for the log: these units fail
     xi_t = np.log(top) + row_exp[:, :1] + col_exp[:, :1]
     # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*,
     # which falls as the largest step of xi_t rises; 1 at n = 1, +0 (not -0) at a tie
     gap = 0.0 - np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1, initial=-np.inf))
-    collided = (gap < FLOW_GAP_TOL) & ~stand_in
-    failed = stand_in | lost | collided
+    collided = gap < FLOW_GAP_TOL
+    failed = capped | lost | collided
     xi_t[failed] = np.nan  # before u, which has no value where positions coincide
     xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
     eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
-    checks = [
-        (~finite, lambda i: f"non-finite time {float(times[i])}"),
-        (capped, lambda i: (
-            f"flow exponent range {exp_range[i]:.4g} exceeds the double range cap "
-            f"at t={float(times[i])}"
-        )),
-        (lost, lambda i: f"flow factor lost rank (roundoff) at t={float(times[i])}"),
-        (collided, lambda i: (
-            f"eigenvalue collision along the flow: relative gap {gap[i]:.3e}"
-        )),
-    ]
-    return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,)), checks
 
+    def reason(k: int) -> str:
+        at = f"at t={float(times[k])}"
+        if capped[k]:
+            return f"flow exponent range {exp_range[k]:.4g} exceeds the double range cap {at}"
+        if lost[k]:
+            return f"flow factor lost rank (roundoff) {at}"
+        return f"eigenvalue collision along the flow: relative gap {gap[k]:.3e}"
 
-def _first_failure(checks: list) -> tuple[int, str] | None:
-    """(k, message) of the first unit k (flat, in C order) that fails a check
-    of _flow_units, for the first check it fails; None where every unit passes."""
-    firsts = [int(np.argmax(bad)) for bad, _ in checks if bad.any()]
-    if not firsts:
-        return None
-    k = min(firsts)
-    return k, next(message for bad, message in checks if bad[k])((k,))
+    return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,)), failed, reason
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
-    """Exact propagation through the spectrum of the matrix flow.  The checks
-    of _flow_units raise by phase_space.raise_first, stage by stage."""
+    """Exact propagation through the spectrum of the matrix flow to a finite
+    time t.  A failing unit of _flow_units raises by phase_space.raise_first:
+    the first one, for the first check it fails."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise DynamicsError(f"non-finite time {t}")
     bundle = lax_matrix(p, g)
-    xi_t, eta_t, checks = _flow_units(bundle, *_spectrum(bundle), float(t))
-    for bad, message in checks:
-        raise_first(bad, DynamicsError, message)
+    xi_t, eta_t, failed, reason = _flow_units(bundle, *_spectrum(bundle), t)
+    raise_first(failed, DynamicsError, lambda i: reason(*i))
     return PhasePoint(xi_t, eta_t)
 
 
@@ -472,27 +469,26 @@ def flow_residuals(t_values, p: PhasePoint, g: Coupling, method: str) -> dict:
     ("projection", "runge-kutta" or "both"), one array per column over the times:
     t, lambda_a and theta_a (xi and eta), energy, propagator_gap under "both"
     (max |projection - RK|) and passed.  The projection takes one spectrum and one
-    stacked SVD, and reads each time's failure off the masks of _flow_units: its
+    stacked SVD, and reads each time's failure off the mask of _flow_units: its
     row does not pass and holds RK's state under "both" (propagator_gap inf), else
-    nan; "error" names the failed times and the first one's check, or is None.
-    Another method raises DynamicsError."""
+    nan; "error" names the failed times and the first one's reason, or is None.
+    A non-finite time, for every method, or another method raises DynamicsError."""
     if method not in ("projection", "runge-kutta", "both"):
         raise DynamicsError(f"unknown method {method!r}")
     p.require_one()
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    t_values = _time_grid(t_values)
     states = np.full((len(t_values), 2 * p.n), np.nan)
     failed, error, gap = np.zeros(len(t_values), dtype=bool), None, {}
     if method != "runge-kutta":
         bundle = lax_matrix(p, g)
         moving = t_values != 0.0
-        xi_t, eta_t, checks = _flow_units(bundle, *_spectrum(bundle), t_values[moving])
+        xi_t, eta_t, bad, reason = _flow_units(bundle, *_spectrum(bundle), t_values[moving])
         states[~moving] = p.as_vector()
         states[moving] = np.concatenate([xi_t, eta_t], axis=-1)
-        failed[moving] = np.logical_or.reduce([bad for bad, _ in checks])
-        first = _first_failure(checks)
-        if first:
+        failed[moving] = bad
+        if bad.any():
             times = ",".join(format(t, "g") for t in t_values[failed])
-            error = f"projection step failed at t={times}: {first[1]}"
+            error = f"projection step failed at t={times}: {reason(int(np.argmax(bad)))}"
     if method != "projection":
         rk = rk_flow(p, g, t_values).as_vector()
         if method == "both":

@@ -289,13 +289,43 @@ def test_a_failing_time_keeps_its_message_and_the_others_flow():
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_time_fails_alone(t, g):
+    # one non-finite time among finite ones fails the whole grid, before
+    # anything flows, for every method; projection_flow names the time
     p = point(2, seed=3)
-    out = flow_residuals([1.0, t, 2.0], p, g, "projection")
-    assert out["passed"].tolist() == [True, False, True]
-    assert out["error"] == f"projection step failed at t={t:g}: non-finite time {t}"
-    states = flow_states(out, 2)
-    for s, ref in zip(states[[0, 2]], [1.0, 2.0]):
-        npt.assert_array_equal(s, projection_flow(p, g, ref).as_vector())
+    for method in ("projection", "runge-kutta", "both"):
+        with pytest.raises(DynamicsError, match="^non-finite time grid$"):
+            flow_residuals([1.0, t, 2.0], p, g, method)
+    with pytest.raises(DynamicsError, match=f"^non-finite time {t}$"):
+        projection_flow(p, g, t)
+
+
+def test_a_lost_rank_fails_its_time_alone(g, monkeypatch):
+    # the flow's SVD returns a zero n-th singular value for one unit of its
+    # stack: at the grid's time t = 2 (unit 1 of the moving times 1, 2, 3),
+    # that row alone fails, by the lost-rank check ahead of the collision its
+    # placeholder positions also make, and the other rows keep their bits
+    p, grid = point(2, seed=3), [0.0, 1.0, 2.0, 3.0]
+    ref, svd = flow_residuals(grid, p, g, "projection"), np.linalg.svd
+
+    def losing_rank(unit):
+        def patched(a):
+            u, sigma, vh = svd(a)
+            sigma[unit, p.n - 1] = 0.0
+            return u, sigma, vh
+        return patched
+
+    monkeypatch.setattr(np.linalg, "svd", losing_rank(1))
+    out = flow_residuals(grid, p, g, "projection")
+    message = "flow factor lost rank (roundoff) at t=2.0"
+    assert out["passed"].tolist() == [True, True, False, True]
+    assert out["error"] == f"projection step failed at t=2: {message}"
+    states, kept = flow_states(out, 2), [0, 1, 3]
+    assert np.isnan(states[2]).all() and np.isnan(out["energy"][2])
+    npt.assert_array_equal(states[kept], flow_states(ref, 2)[kept])
+    npt.assert_array_equal(out["energy"][kept], ref["energy"][kept])
+    monkeypatch.setattr(np.linalg, "svd", losing_rank(0))
+    with pytest.raises(DynamicsError, match=f"^{re.escape(message)}$"):
+        projection_flow(p, g, 2.0)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

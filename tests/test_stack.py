@@ -4,6 +4,7 @@ alone, and a check that fails at some point of the stack raises its typed
 error, for the first such point in stack order at the earliest stage that
 fails; a failing flow of the bracket stencil is the battery's error instead,
 that of its first failing stencil point."""
+import csv
 import dataclasses
 import re
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from vandiejen import Coupling, PhasePoint, asymptotics, brackets, cli, duality,
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import EXIT_FAIL, main
 from vandiejen.duality import DualityError, _spectrum, dual_frame
-from vandiejen.dynamics import DynamicsError, _first_failure, _flow_units, projection_flow
+from vandiejen.dynamics import DynamicsError, _flow_units, projection_flow
 from vandiejen.lax import energy, lax_matrix
 from vandiejen.linalg import hermitian_eig
 from vandiejen.phase_space import PhaseSpaceError
@@ -107,8 +108,8 @@ def test_stacked_frames_and_flow_steps_equal_each_point_alone(n):
     x = np.concatenate([stencil(point(n, seed=2), 1e-3), stencil(point(n, seed=5), 1e-3)])
     frame = dual_frame(PhasePoint.from_vector(x.reshape(2, -1, 2 * n)), g)
     for t in (1.0, -0.7):
-        xi_t, eta_t, checks = _flow_units(frame.bundle, frame.theta_hat, frame.basis, t)
-        assert not any(bad.any() for bad, _ in checks)
+        xi_t, eta_t, failed, _ = _flow_units(frame.bundle, frame.theta_hat, frame.basis, t)
+        assert failed.shape == (len(x),) and not failed.any()
         flowed = np.concatenate([xi_t, eta_t], axis=-1).reshape(len(x), 2 * n)
         for i, row in enumerate(x):
             alone = projection_flow(PhasePoint.from_vector(row), g, t)
@@ -126,6 +127,21 @@ def test_stacked_frames_and_flow_steps_equal_each_point_alone(n):
 
 def stack_of(points):
     return PhasePoint(xi=np.stack([p.xi for p in points]), eta=np.stack([p.eta for p in points]))
+
+
+def test_projection_flow_of_a_stack_equals_each_point_alone():
+    # n = 6 at (1.3, 0.2): seeds 1 and 3 both flow to t = 1, and at t = 4
+    # seed 3 alone passes the exponent range cap, which the stack raises
+    g, points = Coupling(1.3, 0.2), [point(6, seed=1), point(6, seed=3)]
+    flowed = projection_flow(stack_of(points), g, 1.0)
+    assert flowed.xi.shape == (2, 6)
+    for q, row in zip(points, flowed.as_vector()):
+        np.testing.assert_array_equal(row, projection_flow(q, g, 1.0).as_vector())
+    projection_flow(points[0], g, 4.0)
+    message = "flow exponent range 751.5 exceeds the double range cap at t=4.0"
+    for p in (points[1], stack_of(points)):
+        with pytest.raises(DynamicsError, match=f"^{re.escape(message)}$"):
+            projection_flow(p, g, 4.0)
 
 
 @pytest.mark.parametrize("g", COUPLINGS, ids=str)
@@ -211,29 +227,27 @@ def test_the_earliest_failing_stage_wins(monkeypatch):
         brackets.symplectic_residuals(P_FAIL, G_FAIL)
 
 
-def test_a_later_unit_failing_an_earlier_flow_stage_wins(monkeypatch):
-    # unit 0 fails the last stage, the collision check, and unit 1 the range
-    # cap: the cap runs first, so unit 1's error is raised.  Lam = (x, x, -x, -x)
-    # makes e^{2 Lam} a double eigenvalue, which t = 1e-13 splits by far less
-    # than the gap tolerance.
+def test_the_first_failing_flow_unit_wins_over_a_later_units_earlier_check(monkeypatch):
+    # unit 0 fails the last check, the collision, and unit 1 the first, the
+    # range cap: a report and a raise both name unit 0's collision, the first
+    # failing unit's first check.  Lam = (x, x, -x, -x) makes e^{2 Lam} a
+    # double eigenvalue, which t = 1e-13 splits by far less than the gap
+    # tolerance.
     bundle = lax_matrix(point(2, seed=3), G_FAIL)
     x = bundle.lam[0]
     twin = dataclasses.replace(bundle, lam=np.array([x, x, -x, -x]))
     spectrum, t = _spectrum(bundle), np.array([1e-13, 1e6])
-    checks = _flow_units(twin, *spectrum, t)[2]
-    assert [bad.tolist() for bad, _ in checks] == [
-        [False, False], [False, True], [False, False], [True, False]
-    ]
-    # a report names the first failing unit's first check instead
-    k, message = _first_failure(checks)
-    assert k == 0 and message.startswith("eigenvalue collision along the flow")
-    # projection_flow raises the checks of _flow_units, here the twin's
+    _, _, failed, reason = _flow_units(twin, *spectrum, t)
+    assert failed.tolist() == [True, True]
+    assert reason(0).startswith("eigenvalue collision along the flow: relative gap ")
+    assert re.fullmatch(r"flow exponent range .* at t=1000000\.0", reason(1))
+    # projection_flow raises the first failing unit's reason, here the twin's
     flow_units, p = dynamics._flow_units, point(2, seed=3)
-    monkeypatch.setattr(dynamics, "_flow_units", lambda *_: flow_units(twin, *spectrum, t[0]))
-    with pytest.raises(DynamicsError, match=r"^eigenvalue collision along the flow"):
-        projection_flow(p, G_FAIL, 1.0)
     monkeypatch.setattr(dynamics, "_flow_units", lambda *_: flow_units(twin, *spectrum, t))
-    with pytest.raises(DynamicsError, match=r"^flow exponent range .* at t=1000000.0$"):
+    with pytest.raises(DynamicsError, match=f"^{re.escape(reason(0))}$"):
+        projection_flow(p, G_FAIL, 1.0)
+    monkeypatch.setattr(dynamics, "_flow_units", lambda *_: flow_units(twin, *spectrum, t[::-1]))
+    with pytest.raises(DynamicsError, match=f"^{re.escape(reason(1))}$"):
         projection_flow(p, G_FAIL, 1.0)
 
 
@@ -246,6 +260,21 @@ def test_stencil_failure_ends_the_command_in_one_error_line(monkeypatch, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: degenerate spectrum") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_a_failing_stencil_flow_is_named_by_its_point(tmp_path, capsys):
+    # seeds 4 and 5 at n = 8, (1.3, 0.2): only point 1's stencil flow passes
+    # the exponent range cap, so the report keeps both rows and its one error
+    # line names point 1, the point of the first failing stencil unit
+    out = tmp_path / "out.csv"
+    argv = ["brackets", "--n", "8", "--mu", "1.3", "--nu", "0.2", "--seed", "4",
+            "--points", "2", "--out", str(out)]
+    assert main(argv) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: point 1: flow exponent range 1039 exceeds the double range cap at t=1.0\n"
+    )
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(row["point"], row["passed"]) for row in rows] == [("0", "True"), ("1", "False")]
 
 
 def test_battery_names_the_first_failing_point_of_its_stack(monkeypatch, tmp_path, capsys):
