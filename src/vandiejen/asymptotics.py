@@ -22,7 +22,9 @@ A FlowSpec holds one spec or a stack of specs (see FlowSpec), and every
 routine here takes either: its results carry the stack's leading axes.  The
 spectra of all specs at all times come from one general_eig call, and the
 checks follow phase_space.raise_first, and the decay orders of every
-(spec, j) column come from one stacked least-squares slope.
+(spec, j) column come from one stacked least-squares slope.  A bad input
+value (a size below 2, a grid fit_grid rejects) raises PhaseSpaceError;
+AsymptoticsError is a numerical failure, or a hand-built spec no check takes.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import general_eig, ldu
-from .phase_space import VandiejenError, raise_first, seeded_uniforms
+from .phase_space import PhaseSpaceError, VandiejenError, raise_first, seeded_uniforms, time_grid
 
 MINOR_MARGIN = 1e-10
 ORDER_GAP_TOL = 1e-8
@@ -52,7 +54,7 @@ class AsymptoticsError(VandiejenError):
 
 def _require_size(size: int):
     if size < 2:  # a flow needs a gap R and a perturbation sum
-        raise AsymptoticsError(f"a flow spec needs size >= 2, got {size}")
+        raise PhaseSpaceError(f"a flow spec needs size >= 2, got {size}")
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,7 @@ def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
     The exponential kind is centered by the mean of d before exponentiation
     (removing a scalar e^{t d_bar} factor) to stay in representable range.
     """
-    t = np.asarray(t, dtype=float)
-    ts = np.atleast_1d(t)
-    raise_first(~np.isfinite(ts), AsymptoticsError, lambda i: f"non-finite time {ts[i]}")
+    ts = time_grid(t)
     if spec.kind == "exponential":
         d_bar = spec.d.mean(axis=-1)
         centered = spec.d - d_bar[..., None]
@@ -186,7 +186,7 @@ def flow_eigenvalues(spec: FlowSpec, t) -> np.ndarray:
         raise_first(~np.isfinite(np.diagonal(a, axis1=-2, axis2=-1)).all(axis=-1), AsymptoticsError,
                     lambda i: f"flow matrix M + tD is not finite at t={ts[i[-1]]}")
         w = general_eig(a)
-    return w if t.ndim else w[..., 0, :]
+    return w if np.ndim(t) else w[..., 0, :]
 
 
 def _decay_orders(t_grid: np.ndarray, r: np.ndarray, clamp, log_t: bool = False) -> np.ndarray:
@@ -194,7 +194,7 @@ def _decay_orders(t_grid: np.ndarray, r: np.ndarray, clamp, log_t: bool = False)
     r, shape (..., T, N), as an array of shape (..., N): one least-squares
     slope per column over its usable times, |r| > clamp (a number, or an
     array broadcast against r), for the whole stack at once; nan where fewer
-    than two times are usable."""
+    than two times are usable or their spread underflows to 0."""
     usable = np.abs(r) > clamp
     count = usable.sum(axis=-2)
     x = np.where(usable, (np.log(t_grid) if log_t else t_grid)[:, None], 0.0)
@@ -202,22 +202,20 @@ def _decay_orders(t_grid: np.ndarray, r: np.ndarray, clamp, log_t: bool = False)
     # deviations from the means over the usable times, 0 at the others
     n = np.maximum(count, 1)[..., None, :]
     xc, yc = (np.where(usable, v - v.sum(axis=-2, keepdims=True) / n, 0.0) for v in (x, y))
-    slope = np.divide((xc * yc).sum(axis=-2), (xc * xc).sum(axis=-2),
-                      out=np.full(count.shape, np.nan), where=count >= 2)
+    spread = (xc * xc).sum(axis=-2)  # 0 where the squared deviations underflow
+    slope = np.divide((xc * yc).sum(axis=-2), spread,
+                      out=np.full(count.shape, np.nan), where=(count >= 2) & (spread > 0))
     return -slope
 
 
 def fit_grid(t_grid, kind: str) -> np.ndarray:
-    """The time grid of a check of the given kind as a float array: a decay
-    order needs two distinct finite times, and the linear kind's alpha / t
-    term strictly positive ones."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.isfinite(t_grid).all():
-        raise AsymptoticsError(f"non-finite time {t_grid[~np.isfinite(t_grid)][0]} in the grid")
-    if t_grid.size < 2 or t_grid.min() == t_grid.max():
-        raise AsymptoticsError("the time grid needs at least two distinct times")
+    """The grid of a check of the given kind (phase_space.time_grid): two distinct
+    times for a decay order, strictly positive for the linear kind's alpha / t."""
+    t_grid = time_grid(t_grid)
+    if t_grid.min() == t_grid.max():
+        raise PhaseSpaceError("the time grid needs at least two distinct times")
     if kind == "linear" and t_grid.min() <= 0:
-        raise AsymptoticsError("linear-kind grids must be strictly positive")
+        raise PhaseSpaceError("linear-kind grids must be strictly positive")
     return t_grid
 
 
@@ -326,7 +324,8 @@ def _linear_residuals(spec: FlowSpec, t_grid: np.ndarray, lams, shift) -> np.nda
     nearest eigenvalue is an error."""
     t = t_grid[:, None]
     diag = np.diagonal(spec.m, axis1=-2, axis2=-1)[..., None, :]
-    pred = diag + t * spec.d[..., None, :] + np.asarray(shift)[..., None, :] / t
+    with np.errstate(over="ignore"):  # shift / t past the double range: unmatched, raised below
+        pred = diag + t * spec.d[..., None, :] + np.asarray(shift)[..., None, :] / t
     assign = np.argmin(np.abs(lams[..., :, None] - pred[..., None, :]), axis=-2)
     ordered = np.sort(assign, axis=-1)
     shared = np.any(ordered[..., 1:] == ordered[..., :-1], axis=-1)

@@ -18,10 +18,11 @@ failed or a numerical failure (a library error other than a phase-space one)
 stopped the command with no report, 2 bad usage.  Identical arguments produce
 byte-identical output.
 
-The library routine that uses a value checks it (the sampler --n, --seed and
---points, lax_matrix and rk_flow the coupling, brackets the step and its
-stencils) and raises a PhaseSpaceError, bad usage here; this module checks
-only the time grid, --out, and the asymptotics size and grid.
+The library routine that uses a value checks it and raises a PhaseSpaceError,
+bad usage here: the samplers --n, --seed and --points, lax_matrix and rk_flow
+the coupling, brackets the step, phase_space.time_grid the times of --t and
+asymptotics.fit_grid an asymptotics grid.  This module checks only the syntax
+of --t, with its allocation, and --out.
 
 A command runs in a fresh interpreter, which compiles every module it imports
 where no bytecode is cached, so this module imports the check table and the
@@ -65,8 +66,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """The times of start:step:stop or a comma list: at least one, all finite,
-    and few enough for numpy to allocate."""
+    """The times of start:step:stop or a comma list, few enough for numpy to
+    allocate; the battery checks the times themselves (phase_space.time_grid)."""
     try:
         if ":" in spec:
             start, step, stop = (float(v) for v in spec.split(":"))
@@ -82,9 +83,6 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"bad time grid {spec!r}; use start:step:stop or a comma list") from exc
     except MemoryError as exc:
         raise UsageError(f"time grid {spec!r} holds too many times to allocate") from exc
-    # an empty grid would be a report with nothing checked
-    if grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise UsageError(f"time grid {spec!r} must hold at least one time, all finite")
     return grid
 
 
@@ -127,19 +125,15 @@ def _write(text: str, args):
 
 def _stack(args, unit: str):
     """A battery's units: the times of --t for unit "t", else the --points
-    units from seed --seed on, as one stack from one sampler call, of few
-    enough units for numpy to allocate."""
+    units from seed --seed on, as one stack from one sampler call."""
     if unit == "t":
         return _parse_grid(args.t)
     seeds = range(args.seed, args.seed + args.points)
-    try:
-        if unit == "spec":
-            from .asymptotics import sample_spec
+    if unit == "spec":
+        from .asymptotics import sample_spec
 
-            return sample_spec(args.n, seed=seeds, kind=args.kind)
-        return sample(args.n, seed=seeds)
-    except MemoryError as exc:
-        raise UsageError(f"--points {args.points} holds too many units to allocate") from exc
+        return sample_spec(args.n, seed=seeds, kind=args.kind)
+    return sample(args.n, seed=seeds)
 
 
 def _run_battery(args, name: str, *context, **options) -> int:
@@ -192,17 +186,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    from .asymptotics import AsymptoticsError, fit_grid
-
-    # argv alone decides the size and the grid, checked here as usage: the
-    # battery's AsymptoticsError is also its numerical failure, exit 1
-    if args.n < 2:
-        raise UsageError(f"asymptotics needs n >= 2, got {args.n}")
-    try:
-        grid = fit_grid(_parse_grid(args.t), args.kind)
-    except AsymptoticsError as exc:
-        raise UsageError(str(exc)) from exc
-    return _run_battery(args, f"asymptotics-{args.kind}", grid)
+    return _run_battery(args, f"asymptotics-{args.kind}", _parse_grid(args.t))
 
 
 @functools.cache

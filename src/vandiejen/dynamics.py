@@ -33,7 +33,8 @@ step fails only numerically, by the exponent range cap, lost rank or a
 collision, and its one failure record is a mask over the units with the
 reason of each: the flow and brackets batteries report the first failing
 unit's reason, and projection_flow raises it by the rule of
-phase_space.raise_first.  A non-finite time is rejected before any step.
+phase_space.raise_first.  Every route takes its times from
+phase_space.time_grid, which rejects an empty grid or a non-finite time.
 The Runge-Kutta route and the vector field take a single point.  Both routes
 return the states they reach and nothing else; flow_residuals, the flow
 command's battery, reports them over a time grid with their energies.
@@ -48,7 +49,8 @@ import numpy as np
 from . import _kernels
 from .duality import _descending_rows, _full_angles, _spectrum
 from .lax import LaxBundle, energy, lax_matrix
-from .phase_space import Coupling, PhasePoint, VandiejenError, raise_first, require_valid
+from .phase_space import (Coupling, PhasePoint, VandiejenError, raise_first, require_valid,
+                          time_grid)
 
 RK_REL_TOL = 1e-10
 RK_ABS_TOL = 1e-12
@@ -347,20 +349,12 @@ def _dop853(fun, y0: np.ndarray, t_samples: np.ndarray, rtol: float, atol: float
     return out
 
 
-def _time_grid(t_values) -> np.ndarray:
-    """t_values as a 1-d float array; DynamicsError if a time is not finite."""
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if not np.all(np.isfinite(t_values)):
-        raise DynamicsError("non-finite time grid")
-    return t_values
-
-
 def rk_flow(p: PhasePoint, g: Coupling, t_values) -> PhasePoint:
     """Adaptive DOP853 propagation: the states at the requested times as one
     PhasePoint stack of shape (T, n), row k at t_values[k] (the order kept,
     repeats allowed, p at t = 0), with one field kernel for the whole
     trajectory."""
-    t_values = _time_grid(t_values)
+    t_values = time_grid(t_values)
     p.require_one()
     require_valid(p)
     g.require_regular()
@@ -455,9 +449,7 @@ def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
     """Exact propagation through the spectrum of the matrix flow to a finite
     time t.  A failing unit of _flow_units raises by phase_space.raise_first:
     the first one, for the first check it fails."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise DynamicsError(f"non-finite time {t}")
+    (t,) = time_grid(t)
     bundle = lax_matrix(p, g)
     xi_t, eta_t, failed, reason = _flow_units(bundle, *_spectrum(bundle), t)
     raise_first(failed, DynamicsError, lambda i: reason(*i))
@@ -472,11 +464,11 @@ def flow_residuals(t_values, p: PhasePoint, g: Coupling, method: str) -> dict:
     stacked SVD, and reads each time's failure off the mask of _flow_units: its
     row does not pass and holds RK's state under "both" (propagator_gap inf), else
     nan; "error" names the failed times and the first one's reason, or is None.
-    A non-finite time, for every method, or another method raises DynamicsError."""
+    An unknown method raises DynamicsError."""
     if method not in ("projection", "runge-kutta", "both"):
         raise DynamicsError(f"unknown method {method!r}")
     p.require_one()
-    t_values = _time_grid(t_values)
+    t_values = time_grid(t_values)
     states = np.full((len(t_values), 2 * p.n), np.nan)
     failed, error, gap = np.zeros(len(t_values), dtype=bool), None, {}
     if method != "runge-kutta":

@@ -10,6 +10,7 @@ eigenproblem ill-conditioned.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,18 +127,40 @@ def require_valid(p: PhasePoint, gap: float = DEFAULT_GAP):
     ))
 
 
+def time_grid(t) -> np.ndarray:
+    """The one time rule of every routine that reads times: t, one time or a
+    sequence of them, as a 1-d float array.  An empty grid, or a non-finite
+    time (the first is named), raises PhaseSpaceError."""
+    t = np.asarray(t, dtype=float).ravel()
+    if t.size == 0:
+        raise PhaseSpaceError("a time grid needs at least one time")
+    raise_first(~np.isfinite(t), PhaseSpaceError, lambda i: f"non-finite time {t[i]}")
+    return t
+
+
 def seeded_uniforms(seed, k: int, units: str) -> tuple[np.ndarray, bool]:
     """Every sampler's draws: (u, one), row i of u the first k numbers of
     np.random.default_rng(s).random for seed s, the i-th of a sequence or the
-    one seed, and whether it is one.  An empty sequence (naming the units) or
-    a negative seed raises PhaseSpaceError, too many seeds MemoryError."""
-    one = np.ndim(seed) == 0
-    seeds = [operator.index(s) for s in ([seed] if one else seed)]
-    if not seeds:
+    one seed, and whether it is one, filled row by row.  An empty sequence,
+    more seeds than u can hold, or a negative seed raises PhaseSpaceError."""
+    try:
+        count, one = len(seed), False
+    except TypeError:  # an int has no length: one seed
+        seed, count, one = [seed], 1, True
+    except OverflowError:  # a range longer than any index
+        raise PhaseSpaceError(f"more than {sys.maxsize} {units} are too many to allocate") from None
+    if not count:
         raise PhaseSpaceError(f"a stack of {units} needs at least one seed")
+    try:
+        u = np.empty((count, k))
+    except (MemoryError, ValueError):  # ValueError: past the largest array size
+        raise PhaseSpaceError(f"{count} {units} are too many to allocate") from None
+    seeds = [operator.index(s) for s in seed]
     if min(seeds) < 0:
         raise PhaseSpaceError(f"a seed must be non-negative, got {min(seeds)}")
-    return np.array([np.random.default_rng(s).random(k) for s in seeds]), one
+    for row, s in zip(u, seeds):
+        np.random.default_rng(s).random(out=row)
+    return u, one
 
 
 def sample(n: int, seed) -> PhasePoint:

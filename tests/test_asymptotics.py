@@ -10,6 +10,7 @@ from vandiejen.asymptotics import (
     FlowSpec,
     alpha_coeffs,
     exponential_summary,
+    fit_grid,
     flow_eigenvalues,
     linear_summary,
     sample_spec,
@@ -458,8 +459,15 @@ def test_perturbation_sums_reject_repeated_diagonal_values():
 
 @pytest.mark.parametrize("size", [-1, 0, 1])
 def test_sample_spec_rejects_size_below_two(size):
-    with pytest.raises(AsymptoticsError):
+    # a bad input value, not a numerical failure
+    with pytest.raises(PhaseSpaceError, match=f"^a flow spec needs size >= 2, got {size}$"):
         sample_spec(size, seed=1)
+
+
+def test_sample_spec_rejects_more_seeds_than_numpy_can_allocate():
+    # the allocation fails at once: no seed is drawn
+    with pytest.raises(PhaseSpaceError, match="^1000000000000000 specs are too many to allocate$"):
+        sample_spec(3, range(10**15))
 
 
 def test_every_entry_point_rejects_a_spec_of_size_one():
@@ -467,28 +475,38 @@ def test_every_entry_point_rejects_a_spec_of_size_one():
     grid = [4.0, 5.0, 6.0]
     entry_points = [(exponential_summary, "exponential"), (linear_summary, "linear")]
     for run, kind in entry_points:
-        with pytest.raises(AsymptoticsError, match="size >= 2"):
+        with pytest.raises(PhaseSpaceError, match="^a flow spec needs size >= 2, got 1$"):
             run(FlowSpec(m=[[2.0]], d=[1.0], kind=kind), grid)
-    with pytest.raises(AsymptoticsError, match="size >= 2"):
+    with pytest.raises(PhaseSpaceError, match="^a flow spec needs size >= 2, got 1$"):
         alpha_coeffs([[2.0]], [1.0])
 
 
 @pytest.mark.parametrize("grid", [[5.0], [5.0, 5.0], []])
 def test_grid_without_two_distinct_times_is_rejected(grid):
+    message = ("the time grid needs at least two distinct times" if grid
+               else "a time grid needs at least one time")
     exp, lin = sample_spec(3, seed=7), sample_spec(3, seed=7, kind="linear")
-    with pytest.raises(AsymptoticsError):
+    for kind in ("exponential", "linear"):
+        with pytest.raises(PhaseSpaceError, match=f"^{message}$"):
+            fit_grid(grid, kind)
+    with pytest.raises(PhaseSpaceError, match=f"^{message}$"):
         exponential_summary(exp, grid)
-    with pytest.raises(AsymptoticsError):
+    with pytest.raises(PhaseSpaceError, match=f"^{message}$"):
         linear_summary(lin, grid)
 
 
 @pytest.mark.parametrize("grid", [[4.0, np.inf], [4.0, np.nan], [-np.inf, 4.0, 5.0]])
 def test_grid_with_a_non_finite_time_is_rejected(grid):
+    # the rule of phase_space.time_grid, naming the first non-finite time;
     # RuntimeWarnings are errors here
+    shown = next(str(t) for t in grid if not np.isfinite(t))
     exp, lin = sample_spec(3, seed=7), sample_spec(3, seed=7, kind="linear")
-    with pytest.raises(AsymptoticsError, match="non-finite time"):
+    for kind in ("exponential", "linear"):
+        with pytest.raises(PhaseSpaceError, match=f"^non-finite time {shown}$"):
+            fit_grid(grid, kind)
+    with pytest.raises(PhaseSpaceError, match=f"^non-finite time {shown}$"):
         exponential_summary(exp, grid)
-    with pytest.raises(AsymptoticsError, match="non-finite time"):
+    with pytest.raises(PhaseSpaceError, match=f"^non-finite time {shown}$"):
         linear_summary(lin, grid)
 
 
@@ -521,7 +539,7 @@ def test_error_paths():
     lin = sample_spec(3, seed=7, kind="linear")
     with pytest.raises(AsymptoticsError, match="not of exponential kind"):
         exponential_summary(lin, [10.0, 20.0])
-    with pytest.raises(AsymptoticsError):
+    with pytest.raises(PhaseSpaceError, match="^linear-kind grids must be strictly positive$"):
         linear_summary(lin, [-1.0, 10.0])
 
 
@@ -539,7 +557,7 @@ def test_flow_eigenvalues_past_the_double_range_raise_without_warnings(t):
 @pytest.mark.parametrize("t, shown", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan"),
                                       ([4.0, np.inf, np.nan], "inf")])
 def test_flow_eigenvalues_reject_a_non_finite_time_without_warnings(kind, t, shown):
-    with pytest.raises(AsymptoticsError, match=f"^non-finite time {shown}$"):
+    with pytest.raises(PhaseSpaceError, match=f"^non-finite time {shown}$"):
         flow_eigenvalues(sample_spec(3, seed=1, kind=kind), t)
 
 

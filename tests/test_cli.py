@@ -122,6 +122,50 @@ def test_asymptotics_single_time_is_usage_error(kind, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "--n", "2", "--t", "inf"],
+    ["flow", "--n", "2", "--t", "0,inf,nan", "--method", "projection"],
+    ["asymptotics", "--n", "3", "--t", "4,inf"],
+    ["asymptotics", "--n", "3", "--kind", "linear", "--t", "inf,4"],
+])
+def test_a_non_finite_time_is_the_same_usage_line_for_every_command(argv, tmp_path, capsys):
+    # the one time rule, phase_space.time_grid, names the first non-finite time
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: non-finite time inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--t", "0,1e-200"],
+    ["--n", "3", "--t", "0,1e-300"],
+    ["--n", "3", "--t", "0:1e-300:1e-299"],
+    ["--n", "8", "--t", "0,1e-300"],
+])
+def test_times_whose_spread_underflows_fit_no_order_without_warnings(argv, tmp_path, capsys):
+    # the squared deviations of the times from their mean underflow to 0, so
+    # no decay order is fitted (no 0 / 0): each row fails, with nothing on
+    # stderr; RuntimeWarnings are errors here
+    out = tmp_path / "out.csv"
+    assert run(["asymptotics", *argv, "--out", str(out)]) == EXIT_FAIL
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 5 and all(row["passed"] == "False" for row in rows)
+    assert all(row["min_fitted_order"] == "nan" for row in rows)
+
+
+def test_subnormal_linear_times_fail_to_match_without_warnings(tmp_path, capsys):
+    # alpha / t overflows at t = 1e-320: no prediction is near an eigenvalue,
+    # as at t = 1e-300, where it does not overflow; RuntimeWarnings are errors here
+    for t in ("1e-320,2e-320", "1e-300,2e-300"):
+        out = tmp_path / "out.csv"
+        assert run(["asymptotics", "--n", "3", "--kind", "linear", "--t", t,
+                    "--out", str(out)]) == EXIT_FAIL
+        first = t.split(",")[0]
+        assert capsys.readouterr().err == f"error: ambiguous eigenvalue matching at t={first}\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "step",
     # a negative number in exponent notation is the flag's value, not an option

@@ -16,7 +16,7 @@ from vandiejen.dynamics import (
     vector_field,
 )
 from vandiejen.lax import LaxBundle, energy, lax_matrix
-from vandiejen.phase_space import Coupling, PhasePoint
+from vandiejen.phase_space import Coupling, PhasePoint, PhaseSpaceError
 
 from conftest import (
     allocating_field, flow_states, graded_point, overflow_point, point, spread_point,
@@ -290,12 +290,13 @@ def test_a_failing_time_keeps_its_message_and_the_others_flow():
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_time_fails_alone(t, g):
     # one non-finite time among finite ones fails the whole grid, before
-    # anything flows, for every method; projection_flow names the time
+    # anything flows, for every method and for projection_flow, by the one
+    # time rule of phase_space.time_grid, which names the time
     p = point(2, seed=3)
     for method in ("projection", "runge-kutta", "both"):
-        with pytest.raises(DynamicsError, match="^non-finite time grid$"):
+        with pytest.raises(PhaseSpaceError, match=f"^non-finite time {t}$"):
             flow_residuals([1.0, t, 2.0], p, g, method)
-    with pytest.raises(DynamicsError, match=f"^non-finite time {t}$"):
+    with pytest.raises(PhaseSpaceError, match=f"^non-finite time {t}$"):
         projection_flow(p, g, t)
 
 
@@ -330,8 +331,17 @@ def test_a_lost_rank_fails_its_time_alone(g, monkeypatch):
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
 def test_rk_rejects_a_non_finite_grid(t, g):
-    with pytest.raises(DynamicsError, match="^non-finite time grid$"):
+    with pytest.raises(PhaseSpaceError, match=f"^non-finite time {t}$"):
         rk_flow(point(2, seed=3), g, [0.0, t, 1.0])
+
+
+def test_an_empty_grid_is_rejected(g):
+    p = point(2, seed=3)
+    for method in ("projection", "runge-kutta", "both"):
+        with pytest.raises(PhaseSpaceError, match="^a time grid needs at least one time$"):
+            flow_residuals([], p, g, method)
+    with pytest.raises(PhaseSpaceError, match="^a time grid needs at least one time$"):
+        rk_flow(p, g, [])
 
 
 @pytest.mark.parametrize("method", ["rk", "Projection", ""])

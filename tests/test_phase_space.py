@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,6 +14,7 @@ from vandiejen.phase_space import (
     raise_first,
     require_valid,
     sample,
+    time_grid,
 )
 
 from conftest import rejection_sample
@@ -152,6 +155,34 @@ def test_sample_rejects_a_negative_seed(seeds):
     # the library's own error, not numpy's untyped ValueError
     with pytest.raises(PhaseSpaceError, match="^a seed must be non-negative, got -[13]$"):
         sample(2, seeds)
+
+
+@pytest.mark.parametrize("seeds, count", [
+    (range(10**15), "1000000000000000"),  # 28 PiB, past any address space: fails at once
+    (range(10**18), "1000000000000000000"),  # past the largest array size
+    (range(10**20), f"more than {sys.maxsize}"),  # past any index: len() overflows
+])
+def test_sample_rejects_more_seeds_than_numpy_can_allocate(seeds, count):
+    # no seed is drawn: the table of draws is allocated first
+    with pytest.raises(PhaseSpaceError, match=f"^{count} points are too many to allocate$"):
+        sample(2, seeds)
+
+
+@pytest.mark.parametrize("t, times", [(2, [2.0]), ([3, -1], [3.0, -1.0]), (np.arange(3), [0, 1, 2])])
+def test_time_grid_is_a_1d_float_array(t, times):
+    grid = time_grid(t)
+    assert grid.dtype == float and grid.ndim == 1
+    assert grid.tolist() == times
+
+
+@pytest.mark.parametrize("t, message", [
+    ([], "a time grid needs at least one time"),
+    (np.inf, "non-finite time inf"),
+    ([1.0, -np.inf, np.nan], "non-finite time -inf"),  # the first non-finite time
+])
+def test_time_grid_rejects_an_empty_or_non_finite_grid(t, message):
+    with pytest.raises(PhaseSpaceError, match=f"^{message}$"):
+        time_grid(t)
 
 
 def _one_attempt(n, seed):
