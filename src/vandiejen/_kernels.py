@@ -2,29 +2,33 @@
 
 Every coefficient is built from the function sinh(i alpha + x)/sinh(x): two-body
 with alpha = mu at x = xi_a - xi_c and xi_a + xi_c, one-body with alpha = nu at
-x = 2 xi_a.  The one complex kernel is shifted_sinh(alpha, x), which gives
-sinh(i alpha + x) = sinh(x) cos(alpha) + i cosh(x) sin(alpha) over real x from
-real ufuncs; z, the pair products, the Lax denominators sinh(i mu + Lam_k -
-Lam_l) and the duality identities take it, and nothing calls a complex sinh.
-
-All of these arguments sit in one pair table per point (_compact), of shape
-(n, 2n - 1): row a holds xi_a - xi_c for every c != a, the difference
+x = 2 xi_a.  All of these arguments sit in one pair table per point (_compact),
+of shape (n, 2n - 1): row a holds xi_a - xi_c for every c != a, the difference
 entries, then xi_a + xi_c for every c, the sum entries, whose entry at c = a
-is the one-body argument 2 xi_a.  A read-only amplitude table of the same
-shape, built once per (n, mu, nu), holds sin(nu) at 2 xi_a and sin(mu)
-everywhere else.  u, the phase shifts and the flow field read the whole
-table; the pair products read its difference entries and its sum entries
-with c != a.
+is the one-body argument 2 xi_a.  Read-only tables of the same shape, built
+once per (n, mu, nu), hold sin(alpha) (the amplitudes) and cos(alpha) over it:
+the nu value at 2 xi_a, the mu value everywhere else.
 
-The moduli, logs and flow terms depend on x only through
-q = (sin(alpha) / sinh(x))^2, since |sinh(i alpha + x)/sinh(x)|^2 = 1 + q, and
-through tanh(x).  Within the coordinate cap (lax.COORD_CAP = 300) |x| <= 600,
-so sinh(x) is finite and q, at worst, underflows quietly to 0: the kernels
-need no errstate.  Past about 355 a position sum overflows sinh to inf, and
-q = 0 is still its limit; only the Runge-Kutta route, which has no cap, goes
-there, and its callers hold the overflow under their own errstate: rk_flow
-around its field evaluations, flow_residuals around the energies of its
-states.
+One pass over the pair table x gives every coefficient.  The moduli, logs and
+flow terms depend on x only through the ratio r = sin(alpha)/sinh(x), since
+|sinh(i alpha + x)/sinh(x)|^2 = 1 + r^2, and through tanh(x): u_a is the
+square root of the product of row a of 1 + r^2, and the phase shifts sum its
+logs.  The complex factors are sinh(i alpha + x)/sinh(x) = cos(alpha) +
+i sin(alpha)/tanh(x), one table of them (_products): z_a is minus the product
+of row a, and the pair products are the products of the table at nu = 0,
+whose one-body factor is exactly 1.  coefficients gives z and u from one pair
+table, as the Lax matrix takes them.  Within the coordinate cap
+(lax.COORD_CAP = 300) |x| <= 600, so sinh(x) is finite, tanh(x) never
+overflows, and r, at worst, underflows quietly to 0: the kernels need no
+errstate.  Past about 355 a position sum overflows sinh to inf, and r = 0 is
+still its limit; only the Runge-Kutta route, which has no cap, goes there, and
+its callers hold the overflow under their own errstate: rk_flow around its
+field evaluations, flow_residuals around the energies of its states.
+
+The other complex kernel is shifted_sinh(alpha, x), which gives
+sinh(i alpha + x) = sinh(x) cos(alpha) + i cosh(x) sin(alpha) over real x from
+real ufuncs; the Lax denominators sinh(i mu + Lam_k - Lam_l) and the duality
+identities take it, and nothing calls a complex sinh.
 
 The tables and the coefficients (z, u, the pair products, the phase shifts,
 the Lax entries) take a stack of points: xi of shape (..., n) gives tables of
@@ -53,7 +57,7 @@ import numpy as np
 
 @lru_cache(maxsize=64)
 def _compact(n: int):
-    """(S, T, signs, sums): the stencils of the pair table, all read-only.
+    """(S, T, signs): the stencils of the pair table, all read-only.
 
     The pair table of xi is (xi @ T).reshape(n, 2n - 1), with the c != a of
     each row in increasing order.  T holds the +-1 coefficients of
@@ -63,8 +67,7 @@ def _compact(n: int):
     order, the order in which the field's adjoint product T @ v rounds its
     sums.  S = [[T, 0], [0, 1]] extends T by an identity block, so that y @ S
     is [x, eta] for the flat state y = (xi, eta).  signs holds sign(c - a)
-    over the difference entries of each row, and sums the flat indices of the
-    sum entries with c != a, both of shape (n, n - 1).
+    over the difference entries of each row, shape (n, n - 1).
     """
     eye, a, j = np.eye(n), np.arange(n)[:, None], np.arange(n - 1)
     above = j >= a  # row a's difference entry j has c = j + 1 > a, else c = j < a
@@ -76,20 +79,30 @@ def _compact(n: int):
     s[:n, :size] = t
     s[n:, size:] = eye
     signs = np.where(above, 1.0, -1.0)
-    sums = a * (2 * n - 1) + n - 1 + others
-    for table in (s, t, signs, sums):
+    for table in (s, t, signs):
         table.flags.writeable = False
-    return s, t, signs, sums
+    return s, t, signs
+
+
+def _over_pairs(n: int, two_body: float, one_body: float) -> np.ndarray:
+    """A read-only (n, 2n - 1) table over the pair table: one_body at 2 xi_a,
+    two_body everywhere else."""
+    s = np.full((n, 2 * n - 1), two_body)
+    s.reshape(-1)[n - 1 :: 2 * n] = one_body
+    s.flags.writeable = False
+    return s
 
 
 @lru_cache(maxsize=64)
 def _amplitudes(n: int, mu: float, nu: float) -> np.ndarray:
-    """The read-only (n, 2n - 1) table sin(alpha) over the pair table:
-    sin(nu) at 2 xi_a, sin(mu) everywhere else."""
-    s = np.full((n, 2 * n - 1), np.sin(mu))
-    s.reshape(-1)[n - 1 :: 2 * n] = np.sin(nu)
-    s.flags.writeable = False
-    return s
+    """sin(alpha) over the pair table: sin(nu) at 2 xi_a, sin(mu) everywhere else."""
+    return _over_pairs(n, np.sin(mu), np.sin(nu))
+
+
+@lru_cache(maxsize=64)
+def _cosines(n: int, mu: float, nu: float) -> np.ndarray:
+    """cos(alpha) over the pair table: cos(nu) at 2 xi_a, cos(mu) everywhere else."""
+    return _over_pairs(n, np.cos(mu), np.cos(nu))
 
 
 def _pairs(xi: np.ndarray) -> np.ndarray:
@@ -98,65 +111,83 @@ def _pairs(xi: np.ndarray) -> np.ndarray:
     return np.dot(xi, _compact(n)[1]).reshape(xi.shape[:-1] + (n, 2 * n - 1))
 
 
-def _table(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
-    """q = (sin(alpha) / sinh(x))^2 over the pair table x."""
-    return np.square(_amplitudes(xi.shape[-1], mu, nu) / np.sinh(_pairs(xi)))
+def _ratios(xi: np.ndarray, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x, r): the pair table x and the ratio r = sin(alpha)/sinh(x) over it."""
+    x = _pairs(xi)
+    return x, _amplitudes(xi.shape[-1], mu, nu) / np.sinh(x)
+
+
+def _moduli(r: np.ndarray) -> np.ndarray:
+    """u_a = |z_a|: the square root of the product of row a of 1 + r^2."""
+    return np.sqrt((1.0 + np.square(r)).prod(axis=-1))
+
+
+def _products(x: np.ndarray, mu: float, nu: float) -> np.ndarray:
+    """The products over each row of the table
+    sinh(i alpha + x)/sinh(x) = cos(alpha) + i sin(alpha)/tanh(x) on the pair table x.
+    Each part of a factor is one rounded cos, or sin, tanh and quotient."""
+    n = x.shape[-2]
+    table = np.empty(x.shape, dtype=complex)
+    table.real = _cosines(n, mu, nu)
+    np.divide(_amplitudes(n, mu, nu), np.tanh(x), out=table.imag)
+    return table.prod(axis=-1)
 
 
 def shifted_sinh(alpha: float, x: np.ndarray) -> np.ndarray:
     """sinh(i alpha + x) = sinh(x) cos(alpha) + i cosh(x) sin(alpha) over real x.
 
-    The one complex kernel: every coefficient's sinh(i alpha + x) goes
-    through it.  libm's csinh takes the same formula.  Each part is a real
-    sinh or cosh (within an ulp) times the rounded cos or sin of alpha,
-    rounded once more, so it is within 2 ulp of its exact value.  Two real
-    ufuncs cost less than one complex sinh."""
+    libm's csinh takes the same formula.  Each part is a real sinh or cosh
+    (within an ulp) times the rounded cos or sin of alpha, rounded once more,
+    so it is within 2 ulp of its exact value.  Two real ufuncs cost less than
+    one complex sinh."""
     out = np.empty(np.shape(x), dtype=complex)
     np.multiply(np.sinh(x), np.cos(alpha), out=out.real)
     np.multiply(np.cosh(x), np.sin(alpha), out=out.imag)
     return out
 
 
-def pair_product(xi: np.ndarray, mu: float) -> np.ndarray:
-    """prod_{c != a} sinh(i mu + x)/sinh(x) over x = xi_a - xi_c and xi_a + xi_c:
-    row a's difference entries and its sum entries with c != a."""
-    n = xi.shape[-1]
-    x = _pairs(xi)
-    d, s = x[..., : n - 1], x.reshape(xi.shape[:-1] + (-1,))[..., _compact(n)[3]]
-    return (shifted_sinh(mu, d) / np.sinh(d) * shifted_sinh(mu, s) / np.sinh(s)).prod(axis=-1)
-
-
-def z_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
-    """z_a = -sinh(i nu + 2 xi_a)/sinh(2 xi_a) * pair_product(xi, mu)_a."""
-    return -shifted_sinh(nu, 2 * xi) / np.sinh(2 * xi) * pair_product(xi, mu)
+def coefficients(xi: np.ndarray, mu: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """(z, u) from one pair table: z_a = -prod_c sinh(i alpha + x_ac)/sinh(x_ac)
+    over row a, the one-body entry 2 xi_a at alpha = nu, and u = |z| as the
+    square-root product form (real, > 1), bit for bit u_coeffs."""
+    x, r = _ratios(xi, mu, nu)
+    return -_products(x, mu, nu), _moduli(r)
 
 
 def u_coeffs(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
     """u_a = |z_a| as the square-root product form (real, > 1): the square
-    root of the product of row a of 1 + q."""
-    return np.sqrt((1.0 + _table(xi, mu, nu)).prod(axis=-1))
+    root of the product of row a of 1 + r^2."""
+    return _moduli(_ratios(xi, mu, nu)[1])
+
+
+def pair_product(xi: np.ndarray, mu: float) -> np.ndarray:
+    """prod_{c != a} sinh(i mu + x)/sinh(x) over x = xi_a - xi_c and xi_a + xi_c:
+    the factor products at nu = 0, whose one-body factor cos(0) + i 0 is 1."""
+    return _products(_pairs(xi), mu, 0.0)
 
 
 def delta_shifts(xi: np.ndarray, mu: float, nu: float) -> np.ndarray:
-    """Phase shifts Delta_a = 1/2 ln(1 + q(2 xi_a))
-    + sum_{c != a} [sign(c - a) 1/2 ln(1 + q(xi_a - xi_c)) + 1/2 ln(1 + q(xi_a + xi_c))],
+    """Phase shifts Delta_a = 1/2 ln(1 + r(2 xi_a)^2)
+    + sum_{c != a} [sign(c - a) 1/2 ln(1 + r(xi_a - xi_c)^2) + 1/2 ln(1 + r(xi_a + xi_c)^2)],
     the signed sum of row a's difference entries plus the sum of its sum entries."""
     n = xi.shape[-1]
-    logs = 0.5 * np.log1p(_table(xi, mu, nu))
+    logs = 0.5 * np.log1p(np.square(_ratios(xi, mu, nu)[1]))
     return (_compact(n)[2] * logs[..., : n - 1]).sum(axis=-1) + logs[..., n - 1 :].sum(axis=-1)
 
 
-def lax_denominators(lam: np.ndarray, mu: float) -> np.ndarray:
-    """The table sinh(i mu + Lam_k - Lam_l) of the Lax entries."""
-    return shifted_sinh(mu, lam[..., :, None] - lam[..., None, :])
-
-
-def lax_entries(f: np.ndarray, den: np.ndarray, c: np.ndarray, mu: float, nu: float) -> np.ndarray:
-    """L_kl = (i sin(mu) F_k conj(F_l) + i sin(mu - nu) C_kl) / den_kl, with den
-    the lax_denominators table."""
-    outer = f[..., :, None] * f.conj()[..., None, :]
-    num = 1j * np.sin(mu) * outer + 1j * np.sin(mu - nu) * c
-    return num / den
+def lax_entries(f: np.ndarray, lam: np.ndarray, mu: float, nu: float) -> np.ndarray:
+    """L_kl = (i sin(mu) F_k conj(F_l) + i sin(mu - nu) C_kl) / sinh(i mu + Lam_k - Lam_l),
+    C the conjugation matrix.  Its term is added at the ones of C alone, the
+    entries (a, n + a) and (n + a, a), which start n and 2n^2 into the flat
+    matrix and lie 2n + 1 apart: elsewhere it would add exact zeros."""
+    n = lam.shape[-1] // 2
+    den = shifted_sinh(mu, lam[..., :, None] - lam[..., None, :])
+    num = f[..., :, None] * f.conj()[..., None, :]
+    num *= 1j * np.sin(mu)
+    flat, shift = num.reshape(num.shape[:-2] + (-1,)), 1j * np.sin(mu - nu)
+    flat[..., n : 2 * n * n : 2 * n + 1] += shift
+    flat[..., 2 * n * n :: 2 * n + 1] += shift
+    return np.divide(num, den, out=num)
 
 
 def field_kernel(n: int, mu: float, nu: float):
@@ -181,7 +212,7 @@ def field_kernel(n: int, mu: float, nu: float):
     position, and allocates no array.  A kernel serves one caller at a time:
     its tables are overwritten by each call.
     """
-    stencil, t, _, _ = _compact(n)
+    stencil, t, _ = _compact(n)
     width, size = 2 * n - 1, t.shape[1]
     amplitudes = _amplitudes(n, mu, nu)
     ones = np.ones((n, width))

@@ -23,8 +23,11 @@ routine here takes either: its results carry the stack's leading axes.  The
 spectra of all specs at all times come from one general_eig call, and the
 checks follow phase_space.raise_first, and the decay orders of every
 (spec, j) column come from one stacked least-squares slope.  A bad input
-value (a size below 2, a grid fit_grid rejects) raises PhaseSpaceError;
-AsymptoticsError is a numerical failure, or a hand-built spec no check takes.
+value (a size below 2, a grid fit_grid rejects, or a FlowSpec of an unknown
+kind, mismatched shapes, a non-finite M or d, or a Re d that is not strictly
+descending) raises PhaseSpaceError; AsymptoticsError is a numerical failure
+(a vanishing minor, an overflow, an ambiguous modulus ordering or matching),
+or a spec of the wrong kind for its summary.
 """
 from __future__ import annotations
 
@@ -76,14 +79,14 @@ class FlowSpec:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "d", d)
         if self.kind not in ("exponential", "linear"):
-            raise AsymptoticsError(f"unknown kind {self.kind!r}")
+            raise PhaseSpaceError(f"unknown kind {self.kind!r}")
         if d.ndim < 1 or m.shape != d.shape + d.shape[-1:]:
-            raise AsymptoticsError("M must be square and match the diagonal length")
+            raise PhaseSpaceError("M must be square and match the diagonal length")
         _require_size(d.shape[-1])
         if not (np.isfinite(m).all() and np.isfinite(d).all()):
-            raise AsymptoticsError("M and d must be finite")
+            raise PhaseSpaceError("M and d must be finite")
         if np.any(np.diff(d.real, axis=-1) >= 0):
-            raise AsymptoticsError("Re(d) must be strictly descending")
+            raise PhaseSpaceError("Re(d) must be strictly descending")
         if self.kind == "exponential":
             lower, pivots, upper = ldu(m)
             with np.errstate(over="ignore", invalid="ignore"):  # typed below, not warned

@@ -8,7 +8,8 @@ preserves it.
 
 The battery row takes a phase point or a stack of them (see PhasePoint) and
 returns one array per column.  Its Jacobians evaluate their map once, on the
-central-difference stencils of all points as one flat stack of 4n points each:
+central-difference stencils of all points as one flat stack of 4n points each,
+each point plus a cached table of moves (_offsets):
 the Lax matrices, their spectral images and their time-1 flows come from one
 stacked pass, so each eigensolve or SVD is one numpy call.  Each stencil
 point's values are bit-for-bit those of that point alone.  A stencil point
@@ -24,6 +25,7 @@ of BracketError: bad input, so a PhaseSpaceError, which the CLI reads as usage.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable
 
@@ -54,7 +56,7 @@ def omega_matrix(n: int) -> np.ndarray:
 def _require_stencil(p: PhasePoint, step: float):
     """The step must be finite and positive, and the central stencils of that
     step must stay inside the valid region around each point of p."""
-    if not (np.isfinite(step) and step > 0):
+    if not (math.isfinite(step) and step > 0):
         raise BracketError(f"step must be finite and positive, got {step}")
     margin = INTERIOR_FACTOR * step
     try:
@@ -66,6 +68,18 @@ def _require_stencil(p: PhasePoint, step: float):
         ) from None
 
 
+@lru_cache(maxsize=64)
+def _offsets(size: int, step: float) -> np.ndarray:
+    """The read-only (2 size, size) table of stencil moves: row 2k moves
+    coordinate k by +step, row 2k + 1 by -step."""
+    table = np.zeros((2 * size, size))
+    k = np.arange(size)
+    table[2 * k, k] = step
+    table[2 * k + 1, k] = -step
+    table.flags.writeable = False
+    return table
+
+
 def _map_jacobian(
     phi: Callable[[np.ndarray], np.ndarray], p: PhasePoint, step: float
 ) -> np.ndarray:
@@ -73,13 +87,12 @@ def _map_jacobian(
     map phi that takes a (K, 2n) stack of coordinate vectors to a (K, m) stack
     of outputs, rows = outputs, cols = inputs.  phi is called once, on the
     stencils of all points in stack order: rows 2k and 2k + 1 of a point's
-    stencil are that point with coordinate k moved by +step and -step."""
+    stencil are that point with coordinate k moved by +step and -step, the
+    point plus a row of _offsets, whose zeros leave the other coordinates."""
     x0 = p.as_vector()
-    k = np.arange(x0.shape[-1])
-    stencil = np.repeat(x0[..., None, :], 2 * len(k), axis=-2)
-    stencil[..., 2 * k, k] += step
-    stencil[..., 2 * k + 1, k] -= step
-    out = phi(stencil.reshape(-1, len(k))).reshape(stencil.shape[:-1] + (-1,))
+    size = x0.shape[-1]
+    stencil = x0[..., None, :] + _offsets(size, step)
+    out = phi(stencil.reshape(-1, size)).reshape(stencil.shape[:-1] + (-1,))
     return ((out[..., 0::2, :] - out[..., 1::2, :]) / (2.0 * step)).swapaxes(-1, -2)
 
 
@@ -107,19 +120,36 @@ def _canonicity(j: np.ndarray) -> dict:
     """
     n = j.shape[-2] // 2
     table = _bracket_table(np.concatenate([j[..., n:, :], j[..., :n, :]], axis=-2))
+    # the largest |K Omega K^T - Omega| of each n x n block, in one reduction
+    blocks = np.abs(table - omega_matrix(n)).reshape(table.shape[:-2] + (2, n, 2, n))
+    largest = blocks.max(axis=(-3, -1))
     return {
         # {theta_hat_a, theta_hat_b} and {lambda_hat_a, lambda_hat_b}
-        "action_action": np.abs(table[..., n:, n:]).max(axis=(-2, -1)),
-        "angle_angle": np.abs(table[..., :n, :n]).max(axis=(-2, -1)),
-        "cross_deviation": np.abs(table[..., :n, n:] - np.eye(n)).max(axis=(-2, -1)),
+        "action_action": largest[..., 1, 1],
+        "angle_angle": largest[..., 0, 0],
+        "cross_deviation": largest[..., 0, 1],
     }
 
 
-def _form_residual(j: np.ndarray, sign: float) -> np.ndarray:
-    """max |J^T Omega J + sign Omega|: 0 for an antisymplectic map's Jacobian J
-    at sign = +1, for a symplectic one at sign = -1."""
-    om = omega_matrix(j.shape[-1] // 2)
-    return np.abs(j.swapaxes(-1, -2) @ om @ j + sign * om).max(axis=(-2, -1))
+@lru_cache(maxsize=64)
+def _form_targets(n: int) -> np.ndarray:
+    """The read-only (2, 2n, 2n) pair (Omega, -Omega), which J^T Omega J
+    cancels for an antisymplectic and a symplectic Jacobian J."""
+    om = omega_matrix(n)
+    targets = np.stack([om, -om])
+    targets.flags.writeable = False
+    return targets
+
+
+def _form_residuals(j: np.ndarray) -> np.ndarray:
+    """max |J^T Omega J + T| for each of the two (2n, 2n) blocks of the joint
+    map's Jacobian J, shape (..., 4n, 2n), as one stacked product: the
+    spectral block against T = Omega (antisymplectic), the flow block against
+    T = -Omega (symplectic), shape (..., 2)."""
+    n = j.shape[-1] // 2
+    blocks = j.reshape(j.shape[:-2] + (2, 2 * n, 2 * n))
+    form = blocks.swapaxes(-1, -2) @ omega_matrix(n) @ blocks
+    return np.abs(form + _form_targets(n)).max(axis=(-2, -1))
 
 
 def _spectral_and_flow(x: np.ndarray, g: Coupling) -> tuple[np.ndarray, np.ndarray, Callable]:
@@ -149,12 +179,12 @@ def symplectic_residuals(p: PhasePoint, g: Coupling, step: float = DEFAULT_STEP)
         return values
 
     j = _map_jacobian(joint_map, p, step)
-    spectral, flow = j[..., : 2 * p.n, :], j[..., 2 * p.n :, :]
+    forms = _form_residuals(j)
     failed, reason = flow_failure
     k = int(np.argmax(failed))
     return {
-        **_canonicity(spectral),
-        "antisymplectic": _form_residual(spectral, 1.0),
-        "flow_symplectic": _form_residual(flow, -1.0),
+        **_canonicity(j[..., : 2 * p.n, :]),
+        "antisymplectic": forms[..., 0],
+        "flow_symplectic": forms[..., 1],
         "error": f"point {k // (4 * p.n)}: {reason(k)}" if failed.any() else None,
     }

@@ -16,7 +16,7 @@ follow phase_space.raise_first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,57 +76,82 @@ def _spectrum(bundle: LaxBundle) -> tuple[np.ndarray, np.ndarray]:
     raise_first(theta_hat[..., -1] <= 0, DualityError, lambda i: (
         f"upper half-spectrum not above 1: smallest angle {theta_hat[i][-1]:.3e}"
     ))
-    # ascending eigenvalues: column 2n-1-a of basis carries e^{2 theta_hat_a}
+    # ascending eigenvalues: column 2n-1-a of basis carries e^{2 theta_hat_a};
+    # C swaps the row blocks, so column n+a is column a with its blocks swapped
     v = basis[..., ::-1][..., :n]
-    return theta_hat, np.concatenate([v, bundle.c @ v], axis=-1)
+    paired = np.empty(basis.shape, dtype=complex)
+    paired[..., :n] = v
+    paired[..., :n, n:] = v[..., n:, :]
+    paired[..., n:, n:] = v[..., :n, :]
+    return theta_hat, paired
 
 
 def _phase_fix(
     lam: np.ndarray, f: np.ndarray, theta_hat: np.ndarray, basis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(y_hat, f_hat) over a stack of points, from the Lax data lam and f, shape
-    (..., 2n), and a basis of _spectrum.  The phase twist m_a, applied to both
-    paired columns a and n+a, keeps the basis unitary and C-preserving
-    (y* C y = C) and makes the first n components of
+    """(m, f_hat) over a stack of points, from the Lax data lam and f, shape
+    (..., 2n), and a basis of _spectrum.  The phase twist m, shape (..., n),
+    applied to both paired columns a and n+a (_twisted), keeps the basis
+    unitary and C-preserving (y* C y = C) and makes the first n components of
     F_hat = e^{-Theta_hat} y_hat^{-1} e^{Lam} F real positive, so y_hat does not
     depend on the phases of the basis columns.  F_hat is the unfixed product
     twisted by conj(m), its first n components set to their moduli.
     """
     n = theta_hat.shape[-1]
     transformed = (basis.conj().swapaxes(-1, -2) @ (np.exp(lam) * f)[..., None])[..., 0]
-    raw = np.exp(-_full_angles(theta_hat)) * transformed
+    raw = np.exp(np.concatenate([-theta_hat, theta_hat], axis=-1)) * transformed  # e^{-Theta_hat}
     mod = np.abs(raw[..., :n])
     smallest = mod.min(axis=-1)
     raise_first(smallest < PHASE_MODULUS_TOL, DualityError, lambda i: (
         f"positivity-normalizing component has modulus {smallest[i]:.3e}; phase fix breaks down"
     ))
-    m = np.concatenate([raw[..., :n] / mod] * 2, axis=-1)
-    f_hat = m.conj() * raw
+    m = raw[..., :n] / mod
+    f_hat = np.empty(raw.shape, dtype=complex)
     f_hat[..., :n] = mod
-    weakest = np.abs(f_hat).min(axis=-1)
+    np.multiply(m.conj(), raw[..., n:], out=f_hat[..., n:])
+    # the first n components are at least PHASE_MODULUS_TOL: the last n decide
+    weakest = np.abs(f_hat[..., n:]).min(axis=-1)
     raise_first(weakest < PHASE_MODULUS_TOL, DualityError, lambda i: (
         f"vanishing component of the transformed vector: modulus {weakest[i]:.3e}"
     ))
-    return basis * m[..., None, :], f_hat
+    return m, f_hat
+
+
+def _twisted(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The basis with both column blocks twisted by m, as one product over a
+    (2, n) view of its columns: the diagonalizer y_hat."""
+    n = m.shape[-1]
+    return (basis.reshape(basis.shape[:-1] + (2, n)) * m[..., None, None, :]).reshape(basis.shape)
 
 
 @dataclass(frozen=True)
 class DualFrame:
-    """Spectral data of a Lax bundle: angles, eigenbasis, diagonalizer, dual
-    coordinates, dual matrix."""
+    """Spectral data of a Lax bundle: angles, eigenbasis, phase twist, dual
+    coordinates, dual matrix.  The diagonalizer y_hat and z_hat are formed at
+    their first use, once: the bracket battery reads neither."""
 
     bundle: LaxBundle
     theta_hat: np.ndarray  # (..., n), descending positive
     basis: np.ndarray  # (..., 2n, 2n), C-paired eigenbasis of L before the phase fix
-    y_hat: np.ndarray  # (..., 2n, 2n), unitary, C-preserving
+    twist: np.ndarray  # (..., n), the phase twist m of _phase_fix
     f_hat: np.ndarray  # (..., 2n); first n positive real
-    z_hat: np.ndarray  # (..., n): F_hat_c * conj(F_hat_{n+c})
     u_hat: np.ndarray  # (..., n), closed form, > 1
     lambda_hat: np.ndarray  # (..., n)
 
     @property
     def n(self) -> int:
         return self.bundle.n
+
+    @cached_property
+    def y_hat(self) -> np.ndarray:
+        """(..., 2n, 2n), unitary, C-preserving: the basis twisted by m."""
+        return _twisted(self.basis, self.twist)
+
+    @cached_property
+    def z_hat(self) -> np.ndarray:
+        """(..., n): F_hat_c * conj(F_hat_{n+c})."""
+        n = self.n
+        return self.f_hat[..., :n] * self.f_hat[..., n:].conj()
 
     @property
     def big_theta(self) -> np.ndarray:
@@ -150,13 +175,12 @@ def dual_frame(p: PhasePoint, g: Coupling) -> DualFrame:
     bundle = lax_matrix(p, g)
     n = bundle.n
     theta_hat, basis = _spectrum(bundle)
-    y_hat, f_hat = _phase_fix(bundle.lam, bundle.f, theta_hat, basis)
+    twist, f_hat = _phase_fix(bundle.lam, bundle.f, theta_hat, basis)
     g_hat = g.hat()
     u_hat = _kernels.u_coeffs(theta_hat, g_hat.mu, g_hat.nu)  # closed form
     return DualFrame(
-        bundle=bundle, theta_hat=theta_hat, basis=basis, y_hat=y_hat, f_hat=f_hat,
-        z_hat=f_hat[..., :n] * f_hat[..., n:].conj(), u_hat=u_hat,
-        lambda_hat=2.0 * np.log(f_hat[..., :n].real) - np.log(u_hat),
+        bundle=bundle, theta_hat=theta_hat, basis=basis, twist=twist, f_hat=f_hat,
+        u_hat=u_hat, lambda_hat=2.0 * np.log(f_hat[..., :n].real) - np.log(u_hat),
     )
 
 
@@ -169,8 +193,7 @@ def _dual_lax_routes(frame: DualFrame, dual_bundle: LaxBundle):
     coupling, read from that point's bundle.  All three agree on valid inputs.
     """
     g_hat = dual_bundle.coupling
-    den = _kernels.lax_denominators(frame.big_theta, g_hat.mu)
-    entrywise = _kernels.lax_entries(frame.f_hat, den, frame.bundle.c, g_hat.mu, g_hat.nu)
+    entrywise = _kernels.lax_entries(frame.f_hat, frame.big_theta, g_hat.mu, g_hat.nu)
     return frame.dual_matrix(), entrywise, dual_bundle.matrix
 
 

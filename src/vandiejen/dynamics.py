@@ -32,8 +32,8 @@ of the stack to a finite time of its own, so a time grid takes one SVD.  A
 step fails only numerically, by the exponent range cap, lost rank or a
 collision, and its one failure record is a mask over the units with the
 reason of each: the flow and brackets batteries report the first failing
-unit's reason, and projection_flow raises it by the rule of
-phase_space.raise_first.  Every route takes its times from
+unit's reason, and projection_flow, which takes one time, raises it by the
+rule of phase_space.raise_first.  Every route takes its times from
 phase_space.time_grid, which rejects an empty grid or a non-finite time.
 The Runge-Kutta route and the vector field take a single point.  Both routes
 return the states they reach and nothing else; flow_residuals, the flow
@@ -49,8 +49,8 @@ import numpy as np
 from . import _kernels
 from .duality import _descending_rows, _full_angles, _spectrum
 from .lax import LaxBundle, energy, lax_matrix
-from .phase_space import (Coupling, PhasePoint, VandiejenError, raise_first, require_valid,
-                          time_grid)
+from .phase_space import (Coupling, PhasePoint, PhaseSpaceError, VandiejenError, raise_first,
+                          require_valid, time_grid)
 
 RK_REL_TOL = 1e-10
 RK_ABS_TOL = 1e-12
@@ -446,10 +446,16 @@ def _flow_units(
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:
-    """Exact propagation through the spectrum of the matrix flow to a finite
-    time t.  A failing unit of _flow_units raises by phase_space.raise_first:
-    the first one, for the first check it fails."""
-    (t,) = time_grid(t)
+    """Exact propagation through the spectrum of the matrix flow to one finite
+    time t; several times raise PhaseSpaceError, since flow_residuals is the
+    route over a grid.  A failing unit of _flow_units raises by
+    phase_space.raise_first: the first one, for the first check it fails."""
+    times = time_grid(t)
+    if len(times) != 1:
+        raise PhaseSpaceError(
+            f"projection_flow takes one time, got {len(times)}; flow_residuals takes a grid"
+        )
+    (t,) = times
     bundle = lax_matrix(p, g)
     xi_t, eta_t, failed, reason = _flow_units(bundle, *_spectrum(bundle), t)
     raise_first(failed, DynamicsError, lambda i: reason(*i))

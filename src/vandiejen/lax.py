@@ -12,7 +12,7 @@ that point alone.  Its checks follow phase_space.raise_first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,15 +48,18 @@ def energy(p: PhasePoint, g: Coupling):
 
 def _f_vector(eta: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Column vector F: F_a = e^{eta_a/2} u_a^{1/2}, F_{n+a} = e^{-eta_a/2} conj(z_a) u_a^{-1/2}."""
-    top = np.exp(eta / 2.0) * np.sqrt(u)
-    bot = np.exp(-eta / 2.0) * z.conj() / np.sqrt(u)
-    return np.concatenate([top.astype(complex), bot], axis=-1)
+    n, half, root = eta.shape[-1], eta / 2.0, np.sqrt(u)
+    f = np.empty(eta.shape[:-1] + (2 * n,), dtype=complex)
+    f[..., :n] = np.exp(half) * root
+    f[..., n:] = np.exp(-half) * z.conj() / root  # -eta / 2 exactly
+    return f
 
 
 @dataclass(frozen=True)
 class LaxBundle:
     """All algebraic data at (p, g): coefficients, F, Lambda, C, L, and the energy,
-    each with the leading axes of p but C, which is shared."""
+    each with the leading axes of p but C, which is shared.  The energy is
+    formed at its first use, once: the frames read only L."""
 
     point: PhasePoint
     coupling: Coupling
@@ -66,15 +69,19 @@ class LaxBundle:
     lam: np.ndarray  # real, (..., 2n): (xi, -xi)
     c: np.ndarray  # real 2n x 2n
     matrix: np.ndarray  # complex (..., 2n, 2n), Hermitian positive definite
-    energy: np.ndarray  # real, (...)
 
     @property
     def n(self) -> int:
         return self.point.n
 
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """H = sum_a cosh(eta_a) u_a, real, (...)."""
+        return _energy(self.point.eta, self.u)
+
 
 def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
-    """The bundle at p: z and u once, F from them, then L and the energy.  The
+    """The bundle at p: z and u from one pair table, F from them, then L.  The
     checks run in this order: the chamber, the coupling, the coordinate cap.
     No denominator of L needs one: |sinh(i mu + x)|^2 = sinh(x)^2 + sin(mu)^2,
     so every one is at least |sin mu|, above DEFAULT_REG_MARGIN for a regular
@@ -82,17 +89,15 @@ def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
     require_valid(p)
     g.require_regular()
     xi, eta = p.xi, p.eta
-    if np.abs(xi).max() > COORD_CAP or np.abs(eta).max() > COORD_CAP:
+    # the chamber orders xi descending and positive: xi_1 is the largest |xi_a|
+    if xi[..., 0].max() > COORD_CAP or np.abs(eta).max() > COORD_CAP:
         raise LaxError(f"coordinates exceed the overflow cap {COORD_CAP}")
-    z = _kernels.z_coeffs(xi, g.mu, g.nu)
-    u = _kernels.u_coeffs(xi, g.mu, g.nu)
+    z, u = _kernels.coefficients(xi, g.mu, g.nu)
     f = _f_vector(eta, z, u)
     lam = np.concatenate([xi, -xi], axis=-1)
-    den = _kernels.lax_denominators(lam, g.mu)
-    c = conjugation_matrix(p.n)
     return LaxBundle(
-        point=p, coupling=g, z=z, u=u, f=f, lam=lam, c=c,
-        matrix=_kernels.lax_entries(f, den, c, g.mu, g.nu), energy=_energy(eta, u),
+        point=p, coupling=g, z=z, u=u, f=f, lam=lam, c=conjugation_matrix(p.n),
+        matrix=_kernels.lax_entries(f, lam, g.mu, g.nu),
     )
 
 

@@ -111,7 +111,7 @@ def raise_first(bad, error, message):
     whole stack before the next stage, so a stack raises at its earliest
     failing stage, for the first unit that fails there."""
     bad = np.asarray(bad)
-    if bad.any():
+    if np.count_nonzero(bad):  # a C-level count: ndarray.any runs through Python
         raise error(message(np.unravel_index(np.argmax(bad), bad.shape)))
 
 

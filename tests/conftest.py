@@ -56,7 +56,7 @@ def allocating_field(xi, eta, mu, nu):
     from vandiejen import _kernels
 
     n = len(xi)
-    stencil, t, _, _ = _kernels._compact(n)
+    stencil, t, _ = _kernels._compact(n)
     forward = np.concatenate([xi, eta]).dot(stencil)
     sinh_forward = np.sinh(forward)
     x, sinh_x = forward[:-n].reshape(n, -1), sinh_forward[:-n].reshape(n, -1)
@@ -68,18 +68,27 @@ def allocating_field(xi, eta, mu, nu):
     return sinh_forward[-n:] * u, t.dot(weights.dot(xi_term).reshape(-1))
 
 
+def counted(function, calls: list):
+    """function, with calls growing by the (args, kwargs) of each of its calls."""
+    return lambda *args, **kw: calls.append((args, kw)) or function(*args, **kw)
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """A list that grows by the (args, kwargs) of each call of owner.name from
+    now on: a module's function, which its callers look up at each call, or
+    numpy's, such as np.linalg.eigh."""
+    calls = []
+    monkeypatch.setattr(owner, name, counted(getattr(owner, name), calls))
+    return calls
+
+
 def count_field_calls(monkeypatch) -> list:
-    """A list that grows by one at each evaluation of a field kernel built from now on."""
+    """A list that grows by the (args, kwargs) of each evaluation of a field
+    kernel built from now on."""
     from vandiejen import _kernels
 
-    calls = []
-    kernel = _kernels.field_kernel
-
-    def counted(*args):
-        field = kernel(*args)
-        return lambda y, out: calls.append(1) or field(y, out)
-
-    monkeypatch.setattr(_kernels, "field_kernel", counted)
+    calls, kernel = [], _kernels.field_kernel
+    monkeypatch.setattr(_kernels, "field_kernel", lambda *args: counted(kernel(*args), calls))
     return calls
 
 

@@ -524,9 +524,10 @@ def test_grid_too_late_to_fit_a_decay_order_is_rejected(grid, monkeypatch):
 
 
 def test_error_paths():
-    with pytest.raises(AsymptoticsError):
+    # bad input values are PhaseSpaceErrors; a vanishing minor is numerical
+    with pytest.raises(PhaseSpaceError, match=r"^Re\(d\) must be strictly descending$"):
         FlowSpec(m=np.eye(2), d=[1.0, 1.0], kind="exponential")
-    with pytest.raises(AsymptoticsError):
+    with pytest.raises(PhaseSpaceError, match="^unknown kind 'spiral'$"):
         FlowSpec(m=np.eye(2), d=[1.0, -1.0], kind="spiral")
     with pytest.raises(AsymptoticsError):
         # vanishing leading principal minor
@@ -653,9 +654,9 @@ def test_flow_spec_stack_checks_every_spec():
     m = np.stack([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
     with pytest.raises(AsymptoticsError, match="leading principal minor"):
         FlowSpec(m=m, d=[[1.0, -1.0], [1.0, -1.0]], kind="exponential")
-    with pytest.raises(AsymptoticsError, match="strictly descending"):
+    with pytest.raises(PhaseSpaceError, match="strictly descending"):
         FlowSpec(m=m, d=[[1.0, -1.0], [1.0, 1.0]], kind="linear")
-    with pytest.raises(AsymptoticsError, match="square"):
+    with pytest.raises(PhaseSpaceError, match="square"):
         FlowSpec(m=m, d=[1.0, -1.0], kind="linear")
 
 
@@ -673,7 +674,7 @@ def test_flow_spec_rejects_a_non_finite_entry(kind, where, value):
     else:
         d[1] = value
     for args in ((m, d), (np.stack([spec.m, m]), np.stack([spec.d, d]))):
-        with pytest.raises(AsymptoticsError, match="^M and d must be finite$"):
+        with pytest.raises(PhaseSpaceError, match="^M and d must be finite$"):
             FlowSpec(*args, kind=kind)
 
 

@@ -344,6 +344,21 @@ def test_an_empty_grid_is_rejected(g):
         rk_flow(p, g, [])
 
 
+@pytest.mark.parametrize("t", [[1.0, 2.0], np.array([[0.5], [1.0], [-1.0]])], ids=["2", "3"])
+def test_projection_flow_takes_one_time(t, g):
+    # several times are a grid, flow_residuals' input: a typed error naming
+    # the count, where a tuple unpacking used to end in an untyped ValueError
+    count = np.size(t)
+    with pytest.raises(
+        PhaseSpaceError,
+        match=f"^projection_flow takes one time, got {count}; flow_residuals takes a grid$",
+    ):
+        projection_flow(point(2, seed=1), g, t)
+    # one time in any shape is one time
+    want = projection_flow(point(2, seed=1), g, 1.0).as_vector()
+    npt.assert_array_equal(projection_flow(point(2, seed=1), g, [[1.0]]).as_vector(), want)
+
+
 @pytest.mark.parametrize("method", ["rk", "Projection", ""])
 def test_flow_residuals_rejects_an_unknown_method(method, g):
     # one of its three methods, or a typed error: never a silent run of both

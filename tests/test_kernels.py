@@ -201,6 +201,49 @@ def test_pair_product_gives_the_loop_weights(n, mu, nu, seed):
     assert np.all(np.abs(got - ref) <= 2 * ops * 4 * EPS * np.abs(ref))
 
 
+def _z_exact(xi, mu, nu):
+    """z at 200 bits: -prod_c sinh(i alpha + x)/sinh(x) over the exact arguments
+    xi_a - xi_c and xi_a + xi_c (alpha = mu) and 2 xi_a (alpha = nu)."""
+    with mp.workprec(200):
+        x = [mp.mpf(v) for v in xi]
+        mu_, nu_ = mp.mpf(mu), mp.mpf(nu)
+        ratio = lambda y, alpha: mp.sinh(mp.mpc(y, alpha)) / mp.sinh(y)
+        out = []
+        for a in range(len(x)):
+            val = -ratio(2 * x[a], nu_)
+            for c in range(len(x)):
+                if c != a:
+                    val *= ratio(x[a] - x[c], mu_) * ratio(x[a] + x[c], mu_)
+            out.append(val)
+        return out
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16])
+@pytest.mark.parametrize("mu,nu", COUPLINGS)
+def test_z_is_within_its_factor_count_of_the_exact_product(n, mu, nu):
+    # Each factor cos(alpha) + i sin(alpha)/tanh(x): its real part is one rounded
+    # cos, its imaginary part the argument's rounding, sin, tanh and the
+    # quotient, so the factor is within 4 eps of its exact value; the 2n - 2
+    # complex products are within 4 eps each, and the sign is exact.
+    points = [spread_point(16, 1)] if n == 16 else [point(n, seed) for seed in (1, 2)]
+    for p in points:
+        z, _ = _kernels.coefficients(p.xi, mu, nu)
+        bound = 4 * (2 * n - 1 + 2 * n - 2) * EPS
+        for got, exact in zip(z, _z_exact(p.xi, mu, nu)):
+            assert abs(mp.mpc(got) - exact) <= bound * abs(exact)
+
+
+@pytest.mark.parametrize("n,mu,nu,seed", CASES)
+def test_the_pass_gives_u_as_the_ratio_table_bit_for_bit(n, mu, nu, seed):
+    # the square-root product over q = (sin(alpha) / sinh(x))^2, in u_coeffs'
+    # operations and order, allocating each result
+    xi = point(n, seed).xi
+    q = np.square(_kernels._amplitudes(n, mu, nu) / np.sinh(_kernels._pairs(xi)))
+    want = np.sqrt((1.0 + q).prod(axis=-1))
+    for got in (_kernels.coefficients(xi, mu, nu)[1], _kernels.u_coeffs(xi, mu, nu)):
+        npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16])
 @pytest.mark.parametrize("mu,nu", COUPLINGS[:2])
 def test_stacked_kernels_give_each_point_its_bits_alone(n, mu, nu):
@@ -212,7 +255,8 @@ def test_stacked_kernels_give_each_point_its_bits_alone(n, mu, nu):
         "u": lambda x: _kernels.u_coeffs(x, mu, nu),
         "delta": lambda x: _kernels.delta_shifts(x, mu, nu),
         "pair": lambda x: _kernels.pair_product(x, mu),
-        "z": lambda x: _kernels.z_coeffs(x, mu, nu),
+        "z": lambda x: _kernels.coefficients(x, mu, nu)[0],
+        "u of the pass": lambda x: _kernels.coefficients(x, mu, nu)[1],
     }
     for name, kernel in kernels.items():
         stacked = kernel(xi)
@@ -257,8 +301,11 @@ def test_vector_field_is_finite_and_quiet_far_out():
             xi_dot, eta_dot = _field(xi, eta, 1.3, 0.2)
             u = _kernels.u_coeffs(xi, 1.3, 0.2)
             delta = _kernels.delta_shifts(xi, 1.3, 0.2)
-        for values in (xi_dot, eta_dot, u, delta):
+            z, u_pass = _kernels.coefficients(xi, 1.3, 0.2)
+            pair = _kernels.pair_product(xi, 1.3)
+        for values in (xi_dot, eta_dot, u, delta, z, u_pass, pair):
             assert np.all(np.isfinite(values))
+        npt.assert_array_equal(u_pass, u)
         # the one q term left, at the gap xi_1 - xi_2 >= 10, is below 1e-8
         assert np.all(u >= 1.0) and np.all(u - 1.0 < 1e-8)
 

@@ -8,23 +8,16 @@ from vandiejen import Coupling, _kernels, asymptotics, brackets, duality, lax, s
 from vandiejen.checks import BATTERIES
 from vandiejen.cli import main
 
-from conftest import point
+from conftest import count_calls, point
 
 COUPLINGS = [Coupling(0.7, 0.4), Coupling(1.3, 0.2)]
 
 
 @pytest.fixture
 def z_calls(monkeypatch):
-    """Counts calls of the z kernel; every caller reaches it through `_kernels`."""
-    calls = []
-    original = _kernels.z_coeffs
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(_kernels, "z_coeffs", counted)
-    return calls
+    """Counts calls of the z kernel, which gives z and u from one pair table;
+    every caller reaches it through `_kernels`."""
+    return count_calls(monkeypatch, _kernels, "coefficients")
 
 
 @pytest.mark.parametrize(
@@ -41,6 +34,17 @@ def z_calls(monkeypatch):
 def test_z_kernel_runs_once_per_bundle(z_calls, unit, expected, n):
     unit(point(n, seed=4), COUPLINGS[0])
     assert len(z_calls) == expected(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_lax_matrix_builds_one_pair_table(monkeypatch, n):
+    # z and u of a point, or of a stack such as a bracket stencil, from one
+    # pair table: its ratios give u, its factors z
+    for p in (point(n, seed=4), point(n, seed=[1, 2, 3])):
+        tables = count_calls(monkeypatch, _kernels, "_pairs")
+        lax.lax_matrix(p, COUPLINGS[1])
+        monkeypatch.undo()
+        assert [args[0].shape for args, _ in tables] == [p.xi.shape]
 
 
 @pytest.mark.parametrize("points", [1, 20])

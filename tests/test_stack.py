@@ -21,7 +21,7 @@ from vandiejen.lax import energy, lax_matrix
 from vandiejen.linalg import hermitian_eig
 from vandiejen.phase_space import PhaseSpaceError
 
-from conftest import flow_states, point
+from conftest import count_calls, flow_states, point
 
 COUPLINGS = [Coupling(0.7, 0.4), Coupling(1.3, 0.2), Coupling(2.0, 1.0)]
 STEP = brackets.DEFAULT_STEP
@@ -380,30 +380,27 @@ def test_single_point_routines_reject_a_stack(call):
         call(stack, G_FAIL)
 
 
-def _count_eigensolves(monkeypatch) -> list:
-    """Record each np.linalg.eigh call from now on; the list grows by one per call."""
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    return calls
+def _shapes(calls: list) -> list:
+    """The shape of the first argument of each call a count_calls list holds."""
+    return [args[0].shape for args, _ in calls]
 
 
 def test_a_bracket_row_takes_one_eigensolve_for_its_whole_stack(monkeypatch):
-    # the spectral block and the flow block read the one spectrum of L
+    # the spectral block and the flow block read the one spectrum of L, and
+    # the flow block flows the whole stencil in one SVD
     stack = stack_of([point(2, seed=s) for s in (1, 2, 3)])
-    calls = _count_eigensolves(monkeypatch)
+    eighs, svds = (count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "svd"))
     brackets.symplectic_residuals(stack, G_FAIL)
-    assert calls == [(3 * 4 * 2, 4, 4)]
+    assert _shapes(eighs) == _shapes(svds) == [(3 * 4 * 2, 4, 4)]
 
 
 def test_projection_outcomes_take_one_eigensolve_for_the_grid(monkeypatch):
     # the projection route's outcome at every time of a flow report
-    calls = _count_eigensolves(monkeypatch)
-    svds, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda a: svds.append(a.shape) or svd(a))
+    eighs, svds = (count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "svd"))
     grid = np.linspace(-2.0, 2.0, 9)
     columns = dynamics.flow_residuals(grid, point(3, seed=2), G_FAIL, "projection")
-    assert columns["passed"].all() and len(columns["t"]) == 9 and len(calls) == 1
-    assert svds == [(8, 6, 6)]  # every time but t = 0
+    assert columns["passed"].all() and len(columns["t"]) == 9 and len(eighs) == 1
+    assert _shapes(svds) == [(8, 6, 6)]  # every time but t = 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -418,16 +415,9 @@ def test_projection_outcomes_equal_projection_flow_at_each_time(grid, n):
 
 
 def test_duality_identities_take_the_frames_at_p_and_at_the_dual_point(monkeypatch):
-    calls = _count_eigensolves(monkeypatch)
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
     duality.identity_residuals(stack_of([point(3, seed=s) for s in (1, 2)]), G_FAIL)
     assert len(calls) == 2
-
-
-def _count_calls(monkeypatch, owner, name) -> list:
-    """Record the (args, kwargs) of each call of owner.name from now on."""
-    calls, fn = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append((a, k)) or fn(*a, **k))
-    return calls
 
 
 def _battery_argv(battery: str) -> list:
@@ -440,8 +430,8 @@ def _battery_argv(battery: str) -> list:
 
 @pytest.mark.parametrize("battery", list(BATTERIES))
 def test_a_battery_samples_its_stack_in_one_sampler_call(battery, monkeypatch, tmp_path):
-    points = _count_calls(monkeypatch, cli, "sample")
-    specs = _count_calls(monkeypatch, asymptotics, "sample_spec")
+    points = count_calls(monkeypatch, cli, "sample")
+    specs = count_calls(monkeypatch, asymptotics, "sample_spec")
     unit = BATTERIES[battery].unit
     # a flow battery's units are its times: it samples its one point for --seed
     extra = ["--t", "0:1:4"] if unit == "t" else ["--points", "5"]
@@ -455,9 +445,9 @@ def test_a_battery_samples_its_stack_in_one_sampler_call(battery, monkeypatch, t
 
 def test_specs_draw_one_default_rng_each_and_no_minors(monkeypatch):
     size, seeds = 8, range(1, 13)
-    built = {name: _count_calls(monkeypatch, np.random, name)
+    built = {name: count_calls(monkeypatch, np.random, name)
              for name in ("default_rng", "SeedSequence", "PCG64")}
-    factored = _count_calls(monkeypatch, asymptotics, "ldu")
+    factored = count_calls(monkeypatch, asymptotics, "ldu")
     asymptotics.sample_spec(size, seeds, kind="linear")
     # spec s from default_rng(s) alone, built from its factors: no minor is taken
     assert [a[0] for a, _ in built["default_rng"]] == list(seeds)
@@ -467,7 +457,7 @@ def test_specs_draw_one_default_rng_each_and_no_minors(monkeypatch):
 def test_an_exponential_stack_and_its_summary_take_one_ldu(monkeypatch):
     # the spec factors M once, at construction, and the summary reads m_j and
     # p_j off those factors
-    factored = _count_calls(monkeypatch, asymptotics, "ldu")
+    factored = count_calls(monkeypatch, asymptotics, "ldu")
     spec = asymptotics.sample_spec(8, range(1, 13))
     asymptotics.exponential_summary(spec, np.arange(4.0, 10.5, 1.0))
     assert len(factored) == 1 and factored[0][0][0].shape == (12, 8, 8)
