@@ -22,6 +22,12 @@ a stack in the same way.
 
 Both first check the step and its stencils in _require_stencil, the one raise
 of BracketError: bad input, so a PhaseSpaceError, which the CLI reads as usage.
+
+A central difference carries its h^2 truncation and about eps max|value| / (2h)
+of rounding (eps = 2.2e-16), a bracket that times the size of J: at the default
+h = 1e-5 the bracket columns carry about 1e-8, a floor below which no
+canonicity defect can show.  brackets --n 2 --points 1 --step 1e-9 fails on
+rounding alone (angle_angle 1.96e-5 against 1e-5); --step 1e-3 passes.
 """
 from __future__ import annotations
 

@@ -7,10 +7,8 @@ the vector-field evaluations of a 5(4) pair.  It is written here in numpy, so
 that the package needs no scipy; it takes the steps of scipy's
 solve_ivp(method="DOP853") and reads the requested times off the same dense
 output, which the tests check against scipy.  The field is one
-_kernels.field_kernel, built once per trajectory: each call writes the field
-at a flat state y = (xi, eta) in place, straight into a row of the stage
-table, so a step allocates nothing, and a stage makes 18 numpy calls with
-little Python work around them.
+_kernels.field_kernel, built once per trajectory, which writes each stage in
+place (see _dop853).
 
 The projection route reads the flow off the spectrum of L that the spectral
 map takes, L = Y e^{2 Theta_hat} Y* with Y C-paired (duality._spectrum).  As
@@ -21,20 +19,21 @@ positions at time t are the logs of the n largest singular values of G.
 G is diagonal x unitary x diagonal, so its singular values are determined to
 high relative accuracy however graded its rows and columns are (Demmel et al.,
 LAA 1999; Drmac & Veselic, SIMAX 2008).  One double-precision SVD realizes that
-accuracy when the rows of G are sorted by decreasing Lam, its columns by
-decreasing t beta, and it is scaled by its largest entry exponent.  The
-rapidities come in closed form from the right singular vectors W: since
-d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
+accuracy when G is scaled by its largest entry exponent, its rows sorted by
+decreasing Lam and its columns by decreasing t beta, fixed orders: Lam and beta
+descend along duality._descending_rows, and t beta along it for t >= 0 and
+along its reverse for t < 0.  The rapidities come in closed form from the right
+singular vectors W: since d(G G*)/dt = G diag(beta) G*, xi_dot_a = 1/2 sum_j beta_j |W_ja|^2.
 
 The projection route takes a phase point or a stack of them (see PhasePoint):
 its spectrum is one stacked eigensolve, and one stacked SVD flows every unit
 of the stack to a finite time of its own, so a time grid takes one SVD.  A
 step fails only numerically, by the exponent range cap, lost rank or a
-collision, and its one failure record is a mask over the units with the
-reason of each: the flow and brackets batteries report the first failing
-unit's reason, and projection_flow, which takes one time, raises it by the
-rule of phase_space.raise_first.  Every route takes its times from
-phase_space.time_grid, which rejects an empty grid or a non-finite time.
+collision, in one failure record (_flow_units): the flow and brackets
+batteries report the first failing unit's reason, and projection_flow, which
+takes one time, raises it by the rule of phase_space.raise_first.  Every route
+takes its times from phase_space.time_grid, which rejects an empty grid or a
+non-finite time.
 The Runge-Kutta route and the vector field take a single point.  Both routes
 return the states they reach and nothing else; flow_residuals, the flow
 command's battery, reports them over a time grid with their energies.
@@ -386,63 +385,58 @@ def _flow_units(
     """The flow of each unit of a stack to a finite time of its own, in one
     stacked SVD of G.  The units are the leading axes of the spectrum
     (theta_hat, basis) of _spectrum, those of the bundle, broadcast against t.
+    G has one layout: Lam, beta and Y are read once in the order of
+    _descending_rows, along which Lam and beta descend, and t beta descends
+    along it for t >= 0 and along its reverse for t < 0, which each unit's
+    columns take by the sign of its t.
 
     Returns (xi_t, eta_t, failed, reason): the states with the units' axes,
-    the mask of the units that fail a check, flat over the units in C order,
-    and reason(k), the message of the first check unit k fails, in the order
-    range cap, lost rank, collision.  A failed unit has a nan state.  Every
-    unit goes through the SVD: one over the range cap with its column
-    exponents zeroed, a finite stand-in factor."""
-    lam, g = bundle.lam, bundle.coupling
+    nan where a unit fails a check, the flat C-order mask of those units, and
+    reason(k), unit k's first failing check in the order range cap, lost
+    rank, collision.  A unit over the range cap goes through the SVD with its
+    column exponents zeroed, a finite stand-in factor."""
     n = theta_hat.shape[-1]
-    spectra = np.arange(theta_hat[..., 0].size).reshape(theta_hat.shape[:-1])
-    t = np.asarray(t, dtype=float)
-    # each unit's spectrum and time, by assignment into the broadcast shape
-    # (np.broadcast_arrays costs several times as much on these small stacks)
-    shape = np.broadcast(spectra, t).shape
-    units, times = np.empty(shape, dtype=np.intp), np.empty(shape)
-    units[...], times[...] = spectra, t
-    spectra, times = units.reshape(-1), times.reshape(-1)
-    # beta by column
-    velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat.reshape(-1, n)))[spectra]
     rows = _descending_rows(n)
-    row_exp = lam.reshape(-1, 2 * n)[spectra[:, None], rows]
-    t = times[:, None]
+    t = np.asarray(t, dtype=float)
+    backward = (t < 0)[..., None]
+    row_exp = bundle.lam[..., rows]
+    velocities = 2.0 * np.sinh(2.0 * _full_angles(theta_hat))[..., rows]
+    beta = np.where(backward, velocities[..., ::-1], velocities)  # by column
+    y = basis[..., rows[:, None], rows]
     with np.errstate(over="ignore"):  # past the double range: an inf range, over the cap
-        cols = np.argsort(-t * velocities, axis=-1, kind="stable")
-        beta = velocities[np.arange(len(times))[:, None], cols]
-        col_exp = 0.5 * t * beta
-        exp_range = row_exp[:, 0] - row_exp[:, -1] + col_exp[:, 0] - col_exp[:, -1]
+        col_exp = 0.5 * t[..., None] * beta
+        exp_range = row_exp[..., 0] - row_exp[..., -1] + col_exp[..., 0] - col_exp[..., -1]
     capped = exp_range > EXPONENT_RANGE_CAP
     col_exp[capped] = 0.0
     factor = (
-        np.exp(row_exp - row_exp[:, :1])[:, :, None]
-        * basis.reshape(-1, 2 * n, 2 * n)[spectra[:, None, None], rows[:, None], cols[:, None, :]]
-        * np.exp(col_exp - col_exp[:, :1])[:, None, :]
+        np.exp(row_exp - row_exp[..., :1])[..., :, None]
+        * np.where(backward[..., None], y[..., ::-1], y)
+        * np.exp(col_exp - col_exp[..., :1])[..., None, :]
     )
-    _, sigma, wh = np.linalg.svd(factor)
-    top = sigma[:, :n]
-    lost = top[:, -1] <= 0
+    _, sigma, wh = np.linalg.svd(factor.reshape(-1, 2 * n, 2 * n))  # one stack of units
+    top = sigma.reshape(factor.shape[:-1])[..., :n]
+    lost = top[..., -1] <= 0
     top[lost] = 1.0  # a placeholder for the log: these units fail
-    xi_t = np.log(top) + row_exp[:, :1] + col_exp[:, :1]
+    xi_t = np.log(top) + row_exp[..., :1] + col_exp[..., :1]
     # min over a of (w_a - w_{a+1}) / w_a for the eigenvalues w = sigma^2 of G G*,
     # which falls as the largest step of xi_t rises; 1 at n = 1, +0 (not -0) at a tie
-    gap = 0.0 - np.expm1(2.0 * (xi_t[:, 1:] - xi_t[:, :-1]).max(axis=-1, initial=-np.inf))
+    gap = 0.0 - np.expm1(2.0 * (xi_t[..., 1:] - xi_t[..., :-1]).max(axis=-1, initial=-np.inf))
     collided = gap < FLOW_GAP_TOL
     failed = capped | lost | collided
     xi_t[failed] = np.nan  # before u, which has no value where positions coincide
-    xi_dot = 0.5 * (np.abs(wh[:, :n]) ** 2 @ beta[:, :, None])[..., 0]
-    eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, g.mu, g.nu))
+    xi_dot = 0.5 * (np.abs(wh.reshape(factor.shape)[..., :n, :]) ** 2 @ beta[..., None])[..., 0]
+    eta_t = np.arcsinh(xi_dot / _kernels.u_coeffs(xi_t, bundle.coupling.mu, bundle.coupling.nu))
 
     def reason(k: int) -> str:
-        at = f"at t={float(times[k])}"
-        if capped[k]:
-            return f"flow exponent range {exp_range[k]:.4g} exceeds the double range cap {at}"
-        if lost[k]:
+        unit = np.unravel_index(k, failed.shape)
+        at = f"at t={float(np.broadcast_to(t, failed.shape)[unit])}"
+        if capped[unit]:
+            return f"flow exponent range {exp_range[unit]:.4g} exceeds the double range cap {at}"
+        if lost[unit]:
             return f"flow factor lost rank (roundoff) {at}"
-        return f"eigenvalue collision along the flow: relative gap {gap[k]:.3e}"
+        return f"eigenvalue collision along the flow: relative gap {gap[unit]:.3e}"
 
-    return xi_t.reshape(shape + (n,)), eta_t.reshape(shape + (n,)), failed, reason
+    return xi_t, eta_t, failed.reshape(-1), reason
 
 
 def projection_flow(p: PhasePoint, g: Coupling, t: float) -> PhasePoint:

@@ -101,16 +101,15 @@ def lax_matrix(p: PhasePoint, g: Coupling) -> LaxBundle:
     )
 
 
-def commutation_residual(bundle: LaxBundle) -> float:
+def commutation_residual(bundle: LaxBundle) -> np.ndarray:
     """Max-entry modulus of the defining exchange relation for L.
 
     e^{i mu} e^{Lam} L e^{-Lam} - e^{-i mu} e^{-Lam} L e^{Lam}
         = 2i sin(mu) F F* + 2i sin(mu - nu) C
     """
-    mu = bundle.coupling.mu
-    nu = bundle.coupling.nu
-    el = np.exp(bundle.lam)[..., :, None]
-    ml = np.exp(bundle.lam)[..., None, :]
+    mu, nu = bundle.coupling.mu, bundle.coupling.nu
+    exp_lam = np.exp(bundle.lam)
+    el, ml = exp_lam[..., :, None], exp_lam[..., None, :]
     lhs = (
         np.exp(1j * mu) * (el * bundle.matrix / ml)
         - np.exp(-1j * mu) * (bundle.matrix * ml / el)
